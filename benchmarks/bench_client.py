@@ -18,6 +18,7 @@ client would actually see.
 
 from __future__ import annotations
 
+from repro.core.config import ProtocolConfig
 from repro.workload.parallel import run_many
 from repro.workload.runner import ExperimentSpec, run_experiment
 from repro.workload.generator import WorkloadSpec
@@ -33,6 +34,10 @@ READ_FRACTIONS = (0.6, 0.9)
 LEASE_DURATIONS = (2.5, 10.0)
 CACHE_CAPACITY = 8
 ZIPF_S = 1.2
+#: every cell's protocol config, named here because the staleness bound
+#: L + Δ is derived from it after the run — pooled results come home
+#: without their cluster, so the bound cannot be read off that
+CONFIG = ProtocolConfig(delta=1.0)
 
 SMOKE = {"protocols": ("virtual-partitions",), "read_fractions": (0.9,),
          "lease_durations": (10.0,), "txns_per_client": 4}
@@ -70,6 +75,7 @@ def cell_spec(protocol: str, label: str, session, read_fraction: float,
         grace=120.0,
         workload=WorkloadSpec(read_fraction=read_fraction, zipf_s=ZIPF_S,
                               mean_interarrival=5.0),
+        config=CONFIG,
         retries=3,
         check=True,
         audit=True,
@@ -92,7 +98,7 @@ def cell_outcome(protocol: str, label: str, session,
     lease = session.lease_duration if session is not None else 0.0
     bound = None
     if lease > 0:
-        bound = lease + result.cluster.config.liveness_bound
+        bound = lease + CONFIG.liveness_bound
     return {
         "protocol": protocol,
         "label": label,

@@ -19,7 +19,7 @@ stands on.  This bench measures two experiment groups:
   with the fingerprints of both paths compared entry by entry: the
   parallel engine must change *nothing* but the wall-clock.
 
-**E16** (flat event core + macro-event delivery, new in this PR):
+**E16** (flat event core):
 
 * **churn best-of-N** — the same churn workload, warmed up and run
   ``churn_reps`` times reporting the best wall-clock; compared against
@@ -27,24 +27,17 @@ stands on.  This bench measures two experiment groups:
   The dispatch count is closed-form (``3·pairs·msgs + 4·pairs``) and
   pinned by ``--check``, so any kernel change that adds, drops, or
   reorders a dispatch fails CI deterministically.
-* **macro delivery** — the E13 vp spec run unbatched and with
-  ``batch_window > 0``: in batched mode every network envelope drains
-  through the destination's inline handler as ONE kernel dispatch
-  (``macro_wakeups == envelopes``), so dispatched-event counts drop
-  even though per-message ``delivered`` counts and traces are intact.
 
 Wall-clock numbers are hardware-dependent; the deterministic side
-(dispatched-event counts, fingerprint equality, macro-wakeup
-invariants) is what CI's ``bench-simperf`` job asserts on
-(``--check``), so it cannot flake on a loaded runner.
+(dispatched-event counts, fingerprint equality) is what CI's
+``bench-simperf`` job asserts on (``--check``), so it cannot flake on
+a loaded runner.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
-from repro.core.config import ProtocolConfig
 from repro.sim import Simulator
 from repro.sim.queues import MessageQueue
 from repro.sim.timers import Timer
@@ -62,7 +55,6 @@ CHURN_REPS = 3
 #: gives ~277k — both comparators are reported in EXPERIMENTS.md E16).
 PR4_CHURN_RATE = 205_000.0
 VP_DURATION = 1000.0
-MACRO_WINDOW = 0.05
 SWEEP_SEEDS = tuple(range(1, 9))
 SWEEP_DURATION = 200.0
 WORKERS = 4
@@ -116,8 +108,8 @@ def churn_dispatches(pairs: int, msgs: int) -> int:
 
     3 dispatches per message cycle (producer timeout, AnyOf wakeup,
     next-get wakeup) plus 4 per pair of start/finish bookkeeping.  The
-    FIFO fast path and inline fires change *which queue* an entry
-    travels through, never whether it is dispatched — so this is
+    FIFO fast path changes *which queue* an entry travels through,
+    never whether it is dispatched — so this is
     invariant across kernel data-structure changes and is what
     ``--check`` pins.
     """
@@ -193,17 +185,6 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
     flat_rate = flat_events / flat_wall if flat_wall else 0.0
     flat_speedup = flat_rate / PR4_CHURN_RATE if PR4_CHURN_RATE else 0.0
 
-    # -- E16: macro-event delivery (batched vs unbatched vp) -------------
-    batched_spec = replace(_vp_spec(vp_duration),
-                           config=ProtocolConfig(batch_window=MACRO_WINDOW))
-    batched = run_experiment(batched_spec)
-    macro_wakeups = batched.network.get("macro_wakeups", 0)
-    macro_envelopes = batched.network.get("envelopes", 0)
-    dispatch_savings = (
-        1.0 - batched.events_dispatched / vp.events_dispatched
-        if vp.events_dispatched else 0.0
-    )
-
     report(render_table(
         ["workload", "events", "wall (s)", "events/sec"],
         [
@@ -226,16 +207,8 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
             [f"churn best-of-{max(1, churn_reps)}", flat_events,
              f"{flat_wall:.3f}", f"{flat_rate:,.0f}",
              f"{flat_speedup:.2f}x vs PR-4 recorded"],
-            ["vp unbatched", vp.events_dispatched,
-             f"{vp.wall_seconds:.3f}", f"{vp_rate:,.0f}",
-             "macro_wakeups=0"],
-            [f"vp batch_window={MACRO_WINDOW}", batched.events_dispatched,
-             f"{batched.wall_seconds:.3f}",
-             f"{batched.events_per_sec:,.0f}",
-             f"{macro_wakeups} wakeups / {macro_envelopes} envelopes, "
-             f"dispatches -{dispatch_savings:.0%}"],
         ],
-        title="E16  Flat event core + macro-event delivery "
+        title="E16  Flat event core "
               f"(churn dispatch count pinned at "
               f"{churn_dispatches(churn_pairs, churn_msgs)})",
     ))
@@ -246,11 +219,6 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
         "kernel.flat.speedup_vs_pr4": flat_speedup,
         "vp.events": vp.events_dispatched,
         "vp.events_per_sec": vp_rate,
-        "macro.unbatched_dispatched": vp.events_dispatched,
-        "macro.batched_dispatched": batched.events_dispatched,
-        "macro.wakeups": macro_wakeups,
-        "macro.envelopes": macro_envelopes,
-        "macro.dispatch_savings": dispatch_savings,
         "sweep.runs": len(specs),
         "sweep.events": sweep_events,
         "sweep.serial_seconds": serial_wall,
@@ -264,7 +232,6 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
         "flat": (flat_events, flat_rate),
         "churn_shape": (churn_pairs, churn_msgs),
         "vp": vp,
-        "batched": batched,
         "serial": serial,
         "parallel": parallel,
         "speedup": speedup,
@@ -274,9 +241,8 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
 def check(results: dict) -> None:
     """Deterministic assertions only — CI's flake-proof smoke entry.
 
-    Pins dispatched-event counts (closed-form churn formula, macro
-    wakeup==envelope identity) and compares serial/parallel
-    fingerprints; never asserts on wall time.
+    Pins the closed-form churn dispatch count and compares
+    serial/parallel fingerprints; never asserts on wall time.
     """
     pairs, msgs = results["churn_shape"]
     expected = churn_dispatches(pairs, msgs)
@@ -286,17 +252,6 @@ def check(results: dict) -> None:
     assert flat_events == expected, (flat_events, expected)
     vp = results["vp"]
     assert vp.events_dispatched > 0 and vp.committed > 0
-    assert vp.network.get("macro_wakeups", 0) == 0
-    batched = results["batched"]
-    assert batched.committed > 0
-    wakeups = batched.network.get("macro_wakeups", 0)
-    envelopes = batched.network.get("envelopes", 0)
-    assert wakeups == envelopes > 0, (wakeups, envelopes)
-    # every batched envelope drains inline instead of scheduling a
-    # wakeup per message, so the batched run must dispatch fewer events
-    assert batched.events_dispatched < vp.events_dispatched, (
-        batched.events_dispatched, vp.events_dispatched,
-    )
     # run() already raised if any serial/parallel fingerprint differed;
     # re-derive the comparison here so --check is self-contained
     for a, b in zip(results["serial"], results["parallel"]):

@@ -49,8 +49,7 @@ class Processor:
         self._tasks: Dict[str, Process] = {}
         self._crash_hooks: list[Callable[[], None]] = []
         self._recover_hooks: list[Callable[[], None]] = []
-        network.register(pid, self._on_delivery,
-                         inline=self._on_delivery_inline)
+        network.register(pid, self._on_delivery)
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
@@ -218,29 +217,6 @@ class Processor:
                                  reply_to=message.reply_to)
             return
         self.mailbox(message.kind).put(message)
-
-    def _on_delivery_inline(self, message: Message) -> None:
-        """Macro-event variant of :meth:`_on_delivery` (batched mode).
-
-        Wakes the reply waiter / mailbox getter *within the current
-        dispatch* — ``fire_inline`` / ``put_inline`` instead of
-        scheduled wakeup events — so a whole envelope drains as one
-        kernel dispatch.  Filtering (dead processor, late replies) is
-        identical to the classic path.
-        """
-        if not self.alive:
-            return
-        if message.reply_to is not None:
-            waiter = self._reply_waiters.pop(message.reply_to, None)
-            if waiter is not None and self.sim.fire_inline(waiter, message):
-                return
-            self.transport.late_replies += 1
-            if self.tracer is not None:
-                self.tracer.emit("msg.late-reply", pid=self.pid,
-                                 src=message.src, kind=message.kind,
-                                 reply_to=message.reply_to)
-            return
-        self.mailbox(message.kind).put_inline(message)
 
     # -- task management ----------------------------------------------------------
 

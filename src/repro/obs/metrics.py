@@ -5,11 +5,6 @@ every ``bench_*`` run and every :func:`~repro.workload.runner.
 run_experiment` call loads its results into one so the numbers exist
 in machine-readable form, giving future performance PRs a stable
 baseline to diff against.
-
-Disabled recording uses :class:`NullRegistry`, whose instruments are
-shared do-nothing singletons — callers keep the same
-``registry.counter("x").inc()`` shape with no conditional at the call
-site and no allocation per lookup.
 """
 
 from __future__ import annotations
@@ -267,8 +262,6 @@ class LogBucketHistogram(Histogram):
 class MetricsRegistry:
     """Interned instruments, keyed by name."""
 
-    enabled = True
-
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -329,77 +322,3 @@ class MetricsRegistry:
         return (f"MetricsRegistry({len(self._counters)} counters, "
                 f"{len(self._gauges)} gauges, "
                 f"{len(self._histograms)} histograms)")
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
-        pass
-
-
-class _NullLogBucketHistogram(LogBucketHistogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
-        pass
-
-    def merge(self, other: LogBucketHistogram) -> None:
-        pass
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled recorder: every lookup returns a shared no-op.
-
-    ``snapshot()`` is always empty; ``inc``/``set``/``observe`` discard
-    their arguments without allocating, so instrumented code needs no
-    "is metrics on?" branch.
-    """
-
-    enabled = False
-
-    def __init__(self):
-        super().__init__()
-        self._counter = _NullCounter("null")
-        self._gauge = _NullGauge("null")
-        self._histogram = _NullHistogram("null")
-        self._log_histogram = _NullLogBucketHistogram("null")
-
-    def counter(self, name: str) -> Counter:
-        return self._counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._gauge
-
-    def histogram(self, name: str) -> Histogram:
-        return self._histogram
-
-    def log_histogram(self, name: str) -> LogBucketHistogram:
-        return self._log_histogram
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-#: a process-wide disabled registry, for defaulting optional parameters
-NULL_REGISTRY = NullRegistry()

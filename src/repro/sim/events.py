@@ -63,7 +63,7 @@ class Event:
         #: slot-table index while scheduled; -1 when not in the heap
         self._slot = -1
         # ``_ok`` and ``_defused`` are deliberately NOT initialized:
-        # every trigger path (succeed/fail/materialize/fire_inline)
+        # every trigger path (succeed/fail/materialize)
         # stores ``_ok`` before anything reads it, and ``_defused`` is
         # stored by defuse() and read (via getattr) only on the
         # unhandled-failure path.  Two fewer stores per event matters:

@@ -6,11 +6,6 @@ event fires at the current instant, otherwise the caller is enqueued as
 a waiter.  A waiter can be *cancelled* (e.g. when it loses an ``AnyOf``
 race against a timer) in which case it never consumes an item — without
 this, select-style loops would silently eat messages.
-
-``put_inline`` is the macro-event variant of ``put``: it wakes the
-oldest live waiter *inside the current dispatch* via
-:meth:`Simulator.fire_inline` instead of scheduling a heap event, so a
-batched envelope can drain all of its messages in one wakeup.
 """
 
 from __future__ import annotations
@@ -106,21 +101,6 @@ class MessageQueue:
                 sim._ready.append((sim._now, (1 << 53) | (seq << 1), slot))
                 return
         self._items.append(item)
-
-    def put_inline(self, item: Any) -> bool:
-        """Deposit ``item``, waking the oldest live waiter *within the
-        current dispatch* (see :meth:`Simulator.fire_inline`) instead of
-        scheduling a wakeup event.  Falls back to queueing the item when
-        no live waiter exists.  Returns True iff a waiter fired inline.
-        """
-        waiters = self._waiters
-        fire = self.sim.fire_inline
-        while waiters:
-            waiter = waiters.pop(0)
-            if waiter._value is _PENDING and fire(waiter, item):
-                return True
-        self._items.append(item)
-        return False
 
     def get(self) -> GetEvent:
         """An event that fires with the next item."""

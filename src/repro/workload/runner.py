@@ -394,6 +394,15 @@ class ClientObserver:
     latencies: list = field(default_factory=list)
 
 
+def _count_fields(registry: MetricsRegistry, prefix: str, stats) -> None:
+    """Add every int field of a ``*Stats`` dataclass to the counter
+    ``<prefix>.<field>`` (non-int fields — sample lists — are skipped)."""
+    for spec in dataclasses.fields(stats):
+        value = getattr(stats, spec.name)
+        if isinstance(value, int):
+            registry.counter(f"{prefix}.{spec.name}").inc(value)
+
+
 def collect_registry(cluster: Cluster, sessions=(),
                      observer: Optional[ClientObserver] = None,
                      ) -> MetricsRegistry:
@@ -422,7 +431,6 @@ def collect_registry(cluster: Cluster, sessions=(),
     registry.counter("msg.delivered").inc(stats.delivered)
     registry.counter("msg.dropped").inc(stats.dropped)
     registry.counter("msg.envelopes").inc(stats.envelopes)
-    registry.counter("msg.macro_wakeups").inc(stats.macro_wakeups)
     registry.gauge("msg.batch_occupancy").set(stats.batch_occupancy)
     if committed:
         registry.gauge("txn.messages_per_commit").set(
@@ -434,41 +442,17 @@ def collect_registry(cluster: Cluster, sessions=(),
     fanout_latency = registry.histogram("transport.fanout_latency")
     for pid in cluster.pids:
         transport = cluster.processors[pid].transport
-        registry.counter("transport.fanouts").inc(transport.fanouts)
-        registry.counter("transport.broadcasts").inc(transport.broadcasts)
-        registry.counter("transport.rpcs").inc(transport.rpcs)
-        registry.counter("transport.no_responses").inc(
-            transport.no_responses)
-        registry.counter("transport.early_exits").inc(
-            transport.early_exits)
-        registry.counter("transport.late_replies").inc(
-            transport.late_replies)
-        registry.counter("transport.routed_fanouts").inc(
-            transport.routed_fanouts)
+        _count_fields(registry, "transport", transport)
         fanout_latency.observe_many(transport.fanout_latencies)
     for pid in sorted(getattr(cluster, "directories", {})):
-        dstats = cluster.directories[pid].stats
-        registry.counter("directory.lookups").inc(dstats.lookups)
-        registry.counter("directory.hits").inc(dstats.hits)
-        registry.counter("directory.misses").inc(dstats.misses)
-        registry.counter("directory.evictions").inc(dstats.evictions)
-        registry.counter("directory.invalidations").inc(dstats.invalidations)
+        _count_fields(registry, "directory", cluster.directories[pid].stats)
     retained = 0
     for pid in cluster.pids:
         store = cluster.processors[pid].store
         stats = getattr(store, "stats", None)
         if stats is None:
             continue  # a bare CopyStore was injected; no engine stats
-        registry.counter("storage.wal_appends").inc(stats.wal_appends)
-        registry.counter("storage.forced_syncs").inc(stats.forced_syncs)
-        registry.counter("storage.checkpoints").inc(stats.checkpoints)
-        registry.counter("storage.compacted_entries").inc(
-            stats.compacted_entries)
-        registry.counter("storage.truncated_reads").inc(
-            stats.truncated_reads)
-        registry.counter("storage.replayed_records").inc(
-            stats.replayed_records)
-        registry.counter("storage.replayed_bytes").inc(stats.replayed_bytes)
+        _count_fields(registry, "storage", stats)
         retained += store.retained_entries()
     registry.gauge("storage.retained_entries").set(retained)
     totals = cluster.total_metrics()
@@ -518,26 +502,14 @@ def _collect_sessions(registry: MetricsRegistry, cluster: Cluster,
         read_latency.observe_many(stats.read_latencies)
         staleness.observe_many(stats.staleness)
         if session.cache is not None:
-            cache = session.cache.stats
-            registry.counter("client.cache.hits").inc(cache.hits)
-            registry.counter("client.cache.misses").inc(cache.misses)
-            registry.counter("client.cache.evictions").inc(cache.evictions)
-            registry.counter("client.cache.dirty_evictions").inc(
-                cache.dirty_evictions)
-            registry.counter("client.cache.invalidations").inc(
-                cache.invalidations)
+            _count_fields(registry, "client.cache", session.cache.stats)
     # lease tables are per-processor (shared by that node's sessions),
     # so collect them from the protocols, not the sessions
     for pid in cluster.pids:
         table = getattr(cluster.protocols[pid], "lease_table", None)
         if table is None:
             continue
-        stats = table.stats
-        registry.counter("client.lease.granted").inc(stats.granted)
-        registry.counter("client.lease.served").inc(stats.served)
-        registry.counter("client.lease.expired").inc(stats.expired)
-        registry.counter("client.lease.revoked").inc(stats.revoked)
-        registry.counter("client.lease.invalidated").inc(stats.invalidated)
+        _count_fields(registry, "client.lease", table.stats)
 
 
 def _client(cluster: Cluster, pid: int, generator: WorkloadGenerator,

@@ -4,6 +4,13 @@ Each ``benchmarks/bench_*.py`` exposes ``run(**kwargs)`` and a
 module-level ``SMOKE`` dict of small-scale overrides.  This test
 imports every bench and executes it with those, so a broken bench
 fails fast in the unit suite instead of at benchmark time.
+
+Every ``run()`` takes ``workers`` (``bench_main`` forwards
+``--workers`` to it) and is run at ``workers=1`` *and* ``workers=2``
+whatever the host's CPU count — ``workers=None`` means "one per CPU",
+which let a 1-CPU host hide a pool-path pickling failure — and the two
+runs must agree on every ``ExperimentResult`` fingerprint the bench
+returns.
 """
 
 import importlib.util
@@ -12,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.workload.runner import ExperimentResult
+
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 BENCH_FILES = sorted(BENCH_DIR.glob("bench_*.py"))
 
@@ -19,10 +28,28 @@ BENCH_FILES = sorted(BENCH_DIR.glob("bench_*.py"))
 def _load(path: Path):
     if str(BENCH_DIR) not in sys.path:
         sys.path.insert(0, str(BENCH_DIR))  # for `from _shared import ...`
-    spec = importlib.util.spec_from_file_location(f"smoke_{path.stem}", path)
+    name = f"smoke_{path.stem}"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    # registered before exec: schedule classes the bench defines travel
+    # to pool workers pickled by ``<module name>.<class name>``
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _fingerprints(outcome):
+    """Fingerprints of every ``ExperimentResult`` in a bench's return
+    value (benches nest them in dicts/lists keyed by table cell)."""
+    if isinstance(outcome, ExperimentResult):
+        return [outcome.fingerprint()]
+    if isinstance(outcome, dict):
+        outcome = list(outcome.values())
+    if isinstance(outcome, (list, tuple)):
+        return [fp for item in outcome for fp in _fingerprints(item)]
+    return []
 
 
 def test_all_benchmarks_discovered():
@@ -34,8 +61,13 @@ def test_benchmark_smoke(path, capsys):
     module = _load(path)
     assert hasattr(module, "run"), f"{path.name} has no run() entry point"
     assert hasattr(module, "SMOKE"), f"{path.name} has no SMOKE parameters"
-    result = module.run(**module.SMOKE)
-    assert result is not None
-    out = capsys.readouterr().out
-    # every bench emits its headline numbers as one structured JSON line
-    assert '"bench"' in out and '"metrics"' in out
+    fingerprints = []
+    for workers in (1, 2):
+        result = module.run(**{**module.SMOKE, "workers": workers})
+        assert result is not None
+        out = capsys.readouterr().out
+        # every bench emits its headline numbers as one structured JSON line
+        assert '"bench"' in out and '"metrics"' in out
+        fingerprints.append(_fingerprints(result))
+    serial, pooled = fingerprints
+    assert serial == pooled

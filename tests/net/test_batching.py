@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from repro.net import CommGraph, FixedLatency, Message, Network
+from repro.node.processor import Processor
 from repro.sim import Simulator
 
 
@@ -113,3 +116,84 @@ def test_msg_id_streams_are_per_network():
     # a second network starts its own stream — ids never leak across
     # clusters built back-to-back in one process
     assert net_b.next_msg_id() == 1
+
+
+# -- envelope delivery: every carried message takes the one handler path ------
+
+
+class RecordingTracer:
+    def __init__(self):
+        self.events = []
+
+    def emit(self, etype, **fields):
+        self.events.append((etype, fields))
+
+
+def test_destination_without_handler_drops_the_whole_envelope():
+    sim = Simulator()
+    graph = CommGraph(range(1, 3))
+    net = Network(sim, graph, FixedLatency(1.0), random.Random(1),
+                  batch_window=0.5)
+    # node 2 is in the graph but no processor ever attached to it
+    net.send(Message(src=1, dst=2, kind="a"))
+    net.send(Message(src=1, dst=2, kind="b"))
+    sim.run()
+    assert net.stats.envelopes == 1
+    assert net.stats.dropped_dst_down == 2
+    assert net.stats.delivered == 0
+
+
+@pytest.mark.parametrize("sever", [
+    lambda graph: graph.cut_link(1, 2),
+    # a crashed endpoint has no edges, so this too is an in-flight death
+    lambda graph: graph.crash_node(2),
+], ids=["link-cut", "destination-crashed"])
+def test_envelope_severed_in_flight_is_dropped_whole(sever):
+    sim, graph, net, arrivals = build(window=0.5)
+    net.send(Message(src=1, dst=2, kind="a"))
+    net.send(Message(src=1, dst=2, kind="b"))
+    # after the 0.5 flush, before the 1.0 arrival
+    sim.timeout(0.75).add_callback(lambda _e: sever(graph))
+    sim.run()
+    assert arrivals[2] == []
+    assert net.stats.dropped == net.stats.dropped_in_flight == 2
+    assert net.stats.delivered == 0
+
+
+def test_duplicate_replies_riding_one_envelope_wake_the_waiter_once():
+    sim, _, net, _ = build(window=0.5, n=2)
+    # attaching a processor replaces build()'s recording handler
+    p1, p2 = Processor(1, sim, net), Processor(2, sim, net)
+    replies = []
+
+    def server():
+        request = yield p2.receive("ping")
+        p2.reply(request, "pong", {"n": 1})
+        p2.reply(request, "pong", {"n": 2})  # duplicate, same window
+
+    def client():
+        response = yield from p1.rpc(2, "ping", {}, timeout=10.0)
+        replies.append(response.payload["n"])
+
+    sim.process(server(), name="server")
+    sim.process(client(), name="client")
+    sim.run()
+    # both pongs rode one envelope; the first woke the RPC waiter, the
+    # second found nobody waiting — counted late, not left in a mailbox
+    assert net.stats.envelopes == 2 and net.stats.delivered == 3
+    assert replies == [1]
+    assert p1.transport.late_replies == 1
+    assert len(p1.mailbox("pong")) == 0
+
+
+def test_recv_traces_follow_carry_order():
+    sim, _, net, _ = build(window=0.5)
+    net.tracer = tracer = RecordingTracer()
+    for kind in ("a", "b", "c"):
+        net.send(Message(src=1, dst=2, kind=kind))
+    sim.run()
+    recvs = [f for e, f in tracer.events if e == "msg.recv"]
+    # one msg.recv per carried message, in carry order, matching sends
+    assert [f["kind"] for f in recvs] == ["a", "b", "c"]
+    sends = [f["seq"] for e, f in tracer.events if e == "msg.send"]
+    assert [f["seq"] for f in recvs] == sends

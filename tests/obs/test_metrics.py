@@ -3,13 +3,11 @@
 import pytest
 
 from repro.obs.metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     LogBucketHistogram,
     MetricsRegistry,
-    NullRegistry,
 )
 
 
@@ -147,14 +145,6 @@ def test_registry_log_histogram_interned_and_kind_checked():
     assert registry.snapshot()["histograms"]["lat"]["count"] == 1
 
 
-def test_null_registry_log_histogram_is_inert():
-    registry = NullRegistry()
-    registry.log_histogram("x").observe(5.0)
-    registry.log_histogram("x").observe_many([1.0, 2.0])
-    assert registry.snapshot() == {"counters": {}, "gauges": {},
-                                   "histograms": {}}
-
-
 def test_registry_interns_instruments():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
@@ -182,16 +172,3 @@ def test_registry_snapshot_sorted_and_json_ready():
     assert snapshot["gauges"] == {"g": 7}
     assert snapshot["histograms"]["h"]["count"] == 1
     json.dumps(snapshot)  # must be serializable as-is
-
-
-def test_null_registry_is_inert():
-    registry = NullRegistry()
-    registry.counter("a").inc(5)
-    registry.gauge("b").set(2.0)
-    registry.histogram("c").observe(1.0)
-    assert registry.snapshot() == {"counters": {}, "gauges": {},
-                                   "histograms": {}}
-
-
-def test_null_registry_shares_instruments():
-    assert NULL_REGISTRY.counter("x") is NULL_REGISTRY.counter("y")
