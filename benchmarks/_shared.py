@@ -19,12 +19,13 @@ fans the bench's experiment batch out through
 configuration, and ``--check`` runs the deterministic assertions CI
 leans on.  Benches whose scenarios mutate a live cluster mid-run
 (failure injection at a chosen instant, probing a split cluster) run
-their clusters in-process and accept ``--workers`` for CLI uniformity
-only — the flag is documented as a no-op there.
+their clusters in-process: their ``run()`` takes no ``workers`` and
+the script refuses ``--workers``.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from typing import Any, Callable, Mapping, Optional
@@ -77,10 +78,11 @@ def bench_main(name: str, run: Callable[..., Any],
     """Shared CLI for every bench script — the ``--workers`` sweep runner.
 
     * ``--workers N`` — process-pool width for the bench's experiment
-      fan-outs, forwarded as ``run(workers=N)``.  Every bench routes
-      its spec batches through :func:`repro.workload.parallel.run_many`,
-      which returns results in submission order — so ``N`` changes only
-      the wall-clock, never a table, metric, or fingerprint.
+      fan-outs, forwarded as ``run(workers=N)`` when ``run`` takes it
+      (in-process benches refuse the flag).  Spec batches go through
+      :func:`repro.workload.parallel.run_many`, which returns results
+      in submission order — so ``N`` changes only the wall-clock,
+      never a table, metric, or fingerprint.
     * ``--smoke`` — run the module's ``SMOKE`` configuration instead of
       the full sweep.
     * ``--check`` — run with ``check_params`` (full-size when omitted),
@@ -95,6 +97,9 @@ def bench_main(name: str, run: Callable[..., Any],
     argv = list(sys.argv[1:] if argv is None else argv)
     kwargs: dict = {}
     if "--workers" in argv:
+        if "workers" not in inspect.signature(run).parameters:
+            raise SystemExit(
+                f"{name} runs in-process; --workers does not apply")
         index = argv.index("--workers")
         if index + 1 >= len(argv):
             raise SystemExit("--workers requires an integer argument")

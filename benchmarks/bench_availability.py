@@ -56,10 +56,9 @@ def weighted_availability(protocol_name: str) -> dict:
 
 
 def run(splits=(1, 2, 3, 4), protocols=PROTOCOLS,
-        weighted: bool = True, workers=None) -> dict:
-    # ``workers`` accepted for CLI uniformity; a no-op — each point
-    # probes availability on a live partitioned cluster.
-    del workers
+        weighted: bool = True) -> dict:
+    # in-process: each point probes availability on a live partitioned
+    # cluster.
     rows = []
     outcomes: dict = {}
     for k in splits:

@@ -16,26 +16,12 @@ Both must yield one-copy serializable histories under partitions.
 from __future__ import annotations
 
 from repro.core.config import ProtocolConfig
-from repro.workload import ExperimentSpec, WorkloadSpec, run_many
+from repro.workload import ExperimentSpec, ScriptedFailures, WorkloadSpec, run_many
 from repro.workload.tables import render_table
 
 from _shared import bench_main, emit_metrics, report, run_once
 
 SMOKE = {"duration": 80.0, "contentions": ("low",)}
-
-
-class PartitionMidRun:
-    """Picklable failure schedule: partition at 37.5% of the run, heal
-    at 65% — a callable object so the spec can cross the ``run_many``
-    process boundary."""
-
-    def __init__(self, duration: float):
-        self.duration = duration
-
-    def __call__(self, cluster) -> None:
-        cluster.injector.partition_at(self.duration * 0.375,
-                                      [{1, 2, 3}, {4, 5}])
-        cluster.injector.heal_all_at(self.duration * 0.65)
 
 
 def cc_spec(cc: str, contention: str,
@@ -48,7 +34,10 @@ def cc_spec(cc: str, contention: str,
                               mean_interarrival=6.0),
         retries=3,
         check=True,  # 1SR verdict computed in the (possibly child) run
-        failures=PartitionMidRun(duration),
+        # partition at 37.5% of the run, heal at 65%
+        failures=ScriptedFailures(
+            partitions=[(duration * 0.375, [{1, 2, 3}, {4, 5}])],
+            heal_at=duration * 0.65),
     )
 
 

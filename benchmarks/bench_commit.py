@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro import Cluster, ProtocolConfig
 from repro.net.nemesis import NemesisMix
-from repro.workload.hunt import HuntConfig, campaign_spec, plan_campaigns, verdict_of
+from repro.workload.hunt import HuntConfig, campaign_spec, hunt_base, plan_campaigns, verdict_of
 from repro.workload.parallel import run_many
 from repro.workload.tables import render_table
 
@@ -88,8 +88,9 @@ def blocking_window(backend: str, recover_after=None) -> dict:
 def campaign_outcomes(backend: str, campaigns: int, seed: int = 0,
                       workers=None) -> dict:
     """Fixed-seed crash-heavy nemesis campaigns against one backend."""
-    cfg = HuntConfig(commit_backend=backend, campaigns=campaigns,
-                     seed=seed, mix=CRASH_MIX, workers=workers)
+    cfg = HuntConfig(base=hunt_base(commit_backend=backend),
+                     campaigns=campaigns, seed=seed, mix=CRASH_MIX,
+                     workers=workers)
     plans = plan_campaigns(cfg)
     specs = [campaign_spec(cfg, actions, s) for s, actions in plans]
     results = run_many(specs, workers=workers)

@@ -17,10 +17,8 @@ from _shared import bench_main, emit_metrics, report, run_once
 SMOKE: dict = {}
 
 
-def run(workers=None) -> dict:
-    # ``workers`` accepted for CLI uniformity; a no-op — the bench is
-    # two fixed scripted scenarios, not a spec sweep.
-    del workers
+def run() -> dict:
+    # in-process: two fixed scripted scenarios, not a spec sweep.
     naive = run_example1_naive(seed=0)
     vp = run_example1_vp(seed=0)
     rows = [

@@ -93,11 +93,9 @@ CONFIGS = [
 SMOKE = {"configs": CONFIGS[:1], "split_off": False}
 
 
-def run(configs=CONFIGS, split_off: bool = True, workers=None) -> dict:
-    # ``workers`` is accepted for CLI uniformity (`--workers N`) but is
-    # a no-op here: each scenario stages failures against a live
-    # cluster mid-run, so the strategies execute in-process.
-    del workers
+def run(configs=CONFIGS, split_off: bool = True) -> dict:
+    # in-process: each scenario stages failures against a live cluster
+    # mid-run.
     outcomes: dict = {}
     rows = []
     for label, strategy, catchup, fastpath in configs:

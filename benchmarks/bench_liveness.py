@@ -48,10 +48,9 @@ def convergence_time(delta: float, pi: float, seed: int,
 
 
 def run(deltas=(0.5, 1.0, 2.0), pi_factors=(3, 10, 20),
-        jitters=(False, True), seeds=(1, 2, 3), workers=None) -> dict:
-    # ``workers`` accepted for CLI uniformity; a no-op — each point
-    # stages a partition/heal against a live cluster in-process.
-    del workers
+        jitters=(False, True), seeds=(1, 2, 3)) -> dict:
+    # in-process: each point stages a partition/heal against a live
+    # cluster.
     rows = []
     outcomes: dict = {}
     for delta in deltas:

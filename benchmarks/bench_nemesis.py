@@ -17,7 +17,7 @@ with 1SR convictions.
 from __future__ import annotations
 
 from repro.net.nemesis import NemesisMix
-from repro.workload.hunt import HuntConfig, campaign_spec, plan_campaigns, verdict_of
+from repro.workload.hunt import HuntConfig, campaign_spec, hunt_base, plan_campaigns, verdict_of
 from repro.workload.parallel import run_many
 from repro.workload.tables import render_table
 
@@ -40,8 +40,8 @@ def campaign_outcomes(protocol: str, mix: NemesisMix, campaigns: int,
                       seed: int = 0, workers=None) -> dict:
     """Run ``campaigns`` fixed-seed nemesis campaigns against one
     protocol and aggregate the verdicts."""
-    cfg = HuntConfig(protocol=protocol, campaigns=campaigns, seed=seed,
-                     mix=mix, workers=workers)
+    cfg = HuntConfig(base=hunt_base(protocol=protocol), campaigns=campaigns,
+                     seed=seed, mix=mix, workers=workers)
     plans = plan_campaigns(cfg)
     specs = [campaign_spec(cfg, actions, s) for s, actions in plans]
     results = run_many(specs, workers=workers)

@@ -75,10 +75,9 @@ def churn_run(weakened: bool, seed: int = 3,
     return {"committed": committed, "aborted": aborted, "one_copy": ok}
 
 
-def run(duration: float = DURATION, workers=None) -> dict:
-    # ``workers`` accepted for CLI uniformity; a no-op — the churn
-    # scenario schedules crash/recover against a live cluster.
-    del workers
+def run(duration: float = DURATION) -> dict:
+    # in-process: the churn scenario schedules crash/recover against a
+    # live cluster.
     strict = churn_run(weakened=False, duration=duration)
     weakened = churn_run(weakened=True, duration=duration)
     rows = [

@@ -76,10 +76,8 @@ def run_flavor(read_retry: bool, trials: int = TRIALS) -> dict:
     }
 
 
-def run(trials: int = TRIALS, workers=None) -> dict:
-    # ``workers`` accepted for CLI uniformity; a no-op — trials crash
-    # and heal a live cluster between reads.
-    del workers
+def run(trials: int = TRIALS) -> dict:
+    # in-process: trials crash and heal a live cluster between reads.
     outcomes = {flag: run_flavor(flag, trials=trials)
                 for flag in (False, True)}
     rows = [

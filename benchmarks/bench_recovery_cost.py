@@ -82,10 +82,9 @@ COLUMNS = ("transfer_units", "catchup_fallbacks", "retained_entries",
 SMOKE = {"burst": 6, "configs": CONFIGS}
 
 
-def run(burst: int = WRITE_BURST, configs=CONFIGS, workers=None) -> dict:
-    # ``workers`` accepted for CLI uniformity; a no-op — each policy
-    # stages a partition/burst/heal against a live cluster.
-    del workers
+def run(burst: int = WRITE_BURST, configs=CONFIGS) -> dict:
+    # in-process: each policy stages a partition/burst/heal against a
+    # live cluster.
     outcomes: dict = {}
     rows = []
     for label, retain, every in configs:

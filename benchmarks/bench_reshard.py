@@ -22,7 +22,7 @@ assignments, nowhere near all objects) and **transactions disturbed**
 from __future__ import annotations
 
 from repro.shard import ReshardAction, make_policy, object_names
-from repro.workload import ExperimentSpec, WorkloadSpec
+from repro.workload import ExperimentSpec, ScriptedFailures, WorkloadSpec
 from repro.workload.parallel import run_many
 from repro.workload.tables import render_table
 
@@ -41,23 +41,6 @@ TXNS_PER_CLIENT = 30
 PLACEMENT = "hash-ring"
 SMOKE = {"base": 6, "spares": 2, "objects": 20, "txns_per_client": 8,
          "duration": 280.0, "reshard_at": 30.0}
-
-
-class PartitionAcrossCutover:
-    """Cut a minority block out during the migration, heal mid-flight.
-
-    A picklable callable (not a closure) so the spec survives
-    ``run_many``'s trip into worker processes.
-    """
-
-    def __init__(self, at: float, blocks, heal_at: float):
-        self.at = at
-        self.blocks = [list(block) for block in blocks]
-        self.heal_at = heal_at
-
-    def __call__(self, cluster) -> None:
-        cluster.injector.partition_at(self.at, self.blocks)
-        cluster.injector.heal_all_at(self.heal_at)
 
 
 def movement_prediction(base: int, spares: int, objects: int,
@@ -81,8 +64,9 @@ def cell_spec(cell: str, base: int, spares: int, objects: int,
         # — a delta after the reshard starts; heal while it still runs
         cut = [base - 1, base]
         rest = [p for p in range(1, total + 1) if p not in cut]
-        failures = PartitionAcrossCutover(reshard_at + 4.0, [rest, cut],
-                                          reshard_at + 40.0)
+        failures = ScriptedFailures(
+            partitions=[(reshard_at + 4.0, [rest, cut])],
+            heal_at=reshard_at + 40.0)
     return ExperimentSpec(
         protocol="virtual-partitions",
         processors=total, objects=objects, copies_per_object=degree,

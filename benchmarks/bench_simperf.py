@@ -1,10 +1,10 @@
-"""E13/E16 — simulated-events-per-second: the speed of the harness itself.
+"""E16 — simulated-events-per-second: the speed of the harness itself.
 
 Every experiment E1–E12 and every seed-replicated sweep runs through
 the kernel dispatch loop, so events/sec is the number every scaling PR
-stands on.  This bench measures two experiment groups:
+stands on.  This bench prints two tables:
 
-**E13** (harness speed, unchanged methodology):
+**Harness speed** (single shot, unchanged methodology since PR 4):
 
 * **kernel** — a pure-kernel churn microbench: producer/consumer pairs
   exchanging messages through :class:`MessageQueue` with ``AnyOf``
@@ -19,7 +19,7 @@ stands on.  This bench measures two experiment groups:
   with the fingerprints of both paths compared entry by entry: the
   parallel engine must change *nothing* but the wall-clock.
 
-**E16** (flat event core):
+**Flat event core**:
 
 * **churn best-of-N** — the same churn workload, warmed up and run
   ``churn_reps`` times reporting the best wall-clock; compared against
@@ -50,7 +50,7 @@ from _shared import bench_main, emit_metrics, report
 CHURN_PAIRS = 50
 CHURN_MSGS = 1200
 CHURN_REPS = 3
-#: kernel-churn events/sec recorded in EXPERIMENTS.md E13 at the PR-4
+#: kernel-churn events/sec recorded in EXPERIMENTS.md at the PR-4
 #: tag (same container class; re-measuring that tag on today's hardware
 #: gives ~277k — both comparators are reported in EXPERIMENTS.md E16).
 PR4_CHURN_RATE = 205_000.0
@@ -153,15 +153,15 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
         vp_duration: float = VP_DURATION, sweep_seeds=SWEEP_SEEDS,
         sweep_duration: float = SWEEP_DURATION,
         workers: int = WORKERS) -> dict:
-    # -- E13: kernel microbench (single shot, legacy methodology) ---------
+    # -- kernel microbench (single shot, legacy methodology) --------------
     churn_events, churn_wall = kernel_churn(churn_pairs, churn_msgs)
     churn_rate = churn_events / churn_wall if churn_wall else 0.0
 
-    # -- E13: message-heavy VP run ---------------------------------------
+    # -- message-heavy VP run --------------------------------------------
     vp = run_experiment(_vp_spec(vp_duration))
     vp_rate = vp.events_per_sec
 
-    # -- E13: serial vs parallel seed sweep ------------------------------
+    # -- serial vs parallel seed sweep -----------------------------------
     specs = [_vp_spec(sweep_duration, seed=seed) for seed in sweep_seeds]
     serial_start = time.perf_counter()
     serial = run_many(specs, workers=1)
@@ -180,7 +180,7 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
     speedup = serial_wall / parallel_wall if parallel_wall else 0.0
     sweep_events = sum(result.events_dispatched for result in serial)
 
-    # -- E16: flat-core churn, best-of-N ---------------------------------
+    # -- flat-core churn, best-of-N --------------------------------------
     flat_events, flat_wall = churn_best(churn_pairs, churn_msgs, churn_reps)
     flat_rate = flat_events / flat_wall if flat_wall else 0.0
     flat_speedup = flat_rate / PR4_CHURN_RATE if PR4_CHURN_RATE else 0.0
@@ -198,7 +198,7 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
              f"{parallel_wall:.3f}",
              f"{sweep_events / parallel_wall:,.0f}"],
         ],
-        title=f"E13  Simulation speed (parallel sweep speedup "
+        title=f"E16  Simulation speed (parallel sweep speedup "
               f"{speedup:.2f}x, outputs byte-identical)",
     ))
     report(render_table(

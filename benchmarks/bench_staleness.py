@@ -92,10 +92,9 @@ def staleness_window(pi: float, seed: int = 2) -> dict:
             "bound": config.liveness_bound}
 
 
-def run(pis=(16.0, 32.0, 48.0, 64.0), workers=None) -> list:
-    # ``workers`` accepted for CLI uniformity; a no-op — each point
-    # runs custom writer/poller processes inside a live cluster.
-    del workers
+def run(pis=(16.0, 32.0, 48.0, 64.0)) -> list:
+    # in-process: each point runs custom writer/poller processes inside
+    # a live cluster.
     rows = []
     outcomes = []
     for pi in pis:

@@ -3,11 +3,7 @@
 from .history import INITIAL_VERSION, History, LogicalOp, PhysicalOp, TxnRecord
 from .metrics import (
     StaleRead,
-    abort_stats,
     convergence_time,
-    membership_timeline,
-    operation_latencies,
-    partition_lifetimes,
     stale_reads,
 )
 from .one_copy import (
@@ -26,11 +22,7 @@ from .serialization import (
 __all__ = [
     "History",
     "StaleRead",
-    "abort_stats",
     "convergence_time",
-    "membership_timeline",
-    "operation_latencies",
-    "partition_lifetimes",
     "stale_reads",
     "INITIAL_VERSION",
     "InconclusiveCheck",

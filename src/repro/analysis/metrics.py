@@ -1,8 +1,7 @@
 """Measurements over recorded histories.
 
 Utilities the experiment reports are built from: convergence times
-(E5), real-time staleness of reads (E8), abort statistics, and
-partition-membership timelines.  All are pure functions of a
+(E5) and real-time staleness of reads (E8).  Both are pure functions of a
 :class:`~repro.analysis.history.History`.
 """
 
@@ -28,27 +27,6 @@ def convergence_time(history: History, after: float) -> Optional[float]:
     final_id = max(vpid for _t, _pid, vpid in joins)
     last = max(t for t, _pid, vpid in joins if vpid == final_id)
     return last - after
-
-
-def membership_timeline(history: History) -> List[Tuple[float, int, str, Any]]:
-    """Chronological ``(time, pid, "join"|"depart", vpid)`` events."""
-    events = [(t, pid, "join", vpid) for t, pid, vpid, _v in history.joins]
-    events += [(t, pid, "depart", vpid) for t, pid, vpid in history.departs]
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    return events
-
-
-def partition_lifetimes(history: History) -> Dict[Any, Tuple[float, float]]:
-    """Per partition: (first join time, last depart-or-end time)."""
-    first_join: Dict[Any, float] = {}
-    last_seen: Dict[Any, float] = {}
-    for t, _pid, vpid, _v in history.joins:
-        first_join.setdefault(vpid, t)
-        last_seen[vpid] = max(last_seen.get(vpid, t), t)
-    for t, _pid, vpid in history.departs:
-        if vpid in first_join:
-            last_seen[vpid] = max(last_seen.get(vpid, t), t)
-    return {vpid: (first_join[vpid], last_seen[vpid]) for vpid in first_join}
 
 
 @dataclass(frozen=True)
@@ -121,29 +99,3 @@ def _written_before(versions, older, newer) -> bool:
     if newer not in order:
         return False
     return order.index(older) < order.index(newer)
-
-
-def abort_stats(history: History) -> Dict[str, Any]:
-    """Counts and top reasons of aborted transactions."""
-    aborted = history.aborted()
-    reasons: Dict[str, int] = defaultdict(int)
-    for record in aborted:
-        key = (record.abort_reason or "unknown").split(":")[0][:60]
-        reasons[key] += 1
-    total = len(aborted) + len(history.committed())
-    return {
-        "aborted": len(aborted),
-        "committed": len(history.committed()),
-        "abort_rate": len(aborted) / total if total else 0.0,
-        "reasons": dict(sorted(reasons.items(), key=lambda kv: -kv[1])),
-    }
-
-
-def operation_latencies(history: History) -> Dict[str, List[float]]:
-    """Committed transaction durations, grouped by read-only vs update."""
-    out: Dict[str, List[float]] = {"read-only": [], "update": []}
-    for record in history.committed():
-        duration = (record.end_time or record.begin_time) - record.begin_time
-        kind = "update" if record.write_set else "read-only"
-        out[kind].append(duration)
-    return out

@@ -23,15 +23,121 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from dataclasses import replace
+from pathlib import Path
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence
 
-from .core.config import ProtocolConfig
-from .workload import ExperimentSpec, WorkloadSpec, run_experiment
+from .client.cache import POLICIES as CACHE_POLICIES
+from .commit import COMMIT_BACKENDS
+from .protocols import PROTOCOLS
+from .shard import POLICIES as PLACEMENT_POLICIES
+from .shard import ReshardAction
+from .workload import ExperimentSpec, ScriptedFailures, run_experiment
+from .workload.hunt import HuntConfig, hunt, hunt_base, replay_artifact
+from .workload.runner import with_paths
 from .workload.sweep import sweep, sweep_protocols
 from .workload.tables import render_table
 
-PROTOCOL_CHOICES = ["virtual-partitions", "rowa", "quorum", "majority",
-                    "missing-writes", "naive-view"]
+
+class Flag(NamedTuple):
+    """One experiment knob on the command line: the flag, and the dotted
+    :class:`ExperimentSpec` path its value is stored at.  ``choices``
+    is the registry that validates the value, never a retyped list."""
+
+    flag: str
+    path: str
+    #: value type; ``bool`` makes the flag a ``store_true`` switch
+    type: Any
+    default: Any
+    help: Optional[str] = None
+    choices: Optional[Iterable[str]] = None
+    metavar: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+#: every experiment knob the CLI exposes — a new one is one more row
+FLAGS = (
+    Flag("--protocol", "protocol", str, "virtual-partitions",
+         choices=PROTOCOLS),
+    Flag("--processors", "processors", int, 5),
+    Flag("--objects", "objects", int, 10),
+    Flag("--copies", "copies_per_object", int, None,
+         "copies per object (default: full replication)"),
+    Flag("--placement", "placement", str, None,
+         "shard objects with this placement policy (default: legacy "
+         "contiguous ring)", choices=PLACEMENT_POLICIES),
+    Flag("--directory", "directory", str, None,
+         "routing directory kind (default: local full-map)",
+         choices=("local", "cached")),
+    Flag("--seed", "seed", int, 0),
+    Flag("--duration", "duration", float, 300.0),
+    Flag("--read-fraction", "workload.read_fraction", float, 0.9),
+    Flag("--ops-per-txn", "workload.ops_per_txn", int, 2),
+    Flag("--interarrival", "workload.mean_interarrival", float, 10.0),
+    Flag("--retries", "retries", int, 1),
+    Flag("--delta", "config.delta", float, 1.0,
+         "message delay bound (the paper's delta)"),
+    Flag("--pi", "config.pi", float, 10.0,
+         "probe period (the paper's pi)"),
+    Flag("--cc", "config.cc", str, "2pl", choices=("2pl", "tso")),
+    Flag("--commit-backend", "config.commit_backend", str, "2pc",
+         "atomic-commit backend (default: blocking 2PC)",
+         choices=COMMIT_BACKENDS),
+    Flag("--check", "check", bool, False,
+         "run the 1SR checker afterwards (small runs)"),
+    Flag("--open-loop", "open_loop", bool, False,
+         "open-loop load: arrivals fire on the Poisson clock regardless "
+         "of service time, so latency includes queueing (default: closed "
+         "loop)"),
+    Flag("--cache", "session.cache_capacity", int, 0,
+         "per-client LRU cache of N entries (default: 0 = no cache)",
+         metavar="N"),
+    Flag("--cache-policy", "session.cache_policy", str, "write-through",
+         "client cache write policy (write-back needs --cache > 0)",
+         choices=CACHE_POLICIES),
+    Flag("--lease", "session.lease_duration", float, 0.0,
+         "lease-based local reads of duration L (must be <= pi; "
+         "default: 0 = no leases)", metavar="L"),
+)
+
+
+def _flags(*dests: str) -> List[Flag]:
+    return [flag for flag in FLAGS if flag.dest in dests]
+
+
+def _add_flags(parser, flags: Sequence[Flag] = FLAGS) -> None:
+    for flag in flags:
+        if flag.type is bool:
+            parser.add_argument(flag.flag, action="store_true",
+                                help=flag.help)
+        else:
+            parser.add_argument(
+                flag.flag, type=flag.type, default=flag.default,
+                choices=flag.choices and list(flag.choices),
+                metavar=flag.metavar, help=flag.help)
+
+
+def _at(obj, path: str):
+    """Read a dotted path; None as soon as a nested spec is absent."""
+    for name in path.split("."):
+        obj = None if obj is None else getattr(obj, name)
+    return obj
+
+
+def _apply_flags(args, base: ExperimentSpec) -> ExperimentSpec:
+    """``base`` with every flag the command carries laid over it; a
+    flag left at None keeps the spec's own default."""
+    values = {flag.path: getattr(args, flag.dest) for flag in FLAGS
+              if getattr(args, flag.dest, None) is not None}
+    if not (values.get("session.cache_capacity")
+            or values.get("session.lease_duration")):
+        # client tier off: no SessionSpec at all (the default path)
+        values = {path: value for path, value in values.items()
+                  if not path.startswith("session.")}
+    return with_paths(base, values)
 
 
 def _parse_partition(text: str):
@@ -52,69 +158,33 @@ def _parse_partition(text: str):
     return when, blocks
 
 
-class ScriptedFailures:
-    """The failure schedule the CLI flags describe, as a picklable
-    callable — ``repro sweep --workers N`` ships specs into worker
-    processes, so a closure over ``args`` would not survive the trip."""
-
-    def __init__(self, partitions, heal_at, crashes, recovers):
-        self.partitions = list(partitions or [])
-        self.heal_at = heal_at
-        self.crashes = list(crashes or [])
-        self.recovers = list(recovers or [])
-
-    def __call__(self, cluster) -> None:
-        for when, blocks in self.partitions:
-            cluster.injector.partition_at(when, blocks)
-        if self.heal_at is not None:
-            cluster.injector.heal_all_at(self.heal_at)
-        for when, pid in self.crashes:
-            cluster.injector.crash_at(when, pid)
-        for when, pid in self.recovers:
-            cluster.injector.recover_at(when, pid)
+def _parse_crash(text: str):
+    try:
+        pid_text, time_text = text.split("@", 1)
+        return float(time_text), int(pid_text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad spec {text!r}; expected like '4@30'"
+        ) from exc
 
 
-def _session_from(args):
-    """The client-tier spec the flags describe; None = tier disabled."""
-    from .client import SessionSpec
-    cache = getattr(args, "cache", 0)
-    lease = getattr(args, "lease", 0.0)
-    if not cache and not lease:
-        return None
-    return SessionSpec(
-        cache_capacity=cache,
-        cache_policy=getattr(args, "cache_policy", "write-through"),
-        lease_duration=lease,
-    )
+def _experiment_flags(parser, flags: Sequence[Flag] = FLAGS) -> None:
+    """The knob table plus the failure-script flags."""
+    _add_flags(parser, flags)
+    parser.add_argument("--partition", type=_parse_partition,
+                        action="append", metavar="BLOCKS@TIME",
+                        help="e.g. '1,2,3|4,5@50' (repeatable)")
+    parser.add_argument("--heal-at", type=float, default=None)
+    parser.add_argument("--crash", type=_parse_crash, action="append",
+                        metavar="PID@TIME", help="e.g. '4@30' (repeatable)")
+    parser.add_argument("--recover", type=_parse_crash, action="append",
+                        metavar="PID@TIME")
 
 
-def _spec_from(args, protocol: str) -> ExperimentSpec:
-    config = ProtocolConfig(delta=args.delta, pi=args.pi, cc=args.cc,
-                            commit_backend=args.commit_backend)
-    failures = ScriptedFailures(args.partition, args.heal_at,
-                                args.crash, args.recover)
-
-    return ExperimentSpec(
-        open_loop=getattr(args, "open_loop", False),
-        session=_session_from(args),
-        protocol=protocol,
-        processors=args.processors,
-        objects=args.objects,
-        copies_per_object=args.copies,
-        placement=args.placement,
-        directory=args.directory,
-        seed=args.seed,
-        duration=args.duration,
-        config=config,
-        workload=WorkloadSpec(
-            read_fraction=args.read_fraction,
-            ops_per_txn=args.ops_per_txn,
-            mean_interarrival=args.interarrival,
-        ),
-        failures=failures,
-        retries=args.retries,
-        check=args.check,
-    )
+def _spec_from(args) -> ExperimentSpec:
+    failures = ScriptedFailures(args.partition or (), args.heal_at,
+                                args.crash or (), args.recover or ())
+    return replace(_apply_flags(args, ExperimentSpec()), failures=failures)
 
 
 def _result_rows(name: str, result) -> list:
@@ -137,7 +207,7 @@ _HEADERS = ["protocol", "committed", "aborted", "commit rate",
 
 
 def cmd_run(args) -> int:
-    result = run_experiment(_spec_from(args, args.protocol))
+    result = run_experiment(_spec_from(args))
     print(render_table(_HEADERS, [_result_rows(args.protocol, result)],
                        title=f"experiment (seed={args.seed}, "
                              f"duration={args.duration})"))
@@ -146,7 +216,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    results = sweep_protocols(_spec_from(args, protocols[0]), protocols)
+    results = sweep_protocols(_spec_from(args), protocols)
     rows = [_result_rows(name, results[name]) for name in protocols]
     print(render_table(_HEADERS, rows,
                        title=f"comparison (seed={args.seed}, paired "
@@ -154,19 +224,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_scenario(args) -> int:
+def _scenario_runner(name: str, flavor: str):
     from .workload import scenarios
 
-    runners = {
-        ("example1", "naive"): scenarios.run_example1_naive,
-        ("example1", "vp"): scenarios.run_example1_vp,
-        ("example2", "naive"): scenarios.run_example2_naive,
-        ("example2", "vp"): scenarios.run_example2_vp,
-    }
+    return getattr(scenarios, f"run_{name}_{flavor}")
+
+
+def cmd_scenario(args) -> int:
     flavors = ["naive", "vp"] if args.flavor == "both" else [args.flavor]
     rows = []
     for flavor in flavors:
-        outcome = runners[(args.name, flavor)](seed=args.seed)
+        outcome = _scenario_runner(args.name, flavor)(seed=args.seed)
         rows.append([
             flavor, len(outcome.committed), len(outcome.aborted),
             outcome.cp_serializable, bool(outcome.one_copy.ok),
@@ -182,15 +250,9 @@ def cmd_scenario(args) -> int:
 def cmd_trace(args) -> int:
     from .obs.analyze import TraceAnalyzer
     from .obs.export import write_jsonl
-    from .workload import scenarios
 
-    runners = {
-        ("example1", "naive"): scenarios.run_example1_naive,
-        ("example1", "vp"): scenarios.run_example1_vp,
-        ("example2", "naive"): scenarios.run_example2_naive,
-        ("example2", "vp"): scenarios.run_example2_vp,
-    }
-    outcome = runners[(args.name, args.flavor)](seed=args.seed, trace=True)
+    outcome = _scenario_runner(args.name, args.flavor)(seed=args.seed,
+                                                       trace=True)
     events = outcome.cluster.tracer.events
     count = write_jsonl(events, args.out)
     print(f"wrote {count} events to {args.out}")
@@ -202,7 +264,7 @@ def cmd_trace(args) -> int:
 def cmd_metrics(args) -> int:
     import json
 
-    result = run_experiment(_spec_from(args, args.protocol))
+    result = run_experiment(_spec_from(args))
     print(json.dumps(result.registry.snapshot(), indent=2, sort_keys=True))
     return 0
 
@@ -218,7 +280,7 @@ def _parse_axis_value(token: str):
 
 
 def cmd_sweep(args) -> int:
-    base = _spec_from(args, args.protocol)
+    base = _spec_from(args)
     values = [_parse_axis_value(v.strip())
               for v in args.values.split(",") if v.strip()]
     if not values:
@@ -244,22 +306,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reshard(args) -> int:
-    import dataclasses
-
-    from .shard import ReshardAction
-
-    if args.placement is None:
-        args.placement = "hash-ring"
-    if not 0 < args.spares < args.processors:
-        raise SystemExit(f"--spares must leave a base ring: need "
-                         f"0 < {args.spares} < {args.processors}")
-    spares = tuple(range(args.processors - args.spares + 1,
-                         args.processors + 1))
-    action = ReshardAction(time=args.at, add=spares,
-                           guarded=not args.unguarded,
-                           coordinator=args.coordinator)
-    spec = dataclasses.replace(_spec_from(args, args.protocol),
-                               reshard=(action,), audit=True)
+    try:
+        action = ReshardAction.onto_spares(
+            args.processors, args.spares, args.at,
+            guarded=not args.unguarded, coordinator=args.coordinator)
+    except ValueError as exc:
+        raise SystemExit(f"--spares: {exc}") from None
+    spec = replace(_spec_from(args), reshard=(action,), audit=True)
     result = run_experiment(spec)
     print(render_table(_HEADERS, [_result_rows(args.protocol, result)],
                        title=f"reshard: +{args.spares} processors at "
@@ -278,10 +331,6 @@ def cmd_reshard(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    from pathlib import Path
-
-    from .workload.hunt import HuntConfig, hunt, replay_artifact
-
     if args.replay is not None:
         verdict, result = replay_artifact(Path(args.replay))
         print(f"replayed {args.replay}: committed={result.committed} "
@@ -290,29 +339,21 @@ def cmd_hunt(args) -> int:
         failed = verdict is not None
         return int(failed != args.expect_failure)
 
-    cfg = HuntConfig(
-        protocol=args.protocol,
-        processors=args.processors,
-        objects=args.objects,
-        copies_per_object=args.copies,
-        placement=args.placement,
-        commit_backend=args.commit_backend,
-        seed=args.seed,
-        campaigns=args.campaigns,
-        workers=args.workers,
-        shrink_budget=args.shrink_budget,
-        stop_after=args.stop_after,
-        reshard_at=args.reshard_at,
-        reshard_spares=args.reshard_spares,
-        reshard_guarded=not args.reshard_unguarded,
-    )
+    base = _apply_flags(args, hunt_base())
+    if args.reshard_at > 0 and args.reshard_spares > 0:
+        base = replace(base, reshard=(ReshardAction.onto_spares(
+            base.processors, args.reshard_spares, args.reshard_at,
+            guarded=not args.reshard_unguarded),))
+    cfg = HuntConfig(base=base, seed=args.seed, campaigns=args.campaigns,
+                     workers=args.workers, shrink_budget=args.shrink_budget,
+                     stop_after=args.stop_after)
     out_dir = Path(args.out) if args.out else None
     report = hunt(cfg, out_dir=out_dir, log=print)
     if report.survived:
-        print(f"{cfg.protocol}: survived {report.campaigns_run} campaigns "
+        print(f"{base.protocol}: survived {report.campaigns_run} campaigns "
               f"(seed={cfg.seed}) — no invariant or 1SR violations")
     else:
-        print(f"{cfg.protocol}: {len(report.findings)} finding(s) in "
+        print(f"{base.protocol}: {len(report.findings)} finding(s) in "
               f"{report.campaigns_run} campaigns (seed={cfg.seed})")
         for finding in report.findings:
             size = (len(finding.shrunk) if finding.shrunk is not None
@@ -331,83 +372,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--processors", type=int, default=5)
-        p.add_argument("--objects", type=int, default=10)
-        p.add_argument("--copies", type=int, default=None,
-                       help="copies per object (default: full replication)")
-        p.add_argument("--placement", default=None,
-                       choices=["hash-ring", "random-k", "weighted-home",
-                                "locality"],
-                       help="shard objects with this placement policy "
-                            "(default: legacy contiguous ring)")
-        p.add_argument("--directory", default=None,
-                       choices=["local", "cached"],
-                       help="routing directory kind (default: local "
-                            "full-map)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--duration", type=float, default=300.0)
-        p.add_argument("--read-fraction", type=float, default=0.9)
-        p.add_argument("--ops-per-txn", type=int, default=2)
-        p.add_argument("--interarrival", type=float, default=10.0)
-        p.add_argument("--retries", type=int, default=1)
-        p.add_argument("--delta", type=float, default=1.0,
-                       help="message delay bound (the paper's delta)")
-        p.add_argument("--pi", type=float, default=10.0,
-                       help="probe period (the paper's pi)")
-        p.add_argument("--cc", choices=["2pl", "tso"], default="2pl")
-        p.add_argument("--commit-backend", choices=["2pc", "paxos"],
-                       default="2pc",
-                       help="atomic-commit backend (default: blocking 2PC)")
-        p.add_argument("--check", action="store_true",
-                       help="run the 1SR checker afterwards (small runs)")
-        p.add_argument("--open-loop", action="store_true",
-                       help="open-loop load: arrivals fire on the Poisson "
-                            "clock regardless of service time, so latency "
-                            "includes queueing (default: closed loop)")
-        p.add_argument("--cache", type=int, default=0, metavar="N",
-                       help="per-client LRU cache of N entries "
-                            "(default: 0 = no cache)")
-        p.add_argument("--cache-policy", default="write-through",
-                       choices=["write-through", "write-back"],
-                       help="client cache write policy (write-back needs "
-                            "--cache > 0)")
-        p.add_argument("--lease", type=float, default=0.0, metavar="L",
-                       help="lease-based local reads of duration L "
-                            "(must be <= pi; default: 0 = no leases)")
-        p.add_argument("--partition", type=_parse_partition,
-                       action="append", metavar="BLOCKS@TIME",
-                       help="e.g. '1,2,3|4,5@50' (repeatable)")
-        p.add_argument("--heal-at", type=float, default=None)
-        p.add_argument("--crash", type=_parse_crash, action="append",
-                       metavar="PID@TIME", help="e.g. '4@30' (repeatable)")
-        p.add_argument("--recover", type=_parse_crash, action="append",
-                       metavar="PID@TIME")
-
     run_p = sub.add_parser("run", help="run one experiment")
-    run_p.add_argument("--protocol", choices=PROTOCOL_CHOICES,
-                       default="virtual-partitions")
-    common(run_p)
+    _experiment_flags(run_p)
     run_p.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="same workload, many protocols")
     cmp_p.add_argument("--protocols", default="virtual-partitions,quorum,rowa")
-    common(cmp_p)
+    _experiment_flags(cmp_p, [f for f in FLAGS if f.dest != "protocol"])
     cmp_p.set_defaults(func=cmd_compare)
 
+    def scenario_flags(p, flavors, default):
+        p.add_argument("name", choices=["example1", "example2"])
+        p.add_argument("--flavor", choices=flavors, default=default)
+        _add_flags(p, _flags("seed"))
+
     sc_p = sub.add_parser("scenario", help="run a paper scenario")
-    sc_p.add_argument("name", choices=["example1", "example2"])
-    sc_p.add_argument("--flavor", choices=["naive", "vp", "both"],
-                      default="both")
-    sc_p.add_argument("--seed", type=int, default=0)
+    scenario_flags(sc_p, ["naive", "vp", "both"], "both")
     sc_p.set_defaults(func=cmd_scenario)
 
     tr_p = sub.add_parser(
         "trace", help="run a paper scenario with structured tracing"
     )
-    tr_p.add_argument("name", choices=["example1", "example2"])
-    tr_p.add_argument("--flavor", choices=["naive", "vp"], default="vp")
-    tr_p.add_argument("--seed", type=int, default=0)
+    scenario_flags(tr_p, ["naive", "vp"], "vp")
     tr_p.add_argument("--out", default="trace.jsonl",
                       help="JSONL output path (default: trace.jsonl)")
     tr_p.add_argument("--analyze", action="store_true",
@@ -417,34 +403,29 @@ def build_parser() -> argparse.ArgumentParser:
     mt_p = sub.add_parser(
         "metrics", help="run one experiment, print metrics as JSON"
     )
-    mt_p.add_argument("--protocol", choices=PROTOCOL_CHOICES,
-                      default="virtual-partitions")
-    common(mt_p)
+    _experiment_flags(mt_p)
     mt_p.set_defaults(func=cmd_metrics)
 
     sw_p = sub.add_parser(
         "sweep", help="run one experiment per axis value, optionally "
                       "fanned out across worker processes"
     )
-    sw_p.add_argument("--protocol", choices=PROTOCOL_CHOICES,
-                      default="virtual-partitions")
     sw_p.add_argument("--axis", default="seed",
-                      help="ExperimentSpec field, or workload.<field> "
-                           "(default: seed)")
+                      help="dotted ExperimentSpec path, e.g. retries, "
+                           "workload.read_fraction or "
+                           "session.lease_duration (default: seed)")
     sw_p.add_argument("--values", required=True,
                       help="comma-separated axis values, e.g. '1,2,3,4'")
     sw_p.add_argument("--workers", type=int, default=1,
                       help="worker processes (1 = serial; results are "
                            "identical either way)")
-    common(sw_p)
+    _experiment_flags(sw_p)
     sw_p.set_defaults(func=cmd_sweep)
 
     rs_p = sub.add_parser(
         "reshard", help="run one experiment with a live placement "
                         "migration; print movement and disturbance counts"
     )
-    rs_p.add_argument("--protocol", choices=PROTOCOL_CHOICES,
-                      default="virtual-partitions")
     rs_p.add_argument("--at", type=float, default=100.0,
                       help="simulation time of the placement change")
     rs_p.add_argument("--spares", type=int, default=1, metavar="N",
@@ -456,29 +437,23 @@ def build_parser() -> argparse.ArgumentParser:
     rs_p.add_argument("--coordinator", type=int, default=None,
                       help="pid that drives the migration (default: lowest "
                            "base pid)")
-    common(rs_p)
-    rs_p.set_defaults(func=cmd_reshard)
+    _experiment_flags(rs_p)
+    rs_p.set_defaults(func=cmd_reshard, placement="hash-ring")
 
     ht_p = sub.add_parser(
         "hunt", help="fan out randomized nemesis campaigns; shrink any "
                      "failure to a minimal replayable repro artifact"
     )
-    ht_p.add_argument("--protocol", choices=PROTOCOL_CHOICES,
-                      default="virtual-partitions")
-    ht_p.add_argument("--processors", type=int, default=4)
-    ht_p.add_argument("--objects", type=int, default=3)
-    ht_p.add_argument("--copies", type=int, default=3,
-                      help="replication degree per object")
-    ht_p.add_argument("--placement", default=None,
-                      choices=["hash-ring", "random-k", "weighted-home",
-                               "locality"],
-                      help="hunt a sharded topology under this policy")
-    ht_p.add_argument("--commit-backend", choices=["2pc", "paxos"],
-                      default=None,
-                      help="hunt this atomic-commit backend "
-                           "(default: the config default, 2PC)")
-    ht_p.add_argument("--seed", type=int, default=0,
-                      help="hunt seed; every campaign derives from it")
+    # the table's rows at the hunt template's smaller defaults, reworded
+    # where hunting changes what the flag says
+    template = hunt_base()
+    wording = {"copies": "replication degree per object",
+               "seed": "hunt seed; every campaign derives from it"}
+    _add_flags(ht_p, [
+        flag._replace(default=_at(template, flag.path),
+                      help=wording.get(flag.dest, flag.help))
+        for flag in _flags("protocol", "processors", "objects", "copies",
+                           "placement", "commit_backend", "seed")])
     ht_p.add_argument("--campaigns", type=int, default=50)
     ht_p.add_argument("--workers", type=int, default=None,
                       help="worker processes for the campaign fan-out")
@@ -505,16 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(mutation-canary mode for CI)")
     ht_p.set_defaults(func=cmd_hunt)
     return parser
-
-
-def _parse_crash(text: str):
-    try:
-        pid_text, time_text = text.split("@", 1)
-        return float(time_text), int(pid_text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad spec {text!r}; expected like '4@30'"
-        ) from exc
 
 
 def main(argv: Optional[List[str]] = None) -> int:

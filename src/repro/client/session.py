@@ -68,10 +68,10 @@ class SessionStats:
     """What one client's session tier did, for the run-level rollup."""
 
     programs: int = 0
-    committed: int = 0
-    aborted: int = 0
+    programs_committed: int = 0
+    programs_aborted: int = 0
     #: programs that needed no protocol transaction at all
-    local_programs: int = 0
+    programs_local: int = 0
     reads: int = 0
     writes: int = 0
     #: reads served from a valid lease
@@ -191,8 +191,8 @@ class ClientSession:
                 else:
                     remote.append(("w", obj, value, slot))
         if not remote:
-            self.stats.local_programs += 1
-            self.stats.committed += 1
+            self.stats.programs_local += 1
+            self.stats.programs_committed += 1
             self.stats.program_latencies.append(sim.now - start)
             return True, self._program_result(program, local)
 
@@ -216,10 +216,10 @@ class ClientSession:
             for kind, obj, value, slot in remote:
                 if kind == "w" and slot is None:
                     self._flush_backlog.append((obj, value))
-            self.stats.aborted += 1
+            self.stats.programs_aborted += 1
             return False, outcome
         self._absorb_commit(remote, captured, local, start)
-        self.stats.committed += 1
+        self.stats.programs_committed += 1
         self.stats.program_latencies.append(sim.now - start)
         return True, self._program_result(program, local)
 

@@ -85,6 +85,18 @@ class ReshardAction:
                    guarded=data.get("guarded", True),
                    coordinator=data.get("coordinator"))
 
+    @classmethod
+    def onto_spares(cls, processors: int, spares: int, time: float,
+                    guarded: bool = True,
+                    coordinator: Optional[int] = None) -> "ReshardAction":
+        """Expand at ``time`` onto the ``spares`` highest pids of a
+        ``processors``-node cluster (held out of the initial ring)."""
+        if not 0 < spares < processors:
+            raise ValueError(f"spares must add pids and leave a base ring: "
+                             f"need 0 < {spares} < {processors}")
+        return cls(time=time, guarded=guarded, coordinator=coordinator,
+                   add=tuple(range(processors - spares + 1, processors + 1)))
+
 
 @dataclass
 class ReshardStats:

@@ -1,12 +1,13 @@
 """Workloads, scenarios, and the experiment harness."""
 
+from .failures import ScheduledNemesis, ScriptedFailures
 from .generator import WorkloadGenerator, WorkloadSpec, body_for
 from .hunt import (
     HuntConfig,
     HuntFinding,
     HuntReport,
-    ScheduledNemesis,
     hunt,
+    hunt_base,
     replay_artifact,
 )
 from .parallel import default_workers, portable_result, run_many
@@ -16,8 +17,8 @@ from .runner import (
     build_cluster,
     run_experiment,
 )
-from .sweep import averaged, grid, sweep, sweep_protocols
-from .tables import render_series, render_table
+from .sweep import grid, sweep, sweep_protocols
+from .tables import render_table
 
 __all__ = [
     "ExperimentResult",
@@ -26,16 +27,16 @@ __all__ = [
     "HuntFinding",
     "HuntReport",
     "ScheduledNemesis",
+    "ScriptedFailures",
     "WorkloadGenerator",
     "WorkloadSpec",
-    "averaged",
     "body_for",
     "build_cluster",
     "default_workers",
     "grid",
     "hunt",
+    "hunt_base",
     "portable_result",
-    "render_series",
     "render_table",
     "replay_artifact",
     "run_experiment",

@@ -19,42 +19,47 @@ it is why a written artifact reproduces bit-for-bit on any machine.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from ..net.nemesis import FaultAction, NemesisMix, apply_schedule, plan_nemesis
+from ..net.nemesis import FaultAction, NemesisMix, plan_nemesis
+from ..shard.reshard import ReshardAction
 from ..sim.rng import RandomStreams
+from .failures import ScheduledNemesis
 from .generator import WorkloadSpec
 from .parallel import run_many
-from .runner import ExperimentResult, ExperimentSpec, run_experiment
+from .runner import (
+    ExperimentResult,
+    ExperimentSpec,
+    run_experiment,
+    spec_from_plain,
+    spec_to_plain,
+)
 
 
-@dataclass
-class ScheduledNemesis:
-    """A planned fault schedule as a picklable ``failures`` callback."""
+def hunt_base(**overrides) -> ExperimentSpec:
+    """The experiment every campaign is a copy of, with ``overrides``
+    applied: any :class:`ExperimentSpec` knob (placement, reshard,
+    session, commit backend, ...) is hunted by setting it here.
 
-    actions: Tuple[FaultAction, ...]
-
-    def __call__(self, cluster) -> None:
-        apply_schedule(cluster.injector, self.actions)
+    Small and fixed-count so committed histories stay inside the exact
+    1SR checker's limit — every campaign gets a decisive verdict.
+    """
+    return replace(ExperimentSpec(
+        processors=4, objects=3, copies_per_object=3,
+        txns_per_client=3, retries=3,
+        workload=WorkloadSpec(read_fraction=0.6, mean_interarrival=25.0),
+    ), **overrides)
 
 
 @dataclass
 class HuntConfig:
     """Everything one hunt needs; every field is deterministic input."""
 
-    protocol: str = "virtual-partitions"
-    processors: int = 4
-    objects: int = 3
-    copies_per_object: int = 3
-    #: placement policy name (None = the legacy contiguous ring); lets
-    #: the hunter attack sharded topologies where most objects have
-    #: copies on only ``copies_per_object`` of the processors
-    placement: Optional[str] = None
-    #: atomic-commit backend (None = the config default, 2PC); lets the
-    #: hunter attack Paxos Commit with the same fault schedules
-    commit_backend: Optional[str] = None
+    #: the campaign template; ``seed``, ``duration``, ``grace``,
+    #: ``failures``, ``check`` and ``audit`` are set per campaign
+    base: ExperimentSpec = field(default_factory=hunt_base)
     seed: int = 0
     campaigns: int = 50
     #: last instant a fault may start; every hold is clamped to it
@@ -62,23 +67,11 @@ class HuntConfig:
     #: extra run time after ``fault_horizon`` for views and recoveries
     #: to settle (flap tails and probe rounds need room)
     settle: float = 150.0
-    #: small and fixed so committed counts stay inside the exact 1SR
-    #: checker's limit — every campaign gets a decisive verdict
-    txns_per_client: int = 3
-    retries: int = 3
-    read_fraction: float = 0.6
-    mean_interarrival: float = 25.0
     workers: Optional[int] = None
     #: max experiment re-runs the shrinker may spend per finding
     shrink_budget: int = 48
     #: stop hunting after this many findings (0 = run all campaigns)
     stop_after: int = 1
-    #: client-session knobs: a non-zero cache or lease duration arms the
-    #: client tier in every campaign, so the hunter can attack the lease
-    #: staleness bound and write-back flushing with the same schedules
-    cache_capacity: int = 0
-    cache_policy: str = "write-through"
-    lease_duration: float = 0.0
     mix: NemesisMix = field(default_factory=NemesisMix)
     mean_gap: float = 25.0
     #: long holds let faults outlive view-refresh periods — partitions
@@ -86,15 +79,6 @@ class HuntConfig:
     mean_hold: float = 40.0
     burst: Tuple[int, int] = (1, 2)
     start: float = 10.0
-    #: online reshard raced against every campaign: at ``reshard_at``
-    #: the placement ring expands onto the ``reshard_spares`` highest
-    #: pids, which are held out of the initial assignment (0 = no
-    #: reshard machinery at all).  Requires ``placement``.
-    reshard_at: float = 0.0
-    reshard_spares: int = 0
-    #: False runs the deliberately unguarded flip — the conviction
-    #: canary the auditor must catch
-    reshard_guarded: bool = True
 
 
 @dataclass
@@ -124,59 +108,12 @@ class HuntReport:
         return not self.findings
 
 
-def _session_of(cfg: HuntConfig):
-    """The campaign's client-session spec (None = raw closed-loop tier)."""
-    if cfg.cache_capacity <= 0 and cfg.lease_duration <= 0.0:
-        return None
-    from ..client.session import SessionSpec
-    return SessionSpec(cache_capacity=cfg.cache_capacity,
-                       cache_policy=cfg.cache_policy,
-                       lease_duration=cfg.lease_duration)
-
-
-def reshard_schedule(cfg: HuntConfig):
-    """The reshard actions a campaign races its faults against.
-
-    Derived entirely from the config — like the fault schedule, planned
-    in the parent and replayed deterministically — so an artifact that
-    records the knobs reproduces the same migration bit-for-bit.
-    """
-    if cfg.reshard_at <= 0.0 or cfg.reshard_spares <= 0:
-        return None
-    if cfg.reshard_spares >= cfg.processors:
-        raise ValueError(
-            f"reshard_spares={cfg.reshard_spares} leaves no base ring "
-            f"in a {cfg.processors}-processor cluster")
-    from ..shard import ReshardAction
-    spares = tuple(range(cfg.processors - cfg.reshard_spares + 1,
-                         cfg.processors + 1))
-    return (ReshardAction(time=cfg.reshard_at, add=spares,
-                          guarded=cfg.reshard_guarded),)
-
-
 def campaign_spec(cfg: HuntConfig, actions: Tuple[FaultAction, ...],
                   seed: int) -> ExperimentSpec:
     """The experiment one campaign runs: auditor on, 1SR check on."""
-    return ExperimentSpec(
-        protocol=cfg.protocol,
-        processors=cfg.processors,
-        objects=cfg.objects,
-        copies_per_object=cfg.copies_per_object,
-        placement=cfg.placement,
-        commit_backend=cfg.commit_backend,
-        seed=seed,
-        duration=cfg.fault_horizon,
-        grace=cfg.settle,
-        workload=WorkloadSpec(read_fraction=cfg.read_fraction,
-                              mean_interarrival=cfg.mean_interarrival),
-        failures=ScheduledNemesis(tuple(actions)),
-        retries=cfg.retries,
-        check=True,
-        audit=True,
-        txns_per_client=cfg.txns_per_client,
-        session=_session_of(cfg),
-        reshard=reshard_schedule(cfg),
-    )
+    return replace(cfg.base, seed=seed, duration=cfg.fault_horizon,
+                   grace=cfg.settle, check=True, audit=True,
+                   failures=ScheduledNemesis(tuple(actions)))
 
 
 def verdict_of(result: ExperimentResult) -> Optional[str]:
@@ -195,7 +132,7 @@ def plan_campaigns(cfg: HuntConfig) -> List[Tuple[int, Tuple[FaultAction, ...]]]
     """Derive every campaign's (run seed, fault schedule) from the hunt
     seed — the parent plans, children only replay."""
     streams = RandomStreams(cfg.seed)
-    pids = list(range(1, cfg.processors + 1))
+    pids = list(range(1, cfg.base.processors + 1))
     campaigns = []
     for k in range(cfg.campaigns):
         rng = streams.stream(f"nemesis-{k}")
@@ -245,76 +182,62 @@ def write_artifact(path: Path, cfg: HuntConfig,
                    finding: HuntFinding) -> None:
     """Persist a finding as a self-contained, replayable JSON repro."""
     actions = finding.shrunk if finding.shrunk is not None else finding.actions
+    spec = campaign_spec(cfg, actions, finding.seed)
     data = {
-        "protocol": cfg.protocol,
-        "processors": cfg.processors,
-        "objects": cfg.objects,
-        "copies_per_object": cfg.copies_per_object,
-        "placement": cfg.placement,
-        "commit_backend": cfg.commit_backend,
+        "spec": spec_to_plain(replace(spec, failures=None)),
+        "actions": [a.to_dict() for a in actions],
         "hunt_seed": cfg.seed,
         "campaign": finding.campaign,
-        "run_seed": finding.seed,
-        "fault_horizon": cfg.fault_horizon,
-        "settle": cfg.settle,
-        "txns_per_client": cfg.txns_per_client,
-        "retries": cfg.retries,
-        "read_fraction": cfg.read_fraction,
-        "mean_interarrival": cfg.mean_interarrival,
-        "cache_capacity": cfg.cache_capacity,
-        "cache_policy": cfg.cache_policy,
-        "lease_duration": cfg.lease_duration,
-        "reshard_at": cfg.reshard_at,
-        "reshard_spares": cfg.reshard_spares,
-        "reshard_guarded": cfg.reshard_guarded,
-        # the derived migration schedule, for human readers; replay
-        # re-derives it from the three knobs above
-        "reshard_actions": [a.to_dict()
-                            for a in (reshard_schedule(cfg) or ())],
         "verdict": finding.shrunk_verdict or finding.verdict,
         "original_action_count": len(finding.actions),
-        "actions": [a.to_dict() for a in actions],
     }
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def load_artifact(path: Path) -> Tuple[HuntConfig, int,
-                                       Tuple[FaultAction, ...], dict]:
-    """Rebuild the (config, seed, schedule) triple an artifact pins."""
-    data = json.loads(Path(path).read_text())
-    cfg = HuntConfig(
-        protocol=data["protocol"],
-        processors=data["processors"],
-        objects=data["objects"],
-        copies_per_object=data["copies_per_object"],
-        # absent in artifacts written before sharding existed
+def _flat_spec(data: dict) -> ExperimentSpec:
+    """The campaign spec of an artifact written before the ``"spec"``
+    section existed (PR <= 12): one flat key per hunt knob of the time.
+
+    Frozen: old files are input from outside the program, so this key
+    list stays readable as is and is never extended — knobs added since
+    travel inside ``"spec"``.
+    """
+    plain = {key: data[key] for key in (
+        "protocol", "processors", "objects", "copies_per_object",
+        "retries", "txns_per_client")}
+    plain.update(
+        seed=data["run_seed"], duration=data["fault_horizon"],
+        grace=data["settle"], check=True, audit=True,
         placement=data.get("placement"),
-        # absent in artifacts written before Paxos Commit existed
         commit_backend=data.get("commit_backend"),
-        seed=data["hunt_seed"],
-        fault_horizon=data["fault_horizon"],
-        settle=data["settle"],
-        txns_per_client=data["txns_per_client"],
-        retries=data["retries"],
-        read_fraction=data["read_fraction"],
-        mean_interarrival=data["mean_interarrival"],
-        # absent in artifacts written before the client tier existed
-        cache_capacity=data.get("cache_capacity", 0),
-        cache_policy=data.get("cache_policy", "write-through"),
-        lease_duration=data.get("lease_duration", 0.0),
-        # absent in artifacts written before online resharding existed
-        reshard_at=data.get("reshard_at", 0.0),
-        reshard_spares=data.get("reshard_spares", 0),
-        reshard_guarded=data.get("reshard_guarded", True),
-    )
+        workload={key: data[key]
+                  for key in ("read_fraction", "mean_interarrival")})
+    if data.get("cache_capacity", 0) > 0 or data.get("lease_duration", 0) > 0:
+        plain["session"] = {
+            key: data[key] for key in (
+                "cache_capacity", "cache_policy", "lease_duration")
+            if key in data}
+    reshard = None
+    if data.get("reshard_at", 0) > 0 and data.get("reshard_spares", 0) > 0:
+        reshard = (ReshardAction.onto_spares(
+            data["processors"], data["reshard_spares"], data["reshard_at"],
+            guarded=data.get("reshard_guarded", True)),)
+    return replace(spec_from_plain(plain), reshard=reshard)
+
+
+def load_artifact(path: Path) -> Tuple[ExperimentSpec, dict]:
+    """Rebuild the experiment an artifact pins, fault schedule attached."""
+    data = json.loads(Path(path).read_text())
+    spec = (spec_from_plain(data["spec"]) if "spec" in data
+            else _flat_spec(data))
     actions = tuple(FaultAction.from_dict(d) for d in data["actions"])
-    return cfg, data["run_seed"], actions, data
+    return replace(spec, failures=ScheduledNemesis(actions)), data
 
 
 def replay_artifact(path: Path) -> Tuple[Optional[str], ExperimentResult]:
     """Re-run an artifact's schedule; returns (verdict, result)."""
-    cfg, seed, actions, _data = load_artifact(path)
-    result = run_experiment(campaign_spec(cfg, actions, seed))
+    spec, _data = load_artifact(path)
+    result = run_experiment(spec)
     return verdict_of(result), result
 
 
@@ -328,6 +251,10 @@ def hunt(cfg: HuntConfig, out_dir: Optional[Path] = None,
     last verdict).
     """
     say = log if log is not None else (lambda _msg: None)
+    if out_dir is not None:
+        # a template no artifact can pin fails now, not after the
+        # campaigns and the shrink budget are spent
+        spec_to_plain(replace(cfg.base, failures=None))
     campaigns = plan_campaigns(cfg)
     findings: List[HuntFinding] = []
     chunk_size = max(4, 2 * (cfg.workers or 1))
@@ -366,7 +293,7 @@ def hunt(cfg: HuntConfig, out_dir: Optional[Path] = None,
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / (f"hunt-{cfg.protocol}-s{cfg.seed}"
+            path = out_dir / (f"hunt-{cfg.base.protocol}-s{cfg.seed}"
                               f"-c{finding.campaign}.json")
             write_artifact(path, cfg, finding)
             finding.artifact = str(path)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import typing
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 from ..client.session import ClientSession, SessionSpec
 from ..cluster import Cluster
@@ -19,6 +20,7 @@ from ..core.config import ProtocolConfig
 from ..net.latency import LatencyModel
 from ..obs.metrics import MetricsRegistry
 from ..protocols import protocol_factory
+from ..shard.reshard import ReshardAction
 from .generator import WorkloadGenerator, WorkloadSpec, body_for
 
 #: message kinds on the transaction path (Figs. 10-12 + the atomic
@@ -83,13 +85,99 @@ class ExperimentSpec:
     open_loop: bool = False
     #: client-tier knobs (cache + leases); None = no session tier, the
     #: byte-identical default path
-    session: Optional["SessionSpec"] = None
+    session: Optional[SessionSpec] = None
     #: online placement changes: a tuple of :class:`~repro.shard.
     #: reshard.ReshardAction` (or their dicts).  Requires ``placement``;
     #: the pids the actions add are held out of the initial assignment
     #: and joined live by the migration engine.  None = no reshard
     #: machinery is constructed at all (the byte-identical default).
-    reshard: Optional[tuple] = None
+    reshard: Optional[Tuple[ReshardAction, ...]] = None
+
+
+def _bare(hint):
+    """``X`` for an ``Optional[X]`` annotation; anything else as is."""
+    if typing.get_origin(hint) is typing.Union:
+        (hint,) = [arg for arg in typing.get_args(hint)
+                   if arg is not type(None)]
+    return hint
+
+
+def with_paths(obj, values: Mapping[str, Any]):
+    """``obj`` with every dotted field path in ``values`` replaced
+    (``{"retries": 2, "workload.read_fraction": 0.5}``).
+
+    This is the one knob setter: sweep axes and CLI flags both name
+    spec fields this way.  A nested dataclass is rebuilt once from all
+    of its paths — starting from its defaults when the field is None —
+    so its validation sees only the final combination.
+    """
+    hints = typing.get_type_hints(type(obj))
+    direct: dict = {}
+    nested: dict = {}
+    for path, value in values.items():
+        head, _, rest = path.partition(".")
+        if head not in hints:
+            raise AttributeError(
+                f"{type(obj).__name__} has no field {head!r}")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            direct[head] = value
+    for head, sub in nested.items():
+        current = getattr(obj, head)
+        if current is None:
+            cls = _bare(hints[head])
+            if not dataclasses.is_dataclass(cls):
+                raise AttributeError(
+                    f"{type(obj).__name__}.{head} has no fields")
+            current = cls()
+        direct[head] = with_paths(current, sub)
+    return replace(obj, **direct)
+
+
+#: spec fields that hold callables — nothing a file can replay
+_CALLABLES = ("latency", "failures", "objects_for")
+
+
+def spec_to_plain(spec: ExperimentSpec) -> dict:
+    """``spec`` as JSON-ready plain data — what a repro artifact pins.
+
+    A spec carrying a callable is refused; a failure script travels
+    separately, as its action list.
+    """
+    carried = [name for name in _CALLABLES
+               if getattr(spec, name) is not None]
+    if spec.config is not None and spec.config.probe_phase is not None:
+        carried.append("config.probe_phase")
+    if carried:
+        raise ValueError(f"spec is not replayable plain data: it carries "
+                         f"{', '.join(carried)}")
+    plain = dataclasses.asdict(spec)
+    for name in _CALLABLES:
+        del plain[name]
+    return plain
+
+
+def _from_plain(hint, value):
+    hint = _bare(hint)
+    if value is None:
+        return None
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        # an absent key is a knob added after the artifact was written:
+        # it takes the dataclass default
+        return hint(**{name: _from_plain(hints.get(name), item)
+                       for name, item in value.items()})
+    if typing.get_origin(hint) is tuple:
+        return tuple(_from_plain(typing.get_args(hint)[0], item)
+                     for item in value)
+    return value
+
+
+def spec_from_plain(data: Mapping[str, Any]) -> ExperimentSpec:
+    """Inverse of :func:`spec_to_plain`: nested dicts and lists go back
+    to the dataclasses and tuples the field types name."""
+    return _from_plain(ExperimentSpec, data)
 
 
 @dataclass
@@ -287,7 +375,7 @@ def build_cluster(spec: ExperimentSpec) -> Cluster:
             holders = [pids[(index + k) % len(pids)] for k in range(copies)]
             cluster.place(f"o{index}", holders=holders, initial=0)
     elif spec.reshard:
-        from ..shard import ReshardAction, ReshardEngine, object_names
+        from ..shard import ReshardEngine, object_names
         from ..shard.policy import make_policy
         policy = make_policy(spec.placement, degree=copies, seed=spec.seed)
         actions = tuple(
@@ -487,18 +575,7 @@ def _collect_sessions(registry: MetricsRegistry, cluster: Cluster,
     staleness = registry.log_histogram("client.staleness")
     for session in sessions:
         stats = session.stats
-        registry.counter("client.programs").inc(stats.programs)
-        registry.counter("client.programs_committed").inc(stats.committed)
-        registry.counter("client.programs_aborted").inc(stats.aborted)
-        registry.counter("client.programs_local").inc(stats.local_programs)
-        registry.counter("client.reads").inc(stats.reads)
-        registry.counter("client.writes").inc(stats.writes)
-        registry.counter("client.lease_reads").inc(stats.lease_reads)
-        registry.counter("client.cache_reads").inc(stats.cache_reads)
-        registry.counter("client.remote_reads").inc(stats.remote_reads)
-        registry.counter("client.local_writes").inc(stats.local_writes)
-        registry.counter("client.remote_writes").inc(stats.remote_writes)
-        registry.counter("client.flush_writes").inc(stats.flush_writes)
+        _count_fields(registry, "client", stats)
         read_latency.observe_many(stats.read_latencies)
         staleness.observe_many(stats.staleness)
         if session.cache is not None:

@@ -9,83 +9,37 @@ the same order — each child owns its own seeded simulator.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+import itertools
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .parallel import run_many
-from .runner import ExperimentResult, ExperimentSpec
+from .runner import ExperimentResult, ExperimentSpec, with_paths
 
 
 def sweep(base: ExperimentSpec, axis: str, values: Sequence[Any],
           workers: int = 1) -> List[Tuple[Any, ExperimentResult]]:
     """Run ``base`` once per value of ``axis``.
 
-    ``axis`` may name a field of :class:`ExperimentSpec` or, with the
-    ``workload.`` prefix, a field of its :class:`WorkloadSpec`.
+    ``axis`` is any dotted :class:`ExperimentSpec` path — ``retries``,
+    ``workload.read_fraction``, ``session.lease_duration`` (see
+    :func:`~repro.workload.runner.with_paths`).
     """
     values = list(values)
-    specs = [_with(base, axis, value) for value in values]
+    specs = [with_paths(base, {axis: value}) for value in values]
     return list(zip(values, run_many(specs, workers=workers)))
 
 
 def sweep_protocols(base: ExperimentSpec, protocols: Sequence[str],
                     workers: int = 1) -> Dict[str, ExperimentResult]:
     """Run the identical workload under each protocol (paired seeds)."""
-    names = list(protocols)
-    specs = [replace(base, protocol=name) for name in names]
-    return dict(zip(names, run_many(specs, workers=workers)))
+    return dict(sweep(base, "protocol", protocols, workers=workers))
 
 
 def grid(base: ExperimentSpec, axes: Dict[str, Sequence[Any]],
          workers: int = 1) -> List[Tuple[Dict[str, Any], ExperimentResult]]:
     """Full cartesian sweep over several axes."""
     names = sorted(axes)
-    points: List[Dict[str, Any]] = []
-    specs: List[ExperimentSpec] = []
-
-    def recurse(index: int, point: Dict[str, Any],
-                spec: ExperimentSpec) -> None:
-        if index == len(names):
-            points.append(dict(point))
-            specs.append(spec)
-            return
-        axis = names[index]
-        for value in axes[axis]:
-            point[axis] = value
-            recurse(index + 1, point, _with(spec, axis, value))
-        del point[axis]
-
-    recurse(0, {}, base)
+    points = [dict(zip(names, combo))
+              for combo in itertools.product(*(axes[name] for name in names))]
+    specs = [with_paths(base, point) for point in points]
     return list(zip(points, run_many(specs, workers=workers)))
-
-
-def averaged(run: Callable[[int], float], seeds: Iterable[int],
-             workers: int = 1) -> float:
-    """Mean of a scalar measurement across seeds.
-
-    With ``workers > 1``, seeds fan out over a process pool; ``run``
-    must then be picklable (a module-level function, not a closure).
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("no seeds supplied")
-    if workers <= 1 or len(seeds) <= 1:
-        values = [run(seed) for seed in seeds]
-    else:
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(seeds))) as pool:
-            values = list(pool.map(run, seeds))
-    return sum(values) / len(values)
-
-
-def _with(spec: ExperimentSpec, axis: str, value: Any) -> ExperimentSpec:
-    if axis.startswith("workload."):
-        field = axis.split(".", 1)[1]
-        if not hasattr(spec.workload, field):
-            raise AttributeError(f"WorkloadSpec has no field {field!r}")
-        return replace(spec, workload=replace(spec.workload,
-                                              **{field: value}))
-    if not hasattr(spec, axis):
-        raise AttributeError(f"ExperimentSpec has no field {axis!r}")
-    return replace(spec, **{axis: value})

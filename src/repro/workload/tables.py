@@ -1,4 +1,4 @@
-"""ASCII tables and series for benchmark reports.
+"""ASCII tables for benchmark reports.
 
 The benchmark harness prints results in the same shape the paper's
 claims are stated (who wins, by what factor, where crossovers fall);
@@ -61,13 +61,3 @@ def format_quantiles(summary: dict, quantiles: Sequence[str] = ("p50", "p99"),
         return "-"
     return "/".join(format_cell(float(summary.get(q, 0.0)))
                     for q in quantiles)
-
-
-def render_series(label: str, xs: Sequence[Any],
-                  ys: Sequence[float], x_name: str = "x",
-                  y_name: str = "y") -> str:
-    """A one-line-per-point series, greppable in benchmark logs."""
-    out = [f"# series: {label} ({x_name} -> {y_name})"]
-    for x, y in zip(xs, ys):
-        out.append(f"{label}\t{format_cell(x)}\t{format_cell(y)}")
-    return "\n".join(out)

@@ -1,14 +1,7 @@
 """Unit tests for history measurement utilities."""
 
 from repro.analysis.history import INITIAL_VERSION, History
-from repro.analysis.metrics import (
-    abort_stats,
-    convergence_time,
-    membership_timeline,
-    operation_latencies,
-    partition_lifetimes,
-    stale_reads,
-)
+from repro.analysis.metrics import convergence_time, stale_reads
 
 
 def test_convergence_time_to_highest_partition():
@@ -20,24 +13,6 @@ def test_convergence_time_to_highest_partition():
     assert convergence_time(history, after=10.0) == 8.0
     assert convergence_time(history, after=16.0) == 2.0
     assert convergence_time(history, after=100.0) is None
-
-
-def test_membership_timeline_sorted():
-    history = History()
-    history.record_join(time=5.0, pid=2, vpid="v1", view={2})
-    history.record_depart(time=3.0, pid=1, vpid="v0")
-    timeline = membership_timeline(history)
-    assert timeline[0] == (3.0, 1, "depart", "v0")
-    assert timeline[1] == (5.0, 2, "join", "v1")
-
-
-def test_partition_lifetimes():
-    history = History()
-    history.record_join(time=1.0, pid=1, vpid="v1", view={1, 2})
-    history.record_join(time=2.0, pid=2, vpid="v1", view={1, 2})
-    history.record_depart(time=9.0, pid=1, vpid="v1")
-    lifetimes = partition_lifetimes(history)
-    assert lifetimes["v1"] == (1.0, 9.0)
 
 
 def _committed(history, txn, begin, end, ops):
@@ -73,27 +48,3 @@ def test_stale_reads_ignores_reads_before_the_write():
     _committed(history, "w1", 3.0, 5.0,
                [(4.0, "w", "x", ("w1", 1))])
     assert stale_reads(history) == []
-
-
-def test_abort_stats():
-    history = History()
-    history.begin_txn("t1", origin=1, time=0.0)
-    history.commit_txn("t1", time=1.0)
-    for index, reason in enumerate(["lock-timeout", "lock-timeout",
-                                    "inaccessible"]):
-        txn = ("a", index)
-        history.begin_txn(txn, origin=1, time=0.0)
-        history.abort_txn(txn, time=1.0, reason=reason)
-    stats = abort_stats(history)
-    assert stats["aborted"] == 3 and stats["committed"] == 1
-    assert stats["abort_rate"] == 0.75
-    assert stats["reasons"]["lock-timeout"] == 2
-
-
-def test_operation_latencies_split_by_kind():
-    history = History()
-    _committed(history, "ro", 0.0, 4.0, [(1.0, "r", "x", INITIAL_VERSION)])
-    _committed(history, "up", 0.0, 9.0, [(1.0, "w", "x", ("up", 1))])
-    latencies = operation_latencies(history)
-    assert latencies["read-only"] == [4.0]
-    assert latencies["update"] == [9.0]

@@ -83,7 +83,7 @@ def test_repeat_read_served_from_cache_with_leases_off():
     assert committed and value == 0
     assert session.stats.cache_reads == 1
     assert session.stats.remote_reads == 1
-    assert session.stats.local_programs == 1
+    assert session.stats.programs_local == 1
 
 
 def test_write_through_fills_the_cache_with_the_committed_value():
@@ -103,7 +103,7 @@ def test_write_back_is_local_and_read_your_writes():
                               cache_policy="write-back")
     committed, _ = run_program(cluster, session, [("w", "x")], tag="a")
     assert committed
-    assert session.stats.local_programs == 1, "no protocol txn needed"
+    assert session.stats.programs_local == 1, "no protocol txn needed"
     assert session.stats.remote_writes == 0
     committed, value = run_program(cluster, session, [("r", "x")])
     assert committed and value == "a/w0", "read-your-writes"

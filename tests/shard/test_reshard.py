@@ -48,6 +48,17 @@ def test_reshard_action_from_dict_defaults():
     assert action.guarded is True and action.coordinator is None
 
 
+def test_onto_spares_expands_onto_the_highest_pids():
+    assert ReshardAction.onto_spares(9, 2, 30.0) == ReshardAction(
+        time=30.0, add=(8, 9))
+    assert ReshardAction.onto_spares(
+        4, 1, 5.0, guarded=False, coordinator=2) == ReshardAction(
+        time=5.0, add=(4,), guarded=False, coordinator=2)
+    for spares in (0, 4):
+        with pytest.raises(ValueError, match="base ring"):
+            ReshardAction.onto_spares(4, spares, 10.0)
+
+
 def test_reshard_requires_placement_policy():
     spec = ExperimentSpec(
         protocol="virtual-partitions", processors=5, objects=5,

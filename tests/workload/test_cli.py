@@ -2,7 +2,21 @@
 
 import pytest
 
-from repro.cli import _parse_crash, _parse_partition, build_parser, main
+from repro.cli import (
+    FLAGS,
+    _apply_flags,
+    _parse_crash,
+    _parse_partition,
+    build_parser,
+    main,
+)
+from repro.workload import ExperimentSpec
+from repro.workload.hunt import hunt_base
+from repro.workload.runner import with_paths
+
+# every table row names a real spec field: a typo fails here, at import
+for _flag in FLAGS:
+    with_paths(ExperimentSpec(), {_flag.path: _flag.default})
 
 
 def test_parse_partition():
@@ -34,6 +48,32 @@ def test_parser_defaults():
     assert args.protocol == "virtual-partitions"
     assert args.processors == 5
     assert args.cc == "2pl"
+
+
+def test_flags_fill_the_spec_paths_they_name():
+    args = build_parser().parse_args(
+        ["run", "--copies", "2", "--read-fraction", "0.5", "--pi", "6",
+         "--commit-backend", "paxos", "--cache", "3", "--lease", "2"])
+    spec = _apply_flags(args, ExperimentSpec())
+    assert spec.copies_per_object == 2
+    assert spec.workload.read_fraction == 0.5
+    assert (spec.config.pi, spec.config.commit_backend) == (6.0, "paxos")
+    assert (spec.session.cache_capacity, spec.session.lease_duration) == (3, 2)
+    # untouched session flags build no client tier at all
+    plain = build_parser().parse_args(["run", "--cache-policy", "write-back"])
+    assert _apply_flags(plain, ExperimentSpec()).session is None
+
+
+def test_hunt_reuses_the_table_with_the_template_defaults():
+    args = build_parser().parse_args(["hunt"])
+    assert _apply_flags(args, hunt_base()) == hunt_base()
+    assert (args.processors, args.objects, args.copies) == (4, 3, 3)
+    assert not hasattr(args, "read_fraction")
+    sharded = build_parser().parse_args(
+        ["hunt", "--placement", "hash-ring", "--commit-backend", "paxos"])
+    base = _apply_flags(sharded, hunt_base())
+    assert base.placement == "hash-ring"
+    assert base.config.commit_backend == "paxos"
 
 
 def test_run_command_prints_table(capsys):

@@ -1,18 +1,49 @@
 """Tests for the campaign hunter: conviction, shrinking, replay."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro.client.session import SessionSpec
+from repro.core.config import ProtocolConfig
+from repro.shard import ReshardAction
+from repro.workload import ExperimentSpec, ScheduledNemesis, WorkloadSpec
 from repro.workload.hunt import (
     HuntConfig,
+    HuntFinding,
     campaign_spec,
     hunt,
+    hunt_base,
+    load_artifact,
     plan_campaigns,
     replay_artifact,
     verdict_of,
+    write_artifact,
 )
-from repro.workload.runner import run_experiment
+from repro.workload.runner import (
+    run_experiment,
+    spec_from_plain,
+    spec_to_plain,
+    with_paths,
+)
+
+FLAT_FIXTURE = (Path(__file__).parent / "fixtures"
+                / "hunt-naive-view-s0-c0.flat.json")
+
+SHARDED = dict(processors=9, objects=12, copies_per_object=3,
+               placement="hash-ring")
+LEASED = SessionSpec(cache_capacity=4, cache_policy="write-back",
+                     lease_duration=5.0)
+#: one template per CI hunt configuration
+BASES = {
+    "default": hunt_base(),
+    "reshard": hunt_base(**SHARDED, reshard=(
+        ReshardAction.onto_spares(9, 2, 30.0, guarded=False),)),
+    "paxos": hunt_base(config=ProtocolConfig(commit_backend="paxos")),
+    "session": hunt_base(session=LEASED),
+}
 
 
 def test_plan_campaigns_deterministic():
@@ -36,8 +67,8 @@ def test_naive_view_canary_convicts(tmp_path):
     """The acceptance canary: with the fixed default seed, a small
     hunt budget convicts naive-view's stale-view 1SR violation, the
     schedule shrinks, and the artifact replays deterministically."""
-    report = hunt(HuntConfig(protocol="naive-view", campaigns=30, seed=0,
-                             stop_after=1, workers=1),
+    report = hunt(HuntConfig(base=hunt_base(protocol="naive-view"),
+                             campaigns=30, seed=0, stop_after=1, workers=1),
                   out_dir=tmp_path)
     assert not report.survived, "naive-view must be convicted"
     finding = report.findings[0]
@@ -50,7 +81,7 @@ def test_naive_view_canary_convicts(tmp_path):
     verdict_b, result = replay_artifact(finding.artifact)
     assert verdict_a == verdict_b == finding.shrunk_verdict
     data = json.loads(open(finding.artifact).read())
-    assert data["protocol"] == "naive-view"
+    assert data["spec"]["protocol"] == "naive-view"
     assert len(data["actions"]) == len(finding.shrunk)
 
 
@@ -58,9 +89,8 @@ def test_virtual_partitions_survives_the_same_hunt():
     """Paired check: the VP protocol under the same seed and a larger
     budget produces zero findings (the full 200-campaign sweep runs in
     CI's hunt-smoke job)."""
-    report = hunt(HuntConfig(protocol="virtual-partitions", campaigns=40,
-                             seed=0, stop_after=0, shrink_budget=0,
-                             workers=1))
+    report = hunt(HuntConfig(campaigns=40, seed=0, stop_after=0,
+                             shrink_budget=0, workers=1))
     assert report.survived, [f.verdict for f in report.findings]
     assert report.campaigns_run == 40
 
@@ -83,23 +113,32 @@ def test_verdict_of_inconclusive_check_is_not_a_failure():
     assert verdict_of(FakeResult()) is None
 
 
-def test_campaign_spec_arms_audit_and_check():
-    cfg = HuntConfig()
-    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))[:1]
-    spec = campaign_spec(cfg, actions, seed)
-    assert spec.audit and spec.check
-    assert spec.protocol == cfg.protocol
+def test_campaign_spec_is_the_template_plus_the_campaign():
+    """The default hunt's campaign experiment, written out: the values
+    every pre-template hunt ran with."""
+    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))
+    assert campaign_spec(HuntConfig(), actions, seed) == ExperimentSpec(
+        protocol="virtual-partitions", processors=4, objects=3,
+        copies_per_object=3, seed=seed, duration=180.0, grace=150.0,
+        workload=WorkloadSpec(read_fraction=0.6, ops_per_txn=2, zipf_s=0.0,
+                              mean_interarrival=25.0),
+        latency=None, config=None, failures=ScheduledNemesis(actions),
+        retries=3, check=True, audit=True, trace=False, clients=1,
+        txns_per_client=3, objects_for=None, placement=None,
+        directory=None, directory_capacity=None, commit_backend=None,
+        open_loop=False, session=None, reshard=None)
+
+
+@pytest.mark.parametrize("base", BASES.values(), ids=BASES)
+def test_campaign_spec_keeps_every_template_knob(base):
+    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))
+    cfg = HuntConfig(base=base, fault_horizon=90.0, settle=40.0)
+    assert campaign_spec(cfg, actions, seed) == replace(
+        base, seed=seed, duration=90.0, grace=40.0, check=True, audit=True,
+        failures=ScheduledNemesis(actions))
 
 
 # -- sharded-topology hunts --------------------------------------------------
-
-
-def test_campaign_spec_carries_placement():
-    cfg = HuntConfig(placement="hash-ring", processors=6, objects=12)
-    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))[:1]
-    spec = campaign_spec(cfg, actions, seed)
-    assert spec.placement == "hash-ring"
-    assert spec.copies_per_object == cfg.copies_per_object
 
 
 def test_vp_survives_sharded_hunt():
@@ -107,9 +146,9 @@ def test_vp_survives_sharded_hunt():
     hash-ring sharded 6-node topology (degree 3 — most objects have
     copies on only half the cluster) survives the fixed-seed nemesis
     sweep with zero auditor/1SR findings."""
-    report = hunt(HuntConfig(protocol="virtual-partitions", processors=6,
-                             objects=12, copies_per_object=3,
-                             placement="hash-ring", campaigns=25, seed=0,
+    report = hunt(HuntConfig(base=hunt_base(processors=6, objects=12,
+                                            placement="hash-ring"),
+                             campaigns=25, seed=0,
                              stop_after=0, shrink_budget=0, workers=1))
     assert report.survived, [f.verdict for f in report.findings]
     assert report.campaigns_run == 25
@@ -119,9 +158,9 @@ def test_naive_view_sharded_canary_convicts(tmp_path):
     """The sharded hunt has teeth: on a tight sharded topology the
     naive-view strawman is convicted of a 1SR violation, and the
     artifact records the placement so the repro replays sharded."""
-    report = hunt(HuntConfig(protocol="naive-view", processors=4,
-                             objects=6, copies_per_object=3,
-                             placement="hash-ring", campaigns=10, seed=0,
+    report = hunt(HuntConfig(base=hunt_base(protocol="naive-view", objects=6,
+                                            placement="hash-ring"),
+                             campaigns=10, seed=0,
                              stop_after=1, shrink_budget=0, workers=1),
                   out_dir=tmp_path)
     assert not report.survived
@@ -129,43 +168,12 @@ def test_naive_view_sharded_canary_convicts(tmp_path):
     assert finding.campaign == 6
     assert "1SR" in finding.verdict
     data = json.loads(open(finding.artifact).read())
-    assert data["placement"] == "hash-ring"
+    assert data["spec"]["placement"] == "hash-ring"
     verdict, _result = replay_artifact(finding.artifact)
     assert verdict == finding.verdict
 
 
-def test_load_artifact_defaults_placement_for_old_artifacts(tmp_path):
-    """Artifacts written before sharding existed have no placement key
-    and must load as the legacy full-map layout."""
-    from repro.workload.hunt import HuntFinding, load_artifact, write_artifact
-
-    cfg = HuntConfig()
-    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))[:1]
-    finding = HuntFinding(campaign=0, seed=seed, verdict="x",
-                          actions=actions)
-    path = tmp_path / "old.json"
-    write_artifact(path, cfg, finding)
-    data = json.loads(path.read_text())
-    del data["placement"]
-    path.write_text(json.dumps(data))
-    loaded_cfg, _seed, _actions, _data = load_artifact(path)
-    assert loaded_cfg.placement is None
-
-
 # -- client-tier (cache + lease) hunts ---------------------------------------
-
-
-def test_campaign_spec_carries_session():
-    cfg = HuntConfig(cache_capacity=4, cache_policy="write-back",
-                     lease_duration=5.0)
-    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))[:1]
-    spec = campaign_spec(cfg, actions, seed)
-    assert spec.session is not None
-    assert spec.session.cache_capacity == 4
-    assert spec.session.cache_policy == "write-back"
-    assert spec.session.lease_duration == 5.0
-    # the default config keeps the raw client tier (golden-trace path)
-    assert campaign_spec(HuntConfig(), actions, seed).session is None
 
 
 def test_vp_survives_lease_armed_hunt():
@@ -174,10 +182,9 @@ def test_vp_survives_lease_armed_hunt():
     lease-expired / lease-staleness checks ride every campaign of the
     fixed-seed nemesis sweep — and the VP protocol plus the
     epoch-revoking session survive with zero findings."""
-    report = hunt(HuntConfig(protocol="virtual-partitions", campaigns=40,
-                             seed=0, stop_after=0, shrink_budget=0, workers=1,
-                             cache_capacity=4, cache_policy="write-back",
-                             lease_duration=5.0))
+    report = hunt(HuntConfig(base=hunt_base(session=LEASED), campaigns=40,
+                             seed=0, stop_after=0, shrink_budget=0,
+                             workers=1))
     assert report.survived, [f.verdict for f in report.findings]
     assert report.campaigns_run == 40
 
@@ -186,10 +193,8 @@ def test_lease_armed_campaign_exercises_the_client_tier():
     """The survival above is not vacuous: the first campaign's client
     counters show leases granted and conservatively revoked, write-back
     flushes, and locally served reads."""
-    cfg = HuntConfig(protocol="virtual-partitions", campaigns=1, seed=0,
-                     cache_capacity=4, cache_policy="write-back",
-                     lease_duration=5.0)
-    (seed, actions), = plan_campaigns(cfg)[:1]
+    cfg = HuntConfig(base=hunt_base(session=LEASED), campaigns=1, seed=0)
+    (seed, actions), = plan_campaigns(cfg)
     result = run_experiment(campaign_spec(cfg, actions, seed))
     assert verdict_of(result) is None
     counters = result.registry.snapshot()["counters"]
@@ -200,93 +205,7 @@ def test_lease_armed_campaign_exercises_the_client_tier():
     assert result.local_read_fraction > 0
 
 
-def test_load_artifact_defaults_session_for_old_artifacts(tmp_path):
-    """Artifacts written before the client tier existed have no session
-    keys and must load with caching and leases off."""
-    from repro.workload.hunt import HuntFinding, load_artifact, write_artifact
-
-    cfg = HuntConfig()
-    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))[:1]
-    finding = HuntFinding(campaign=0, seed=seed, verdict="x",
-                          actions=actions)
-    path = tmp_path / "old.json"
-    write_artifact(path, cfg, finding)
-    data = json.loads(path.read_text())
-    for key in ("cache_capacity", "cache_policy", "lease_duration"):
-        del data[key]
-    path.write_text(json.dumps(data))
-    loaded_cfg, _seed, _actions, _data = load_artifact(path)
-    assert loaded_cfg.cache_capacity == 0
-    assert loaded_cfg.lease_duration == 0.0
-
-
 # -- reshard-armed hunts -----------------------------------------------------
-
-
-def test_campaign_spec_carries_reshard_schedule():
-    from repro.shard import ReshardAction
-    from repro.workload.hunt import reshard_schedule
-
-    cfg = HuntConfig(processors=9, placement="hash-ring",
-                     reshard_at=30.0, reshard_spares=2)
-    assert reshard_schedule(cfg) == (
-        ReshardAction(time=30.0, add=(8, 9)),)
-    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))[:1]
-    spec = campaign_spec(cfg, actions, seed)
-    assert spec.reshard == reshard_schedule(cfg)
-    # the default config builds no reshard machinery (golden-trace path)
-    assert campaign_spec(HuntConfig(), actions, seed).reshard is None
-
-
-def test_reshard_schedule_requires_a_base_ring():
-    from repro.workload.hunt import reshard_schedule
-
-    with pytest.raises(ValueError, match="base ring"):
-        reshard_schedule(HuntConfig(processors=4, reshard_at=10.0,
-                                    reshard_spares=4))
-
-
-def test_artifact_round_trips_reshard_schedule(tmp_path):
-    from repro.workload.hunt import HuntFinding, load_artifact, write_artifact
-
-    cfg = HuntConfig(processors=9, placement="hash-ring",
-                     reshard_at=30.0, reshard_spares=2,
-                     reshard_guarded=False)
-    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))[:1]
-    finding = HuntFinding(campaign=0, seed=seed, verdict="x",
-                          actions=actions)
-    path = tmp_path / "reshard.json"
-    write_artifact(path, cfg, finding)
-    data = json.loads(path.read_text())
-    assert data["reshard_actions"] == [
-        {"time": 30.0, "add": [8, 9], "guarded": False,
-         "coordinator": None}]
-    loaded_cfg, _seed, _actions, _data = load_artifact(path)
-    assert loaded_cfg.reshard_at == 30.0
-    assert loaded_cfg.reshard_spares == 2
-    assert loaded_cfg.reshard_guarded is False
-
-
-def test_load_artifact_defaults_reshard_for_old_artifacts(tmp_path):
-    """Artifacts written before online resharding existed have no
-    reshard keys and must load with the migration machinery off."""
-    from repro.workload.hunt import HuntFinding, load_artifact, write_artifact
-
-    cfg = HuntConfig()
-    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))[:1]
-    finding = HuntFinding(campaign=0, seed=seed, verdict="x",
-                          actions=actions)
-    path = tmp_path / "old.json"
-    write_artifact(path, cfg, finding)
-    data = json.loads(path.read_text())
-    for key in ("reshard_at", "reshard_spares", "reshard_guarded",
-                "reshard_actions"):
-        del data[key]
-    path.write_text(json.dumps(data))
-    loaded_cfg, _seed, _actions, _data = load_artifact(path)
-    assert loaded_cfg.reshard_at == 0.0
-    assert loaded_cfg.reshard_spares == 0
-    assert loaded_cfg.reshard_guarded is True
 
 
 def test_vp_survives_reshard_armed_hunt():
@@ -294,11 +213,10 @@ def test_vp_survives_reshard_armed_hunt():
     fixed-seed sweep expands a 9-processor hash ring onto 2 held-out
     spares at t=30 in every campaign, and the guarded cutover survives
     with zero auditor findings and zero 1SR violations."""
-    report = hunt(HuntConfig(protocol="virtual-partitions", campaigns=8,
-                             processors=9, objects=12, copies_per_object=3,
-                             placement="hash-ring", seed=0, stop_after=0,
-                             shrink_budget=0, workers=1,
-                             reshard_at=30.0, reshard_spares=2))
+    base = hunt_base(**SHARDED,
+                     reshard=(ReshardAction.onto_spares(9, 2, 30.0),))
+    report = hunt(HuntConfig(base=base, campaigns=8, seed=0, stop_after=0,
+                             shrink_budget=0, workers=1))
     assert report.survived, [f.verdict for f in report.findings]
     assert report.campaigns_run == 8
 
@@ -318,7 +236,123 @@ def test_vp_hunter_regression_campaigns_stay_clean(campaign):
       atomicity); fixed by the poisoned-transaction guard in
       end_transaction.
     """
-    cfg = HuntConfig(protocol="virtual-partitions", campaigns=200, seed=0)
+    cfg = HuntConfig(campaigns=200, seed=0)
     seed, actions = plan_campaigns(cfg)[campaign]
     result = run_experiment(campaign_spec(cfg, actions, seed))
     assert verdict_of(result) is None, result.audit_violations
+
+
+# -- repro artifacts: plain-data specs ---------------------------------------
+
+
+def _artifact(tmp_path, base) -> Path:
+    cfg = HuntConfig(base=base)
+    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))
+    path = tmp_path / "artifact.json"
+    write_artifact(path, cfg, HuntFinding(campaign=0, seed=seed,
+                                          verdict="x", actions=actions))
+    return path
+
+
+@pytest.mark.parametrize("base", BASES.values(), ids=BASES)
+def test_spec_survives_plain_data_and_json(base):
+    assert spec_from_plain(spec_to_plain(base)) == base
+    assert spec_from_plain(json.loads(json.dumps(spec_to_plain(base)))) == base
+    # nested records default their absent keys too
+    assert spec_from_plain({"reshard": [{"time": 12.5, "add": [3]}]}) == (
+        ExperimentSpec(reshard=(ReshardAction(time=12.5, add=(3,)),)))
+
+
+@pytest.mark.parametrize("base", BASES.values(), ids=BASES)
+def test_artifact_round_trips_the_campaign_spec(tmp_path, base):
+    (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))
+    spec, data = load_artifact(_artifact(tmp_path, base))
+    assert spec == campaign_spec(HuntConfig(base=base), actions, seed)
+    assert data["original_action_count"] == len(actions)
+
+
+def _paths(plain: dict, prefix: str = ""):
+    """Every dotted key path of a plain spec, nested sections included."""
+    for key, value in plain.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _paths(value, f"{prefix}{key}.")
+
+
+#: a spec with every optional section present, all knobs off-default
+RICH = replace(
+    BASES["reshard"], protocol="quorum", directory="cached",
+    directory_capacity=7, commit_backend="paxos", open_loop=True, clients=2,
+    trace=True,
+    # write-back would make the cache_capacity default (0) invalid
+    session=replace(LEASED, cache_policy="write-through"),
+    config=ProtocolConfig(delta=2.0, pi=9.0, read_retry=True, cc="tso",
+                          init_strategy="previous", catchup="log",
+                          split_off_fastpath=True, weakened_r4=True,
+                          lock_timeout_deltas=9.0, access_timeout_deltas=9.0,
+                          commit_backend="paxos", batch_window=0.5,
+                          storage_append_cost=0.1, storage_sync_cost=0.2,
+                          checkpoint_every=5, log_retain=3),
+    workload=WorkloadSpec(read_fraction=0.3, ops_per_txn=3, zipf_s=1.1,
+                          mean_interarrival=7.0))
+
+
+@pytest.mark.parametrize("path", list(_paths(spec_to_plain(RICH))))
+def test_absent_spec_key_loads_the_dataclass_default(tmp_path, path):
+    """An artifact written before a knob existed lacks its key — at any
+    nesting level — and must load with that knob at its default."""
+    artifact = _artifact(tmp_path, RICH)
+    written, _ = load_artifact(artifact)
+    data = json.loads(artifact.read_text())
+    section = data["spec"]
+    *parents, leaf = path.split(".")
+    for name in parents:
+        section = section[name]
+    del section[leaf]
+    artifact.write_text(json.dumps(data))
+    owner = written
+    for name in parents:
+        owner = getattr(owner, name)
+    default = getattr(type(owner)(), leaf)
+    assert getattr(owner, leaf) != default or leaf in (
+        "cache_policy", "probe_phase")
+    loaded, _ = load_artifact(artifact)
+    assert loaded == with_paths(written, {path: default})
+
+
+def test_flat_artifact_from_before_the_spec_section_still_convicts(tmp_path):
+    """The committed PR-12 artifact (flat key set, no ``"spec"``) loads
+    through the frozen reader as the very experiment the current writer
+    pins for the same campaign, and replays to the same conviction."""
+    spec, data = load_artifact(FLAT_FIXTURE)
+    assert "spec" not in data
+    cfg = HuntConfig(base=hunt_base(protocol="naive-view"))
+    assert spec == campaign_spec(cfg, spec.failures.actions, data["run_seed"])
+    verdict, _result = replay_artifact(FLAT_FIXTURE)
+    assert verdict == data["verdict"]
+    assert verdict.startswith("1SR violation")
+    # flat files older still (PR <= 8) lack the keys later PRs added
+    for key in ("placement", "commit_backend", "cache_capacity",
+                "cache_policy", "lease_duration", "reshard_at",
+                "reshard_spares", "reshard_guarded", "reshard_actions"):
+        del data[key]
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(data))
+    assert load_artifact(older)[0] == spec
+
+
+@pytest.mark.parametrize("carried", [
+    dict(latency=object()), dict(objects_for=len),
+    dict(failures=ScheduledNemesis(())),
+    dict(config=ProtocolConfig(probe_phase=float)),
+])
+def test_spec_carrying_a_callable_is_not_plain_data(carried):
+    with pytest.raises(ValueError, match="not replayable"):
+        spec_to_plain(hunt_base(**carried))
+
+
+def test_hunt_refuses_an_unreplayable_template_before_any_campaign(
+        tmp_path, monkeypatch):
+    monkeypatch.setitem(hunt.__globals__, "run_many", pytest.fail)
+    with pytest.raises(ValueError, match="objects_for"):
+        hunt(HuntConfig(base=hunt_base(objects_for=len)), out_dir=tmp_path)

@@ -8,7 +8,6 @@ import pytest
 from repro.workload import (
     ExperimentSpec,
     WorkloadSpec,
-    averaged,
     grid,
     run_experiment,
     run_many,
@@ -25,11 +24,6 @@ def small_spec(**kwargs):
     )
     defaults.update(kwargs)
     return ExperimentSpec(**defaults)
-
-
-def _committed_for_seed(seed: int) -> float:
-    """Module-level so ``averaged(..., workers>1)`` can pickle it."""
-    return float(run_experiment(small_spec(seed=seed)).committed)
 
 
 def test_run_many_preserves_submission_order():
@@ -84,13 +78,6 @@ def test_crashing_child_surfaces_exception():
     specs = [small_spec(seed=1), small_spec(seed=2, copies_per_object=99)]
     with pytest.raises(ValueError, match="copies_per_object"):
         run_many(specs, workers=2)
-
-
-def test_averaged_parallel_equals_serial():
-    seeds = [1, 2, 3, 4]
-    serial = averaged(_committed_for_seed, seeds, workers=1)
-    parallel = averaged(_committed_for_seed, seeds, workers=4)
-    assert serial == parallel > 0
 
 
 def test_fingerprint_ignores_wall_clock():

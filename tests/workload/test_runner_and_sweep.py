@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.client.session import SessionSpec
+from repro.core.config import ProtocolConfig
 from repro.workload import (
     ExperimentSpec,
     WorkloadSpec,
@@ -11,6 +13,7 @@ from repro.workload import (
     sweep,
     sweep_protocols,
 )
+from repro.workload.runner import with_paths
 
 
 def small_spec(**kwargs):
@@ -82,11 +85,26 @@ def test_sweep_over_workload_field():
     assert pure_reads.metrics.logical_writes == 0
 
 
-def test_sweep_unknown_axis_rejected():
+def test_sweep_over_an_absent_nested_spec_starts_from_its_defaults():
+    (_, leased), = sweep(small_spec(duration=60.0),
+                         "session.lease_duration", [4.0])
+    assert leased.spec.session == SessionSpec(lease_duration=4.0)
+    assert leased.registry.snapshot()["counters"]["client.lease.granted"] > 0
+
+
+def test_with_paths_validates_only_the_final_combination():
+    # write-back alone is invalid; set together with a capacity it is not
+    spec = with_paths(small_spec(), {"session.cache_policy": "write-back",
+                                     "session.cache_capacity": 4,
+                                     "config.pi": 6.0, "retries": 2})
+    assert spec.session == SessionSpec(4, "write-back")
+    assert spec.config == ProtocolConfig(pi=6.0) and spec.retries == 2
+
+
+@pytest.mark.parametrize("axis", ["bogus", "workload.bogus", "placement.x"])
+def test_sweep_unknown_axis_rejected(axis):
     with pytest.raises(AttributeError):
-        sweep(small_spec(), "bogus", [1])
-    with pytest.raises(AttributeError):
-        sweep(small_spec(), "workload.bogus", [1])
+        sweep(small_spec(), axis, [1])
 
 
 def test_sweep_protocols_pairs_seeds():

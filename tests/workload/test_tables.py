@@ -1,6 +1,6 @@
 """Unit tests for the ASCII table renderer."""
 
-from repro.workload.tables import format_cell, render_series, render_table
+from repro.workload.tables import format_cell, render_table
 
 
 def test_format_cell_types():
@@ -31,12 +31,3 @@ def test_render_table_alignment():
 def test_render_table_no_title():
     table = render_table(["h"], [["x"]])
     assert table.startswith("+")
-
-
-def test_render_series_greppable():
-    series = render_series("vp", [1, 2], [0.5, 0.75],
-                           x_name="n", y_name="cost")
-    lines = series.splitlines()
-    assert lines[0].startswith("# series: vp")
-    assert lines[1] == "vp\t1\t0.5"
-    assert lines[2] == "vp\t2\t0.75"
