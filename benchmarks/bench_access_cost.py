@@ -20,7 +20,13 @@ win only at write-heavy mixes — the crossover the table exposes.
 from __future__ import annotations
 
 from repro.core.config import ProtocolConfig
-from repro.workload import ExperimentSpec, WorkloadSpec, run_many, sweep_protocols
+from repro.workload import (
+    ExperimentSpec,
+    PrivateObjects,
+    WorkloadSpec,
+    run_many,
+    sweep_protocols,
+)
 from repro.workload.tables import render_table
 
 from _shared import bench_main, cost_metrics, emit_metrics, report, run_once
@@ -44,19 +50,6 @@ BATCH_CLIENTS = 3
 def data_messages(result) -> int:
     return sum(count for kind, count in result.network["by_kind"].items()
                if kind not in BACKGROUND)
-
-
-class PrivateObjects:
-    """Picklable per-client object assignment (two private objects per
-    client) — a callable object so the spec can cross the ``run_many``
-    process boundary."""
-
-    def __init__(self, clients: int):
-        self.clients = clients
-
-    def __call__(self, pid: int, client: int) -> list:
-        base = ((pid - 1) * self.clients + client) * 2
-        return [f"o{base}", f"o{base + 1}"]
 
 
 def batching_spec(window: float, txns_per_client: int,

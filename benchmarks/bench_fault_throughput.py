@@ -20,8 +20,14 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.config import ProtocolConfig
-from repro.net.failures import RandomFailures
-from repro.workload import ExperimentSpec, WorkloadSpec, sweep_protocols
+from repro.net.nemesis import plan_crash_repair
+from repro.sim.rng import RandomStreams
+from repro.workload import (
+    ExperimentSpec,
+    ScheduledNemesis,
+    WorkloadSpec,
+    sweep_protocols,
+)
 from repro.workload.runner import run_experiment
 from repro.workload.tables import render_table
 
@@ -33,30 +39,25 @@ DURATION = 800.0
 SMOKE = {"duration": 100.0, "protocols": ["virtual-partitions", "rowa"]}
 
 
-class RareFailures:
-    """Picklable failure schedule (rare random crash/repair) — a
-    callable object so the spec can cross the ``run_many`` process
-    boundary."""
-
-    def __init__(self, horizon: float):
-        self.horizon = horizon
-
-    def __call__(self, cluster) -> None:
-        RandomFailures(
-            cluster.injector, cluster.streams.stream("random-failures"),
-            node_mttf=300.0, node_mttr=40.0, horizon=self.horizon,
-        ).install()
+def e9_spec(duration: float = DURATION) -> ExperimentSpec:
+    """E9's experiment.  The failure script is a plan drawn here, from
+    the stream a seed-33 cluster would hand out: plain data, so the
+    run is replayable from the spec and its action list alone."""
+    return ExperimentSpec(
+        processors=5, objects=10, seed=33, duration=duration,
+        workload=WorkloadSpec(read_fraction=0.9, ops_per_txn=2,
+                              mean_interarrival=10.0),
+        failures=ScheduledNemesis(tuple(plan_crash_repair(
+            RandomStreams(33).stream("random-failures"), range(1, 6),
+            node_mttf=300.0, node_mttr=40.0, horizon=duration,
+        ))),
+        retries=1,
+    )
 
 
 def run(duration: float = DURATION, protocols=PROTOCOLS,
         workers=None) -> dict:
-    spec = ExperimentSpec(
-        processors=5, objects=10, seed=33, duration=duration,
-        workload=WorkloadSpec(read_fraction=0.9, ops_per_txn=2,
-                              mean_interarrival=10.0),
-        failures=RareFailures(duration),
-        retries=1,
-    )
+    spec = e9_spec(duration)
     results = sweep_protocols(spec, protocols, workers=workers)
     # One extra paired row: the VP protocol on the batched transport
     # (window δ/2), same seed and failure schedule — how much of the

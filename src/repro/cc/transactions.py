@@ -16,28 +16,12 @@ transaction object is single-use; retries create a new transaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from ..analysis.history import History
 from ..core.errors import AccessAborted, TransactionAborted
 from .context import TransactionContext
-
-
-@dataclass
-class TxnStats:
-    """Per-processor transaction outcome counters."""
-
-    begun: int = 0
-    committed: int = 0
-    aborted: int = 0
-    abort_reasons: Dict[str, int] = field(default_factory=dict)
-
-    def record_abort(self, reason: str) -> None:
-        self.aborted += 1
-        key = reason.split(":")[0][:60]
-        self.abort_reasons[key] = self.abort_reasons.get(key, 0) + 1
 
 
 class Transaction:
@@ -99,7 +83,6 @@ class Transaction:
             yield from self._abort(exc.reason)
             raise
         self.finished = True
-        self._manager.stats.committed += 1
         # finish_txn_once: a Paxos Commit recovery leader may have
         # closed the record already (same outcome, by consensus)
         self._manager.history.finish_txn_once(self.txn_id, "committed",
@@ -118,7 +101,6 @@ class Transaction:
     def _abort(self, reason: str):
         yield from self._manager.protocol.end_transaction(self.ctx, "abort")
         self.finished = True
-        self._manager.stats.record_abort(reason)
         self._manager.history.finish_txn_once(self.txn_id, "aborted",
                                               self._now(), reason)
         if self._manager.tracer is not None:
@@ -144,7 +126,6 @@ class TransactionManager:
         self.protocol = protocol
         self.history = history
         self.pid = protocol.processor.pid
-        self.stats = TxnStats()
         self._seq = count(1)
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
@@ -156,7 +137,6 @@ class TransactionManager:
         ctx = TransactionContext(txn_id=txn_id, origin=self.pid)
         ctx.timestamp = (self.protocol.processor.sim.now, self.pid, seq)
         ctx.start_vpid = getattr(self.protocol, "current_partition", None)
-        self.stats.begun += 1
         self.history.begin_txn(txn_id, self.pid,
                                self.protocol.processor.sim.now)
         if self.tracer is not None:

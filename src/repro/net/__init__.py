@@ -1,11 +1,11 @@
 """Network substrate: topology, latency, transport, failure injection."""
 
-from .failures import FailureInjector, RandomFailures
+from .failures import FailureInjector
 from .nemesis import (
     FaultAction,
-    Nemesis,
     NemesisMix,
     apply_schedule,
+    plan_crash_repair,
     plan_nemesis,
 )
 from .latency import (
@@ -27,12 +27,11 @@ __all__ = [
     "FixedLatency",
     "LatencyModel",
     "Message",
-    "Nemesis",
     "NemesisMix",
     "Network",
     "NetworkStats",
-    "RandomFailures",
     "apply_schedule",
+    "plan_crash_repair",
     "plan_nemesis",
     "UniformLatency",
     "ring_distances",

@@ -1,4 +1,4 @@
-"""Failure injection: scripted schedules and random failure processes.
+"""Failure injection: scheduled topology changes under ownership claims.
 
 The injector mutates the :class:`CommGraph` (and tells crashed
 processors to kill their tasks) at exact simulated instants, which is
@@ -7,20 +7,20 @@ how the reproduction stages the paper's scenarios — e.g. Example 2's
 partition to land between two specific protocol steps.
 
 **Ownership claims.**  Several fault actors can run at once — a
-scripted schedule, a :class:`RandomFailures` process, and any number of
-nemesis campaigns.  Each downed element (crashed node, cut link, one-way
-cut) carries the set of *actors* that downed it; an actor's heal or
-recover removes only its own claim, and the element actually comes back
-only when the last claim is gone.  Without this, a random link-heal
-could silently resurrect a link a scripted ``cut_at`` deliberately
-downed mid-scenario.  ``partition_at`` and ``heal_all_at`` remain
-authoritative: a partition rewrites the claims of every link it touches,
-and ``heal_all`` force-clears all link claims.
+scripted ``*_at`` schedule and every action of a planned
+:class:`~repro.net.nemesis.FaultAction` schedule.  Each downed element
+(crashed node, cut link, one-way cut) carries the set of *actors* that
+downed it; an actor's heal or recover removes only its own claim, and
+the element actually comes back only when the last claim is gone.
+Without this, a planned link-heal could silently resurrect a link a
+scripted ``cut_at`` deliberately downed mid-scenario.  ``partition_at``
+and ``heal_all_at`` remain authoritative: a partition rewrites the
+claims of every link it touches, and ``heal_all`` force-clears all link
+claims.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, FrozenSet, Iterable, Mapping, Optional, Sequence
 
 from ..sim import Simulator
@@ -51,10 +51,6 @@ class FailureInjector:
         self._node_claims: dict[int, set[str]] = {}
         self._link_claims: dict[FrozenSet[int], set[str]] = {}
         self._oneway_claims: dict[tuple[int, int], set[str]] = {}
-
-    def set_processors(self, processors: Mapping[int, Any]) -> None:
-        """Late-bind the pid → processor map (crash/recover targets)."""
-        self._processors = processors
 
     # -- claim queries ---------------------------------------------------------
 
@@ -113,16 +109,6 @@ class FailureInjector:
         """Heal the ``a``–``b`` link at ``time``."""
         self.at(time, lambda: self._heal(a, b), f"heal({a},{b})")
 
-    def cut_oneway_at(self, time: float, src: int, dst: int) -> None:
-        """Cut only the ``src`` → ``dst`` direction at ``time``."""
-        self.at(time, lambda: self._cut_oneway(src, dst),
-                f"cut-oneway({src},{dst})")
-
-    def heal_oneway_at(self, time: float, src: int, dst: int) -> None:
-        """Heal the ``src`` → ``dst`` direction at ``time``."""
-        self.at(time, lambda: self._heal_oneway(src, dst),
-                f"heal-oneway({src},{dst})")
-
     def partition_at(self, time: float,
                      blocks: Sequence[Iterable[int]]) -> None:
         """Impose a clean partition into ``blocks`` at ``time``."""
@@ -133,52 +119,6 @@ class FailureInjector:
     def heal_all_at(self, time: float) -> None:
         """Restore full connectivity (crashed nodes stay down) at ``time``."""
         self.at(time, self._heal_all, "heal_all")
-
-    def grey_loss_at(self, time: float, src: int, dst: int, prob: float,
-                     duration: Optional[float] = None) -> None:
-        """Make the ``src`` → ``dst`` route lossy with probability ``prob``.
-
-        With ``duration`` the burst clears itself after that long.
-        """
-        self.at(time, lambda: self._network().set_grey_loss(src, dst, prob),
-                f"grey-loss({src},{dst},{prob})")
-        if duration is not None:
-            self.at(time + duration,
-                    lambda: self._network().clear_grey_loss(src, dst),
-                    f"grey-loss-end({src},{dst})")
-
-    def delay_surge_at(self, time: float, src: int, dst: int, factor: float,
-                       duration: Optional[float] = None) -> None:
-        """Stretch every ``src`` → ``dst`` latency draw by ``factor``."""
-        self.at(time, lambda: self._network().set_delay_surge(src, dst, factor),
-                f"delay-surge({src},{dst},{factor})")
-        if duration is not None:
-            self.at(time + duration,
-                    lambda: self._network().clear_delay_surge(src, dst),
-                    f"delay-surge-end({src},{dst})")
-
-    def dup_storm_at(self, time: float, src: int, dst: int, prob: float,
-                     duration: Optional[float] = None) -> None:
-        """Duplicate ``src`` → ``dst`` envelopes with probability ``prob``."""
-        self.at(time, lambda: self._network().set_dup_storm(src, dst, prob),
-                f"dup-storm({src},{dst},{prob})")
-        if duration is not None:
-            self.at(time + duration,
-                    lambda: self._network().clear_dup_storm(src, dst),
-                    f"dup-storm-end({src},{dst})")
-
-    def flap_link_at(self, time: float, a: int, b: int,
-                     period: float, cycles: int) -> None:
-        """Flap the ``a``–``b`` link: cut/heal alternating every ``period``."""
-        if period <= 0:
-            raise ValueError(f"flap period must be positive: {period}")
-        if cycles < 1:
-            raise ValueError(f"flap needs at least one cycle: {cycles}")
-        for c in range(cycles):
-            self.at(time + 2 * c * period, lambda: self._cut(a, b),
-                    f"flap-cut({a},{b})")
-            self.at(time + (2 * c + 1) * period, lambda: self._heal(a, b),
-                    f"flap-heal({a},{b})")
 
     # -- primitive operations ---------------------------------------------------
 
@@ -263,83 +203,3 @@ class FailureInjector:
         self._link_claims.clear()
         self._oneway_claims.clear()
 
-
-class RandomFailures:
-    """A memoryless crash/repair process over nodes and links.
-
-    Crashes arrive per-processor as a Poisson process with mean
-    inter-arrival ``mttf``; each crash is repaired after an exponential
-    time with mean ``mttr``.  Link cuts behave analogously.  "Failures
-    are rare" in the paper's cost analysis corresponds to mttf much
-    larger than both the probe period π and transaction latency.
-
-    Every cycle runs under this process's own ownership claim: if some
-    other actor (a script, a nemesis) already holds the target down, the
-    cycle is skipped rather than piling a second failure on top, and the
-    repair never resurrects an element someone else still wants down.
-    """
-
-    def __init__(self, injector: FailureInjector, rng: random.Random,
-                 node_mttf: float = 0.0, node_mttr: float = 50.0,
-                 link_mttf: float = 0.0, link_mttr: float = 50.0,
-                 horizon: float = float("inf")):
-        for name, value in (("node_mttf", node_mttf), ("node_mttr", node_mttr),
-                            ("link_mttf", link_mttf), ("link_mttr", link_mttr)):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
-        self.injector = injector
-        self.rng = rng
-        self.node_mttf = node_mttf
-        self.node_mttr = node_mttr
-        self.link_mttf = link_mttf
-        self.link_mttr = link_mttr
-        self.horizon = horizon
-
-    def install(self) -> None:
-        """Spawn the background processes driving the failure streams."""
-        sim = self.injector.sim
-        graph = self.injector.graph
-        if self.node_mttf > 0:
-            for pid in sorted(graph.nodes):
-                sim.process(self._node_lifecycle(pid),
-                            name=f"random-node-failures({pid})")
-        if self.link_mttf > 0:
-            pairs = [
-                (a, b)
-                for a in sorted(graph.nodes)
-                for b in sorted(graph.nodes)
-                if a < b
-            ]
-            for a, b in pairs:
-                sim.process(self._link_lifecycle(a, b),
-                            name=f"random-link-failures({a},{b})")
-
-    def _node_lifecycle(self, pid: int):
-        sim = self.injector.sim
-        actor = f"rand-node({pid})"
-        while sim.now < self.horizon:
-            yield sim.timeout(self.rng.expovariate(1.0 / self.node_mttf))
-            if sim.now >= self.horizon:
-                return
-            if self.injector.claims_on_node(pid):
-                continue  # another actor holds it down; don't pile on
-            self.injector._record(f"random-crash({pid})")
-            self.injector._crash(pid, actor)
-            yield sim.timeout(self.rng.expovariate(1.0 / self.node_mttr))
-            self.injector._record(f"random-recover({pid})")
-            self.injector._recover(pid, actor)
-
-    def _link_lifecycle(self, a: int, b: int):
-        sim = self.injector.sim
-        actor = f"rand-link({a},{b})"
-        while sim.now < self.horizon:
-            yield sim.timeout(self.rng.expovariate(1.0 / self.link_mttf))
-            if sim.now >= self.horizon:
-                return
-            if self.injector.claims_on_link(a, b):
-                continue  # scripted or nemesis cut owns this link
-            self.injector._record(f"random-cut({a},{b})")
-            self.injector._cut(a, b, actor)
-            yield sim.timeout(self.rng.expovariate(1.0 / self.link_mttr))
-            self.injector._record(f"random-heal({a},{b})")
-            self.injector._heal(a, b, actor)

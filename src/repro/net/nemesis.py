@@ -1,15 +1,18 @@
-"""Nemesis: randomized adversarial fault campaigns.
+"""Nemesis: planned fault schedules.
 
-A nemesis generalizes :class:`RandomFailures` from "memoryless crashes
-and symmetric cuts" to the full adversarial fault model: directed cuts,
-delay surges, grey-loss bursts, duplication storms, link flapping, and
-whole partitions, composed in bursts.
+Two planners draw a schedule of :class:`FaultAction` records.
+``plan_crash_repair`` is the paper's "failures are rare" model:
+memoryless crash/repair cycles per processor and cut/heal cycles per
+link.  ``plan_nemesis`` is the full adversarial fault model: crashes,
+symmetric and directed cuts, delay surges, grey-loss bursts,
+duplication storms, link flapping, and whole partitions, composed in
+bursts.
 
-The design splits *planning* from *application*.  ``plan_nemesis`` draws
-a complete schedule of :class:`FaultAction` records up front from its
-own RNG — a plain, picklable, JSON-able list.  ``apply_schedule`` then
-installs the schedule on a :class:`FailureInjector` deterministically,
-with zero further randomness.  That split is what makes campaigns
+The design splits *planning* from *application*.  A planner draws a
+complete schedule up front from its own RNG — a plain, picklable,
+JSON-able list.  ``apply_schedule`` then installs the schedule on a
+:class:`FailureInjector` deterministically, with zero further
+randomness.  That split is what makes campaigns
 shrinkable: the hunter can delete actions from the list and replay the
 remainder bit-for-bit, which an online random process cannot offer.
 
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Optional, Sequence, Tuple
 
 from .failures import FailureInjector
@@ -122,6 +127,62 @@ def plan_nemesis(rng: random.Random, pids: Sequence[int],
     return actions
 
 
+def plan_crash_repair(rng: random.Random, pids: Sequence[int],
+                      node_mttf: float = 0.0, node_mttr: float = 50.0,
+                      link_mttf: float = 0.0, link_mttr: float = 50.0,
+                      *, horizon: float) -> list:
+    """Draw memoryless crash/repair and cut/heal cycles up to ``horizon``.
+
+    Each processor crashes after an exponential time with mean
+    ``node_mttf`` and is repaired after one with mean ``node_mttr``;
+    links are cut and healed likewise (a zero MTTF switches that class
+    off).  "Failures are rare" in the paper's cost analysis is an MTTF
+    much larger than both the probe period π and transaction latency.
+    A repair may land past ``horizon``; no fault starts at or after it.
+
+    The draws come off ``rng`` in the order of the instants they belong
+    to, whichever element they are for — the order a process per
+    element, all sharing ``rng``, would make them in as the clock
+    advances.
+    """
+    rates = {"node_mttf": node_mttf, "node_mttr": node_mttr,
+             "link_mttf": link_mttf, "link_mttr": link_mttr}
+    for name, value in rates.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
+    if not horizon < float("inf"):
+        raise ValueError(f"a plan needs a finite horizon: {horizon}")
+    pids = sorted(pids)
+    elements = []  # (kind, args, mttf, mttr)
+    if node_mttf > 0:
+        elements += [("crash", (p,), node_mttf, node_mttr) for p in pids]
+    if link_mttf > 0:
+        elements += [("cut", (a, b), link_mttf, link_mttr)
+                     for a in pids for b in pids if a < b]
+    # (instant, push order, element, repaired?): an element waits either
+    # to fail or, once repaired, to draw its next failure; equal instants
+    # wake in push order, as the kernel's timeouts would
+    order = count()
+    wakes = [(rng.expovariate(1.0 / element[2]), next(order), element, False)
+             for element in elements]
+    heapify(wakes)
+    actions = []
+    while wakes:
+        t, _, element, repaired = heappop(wakes)
+        if t >= horizon:
+            continue
+        kind, args, mttf, mttr = element
+        if repaired:
+            t += rng.expovariate(1.0 / mttf)
+        else:
+            hold = rng.expovariate(1.0 / mttr)
+            actions.append(FaultAction(time=t, kind=kind, args=args,
+                                       hold=hold))
+            t += hold
+        heappush(wakes, (t, next(order), element, not repaired))
+    return actions
+
+
 def _draw_action(rng: random.Random, kind: str, pids: Sequence[int],
                  mix: NemesisMix, t: float, hold: float) -> FaultAction:
     if kind == "crash":
@@ -161,9 +222,44 @@ def apply_schedule(injector: FailureInjector, actions: Sequence[FaultAction],
     the same element compose instead of healing each other early.
     Transport perturbations (surge/grey/dup) are last-writer-wins per
     route — they are probabilistic noise, not safety-bearing state.
+    The whole schedule is validated first, so a malformed action raises
+    with nothing on the kernel's queue.
     """
+    for action in actions:
+        _validate(injector, action)
     for i, action in enumerate(actions):
         _apply_one(injector, action, actor=f"nemesis#{i}")
+
+
+#: kind -> length of ``args``; a partition takes any number of blocks
+_ARITY = {"crash": 1, "cut": 2, "oneway": 2, "surge": 3, "grey": 3,
+          "dup": 3, "flap": 4}
+
+
+def _validate(injector: FailureInjector, action: FaultAction) -> None:
+    """Reject an action ``_apply_one`` cannot install — a schedule may
+    come from an artifact file, which is outside input."""
+    kind, args = action.kind, action.args
+    if kind not in KINDS:
+        raise ValueError(f"unknown fault kind: {kind}")
+    if kind == "partition":
+        if not all(isinstance(block, tuple) for block in args):
+            raise ValueError(f"partition blocks must be tuples: {args}")
+    elif len(args) != _ARITY[kind]:
+        raise ValueError(f"{kind} takes {_ARITY[kind]} args: {args}")
+    if kind == "flap":
+        period, cycles = args[2:]
+        if not period > 0:
+            raise ValueError(f"flap period must be positive: {period}")
+        if not (isinstance(cycles, int) and cycles >= 1):
+            raise ValueError(f"flap needs at least one cycle: {cycles}")
+    if not action.hold >= 0:
+        raise ValueError(f"hold must be non-negative: {action.hold}")
+    if action.time < injector.sim.now:
+        raise ValueError(f"time {action.time} is in the past "
+                         f"(now={injector.sim.now})")
+    if kind in ("surge", "grey", "dup"):
+        injector._network()  # raises unless the injector has a transport
 
 
 def _apply_one(injector: FailureInjector, action: FaultAction,
@@ -237,39 +333,4 @@ def _apply_one(injector: FailureInjector, action: FaultAction,
 
         injector.at(t, impose, f"nemesis-partition({list(map(list, args))})")
         injector.at(t + hold, release, "nemesis-partition-end")
-    else:
-        raise ValueError(f"unknown fault kind: {kind}")
 
-
-class Nemesis:
-    """Plan-then-apply wrapper generalizing :class:`RandomFailures`.
-
-    Draws a full schedule from ``rng`` at install time and applies it;
-    the planned schedule is kept on ``self.actions`` so a run can be
-    reported, serialized, and replayed exactly.
-    """
-
-    def __init__(self, injector: FailureInjector, rng: random.Random,
-                 mix: Optional[NemesisMix] = None,
-                 horizon: float = 300.0, start: float = 10.0,
-                 mean_gap: float = 20.0, burst: Tuple[int, int] = (1, 3),
-                 mean_hold: float = 15.0):
-        self.injector = injector
-        self.rng = rng
-        self.mix = mix or NemesisMix()
-        self.horizon = horizon
-        self.start = start
-        self.mean_gap = mean_gap
-        self.burst = burst
-        self.mean_hold = mean_hold
-        self.actions: list = []
-
-    def install(self) -> list:
-        """Plan a schedule, apply it, and return the planned actions."""
-        self.actions = plan_nemesis(
-            self.rng, sorted(self.injector.graph.nodes), self.mix,
-            horizon=self.horizon, start=self.start, mean_gap=self.mean_gap,
-            burst=self.burst, mean_hold=self.mean_hold,
-        )
-        apply_schedule(self.injector, self.actions)
-        return self.actions

@@ -158,17 +158,6 @@ class Processor:
         results = yield from call.gather(quorum=quorum)
         return results
 
-    def quorum_call(self, targets: Iterable[int], kind: str,
-                    payload_for: Callable[[int], Mapping[str, Any] | None],
-                    *, timeout: float, quorum: QuorumPredicate,
-                    label: Optional[str] = None):
-        """Generator: ``scatter_gather`` with a required quorum predicate."""
-        results = yield from self.scatter_gather(
-            targets, kind, payload_for,
-            timeout=timeout, quorum=quorum, label=label,
-        )
-        return results
-
     def broadcast_collect(self, targets: Iterable[int], kind: str,
                           payload: Mapping[str, Any] | None, *,
                           reply_kind: str, window: float,

@@ -13,7 +13,8 @@ Processor`:
   (``scatter`` / ``gather``, or the one-shot ``scatter_gather``).  A
   caller-supplied *quorum predicate* enables early exit: once the
   responses collected so far satisfy it, the remaining workers are
-  killed and the partial result map is returned (``quorum_call``).
+  killed and the partial result map is returned
+  (``scatter_gather(..., quorum=…)``).
 * ``broadcast_collect`` (on the processor) — one-way broadcast followed
   by a timed mailbox collection window, the Figs. 5/7 pattern where
   replies are *not* RPC responses but independent messages.

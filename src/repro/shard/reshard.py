@@ -75,16 +75,6 @@ class ReshardAction:
     guarded: bool = True
     coordinator: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        return {"time": self.time, "add": list(self.add),
-                "guarded": self.guarded, "coordinator": self.coordinator}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReshardAction":
-        return cls(time=data["time"], add=tuple(data["add"]),
-                   guarded=data.get("guarded", True),
-                   coordinator=data.get("coordinator"))
-
     @classmethod
     def onto_spares(cls, processors: int, spares: int, time: float,
                     guarded: bool = True,
@@ -116,16 +106,6 @@ class ReshardStats:
     resumes: int = 0
     #: actions driven to completion
     campaigns_completed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "objects_moved": self.objects_moved,
-            "objects_unchanged": self.objects_unchanged,
-            "flips": self.flips,
-            "verify_retries": self.verify_retries,
-            "resumes": self.resumes,
-            "campaigns_completed": self.campaigns_completed,
-        }
 
 
 class ReshardEngine:

@@ -1,7 +1,12 @@
 """Workloads, scenarios, and the experiment harness."""
 
 from .failures import ScheduledNemesis, ScriptedFailures
-from .generator import WorkloadGenerator, WorkloadSpec, body_for
+from .generator import (
+    PrivateObjects,
+    WorkloadGenerator,
+    WorkloadSpec,
+    body_for,
+)
 from .hunt import (
     HuntConfig,
     HuntFinding,
@@ -17,7 +22,7 @@ from .runner import (
     build_cluster,
     run_experiment,
 )
-from .sweep import grid, sweep, sweep_protocols
+from .sweep import sweep, sweep_protocols
 from .tables import render_table
 
 __all__ = [
@@ -26,6 +31,7 @@ __all__ = [
     "HuntConfig",
     "HuntFinding",
     "HuntReport",
+    "PrivateObjects",
     "ScheduledNemesis",
     "ScriptedFailures",
     "WorkloadGenerator",
@@ -33,7 +39,6 @@ __all__ = [
     "body_for",
     "build_cluster",
     "default_workers",
-    "grid",
     "hunt",
     "hunt_base",
     "portable_result",

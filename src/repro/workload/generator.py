@@ -37,6 +37,20 @@ class WorkloadSpec:
             raise ValueError("mean_interarrival must be positive")
 
 
+@dataclass(frozen=True)
+class PrivateObjects:
+    """An ``ExperimentSpec.objects_for`` pool: two objects of its own
+    for each of a processor's ``clients``, so no two clients conflict.
+    Plain data — a spec carrying it crosses the ``run_many`` process
+    boundary."""
+
+    clients: int
+
+    def __call__(self, pid: int, client: int) -> List[str]:
+        base = ((pid - 1) * self.clients + client) * 2
+        return [f"o{base}", f"o{base + 1}"]
+
+
 class WorkloadGenerator:
     """Draws transaction programs according to a :class:`WorkloadSpec`."""
 

@@ -87,8 +87,8 @@ class ExperimentSpec:
     #: byte-identical default path
     session: Optional[SessionSpec] = None
     #: online placement changes: a tuple of :class:`~repro.shard.
-    #: reshard.ReshardAction` (or their dicts).  Requires ``placement``;
-    #: the pids the actions add are held out of the initial assignment
+    #: reshard.ReshardAction`.  Requires ``placement``; the pids
+    #: the actions add are held out of the initial assignment
     #: and joined live by the migration engine.  None = no reshard
     #: machinery is constructed at all (the byte-identical default).
     reshard: Optional[Tuple[ReshardAction, ...]] = None
@@ -378,13 +378,8 @@ def build_cluster(spec: ExperimentSpec) -> Cluster:
         from ..shard import ReshardEngine, object_names
         from ..shard.policy import make_policy
         policy = make_policy(spec.placement, degree=copies, seed=spec.seed)
-        actions = tuple(
-            action if isinstance(action, ReshardAction)
-            else ReshardAction.from_dict(action)
-            for action in spec.reshard
-        )
         names = object_names(spec.objects)
-        engine = ReshardEngine(cluster, policy, names, actions)
+        engine = ReshardEngine(cluster, policy, names, spec.reshard)
         # the added pids start copy-free: the initial placement covers
         # only the base ring, and the engine grows it live
         cluster.shard(policy, names, initial=0, pids=engine.base_pids)
@@ -558,8 +553,7 @@ def collect_registry(cluster: Cluster, sessions=(),
             getattr(totals, "in_doubt_dwell", []))
     engine = getattr(cluster, "reshard_engine", None)
     if engine is not None:
-        for name, value in engine.stats.to_dict().items():
-            registry.counter(f"reshard.{name}").inc(value)
+        _count_fields(registry, "reshard", engine.stats)
     if observer is not None and observer.latencies:
         registry.log_histogram("client.txn_latency").observe_many(
             observer.latencies)

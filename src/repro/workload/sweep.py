@@ -9,7 +9,6 @@ the same order — each child owns its own seeded simulator.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Sequence, Tuple
 
 from .parallel import run_many
@@ -34,12 +33,3 @@ def sweep_protocols(base: ExperimentSpec, protocols: Sequence[str],
     """Run the identical workload under each protocol (paired seeds)."""
     return dict(sweep(base, "protocol", protocols, workers=workers))
 
-
-def grid(base: ExperimentSpec, axes: Dict[str, Sequence[Any]],
-         workers: int = 1) -> List[Tuple[Dict[str, Any], ExperimentResult]]:
-    """Full cartesian sweep over several axes."""
-    names = sorted(axes)
-    points = [dict(zip(names, combo))
-              for combo in itertools.product(*(axes[name] for name in names))]
-    specs = [with_paths(base, point) for point in points]
-    return list(zip(points, run_many(specs, workers=workers)))

@@ -15,12 +15,21 @@ returns.  The in-process benches (no ``workers`` parameter) run once.
 
 import importlib.util
 import inspect
+import json
+import pickle
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.workload.runner import ExperimentResult
+from repro.net import FaultAction
+from repro.workload import ScheduledNemesis
+from repro.workload.runner import (
+    ExperimentResult,
+    spec_from_plain,
+    spec_to_plain,
+)
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 BENCH_FILES = sorted(BENCH_DIR.glob("bench_*.py"))
@@ -73,3 +82,19 @@ def test_benchmark_smoke(path, capsys):
         assert '"bench"' in out and '"metrics"' in out
         fingerprints.append(_fingerprints(result))
     assert all(found == fingerprints[0] for found in fingerprints)
+
+
+def test_fault_throughput_spec_is_replayable_plain_data():
+    """E9's failure script is a plan: the spec splits into JSON-able
+    knobs plus an action list the way a hunt artifact does, and crosses
+    the pool boundary by pickle."""
+    spec = _load(BENCH_DIR / "bench_fault_throughput.py").e9_spec()
+    assert spec.failures.actions
+    wire = json.loads(json.dumps({
+        "spec": spec_to_plain(replace(spec, failures=None)),
+        "actions": [a.to_dict() for a in spec.failures.actions],
+    }))
+    actions = tuple(FaultAction.from_dict(d) for d in wire["actions"])
+    assert replace(spec_from_plain(wire["spec"]),
+                   failures=ScheduledNemesis(actions)) == spec
+    assert pickle.loads(pickle.dumps(spec.failures)) == spec.failures

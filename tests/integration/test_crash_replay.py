@@ -16,17 +16,12 @@ correct, one-copy-serializable state.
 
 from repro import Cluster, ProtocolConfig
 from repro.core.config import CATCHUP_LOG, INIT_PREVIOUS
-from repro.workload.generator import WorkloadSpec
+from repro.workload.generator import PrivateObjects, WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
 
 PROCESSORS = 5
 CLIENTS = 2
-
-
-def _private_objects(pid, client):
-    base = ((pid - 1) * CLIENTS + client) * 2
-    return [f"o{base}", f"o{base + 1}"]
 
 
 def _failure_spec(checkpoint_every=0, log_retain=None):
@@ -48,7 +43,7 @@ def _failure_spec(checkpoint_every=0, log_retain=None):
                               checkpoint_every=checkpoint_every,
                               log_retain=log_retain),
         clients=CLIENTS, txns_per_client=4,
-        objects_for=_private_objects,
+        objects_for=PrivateObjects(CLIENTS),
         failures=schedule, retries=25, check=True,
     )
 

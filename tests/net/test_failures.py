@@ -1,10 +1,8 @@
 """Unit tests for failure injection."""
 
-import random
-
 import pytest
 
-from repro.net import CommGraph, FailureInjector, RandomFailures
+from repro.net import CommGraph, FailureInjector, FaultAction, apply_schedule
 from repro.sim import Simulator
 
 
@@ -99,112 +97,46 @@ def test_at_zero_at_boot():
     assert not graph.has_edge(1, 2)
 
 
-def test_late_bound_processor_map():
-    sim = Simulator()
-    graph = CommGraph([1])
-    injector = FailureInjector(sim, graph)
-    proc = FakeProcessor()
-    injector.set_processors({1: proc})
-    injector.crash_at(1.0, 1)
-    sim.run()
-    assert proc.events == ["crash"]
-
-
-def test_random_failures_produce_crash_recover_pairs():
-    sim = Simulator()
-    graph = CommGraph([1, 2, 3])
-    injector = FailureInjector(sim, graph, {p: FakeProcessor() for p in (1, 2, 3)})
-    process = RandomFailures(
-        injector, random.Random(42),
-        node_mttf=10.0, node_mttr=2.0, horizon=200.0,
-    )
-    process.install()
-    sim.run(until=400.0)
-    crashes = [l for _, l in injector.log if "crash" in l]
-    recovers = [l for _, l in injector.log if "recover" in l]
-    assert crashes, "expected some random crashes in 200 time units"
-    # Every crash is eventually repaired (horizon stops new crashes only).
-    assert len(recovers) == len(crashes)
-    assert graph.alive_nodes() == {1, 2, 3}
-
-
-def test_random_failures_deterministic_given_seed():
-    def run_once():
-        sim = Simulator()
-        graph = CommGraph([1, 2])
-        injector = FailureInjector(sim, graph)
-        RandomFailures(injector, random.Random(7), node_mttf=5.0,
-                       node_mttr=1.0, horizon=100.0).install()
-        sim.run(until=150.0)
-        return injector.log
-
-    assert run_once() == run_once()
-
-
-def test_random_failures_validation():
-    sim = Simulator()
-    graph = CommGraph([1])
-    injector = FailureInjector(sim, graph)
-    with pytest.raises(ValueError):
-        RandomFailures(injector, random.Random(1), node_mttf=-1.0)
-
-
-def test_random_link_failures():
-    sim = Simulator()
-    graph = CommGraph([1, 2, 3])
-    injector = FailureInjector(sim, graph)
-    RandomFailures(injector, random.Random(3), link_mttf=5.0,
-                   link_mttr=1.0, horizon=100.0).install()
-    sim.run(until=150.0)
-    cuts = [l for _, l in injector.log if "cut" in l]
-    assert cuts
-
-
 # -- ownership claims: concurrent fault actors -------------------------------
 
 
-def test_random_heal_must_not_resurrect_scripted_cut():
-    """Regression: a random link-repair used to silently heal a link a
-    scripted ``cut_at`` deliberately held down."""
+def test_planned_heal_must_not_resurrect_scripted_cut():
+    """Regression: a generated link-repair used to silently heal a link
+    a scripted ``cut_at`` deliberately held down."""
     sim = Simulator()
     graph = CommGraph([1, 2])
     injector = FailureInjector(sim, graph)
-    injector._cut(1, 2)             # scripted: down for the whole run
-    injector._cut(1, 2, actor="rand-link(1,2)")
-    injector._heal(1, 2, actor="rand-link(1,2)")
+    injector.cut_at(1.0, 1, 2)
+    injector.heal_at(10.0, 1, 2)
+    apply_schedule(injector, [
+        FaultAction(time=2.0, kind="cut", args=(1, 2), hold=3.0),
+    ])
+    sim.run(until=3.0)
+    assert injector.claims_on_link(1, 2) == {"script", "nemesis#0"}
+    sim.run(until=6.0)               # the planned heal has fired
     assert not graph.has_edge(1, 2)  # script still owns the cut
-    injector._heal(1, 2)             # the scripted heal releases it
+    assert injector.claims_on_link(1, 2) == {"script"}
+    sim.run(until=11.0)              # the scripted heal releases it
     assert graph.has_edge(1, 2)
 
 
-def test_random_recover_must_not_undo_scripted_crash():
+def test_planned_recover_must_not_undo_scripted_crash():
     sim = Simulator()
     graph = CommGraph([1, 2])
     proc = FakeProcessor()
     injector = FailureInjector(sim, graph, {1: proc})
-    injector._crash(1)                            # scripted claim
-    injector._crash(1, actor="rand-node(1)")      # random claim on top
-    injector._recover(1, actor="rand-node(1)")
+    injector.crash_at(1.0, 1)
+    injector.recover_at(10.0, 1)
+    apply_schedule(injector, [
+        FaultAction(time=2.0, kind="crash", args=(1,), hold=3.0),
+    ])
+    sim.run(until=6.0)               # the planned recover has fired
     assert not graph.node_up(1)
     assert "recover" not in proc.events
-    injector._recover(1)
+    assert injector.claims_on_node(1) == {"script"}
+    sim.run(until=11.0)
     assert graph.node_up(1)
     assert proc.events == ["crash", "crash", "recover"]
-
-
-def test_random_failures_skip_foreign_claimed_elements():
-    """A RandomFailures cycle never piles onto (or repairs) an element
-    another actor holds down."""
-    sim = Simulator()
-    graph = CommGraph([1, 2])
-    injector = FailureInjector(sim, graph)
-    injector.cut_at(0.0, 1, 2)
-    RandomFailures(injector, random.Random(3), link_mttf=2.0,
-                   link_mttr=0.5, horizon=100.0).install()
-    sim.run(until=200.0)
-    assert not graph.has_edge(1, 2), "scripted cut survived random churn"
-    random_cuts = [l for _, l in injector.log if l == "random-cut(1,2)"]
-    assert random_cuts == [], "random process must skip the claimed link"
 
 
 def test_partition_at_rewrites_claims():
@@ -259,55 +191,3 @@ def test_cut_already_cut_link_needs_single_heal():
     injector.heal_at(3.0, 1, 2)
     sim.run(until=4.0)
     assert graph.has_edge(1, 2)
-
-
-def test_oneway_scripted_cut_and_heal():
-    sim = Simulator()
-    graph = CommGraph([1, 2])
-    injector = FailureInjector(sim, graph)
-    injector.cut_oneway_at(1.0, 1, 2)
-    injector.heal_oneway_at(2.0, 1, 2)
-    sim.run(until=1.5)
-    assert not graph.can_send(1, 2)
-    assert graph.can_send(2, 1)
-    sim.run(until=3.0)
-    assert graph.can_send(1, 2)
-    labels = [l for _, l in injector.log]
-    assert labels == ["cut-oneway(1,2)", "heal-oneway(1,2)"]
-
-
-def test_flap_link_schedule():
-    sim = Simulator()
-    graph = CommGraph([1, 2])
-    injector = FailureInjector(sim, graph)
-    injector.flap_link_at(1.0, 1, 2, period=1.0, cycles=2)
-    sim.run(until=1.5)
-    assert not graph.has_edge(1, 2)
-    sim.run(until=2.5)
-    assert graph.has_edge(1, 2)
-    sim.run(until=3.5)
-    assert not graph.has_edge(1, 2)
-    sim.run(until=5.0)
-    assert graph.has_edge(1, 2)
-    labels = [l for _, l in injector.log]
-    assert labels == ["flap-cut(1,2)", "flap-heal(1,2)",
-                      "flap-cut(1,2)", "flap-heal(1,2)"]
-
-
-def test_flap_validation():
-    sim = Simulator()
-    graph = CommGraph([1, 2])
-    injector = FailureInjector(sim, graph)
-    with pytest.raises(ValueError):
-        injector.flap_link_at(1.0, 1, 2, period=0.0, cycles=1)
-    with pytest.raises(ValueError):
-        injector.flap_link_at(1.0, 1, 2, period=1.0, cycles=0)
-
-
-def test_transport_actions_require_network():
-    sim = Simulator()
-    graph = CommGraph([1, 2])
-    injector = FailureInjector(sim, graph)
-    injector.grey_loss_at(1.0, 1, 2, 0.5)
-    with pytest.raises(RuntimeError):
-        sim.run(until=2.0)

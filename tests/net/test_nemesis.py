@@ -1,6 +1,8 @@
 """Unit tests for the nemesis: fault-schedule planning and application."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +10,78 @@ from repro.net import (
     CommGraph,
     FailureInjector,
     FaultAction,
+    FixedLatency,
     NemesisMix,
+    Network,
     apply_schedule,
+    plan_crash_repair,
     plan_nemesis,
 )
 from repro.net.nemesis import KINDS
 from repro.sim import Simulator
+
+#: ``injector.log`` of the online process-per-element crash/repair
+#: generator ``plan_crash_repair`` replaced, captured at the last
+#: commit that had it
+ONLINE_LOG = Path(__file__).parent / "fixtures" / "random-failures-log.json"
+
+
+def build(pids=(1, 2), network=False):
+    sim = Simulator()
+    graph = CommGraph(pids)
+    net = (Network(sim, graph, FixedLatency(1.0), random.Random(1))
+           if network else None)
+    return sim, graph, net, FailureInjector(sim, graph, network=net)
+
+
+def test_crash_repair_plan_replays_the_online_process():
+    """Instant for instant and float for float: the plan makes the
+    shared-rng draws in the order the per-element processes did."""
+    recorded = json.loads(ONLINE_LOG.read_text())
+    params = dict(recorded["params"])
+    rng = random.Random(params.pop("seed"))
+    pids = params.pop("pids")
+    sim, graph, _, injector = build(pids)
+    apply_schedule(injector, plan_crash_repair(rng, pids, **params))
+    sim.run(until=400.0)
+    assert [[t, label.replace("nemesis-", "random-")]
+            for t, label in injector.log] == recorded["log"]
+    assert graph.alive_nodes() == set(pids)
+    assert graph.clusters() == [set(pids)]
+
+
+def test_crash_repair_plan_repairs_every_fault_and_never_overlaps():
+    horizon = 200.0
+    plan = plan_crash_repair(random.Random(7), [1, 2, 3], node_mttf=10.0,
+                             node_mttr=2.0, link_mttf=5.0, link_mttr=3.0,
+                             horizon=horizon)
+    assert {a.kind for a in plan} == {"crash", "cut"}
+    assert plan == sorted(plan, key=lambda a: a.time)
+    # no fault starts at or after the horizon; a repair may land past it
+    assert all(a.time < horizon and 0 <= a.hold < float("inf") for a in plan)
+    assert any(a.time + a.hold > horizon for a in plan)
+    down_until = {}
+    for action in plan:
+        element = (action.kind, action.args)
+        assert action.time >= down_until.get(element, 0.0)
+        down_until[element] = action.time + action.hold
+
+
+def test_crash_repair_plan_classes_switch_off_at_zero_mttf():
+    plan = plan_crash_repair(random.Random(3), [1, 2, 3], link_mttf=5.0,
+                             link_mttr=1.0, horizon=100.0)
+    assert plan and {a.kind for a in plan} == {"cut"}
+    assert plan_crash_repair(random.Random(3), [1, 2], horizon=100.0) == []
+
+
+@pytest.mark.parametrize("bad", [
+    {"node_mttf": -1.0}, {"node_mttr": -1.0}, {"link_mttf": -1.0},
+    {"link_mttr": -1.0}, {"horizon": float("inf")},
+])
+def test_crash_repair_plan_validation(bad):
+    params = {"node_mttf": 5.0, "horizon": 100.0, **bad}
+    with pytest.raises(ValueError):
+        plan_crash_repair(random.Random(1), [1, 2], **params)
 
 
 def test_plan_is_deterministic_for_a_seed():
@@ -105,14 +173,79 @@ def test_apply_schedule_crash_and_recover():
     assert graph.node_up(2)
 
 
-def test_apply_schedule_rejects_unknown_kind():
-    sim = Simulator()
-    graph = CommGraph([1, 2])
-    injector = FailureInjector(sim, graph)
-    with pytest.raises(ValueError):
+def test_apply_schedule_oneway_cut_and_undo():
+    sim, graph, _, injector = build()
+    apply_schedule(injector, [
+        FaultAction(time=1.0, kind="oneway", args=(1, 2), hold=1.0),
+    ])
+    sim.run(until=1.5)
+    assert not graph.can_send(1, 2)
+    assert graph.can_send(2, 1)
+    sim.run(until=3.0)
+    assert graph.can_send(1, 2)
+    assert [label for _, label in injector.log] == [
+        "nemesis-cut-oneway(1,2)", "nemesis-heal-oneway(1,2)"]
+
+
+def test_apply_schedule_flap():
+    sim, graph, _, injector = build()
+    apply_schedule(injector, [
+        FaultAction(time=1.0, kind="flap", args=(1, 2, 1.0, 2), hold=0.0),
+    ])
+    for until, up in ((1.5, False), (2.5, True), (3.5, False), (5.0, True)):
+        sim.run(until=until)
+        assert graph.has_edge(1, 2) is up
+    assert [label for _, label in injector.log] == [
+        "nemesis-flap-cut(1,2)", "nemesis-flap-heal(1,2)"] * 2
+
+
+@pytest.mark.parametrize("kind, value, table", [
+    ("surge", 4.0, "_link_surge"),
+    ("grey", 0.5, "_link_loss"),
+    ("dup", 0.3, "_link_dup"),
+])
+def test_apply_schedule_transport_perturbation_and_undo(kind, value, table):
+    sim, _, net, injector = build(network=True)
+    apply_schedule(injector, [
+        FaultAction(time=1.0, kind=kind, args=(1, 2, value), hold=2.0),
+    ])
+    sim.run(until=2.0)
+    assert getattr(net, table) == {(1, 2): value}
+    sim.run(until=4.0)
+    assert net.perturbed_links() == set()
+
+
+@pytest.mark.parametrize("kind", ["surge", "grey", "dup"])
+def test_transport_actions_require_network(kind):
+    sim, _, _, injector = build()
+    with pytest.raises(RuntimeError):
         apply_schedule(injector, [
-            FaultAction(time=1.0, kind="meteor", args=(), hold=1.0),
+            FaultAction(time=1.0, kind=kind, args=(1, 2, 0.5), hold=1.0),
         ])
+    assert sim.peek() == float("inf")
+
+
+@pytest.mark.parametrize("bad", [
+    FaultAction(time=1.0, kind="meteor", args=(), hold=1.0),
+    FaultAction(time=1.0, kind="crash", args=(1, 2), hold=1.0),
+    FaultAction(time=1.0, kind="cut", args=(1,), hold=1.0),
+    FaultAction(time=1.0, kind="grey", args=(1, 2), hold=1.0),
+    FaultAction(time=1.0, kind="partition", args=(1, 2), hold=1.0),
+    FaultAction(time=1.0, kind="flap", args=(1, 2, 0.0, 1), hold=1.0),
+    FaultAction(time=1.0, kind="flap", args=(1, 2, 1.0, 0), hold=1.0),
+    FaultAction(time=1.0, kind="flap", args=(1, 2, 1.0, 1.5), hold=1.0),
+    FaultAction(time=1.0, kind="cut", args=(1, 2), hold=-1.0),
+    FaultAction(time=1.0, kind="cut", args=(1, 2), hold=float("nan")),
+    FaultAction(time=-1.0, kind="cut", args=(1, 2), hold=1.0),
+])
+def test_apply_schedule_rejects_a_malformed_action_whole(bad):
+    """A schedule can come from an artifact file: one bad action fails
+    the lot, and nothing of it reaches the kernel's queue."""
+    sim, _, _, injector = build(network=True)
+    good = FaultAction(time=1.0, kind="cut", args=(1, 2), hold=2.0)
+    with pytest.raises(ValueError):
+        apply_schedule(injector, [good, bad])
+    assert sim.peek() == float("inf")
 
 
 def test_mix_weights_complete():

@@ -76,7 +76,7 @@ def test_quorum_early_exit_kills_the_stragglers():
     sim.process(echo_server(procs[4], delay=50.0)())
 
     def caller():
-        results = yield from procs[1].quorum_call(
+        results = yield from procs[1].scatter_gather(
             [2, 3, 4], "echo", lambda server: {"n": server}, timeout=100.0,
             quorum=lambda partial: len(partial) >= 2)
         return (results, sim.now)
@@ -190,7 +190,7 @@ def test_quorum_kill_leaves_no_reply_waiters():
     sim.process(echo_server(procs[4], delay=50.0)())
 
     def caller():
-        results = yield from procs[1].quorum_call(
+        results = yield from procs[1].scatter_gather(
             [2, 3, 4], "echo", lambda server: {"n": server}, timeout=100.0,
             quorum=lambda partial: len(partial) >= 2)
         return (set(results), procs[1]._reply_waiters.copy(), sim.now)

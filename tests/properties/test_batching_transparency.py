@@ -16,18 +16,13 @@ transport's fault, which is exactly the property under test.
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.workload.generator import WorkloadSpec
+from repro.workload.generator import PrivateObjects, WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
 PROCESSORS = 5
 CLIENTS = 2
 TXNS_PER_CLIENT = 4
 WINDOWS = (0.0, 0.5)
-
-
-def _private_objects(pid, client):
-    base = ((pid - 1) * CLIENTS + client) * 2
-    return [f"o{base}", f"o{base + 1}"]
 
 
 def _spec(protocol, seed, window, read_fraction=0.5,
@@ -40,7 +35,7 @@ def _spec(protocol, seed, window, read_fraction=0.5,
                               mean_interarrival=6.0),
         config=ProtocolConfig(delta=1.0, batch_window=window),
         clients=CLIENTS, txns_per_client=TXNS_PER_CLIENT,
-        objects_for=_private_objects,
+        objects_for=PrivateObjects(CLIENTS),
         failures=failures, retries=retries, check=True,
     )
 

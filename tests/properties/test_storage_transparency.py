@@ -20,7 +20,7 @@ import hashlib
 import json
 
 from repro.core.config import ProtocolConfig
-from repro.workload.generator import WorkloadSpec
+from repro.workload.generator import PrivateObjects, WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
 PROCESSORS = 5
@@ -46,11 +46,6 @@ BATCHED_GOLDEN_TRACE_SHA = \
     "2f1b0c4bf5b39f0fa8730a87527531f1af5b253adc63baa948056a4359888296"
 
 
-def _private_objects(pid, client):
-    base = ((pid - 1) * CLIENTS + client) * 2
-    return [f"o{base}", f"o{base + 1}"]
-
-
 def _spec(config, failures, read_fraction, trace=False):
     return ExperimentSpec(
         protocol="virtual-partitions", processors=PROCESSORS,
@@ -60,7 +55,7 @@ def _spec(config, failures, read_fraction, trace=False):
                               mean_interarrival=6.0),
         config=config,
         clients=CLIENTS, txns_per_client=TXNS_PER_CLIENT,
-        objects_for=_private_objects, failures=failures,
+        objects_for=PrivateObjects(CLIENTS), failures=failures,
         retries=25, check=True, trace=trace,
     )
 

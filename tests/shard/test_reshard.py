@@ -35,19 +35,6 @@ def engine_stats(result):
 # -- schedule records --------------------------------------------------------
 
 
-def test_reshard_action_dict_round_trip():
-    action = ReshardAction(time=40.0, add=(7, 8), guarded=False,
-                           coordinator=2)
-    assert ReshardAction.from_dict(action.to_dict()) == action
-
-
-def test_reshard_action_from_dict_defaults():
-    # artifacts written by older planners may omit the optional fields
-    action = ReshardAction.from_dict({"time": 12.5, "add": [3]})
-    assert action == ReshardAction(time=12.5, add=(3,))
-    assert action.guarded is True and action.coordinator is None
-
-
 def test_onto_spares_expands_onto_the_highest_pids():
     assert ReshardAction.onto_spares(9, 2, 30.0) == ReshardAction(
         time=30.0, add=(8, 9))

@@ -8,7 +8,6 @@ import pytest
 from repro.workload import (
     ExperimentSpec,
     WorkloadSpec,
-    grid,
     run_experiment,
     run_many,
     sweep,
@@ -49,16 +48,6 @@ def test_sweep_parallel_equals_serial():
     for (_, a), (_, b) in zip(serial, parallel):
         assert a.fingerprint() == b.fingerprint()
         assert a.events_dispatched == b.events_dispatched > 0
-
-
-def test_grid_parallel_equals_serial():
-    base = small_spec()
-    axes = {"seed": [1, 2], "workload.read_fraction": [0.5, 0.9]}
-    serial = grid(base, axes, workers=1)
-    parallel = grid(base, axes, workers=4)
-    assert [point for point, _ in serial] == [p for p, _ in parallel]
-    for (_, a), (_, b) in zip(serial, parallel):
-        assert a.fingerprint() == b.fingerprint()
 
 
 def test_sweep_protocols_parallel_equals_serial():

@@ -8,7 +8,6 @@ from repro.workload import (
     ExperimentSpec,
     WorkloadSpec,
     build_cluster,
-    grid,
     run_experiment,
     sweep,
     sweep_protocols,
@@ -114,14 +113,6 @@ def test_sweep_protocols_pairs_seeds():
     # identical workload stream: same number of attempts
     vp, rowa = results["virtual-partitions"], results["rowa"]
     assert vp.attempted == rowa.attempted
-
-
-def test_grid_cartesian():
-    results = grid(small_spec(duration=40.0),
-                   {"seed": [1, 2], "objects": [2, 3]})
-    assert len(results) == 4
-    points = {(p["seed"], p["objects"]) for p, _ in results}
-    assert points == {(1, 2), (1, 3), (2, 2), (2, 3)}
 
 
 def test_failures_callback_runs():
