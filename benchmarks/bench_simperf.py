@@ -10,7 +10,7 @@ stands on.  This bench prints two tables:
   exchanging messages through :class:`MessageQueue` with ``AnyOf``
   timer races, i.e. exactly the select-loop shape the protocol tasks
   use, with none of the protocol logic.  This isolates the dispatch
-  loop (packed heap entries, slot table, lazy cancellation).
+  loop (packed ``(time, key, event)`` entries, lazy cancellation).
 * **vp** — events/sec for a message-heavy virtual-partitions run (the
   full stack: transport, locks, 2PC), via the runner's
   ``events_dispatched`` / ``wall_seconds`` counters.

@@ -38,6 +38,18 @@ from ..node.storage import LogTruncated
 RETRY_LATER = object()
 
 
+def _date_newer(candidate, reference) -> bool:
+    """Is ``candidate`` a strictly newer logical date than ``reference``?
+
+    ``None`` (never written) is older than everything.
+    """
+    if candidate is None:
+        return False
+    if reference is None:
+        return True
+    return candidate > reference
+
+
 class UpdateMixin:
     """Partition initialization (rule R5) with the §6 optimizations."""
 
@@ -164,7 +176,7 @@ class UpdateMixin:
                     # whole value instead of log entries
                     self.metrics.catchup_fallbacks += 1
                 date = payload["date"]
-                if self._date_newer(date, best[0]):
+                if _date_newer(date, best[0]):
                     best = (date, payload["value"], payload["version"])
                     entries_to_apply = payload.get("entries")
 
@@ -174,7 +186,7 @@ class UpdateMixin:
         if not store.holds(obj):
             state.unlock_object(obj)
             return
-        if self._date_newer(best[0], local_date):
+        if _date_newer(best[0], local_date):
             if entries_to_apply is not None:
                 store.apply_log(obj, entries_to_apply)
             else:
@@ -427,7 +439,7 @@ class UpdateMixin:
         if not store.holds(obj):
             store.place(obj, initial=value, date=date,
                         size=payload["size"], version=version)
-        elif self._date_newer(date, store.date(obj)):
+        elif _date_newer(date, store.date(obj)):
             store.install(obj, value, date, version)
         self.metrics.reshard_installs += 1
         self.metrics.transfer_units += answer.get("units", 0)
@@ -470,17 +482,3 @@ class UpdateMixin:
         self.processor.reply(message, "reshard-release-reply", {"ok": True})
         return
         yield  # pragma: no cover - marks this handler as a generator
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _date_newer(candidate, reference) -> bool:
-        """Is ``candidate`` a strictly newer logical date than ``reference``?
-
-        ``None`` (never written) is older than everything.
-        """
-        if candidate is None:
-            return False
-        if reference is None:
-            return True
-        return candidate > reference

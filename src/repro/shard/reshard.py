@@ -51,6 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.copy_update import _date_newer
+
 #: name of the coordinator's durable journal cell
 JOURNAL_CELL = "reshard-journal"
 
@@ -340,7 +342,7 @@ class ReshardEngine:
                 continue
             freshest = None
             for reply in gates.values():
-                if self._date_newer(reply["date"], freshest):
+                if _date_newer(reply["date"], freshest):
                     freshest = reply["date"]
             sources = sorted(p for p in old if gates[p]["date"] == freshest)
             if adds:
@@ -361,9 +363,9 @@ class ReshardEngine:
                     continue
                 newest = None
                 for reply in gates.values():
-                    if self._date_newer(reply["date"], newest):
+                    if _date_newer(reply["date"], newest):
                         newest = reply["date"]
-                if self._date_newer(newest, floor):
+                if _date_newer(newest, floor):
                     self.stats.verify_retries += 1
                     continue
             break
@@ -468,7 +470,7 @@ class ReshardEngine:
             reply = results[pid]
             if reply is None or not reply["ok"]:
                 return _FAILED
-            if floor is _UNSET or self._date_newer(floor, reply["date"]):
+            if floor is _UNSET or _date_newer(floor, reply["date"]):
                 floor = reply["date"]
         return floor
 
@@ -492,15 +494,6 @@ class ReshardEngine:
                         "flipped": flipped},
             "complete": False,
         }
-
-    @staticmethod
-    def _date_newer(candidate, reference) -> bool:
-        """Strict date order; ``None`` (never written) is oldest."""
-        if candidate is None:
-            return False
-        if reference is None:
-            return True
-        return candidate > reference
 
     def __repr__(self) -> str:
         return (f"ReshardEngine({len(self.actions)} actions, "

@@ -14,14 +14,15 @@ that support cancellation (e.g. queue gets, timers) are cancelled so
 they do not fire later and steal items.
 
 Events are allocated on every message hop, timer, and lock wait, so
-they are deliberately *thin views* over the kernel's flat schedule:
+they are deliberately small slotted objects:
 
 * ``callbacks`` is polymorphic — ``None`` (none yet), a bare callable
   (the overwhelmingly common single-waiter case), or a list.  Most
   events never allocate a callback list at all.
-* ``_slot`` is the event's index in the kernel slot table while an
-  entry for it sits in the heap; cancellation clears the slot instead
-  of touching the heap.
+* triggering puts one ``(time, key, event)`` entry on the kernel's
+  schedule; cancelling a scheduled event sets ``_cancelled`` and the
+  kernel drops the entry when it reaches it — nothing searches the
+  heap.
 * names default to ``""`` and are only formatted on demand (``repr``);
   the hot paths never build f-strings.
 """
@@ -29,17 +30,16 @@ they are deliberately *thin views* over the kernel's flat schedule:
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 #: Scheduling priorities. Lower value runs first at equal timestamps.
 URGENT = 0
 NORMAL = 1
 
-#: packed heap key layout: ``priority << 53 | seq << 1 | kind``.  The
-#: kind bit (1 = delayed-value timeout) never affects ordering because
-#: sequence numbers are unique, so one integer comparison reproduces
-#: the (priority, seq) lexicographic order exactly.
-_KEY_SHIFT = 53
+# Schedule entries are ``(time, priority << 53 | seq << 1 | kind,
+# event)``.  The kind bit (1 = delayed-value timeout) never affects
+# ordering because sequence numbers are unique, so one integer
+# comparison reproduces the (priority, seq) lexicographic order exactly.
 
 _PENDING = object()
 
@@ -48,7 +48,7 @@ class Event:
     """A one-shot occurrence that callbacks and processes can wait on."""
 
     __slots__ = ("sim", "name", "callbacks", "_value", "_ok",
-                 "_processed", "_defused", "_cancelled", "_slot")
+                 "_processed", "_defused", "_cancelled")
 
     def __init__(self, sim, name: str = ""):
         self.sim = sim
@@ -60,8 +60,6 @@ class Event:
         self._processed = False
         #: True once withdrawn while scheduled; the kernel skips it
         self._cancelled = False
-        #: slot-table index while scheduled; -1 when not in the heap
-        self._slot = -1
         # ``_ok`` and ``_defused`` are deliberately NOT initialized:
         # every trigger path (succeed/fail/materialize)
         # stores ``_ok`` before anything reads it, and ``_defused`` is
@@ -103,25 +101,15 @@ class Event:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        # inlined Simulator._push: succeed() runs once per message hop
-        # and lock grant, so the extra call is worth skipping
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        free = sim._free
-        if free:
-            slot = free.pop()
-            sim._slots[slot] = self
-        else:
-            slot = len(sim._slots)
-            sim._slots.append(self)
-        self._slot = slot
         if priority == NORMAL:
             # same-instant NORMAL triggers keep FIFO order — skip the heap
-            sim._ready.append((sim._now, (1 << 53) | (seq << 1), slot))
+            sim._ready.append((sim._now, (1 << 53) | (seq << 1), self))
         else:
             heappush(sim._queue,
-                     (sim._now, (priority << 53) | (seq << 1), slot))
+                     (sim._now, (priority << 53) | (seq << 1), self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -135,19 +123,11 @@ class Event:
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        free = sim._free
-        if free:
-            slot = free.pop()
-            sim._slots[slot] = self
-        else:
-            slot = len(sim._slots)
-            sim._slots.append(self)
-        self._slot = slot
         if priority == NORMAL:
-            sim._ready.append((sim._now, (1 << 53) | (seq << 1), slot))
+            sim._ready.append((sim._now, (1 << 53) | (seq << 1), self))
         else:
             heappush(sim._queue,
-                     (sim._now, (priority << 53) | (seq << 1), slot))
+                     (sim._now, (priority << 53) | (seq << 1), self))
         return self
 
     def defuse(self) -> None:
@@ -192,18 +172,6 @@ class Event:
         return f"<{label} {state} at {id(self):#x}>"
 
 
-def _attach(event: Event, callback: Callable[[Event], None]) -> None:
-    """Append ``callback`` to an event's polymorphic callback field
-    without the ``add_callback`` state checks (internal hot path)."""
-    cbs = event.callbacks
-    if cbs is None:
-        event.callbacks = callback
-    elif cbs.__class__ is list:
-        cbs.append(callback)
-    else:
-        event.callbacks = [cbs, callback]
-
-
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation.
 
@@ -226,29 +194,20 @@ class Timeout(Event):
         self._cancelled = False
         self.delay = delay
         self._delayed_value = value
-        # inlined Simulator._push with the DELAYED kind tag
         seq = sim._seq
         sim._seq = seq + 1
-        free = sim._free
-        if free:
-            slot = free.pop()
-            sim._slots[slot] = self
-        else:
-            slot = len(sim._slots)
-            sim._slots.append(self)
-        self._slot = slot
+        # the trailing 1 is the DELAYED kind tag
         heappush(sim._queue,
-                 (sim._now + delay, (NORMAL << 53) | (seq << 1) | 1, slot))
+                 (sim._now + delay, (NORMAL << 53) | (seq << 1) | 1, self))
 
     def cancel(self) -> None:
-        # Lazy deletion: clear the slot so the kernel discards the heap
-        # entry when popped; compact once dead entries dominate.
+        # Lazy deletion: the kernel discards the heap entry when it is
+        # popped; compact once dead entries dominate.
         if self._processed or self._cancelled:
             return
         self.callbacks = None
         self._cancelled = True
         sim = self.sim
-        sim._slots[self._slot] = None
         count = sim._cancelled_count + 1
         sim._cancelled_count = count
         if count >= sim._compact_min and count * 2 > len(sim._queue):
@@ -303,7 +262,6 @@ class Condition(Event):
         self._value = _PENDING
         self._processed = False
         self._cancelled = False
-        self._slot = -1
         # composite callers pass freshly built lists; reuse them rather
         # than copying (non-list iterables are materialized)
         self.events = events if events.__class__ is list else list(events)
@@ -382,7 +340,6 @@ class AnyOf(Condition):
         self._value = _PENDING
         self._processed = False
         self._cancelled = False
-        self._slot = -1
         self.events = events if events.__class__ is list else list(events)
         self._fired = _NOT_FIRED
         if not self.events:
@@ -422,15 +379,7 @@ class AnyOf(Condition):
             sim = self.sim
             seq = sim._seq
             sim._seq = seq + 1
-            free = sim._free
-            if free:
-                slot = free.pop()
-                sim._slots[slot] = self
-            else:
-                slot = len(sim._slots)
-                sim._slots.append(self)
-            self._slot = slot
-            sim._ready.append((sim._now, (NORMAL << 53) | (seq << 1), slot))
+            sim._ready.append((sim._now, (NORMAL << 53) | (seq << 1), self))
             # Cancel the losers (the winner is already _processed, so
             # the guard skips it) — see Condition._cancel_pending.
             for other in self.events:

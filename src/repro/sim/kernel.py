@@ -6,23 +6,22 @@ same interleaving.  There is no wall-clock anywhere in the kernel, which
 is what makes adversarially timed failure injection reproducible.
 
 The dispatch loop is the hottest code in the repository — every message
-hop, timer, and lock grant passes through it — so the scheduled queue
-uses a *flat encoding* instead of object-per-entry bookkeeping:
+hop, timer, and lock grant passes through it — so the schedule is one
+structure of plain tuples:
 
-* the heap holds packed ``(time, key, slot)`` tuples, where ``key``
-  folds the priority, the sequence number, and the entry kind into one
-  integer (``priority << 53 | seq << 1 | kind`` — the kind bit never
-  influences ordering because sequence numbers are unique, so the total
-  order is still exactly ``(time, priority, seq)`` in one comparison);
-* ``slot`` indexes a preallocated slot table (``_slots``) holding the
-  event views; retired slots go on a free list and are reused, so the
-  table stops growing once the run reaches steady state;
+* every entry is ``(time, key, event)``, where ``key`` folds the
+  priority, the sequence number, and the entry kind into one integer
+  (``priority << 53 | seq << 1 | kind``).  Sequence numbers are unique,
+  so one integer comparison gives exactly the ``(time, priority, seq)``
+  total order and tuple comparison never reaches the event;
 * the kind bit tags entries whose value is materialized at pop time
   (timeouts), so dispatch never attribute-probes the event class;
-* cancellation clears the slot (``_slots[i] = None``) — the dispatch
-  loop skips dead slots lazily, and once they pile up past the
-  compaction threshold the heap is rebuilt without them (pop order is
-  unaffected: it is fixed by the entry tuples, not the heap layout);
+* cancellation sets ``event._cancelled`` and leaves the entry where it
+  is — dispatch skips cancelled entries lazily, and once they pile up
+  past the compaction threshold the heap is rebuilt without them (pop
+  order is unaffected: it is fixed by the entry tuples, not the heap
+  layout).  A cancelled event object is never re-armed: its stale
+  entry would fire it at the old instant;
 * *same-instant* NORMAL-priority triggers (message deliveries,
   condition wins, process completions — the majority of all entries in
   a message-passing workload) skip the heap entirely: they land on the
@@ -32,15 +31,15 @@ uses a *flat encoding* instead of object-per-entry bookkeeping:
   the heap by comparing their heads.  An O(1) append/popleft replaces
   an O(log n) sift for roughly half of all scheduling traffic.
 
-Events themselves are thin slotted views (see :mod:`repro.sim.events`):
-no per-event name formatting, no callback-list allocation until a
-second callback actually arrives.  None of this changes observable
-semantics: dispatch order is the total order ``(time, priority, seq)``.
+Events themselves are small slotted objects (see
+:mod:`repro.sim.events`): no per-event name formatting, no
+callback-list allocation until a second callback actually arrives.
+None of this changes observable semantics: dispatch order is the total
+order ``(time, priority, seq)``.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Optional
@@ -54,9 +53,9 @@ from .process import EventGenerator, Process
 #: ones (constructor knob ``compact_min`` overrides per instance)
 _COMPACT_MIN = 512
 
-#: heap-entry ``kind`` tags
-_KIND_PLAIN = 0    #: value already set; just run callbacks
-_KIND_DELAYED = 1  #: timeout: materialize the held-aside value at pop
+#: schedule-entry ``kind`` bit: a timeout, whose held-aside value is
+#: materialized at pop (0 = value already set, just run callbacks)
+_KIND_DELAYED = 1
 
 _new = object.__new__
 
@@ -64,7 +63,7 @@ _new = object.__new__
 class Simulator:
     """Event queue, clock, and process factory."""
 
-    __slots__ = ("_now", "_queue", "_ready", "_seq", "_slots", "_free",
+    __slots__ = ("_now", "_queue", "_ready", "_seq",
                  "_active_process", "_pending_crashes", "_cancelled_count",
                  "_compact_min", "strict", "crashes", "dispatched",
                  "trace_hook")
@@ -73,20 +72,16 @@ class Simulator:
         if compact_min < 0:
             raise ValueError(f"negative compact_min: {compact_min}")
         self._now = float(start)
-        #: packed schedule: (time, priority<<53|seq<<1|kind, slot) tuples
-        self._queue: list[tuple[float, int, int]] = []
+        #: the heap: (time, priority<<53|seq<<1|kind, event) tuples
+        self._queue: list[tuple[float, int, Event]] = []
         #: same-instant NORMAL-priority entries, sorted by construction
         #: (appends happen in (time, key) order); merged with the heap
         #: at dispatch by comparing heads
-        self._ready: deque[tuple[float, int, int]] = deque()
+        self._ready: deque[tuple[float, int, Event]] = deque()
         self._seq = 0
-        #: slot table: scheduled event views; None marks a cancelled or
-        #: vacant slot awaiting reuse through the free list
-        self._slots: list[Optional[Event]] = []
-        self._free: list[int] = []
         self._active_process: Optional[Process] = None
         self._pending_crashes: list[ProcessCrashed] = []
-        #: cancelled entries still sitting in the heap (lazy deletion)
+        #: cancelled entries still sitting in the heap or the FIFO
         self._cancelled_count = 0
         #: rebuild threshold — 0 compacts as soon as cancelled entries
         #: hold the majority, a huge value never compacts (pure lazy)
@@ -137,16 +132,8 @@ class Simulator:
         event._delayed_value = value
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._slots[slot] = event
-        else:
-            slot = len(self._slots)
-            self._slots.append(event)
-        event._slot = slot
         heappush(self._queue,
-                 (self._now + delay, (1 << 53) | (seq << 1) | 1, slot))
+                 (self._now + delay, (1 << 53) | (seq << 1) | 1, event))
         return event
 
     def process(self, generator: EventGenerator, name: str = "") -> Process:
@@ -163,66 +150,20 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _push(self, event: Event, when: float, priority: int,
-              kind: int) -> None:
-        """Reserve a slot for ``event`` and push its packed entry.
-
-        The hot constructors (``Event.succeed``, ``Timeout.__init__``)
-        inline this; it exists for cold paths and subclasses.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._slots[slot] = event
-        else:
-            slot = len(self._slots)
-            self._slots.append(event)
-        event._slot = slot
-        heappush(self._queue,
-                 (when, (priority << 53) | (seq << 1) | kind, slot))
-
-    def _cancel_slot(self, slot: int) -> None:
-        """Clear a scheduled entry's slot (lazy deletion) and compact
-        the heap once dead entries dominate.  The hot cancellation
-        sites (timeouts, queue gets) inline the clear-and-count part
-        and only call :meth:`_compact` past the threshold."""
-        self._slots[slot] = None
-        count = self._cancelled_count + 1
-        self._cancelled_count = count
-        if count >= self._compact_min and count * 2 > len(self._queue):
-            self._compact()
-
     def _compact(self) -> None:
         """Rebuild the heap (and the ready FIFO) without cancelled
-        entries, freeing their slots.  In-place (``queue[:] = live``)
-        so the dispatch loop's local aliases stay valid; pop order is
-        unaffected — it is fixed by the entry tuples, not the heap
-        layout, and filtering the FIFO preserves its sort."""
+        entries.  In-place (``queue[:] = ...``) so the dispatch loop's
+        local aliases stay valid; pop order is unaffected — it is fixed
+        by the entry tuples, not the heap layout, and filtering the
+        FIFO preserves its sort."""
         queue = self._queue
-        slots = self._slots
-        free_append = self._free.append
-        live = []
-        live_append = live.append
-        for entry in queue:
-            if slots[entry[2]] is None:
-                free_append(entry[2])
-            else:
-                live_append(entry)
-        queue[:] = live
+        queue[:] = [entry for entry in queue if not entry[2]._cancelled]
         heapify(queue)
         ready = self._ready
-        if ready:
-            survivors = []
-            for entry in ready:
-                if slots[entry[2]] is None:
-                    free_append(entry[2])
-                else:
-                    survivors.append(entry)
-            if len(survivors) != len(ready):
-                ready.clear()
-                ready.extend(survivors)
+        survivors = [entry for entry in ready if not entry[2]._cancelled]
+        if len(survivors) != len(ready):
+            ready.clear()
+            ready.extend(survivors)
         self._cancelled_count = 0
 
     def _report_crash(self, crash: ProcessCrashed) -> None:
@@ -233,15 +174,12 @@ class Simulator:
     # -- execution ------------------------------------------------------------
 
     def _pop_live(self):
-        """Pop the next live ``(entry, event, from_ready)``, merging the
-        heap with the ready FIFO and discarding cancelled slots, or
-        ``None`` when both are empty.  The popped entry's slot stays
-        reserved — callers either dispatch (and free) it or push the
-        entry back untouched (``peek``, horizon overshoot)."""
+        """Pop the next live ``(entry, from_ready)``, merging the heap
+        with the ready FIFO and discarding cancelled entries, or
+        ``None`` when both are empty.  Callers either dispatch the
+        entry or push it back untouched (``peek``)."""
         queue = self._queue
         ready = self._ready
-        slots = self._slots
-        free = self._free
         while True:
             if ready:
                 if queue and queue[0] < ready[0]:
@@ -255,19 +193,17 @@ class Simulator:
                 from_ready = False
             else:
                 return None
-            event = slots[entry[2]]
-            if event is None:
-                free.append(entry[2])
+            if entry[2]._cancelled:
                 self._cancelled_count -= 1
                 continue
-            return entry, event, from_ready
+            return entry, from_ready
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         popped = self._pop_live()
         if popped is None:
             return float("inf")
-        entry, _event, from_ready = popped
+        entry, from_ready = popped
         if from_ready:
             self._ready.appendleft(entry)
         else:
@@ -298,14 +234,12 @@ class Simulator:
         popped = self._pop_live()
         if popped is None:
             raise EmptySchedule("event queue is empty")
-        entry, event, _from_ready = popped
-        self._slots[entry[2]] = None
-        self._free.append(entry[2])
-        self._now = entry[0]
+        (when, key, event), _from_ready = popped
+        self._now = when
         self.dispatched += 1
         if self.trace_hook is not None:
-            self.trace_hook(entry[0], event)
-        if entry[1] & 1 == _KIND_DELAYED and event._value is _PENDING:
+            self.trace_hook(when, event)
+        if key & 1 == _KIND_DELAYED and event._value is _PENDING:
             event._ok = True
             event._value = event._delayed_value
         self._run_callbacks(event)
@@ -335,15 +269,13 @@ class Simulator:
                 )
 
         # The dispatch loop proper.  Everything reachable per iteration
-        # is a local: the heap (compaction mutates it in place, so the
-        # alias stays valid), the slot table, the free list, and the
-        # heap primitives.  ``dispatched`` accumulates locally and is
-        # flushed on every exit path.
+        # is a local: the heap and the FIFO (compaction mutates both in
+        # place, so the aliases stay valid) and the heap primitives.
+        # ``dispatched`` accumulates locally and is flushed on every
+        # exit path.
         queue = self._queue
         ready = self._ready
         ready_popleft = ready.popleft
-        slots = self._slots
-        free_append = self._free.append
         pending_crashes = self._pending_crashes
         pop = heappop
         pending = _PENDING
@@ -361,22 +293,18 @@ class Simulator:
                     entry = pop(queue)
                 else:
                     break
-                when, key, slot = entry
-                event = slots[slot]
-                if event is None:
-                    free_append(slot)
+                when, key, event = entry
+                if event._cancelled:
                     self._cancelled_count -= 1
                     continue
                 if when > horizon:
-                    # Not due yet: put it back for the next run() call
-                    # (the slot stays reserved).  Only heap entries can
-                    # overshoot — FIFO entries fire at or before `now`,
-                    # which never exceeds the horizon.
+                    # Not due yet: put it back for the next run() call.
+                    # Only heap entries can overshoot — FIFO entries
+                    # fire at or before `now`, which never exceeds the
+                    # horizon.
                     heappush(queue, entry)
                     self._now = horizon
                     return None
-                slots[slot] = None
-                free_append(slot)
                 self._now = when
                 steps += 1
                 trace = self.trace_hook
@@ -427,8 +355,3 @@ class Simulator:
             event.defuse()
         raise StopSimulation(event.value)
 
-
-# re-exported for introspection/tests; heapq is the only dependency the
-# flat encoding leans on
-__all__ = ["Simulator", "_COMPACT_MIN"]
-assert heapq  # keep the module import alive for monkeypatching tests

@@ -37,7 +37,6 @@ class Process(Event):
         self._processed = False
         self._defused = False
         self._cancelled = False
-        self._slot = -1
         self._generator = generator
         # bound methods cached once: _resume runs per dispatch
         self._send = generator.send

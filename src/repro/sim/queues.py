@@ -35,7 +35,6 @@ class GetEvent(Event):
         self._ok = True
         self._processed = False
         self._cancelled = False
-        self._slot = -1
         self._queue = queue
 
     def cancel(self) -> None:
@@ -49,7 +48,6 @@ class GetEvent(Event):
                 self.callbacks = None
                 self._cancelled = True
                 sim = self.sim
-                sim._slots[self._slot] = None
                 count = sim._cancelled_count + 1
                 sim._cancelled_count = count
                 if count >= sim._compact_min and count * 2 > len(sim._queue):
@@ -90,15 +88,7 @@ class MessageQueue:
                 sim = self.sim
                 seq = sim._seq
                 sim._seq = seq + 1
-                free = sim._free
-                if free:
-                    slot = free.pop()
-                    sim._slots[slot] = waiter
-                else:
-                    slot = len(sim._slots)
-                    sim._slots.append(waiter)
-                waiter._slot = slot
-                sim._ready.append((sim._now, (1 << 53) | (seq << 1), slot))
+                sim._ready.append((sim._now, (1 << 53) | (seq << 1), waiter))
                 return
         self._items.append(item)
 
@@ -114,7 +104,6 @@ class MessageQueue:
         event._ok = True
         event._processed = False
         event._cancelled = False
-        event._slot = -1
         event._queue = self
         if self._items:
             event.succeed(self._items.popleft())

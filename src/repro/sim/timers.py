@@ -17,7 +17,6 @@ waits (they never fire), exactly like re-setting a hardware timer.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Optional
 
 from .events import _PENDING, Event, Timeout
@@ -44,7 +43,6 @@ class _TimerGate(Event):
         self._value = _PENDING
         self._processed = False
         self._cancelled = False
-        self._slot = -1
         self._timeout = timeout
         self._timer = timer
         self._generation = timer._generation
@@ -64,7 +62,6 @@ class _TimerGate(Event):
             timeout.callbacks = None
             timeout._cancelled = True
             sim = timeout.sim
-            sim._slots[timeout._slot] = None
             count = sim._cancelled_count + 1
             sim._cancelled_count = count
             if count >= sim._compact_min and count * 2 > len(sim._queue):
@@ -80,8 +77,7 @@ class Timer:
     """A one-shot, re-armable countdown."""
 
     __slots__ = ("sim", "name", "_generation", "_pending", "_expiry",
-                 "_spare", "_spare_gate", "_never_name", "_timeout_name",
-                 "_gate_name")
+                 "_spare_gate", "_never_name", "_timeout_name", "_gate_name")
 
     def __init__(self, sim, name: str = "timer"):
         self.sim = sim
@@ -89,16 +85,13 @@ class Timer:
         self._generation = 0
         self._pending: Optional[Timeout] = None
         self._expiry: Optional[float] = None
-        #: a cancelled-but-never-fired Timeout from a previous wait,
-        #: recycled by the next wait() — timers lose their races on
-        #: nearly every receive-loop iteration, so this turns the per
-        #: wait Timeout allocation into a field reset.  Safe because
-        #: the Timeout is private to the timer: only the gate (which
-        #: detached at cancel) and the kernel's dead heap entry (slot
-        #: already cleared) ever referenced it.
-        self._spare: Optional[Timeout] = None
-        #: likewise for the gate handed out by the lost wait — it was
-        #: cancelled, so its holder (the losing AnyOf) is done with it
+        #: the gate handed out by a wait() that lost its race, recycled
+        #: by the next wait() — timers lose on nearly every receive-loop
+        #: iteration.  Safe because the gate was cancelled, so its
+        #: holder (the losing AnyOf) is done with it, and a gate is
+        #: never scheduled while pending.  The Timeout is NOT recycled:
+        #: its cancelled entry is still in the heap and would fire a
+        #: re-armed object at the old instant.
         self._spare_gate: Optional[_TimerGate] = None
         # precomputed once per timer — wait() runs on every receive
         # loop iteration, so no per-wait string formatting
@@ -130,8 +123,6 @@ class Timer:
         if pending is not None:
             if not (pending._processed or pending._cancelled):
                 pending.cancel()
-            if pending._cancelled and pending._value is _PENDING:
-                self._spare = pending
             self._pending = None
         self._expiry = self.sim._now + duration
 
@@ -150,30 +141,7 @@ class Timer:
         expiry = self._expiry
         if expiry is None or expiry <= sim._now:
             return Event(sim, self._never_name)
-        spare = self._spare
-        if spare is not None and spare._cancelled:
-            # Re-arm the recycled Timeout: reset its one-shot state and
-            # push a fresh packed entry (the old heap entry's slot was
-            # cleared at cancel, so it pops as dead).
-            self._spare = None
-            spare._cancelled = False
-            spare.callbacks = None
-            spare.delay = expiry - sim._now
-            seq = sim._seq
-            sim._seq = seq + 1
-            free = sim._free
-            if free:
-                slot = free.pop()
-                sim._slots[slot] = spare
-            else:
-                slot = len(sim._slots)
-                sim._slots.append(spare)
-            spare._slot = slot
-            heappush(sim._queue, (expiry, (1 << 53) | (seq << 1) | 1, slot))
-            timeout = spare
-        else:
-            timeout = Timeout(sim, expiry - sim._now,
-                              name=self._timeout_name)
+        timeout = sim.timeout(expiry - sim._now, name=self._timeout_name)
         self._pending = timeout
         gate = self._spare_gate
         if gate is not None and gate._value is _PENDING:
@@ -191,6 +159,4 @@ class Timer:
         if pending is not None:
             if not pending._processed:
                 pending.cancel()
-            if pending._cancelled and pending._value is _PENDING:
-                self._spare = pending
             self._pending = None

@@ -116,10 +116,12 @@ def test_degenerate_thresholds_are_behavior_transparent(compact_min):
 
 def test_steady_state_churn_allocation_is_flat():
     """Allocation regression guard: running the churn must not grow
-    memory with the number of dispatched events.  The flat core reuses
-    slots, recycles timers, and keeps packed tuples as the only
-    per-event heap residue — measured peak above the built simulation
-    is ~12 KB regardless of run length; 64 KB is the alarm line."""
+    memory with the number of dispatched events.  A dispatched entry
+    and its event are garbage at once; the only residue is the lost
+    races' cancelled Timeouts, each waiting in the heap for its expiry
+    (a bounded window, not a function of run length) — measured peak
+    above the built simulation is ~14 KB regardless of run length;
+    64 KB is the alarm line."""
     # warm allocator/caches outside the measured window
     warm = _churn_sim(_COMPACT_MIN, pairs=5, msgs=50)
     warm.run()

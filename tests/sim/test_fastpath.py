@@ -4,9 +4,12 @@ observably identical to the old peek-then-pop kernel.  (The golden
 trace sha in ``tests/properties/test_storage_transparency.py`` pins
 the same claim end-to-end.)"""
 
+import random
+
 import pytest
 
 from repro.sim import EmptySchedule, Simulator
+from repro.sim.events import URGENT, Event, Timeout
 from repro.sim.kernel import _COMPACT_MIN
 from repro.sim.queues import MessageQueue
 from repro.sim.timers import Timer
@@ -179,3 +182,118 @@ def test_run_until_horizon_leaves_future_events_intact():
     assert sim.now == 4.0 and fired == []
     sim.run()
     assert fired == [10.0]
+
+
+# -- schedule entries carry the event ---------------------------------------
+# An entry is ``(time, key, event)`` and a cancelled entry stays put until
+# the kernel reaches it, so three things have to hold: a superseded entry
+# never fires, the cancelled-entry debt counter matches what is really
+# queued, and ordering never falls through to the event object.
+
+
+def test_rearmed_timer_fires_once_at_the_last_expiry():
+    """100 re-arms with compaction off: all 99 superseded Timeouts are
+    still in the heap, ahead of the live one, when the run starts."""
+    sim = Simulator(compact_min=10**9)
+    timer = Timer(sim, name="t")
+    fired = []
+    for index in range(100):
+        timer.set(5.0 + index)
+        gate = timer.wait()
+        gate.add_callback(lambda e: fired.append(sim.now))
+        if index % 2 == 0:
+            gate.cancel()  # what a lost AnyOf race does; recycles the gate
+    assert len(sim._queue) == 100
+    assert sim._cancelled_count == 99
+    sim.run()
+    assert fired == [104.0]
+    assert sim.dispatched == 2  # the live Timeout and its gate
+    assert not sim._queue and sim._cancelled_count == 0
+
+
+@pytest.mark.parametrize("compact_min", [0, _COMPACT_MIN, 10**9])
+def test_cancelled_count_matches_cancelled_entries(compact_min):
+    """``_cancelled_count`` is exactly the number of queued entries
+    whose event is cancelled — in the heap and in the ready FIFO, across
+    cancel, compaction, peek, horizon push-back and dispatch."""
+    rng = random.Random(20240916)
+    sim = Simulator(compact_min=compact_min)
+    queue = MessageQueue(sim, name="inbox")
+    timer = Timer(sim, name="t")
+    loose = []
+
+    def debt():
+        return sum(1 for entry in (*sim._queue, *sim._ready)
+                   if entry[2]._cancelled)
+
+    def actor():
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.3:
+                loose.append(sim.timeout(rng.uniform(0.0, 5.0)))
+            elif roll < 0.5 and loose:
+                loose.pop(rng.randrange(len(loose))).cancel()
+            elif roll < 0.65:
+                timer.set(rng.uniform(0.0, 3.0))
+                timer.wait()
+            else:
+                # a select race; when `first` is there it wins at once
+                # and a get the put already triggered must un-consume
+                get = queue.get()
+                tick = sim.timeout(rng.choice([0.0, 0.0, 1.0]))
+                if rng.random() < 0.6:
+                    queue.put("m")
+                timer.set(rng.uniform(0.0, 2.0))
+                racers = [get, tick, timer.wait()]
+                if rng.random() < 0.3:
+                    racers.insert(0, sim.event().succeed())
+                yield sim.any_of(racers)
+            assert sim._cancelled_count == debt()
+
+    sim.process(actor())
+    while sim.peek() != float("inf"):
+        assert sim._cancelled_count == debt()
+        sim.run(until=sim.now + 0.75)
+        assert sim._cancelled_count == debt()
+    assert sim._cancelled_count == 0
+    assert not sim._queue and not sim._ready
+
+
+class _Incomparable(Event):
+    """An event that refuses to be ordered or equated."""
+
+    __slots__ = ()
+    __hash__ = Event.__hash__
+
+    def __lt__(self, other):
+        raise AssertionError("schedule compared two events")
+
+    __gt__ = __le__ = __ge__ = __eq__ = __lt__
+
+
+class _IncomparableTimeout(_Incomparable, Timeout):
+    __slots__ = ()
+
+
+def test_same_instant_entries_order_by_key_never_by_event():
+    """1 000 entries at one instant, through both the heap and the
+    FIFO: dispatch order is (priority, seq) and tuple comparison stops
+    at the key — sequence numbers are unique."""
+    rng = random.Random(7)
+    sim = Simulator()
+    created = []  # (priority, creation index, event)
+    for index in range(1000):
+        kind = rng.randrange(3)
+        if kind == 0:
+            event = _Incomparable(sim).succeed(priority=URGENT)
+        elif kind == 1:
+            event = _Incomparable(sim).succeed()
+        else:
+            event = _IncomparableTimeout(sim, 0.0)
+        created.append((URGENT if kind == 0 else 1, index, event))
+    seen = []
+    sim.trace_hook = lambda when, event: seen.append(id(event))
+    sim.run()
+    created.sort(key=lambda entry: entry[:2])
+    assert seen == [id(event) for _, _, event in created]
+    assert sim.dispatched == 1000 and sim.now == 0.0
