@@ -30,7 +30,7 @@ stands on.  This bench prints two tables:
 
 Wall-clock numbers are hardware-dependent; the deterministic side
 (dispatched-event counts, fingerprint equality) is what CI's
-``bench-simperf`` job asserts on (``--check``), so it cannot flake on
+``bench-check`` job asserts on (``--check``), so it cannot flake on
 a loaded runner.
 """
 

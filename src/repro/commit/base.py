@@ -41,8 +41,8 @@ class AtomicCommit(ABC):
     The same object plays both commit-protocol roles: the coordinator
     side (:meth:`prepare_commit` / :meth:`end_transaction`, driven by
     the transaction manager) and the participant side (the message
-    handlers from :meth:`handlers`, driven by the protocol's physical-
-    access dispatcher task).
+    handlers from :meth:`handlers`, which the host registers with
+    :meth:`~repro.node.processor.Processor.serve`).
     """
 
     #: short identifier, matches ``ProtocolConfig.commit_backend``
@@ -110,13 +110,11 @@ class AtomicCommit(ABC):
 
     @abstractmethod
     def handlers(self) -> Mapping[str, Callable]:
-        """Ordered ``{message kind: handler}`` map for the dispatcher.
+        """The backend's ``{message kind: handler}`` map.
 
-        The protocol's physical-access task composes these behind its
-        read/write mailboxes; registration order is the mailbox polling
-        order, so backends must list kinds deterministically.  Handlers
-        are plain callables taking the message; anything that needs to
-        wait spawns its own process.
+        Each handler is called with the message at its delivery event.
+        Handlers are plain callables; anything that needs to wait
+        spawns its own process.
         """
 
     # -- lifecycle hooks (called from the host's crash/recover hooks) ------

@@ -452,7 +452,7 @@ class PaxosCommit(AtomicCommit):
     # ------------------------------------------------------------------
 
     def handlers(self) -> Mapping[str, Callable]:
-        """Paxos Commit's mailbox set (deterministic poll order)."""
+        """Paxos Commit's participant- and acceptor-side message kinds."""
         return {
             "prepare": self._handle_prepare,
             "release": self._handle_release,

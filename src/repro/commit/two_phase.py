@@ -176,7 +176,7 @@ class TwoPhaseCommit(AtomicCommit):
     # ------------------------------------------------------------------
 
     def handlers(self) -> Mapping[str, Callable]:
-        """2PC's mailbox set, in the dispatcher's historical poll order."""
+        """2PC's participant-side message kinds."""
         return {
             "prepare": self._handle_prepare,
             "release": self._handle_release,
@@ -263,22 +263,24 @@ class TwoPhaseCommit(AtomicCommit):
             return
         if txn in self.in_doubt and txn not in self.resolving:
             self.resolving.add(txn)
+            coordinator = self.in_doubt[txn]
             if self.tracer is not None:
                 self.tracer.emit("txn.indoubt", pid=self.pid, txn=str(txn),
-                                 coordinator=self.in_doubt[txn])
+                                 coordinator=coordinator)
             self.processor.spawn(f"resolve{txn}",
-                                 self._resolve_in_doubt(txn))
+                                 self._resolve_in_doubt(txn, coordinator))
 
-    def _resolve_in_doubt(self, txn):
+    def _resolve_in_doubt(self, txn, coordinator: int):
         """Learn an in-doubt transaction's outcome from its coordinator.
 
         Retries through partitions and crashes: the coordinator logs
         its decision before sending any decide, so the answer is
         "commit"/"abort" once decided and "undecided" at most briefly.
         A normally-delivered decide resolves the transaction while we
-        retry; the loop notices and stops.
+        retry; the loop notices and stops — also when that happens
+        before this process first runs, which is why the coordinator is
+        captured at kick time.
         """
-        coordinator = self.in_doubt[txn]
         retry = self.config.access_timeout
         try:
             while txn in self.in_doubt:

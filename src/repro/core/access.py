@@ -208,40 +208,9 @@ class AccessMixin:
     # ------------------------------------------------------------------
     # server side: Fig. 12 — Physical-Access
     # ------------------------------------------------------------------
-
-    def serve_physical_access(self):
-        """Dispatcher task: one handler process per incoming request.
-
-        Reads and writes are the host's; everything else comes from
-        the commit backend's ``handlers()`` map, whose registration
-        order fixes both mailbox creation and polling order (the 2PC
-        backend reproduces the historical prepare/release/txn-status
-        sequence exactly — the golden trace pin depends on it).
-        """
-        read_box = self.processor.mailbox("read")
-        write_box = self.processor.mailbox("write")
-        commit_handlers = dict(self.commit.handlers())
-        commit_boxes = {kind: self.processor.mailbox(kind)
-                        for kind in commit_handlers}
-        while True:
-            gets = {
-                "read": read_box.get(),
-                "write": write_box.get(),
-            }
-            for kind, box in commit_boxes.items():
-                gets[kind] = box.get()
-            fired = yield self.sim.any_of(list(gets.values()))
-            for kind, get in gets.items():
-                if get in fired:
-                    message = fired[get]
-                    if kind == "read":
-                        self.processor.spawn("serve-read",
-                                             self._handle_read(message))
-                    elif kind == "write":
-                        self.processor.spawn("serve-write",
-                                             self._handle_write(message))
-                    else:
-                        commit_handlers[kind](message)
+    # One process per request, spawned at its delivery event (see
+    # ``VirtualPartitionProtocol.attach``): an access may wait on the
+    # R5 gate, a copy lock, or priced storage.
 
     def _handle_read(self, message):
         payload = message.payload

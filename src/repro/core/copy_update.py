@@ -262,14 +262,6 @@ class UpdateMixin:
     # server side: answering recovery reads
     # ------------------------------------------------------------------
 
-    def serve_vpread(self):
-        """Dispatcher for ``vpread`` requests (see module docstring)."""
-        box = self.processor.mailbox("vpread")
-        while True:
-            message = yield box.get()
-            self.processor.spawn("vpread-handler",
-                                 self._handle_vpread(message))
-
     def _handle_vpread(self, message):
         payload = message.payload
         obj = payload["obj"]
@@ -348,33 +340,15 @@ class UpdateMixin:
     # ------------------------------------------------------------------
     # server side: migration control (reshard engine only)
     # ------------------------------------------------------------------
-    # These handlers are dispatched by a task the reshard engine
-    # registers explicitly (``serve_reshard``); a cluster that never
-    # reshards neither creates the mailboxes nor runs the task, keeping
-    # default runs byte-identical to the golden trace.
+    # Served like every other request kind (gate and release never
+    # wait, install runs as a process); a cluster that never reshards
+    # never receives one, and a handler-table entry costs no event.
 
-    def serve_reshard(self):
-        """Dispatcher for the migration engine's control messages."""
-        kinds = ("reshard-gate", "reshard-install", "reshard-release")
-        boxes = {kind: self.processor.mailbox(kind) for kind in kinds}
-        handlers = {
-            "reshard-gate": self._handle_reshard_gate,
-            "reshard-install": self._handle_reshard_install,
-            "reshard-release": self._handle_reshard_release,
-        }
-        while True:
-            gets = {kind: boxes[kind].get() for kind in kinds}
-            fired = yield self.sim.any_of(list(gets.values()))
-            for kind, get in gets.items():
-                if get in fired:
-                    self.processor.spawn(f"{kind}-handler",
-                                         handlers[kind](fired[get]))
-
-    def _handle_reshard_gate(self, message):
+    def _handle_reshard_gate(self, message) -> None:
         """Write-gate the local copy and report its freshness.
 
-        Yield-free up to the reply: the gate and the reported date are
-        one atomic snapshot.  A write that already passed the gate check
+        A plain handler, run at the request's delivery: the gate and the
+        reported date are one atomic snapshot.  A write that already passed the gate check
         but is still waiting on its copy lock is caught by the post-lock
         re-check in ``_handle_write`` — no write lands after the gate's
         date without the coordinator's verify round seeing it.
@@ -388,8 +362,6 @@ class UpdateMixin:
             "date": store.date(obj) if store.holds(obj) else None,
             "in_doubt": self._has_in_doubt_write(obj),
         })
-        return
-        yield  # pragma: no cover - marks this handler as a generator
 
     def _handle_reshard_install(self, message):
         """Install a copy of ``obj`` here via the §6 catch-up path.
@@ -452,7 +424,7 @@ class UpdateMixin:
         self.processor.reply(message, "reshard-install-reply",
                              {"ok": True, "date": store.date(obj)})
 
-    def _handle_reshard_release(self, message):
+    def _handle_reshard_release(self, message) -> None:
         """Drop the write gate; dropped holders also retire the copy.
 
         Retiring is refused (reply not-ok, gate kept) while the copy
@@ -480,5 +452,3 @@ class UpdateMixin:
                 self.tracer.emit("reshard.retire", pid=self.pid, obj=obj)
         self.state.ungate_migration(obj)
         self.processor.reply(message, "reshard-release-reply", {"ok": True})
-        return
-        yield  # pragma: no cover - marks this handler as a generator

@@ -8,8 +8,10 @@ partition id, ignores lower ones (stale messages), and reacts to higher
 ones — a higher-id probe is unambiguous evidence that two different
 virtual partitions can communicate and should merge.
 
-Together these tasks give the paper's convergence bound Δ = π + 8δ
-(measured by ``benchmarks/bench_liveness.py``).
+``Monitor-Probes`` never waits, so it is a handler served at each
+probe's delivery rather than a task.  Together they give the paper's
+convergence bound Δ = π + 8δ (measured by
+``benchmarks/bench_liveness.py``).
 """
 
 from __future__ import annotations
@@ -63,28 +65,25 @@ class ProbesMixin:
             sequence += 1
             yield self.sim.timeout(config.pi - config.probe_ack_wait)
 
-    def monitor_probes(self):
-        """Fig. 8: answer, ignore, or react to incoming probes."""
+    def monitor_probe(self, message) -> None:
+        """Fig. 8: answer, ignore, or react to an incoming probe."""
         state = self.state
-        probe_box = self.processor.mailbox("probe")
-        while True:
-            message = yield probe_box.get()
-            if not state.assigned:
-                continue
-            probed_id = message.payload["v"]
-            if probed_id == state.cur_id:
-                self.processor.send(message.payload["from"], "probe-ack", {
-                    "from": self.pid, "m": message.payload["m"],
-                })
-            elif probed_id < state.cur_id:
-                pass  # an old, delayed message — skip (Fig. 8 line 6)
-            else:
-                # Proof of cross-partition communication: merge.  The
-                # probe's id has been "seen", so fold it into max-id
-                # before minting the successor — otherwise the new
-                # partition could carry a *lower* id than the probed one
-                # and its invitations would be refused, costing extra
-                # rounds beyond the Delta = pi + 8*delta bound.
-                if state.max_id < probed_id:
-                    state.max_id = probed_id
-                self.create_new_vp()
+        if not state.assigned:
+            return
+        probed_id = message.payload["v"]
+        if probed_id == state.cur_id:
+            self.processor.send(message.payload["from"], "probe-ack", {
+                "from": self.pid, "m": message.payload["m"],
+            })
+        elif probed_id < state.cur_id:
+            pass  # an old, delayed message — skip (Fig. 8 line 6)
+        else:
+            # Proof of cross-partition communication: merge.  The
+            # probe's id has been "seen", so fold it into max-id before
+            # minting the successor — otherwise the new partition could
+            # carry a *lower* id than the probed one and its invitations
+            # would be refused, costing extra rounds beyond the
+            # Delta = pi + 8*delta bound.
+            if state.max_id < probed_id:
+                state.max_id = probed_id
+            self.create_new_vp()

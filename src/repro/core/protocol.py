@@ -105,15 +105,29 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
     # ------------------------------------------------------------------
 
     def attach(self) -> None:
-        """Register the Fig. 3 task set and the crash/recover hooks."""
-        self.processor.add_task("monitor-vp-creations",
-                                self.monitor_vp_creations)
-        self.processor.add_task("send-probes", self.send_probes)
-        self.processor.add_task("monitor-probes", self.monitor_probes)
-        self.processor.add_task("physical-access", self.serve_physical_access)
-        self.processor.add_task("serve-vpread", self.serve_vpread)
-        self.processor.on_crash(self._on_crash)
-        self.processor.on_recover(self._on_recover)
+        """Register the Fig. 3 task set, the request handlers and the
+        crash/recover hooks.
+
+        Only the two loops that race a message against a timer are
+        tasks; every request kind is served at its delivery event —
+        handlers that never wait directly, the rest as one spawned
+        process per request.
+        """
+        processor = self.processor
+        processor.add_task("monitor-vp-creations", self.monitor_vp_creations)
+        processor.add_task("send-probes", self.send_probes)
+        processor.serve("probe", self.monitor_probe)
+        processor.serve("reshard-gate", self._handle_reshard_gate)
+        processor.serve("reshard-release", self._handle_reshard_release)
+        for kind, handler in self.commit.handlers().items():
+            processor.serve(kind, handler)
+        processor.serve_spawned("read", self._handle_read)
+        processor.serve_spawned("write", self._handle_write)
+        processor.serve_spawned("vpread", self._handle_vpread)
+        processor.serve_spawned("reshard-install",
+                                self._handle_reshard_install)
+        processor.on_crash(self._on_crash)
+        processor.on_recover(self._on_recover)
 
     def _on_crash(self) -> None:
         """Volatile state vanishes; dirty uncommitted writes are undone.

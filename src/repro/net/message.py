@@ -18,7 +18,7 @@ class Message:
     """An immutable message in flight.
 
     ``kind`` is the protocol-level message type (``"newvp"``, ``"probe"``,
-    ``"read"``, ...) used for mailbox dispatch; ``payload`` carries the
+    ``"read"``, ...) the receiver dispatches on; ``payload`` carries the
     protocol fields; ``reply_to`` links responses to requests for the
     RPC helper.
     """

@@ -1,4 +1,4 @@
-"""Processor runtime: task hosting, mailboxes, RPC, durable storage."""
+"""Processor runtime: tasks, request handlers, mailboxes, RPC, durable storage."""
 
 from .processor import NoResponse, Processor
 from .storage import (

@@ -2,7 +2,11 @@
 
 A :class:`Processor` owns:
 
-* typed mailboxes — one FIFO per message kind, fed by the network;
+* the one inbound path (:meth:`Processor._on_delivery`): a reply goes to
+  its RPC waiter, a *served* kind (:meth:`Processor.serve`) runs its
+  handler at the delivery event, anything else queues in a typed
+  mailbox — one FIFO per message kind, for the tasks that ``select``
+  on a message against a timer (Figs. 5–7);
 * an RPC helper implementing the paper's ``send ... receive ...
   [no-response: ...]`` pattern (Figs. 9–11) with reply matching and a
   timeout;
@@ -25,6 +29,10 @@ from .transport import (  # noqa: F401  (NoResponse re-exported)
 )
 
 TaskFactory = Callable[[], Any]  # returns a generator
+Handler = Callable[[Message], None]
+
+#: one-shot processes tracked beyond twice the live ones before a prune
+SPAWN_SLACK = 16
 
 
 class Processor:
@@ -45,8 +53,13 @@ class Processor:
         self.tracer = None
         self._mailboxes: Dict[str, MessageQueue] = {}
         self._reply_waiters: Dict[int, Any] = {}
+        self._handlers: Dict[str, Handler] = {}
         self._task_factories: Dict[str, TaskFactory] = {}
         self._tasks: Dict[str, Process] = {}
+        #: one-shot processes in spawn order; finished ones are pruned
+        #: once the list outgrows ``_prune_at``
+        self._spawned: list[Process] = []
+        self._prune_at = SPAWN_SLACK
         self._crash_hooks: list[Callable[[], None]] = []
         self._recover_hooks: list[Callable[[], None]] = []
         network.register(pid, self._on_delivery)
@@ -96,6 +109,25 @@ class Processor:
         if waiter in result:
             return result[waiter]
         raise NoResponse(dst, kind)
+
+    def serve(self, kind: str, handler: Handler) -> None:
+        """Call ``handler(message)`` at the delivery event of every
+        ``kind`` request, in arrival order.
+
+        Handlers are plain callables; one that needs to wait starts its
+        own process with :meth:`spawn`.  The table outlives crashes: a
+        down processor drops the message, a recovered one serves again.
+        """
+        if kind in self._handlers:
+            raise KeyError(f"kind {kind!r} already served on {self.pid}")
+        self._handlers[kind] = handler
+
+    def serve_spawned(self, kind: str, body: Callable[[Message], Any]) -> None:
+        """:meth:`serve` ``kind`` with a handler that may wait: each
+        request runs the generator ``body(message)`` as its own
+        :meth:`spawn` process."""
+        name = f"serve-{kind}"
+        self.serve(kind, lambda message: self.spawn(name, body(message)))
 
     def mailbox(self, kind: str) -> MessageQueue:
         """The FIFO of unconsumed ``kind`` messages (created on demand)."""
@@ -205,7 +237,11 @@ class Processor:
                                  src=message.src, kind=message.kind,
                                  reply_to=message.reply_to)
             return
-        self.mailbox(message.kind).put(message)
+        handler = self._handlers.get(message.kind)
+        if handler is not None:
+            handler(message)
+        else:
+            self.mailbox(message.kind).put(message)
 
     # -- task management ----------------------------------------------------------
 
@@ -236,7 +272,11 @@ class Processor:
     def spawn(self, name: str, generator) -> Process:
         """Run a one-shot auxiliary process tied to this processor's life."""
         process = self.sim.process(generator, name=f"p{self.pid}.{name}")
-        self._tasks[f"{name}#{id(process)}"] = process
+        spawned = self._spawned
+        if len(spawned) >= self._prune_at:
+            spawned[:] = [p for p in spawned if p.is_alive]
+            self._prune_at = 2 * len(spawned) + SPAWN_SLACK
+        spawned.append(process)
         return process
 
     # -- failure model ------------------------------------------------------------
@@ -251,13 +291,9 @@ class Processor:
         if not self.alive:
             return
         self.alive = False
-        for process in self._tasks.values():
-            if process.is_alive:
-                process.kill()
-        self._tasks = {
-            name: process for name, process in self._tasks.items()
-            if name in self._task_factories
-        }
+        for process in (*self._tasks.values(), *self._spawned):
+            process.kill()
+        self._spawned.clear()
         for mailbox in self._mailboxes.values():
             mailbox.clear()
         self._reply_waiters.clear()

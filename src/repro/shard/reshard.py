@@ -114,9 +114,8 @@ class ReshardEngine:
     """Drives :class:`ReshardAction` s against a live cluster.
 
     Built by the experiment runner when a spec carries reshard actions;
-    a cluster that never reshards never constructs one (and never
-    creates the reshard mailboxes or tasks), keeping default runs
-    byte-identical to the golden trace.
+    a cluster that never reshards never constructs one, so default
+    runs carry no reshard timer, hook or message.
     """
 
     def __init__(self, cluster, policy, objects: Sequence[str],
@@ -151,21 +150,16 @@ class ReshardEngine:
     # -- wiring ---------------------------------------------------------------
 
     def enable(self) -> None:
-        """Register the server tasks and schedule every action.
+        """Schedule every action.
 
-        Idempotent wiring: each protocol gets a ``serve-reshard``
-        dispatcher task, each action an injector timer, and each
+        Idempotent wiring: each action gets an injector timer and each
         coordinator a recovery hook that resumes an interrupted
-        campaign from its journal.
+        campaign from its journal.  The server side needs none — every
+        protocol instance already serves the ``reshard-*`` kinds.
         """
         if self._enabled:
             return
         self._enabled = True
-        for proto in self.cluster.protocols.values():
-            processor = proto.processor
-            processor.add_task("serve-reshard", proto.serve_reshard)
-            if self.cluster._started and processor.alive:
-                processor.start()
         hooked = set()
         for index, action in enumerate(self.actions):
             pid = self._coordinator_of(action)

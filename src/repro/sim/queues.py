@@ -11,7 +11,7 @@ this, select-style loops would silently eat messages.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any
 
 from .events import _PENDING, Event
 
@@ -110,15 +110,6 @@ class MessageQueue:
         else:
             self._waiters.append(event)
         return event
-
-    def get_matching(self, predicate: Callable[[Any], bool]) -> Optional[Any]:
-        """Synchronously remove and return the first queued item matching
-        ``predicate``, or ``None`` if no queued item matches."""
-        for index, item in enumerate(self._items):
-            if predicate(item):
-                del self._items[index]
-                return item
-        return None
 
     def clear(self) -> None:
         """Drop queued items and orphan all waiters (used on crash)."""

@@ -151,3 +151,21 @@ def test_txn_status_racing_late_decide():
     assert cluster.history.txns[TXN].status == "committed"
     assert cluster.auditor.ok, [str(v) for v in cluster.auditor.violations]
     assert cluster.check_one_copy_serializable() is True
+
+
+def test_decision_applied_between_kick_and_first_resume():
+    """The resolver process first runs one event after ``kick_resolver``
+    spawned it; an outcome applied in that gap (a decide handled in the
+    same instant) used to make it read ``in_doubt[txn]`` after the entry
+    was gone — ``KeyError``, surfaced as ``ProcessCrashed`` out of
+    ``Simulator.run``.  It must find nothing to do and stand down."""
+    cluster = Cluster(processors=3, seed=1)
+    cluster.place("x", holders=[1, 2, 3], initial=0)
+    cluster.start()
+    host = cluster.protocol(1)
+    host.commit.note_in_doubt(TXN, 2)
+    host.commit.kick_resolver(TXN)
+    host._apply_decision(TXN, "abort")
+    cluster.run(until=cluster.sim.now + 5.0)
+    assert TXN not in host.commit.in_doubt
+    assert TXN not in host.commit.resolving, "resolver never exited"

@@ -6,7 +6,10 @@ import pytest
 
 from repro.net import CommGraph, FixedLatency, Network
 from repro.node import NoResponse, Processor
+from repro.node.processor import SPAWN_SLACK
 from repro.sim import Simulator
+from repro.workload.generator import WorkloadSpec
+from repro.workload.runner import ExperimentSpec, run_experiment
 
 
 def build(n=3):
@@ -184,3 +187,143 @@ def test_store_survives_crash():
     procs[1].crash()
     procs[1].recover()
     assert procs[1].store.read("x") == (42, (1, 1))
+
+
+# -- the handler table (Processor.serve) --------------------------------------
+
+
+def test_served_kind_runs_at_delivery_and_never_enters_a_mailbox():
+    sim, _, _, procs = build()
+    got = []
+    procs[2].serve("ping", lambda m: got.append((m.src, m.payload["n"],
+                                                  sim.now)))
+    before = sim.dispatched
+    procs[1].send(2, "ping", {"n": 7})
+    sim.run()
+    assert got == [(1, 7, 1.0)]
+    assert "ping" not in procs[2]._mailboxes
+    # one kernel event per message: its delivery, nothing queued behind it
+    assert sim.dispatched - before == 1
+
+
+def test_unserved_kind_still_lands_in_its_mailbox():
+    sim, _, _, procs = build()
+    procs[2].serve("ask", lambda m: procs[2].send(m.src, "answer",
+                                                  {"from": 2}))
+    procs[3].serve("ask", lambda m: procs[3].send(m.src, "answer",
+                                                  {"from": 3}))
+
+    def collector():
+        accepted = yield from procs[1].broadcast_collect(
+            [2, 3], "ask", None, reply_kind="answer", window=5.0,
+            accept=lambda m: True)
+        return sorted(m.payload["from"] for m in accepted), sim.now
+
+    proc = sim.process(collector())
+    procs[2].send(1, "stray")
+    sim.run()
+    assert proc.value == ([2, 3], 5.0)
+    assert [m.kind for m in procs[1].mailbox("stray").peek_all()] == ["stray"]
+
+
+def test_reply_goes_to_its_rpc_waiter_even_when_its_kind_is_served():
+    sim, _, _, procs = build()
+    served = []
+    procs[1].serve("echo", served.append)
+    procs[2].serve("echo", lambda m: procs[2].reply(m, "echo", m.payload))
+
+    def client():
+        response = yield from procs[1].rpc(2, "echo", {"text": "hi"},
+                                           timeout=5.0)
+        return response.payload["text"]
+
+    proc = sim.process(client())
+    sim.run()
+    assert proc.value == "hi"
+    assert served == []  # the reply never reached p1's own "echo" handler
+
+
+def test_crash_drops_served_messages_and_recovery_serves_again():
+    sim, graph, _, procs = build()
+    started, finished = [], []
+
+    def slow(message):
+        started.append(sim.now)
+        yield sim.timeout(10.0)
+        finished.append(sim.now)
+
+    procs[2].serve_spawned("work", slow)
+    procs[1].send(2, "work")
+    sim.run(until=2.0)
+    assert started == [1.0]
+    procs[2].crash()  # the handler's process dies with the processor...
+    procs[1].send(2, "work")  # ...and a down processor serves nothing
+    sim.run(until=20.0)
+    assert (started, finished) == ([1.0], [])
+    procs[2].recover()  # same registration, no re-serve() call
+    procs[1].send(2, "work")
+    sim.run()
+    assert (started, finished) == ([1.0, 21.0], [31.0])
+
+
+def test_serving_a_kind_twice_raises():
+    _, _, _, procs = build()
+    procs[1].serve("ping", lambda m: None)
+    with pytest.raises(KeyError):
+        procs[1].serve("ping", lambda m: None)
+    with pytest.raises(KeyError):
+        procs[1].serve_spawned("ping", lambda m: iter(()))
+
+
+def test_served_kinds_arriving_at_one_instant_run_in_arrival_order():
+    sim, _, _, procs = build()
+    order = []
+    # registered b-then-a; arrival order, not registration order, decides
+    procs[2].serve("b", lambda m: order.append(("b", m.src, sim.now)))
+    procs[2].serve("a", lambda m: order.append(("a", m.src, sim.now)))
+    procs[1].send(2, "a")
+    procs[3].send(2, "b")
+    procs[1].send(2, "b")
+    procs[3].send(2, "a")
+    sim.run()
+    assert order == [("a", 1, 1.0), ("b", 3, 1.0), ("b", 1, 1.0),
+                     ("a", 3, 1.0)]
+
+
+# -- one-shot process tracking (Processor.spawn) -------------------------------
+
+
+def test_spawn_forgets_finished_processes():
+    sim, _, _, procs = build()
+    proc = procs[1]
+
+    def short():
+        yield sim.timeout(1.0)
+
+    def keeper():
+        yield sim.timeout(10_000.0)
+
+    live = [proc.spawn("keeper", keeper()) for _ in range(3)]
+    for _ in range(1000):
+        proc.spawn("short", short())
+        sim.run(until=sim.now + 2.0)
+        assert len(proc._spawned) <= 2 * (len(live) + 1) + SPAWN_SLACK
+    assert all(p in proc._spawned for p in live)
+    proc.crash()
+    assert not any(p.is_alive for p in live)
+    assert proc._spawned == []
+
+
+def test_tracked_one_shots_are_bounded_by_in_flight_work():
+    """Failure-free run: every access spawns a handler process, yet a
+    processor tracks only the live ones plus the prune slack, not
+    every process ever spawned — however long the run."""
+    for duration in (150.0, 600.0):
+        result = run_experiment(ExperimentSpec(
+            processors=5, objects=20, seed=1, duration=duration,
+            workload=WorkloadSpec(read_fraction=0.5, ops_per_txn=4,
+                                  mean_interarrival=2.0)))
+        assert result.committed > duration / 10
+        for processor in result.cluster.processors.values():
+            live = sum(p.is_alive for p in processor._spawned)
+            assert len(processor._spawned) <= live + 4 * SPAWN_SLACK

@@ -76,17 +76,6 @@ def test_cancelled_get_does_not_steal_items():
     assert proc.value == "item"
 
 
-def test_get_matching_filters_synchronously():
-    sim = Simulator()
-    queue = MessageQueue(sim)
-    queue.put(1)
-    queue.put(2)
-    queue.put(3)
-    assert queue.get_matching(lambda x: x == 2) == 2
-    assert queue.peek_all() == [1, 3]
-    assert queue.get_matching(lambda x: x == 99) is None
-
-
 def test_clear_drops_items_and_orphans_waiters():
     sim = Simulator()
     queue = MessageQueue(sim)
