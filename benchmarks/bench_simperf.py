@@ -8,9 +8,10 @@ stands on.  This bench prints two tables:
 
 * **kernel** — a pure-kernel churn microbench: producer/consumer pairs
   exchanging messages through :class:`MessageQueue` with ``AnyOf``
-  timer races, i.e. exactly the select-loop shape the protocol tasks
-  use, with none of the protocol logic.  This isolates the dispatch
-  loop (packed ``(time, key, event)`` entries, lazy cancellation).
+  timeout races — the wait ``Processor.rpc`` and the mailbox readers
+  in the tests make — with none of the protocol logic.  This isolates
+  the dispatch loop (packed ``(time, key, event)`` entries, lazy
+  cancellation).
 * **vp** — events/sec for a message-heavy virtual-partitions run (the
   full stack: transport, locks, 2PC), via the runner's
   ``events_dispatched`` / ``wall_seconds`` counters.
@@ -40,7 +41,6 @@ import time
 
 from repro.sim import Simulator
 from repro.sim.queues import MessageQueue
-from repro.sim.timers import Timer
 from repro.workload import ExperimentSpec, WorkloadSpec, run_many
 from repro.workload.runner import run_experiment
 from repro.workload.tables import render_table
@@ -69,9 +69,9 @@ SMOKE = {
 
 def _build_churn(pairs: int, msgs: int) -> Simulator:
     """A kernel-only workload: ``pairs`` producer/consumer couples, the
-    consumer racing each receive against a timer (the losing timer is
-    cancelled — the lazy-deletion path) exactly like the protocol's
-    ``select from receive(...) | T.timeout`` loops."""
+    consumer racing each receive against a timeout (the losing
+    timeout is cancelled — the lazy-deletion path), the paper's
+    ``select from receive(...) | T.timeout``."""
     sim = Simulator()
 
     def producer(queue: MessageQueue):
@@ -79,19 +79,18 @@ def _build_churn(pairs: int, msgs: int) -> Simulator:
             yield sim.timeout(1.0)
             queue.put(index)
 
-    def consumer(queue: MessageQueue, timer: Timer):
+    def consumer(queue: MessageQueue):
         received = 0
         while received < msgs:
-            timer.set(3.0)
-            result = yield sim.any_of([queue.get(), timer.wait()])
-            received += sum(1 for event in result.events
-                            if not isinstance(event.value, Timer))
+            get = queue.get()
+            result = yield sim.any_of([get, sim.timeout(3.0)])
+            if get in result:
+                received += 1
 
     for index in range(pairs):
         queue = MessageQueue(sim, name=f"q{index}")
         sim.process(producer(queue), name=f"prod{index}")
-        sim.process(consumer(queue, Timer(sim, name=f"t{index}")),
-                    name=f"cons{index}")
+        sim.process(consumer(queue), name=f"cons{index}")
     return sim
 
 

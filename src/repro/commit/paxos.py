@@ -362,8 +362,7 @@ class PaxosCommit(AtomicCommit):
             replies = yield from self.processor.scatter_gather(
                 others, "px-p1",
                 lambda _server: {"txn": txn, "ballot": ballot, "rms": rms},
-                timeout=timeout, quorum=promise_quorum,
-                label=f"px-p1({txn})")
+                timeout=timeout, quorum=promise_quorum)
             promises.extend(r for r in replies.values()
                             if r is not None and r["ok"])
             if len(promises) < majority:
@@ -402,8 +401,7 @@ class PaxosCommit(AtomicCommit):
                 others, "px-p2",
                 lambda _server: {"txn": txn, "ballot": ballot,
                                  "votes": votes},
-                timeout=timeout, quorum=accept_quorum,
-                label=f"px-p2({txn})")
+                timeout=timeout, quorum=accept_quorum)
             accepted += sum(1 for r in replies.values()
                             if r is not None and r["ok"])
         if accepted < majority:

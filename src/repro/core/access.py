@@ -137,7 +137,6 @@ class AccessMixin:
                              "txn": ctx.txn_id, "ts": ctx.timestamp,
                              "version": version, "pe": route_epoch},
             timeout=self.config.access_timeout,
-            label=f"write({obj})",
         )
         self.metrics.physical_write_rpcs += len(targets)
         results = yield from call.gather()

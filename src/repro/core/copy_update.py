@@ -238,7 +238,6 @@ class UpdateMixin:
         results = yield from self.processor.scatter_gather(
             sources, "vpread", lambda _server: request,
             timeout=self.config.access_timeout,
-            label=f"vpread({obj})",
         )
         payloads = []
         retry = False
@@ -398,7 +397,6 @@ class UpdateMixin:
             lambda _server: {"obj": obj, "v": state.cur_id,
                              "after": None, "mode": "full"},
             timeout=self.config.access_timeout,
-            label=f"reshard-install({obj})",
         )
         answer = results[source]
         if answer is None or not answer["ok"]:

@@ -9,8 +9,11 @@ ones — a higher-id probe is unambiguous evidence that two different
 virtual partitions can communicate and should merge.
 
 ``Monitor-Probes`` never waits, so it is a handler served at each
-probe's delivery rather than a task.  Together they give the paper's
-convergence bound Δ = π + 8δ (measured by
+probe's delivery rather than a task.  ``Send-Probes`` sleeps π between
+rounds, which makes it the protocol's one task; its acknowledgements
+are served the same way for the 2δ of a round's collection window, and
+an ack that misses its window is dropped at delivery.  Together they
+give the paper's convergence bound Δ = π + 8δ (measured by
 ``benchmarks/bench_liveness.py``).
 """
 

@@ -66,6 +66,8 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         #: optional :class:`~repro.audit.InvariantAuditor`; None = off
         self.auditor = None
         self._create_vp_process = None
+        #: Fig. 6's armed 3δ wait for a commit (a Timeout), or None
+        self._commit_wait = None
         self._update_process = None
         self._before_images: dict = {}
         self._poisoned_txns: set = set()
@@ -108,14 +110,14 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         """Register the Fig. 3 task set, the request handlers and the
         crash/recover hooks.
 
-        Only the two loops that race a message against a timer are
-        tasks; every request kind is served at its delivery event —
-        handlers that never wait directly, the rest as one spawned
-        process per request.
+        Only the probe loop is a task; every inbound kind is served at
+        its delivery event — handlers that never wait directly (Fig. 6's
+        two among them), the rest as one spawned process per request.
         """
         processor = self.processor
-        processor.add_task("monitor-vp-creations", self.monitor_vp_creations)
         processor.add_task("send-probes", self.send_probes)
+        processor.serve("newvp", self.monitor_newvp)
+        processor.serve("commit", self.monitor_commit)
         processor.serve("probe", self.monitor_probe)
         processor.serve("reshard-gate", self._handle_reshard_gate)
         processor.serve("reshard-release", self._handle_reshard_release)
@@ -158,6 +160,7 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         self.commit.on_crash()
         self.cc = make_cc(self.config, self.sim, label=f"p{self.pid}.cc")
         self._wire_cc_tracer()
+        self._disarm_commit_wait()
         self.state.reset_volatile()
         if self.tracer is not None:
             self.tracer.emit("proc.crash", pid=self.pid)

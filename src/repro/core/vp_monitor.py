@@ -1,91 +1,92 @@
-"""Figure 6: the ``Monitor-VP-Creations`` task.
+"""Figure 6: ``Monitor-VP-Creations``.
 
 Accepts invitations to higher-numbered partitions, waits (3δ) for the
 initiator's commit, and — if the commit never arrives (the acceptance
 was lost, the initiator died, or the commit was lost) — starts a fresh
-partition creation itself.  This timer is what makes partition creation
+partition creation itself.  This wait is what makes partition creation
 self-healing under omission failures.
+
+The figure's ``select`` over ``newvp`` | ``commit`` | ``T.timeout``
+never waits inside a branch, so it is three callbacks on one piece of
+state rather than a task: the two message kinds are handlers served at
+their delivery events and the timer is one cancellable timeout
+(``_commit_wait``).  An invitation therefore raises ``max_id`` the
+instant it is delivered, before anything else at that instant can act
+on the old value.
 """
 
 from __future__ import annotations
-
-from ..sim import Timer
 
 
 class MonitorMixin:
     """Acceptor side of virtual partition creation."""
 
-    def monitor_vp_creations(self):
+    def monitor_newvp(self, message) -> None:
+        """Fig. 6 lines 6-10: accept only strictly higher ids."""
         state = self.state
-        timer = Timer(self.sim, name=f"p{self.pid}.monitor-vp")
-        newvp_box = self.processor.mailbox("newvp")
-        commit_box = self.processor.mailbox("commit")
-        while True:
-            newvp_get = newvp_box.get()
-            commit_get = commit_box.get()
-            tick = timer.wait()
-            fired = yield self.sim.any_of([newvp_get, commit_get, tick])
+        invited_id = message.payload["id"]
+        if not state.max_id < invited_id:
+            return
+        info = self._previous_info()
+        state.max_id = invited_id
+        state.depart()
+        # The durable max-id bump is forced before the acceptance
+        # leaves: a crash after accepting must not let this processor
+        # mint or accept ids below ``invited_id`` again.  The sync
+        # delays only this acceptance (a spawned delayed send), never
+        # later invitations: with concurrent initiators a blocking sync
+        # here would stack one forced write per invitation onto later
+        # accepts and push them past the initiators' invite_wait window
+        # (which budgets exactly one).
+        sync_cost = self.config.storage_sync_cost
+        if sync_cost > 0:
+            self.processor.spawn(
+                f"accept-sync{invited_id}",
+                self._delayed_accept(sync_cost, invited_id, info))
+        else:
+            self._send_accept(invited_id, info)
+        self._disarm_commit_wait()
+        self._commit_wait = self.sim.timeout(self.config.commit_wait)
+        self._commit_wait.callbacks = self._commit_wait_expired
 
-            if newvp_get in fired:
-                message = fired[newvp_get]
-                invited_id = message.payload["id"]
-                # Fig. 6 lines 6-10: accept only strictly higher ids.
-                if state.max_id < invited_id:
-                    info = self._previous_info()
-                    state.max_id = invited_id
-                    state.depart()
-                    # The durable max-id bump is forced before the
-                    # acceptance leaves: a crash after accepting must
-                    # not let this processor mint or accept ids below
-                    # ``invited_id`` again.  The sync delays only this
-                    # acceptance (a spawned delayed send), never the
-                    # monitor loop itself: with concurrent initiators a
-                    # blocking sync here would stack one forced write
-                    # per invitation onto later accepts and push them
-                    # past the initiators' invite_wait window (which
-                    # budgets exactly one).
-                    sync_cost = self.config.storage_sync_cost
-                    if sync_cost > 0:
-                        self.processor.spawn(
-                            f"accept-sync{invited_id}",
-                            self._delayed_accept(sync_cost, invited_id, info))
-                    else:
-                        self._send_accept(invited_id, info)
-                    timer.set(self.config.commit_wait)
+    def monitor_commit(self, message) -> None:
+        """Fig. 6 lines 12-20: commit only to the id we accepted last;
+        anything else is stale."""
+        state = self.state
+        committed_id = message.payload["id"]
+        if committed_id != state.max_id:
+            return
+        view = set(message.payload["view"])
+        # The membership check matters when our acceptance reached the
+        # initiator too late (or not at all): the committed view then
+        # excludes us, and joining it would violate S2 — every member
+        # of a view must be in that view.  Stay departed instead; the
+        # commit wait armed at accept time still expires and forms a
+        # fresh partition around us.
+        if self.pid not in view:
+            if self.tracer is not None:
+                self.tracer.emit("vp.commit-excluded", pid=self.pid,
+                                 vpid=committed_id, view=sorted(view))
+            return
+        self._commit_partition(committed_id, view,
+                               dict(message.payload["previous_map"]))
+        self._disarm_commit_wait()
 
-            elif commit_get in fired:
-                message = fired[commit_get]
-                committed_id = message.payload["id"]
-                view = set(message.payload["view"])
-                # Fig. 6 lines 12-20: commit only to the id we accepted
-                # last; anything else is stale.  The membership check
-                # matters when our acceptance reached the initiator too
-                # late (or not at all): the committed view then excludes
-                # us, and joining it would violate S2 — every member of
-                # a view must be in that view.  Stay departed instead;
-                # the commit_wait timer set at accept time still fires
-                # and forms a fresh partition around us.
-                if committed_id == state.max_id and self.pid not in view:
-                    if self.tracer is not None:
-                        self.tracer.emit("vp.commit-excluded", pid=self.pid,
-                                         vpid=committed_id,
-                                         view=sorted(view))
-                elif committed_id == state.max_id:
-                    self._commit_partition(
-                        committed_id,
-                        view,
-                        dict(message.payload["previous_map"]),
-                    )
-                    timer.reset()
+    def _commit_wait_expired(self, _event) -> None:
+        """Fig. 6 lines 22-24: no commit arrived in time; claim the
+        next identifier and try to form a partition."""
+        state = self.state
+        self._commit_wait = None
+        if self.tracer is not None:
+            self.tracer.emit("vp.commit-timeout", pid=self.pid,
+                             vpid=state.max_id)
+        state.max_id = state.max_id.successor(self.pid)
+        self.schedule_create_vp(state.max_id)
 
-            else:
-                # Fig. 6 lines 22-24: no commit arrived in time; claim
-                # the next identifier and try to form a partition.
-                if self.tracer is not None:
-                    self.tracer.emit("vp.commit-timeout", pid=self.pid,
-                                     vpid=state.max_id)
-                state.max_id = state.max_id.successor(self.pid)
-                self.schedule_create_vp(state.max_id)
+    def _disarm_commit_wait(self) -> None:
+        if self._commit_wait is not None:
+            self._commit_wait.cancel()
+            self._commit_wait = None
 
     def _send_accept(self, invited_id, info):
         if self.tracer is not None:

@@ -2,11 +2,11 @@
 
 A :class:`Processor` owns:
 
-* the one inbound path (:meth:`Processor._on_delivery`): a reply goes to
-  its RPC waiter, a *served* kind (:meth:`Processor.serve`) runs its
-  handler at the delivery event, anything else queues in a typed
-  mailbox — one FIFO per message kind, for the tasks that ``select``
-  on a message against a timer (Figs. 5–7);
+* the one inbound path (:meth:`Processor._on_delivery`): every message
+  is consumed by a callable at its delivery event — a reply by the one
+  its call registered, a *served* kind (:meth:`Processor.serve`, or an
+  open :meth:`Processor.broadcast_collect` window) by its handler;
+  a kind nobody serves queues in a typed mailbox, one FIFO per kind;
 * an RPC helper implementing the paper's ``send ... receive ...
   [no-response: ...]`` pattern (Figs. 9–11) with reply matching and a
   timeout;
@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from ..net.message import Message
 from ..net.network import Network
-from ..sim import MessageQueue, Process, Simulator, Timer
+from ..sim import MessageQueue, Process, Simulator
 from .storage import StorageEngine
 from .transport import (  # noqa: F401  (NoResponse re-exported)
     NoResponse, QuorumPredicate, ScatterCall, TransportStats,
@@ -33,6 +33,11 @@ Handler = Callable[[Message], None]
 
 #: one-shot processes tracked beyond twice the live ones before a prune
 SPAWN_SLACK = 16
+
+
+def _window_closed(message: Message) -> None:
+    """Serves a ``broadcast_collect`` reply kind between windows: an
+    ack that missed its window is dropped."""
 
 
 class Processor:
@@ -52,7 +57,8 @@ class Processor:
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
         self._mailboxes: Dict[str, MessageQueue] = {}
-        self._reply_waiters: Dict[int, Any] = {}
+        #: request id -> the callable its reply is handed to
+        self._reply_waiters: Dict[int, Callable[[Message], Any]] = {}
         self._handlers: Dict[str, Handler] = {}
         self._task_factories: Dict[str, TaskFactory] = {}
         self._tasks: Dict[str, Process] = {}
@@ -99,9 +105,9 @@ class Processor:
         elsewhere, or triggers a new virtual partition.
         """
         request = self.send(dst, kind, payload)
-        waiter = self.sim.event(name=f"rpc#{request.msg_id}")
-        self._reply_waiters[request.msg_id] = waiter
-        tick = self.sim.timeout(timeout, name=f"rpc-timeout#{request.msg_id}")
+        waiter = self.sim.event()
+        self._reply_waiters[request.msg_id] = waiter.succeed
+        tick = self.sim.timeout(timeout)
         try:
             result = yield self.sim.any_of([waiter, tick])
         finally:
@@ -145,21 +151,19 @@ class Processor:
 
     def scatter(self, targets: Iterable[int], kind: str,
                 payload_for: Callable[[int], Mapping[str, Any] | None],
-                *, timeout: float,
-                label: Optional[str] = None) -> ScatterCall:
+                *, timeout: float) -> ScatterCall:
         """Start parallel RPCs to ``targets``; gather the replies later.
 
         The two-phase form: requests go out now, the caller may do
         local work, then ``results = yield from call.gather()``.
         """
-        return ScatterCall(self, targets, kind, payload_for,
-                           timeout=timeout, label=label)
+        return ScatterCall(self, targets, kind, payload_for, timeout=timeout)
 
     def scatter_to_copies(self, directory, obj: str, view: Iterable[int],
                           kind: str,
                           payload_for: Callable[[int],
                                                 Mapping[str, Any] | None],
-                          *, timeout: float, label: Optional[str] = None):
+                          *, timeout: float):
         """Directory-routed fan-out: resolve ``obj``'s copy-holders
         inside ``view`` through ``directory`` and scatter to them.
 
@@ -170,23 +174,20 @@ class Processor:
         """
         targets = directory.write_targets(obj, view)
         self.transport.routed_fanouts += 1
-        call = self.scatter(targets, kind, payload_for,
-                            timeout=timeout, label=label)
+        call = self.scatter(targets, kind, payload_for, timeout=timeout)
         return targets, call
 
     def scatter_gather(self, targets: Iterable[int], kind: str,
                        payload_for: Callable[[int], Mapping[str, Any] | None],
                        *, timeout: float,
-                       quorum: Optional[QuorumPredicate] = None,
-                       label: Optional[str] = None):
+                       quorum: Optional[QuorumPredicate] = None):
         """Generator: parallel RPCs to ``targets`` under one deadline.
 
         Returns ``{target: reply_payload_or_None}`` (None = silence).
         With ``quorum``, stops early once the predicate holds on the
         partial map (see :meth:`ScatterCall.gather`).
         """
-        call = self.scatter(targets, kind, payload_for,
-                            timeout=timeout, label=label)
+        call = self.scatter(targets, kind, payload_for, timeout=timeout)
         results = yield from call.gather(quorum=quorum)
         return results
 
@@ -197,36 +198,38 @@ class Processor:
         """Generator: one-way broadcast, then a timed collection window.
 
         The Figs. 5/7 pattern: send ``kind`` to every target, then for
-        ``window`` time units drain the ``reply_kind`` mailbox, passing
-        each message to ``accept`` — which filters (return False to
-        ignore) and may record per-arrival state (trace events,
-        responder sets) at receipt time.  Returns the accepted messages.
+        ``window`` time units serve ``reply_kind``, passing each arrival
+        to ``accept`` — which filters (return False to ignore) and may
+        record per-arrival state (trace events, responder sets) at
+        receipt time.  Returns the accepted messages.  Outside a window
+        the kind is dropped at delivery, also after a crash killed the
+        collector; one window per kind may be open at a time.
         """
-        self.transport.broadcasts += 1
-        for dst in targets:
-            self.send(dst, kind, payload)
-        timer = Timer(self.sim, name=f"p{self.pid}.collect-{reply_kind}")
-        timer.set(window)
-        box = self.mailbox(reply_kind)
         collected: list[Message] = []
-        while True:
-            get = box.get()
-            tick = timer.wait()
-            fired = yield self.sim.any_of([get, tick])
-            if get in fired:
-                message = fired[get]
-                if accept(message):
-                    collected.append(message)
-            else:
-                return collected
+
+        def arrival(message: Message) -> None:
+            if accept(message):
+                collected.append(message)
+
+        if self._handlers.get(reply_kind) is _window_closed:
+            del self._handlers[reply_kind]
+        self.serve(reply_kind, arrival)
+        try:
+            self.transport.broadcasts += 1
+            for dst in targets:
+                self.send(dst, kind, payload)
+            yield self.sim.timeout(window)
+        finally:
+            self._handlers[reply_kind] = _window_closed
+        return collected
 
     def _on_delivery(self, message: Message) -> None:
         if not self.alive:
             return
         if message.reply_to is not None:
             waiter = self._reply_waiters.pop(message.reply_to, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(message)
+            if waiter is not None:
+                waiter(message)
                 return
             # Late or duplicate reply: nobody is waiting; drop it — but
             # visibly.  A steady stream of late replies means timeouts

@@ -3,27 +3,27 @@
 Every layer of the protocol speaks the same ``send … receive …
 [no-response: …]`` shape from the paper's figures: issue the same kind
 of request to a set of processors in parallel, wait under one deadline,
-and treat silence as evidence about the view.  Before this module each
-layer hand-rolled that loop (``one_write``, ``one_vote``, ``one_read``,
-the accept/ack collection loops, ``_fanout``); now they all route
+and treat silence as evidence about the view.  Every such site routes
 through two primitives owned by the :class:`~repro.node.processor.
 Processor`:
 
 * :class:`ScatterCall` — parallel RPCs with per-target reply matching
   (``scatter`` / ``gather``, or the one-shot ``scatter_gather``).  A
   caller-supplied *quorum predicate* enables early exit: once the
-  responses collected so far satisfy it, the remaining workers are
-  killed and the partial result map is returned
+  responses collected so far satisfy it, the legs still unanswered are
+  dropped and the partial result map is returned
   (``scatter_gather(..., quorum=…)``).
 * ``broadcast_collect`` (on the processor) — one-way broadcast followed
-  by a timed mailbox collection window, the Figs. 5/7 pattern where
-  replies are *not* RPC responses but independent messages.
+  by a timed collection window, the Figs. 5/7 pattern where replies are
+  *not* RPC responses but independent messages.
 
-Workers are plain simulation processes, **not** processor tasks: a
-crash of the calling processor must not orphan the gather — each worker
-is bounded by its RPC timeout, and a crashed sender's messages are
-dropped by the network anyway.  (This preserves the crash semantics the
-hand-rolled sites documented individually.)
+A call costs the kernel its messages and one deadline: every reply is
+consumed by a callback at its delivery event
+(:meth:`Processor._on_delivery`), and the whole call — however many
+legs — holds one timeout on the schedule.  The call is a plain object,
+**not** a processor task: a crash of the calling processor forgets the
+reply registrations, and the deadline still fires to count the silent
+legs, so nothing is orphaned.
 
 :class:`TransportStats` counts fan-outs, per-target RPCs, silences and
 early exits, and records the model-time duration of every completed
@@ -70,7 +70,7 @@ class TransportStats:
     early_exits: int = 0
     #: scatter calls whose target set came from a directory lookup
     routed_fanouts: int = 0
-    #: replies that arrived after their waiter timed out or was killed
+    #: replies that arrived after their waiter timed out or was dropped
     late_replies: int = 0
     #: model-time duration of each completed gather
     fanout_latencies: List[float] = field(default_factory=list)
@@ -79,7 +79,7 @@ class TransportStats:
 class ScatterCall:
     """An in-flight parallel RPC fan-out.
 
-    Created by :meth:`Processor.scatter`; the request workers start
+    Created by :meth:`Processor.scatter`; the requests leave
     immediately.  Call :meth:`gather` (a generator — drive it with
     ``yield from``) to wait for the result map ``{target: payload}``
     where ``None`` marks a silent target.  Creating the call and
@@ -90,64 +90,73 @@ class ScatterCall:
 
     def __init__(self, processor, targets: Iterable[int], kind: str,
                  payload_for: Callable[[int], Optional[Mapping[str, Any]]],
-                 *, timeout: float, label: Optional[str] = None):
+                 *, timeout: float):
         self.processor = processor
         self.sim = processor.sim
-        self.kind = kind
         self.started_at = self.sim.now
         stats = processor.transport
         stats.fanouts += 1
-        prefix = label or kind
-        self._procs: Dict[int, Any] = {}
+        #: reply payload (None = silence) per target, in arrival order
+        self._results: Dict[int, Any] = {}
+        #: request id -> target of every leg still unanswered
+        self._pending: Dict[int, int] = {}
+        self._quorum: Optional[QuorumPredicate] = None
+        #: the event a blocked :meth:`gather` waits on
+        self._wake = None
+        waiters = processor._reply_waiters
+        on_reply = self._on_reply  # one bound method for all legs
         for server in targets:
             stats.rpcs += 1
-            self._procs[server] = self.sim.process(
-                self._one(server, payload_for(server), timeout),
-                name=f"{prefix}->{server}",
-            )
+            request = processor.send(server, kind, payload_for(server))
+            self._pending[request.msg_id] = server
+            waiters[request.msg_id] = on_reply
+        self._targets = list(self._pending.values())
+        if self._pending:
+            self._deadline = self.sim.timeout(timeout)
+            self._deadline.callbacks = self._on_deadline
 
-    def _one(self, server: int, payload, timeout: float):
-        try:
-            response = yield from self.processor.rpc(
-                server, self.kind, payload, timeout=timeout
-            )
-        except NoResponse:
-            self.processor.transport.no_responses += 1
-            return None
-        return response.payload
+    def _on_reply(self, message) -> None:
+        self._results[self._pending.pop(message.reply_to)] = message.payload
+        if self._pending:
+            if self._quorum is None or not self._quorum(self._results):
+                return
+            self.processor.transport.early_exits += 1
+        self._deadline.cancel()
+        self._finish()
+
+    def _on_deadline(self, _event) -> None:
+        """Every leg still unanswered is a silence."""
+        self.processor.transport.no_responses += len(self._pending)
+        for server in self._pending.values():
+            self._results[server] = None
+        self._finish()
+
+    def _finish(self) -> None:
+        """Forget the legs still unanswered; wake a blocked gather."""
+        waiters = self.processor._reply_waiters
+        for request_id in self._pending:
+            waiters.pop(request_id, None)
+        self._pending.clear()
+        if self._wake is not None:
+            self._wake.succeed()
 
     def gather(self, quorum: Optional[QuorumPredicate] = None):
         """Generator: collect ``{target: payload_or_None}``.
 
-        Without ``quorum``, waits for every worker (each bounded by the
-        call's timeout).  With it, the predicate is evaluated on the
-        partial result map after every arrival; once satisfied the
-        remaining workers are killed and the partial map is returned —
-        absent targets are simply missing keys, distinct from the
-        explicit ``None`` of a timed-out target.
+        Without ``quorum``, waits until every target has answered or
+        the call's deadline has passed, and returns the map in target
+        order.  With it, the predicate is evaluated on the partial
+        result map after every arrival; once satisfied the legs still
+        unanswered are dropped and the partial map is returned in
+        arrival order — absent targets are simply missing keys,
+        distinct from the explicit ``None`` of a timed-out target.
         """
-        stats = self.processor.transport
-        procs = self._procs
-        if not procs:
-            stats.fanout_latencies.append(0.0)
-            return {}
-        if quorum is None:
-            fired = yield self.sim.all_of(list(procs.values()))
-            results = {server: fired[proc] for server, proc in procs.items()}
-        else:
-            results: Dict[int, Any] = {}
-            pending = dict(procs)
-            while pending:
-                fired = yield self.sim.any_of(list(pending.values()))
-                for server, proc in list(pending.items()):
-                    if proc in fired:
-                        results[server] = fired[proc]
-                        del pending[server]
-                if pending and quorum(results):
-                    for proc in pending.values():
-                        if proc.is_alive:
-                            proc.kill()
-                    stats.early_exits += 1
-                    break
-        stats.fanout_latencies.append(self.sim.now - self.started_at)
-        return results
+        if self._pending:
+            self._quorum = quorum
+            self._wake = self.sim.event()
+            yield self._wake
+        self.processor.transport.fanout_latencies.append(
+            self.sim.now - self.started_at)
+        if quorum is not None:
+            return self._results
+        return {server: self._results[server] for server in self._targets}

@@ -199,7 +199,6 @@ class QuorumProtocol(BaselineServerMixin, ReplicaControlProtocol):
             results = yield from self.processor.scatter_gather(
                 wave, kind, payload_for,
                 timeout=self.config.access_timeout,
-                label=f"{kind}({obj})",
             )
             for server, payload in results.items():
                 if payload is not None and payload["ok"]:

@@ -307,7 +307,6 @@ class ReshardEngine:
                 waiting, "reshard-release",
                 lambda p: {"obj": obj, "retire": p in drops},
                 timeout=config.access_timeout,
-                label=f"reshard-release({obj})",
             )
             waiting = [p for p in waiting
                        if results[p] is None or not results[p]["ok"]]
@@ -432,7 +431,6 @@ class ReshardEngine:
             results = yield from processor.scatter_gather(
                 waiting, "reshard-gate", lambda _p: {"obj": obj},
                 timeout=config.access_timeout,
-                label=f"reshard-gate({obj})",
             )
             for pid in list(waiting):
                 if results[pid] is not None:
@@ -457,7 +455,6 @@ class ReshardEngine:
             # the handler runs a nested vpread under access_timeout;
             # give the outer call room for both legs
             timeout=2 * config.access_timeout + config.delta,
-            label=f"reshard-install({obj})",
         )
         floor = _UNSET
         for pid in adds:

@@ -2,7 +2,7 @@
 
 The substrate on which the whole reproduction runs: a seeded,
 wall-clock-free event loop with generator-based processes, cancellable
-composite waits, paper-style restartable timers, and FIFO mailboxes.
+composite waits, cancellable timeouts, and FIFO mailboxes.
 """
 
 from .errors import (
@@ -18,7 +18,6 @@ from .process import Process
 from .queues import GetEvent, MessageQueue
 from .rng import RandomStreams
 from .sync import Notifier
-from .timers import Timer
 
 __all__ = [
     "AllOf",
@@ -39,6 +38,5 @@ __all__ = [
     "Simulator",
     "StopSimulation",
     "Timeout",
-    "Timer",
     "URGENT",
 ]

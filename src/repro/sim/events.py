@@ -323,9 +323,9 @@ _NOT_FIRED: list = []
 class AnyOf(Condition):
     """Fires as soon as one sub-event fires; remaining ones are cancelled.
 
-    This is the select-loop workhorse (``receive | timeout`` races run
-    on every protocol task iteration), so it bypasses the generic
-    :class:`Condition` machinery: the first sub-event to fire triggers
+    This is the race workhorse (``reply | timeout`` on every single
+    RPC, ``grant | timeout`` on every lock wait), so it bypasses the
+    generic :class:`Condition` machinery: the first to fire triggers
     the composite inline — no ``_satisfied`` indirection, no generic
     result assembly, no per-instance ``_fired`` list until the winner
     is known.

@@ -8,7 +8,9 @@ processes can wait on each other.
 
 This mirrors the task structure of the paper's pseudocode (Figures
 3–12): each ``task ... cycle ... endcycle`` becomes a generator loop and
-each ``select from receive(...) | T.timeout`` becomes a ``yield AnyOf``.
+a wait on one of several sources becomes a ``yield AnyOf``.  (A
+``select`` whose branches never wait — Fig. 6 — needs no process at
+all: see :mod:`repro.core.vp_monitor`.)
 """
 
 from __future__ import annotations

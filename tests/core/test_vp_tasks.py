@@ -5,7 +5,14 @@ concurrent initiators, lost commits, stale probes — and check the
 arbitration rules the paper relies on.
 """
 
+import sys
+
 from repro import Cluster, VpId
+from repro.core.protocol import VirtualPartitionProtocol
+from repro.net.nemesis import FaultAction
+from repro.workload.failures import ScheduledNemesis
+from repro.workload.generator import WorkloadSpec
+from repro.workload.runner import ExperimentSpec, run_experiment
 
 
 def build(n=4, seed=0, **kwargs):
@@ -145,3 +152,138 @@ def test_view_history_records_every_joined_partition():
     assert state.cur_id in state.view_history
     assert state.view_history[state.cur_id] == frozenset(state.lview)
     assert len(state.view_history) >= 3  # boot, split, merge
+
+
+# -- Fig. 6 as three callbacks on one state -----------------------------------
+# ``newvp`` and ``commit`` are handled at their delivery events and the
+# 3δ wait is one cancellable timeout; these drive all three through
+# real deliveries (δ = 1, so a message sent at t lands at t + 1).
+
+HUGE = VpId(99, 1)
+
+
+def fig6(cluster, etype):
+    """p2's trace events of ``etype`` as ``(time, vpid)`` pairs."""
+    return [(event.time, event.fields["vpid"])
+            for event in cluster.tracer.by_type(etype) if event.pid == 2]
+
+
+def test_invitation_with_equal_id_is_ignored():
+    cluster = build(trace=True)
+    cluster.run(until=5.0)
+    protocol = cluster.protocol(2)
+    cluster.processors[1].send(2, "newvp", {"id": protocol.state.max_id})
+    cluster.run(until=7.0)
+    assert protocol.assigned
+    assert fig6(cluster, "vp.accept") == []
+    assert protocol._commit_wait is None
+
+
+def test_accept_rearms_the_commit_wait():
+    cluster = build(trace=True)
+    cluster.run(until=5.0)
+    wait = cluster.config.commit_wait
+    cluster.processors[1].send(2, "newvp", {"id": HUGE})  # lands at 6
+    cluster.run(until=7.0)
+    higher = VpId(100, 1)
+    cluster.processors[1].send(2, "newvp", {"id": higher})  # lands at 8
+    cluster.run(until=8.0 + wait - 0.5)  # past the first arming's expiry
+    assert fig6(cluster, "vp.accept") == [(6.0, HUGE), (8.0, higher)]
+    assert fig6(cluster, "vp.commit-timeout") == []
+    assert cluster.protocol(2).state.max_id == higher
+    cluster.run(until=8.0 + wait + 0.5)
+    assert fig6(cluster, "vp.commit-timeout") == [(8.0 + wait, higher)]
+
+
+def test_commit_excluding_us_leaves_the_wait_armed():
+    cluster = build(trace=True)
+    cluster.run(until=5.0)
+    protocol = cluster.protocol(2)
+    cluster.processors[1].send(2, "newvp", {"id": HUGE})
+    cluster.run(until=6.5)
+    armed = protocol._commit_wait
+    cluster.processors[1].send(2, "commit", {
+        "id": HUGE, "view": [1, 3], "previous_map": {},
+    })
+    cluster.run(until=8.0)
+    assert fig6(cluster, "vp.commit-excluded") == [(7.5, HUGE)]
+    assert not protocol.assigned
+    assert protocol._commit_wait is armed
+    # Lines 22-24 still run: the expiry mints the successor and
+    # schedules Create-VP, whose invitation leaves at the same instant.
+    expiry = 6.0 + cluster.config.commit_wait
+    cluster.run(until=expiry + 0.5)
+    assert fig6(cluster, "vp.commit-timeout") == [(expiry, HUGE)]
+    assert fig6(cluster, "vp.invite") == [(expiry, HUGE.successor(2))]
+    assert protocol._commit_wait is None
+
+
+def test_commit_we_are_in_disarms_the_wait():
+    cluster = build(trace=True)
+    cluster.run(until=5.0)
+    protocol = cluster.protocol(2)
+    cluster.processors[1].send(2, "newvp", {"id": HUGE})
+    cluster.run(until=6.5)
+    cluster.processors[1].send(2, "commit", {
+        "id": HUGE, "view": [1, 2], "previous_map": {},
+    })
+    cluster.run(until=8.0)
+    assert protocol.current_partition == HUGE
+    assert protocol._commit_wait is None
+    cluster.run(until=6.0 + cluster.config.commit_wait + 0.5)
+    assert fig6(cluster, "vp.commit-timeout") == []
+
+
+def test_crash_while_armed_fires_nothing_after_recovery():
+    cluster = build(trace=True)
+    cluster.injector.crash_at(7.0, 2)
+    cluster.injector.recover_at(8.0, 2)
+    cluster.run(until=5.0)
+    protocol = cluster.protocol(2)
+    cluster.processors[1].send(2, "newvp", {"id": HUGE})
+    cluster.run(until=6.5)
+    assert protocol._commit_wait is not None
+    cluster.run(until=7.5)
+    assert protocol._commit_wait is None
+    cluster.run(until=6.0 + cluster.config.commit_wait + 3.0)
+    assert fig6(cluster, "vp.commit-timeout") == []
+    # the durable max-id survived: p2 rebooted above the accepted id
+    assert protocol.state.max_id > HUGE
+
+
+def test_refusal_does_not_beat_a_same_instant_invitation(monkeypatch):
+    """The tie Fig. 6's handlers decide.  When a generation forms, a
+    member's recovery read can be refused ("wrong-partition") at the
+    very instant a higher-numbered invitation reaches it.  Handled at
+    delivery, the invitation departs the member first and the refusal
+    is no longer actionable; were the invitation still queued behind
+    the reply, every member of the generation would mint a competing
+    partition from ``_update_one_object``'s no-response branch.
+
+    The ledger's ``fault-churn`` spec at a quarter of its duration,
+    seed 2; the counts are those of the mailbox-loop implementation.
+    """
+    actions = []
+    for start in (20.0, 140.0):
+        actions.append(FaultAction(time=start, kind="partition",
+                                   args=((1, 2, 3), (4, 5)), hold=40.0))
+        actions.append(FaultAction(time=start + 60.0, kind="crash",
+                                   args=(2,), hold=25.0))
+    minted_by = []
+    create_new_vp = VirtualPartitionProtocol.create_new_vp
+
+    def counted(self):
+        if self.state.assigned:
+            minted_by.append(sys._getframe(1).f_code.co_name)
+        create_new_vp(self)
+
+    monkeypatch.setattr(VirtualPartitionProtocol, "create_new_vp", counted)
+    result = run_experiment(ExperimentSpec(
+        processors=5, clients=2, seed=2, duration=330.0, grace=80.0,
+        retries=0, objects=40, audit=True, open_loop=True,
+        workload=WorkloadSpec(read_fraction=0.5, ops_per_txn=2,
+                              mean_interarrival=4.0),
+        failures=ScheduledNemesis(tuple(actions))))
+    assert result.registry.snapshot()["gauges"]["protocol.vp_created"] == 29
+    assert minted_by.count("_update_one_object") == 8
+    assert not result.audit_violations

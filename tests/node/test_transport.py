@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.net import CommGraph, FixedLatency, Network
 from repro.node import Processor
 from repro.sim import Simulator
@@ -180,10 +182,9 @@ def test_late_reply_is_counted_and_traced():
 
 
 def test_quorum_kill_leaves_no_reply_waiters():
-    """Early-exit cleanup: killing straggler RPC workers must run their
-    ``finally`` blocks, deregistering every reply waiter — and the
-    straggler's eventual reply is dropped as a late reply, not an
-    error."""
+    """Early-exit cleanup: dropping the straggler legs deregisters
+    every reply waiter — and the straggler's eventual reply is dropped
+    as a late reply, not an error."""
     sim, _, _, procs = build()
     sim.process(echo_server(procs[2])())
     sim.process(echo_server(procs[3])())
@@ -199,6 +200,199 @@ def test_quorum_kill_leaves_no_reply_waiters():
     sim.run()  # runs past t=52, when p4's reply finally arrives
     results, waiters_at_exit, finished_at = proc.value
     assert results == {2, 3} and finished_at == 2.0
-    assert waiters_at_exit == {}  # killed workers cleaned up after themselves
+    assert waiters_at_exit == {}  # the dropped leg was deregistered
     assert procs[1]._reply_waiters == {}
     assert procs[1].transport.late_replies == 1  # p4's orphaned reply
+
+
+# -- one wait shape: callbacks at the delivery event --------------------------
+# A fan-out costs the kernel its messages, one deadline and one wake-up;
+# a collection window its messages and one timeout.  The budgets below
+# are closed forms, the way E16 pins the kernel churn.
+
+
+def serve_echo(proc, kind="echo"):
+    proc.serve(kind, lambda request: proc.reply(
+        request, f"{kind}-reply", {"pid": proc.pid, "n": request.payload["n"]}))
+
+
+def live_entries(sim):
+    return [entry for entry in sim._queue if not entry[2]._cancelled]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_scatter_gather_event_budget(k):
+    """k requests + k replies + the caller's start, wake-up and finish."""
+    sim, _, _, procs = build(n=6)
+    targets = list(range(2, 2 + k))
+    for p in targets:
+        serve_echo(procs[p])
+
+    def caller():
+        results = yield from procs[1].scatter_gather(
+            targets, "echo", lambda server: {"n": server}, timeout=5.0)
+        return results
+
+    proc = sim.process(caller())
+    sim.run(until=1.5)
+    # in flight: k reply deliveries and the call's one deadline
+    assert len(live_entries(sim)) == k + 1
+    sim.run()
+    assert sorted(proc.value) == targets
+    assert sim.dispatched == 2 * k + 3
+    assert sim.now == 2.0  # the cancelled deadline never moved the clock
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_broadcast_collect_event_budget(k):
+    """k pings + k acks + the caller's start, window timeout and finish."""
+    sim, _, _, procs = build(n=6)
+    targets = list(range(2, 2 + k))
+    for p in targets:
+        procs[p].serve("ping", lambda m, proc=procs[p]: proc.send(
+            m.src, "pong", {"from": proc.pid}))
+
+    def caller():
+        collected = yield from procs[1].broadcast_collect(
+            targets, "ping", {}, reply_kind="pong", window=5.0,
+            accept=lambda m: True)
+        return [m.payload["from"] for m in collected]
+
+    proc = sim.process(caller())
+    sim.run(until=1.5)
+    assert len(live_entries(sim)) == k + 1  # k acks and the window
+    sim.run()
+    assert proc.value == targets
+    assert sim.dispatched == 2 * k + 3
+
+
+def test_gather_after_every_reply_does_not_wait():
+    sim, _, _, procs = build()
+    for p in (2, 3):
+        serve_echo(procs[p])
+    call = procs[1].scatter([2, 3], "echo", lambda server: {"n": server},
+                            timeout=5.0)
+    sim.run(until=3.0)  # both replies were back at t=2.0
+    with pytest.raises(StopIteration) as stop:
+        next(call.gather())
+    assert sorted(stop.value.value) == [2, 3]
+    assert procs[1].transport.fanout_latencies == [3.0]
+
+
+def test_abandoned_scatter_cleans_up_at_the_deadline():
+    """2PC abandons its prepare scatter when the local vote fails: the
+    replies are absorbed, the silent leg is counted at the deadline."""
+    sim, graph, _, procs = build()
+    graph.cut_link(1, 3)
+    for p in (2, 3, 4):
+        serve_echo(procs[p])
+    procs[1].scatter([2, 3, 4], "echo", lambda server: {"n": server},
+                     timeout=3.0)
+    sim.run(until=2.5)
+    assert len(procs[1]._reply_waiters) == 1  # p3's leg
+    sim.run()
+    assert sim.now == 3.0
+    stats = procs[1].transport
+    assert procs[1]._reply_waiters == {}
+    assert stats.no_responses == 1 and stats.late_replies == 0
+    assert stats.fanout_latencies == []  # nobody gathered
+
+
+def test_caller_crash_mid_fanout_counts_the_silent_legs():
+    sim, _, _, procs = build()
+    serve_echo(procs[2])
+    for p in (3, 4):
+        sim.process(echo_server(procs[p], delay=5.0)())
+
+    def caller():
+        yield from procs[1].scatter_gather(
+            [2, 3, 4], "echo", lambda server: {"n": server}, timeout=4.0)
+        raise AssertionError("a crashed caller never resumes")
+
+    procs[1].spawn("caller", caller())
+    sim.run(until=2.5)  # p2 has answered, p3 and p4 have not
+    procs[1].crash()
+    assert procs[1]._reply_waiters == {}
+    procs[1].recover()
+    sim.run()
+    stats = procs[1].transport
+    assert stats.no_responses == 2  # counted by the deadline at t=4.0
+    assert stats.late_replies == 2  # p3, p4 answered a forgotten call
+    assert procs[1]._reply_waiters == {}
+
+
+def test_reply_at_the_deadline_instant_is_late():
+    sim, _, _, procs = build()
+    serve_echo(procs[2])
+
+    def caller():
+        results = yield from procs[1].scatter_gather(
+            [2], "echo", lambda server: {"n": server}, timeout=2.0)
+        return results
+
+    proc = sim.process(caller())
+    sim.run()
+    assert proc.value == {2: None}
+    stats = procs[1].transport
+    assert stats.no_responses == 1 and stats.late_replies == 1
+    assert stats.fanout_latencies == [2.0]
+
+
+def test_result_order_target_without_quorum_arrival_with():
+    sim, _, _, procs = build()
+    serve_echo(procs[2])
+    sim.process(echo_server(procs[3], delay=1.0)())
+    sim.process(echo_server(procs[4], delay=2.0)())
+
+    def caller():
+        plain = yield from procs[1].scatter_gather(
+            [4, 2, 3], "echo", lambda server: {"n": server}, timeout=9.0)
+        voted = yield from procs[1].scatter_gather(
+            [4, 2, 3], "echo", lambda server: {"n": server}, timeout=9.0,
+            quorum=lambda partial: False)
+        return (list(plain), list(voted))
+
+    proc = sim.process(caller())
+    sim.run()
+    assert proc.value == ([4, 2, 3], [2, 3, 4])
+    assert procs[1].transport.early_exits == 0
+
+
+def test_second_window_on_an_open_reply_kind_raises():
+    sim, _, _, procs = build()
+    first = procs[1].broadcast_collect(
+        [2], "ping", {}, reply_kind="pong", window=5.0,
+        accept=lambda m: True)
+    sim.process(first)
+    sim.run(until=1.0)
+    second = procs[1].broadcast_collect(
+        [3], "ping", {}, reply_kind="pong", window=5.0,
+        accept=lambda m: True)
+    with pytest.raises(KeyError):
+        next(second)
+    assert procs[1].transport.broadcasts == 1
+    sim.run()  # the first window closes; the kind can be collected again
+    third = procs[1].broadcast_collect(
+        [3], "ping", {}, reply_kind="pong", window=5.0,
+        accept=lambda m: True)
+    next(third)
+    assert procs[1].transport.broadcasts == 2
+
+
+def test_killed_collector_leaves_the_kind_dropping():
+    sim, _, _, procs = build()
+    procs[2].serve("ping", lambda m: procs[2].send(m.src, "pong", {}))
+    seen = []
+    procs[1].spawn("collect", procs[1].broadcast_collect(
+        [2], "ping", {}, reply_kind="pong", window=5.0,
+        accept=lambda m: seen.append(m) or True))
+    sim.run(until=1.5)
+    procs[1].crash()
+    procs[1].recover()
+    sim.run()  # the ack lands at t=2.0 on a recovered processor
+    assert seen == []
+    assert len(procs[1].mailbox("pong")) == 0
+    # ...and the next window opens without complaint
+    next(procs[1].broadcast_collect(
+        [2], "ping", {}, reply_kind="pong", window=5.0,
+        accept=lambda m: True))

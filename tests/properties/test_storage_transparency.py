@@ -44,8 +44,17 @@ TXNS_PER_CLIENT = 4
 #: the fault path first resolves the other legal way; committed 36 /
 #: aborted 52, the committed write-tag set and the 1SR verdict are
 #: equal.
+#:
+#: Re-captured once more, at PR 18 (was ``1d91d789…3f34d``): replies,
+#: collection windows and Fig. 6's invitations are consumed at their
+#: delivery events too, so same-instant order moved again — first at
+#: t=32.001, where the five probe windows opened at t=30 now close in
+#: pid order.  With ``seq`` stripped the old and new traces hold the
+#: same events at every instant of the whole run; committed 36 /
+#: aborted 52, the committed write-tag set and the 1SR verdict are
+#: equal.
 GOLDEN_TRACE_SHA = \
-    "1d91d789ee8e20f775d6b3d4f30f714600cbe554aeb53d1d3cae7c1b03c0f34d"
+    "6e021101f53c072e480e805e2cbbda5add17608b8427ed2263ba9504d2dfb6b5"
 #: event families added by this refactor, filtered before hashing
 NEW_EVENT_FAMILIES = ("storage.", "msg.late-reply")
 
@@ -55,9 +64,14 @@ NEW_EVENT_FAMILIES = ("storage.", "msg.late-reply")
 #: delivery of a batched envelope — which the default-config pin above
 #: never exercises.  Re-captured at PR 17 with the pin above (was
 #: ``2f1b0c4b…8296``): same events per instant up to t=36.0, committed
-#: 40 / aborted 28, tag set and 1SR verdict equal.
+#: 40 / aborted 28, tag set and 1SR verdict equal.  Re-captured at
+#: PR 18 with the pin above (was ``583bb0be…94f8``): same events per
+#: instant up to t=33.001, where five simultaneous invitations now
+#: arrive in pid order and p1, p2 also accept ``vp(2,3)`` on the way
+#: to ``vp(2,4)`` — which commits the same view at the same instant;
+#: committed 40 / aborted 28, tag set and 1SR verdict equal.
 BATCHED_GOLDEN_TRACE_SHA = \
-    "583bb0be18851e2f7f0716180b542cd14bb2d31c5c47ca010971c21f1cc194f8"
+    "4786c2a5580cd96615baeb7aef683577fd8dc0f57021e2979682a93cbe6fc02c"
 
 
 def _spec(config, failures, read_fraction, trace=False):

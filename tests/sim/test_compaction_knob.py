@@ -16,12 +16,11 @@ import pytest
 from repro.sim import Simulator
 from repro.sim.kernel import _COMPACT_MIN
 from repro.sim.queues import MessageQueue
-from repro.sim.timers import Timer
 
 
 def _churn_sim(compact_min, pairs=3, msgs=30):
     """The bench's producer/consumer churn shape, sized for tests:
-    every receive races a timer whose loser is cancelled — the
+    every receive races a timeout whose loser is cancelled — the
     lazy-deletion traffic compaction exists for."""
     sim = Simulator(compact_min=compact_min)
 
@@ -30,19 +29,18 @@ def _churn_sim(compact_min, pairs=3, msgs=30):
             yield sim.timeout(1.0)
             queue.put(index)
 
-    def consumer(queue, timer):
+    def consumer(queue):
         received = 0
         while received < msgs:
-            timer.set(3.0)
-            result = yield sim.any_of([queue.get(), timer.wait()])
-            received += sum(1 for event in result.events
-                            if not isinstance(event.value, Timer))
+            get = queue.get()
+            result = yield sim.any_of([get, sim.timeout(3.0)])
+            if get in result:
+                received += 1
 
     for index in range(pairs):
         queue = MessageQueue(sim, name=f"q{index}")
         sim.process(producer(queue), name=f"prod{index}")
-        sim.process(consumer(queue, Timer(sim, name=f"t{index}")),
-                    name=f"cons{index}")
+        sim.process(consumer(queue), name=f"cons{index}")
     return sim
 
 

@@ -12,7 +12,6 @@ from repro.sim import EmptySchedule, Simulator
 from repro.sim.events import URGENT, Event, Timeout
 from repro.sim.kernel import _COMPACT_MIN
 from repro.sim.queues import MessageQueue
-from repro.sim.timers import Timer
 
 
 def test_cancelled_timeouts_are_never_dispatched():
@@ -64,12 +63,10 @@ def test_double_cancel_is_idempotent():
 def test_anyof_loser_timer_is_cancelled():
     sim = Simulator()
     queue = MessageQueue(sim, name="inbox")
-    timer = Timer(sim, name="t")
     outcomes = []
 
     def receiver():
-        timer.set(10.0)
-        result = yield sim.any_of([queue.get(), timer.wait()])
+        result = yield sim.any_of([queue.get(), sim.timeout(10.0)])
         outcomes.append([e.value for e in result.events])
 
     def sender():
@@ -186,29 +183,9 @@ def test_run_until_horizon_leaves_future_events_intact():
 
 # -- schedule entries carry the event ---------------------------------------
 # An entry is ``(time, key, event)`` and a cancelled entry stays put until
-# the kernel reaches it, so three things have to hold: a superseded entry
-# never fires, the cancelled-entry debt counter matches what is really
-# queued, and ordering never falls through to the event object.
-
-
-def test_rearmed_timer_fires_once_at_the_last_expiry():
-    """100 re-arms with compaction off: all 99 superseded Timeouts are
-    still in the heap, ahead of the live one, when the run starts."""
-    sim = Simulator(compact_min=10**9)
-    timer = Timer(sim, name="t")
-    fired = []
-    for index in range(100):
-        timer.set(5.0 + index)
-        gate = timer.wait()
-        gate.add_callback(lambda e: fired.append(sim.now))
-        if index % 2 == 0:
-            gate.cancel()  # what a lost AnyOf race does; recycles the gate
-    assert len(sim._queue) == 100
-    assert sim._cancelled_count == 99
-    sim.run()
-    assert fired == [104.0]
-    assert sim.dispatched == 2  # the live Timeout and its gate
-    assert not sim._queue and sim._cancelled_count == 0
+# the kernel reaches it, so two things have to hold: the cancelled-entry
+# debt counter matches what is really queued, and ordering never falls
+# through to the event object.
 
 
 @pytest.mark.parametrize("compact_min", [0, _COMPACT_MIN, 10**9])
@@ -219,8 +196,14 @@ def test_cancelled_count_matches_cancelled_entries(compact_min):
     rng = random.Random(20240916)
     sim = Simulator(compact_min=compact_min)
     queue = MessageQueue(sim, name="inbox")
-    timer = Timer(sim, name="t")
+    wait = [sim.timeout(0.0)]
     loose = []
+
+    def rearm(delay):
+        """Cancel-and-replace: a superseded wait must never fire."""
+        wait[0].cancel()
+        wait[0] = sim.timeout(delay)
+        return wait[0]
 
     def debt():
         return sum(1 for entry in (*sim._queue, *sim._ready)
@@ -234,8 +217,7 @@ def test_cancelled_count_matches_cancelled_entries(compact_min):
             elif roll < 0.5 and loose:
                 loose.pop(rng.randrange(len(loose))).cancel()
             elif roll < 0.65:
-                timer.set(rng.uniform(0.0, 3.0))
-                timer.wait()
+                rearm(rng.uniform(0.0, 3.0))
             else:
                 # a select race; when `first` is there it wins at once
                 # and a get the put already triggered must un-consume
@@ -243,8 +225,7 @@ def test_cancelled_count_matches_cancelled_entries(compact_min):
                 tick = sim.timeout(rng.choice([0.0, 0.0, 1.0]))
                 if rng.random() < 0.6:
                     queue.put("m")
-                timer.set(rng.uniform(0.0, 2.0))
-                racers = [get, tick, timer.wait()]
+                racers = [get, tick, rearm(rng.uniform(0.0, 2.0))]
                 if rng.random() < 0.3:
                     racers.insert(0, sim.event().succeed())
                 yield sim.any_of(racers)
