@@ -8,10 +8,9 @@ stands on.  This bench prints two tables:
 
 * **kernel** — a pure-kernel churn microbench: producer/consumer pairs
   exchanging messages through :class:`MessageQueue` with ``AnyOf``
-  timeout races — the wait ``Processor.rpc`` and the mailbox readers
-  in the tests make — with none of the protocol logic.  This isolates
-  the dispatch loop (packed ``(time, key, event)`` entries, lazy
-  cancellation).
+  timeout races — the wait ``Processor.rpc`` makes — with none of the
+  protocol logic.  This isolates the dispatch loop (packed
+  ``(time, key, event)`` entries, lazy cancellation).
 * **vp** — events/sec for a message-heavy virtual-partitions run (the
   full stack: transport, locks, 2PC), via the runner's
   ``events_dispatched`` / ``wall_seconds`` counters.

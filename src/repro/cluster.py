@@ -33,7 +33,7 @@ from .net.latency import FixedLatency, LatencyModel
 from .net.network import Network
 from .net.topology import CommGraph
 from .node.processor import Processor
-from .node.storage import StorageEngine, StoragePolicy
+from .node.storage import StorageEngine
 from .sim import RandomStreams, Simulator
 
 #: protocol factory signature: (processor, placement, config, history,
@@ -80,13 +80,9 @@ class Cluster:
         )
         self.history = History()
         self.placement = CopyPlacement()
-        storage_policy = StoragePolicy(
-            checkpoint_every=self.config.checkpoint_every,
-            log_retain=self.config.log_retain,
-        )
         self.processors: Dict[int, Processor] = {
-            pid: Processor(pid, self.sim, self.network,
-                           store=StorageEngine(pid, policy=storage_policy))
+            pid: Processor(pid, self.sim, self.network, store=StorageEngine(
+                pid, self.config.checkpoint_every, self.config.log_retain))
             for pid in pids
         }
         factory = protocol or VirtualPartitionProtocol
@@ -111,6 +107,8 @@ class Cluster:
             pid: proto.directory for pid, proto in self.protocols.items()
             if hasattr(proto, "directory")
         }
+        #: the online-resharding driver, when the run has one
+        self.reshard_engine = None
         self.injector = FailureInjector(self.sim, self.graph, self.processors,
                                         network=self.network)
         #: structured trace sink; None unless ``trace`` was requested

@@ -1,15 +1,10 @@
-"""Presumed-abort two-phase commit (the backend PR 1's machinery became).
+"""Presumed-abort two-phase commit (the default backend).
 
-Moved verbatim out of ``core/access.py``: the prepare scatter, the
-coordinator decision log, the decide fan-out, the in-doubt set with its
-decide watchdog and resolver task, and the ``txn-status`` cession.  The
-default-config simulation must stay byte-identical to the pre-refactor
-golden trace (``tests/properties/test_storage_transparency.py``), so
-every sim interaction — scatter/gather order, spawn names, timer
-callbacks, forced-write points — is preserved exactly.
+The prepare scatter, the coordinator decision log, the decide fan-out,
+the in-doubt set with its decide watchdog and resolver task, and the
+``txn-status`` cession.
 
-One behavioural addition rides along (trace-transparent by design):
-the coordinator *retires* a decision's in-memory entry as soon as the
+The coordinator *retires* a decision's in-memory entry as soon as the
 decide fan-out has left.  The WAL record written just before is the
 durable authority — ``_handle_txn_status`` falls back to it — so the
 in-memory map holds only in-flight transactions instead of growing

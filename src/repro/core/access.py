@@ -88,9 +88,10 @@ class AccessMixin:
                 ctx.read_versions[obj] = (payload["version"], self.sim.now)
                 return value
             last_reason = payload["reason"]
-            if last_reason != REJECT_LOCK_TIMEOUT:
-                break  # partition mismatch: retrying elsewhere won't help
-            break  # lock timeout = probable deadlock; abort to break it
+            # a refusal ends the read — a partition mismatch would repeat
+            # elsewhere, a lock timeout is a probable deadlock to break;
+            # only silence moves on to the next-nearest copy
+            break
         if last_reason == "no-response":
             # Fig. 10 line 5: a silent copy means the view is stale —
             # unless the view already changed while the read was in

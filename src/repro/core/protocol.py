@@ -21,7 +21,7 @@ from ..analysis.history import History
 from ..cc.factory import make_cc
 from ..commit import make_commit
 from ..net.latency import LatencyModel
-from ..node.processor import Processor
+from ..node.processor import Processor, window_closed
 from ..protocols.base import ProtocolMetrics, ReplicaControlProtocol
 from ..shard.directory import LocalDirectory
 from .access import AccessMixin
@@ -119,6 +119,10 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         processor.serve("newvp", self.monitor_newvp)
         processor.serve("commit", self.monitor_commit)
         processor.serve("probe", self.monitor_probe)
+        # the Figs. 5/7 reply kinds are dropped outside their windows —
+        # also before this processor has opened its first one
+        processor.serve("vp-accept", window_closed)
+        processor.serve("probe-ack", window_closed)
         processor.serve("reshard-gate", self._handle_reshard_gate)
         processor.serve("reshard-release", self._handle_reshard_release)
         for kind, handler in self.commit.handlers().items():

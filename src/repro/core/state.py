@@ -9,11 +9,10 @@ functions::
 ``max_id`` is kept durable (a crash-surviving cell): identifiers must
 keep growing across crashes or a recovering processor could mint an
 id it already used, breaking the total order's role as a creation
-order.  When the processor's storage engine is supplied, the cell is
-allocated from it — every bump is then a journalled, *forced* WAL
-write (the paper's durable ``max-id`` made explicit, and one of the
-protocol's forced-write cost points).  Everything else is volatile and
-reset by a crash.
+order.  The cell is allocated from the processor's storage engine —
+every bump is a journalled, *forced* WAL write (the paper's durable
+``max-id`` made explicit, and one of the protocol's forced-write cost
+points).  Everything else is volatile and reset by a crash.
 
 Critical sections (the ``< ... >`` brackets of the pseudocode) need no
 explicit locks here: protocol tasks only interleave at ``yield`` points,
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from ..node.storage import DurableCell
+from ..node.storage import StorageEngine
 from ..sim import Notifier, Simulator
 from .ids import VpId, initial_vp_id
 
@@ -41,12 +40,11 @@ class ReplicaState:
         self.tracer = None
         boot_id = initial_vp_id(pid)
         self.cur_id: VpId = boot_id
-        # durable across crashes; journalled through the storage engine
-        # when one is supplied (plain cell otherwise, e.g. in unit tests)
-        if store is not None and hasattr(store, "durable_cell"):
-            self._max_id = store.durable_cell("max-id", boot_id)
-        else:
-            self._max_id = DurableCell(boot_id)
+        # durable across crashes: a journalled cell of the processor's
+        # storage engine (a private engine when none is supplied)
+        if store is None:
+            store = StorageEngine(pid)
+        self._max_id = store.durable_cell("max-id", boot_id)
         self.assigned: bool = True
         self.lview: Set[int] = {pid}
         self.locked: Set[str] = set()

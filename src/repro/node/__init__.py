@@ -1,14 +1,12 @@
-"""Processor runtime: tasks, request handlers, mailboxes, RPC, durable storage."""
+"""Processor runtime: tasks, request handlers, RPC, durable storage."""
 
 from .processor import NoResponse, Processor
 from .storage import (
     Copy,
-    CopyStore,
     DurableCell,
     LogEntry,
     LogTruncated,
     StorageEngine,
-    StoragePolicy,
     StorageStats,
     WalRecord,
     WriteAheadLog,
@@ -16,14 +14,12 @@ from .storage import (
 
 __all__ = [
     "Copy",
-    "CopyStore",
     "DurableCell",
     "LogEntry",
     "LogTruncated",
     "NoResponse",
     "Processor",
     "StorageEngine",
-    "StoragePolicy",
     "StorageStats",
     "WalRecord",
     "WriteAheadLog",

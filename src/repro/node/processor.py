@@ -6,14 +6,14 @@ A :class:`Processor` owns:
   is consumed by a callable at its delivery event — a reply by the one
   its call registered, a *served* kind (:meth:`Processor.serve`, or an
   open :meth:`Processor.broadcast_collect` window) by its handler;
-  a kind nobody serves queues in a typed mailbox, one FIFO per kind;
+  a kind nobody serves raises ``KeyError`` at its delivery;
 * an RPC helper implementing the paper's ``send ... receive ...
   [no-response: ...]`` pattern (Figs. 9–11) with reply matching and a
   timeout;
 * a task registry: protocol layers register named generator factories;
   tasks are (re)spawned on start/recover and killed on crash, matching
   the paper's model where a crash wipes all volatile state but durable
-  storage (the :class:`~repro.node.storage.CopyStore`) survives.
+  storage (the :class:`~repro.node.storage.StorageEngine`) survives.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from ..net.message import Message
 from ..net.network import Network
-from ..sim import MessageQueue, Process, Simulator
+from ..sim import Process, Simulator
 from .storage import StorageEngine
 from .transport import (  # noqa: F401  (NoResponse re-exported)
     NoResponse, QuorumPredicate, ScatterCall, TransportStats,
@@ -35,7 +35,7 @@ Handler = Callable[[Message], None]
 SPAWN_SLACK = 16
 
 
-def _window_closed(message: Message) -> None:
+def window_closed(message: Message) -> None:
     """Serves a ``broadcast_collect`` reply kind between windows: an
     ack that missed its window is dropped."""
 
@@ -56,7 +56,6 @@ class Processor:
         self.transport = TransportStats()
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
-        self._mailboxes: Dict[str, MessageQueue] = {}
         #: request id -> the callable its reply is handed to
         self._reply_waiters: Dict[int, Callable[[Message], Any]] = {}
         self._handlers: Dict[str, Handler] = {}
@@ -135,18 +134,6 @@ class Processor:
         name = f"serve-{kind}"
         self.serve(kind, lambda message: self.spawn(name, body(message)))
 
-    def mailbox(self, kind: str) -> MessageQueue:
-        """The FIFO of unconsumed ``kind`` messages (created on demand)."""
-        if kind not in self._mailboxes:
-            self._mailboxes[kind] = MessageQueue(
-                self.sim, name=f"p{self.pid}.{kind}"
-            )
-        return self._mailboxes[kind]
-
-    def receive(self, kind: str):
-        """Event firing with the next ``kind`` message."""
-        return self.mailbox(kind).get()
-
     # -- fan-out primitives (see node/transport.py) ---------------------------
 
     def scatter(self, targets: Iterable[int], kind: str,
@@ -211,7 +198,7 @@ class Processor:
             if accept(message):
                 collected.append(message)
 
-        if self._handlers.get(reply_kind) is _window_closed:
+        if self._handlers.get(reply_kind) is window_closed:
             del self._handlers[reply_kind]
         self.serve(reply_kind, arrival)
         try:
@@ -220,7 +207,7 @@ class Processor:
                 self.send(dst, kind, payload)
             yield self.sim.timeout(window)
         finally:
-            self._handlers[reply_kind] = _window_closed
+            self._handlers[reply_kind] = window_closed
         return collected
 
     def _on_delivery(self, message: Message) -> None:
@@ -240,11 +227,7 @@ class Processor:
                                  src=message.src, kind=message.kind,
                                  reply_to=message.reply_to)
             return
-        handler = self._handlers.get(message.kind)
-        if handler is not None:
-            handler(message)
-        else:
-            self.mailbox(message.kind).put(message)
+        self._handlers[message.kind](message)
 
     # -- task management ----------------------------------------------------------
 
@@ -297,8 +280,6 @@ class Processor:
         for process in (*self._tasks.values(), *self._spawned):
             process.kill()
         self._spawned.clear()
-        for mailbox in self._mailboxes.values():
-            mailbox.clear()
         self._reply_waiters.clear()
         for hook in self._crash_hooks:
             hook()

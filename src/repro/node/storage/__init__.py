@@ -1,29 +1,20 @@
-"""Durable per-processor storage, as a layered engine.
+"""Durable per-processor storage.
 
-* :mod:`~repro.node.storage.store` — the materialized copy table
-  (:class:`CopyStore`): values, dates, versions, §6 write logs;
+* :mod:`~repro.node.storage.engine` — :class:`StorageEngine`, the one
+  stable store a processor holds: its physical copies (values, dates,
+  versions, §6 write logs), its :class:`DurableCell` scalars and its
+  decision log, plus the :class:`StorageStats` counters;
+* :mod:`~repro.node.storage.store` — the :class:`Copy` and
+  :class:`LogEntry` records the engine's copy table is made of;
 * :mod:`~repro.node.storage.wal` — the typed append-only write-ahead
   log (:class:`WriteAheadLog`) every durable mutation is journalled to;
 * :mod:`~repro.node.storage.checkpoint` — snapshots and per-copy log
-  compaction with retained-floor tracking;
-* :mod:`~repro.node.storage.engine` — :class:`StorageEngine`, the
-  ``CopyStore``-compatible facade processors actually hold, plus the
-  :class:`StoragePolicy` knobs and :class:`StorageStats` counters.
-
-``from repro.node.storage import CopyStore`` keeps working: the
-original flat module became this package, and every public name is
-re-exported here.
+  compaction with retained-floor tracking.
 """
 
-from .checkpoint import NO_FLOOR, Checkpoint, CopySnapshot
-from .engine import (
-    DEFAULT_POLICY,
-    EngineCell,
-    StorageEngine,
-    StoragePolicy,
-    StorageStats,
-)
-from .store import Copy, CopyStore, DurableCell, LogEntry
+from .checkpoint import NO_FLOOR, Checkpoint, CopySnapshot, Snapshot
+from .engine import DurableCell, StorageEngine, StorageStats
+from .store import Copy, LogEntry
 from .wal import (
     RECORD_KINDS,
     LogTruncated,
@@ -35,16 +26,13 @@ __all__ = [
     "Checkpoint",
     "Copy",
     "CopySnapshot",
-    "CopyStore",
-    "DEFAULT_POLICY",
     "DurableCell",
-    "EngineCell",
     "LogEntry",
     "LogTruncated",
     "NO_FLOOR",
     "RECORD_KINDS",
+    "Snapshot",
     "StorageEngine",
-    "StoragePolicy",
     "StorageStats",
     "WalRecord",
     "WriteAheadLog",

@@ -1,9 +1,9 @@
 """Checkpoints and per-copy log compaction.
 
-A checkpoint is an immutable snapshot of everything durable — the
-materialized copies (with their retained write logs and compaction
-floors), the durable cells, and the decision log — anchored at a WAL
-LSN.  Recovery restores the snapshot and replays the WAL tail after
+A snapshot is an immutable record of everything durable — the copies
+(with their retained write logs and compaction floors), the durable
+cells, and the decision log; a checkpoint is a snapshot anchored at a
+WAL LSN.  Recovery restores the snapshot and replays the WAL tail after
 that LSN; the WAL prefix the snapshot captures can be discarded.
 
 Compaction bounds the §6 write logs: at checkpoint time each copy's
@@ -19,14 +19,14 @@ occasionally shipping the whole object).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from .store import Copy, CopyStore, LogEntry
+from .store import Copy, LogEntry
 
 
 @dataclass(frozen=True)
 class CopySnapshot:
-    """One copy's durable state at checkpoint time."""
+    """One copy's durable state at snapshot time."""
 
     obj: str
     value: Any
@@ -46,82 +46,63 @@ NO_FLOOR = object()
 
 
 @dataclass(frozen=True)
+class Snapshot:
+    """Everything durable, in canonical (sorted) order."""
+
+    copies: Tuple[CopySnapshot, ...] = ()
+    cells: Tuple[Tuple[str, Any], ...] = ()
+    decisions: Tuple[Tuple[Any, str], ...] = ()
+
+
+@dataclass(frozen=True)
 class Checkpoint:
-    """Everything durable, frozen at WAL position ``lsn``."""
+    """The durable ``state`` frozen at WAL position ``lsn``."""
 
     lsn: int
-    copies: Tuple[CopySnapshot, ...]
-    cells: Tuple[Tuple[str, Any], ...]
-    decisions: Tuple[Tuple[Any, str], ...]
+    state: Snapshot
 
 
-EMPTY_CHECKPOINT = Checkpoint(lsn=0, copies=(), cells=(), decisions=())
+EMPTY_CHECKPOINT = Checkpoint(lsn=0, state=Snapshot())
 
 
-def snapshot_copies(store: CopyStore,
+def snapshot_copies(copies: Dict[str, Copy],
                     floors: Dict[str, Any]) -> Tuple[CopySnapshot, ...]:
-    """Freeze every copy of ``store`` (sorted by object name)."""
-    snaps = []
-    for obj in sorted(store.local_objects):
-        copy = store._get(obj)
-        snaps.append(CopySnapshot(
-            obj=obj, value=copy.value, date=copy.date,
-            version=copy.version, size=copy.size,
-            log=tuple(copy.log),
-            floor=floors.get(obj, NO_FLOOR),
-        ))
-    return tuple(snaps)
+    """Freeze every copy of the table (sorted by object name)."""
+    return tuple(
+        CopySnapshot(obj=obj, value=copy.value, date=copy.date,
+                     version=copy.version, size=copy.size,
+                     log=tuple(copy.log), floor=floors.get(obj, NO_FLOOR))
+        for obj, copy in sorted(copies.items()))
 
 
-def restore_copies(pid: int, copies: Tuple[CopySnapshot, ...]
-                   ) -> Tuple[CopyStore, Dict[str, Any]]:
-    """Rebuild a materialized store (and its floors) from snapshots."""
-    store = CopyStore(pid)
+def restore_copies(snaps: Tuple[CopySnapshot, ...]
+                   ) -> Tuple[Dict[str, Copy], Dict[str, Any]]:
+    """Rebuild a copy table (and its floors) from snapshots."""
+    copies: Dict[str, Copy] = {}
     floors: Dict[str, Any] = {}
-    for snap in copies:
-        store.place(snap.obj, initial=snap.value, date=snap.date,
-                    size=snap.size, version=snap.version)
-        copy = store._get(snap.obj)
-        copy.log = list(snap.log)
+    for snap in snaps:
+        copies[snap.obj] = Copy(snap.obj, snap.value, snap.date,
+                                size=snap.size, version=snap.version,
+                                log=list(snap.log))
         if snap.floor is not NO_FLOOR:
             floors[snap.obj] = snap.floor
-    return store, floors
+    return copies, floors
 
 
-def compact_copy(copy: Copy, retain: int,
-                 current_floor: Any = NO_FLOOR) -> Tuple[int, Any]:
-    """Trim ``copy.log`` to its newest ``retain`` entries.
+def compact_copies(copies: Dict[str, Copy], retain: int,
+                   floors: Dict[str, Any]) -> int:
+    """Trim every copy's log to its newest ``retain`` entries, in place.
 
-    Returns ``(discarded_count, new_floor)`` where the floor is the
-    date of the newest discarded entry (logs are append-ordered, so
-    that is the largest date compacted away).  With nothing to discard
-    the existing floor is kept.
+    The date of a copy's newest discarded entry (logs are append-ordered,
+    so that is the largest date compacted away) becomes its floor in
+    ``floors``; with nothing to discard the existing floor is kept.
+    Returns the total number of discarded entries.
     """
-    if retain < 1:
-        raise ValueError(f"retain must be at least 1: {retain}")
-    excess = len(copy.log) - retain
-    if excess <= 0:
-        return 0, current_floor
-    discarded = copy.log[:excess]
-    copy.log = copy.log[excess:]
-    return excess, discarded[-1].date
-
-
-def compact_store(store: CopyStore, retain: Optional[int],
-                  floors: Dict[str, Any]) -> int:
-    """Compact every copy's log in place; updates ``floors``.
-
-    Returns the total number of discarded entries.  ``retain=None``
-    (compaction disabled) is a no-op.
-    """
-    if retain is None:
-        return 0
     total = 0
-    for obj in sorted(store.local_objects):
-        copy = store._get(obj)
-        dropped, floor = compact_copy(copy, retain,
-                                      floors.get(obj, NO_FLOOR))
-        total += dropped
-        if floor is not NO_FLOOR:
-            floors[obj] = floor
+    for obj, copy in copies.items():
+        excess = len(copy.log) - retain
+        if excess > 0:
+            floors[obj] = copy.log[excess - 1].date
+            del copy.log[:excess]
+            total += excess
     return total

@@ -1,31 +1,32 @@
-"""The durable storage engine: WAL + checkpoints over the copy table.
+"""The durable storage engine: the copy table, journalled into a WAL.
 
 :class:`StorageEngine` is what a :class:`~repro.node.processor.
-Processor` exposes as ``.store``.  It preserves the original
-:class:`~repro.node.storage.store.CopyStore` API exactly — ``place`` /
-``read`` / ``write`` / ``install`` / ``log_since`` / ``apply_log`` and
-friends keep their semantics — so the protocol layers above migrate
-without change, while every mutation is additionally journalled into a
+Processor` exposes as ``.store`` — Fig. 3's one stable store.  It holds
+the processor's physical copies (``place`` / ``read`` / ``write`` /
+``install`` / ``log_since`` / ``apply_log`` — §5's ``value``/``date``
+functions and the §6 write logs), its durable cells (``max-id``) and
+its commit decision log, and journals every mutation of them into a
 typed write-ahead log:
 
-* crash recovery is replay: :meth:`rebuilt` restores the last
-  checkpoint and replays the WAL tail, reproducing the pre-crash
+* crash recovery is replay: :meth:`StorageEngine.rebuilt` restores the
+  last checkpoint and replays the WAL tail, reproducing the pre-crash
   durable state bit for bit (``tests/integration/test_crash_replay.py``);
 * checkpoints bound the journal, and per-copy **log compaction**
-  (``StoragePolicy.log_retain``) bounds the §6 write logs — after
-  compaction, :meth:`log_since` raises :class:`~repro.node.storage.wal.
-  LogTruncated` for requests reaching below the retained floor instead
-  of silently returning a partial history;
+  (``log_retain``) bounds the §6 write logs — after compaction,
+  :meth:`StorageEngine.log_since` raises :class:`~repro.node.storage.
+  wal.LogTruncated` for requests reaching below the retained floor
+  instead of silently returning a partial history;
 * the 2PC force-write points (prepare records, decision-log entries,
   ``max-id`` bumps) are journalled as *forced* records, giving the
   protocol layer an explicit durability cost model to charge
   (``ProtocolConfig.storage_append_cost`` / ``storage_sync_cost``) and
   :class:`StorageStats` the counters observability reports.
 
-With the default policy (no auto-checkpoints, no compaction) the
-engine is behaviourally identical to the bare ``CopyStore`` it wraps —
-pinned by ``tests/node/test_storage_engine.py`` and the trace-identity
-property in ``tests/properties/test_storage_transparency.py``.
+Journalling is transparent to the protocol: with zero storage costs,
+no auto-checkpoints and no compaction (the defaults) a run's trace is
+the one the un-journalled copy table produced — pinned by the
+trace-identity property in
+``tests/properties/test_storage_transparency.py``.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .checkpoint import (
     EMPTY_CHECKPOINT,
     NO_FLOOR,
     Checkpoint,
-    compact_store,
+    Snapshot,
+    compact_copies,
     restore_copies,
     snapshot_copies,
 )
-from .store import CopyStore, DurableCell, LogEntry
+from .store import Copy, LogEntry
 from .wal import (
     REC_APPLY,
     REC_CELL,
@@ -55,27 +57,6 @@ from .wal import (
     WalRecord,
     WriteAheadLog,
 )
-
-
-@dataclass(frozen=True)
-class StoragePolicy:
-    """Checkpoint/compaction knobs (derived from ``ProtocolConfig``)."""
-
-    #: auto-checkpoint after this many WAL appends (0 = manual only)
-    checkpoint_every: int = 0
-    #: per-copy log entries kept at compaction (None = never compact)
-    log_retain: Optional[int] = None
-
-    def __post_init__(self):
-        if self.checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0: {self.checkpoint_every}")
-        if self.log_retain is not None and self.log_retain < 1:
-            raise ValueError(
-                f"log_retain must be None or >= 1: {self.log_retain}")
-
-
-DEFAULT_POLICY = StoragePolicy()
 
 
 @dataclass
@@ -98,13 +79,19 @@ class StorageStats:
     replayed_bytes: int = 0
 
 
-class EngineCell(DurableCell):
-    """A durable cell whose writes are journalled by the engine."""
+class DurableCell:
+    """A named crash-surviving scalar (e.g. the protocol's ``max-id``).
+
+    The paper requires partition identifiers to be globally unique and
+    increasing even across crashes; keeping ``max-id`` durable is the
+    standard way to get that.  Every write is journalled by the owning
+    engine as a forced record.
+    """
 
     def __init__(self, engine: "StorageEngine", name: str, initial: Any):
-        super().__init__(initial)
         self._engine = engine
         self._name = name
+        self._value = initial
 
     @property
     def value(self) -> Any:
@@ -118,102 +105,158 @@ class EngineCell(DurableCell):
 
 
 class StorageEngine:
-    """Per-processor durable storage: the ``CopyStore`` facade over a WAL."""
+    """All durable state of one processor, over a write-ahead log."""
 
-    def __init__(self, pid: int, policy: StoragePolicy = DEFAULT_POLICY):
+    def __init__(self, pid: int, checkpoint_every: int = 0,
+                 log_retain: Optional[int] = None):
+        if checkpoint_every < 0:
+            raise ValueError(
+                f"checkpoint_every must be >= 0: {checkpoint_every}")
+        if log_retain is not None and log_retain < 1:
+            raise ValueError(
+                f"log_retain must be None or >= 1: {log_retain}")
         self.pid = pid
-        self.policy = policy
+        #: auto-checkpoint after this many WAL appends (0 = manual only)
+        self.checkpoint_every = checkpoint_every
+        #: per-copy log entries kept at compaction (None = never compact)
+        self.log_retain = log_retain
         self.wal = WriteAheadLog()
         self.stats = StorageStats()
-        self._store = CopyStore(pid)
+        self._copies: Dict[str, Copy] = {}
+        #: physical access counters, by object
+        self.reads: Dict[str, int] = {}
+        self.writes: Dict[str, int] = {}
         #: per-object compaction floor (absent key = log complete)
         self._floors: Dict[str, Any] = {}
         self._cells: Dict[str, DurableCell] = {}
         #: journalled coordinator decisions (txn -> latest outcome)
         self._decisions: Dict[Any, str] = {}
-        self._checkpoint: Checkpoint = EMPTY_CHECKPOINT
+        #: what :meth:`rebuilt` restores before replaying the WAL tail
+        self.last_checkpoint: Checkpoint = EMPTY_CHECKPOINT
         self._appends_since_checkpoint = 0
         self._replaying = False
 
     # -- journalling --------------------------------------------------------
 
     def _journal(self, kind: str, *, forced: bool = False,
-                 **fields: Any) -> Optional[WalRecord]:
+                 **fields: Any) -> None:
         if self._replaying:
-            return None
-        record = self.wal.append(kind, forced=forced, **fields)
+            return
+        self.wal.append(kind, forced=forced, **fields)
         self.stats.wal_appends += 1
         if forced:
             self.stats.forced_syncs += 1
         self._appends_since_checkpoint += 1
-        every = self.policy.checkpoint_every
+        every = self.checkpoint_every
         if every and self._appends_since_checkpoint >= every:
             self.checkpoint()
-        return record
 
-    # -- CopyStore facade: placement ----------------------------------------
+    def _get(self, obj: str) -> Copy:
+        try:
+            return self._copies[obj]
+        except KeyError:
+            raise KeyError(f"no copy of {obj!r} on processor {self.pid}") from None
+
+    def _set(self, kind: str, copy: Copy, value: Any, date: Any,
+             version: Any) -> None:
+        """Overwrite ``copy``, extend its write log, journal a ``kind``
+        record — what a write, an install, an applied catch-up entry and
+        the replay of any of the three leave behind."""
+        copy.value = value
+        copy.date = date
+        copy.version = version
+        copy.log.append(LogEntry(date, value, version))
+        self._journal(kind, obj=copy.obj, value=value, date=date,
+                      version=version)
+
+    # -- placement ------------------------------------------------------------
 
     def place(self, obj: str, initial: Any = None, date: Any = None,
               size: int = 1, version: Any = None) -> None:
-        self._store.place(obj, initial=initial, date=date, size=size,
-                          version=version)
+        """Create the local copy of logical object ``obj``.
+
+        ``version`` is the opaque token identifying the write that
+        produced the current value; the correctness checkers use it to
+        compute the exact reads-from relation.
+        """
+        if obj in self._copies:
+            raise KeyError(f"copy of {obj!r} already placed on {self.pid}")
+        if size < 1:
+            raise ValueError("object size must be at least 1")
+        self._copies[obj] = Copy(obj, initial, date, size=size, version=version)
         self._journal(REC_PLACE, obj=obj, value=initial, date=date,
                       size=size, version=version)
 
     def holds(self, obj: str) -> bool:
-        return self._store.holds(obj)
+        """True if this processor has a copy of ``obj``."""
+        return obj in self._copies
 
     def retire(self, obj: str) -> None:
-        """Release the local copy after a reshard moved it; journalled."""
-        self._store.retire(obj)
+        """Drop the local copy — a reshard moved it to other processors.
+
+        Releases the copy's storage (value, write log, floor); the
+        physical access counters survive as history.  Raises
+        ``KeyError`` if there is no copy to retire.
+        """
+        self._get(obj)
+        del self._copies[obj]
         self._floors.pop(obj, None)
         self._journal(REC_RETIRE, obj=obj)
 
     @property
-    def local_objects(self) -> set:
-        return self._store.local_objects
+    def local_objects(self) -> set[str]:
+        """Fig. 3's ``local``: logical objects with a copy here."""
+        return set(self._copies)
 
-    # -- CopyStore facade: access -------------------------------------------
+    # -- access ------------------------------------------------------------
 
-    def read(self, obj: str):
-        return self._store.read(obj)
+    def read(self, obj: str) -> tuple[Any, Any]:
+        """Physical read: ``(value, date)`` of the local copy."""
+        copy = self._get(obj)
+        self.reads[obj] = self.reads.get(obj, 0) + 1
+        return copy.value, copy.date
 
     def write(self, obj: str, value: Any, date: Any,
               version: Any = None) -> None:
-        self._store.write(obj, value, date, version)
-        self._journal(REC_WRITE, obj=obj, value=value, date=date,
-                      version=version)
+        """Physical write with its logical date; appended to the log."""
+        copy = self._get(obj)
+        self.writes[obj] = self.writes.get(obj, 0) + 1
+        self._set(REC_WRITE, copy, value, date, version)
 
-    def peek(self, obj: str):
-        return self._store.peek(obj)
+    def peek(self, obj: str) -> tuple[Any, Any]:
+        """Read without counting (used by recovery metrics)."""
+        copy = self._get(obj)
+        return copy.value, copy.date
 
     def date(self, obj: str) -> Any:
-        return self._store.date(obj)
+        """The logical date of the local copy."""
+        return self._get(obj).date
 
     def version(self, obj: str) -> Any:
-        return self._store.version(obj)
+        """The version token of the write the copy currently holds."""
+        return self._get(obj).version
 
     def size(self, obj: str) -> int:
-        return self._store.size(obj)
+        """Declared size of the object (cost unit for full transfers)."""
+        return self._get(obj).size
 
-    @property
-    def reads(self) -> Dict[str, int]:
-        return self._store.reads
-
-    @property
-    def writes(self) -> Dict[str, int]:
-        return self._store.writes
-
-    # -- CopyStore facade: recovery support ---------------------------------
+    # -- recovery support ---------------------------------------------------
 
     def install(self, obj: str, value: Any, date: Any,
                 version: Any = None) -> None:
-        self._store.install(obj, value, date, version)
-        self._journal(REC_INSTALL, obj=obj, value=value, date=date,
-                      version=version)
+        """Overwrite the copy during partition initialization (R5 recover).
+
+        Unlike :meth:`write` this does not count as a transaction write,
+        but it is logged so later catch-ups see a consistent history.
+        """
+        self._set(REC_INSTALL, self._get(obj), value, date, version)
 
     def log_since(self, obj: str, after: Any) -> List[LogEntry]:
-        """As ``CopyStore.log_since``, but truncation-aware.
+        """Log entries with date strictly greater than ``after``.
+
+        The §6 optimization: these are exactly the writes a copy with
+        date ``after`` missed (by Theorem 1', writes are ordered by
+        partition creation order).  ``after=None`` returns everything.
 
         Raises :class:`LogTruncated` when compaction may have discarded
         entries the answer should contain: the full history was
@@ -228,19 +271,22 @@ class StorageEngine:
             if after is None or (floor is not None and after < floor):
                 self.stats.truncated_reads += 1
                 raise LogTruncated(obj, after, floor)
-        return self._store.log_since(obj, after)
+        copy = self._get(obj)
+        if after is None:
+            return list(copy.log)
+        return [entry for entry in copy.log
+                if entry.date is not None and entry.date > after]
 
     def apply_log(self, obj: str, entries: Iterable[LogEntry]) -> int:
-        """As ``CopyStore.apply_log``; each applied entry is journalled."""
+        """Apply missed writes in order; returns how many were applied
+        (stale and ``None``-dated entries are skipped, unjournalled)."""
+        copy = self._get(obj)
         applied = 0
         for entry in entries:
-            current = self._store.date(obj)
-            if current is None or (entry.date is not None
-                                   and entry.date > current):
-                self._store.install(obj, entry.value, entry.date,
-                                    entry.version)
-                self._journal(REC_APPLY, obj=obj, value=entry.value,
-                              date=entry.date, version=entry.version)
+            if copy.date is None or (entry.date is not None
+                                     and entry.date > copy.date):
+                self._set(REC_APPLY, copy, entry.value, entry.date,
+                          entry.version)
                 applied += 1
         return applied
 
@@ -259,8 +305,7 @@ class StorageEngine:
         """
         cell = self._cells.get(name)
         if cell is None:
-            cell = EngineCell(self, name, initial)
-            self._cells[name] = cell
+            cell = self._cells[name] = DurableCell(self, name, initial)
             self._journal(REC_CELL, cell=name, value=initial)
         return cell
 
@@ -298,39 +343,35 @@ class StorageEngine:
 
     # -- checkpoints and compaction -------------------------------------------
 
-    def checkpoint(self, compact: Optional[bool] = None) -> Checkpoint:
-        """Snapshot all durable state and truncate the journalled prefix.
-
-        Compaction (when the policy enables it, or ``compact=True``)
-        runs *before* the snapshot so the checkpoint captures the
-        trimmed logs and their floors.
-        """
-        do_compact = (self.policy.log_retain is not None
-                      if compact is None else compact)
-        if do_compact and self.policy.log_retain is not None:
-            self.stats.compacted_entries += compact_store(
-                self._store, self.policy.log_retain, self._floors)
-        snap = Checkpoint(
-            lsn=self.wal.tail_lsn,
-            copies=snapshot_copies(self._store, self._floors),
+    def snapshot(self) -> Snapshot:
+        """Everything durable, frozen in canonical order; changes nothing."""
+        return Snapshot(
+            copies=snapshot_copies(self._copies, self._floors),
             cells=tuple((name, cell.value) for name, cell
                         in sorted(self._cells.items())),
             decisions=tuple(sorted(self._decisions.items(), key=repr)),
         )
+
+    def checkpoint(self, compact: bool = True) -> Checkpoint:
+        """Snapshot all durable state and truncate the journalled prefix.
+
+        Compaction (when ``log_retain`` is set, unless ``compact=False``)
+        runs *before* the snapshot so the checkpoint captures the
+        trimmed logs and their floors.
+        """
+        if compact and self.log_retain is not None:
+            self.stats.compacted_entries += compact_copies(
+                self._copies, self.log_retain, self._floors)
+        snap = Checkpoint(self.wal.tail_lsn, self.snapshot())
         self.wal.truncate_through(snap.lsn)
-        self._checkpoint = snap
+        self.last_checkpoint = snap
         self._appends_since_checkpoint = 0
         self.stats.checkpoints += 1
         return snap
 
-    @property
-    def last_checkpoint(self) -> Checkpoint:
-        return self._checkpoint
-
     def retained_entries(self) -> int:
         """Total write-log entries currently held across all copies."""
-        return sum(len(self._store._get(obj).log)
-                   for obj in self._store.local_objects)
+        return sum(len(copy.log) for copy in self._copies.values())
 
     # -- crash recovery -------------------------------------------------------
 
@@ -338,21 +379,21 @@ class StorageEngine:
         """A fresh engine recovered from checkpoint + WAL replay.
 
         This is the honest crash-recovery model: nothing of the live
-        materialized state is reused — the snapshot is restored and the
-        replay tail applied on top.  The recovered engine finishes with
-        a fresh (uncompacted) checkpoint of its rebuilt state, like a
-        real recovery would, so its own journal starts clean.
+        state is reused — the snapshot is restored and the replay tail
+        applied on top.  The recovered engine finishes with a fresh
+        (uncompacted) checkpoint of its rebuilt state, like a real
+        recovery would, so its own journal starts clean.
         """
-        engine = StorageEngine(self.pid, self.policy)
+        engine = StorageEngine(self.pid, self.checkpoint_every,
+                               self.log_retain)
         engine._replaying = True
         try:
-            checkpoint = self._checkpoint
-            engine._store, engine._floors = restore_copies(
-                self.pid, checkpoint.copies)
-            for name, value in checkpoint.cells:
-                engine._cells[name] = EngineCell(engine, name, value)
-            engine._decisions = dict(checkpoint.decisions)
-            for record in self.wal.records_after(checkpoint.lsn):
+            lsn, state = self.last_checkpoint.lsn, self.last_checkpoint.state
+            engine._copies, engine._floors = restore_copies(state.copies)
+            for name, value in state.cells:
+                engine._cells[name] = DurableCell(engine, name, value)
+            engine._decisions = dict(state.decisions)
+            for record in self.wal.records_after(lsn):
                 engine._replay(record)
                 engine.stats.replayed_records += 1
                 engine.stats.replayed_bytes += record.cost_bytes()
@@ -362,57 +403,26 @@ class StorageEngine:
         return engine
 
     def _replay(self, record: WalRecord) -> None:
-        store = self._store
+        """Redo one record; ``_replaying`` keeps the redo unjournalled."""
         if record.kind == REC_PLACE:
-            store.place(record.obj, initial=record.value, date=record.date,
-                        size=record.size or 1, version=record.version)
+            self.place(record.obj, initial=record.value, date=record.date,
+                       size=record.size or 1, version=record.version)
         elif record.kind in (REC_WRITE, REC_INSTALL, REC_APPLY):
-            # install reproduces exactly what write/install/apply_log
-            # left behind: value, date, version, and one log entry —
-            # without re-counting transaction writes.
-            store.install(record.obj, record.value, record.date,
-                          record.version)
+            # not ``write``: transaction writes are not re-counted
+            self._set(record.kind, self._get(record.obj), record.value,
+                      record.date, record.version)
         elif record.kind == REC_CELL:
-            cell = self._cells.get(record.cell)
-            if cell is None:
-                self._cells[record.cell] = EngineCell(
-                    self, record.cell, record.value)
-            else:
-                cell._value = record.value
+            self.durable_cell(record.cell).value = record.value
         elif record.kind == REC_DECISION:
             self._decisions[record.txn] = record.outcome
         elif record.kind == REC_PREPARE:
             pass  # participant-volatile bookkeeping; nothing materialized
         elif record.kind == REC_RETIRE:
-            if store.holds(record.obj):
-                store.retire(record.obj)
-            self._floors.pop(record.obj, None)
+            self.retire(record.obj)
         else:  # pragma: no cover - append() validates kinds
             raise ValueError(f"unknown WAL record kind {record.kind!r}")
 
-    def durable_snapshot(self) -> dict:
-        """Canonical durable state, for recovery-equality assertions."""
-        copies = {}
-        for obj in sorted(self._store.local_objects):
-            copy = self._store._get(obj)
-            copies[obj] = {
-                "value": copy.value,
-                "date": copy.date,
-                "version": copy.version,
-                "size": copy.size,
-                "log": tuple((e.date, e.value, e.version)
-                             for e in copy.log),
-            }
-        return {
-            "copies": copies,
-            "floors": {obj: self._floors[obj]
-                       for obj in sorted(self._floors)},
-            "cells": {name: cell.value
-                      for name, cell in sorted(self._cells.items())},
-            "decisions": dict(self._decisions),
-        }
-
     def __repr__(self) -> str:
         return (f"StorageEngine(pid={self.pid}, "
-                f"objects={sorted(self._store.local_objects)}, "
+                f"objects={sorted(self._copies)}, "
                 f"wal={len(self.wal)} records)")

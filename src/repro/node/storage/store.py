@@ -1,4 +1,4 @@
-"""The materialized copy table: physical copies, dates, and write logs.
+"""Physical copies: values, dates, and write logs.
 
 Each processor stores, for every logical object it replicates (Fig. 3's
 ``local`` set and §5's ``value``/``date`` functions):
@@ -11,20 +11,15 @@ Each processor stores, for every logical object it replicates (Fig. 3's
   missing-writes catch-up optimization (ship only the writes the copy
   missed, instead of the whole object).
 
-:class:`CopyStore` is the in-memory *materialized* layer of the storage
-engine — the state the paper's ``value``/``date`` functions read.  What
-makes storage durable is the layer above it: :class:`~repro.node.
-storage.engine.StorageEngine` journals every mutation into a write-ahead
-log and can rebuild an identical ``CopyStore`` from checkpoint + replay
-(see :mod:`repro.node.storage.wal` and :mod:`repro.node.storage.
-checkpoint`).  Only the protocol tasks' volatile state (views, partition
-assignment) is lost on a crash.
+One processor's copies live in the ``{obj: Copy}`` table of its
+:class:`~repro.node.storage.engine.StorageEngine`, which journals every
+mutation of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List
+from typing import Any, List
 
 
 @dataclass(frozen=True)
@@ -50,157 +45,3 @@ class Copy:
     def __post_init__(self):
         if self.log is None:
             self.log = [LogEntry(self.date, self.value, self.version)]
-
-
-class CopyStore:
-    """All physical copies held by one processor. Crash-durable."""
-
-    def __init__(self, pid: int):
-        self.pid = pid
-        self._copies: Dict[str, Copy] = {}
-        #: physical access counters, by object
-        self.reads: Dict[str, int] = {}
-        self.writes: Dict[str, int] = {}
-
-    # -- placement ------------------------------------------------------------
-
-    def place(self, obj: str, initial: Any = None, date: Any = None,
-              size: int = 1, version: Any = None) -> None:
-        """Create the local copy of logical object ``obj``.
-
-        ``version`` is the opaque token identifying the write that
-        produced the current value; the correctness checkers use it to
-        compute the exact reads-from relation.
-        """
-        if obj in self._copies:
-            raise KeyError(f"copy of {obj!r} already placed on {self.pid}")
-        if size < 1:
-            raise ValueError("object size must be at least 1")
-        self._copies[obj] = Copy(obj, initial, date, size=size, version=version)
-
-    def holds(self, obj: str) -> bool:
-        """True if this processor has a copy of ``obj``."""
-        return obj in self._copies
-
-    def retire(self, obj: str) -> None:
-        """Drop the local copy — a reshard moved it to other processors.
-
-        Releases the copy's storage (value and write log); the physical
-        access counters survive as history.  Raises ``KeyError`` if
-        there is no copy to retire.
-        """
-        self._get(obj)
-        del self._copies[obj]
-
-    @property
-    def local_objects(self) -> set[str]:
-        """Fig. 3's ``local``: logical objects with a copy here."""
-        return set(self._copies)
-
-    # -- access ------------------------------------------------------------
-
-    def read(self, obj: str) -> tuple[Any, Any]:
-        """Physical read: ``(value, date)`` of the local copy."""
-        copy = self._get(obj)
-        self.reads[obj] = self.reads.get(obj, 0) + 1
-        return copy.value, copy.date
-
-    def write(self, obj: str, value: Any, date: Any,
-              version: Any = None) -> None:
-        """Physical write with its logical date; appended to the log."""
-        copy = self._get(obj)
-        self.writes[obj] = self.writes.get(obj, 0) + 1
-        copy.value = value
-        copy.date = date
-        copy.version = version
-        copy.log.append(LogEntry(date, value, version))
-
-    def peek(self, obj: str) -> tuple[Any, Any]:
-        """Read without counting (used by recovery metrics)."""
-        copy = self._get(obj)
-        return copy.value, copy.date
-
-    def date(self, obj: str) -> Any:
-        """The logical date of the local copy."""
-        return self._get(obj).date
-
-    def version(self, obj: str) -> Any:
-        """The version token of the write the copy currently holds."""
-        return self._get(obj).version
-
-    def size(self, obj: str) -> int:
-        """Declared size of the object (cost unit for full transfers)."""
-        return self._get(obj).size
-
-    # -- recovery support ---------------------------------------------------
-
-    def install(self, obj: str, value: Any, date: Any,
-                version: Any = None) -> None:
-        """Overwrite the copy during partition initialization (R5 recover).
-
-        Unlike :meth:`write` this does not count as a transaction write,
-        but it is logged so later catch-ups see a consistent history.
-        """
-        copy = self._get(obj)
-        copy.value = value
-        copy.date = date
-        copy.version = version
-        copy.log.append(LogEntry(date, value, version))
-
-    def log_since(self, obj: str, after: Any) -> List[LogEntry]:
-        """Log entries with date strictly greater than ``after``.
-
-        The §6 optimization: these are exactly the writes a copy with
-        date ``after`` missed (by Theorem 1', writes are ordered by
-        partition creation order).  ``after=None`` returns everything.
-        """
-        copy = self._get(obj)
-        if after is None:
-            return list(copy.log)
-        return [entry for entry in copy.log
-                if entry.date is not None and entry.date > after]
-
-    def apply_log(self, obj: str, entries: Iterable[LogEntry]) -> int:
-        """Apply missed writes in order; returns how many were applied."""
-        copy = self._get(obj)
-        applied = 0
-        for entry in entries:
-            if copy.date is None or (entry.date is not None
-                                     and entry.date > copy.date):
-                copy.value = entry.value
-                copy.date = entry.date
-                copy.version = entry.version
-                copy.log.append(entry)
-                applied += 1
-        return applied
-
-    # -- helpers -----------------------------------------------------------
-
-    def _get(self, obj: str) -> Copy:
-        try:
-            return self._copies[obj]
-        except KeyError:
-            raise KeyError(f"no copy of {obj!r} on processor {self.pid}") from None
-
-    def __repr__(self) -> str:
-        return f"CopyStore(pid={self.pid}, objects={sorted(self._copies)})"
-
-
-class DurableCell:
-    """A named crash-surviving scalar (e.g. the protocol's ``max-id``).
-
-    The paper requires partition identifiers to be globally unique and
-    increasing even across crashes; keeping ``max-id`` durable is the
-    standard way to get that.
-    """
-
-    def __init__(self, initial: Any = None):
-        self._value = initial
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    @value.setter
-    def value(self, new: Any) -> None:
-        self._value = new

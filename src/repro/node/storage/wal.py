@@ -25,11 +25,11 @@ from typing import Any, List, Optional
 
 # -- record kinds -----------------------------------------------------------
 
-#: a copy was created (``CopyStore.place``)
+#: a copy was created (``place``)
 REC_PLACE = "place"
-#: a transaction's physical write (``CopyStore.write``)
+#: a transaction's physical write (``write``)
 REC_WRITE = "write"
-#: a recovery overwrite (``CopyStore.install``, R5)
+#: a recovery overwrite (``install``, R5)
 REC_INSTALL = "install"
 #: one missed log entry applied during §6 catch-up (``apply_log``)
 REC_APPLY = "apply"
@@ -40,7 +40,7 @@ REC_DECISION = "decision"
 #: a participant's yes-vote prepare record (2PC uncertainty window)
 REC_PREPARE = "prepare"
 #: a copy was retired — its storage released — after a reshard moved
-#: it elsewhere (``CopyStore.retire``)
+#: it elsewhere (``retire``)
 REC_RETIRE = "retire"
 
 RECORD_KINDS = frozenset({

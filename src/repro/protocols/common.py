@@ -135,10 +135,9 @@ class BaselineServerMixin:
             written = self._before_images.pop(txn, {})
             # mirror of AccessMixin._apply_decision: a committed write
             # invalidates any lease this processor granted on the object
-            lease_table = getattr(self, "lease_table", None)
-            if written and lease_table is not None:
+            if written and self.lease_table is not None:
                 for obj in written:
-                    lease_table.invalidate(obj)
+                    self.lease_table.invalidate(obj)
         self._poisoned_txns.discard(txn)
         self.cc.finish(txn, outcome)
 

@@ -527,15 +527,12 @@ def collect_registry(cluster: Cluster, sessions=(),
         transport = cluster.processors[pid].transport
         _count_fields(registry, "transport", transport)
         fanout_latency.observe_many(transport.fanout_latencies)
-    for pid in sorted(getattr(cluster, "directories", {})):
+    for pid in sorted(cluster.directories):
         _count_fields(registry, "directory", cluster.directories[pid].stats)
     retained = 0
     for pid in cluster.pids:
         store = cluster.processors[pid].store
-        stats = getattr(store, "stats", None)
-        if stats is None:
-            continue  # a bare CopyStore was injected; no engine stats
-        _count_fields(registry, "storage", stats)
+        _count_fields(registry, "storage", store.stats)
         retained += store.retained_entries()
     registry.gauge("storage.retained_entries").set(retained)
     totals = cluster.total_metrics()
@@ -546,14 +543,13 @@ def collect_registry(cluster: Cluster, sessions=(),
                      "physical_read_rpcs", "physical_write_rpcs",
                      "decisions_retired", "reshard_installs",
                      "reshard_retires"):
-            registry.gauge(f"protocol.{name}").set(getattr(totals, name, 0))
+            registry.gauge(f"protocol.{name}").set(getattr(totals, name))
         # The commit protocol's measured blocking window: sim time each
         # prepared participant spent in doubt before its outcome landed.
         registry.log_histogram("txn.in_doubt_dwell").observe_many(
-            getattr(totals, "in_doubt_dwell", []))
-    engine = getattr(cluster, "reshard_engine", None)
-    if engine is not None:
-        _count_fields(registry, "reshard", engine.stats)
+            totals.in_doubt_dwell)
+    if cluster.reshard_engine is not None:
+        _count_fields(registry, "reshard", cluster.reshard_engine.stats)
     if observer is not None and observer.latencies:
         registry.log_histogram("client.txn_latency").observe_many(
             observer.latencies)
@@ -577,7 +573,7 @@ def _collect_sessions(registry: MetricsRegistry, cluster: Cluster,
     # lease tables are per-processor (shared by that node's sessions),
     # so collect them from the protocols, not the sessions
     for pid in cluster.pids:
-        table = getattr(cluster.protocols[pid], "lease_table", None)
+        table = cluster.protocols[pid].lease_table
         if table is None:
             continue
         _count_fields(registry, "client.lease", table.stats)

@@ -60,6 +60,19 @@ def test_max_id_monotonic(state):
         state.max_id = VpId(4, 9)
 
 
+def test_storeless_state_journals_its_max_id_bump_as_a_forced_record(state):
+    """Built without a store, the state makes its own engine: there is
+    no un-journalled kind of durable cell."""
+    engine = state._max_id._engine
+    assert engine.stats.forced_syncs == 0
+    state.max_id = VpId(5, 1)
+    assert engine.stats.forced_syncs == 1
+    record = list(engine.wal)[-1]
+    assert (record.kind, record.cell, record.value, record.forced) == (
+        "cell", "max-id", VpId(5, 1), True)
+    assert engine.rebuilt().durable_cell("max-id").value == VpId(5, 1)
+
+
 def test_max_id_survives_crash(state):
     state.max_id = VpId(7, 3)
     state.reset_volatile()

@@ -53,7 +53,7 @@ def _assert_rebuilds_cleanly(cluster):
     for pid in cluster.pids:
         engine = cluster.processors[pid].store
         rebuilt = engine.rebuilt()
-        assert rebuilt.durable_snapshot() == engine.durable_snapshot(), \
+        assert rebuilt.snapshot() == engine.snapshot(), \
             f"replay diverged on p{pid}"
         # the durable max-id cell individually, since everything hangs
         # off identifiers staying monotone across crashes

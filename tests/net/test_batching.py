@@ -166,8 +166,7 @@ def test_duplicate_replies_riding_one_envelope_wake_the_waiter_once():
     p1, p2 = Processor(1, sim, net), Processor(2, sim, net)
     replies = []
 
-    def server():
-        request = yield p2.receive("ping")
+    def server(request):
         p2.reply(request, "pong", {"n": 1})
         p2.reply(request, "pong", {"n": 2})  # duplicate, same window
 
@@ -175,15 +174,14 @@ def test_duplicate_replies_riding_one_envelope_wake_the_waiter_once():
         response = yield from p1.rpc(2, "ping", {}, timeout=10.0)
         replies.append(response.payload["n"])
 
-    sim.process(server(), name="server")
+    p2.serve("ping", server)
     sim.process(client(), name="client")
     sim.run()
     # both pongs rode one envelope; the first woke the RPC waiter, the
-    # second found nobody waiting — counted late, not left in a mailbox
+    # second found nobody waiting — counted late, handed to no handler
     assert net.stats.envelopes == 2 and net.stats.delivered == 3
     assert replies == [1]
     assert p1.transport.late_replies == 1
-    assert len(p1.mailbox("pong")) == 0
 
 
 def test_recv_traces_follow_carry_order():

@@ -23,46 +23,34 @@ def build(n=3):
 def test_send_and_receive_by_kind():
     sim, _, _, procs = build()
     got = []
-
-    def listener():
-        message = yield procs[2].receive("ping")
-        got.append((message.src, message.payload["n"], sim.now))
-
-    sim.process(listener())
+    procs[2].serve("ping", lambda message: got.append(
+        (message.src, message.payload["n"], sim.now)))
     procs[1].send(2, "ping", {"n": 7})
     sim.run()
     assert got == [(1, 7, 1.0)]
 
 
-def test_mailboxes_separate_kinds():
+def test_handlers_separate_kinds():
     sim, _, _, procs = build()
-    got = []
-
-    def listener():
-        message = yield procs[2].receive("beta")
-        got.append(message.kind)
-
-    sim.process(listener())
+    alphas, betas = [], []
+    procs[2].serve("alpha", lambda message: alphas.append(message.kind))
+    procs[2].serve("beta", lambda message: betas.append(message.kind))
     procs[1].send(2, "alpha")
     procs[1].send(2, "beta")
     sim.run()
-    assert got == ["beta"]
-    assert [m.kind for m in procs[2].mailbox("alpha").peek_all()] == ["alpha"]
+    assert betas == ["beta"]
+    assert alphas == ["alpha"]
 
 
 def test_rpc_roundtrip():
     sim, _, _, procs = build()
-
-    def server():
-        while True:
-            request = yield procs[2].receive("echo")
-            procs[2].reply(request, "echo-reply", {"text": request.payload["text"]})
+    procs[2].serve("echo", lambda request: procs[2].reply(
+        request, "echo-reply", {"text": request.payload["text"]}))
 
     def client():
         response = yield from procs[1].rpc(2, "echo", {"text": "hi"}, timeout=5.0)
         return (response.payload["text"], sim.now)
 
-    sim.process(server())
     proc = sim.process(client())
     sim.run()
     assert proc.value == ("hi", 2.0)  # 1.0 each way
@@ -86,8 +74,7 @@ def test_rpc_no_response_raises():
 def test_late_reply_after_timeout_is_dropped():
     sim, _, _, procs = build()
 
-    def slow_server():
-        request = yield procs[2].receive("ask")
+    def slow_server(request):
         yield sim.timeout(10.0)  # reply far too late
         procs[2].reply(request, "ask-reply")
 
@@ -98,16 +85,15 @@ def test_late_reply_after_timeout_is_dropped():
             yield from procs[1].rpc(2, "ask", {}, timeout=2.0)
         except NoResponse:
             outcomes.append("timeout")
-        # The late reply must not land in any mailbox afterwards.
 
-    sim.process(slow_server())
+    procs[2].serve_spawned("ask", slow_server)
     sim.process(client())
-    sim.run()
+    sim.run()  # the late reply reaches no handler: unserved, it would raise
     assert outcomes == ["timeout"]
-    assert len(procs[1].mailbox("ask-reply")) == 0
+    assert procs[1].transport.late_replies == 1
 
 
-def test_crash_kills_tasks_and_clears_mailboxes():
+def test_crash_kills_tasks():
     sim, graph, _, procs = build()
     ticks = []
 
@@ -118,14 +104,12 @@ def test_crash_kills_tasks_and_clears_mailboxes():
 
     procs[2].add_task("ticker", ticker)
     procs[2].start()
-    procs[1].send(2, "ping")
     sim.run(until=3.5)
     graph.crash_node(2)
     procs[2].crash()
     count_at_crash = len(ticks)
     sim.run(until=10.0)
     assert len(ticks) == count_at_crash
-    assert len(procs[2].mailbox("ping")) == 0
 
 
 def test_recover_respawns_tasks_and_runs_hooks():
@@ -154,21 +138,18 @@ def test_recover_respawns_tasks_and_runs_hooks():
 
 def test_crashed_processor_drops_deliveries():
     sim, graph, _, procs = build()
+    got = []
+    procs[2].serve("ping", got.append)
     procs[2].crash()
     procs[1].send(2, "ping")
     sim.run()
-    assert len(procs[2].mailbox("ping")) == 0
+    assert got == []
 
 
 def test_messages_to_self_are_delivered():
     sim, _, _, procs = build()
     got = []
-
-    def listener():
-        message = yield procs[1].receive("note")
-        got.append(message.src)
-
-    sim.process(listener())
+    procs[1].serve("note", lambda message: got.append(message.src))
     procs[1].send(1, "note")
     sim.run()
     assert got == [1]
@@ -201,12 +182,14 @@ def test_served_kind_runs_at_delivery_and_never_enters_a_mailbox():
     procs[1].send(2, "ping", {"n": 7})
     sim.run()
     assert got == [(1, 7, 1.0)]
-    assert "ping" not in procs[2]._mailboxes
     # one kernel event per message: its delivery, nothing queued behind it
     assert sim.dispatched - before == 1
 
 
-def test_unserved_kind_still_lands_in_its_mailbox():
+def test_unserved_kind_raises_at_delivery():
+    """A kind nobody serves is a wiring error, reported at the delivery
+    event — not queued where no protocol would ever read it.  Serving
+    other kinds, and an open collection window, change nothing."""
     sim, _, _, procs = build()
     procs[2].serve("ask", lambda m: procs[2].send(m.src, "answer",
                                                   {"from": 2}))
@@ -221,9 +204,10 @@ def test_unserved_kind_still_lands_in_its_mailbox():
 
     proc = sim.process(collector())
     procs[2].send(1, "stray")
-    sim.run()
+    with pytest.raises(KeyError, match="stray"):
+        sim.run()
+    sim.run()  # the raise consumed only the stray's delivery event
     assert proc.value == ([2, 3], 5.0)
-    assert [m.kind for m in procs[1].mailbox("stray").peek_all()] == ["stray"]
 
 
 def test_reply_goes_to_its_rpc_waiter_even_when_its_kind_is_served():

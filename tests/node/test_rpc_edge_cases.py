@@ -1,4 +1,4 @@
-"""Edge-case tests: RPC and mailbox behaviour across crashes."""
+"""Edge-case tests: RPC and handler behaviour across crashes."""
 
 import random
 
@@ -34,8 +34,7 @@ def test_rpc_to_crashed_server_times_out():
 def test_server_crash_after_request_before_reply():
     sim, graph, _, procs = build()
 
-    def server():
-        message = yield procs[2].receive("ask")
+    def server(message):
         yield sim.timeout(5.0)  # crash interrupts this wait
         procs[2].reply(message, "ask-reply")
 
@@ -48,7 +47,7 @@ def test_server_crash_after_request_before_reply():
         except NoResponse:
             outcomes.append("no-response")
 
-    sim.process(server())
+    procs[2].serve_spawned("ask", server)
     sim.process(client())
     sim.timeout(2.0).add_callback(lambda e: (graph.crash_node(2),
                                              procs[2].crash()))
@@ -59,8 +58,7 @@ def test_server_crash_after_request_before_reply():
 def test_requester_crash_drops_pending_reply():
     sim, graph, _, procs = build()
 
-    def server():
-        message = yield procs[2].receive("ask")
+    def server(message):
         yield sim.timeout(3.0)
         procs[2].reply(message, "ask-reply")
 
@@ -73,28 +71,24 @@ def test_requester_crash_drops_pending_reply():
         except NoResponse:
             state.append(("timeout", None))
 
-    sim.process(server())
-    client_proc = sim.process(client())
+    procs[2].serve_spawned("ask", server)
+    sim.process(client())
     # p1 crashes while the reply is on its way back.
     sim.timeout(2.5).add_callback(lambda e: (graph.crash_node(1),
                                              procs[1].crash()))
     sim.run(until=30.0)
-    # The reply was dropped (p1 was down); no mailbox pollution on p1.
-    assert all(len(procs[1].mailbox(k)) == 0
-               for k in ("ask-reply", "ask"))
+    # The reply was dropped (p1 was down): it reached neither the
+    # waiter the crash forgot nor the late-reply path.
+    assert state == [("timeout", None)]
+    assert procs[1]._reply_waiters == {}
+    assert procs[1].transport.late_replies == 0
 
 
 def test_recovered_processor_serves_again():
     sim, graph, _, procs = build()
 
-    def echo_task():
-        while True:
-            message = yield procs[2].receive("echo")
-            procs[2].reply(message, "echo-reply",
-                           {"text": message.payload["text"]})
-
-    procs[2].add_task("echo", echo_task)
-    procs[2].start()
+    procs[2].serve("echo", lambda message: procs[2].reply(
+        message, "echo-reply", {"text": message.payload["text"]}))
 
     graph.crash_node(2)
     procs[2].crash()
@@ -114,6 +108,8 @@ def test_recovered_processor_serves_again():
 
 def test_messages_queued_while_down_are_not_delivered_after_recovery():
     sim, graph, _, procs = build()
+    got = []
+    procs[2].serve("note", got.append)
     graph.crash_node(2)
     procs[2].crash()
     procs[1].send(2, "note", {"n": 1})
@@ -121,7 +117,7 @@ def test_messages_queued_while_down_are_not_delivered_after_recovery():
     graph.recover_node(2)
     procs[2].recover()
     sim.run(until=10.0)
-    assert len(procs[2].mailbox("note")) == 0, (
+    assert got == [], (
         "messages sent while a processor is down are lost, not queued"
     )
 
@@ -129,18 +125,14 @@ def test_messages_queued_while_down_are_not_delivered_after_recovery():
 def test_two_rpcs_in_flight_matched_correctly():
     sim, _, _, procs = build()
 
-    def server():
-        while True:
-            message = yield procs[2].receive("ask")
-            procs[2].reply(message, "ask-reply",
-                           {"echo": message.payload["n"]})
+    procs[2].serve("ask", lambda message: procs[2].reply(
+        message, "ask-reply", {"echo": message.payload["n"]}))
 
     def client(n, delay):
         yield sim.timeout(delay)
         response = yield from procs[1].rpc(2, "ask", {"n": n}, timeout=10.0)
         return response.payload["echo"]
 
-    sim.process(server())
     first = sim.process(client(1, 0.0))
     second = sim.process(client(2, 0.1))
     sim.run()

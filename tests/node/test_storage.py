@@ -1,12 +1,12 @@
-"""Unit tests for the durable copy store."""
+"""Unit tests for the copy table of the durable storage engine."""
 
 import pytest
 
-from repro.node import CopyStore, DurableCell, LogEntry
+from repro.node import LogEntry, StorageEngine
 
 
 def test_place_and_read():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     store.place("x", initial=0, date=(0, 0))
     assert store.read("x") == (0, (0, 0))
     assert store.holds("x")
@@ -14,20 +14,20 @@ def test_place_and_read():
 
 
 def test_double_place_rejected():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     store.place("x")
     with pytest.raises(KeyError):
         store.place("x")
 
 
 def test_missing_copy_raises():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     with pytest.raises(KeyError):
         store.read("ghost")
 
 
 def test_write_updates_value_and_date():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     store.place("x", initial=0, date=(0, 0))
     store.write("x", 42, (1, 3))
     assert store.read("x") == (42, (1, 3))
@@ -35,7 +35,7 @@ def test_write_updates_value_and_date():
 
 
 def test_access_counters():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     store.place("x", initial=0, date=(0, 0))
     store.read("x")
     store.read("x")
@@ -48,7 +48,7 @@ def test_access_counters():
 
 
 def test_install_does_not_count_as_transaction_write():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     store.place("x", initial=0, date=(0, 0))
     store.install("x", 99, (2, 1))
     assert store.writes.get("x", 0) == 0
@@ -56,7 +56,7 @@ def test_install_does_not_count_as_transaction_write():
 
 
 def test_log_since_returns_missed_writes_in_order():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     store.place("x", initial=0, date=(0, 0))
     store.write("x", 1, (1, 1))
     store.write("x", 2, (2, 1))
@@ -66,19 +66,19 @@ def test_log_since_returns_missed_writes_in_order():
 
 
 def test_log_since_none_returns_full_history():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     store.place("x", initial=0, date=(0, 0))
     store.write("x", 1, (1, 1))
     assert len(store.log_since("x", None)) == 2  # initial + write
 
 
 def test_apply_log_catches_up_stale_copy():
-    fresh = CopyStore(1)
+    fresh = StorageEngine(1)
     fresh.place("x", initial=0, date=(0, 0))
     fresh.write("x", 10, (1, 1))
     fresh.write("x", 20, (2, 1))
 
-    stale = CopyStore(2)
+    stale = StorageEngine(2)
     stale.place("x", initial=0, date=(0, 0))
     applied = stale.apply_log("x", fresh.log_since("x", (0, 0)))
     assert applied == 2
@@ -86,7 +86,7 @@ def test_apply_log_catches_up_stale_copy():
 
 
 def test_apply_log_skips_already_applied_entries():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     store.place("x", initial=5, date=(3, 1))
     applied = store.apply_log("x", [LogEntry((1, 1), 1), LogEntry((2, 1), 2)])
     assert applied == 0
@@ -94,7 +94,7 @@ def test_apply_log_skips_already_applied_entries():
 
 
 def test_object_size_for_transfer_costs():
-    store = CopyStore(1)
+    store = StorageEngine(1)
     store.place("big", initial=b"...", date=(0, 0), size=1000)
     assert store.size("big") == 1000
     with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ def test_object_size_for_transfer_costs():
 
 
 def test_durable_cell_roundtrip():
-    cell = DurableCell((0, 1))
+    cell = StorageEngine(1).durable_cell("max-id", (0, 1))
     assert cell.value == (0, 1)
     cell.value = (5, 2)
     assert cell.value == (5, 2)

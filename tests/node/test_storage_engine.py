@@ -1,11 +1,13 @@
-"""The storage engine is a faithful CopyStore facade — plus a WAL.
+"""The storage engine: one copy table, journalled into a WAL.
 
 Two layers of pinning:
 
-* equivalence — every CopyStore behaviour (place / read / write /
+* the copy table — every access behaviour (place / read / write /
   install / log_since / apply_log, including the ``date=None`` edge
-  cases) is identical through the engine with the default policy;
-* engine-only behaviour — WAL accounting, checkpoint/rebuild
+  cases) over one scripted workload, pinned as a literal (captured at
+  PR 19's parent, where it also equalled the un-journalled
+  ``CopyStore`` the engine used to wrap);
+* durability — WAL accounting, snapshot/checkpoint/rebuild
   round-trips, compaction floors and :class:`LogTruncated`, durable
   cells, and the journalled decision log.
 """
@@ -13,17 +15,15 @@ Two layers of pinning:
 import pytest
 
 from repro.node.storage import (
-    CopyStore,
+    NO_FLOOR,
     LogEntry,
     LogTruncated,
     StorageEngine,
-    StoragePolicy,
 )
-from repro.node.storage.checkpoint import NO_FLOOR
 
 
 def drive(store):
-    """One scripted mixed workload, run against either implementation."""
+    """One scripted mixed workload over the copy table."""
     store.place("x", initial=0, date=None, size=10, version="v0")
     store.place("y", initial="seed", date=(1, 1), size=3, version="v1")
     out = []
@@ -50,20 +50,39 @@ def drive(store):
     return out
 
 
-def test_engine_facade_equivalent_to_copystore():
-    assert drive(CopyStore(1)) == drive(StorageEngine(1))
+def test_scripted_drive_output_is_pinned():
+    assert drive(StorageEngine(1)) == [
+        (0, None),
+        (12, (2, 2)),
+        ("seed", (1, 1)),
+        ((3, 1), "v4", 3),
+        1,
+        [LogEntry(None, 0, "v0"), LogEntry((2, 1), 11, "v2"),
+         LogEntry((2, 2), 12, "v3")],
+        [LogEntry((2, 2), 12, "v3")],
+        [LogEntry((4, 1), "newest", "v5")],
+        ({"x": 2}, {"x": 2}),
+        (True, False),
+        ["x", "y"],
+    ]
 
 
-def test_facade_errors_match():
-    plain, engine = CopyStore(1), StorageEngine(1)
-    for store in (plain, engine):
-        store.place("x", initial=0)
-        with pytest.raises(KeyError):
-            store.place("x", initial=1)  # double placement
-        with pytest.raises(KeyError):
-            store.read("missing")
-        with pytest.raises(ValueError):
-            store.place("tiny", size=0)
+def test_copy_table_errors():
+    store = StorageEngine(1)
+    store.place("x", initial=0)
+    with pytest.raises(KeyError):
+        store.place("x", initial=1)  # double placement
+    with pytest.raises(KeyError):
+        store.read("missing")
+    with pytest.raises(ValueError):
+        store.place("tiny", size=0)
+
+
+@pytest.mark.parametrize("knobs", [{"log_retain": 0},
+                                   {"checkpoint_every": -1}], ids=str)
+def test_out_of_range_knobs_are_refused(knobs):
+    with pytest.raises(ValueError):
+        StorageEngine(1, **knobs)
 
 
 def test_every_mutation_is_journalled():
@@ -79,6 +98,22 @@ def test_every_mutation_is_journalled():
     # reads journal nothing
     engine.read("x")
     assert engine.stats.wal_appends == 4
+
+
+def test_apply_log_journals_exactly_the_applied_entries():
+    engine = StorageEngine(1)
+    engine.place("x", initial=0, date=(3, 1))
+    applied = engine.apply_log("x", [
+        LogEntry((2, 9), "stale", "v-old"),
+        LogEntry(None, "undated", "v-none"),
+        LogEntry((4, 1), "newer", "v4"),
+        LogEntry((4, 1), "repeat", "v4"),   # no longer newer: skipped
+        LogEntry((5, 1), "newest", "v5"),
+    ])
+    assert applied == 2
+    assert [(r.kind, r.value) for r in engine.wal] == [
+        ("place", 0), ("apply", "newer"), ("apply", "newest")]
+    assert engine.rebuilt().snapshot() == engine.snapshot()
 
 
 def test_force_write_points_are_counted():
@@ -102,6 +137,30 @@ def test_durable_cell_reacquisition_is_idempotent():
     assert again.value == 42  # live value wins over the new initial
 
 
+def test_snapshot_is_pure_and_is_what_checkpoint_stores():
+    engine = StorageEngine(1, log_retain=1)
+    engine.place("x", initial=0)
+    engine.write("x", 1, (1, 1), "v1")
+    engine.durable_cell("max-id", (0, 1)).value = (1, 1)
+    engine.record_decision("t1", "commit")
+    before = (len(engine.wal), engine.stats.checkpoints,
+              engine.retained_entries(), engine.last_checkpoint)
+    snap = engine.snapshot()
+    assert snap == engine.snapshot()
+    assert (len(engine.wal), engine.stats.checkpoints,
+            engine.retained_entries(), engine.last_checkpoint) == before
+    assert [c.obj for c in snap.copies] == ["x"]
+    assert snap.cells == (("max-id", (1, 1)),)
+    assert snap.decisions == (("t1", "commit"),)
+    stored = engine.checkpoint(compact=False)
+    assert stored.state == snap and stored.lsn == engine.wal.tail_lsn
+    assert stored is engine.last_checkpoint
+    # a compacting checkpoint stores the trimmed logs and their floors
+    compacted = engine.checkpoint().state
+    assert compacted == engine.snapshot()
+    assert compacted != snap
+
+
 def test_checkpoint_truncates_wal_and_rebuild_roundtrips():
     engine = StorageEngine(1)
     engine.place("x", initial=0, size=5)
@@ -113,7 +172,7 @@ def test_checkpoint_truncates_wal_and_rebuild_roundtrips():
     engine.write("x", 2, (2, 1), "v2")   # the replay tail
     engine.record_decision("t2", "abort")
     rebuilt = engine.rebuilt()
-    assert rebuilt.durable_snapshot() == engine.durable_snapshot()
+    assert rebuilt.snapshot() == engine.snapshot()
     assert rebuilt.stats.replayed_records == 2
     assert rebuilt.stats.replayed_bytes > 0
     assert rebuilt.durable_cell("max-id").value == (1, 1)
@@ -125,7 +184,7 @@ def test_rebuild_from_empty_checkpoint_is_pure_replay():
     engine.place("x", initial="a", date=None, version="v0")
     engine.write("x", "b", (1, 1), "v1")
     rebuilt = engine.rebuilt()
-    assert rebuilt.durable_snapshot() == engine.durable_snapshot()
+    assert rebuilt.snapshot() == engine.snapshot()
     assert rebuilt.stats.replayed_records == 2
 
 
@@ -142,7 +201,7 @@ def test_replay_does_not_recount_transaction_writes():
 
 
 def test_compaction_sets_floor_and_refuses_deep_log_reads():
-    engine = StorageEngine(1, StoragePolicy(log_retain=2))
+    engine = StorageEngine(1, log_retain=2)
     engine.place("x", initial=0)           # seed entry, date=None
     for n in range(1, 5):
         engine.write("x", n, (n, 1), f"v{n}")
@@ -163,7 +222,7 @@ def test_compaction_sets_floor_and_refuses_deep_log_reads():
 
 
 def test_none_dated_floor_still_answers_dated_queries():
-    engine = StorageEngine(1, StoragePolicy(log_retain=2))
+    engine = StorageEngine(1, log_retain=2)
     engine.place("x", initial=0)
     engine.write("x", 1, (1, 1), "v1")
     engine.write("x", 2, (2, 1), "v2")
@@ -178,7 +237,7 @@ def test_none_dated_floor_still_answers_dated_queries():
 
 
 def test_compaction_floor_survives_rebuild():
-    engine = StorageEngine(1, StoragePolicy(log_retain=1))
+    engine = StorageEngine(1, log_retain=1)
     engine.place("x", initial=0)
     for n in range(1, 4):
         engine.write("x", n, (n, 1))
@@ -188,11 +247,11 @@ def test_compaction_floor_survives_rebuild():
     assert rebuilt.compaction_floor("x") == (2, 1)
     with pytest.raises(LogTruncated):
         rebuilt.log_since("x", (1, 1))
-    assert rebuilt.durable_snapshot() == engine.durable_snapshot()
+    assert rebuilt.snapshot() == engine.snapshot()
 
 
 def test_auto_checkpoint_fires_by_append_count():
-    engine = StorageEngine(1, StoragePolicy(checkpoint_every=3))
+    engine = StorageEngine(1, checkpoint_every=3)
     engine.place("x", initial=0)
     engine.write("x", 1, (1, 1))
     assert engine.stats.checkpoints == 0
@@ -206,6 +265,24 @@ def test_uncompacted_engine_has_no_floor():
     engine = StorageEngine(1)
     engine.place("x", initial=0)
     engine.write("x", 1, (1, 1))
-    engine.checkpoint()  # default policy: no compaction
+    engine.checkpoint()  # no log_retain: no compaction
     assert engine.compaction_floor("x") is NO_FLOOR
     assert len(engine.log_since("x", None)) == 2
+
+
+def test_retire_drops_copy_and_floor_and_replays():
+    engine = StorageEngine(1, log_retain=1)
+    engine.place("x", initial=0)
+    engine.place("y", initial=0)
+    engine.write("x", 1, (1, 1))
+    engine.checkpoint()  # x's seed entry is compacted away: a floor
+    assert engine.compaction_floor("x") is None
+    engine.retire("x")   # the replay tail: retire, then a fresh placement
+    assert not engine.holds("x")
+    assert engine.compaction_floor("x") is NO_FLOOR
+    with pytest.raises(KeyError):
+        engine.retire("x")
+    engine.place("x", initial=5, date=(2, 1))
+    rebuilt = engine.rebuilt()
+    assert rebuilt.snapshot() == engine.snapshot()
+    assert rebuilt.log_since("x", None) == [LogEntry((2, 1), 5)]

@@ -18,20 +18,25 @@ def build(n=4):
 
 
 def echo_server(proc, kind="echo", delay=0.0):
-    def server():
-        while True:
-            request = yield proc.receive(kind)
-            if delay:
-                yield proc.sim.timeout(delay)
-            proc.reply(request, f"{kind}-reply",
-                       {"pid": proc.pid, "n": request.payload["n"]})
-    return server
+    """Serve ``kind`` on ``proc``: echo each request ``delay`` later."""
+    def echo(request):
+        proc.reply(request, f"{kind}-reply",
+                   {"pid": proc.pid, "n": request.payload["n"]})
+
+    def delayed(request):
+        yield proc.sim.timeout(delay)
+        echo(request)
+
+    if delay:
+        proc.serve_spawned(kind, delayed)
+    else:
+        proc.serve(kind, echo)
 
 
 def test_scatter_gather_collects_every_reply():
     sim, _, _, procs = build()
     for p in (2, 3, 4):
-        sim.process(echo_server(procs[p])())
+        echo_server(procs[p])
 
     def caller():
         results = yield from procs[1].scatter_gather(
@@ -54,7 +59,7 @@ def test_silence_maps_to_none_and_is_counted():
     sim, graph, _, procs = build()
     graph.cut_link(1, 3)
     for p in (2, 4):
-        sim.process(echo_server(procs[p])())
+        echo_server(procs[p])
 
     def caller():
         results = yield from procs[1].scatter_gather(
@@ -73,9 +78,9 @@ def test_silence_maps_to_none_and_is_counted():
 
 def test_quorum_early_exit_kills_the_stragglers():
     sim, _, _, procs = build()
-    sim.process(echo_server(procs[2])())
-    sim.process(echo_server(procs[3])())
-    sim.process(echo_server(procs[4], delay=50.0)())
+    echo_server(procs[2])
+    echo_server(procs[3])
+    echo_server(procs[4], delay=50.0)
 
     def caller():
         results = yield from procs[1].scatter_gather(
@@ -95,7 +100,7 @@ def test_quorum_early_exit_kills_the_stragglers():
 def test_two_phase_scatter_overlaps_local_work():
     sim, _, _, procs = build()
     for p in (2, 3):
-        sim.process(echo_server(procs[p])())
+        echo_server(procs[p])
 
     def caller():
         call = procs[1].scatter([2, 3], "echo",
@@ -129,14 +134,12 @@ def test_broadcast_collect_filters_and_respects_window():
     sim, _, _, procs = build()
 
     def acker(proc, value):
-        def server():
-            message = yield proc.receive("ping")
-            proc.send(message.src, "pong", {"v": value})
-        return server
+        proc.serve("ping", lambda message: proc.send(
+            message.src, "pong", {"v": value}))
 
-    sim.process(acker(procs[2], "yes")())
-    sim.process(acker(procs[3], "no")())
-    # processor 4 never answers
+    acker(procs[2], "yes")
+    acker(procs[3], "no")
+    procs[4].serve("ping", lambda message: None)  # never answers
 
     def caller():
         collected = yield from procs[1].broadcast_collect(
@@ -159,7 +162,7 @@ def test_late_reply_is_counted_and_traced():
     sim, _, _, procs = build()
     tracer = Tracer(sim)
     procs[1].tracer = tracer
-    sim.process(echo_server(procs[2], delay=5.0)())
+    echo_server(procs[2], delay=5.0)
 
     def caller():
         try:
@@ -186,9 +189,9 @@ def test_quorum_kill_leaves_no_reply_waiters():
     every reply waiter — and the straggler's eventual reply is dropped
     as a late reply, not an error."""
     sim, _, _, procs = build()
-    sim.process(echo_server(procs[2])())
-    sim.process(echo_server(procs[3])())
-    sim.process(echo_server(procs[4], delay=50.0)())
+    echo_server(procs[2])
+    echo_server(procs[3])
+    echo_server(procs[4], delay=50.0)
 
     def caller():
         results = yield from procs[1].scatter_gather(
@@ -302,7 +305,7 @@ def test_caller_crash_mid_fanout_counts_the_silent_legs():
     sim, _, _, procs = build()
     serve_echo(procs[2])
     for p in (3, 4):
-        sim.process(echo_server(procs[p], delay=5.0)())
+        echo_server(procs[p], delay=5.0)
 
     def caller():
         yield from procs[1].scatter_gather(
@@ -341,8 +344,8 @@ def test_reply_at_the_deadline_instant_is_late():
 def test_result_order_target_without_quorum_arrival_with():
     sim, _, _, procs = build()
     serve_echo(procs[2])
-    sim.process(echo_server(procs[3], delay=1.0)())
-    sim.process(echo_server(procs[4], delay=2.0)())
+    echo_server(procs[3], delay=1.0)
+    echo_server(procs[4], delay=2.0)
 
     def caller():
         plain = yield from procs[1].scatter_gather(
@@ -360,6 +363,8 @@ def test_result_order_target_without_quorum_arrival_with():
 
 def test_second_window_on_an_open_reply_kind_raises():
     sim, _, _, procs = build()
+    for silent in (2, 3):
+        procs[silent].serve("ping", lambda message: None)
     first = procs[1].broadcast_collect(
         [2], "ping", {}, reply_kind="pong", window=5.0,
         accept=lambda m: True)
@@ -391,7 +396,6 @@ def test_killed_collector_leaves_the_kind_dropping():
     procs[1].recover()
     sim.run()  # the ack lands at t=2.0 on a recovered processor
     assert seen == []
-    assert len(procs[1].mailbox("pong")) == 0
     # ...and the next window opens without complaint
     next(procs[1].broadcast_collect(
         [2], "ping", {}, reply_kind="pong", window=5.0,

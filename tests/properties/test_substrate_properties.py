@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cc.locks import EXCLUSIVE, SHARED, LockManager
 from repro.net.topology import CommGraph
-from repro.node.storage import CopyStore
+from repro.node.storage import StorageEngine
 from repro.sim import Simulator
 
 
@@ -109,8 +109,8 @@ def test_log_catchup_reconstructs_the_source_exactly(seed, writes, stale_at):
     identical to the source after applying log_since(its own date) —
     for any sequence of (vp, counter) dates."""
     rng = random.Random(seed)
-    source = CopyStore(1)
-    stale = CopyStore(2)
+    source = StorageEngine(1)
+    stale = StorageEngine(2)
     source.place("x", initial=0, date=None)
     stale.place("x", initial=0, date=None)
 
