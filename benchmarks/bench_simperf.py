@@ -7,9 +7,9 @@ stands on.  This bench prints two tables:
 **Harness speed** (single shot, unchanged methodology since PR 4):
 
 * **kernel** — a pure-kernel churn microbench: producer/consumer pairs
-  exchanging messages through :class:`MessageQueue` with ``AnyOf``
-  timeout races — the wait ``Processor.rpc`` makes — with none of the
-  protocol logic.  This isolates the dispatch loop (packed
+  handing over one event per tick, the consumer waiting on it under a
+  deadline with ``sim.wait`` — the wait ``Processor.rpc`` makes — with
+  none of the protocol logic.  This isolates the dispatch loop (packed
   ``(time, key, event)`` entries, lazy cancellation).
 * **vp** — events/sec for a message-heavy virtual-partitions run (the
   full stack: transport, locks, 2PC), via the runner's
@@ -24,9 +24,12 @@ stands on.  This bench prints two tables:
 * **churn best-of-N** — the same churn workload, warmed up and run
   ``churn_reps`` times reporting the best wall-clock; compared against
   the kernel-churn rate recorded at the PR-4 tag (``PR4_CHURN_RATE``).
-  The dispatch count is closed-form (``3·pairs·msgs + 4·pairs``) and
+  The dispatch count is closed-form (``2·pairs·msgs + 2·pairs``) and
   pinned by ``--check``, so any kernel change that adds, drops, or
-  reorders a dispatch fails CI deterministically.
+  reorders a dispatch fails CI deterministically.  The workload changed
+  shape at PR 20 (3 → 2 events per message: no composite event sits
+  between the parked event and the consumer), so churn rates before
+  and after that PR are not one series.
 
 Wall-clock numbers are hardware-dependent; the deterministic side
 (dispatched-event counts, fingerprint equality) is what CI's
@@ -39,7 +42,6 @@ from __future__ import annotations
 import time
 
 from repro.sim import Simulator
-from repro.sim.queues import MessageQueue
 from repro.workload import ExperimentSpec, WorkloadSpec, run_many
 from repro.workload.runner import run_experiment
 from repro.workload.tables import render_table
@@ -67,29 +69,27 @@ SMOKE = {
 
 
 def _build_churn(pairs: int, msgs: int) -> Simulator:
-    """A kernel-only workload: ``pairs`` producer/consumer couples, the
-    consumer racing each receive against a timeout (the losing
-    timeout is cancelled — the lazy-deletion path), the paper's
-    ``select from receive(...) | T.timeout``."""
+    """A kernel-only workload: ``pairs`` producer/consumer couples.
+    The consumer parks a fresh event and waits on it under a deadline
+    (``sim.wait`` — the paper's ``receive(...) [no-response: ...]``);
+    the producer triggers it each tick, so every deadline loses and is
+    cancelled — the lazy-deletion path."""
     sim = Simulator()
 
-    def producer(queue: MessageQueue):
+    def producer(slot: list):
         for index in range(msgs):
             yield sim.timeout(1.0)
-            queue.put(index)
+            slot[0].succeed(index)
 
-    def consumer(queue: MessageQueue):
-        received = 0
-        while received < msgs:
-            get = queue.get()
-            result = yield sim.any_of([get, sim.timeout(3.0)])
-            if get in result:
-                received += 1
+    def consumer(slot: list):
+        for _ in range(msgs):
+            slot[0] = sim.event()
+            yield from sim.wait(slot[0], 3.0)
 
     for index in range(pairs):
-        queue = MessageQueue(sim, name=f"q{index}")
-        sim.process(producer(queue), name=f"prod{index}")
-        sim.process(consumer(queue), name=f"cons{index}")
+        slot = [None]
+        sim.process(producer(slot), name=f"prod{index}")
+        sim.process(consumer(slot), name=f"cons{index}")
     return sim
 
 
@@ -104,14 +104,15 @@ def kernel_churn(pairs: int, msgs: int):
 def churn_dispatches(pairs: int, msgs: int) -> int:
     """Closed-form dispatch count for the churn workload.
 
-    3 dispatches per message cycle (producer timeout, AnyOf wakeup,
-    next-get wakeup) plus 4 per pair of start/finish bookkeeping.  The
-    FIFO fast path changes *which queue* an entry travels through,
-    never whether it is dispatched — so this is
-    invariant across kernel data-structure changes and is what
-    ``--check`` pins.
+    2 dispatches per message (the producer's timeout, and the parked
+    event that resumes the consumer — the cancelled deadline never
+    dispatches) plus the 2 process starts per pair; a finished process
+    nobody awaits schedules nothing.  The FIFO fast path changes *which
+    queue* an entry travels through, never whether it is dispatched —
+    so this is invariant across kernel data-structure changes and is
+    what ``--check`` pins.
     """
-    return 3 * pairs * msgs + 4 * pairs
+    return 2 * pairs * msgs + 2 * pairs
 
 
 def churn_best(pairs: int, msgs: int, reps: int):

@@ -9,8 +9,13 @@ weakened rule R4.
 Grant policy: shared (S) locks are compatible with each other; exclusive
 (X) with nothing.  Requests queue FIFO without barging; an S→X upgrade
 is granted immediately when the requester is the sole holder, otherwise
-it waits at the front of the queue.  Deadlock handling is by timeout at
-the caller (waiting requests are cancellable events).
+it waits at the front of the queue.  A lock granted on the spot costs
+no event: :meth:`LockManager.acquire` returns ``None``; only a request
+that must queue is a :class:`LockRequest`.  Deadlock handling is by
+timeout at the caller (``sim.wait(request, timeout, False)``: at expiry
+the request is cancelled — it leaves the queue and the next waiter is
+promoted — and fires ``False``; a grant already made when the deadline
+is dispatched wins).
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ _COMPATIBLE = {
 
 
 class LockRequest(Event):
-    """A pending lock acquisition; cancelling it leaves the queue."""
+    """A queued lock acquisition, fired with ``True`` when granted;
+    cancelling it leaves the queue."""
 
     __slots__ = ("obj", "txn", "mode", "_manager")
 
     def __init__(self, manager: "LockManager", obj: str, txn: Any, mode: str):
-        super().__init__(manager.sim, name=f"lock({obj},{txn},{mode})")
+        super().__init__(manager.sim)
         self.obj = obj
         self.txn = txn
         self.mode = mode
@@ -46,7 +52,11 @@ class LockRequest(Event):
     def cancel(self) -> None:
         if not self.triggered:
             self._manager._drop_request(self)
-            super().cancel()
+
+    def __repr__(self) -> str:
+        state = ("queued" if not self.triggered
+                 else "granted" if self._value else "expired")
+        return f"<lock({self.obj},{self.txn},{self.mode}) {state}>"
 
 
 @dataclass
@@ -78,46 +88,37 @@ class LockManager:
 
     # -- acquisition ------------------------------------------------------------
 
-    def acquire(self, txn: Any, obj: str, mode: str) -> LockRequest:
-        """Request a lock; the returned event fires when granted.
+    def acquire(self, txn: Any, obj: str, mode: str) -> Optional[LockRequest]:
+        """Request a lock: ``None`` if it is held on return, else the
+        queued :class:`LockRequest`, which fires when granted.
 
-        Already-granted cases (re-entrant holds, S under an existing X
-        by the same transaction, immediate compatibility) fire at the
-        current instant.
+        Granted on the spot: re-entrant holds, S under an existing X by
+        the same transaction, a sole holder's upgrade, and a compatible
+        request with nobody queued.
         """
         if mode not in (SHARED, EXCLUSIVE):
             raise ValueError(f"unknown lock mode {mode!r}")
         state = self._table.setdefault(obj, _LockState())
-        request = LockRequest(self, obj, txn, mode)
 
         held = state.holders.get(txn)
         if held == EXCLUSIVE or held == mode:
             # Re-entrant: X covers S; same mode is a no-op.
-            request.succeed(True)
-            return request
-        if held == SHARED and mode == EXCLUSIVE:
-            if len(state.holders) == 1 and not state.queue:
-                state.holders[txn] = EXCLUSIVE
-                self.grants += 1
-                if self.tracer is not None:
-                    self._emit("lock.grant", obj, txn, EXCLUSIVE)
-                request.succeed(True)
-                return request
-            # Upgrade must wait at the front (it beats new requests but
-            # cannot bypass already-queued ones without risking starvation).
-            state.queue.insert(0, request)
-            self.waits += 1
-            if self.tracer is not None:
-                self._emit("lock.wait", obj, txn, mode)
-            return request
-        if not state.queue and self._compatible(state, mode):
+            return None
+        upgrade = held == SHARED  # and mode == EXCLUSIVE
+        if not state.queue and (len(state.holders) == 1 if upgrade
+                                else self._compatible(state, mode)):
             state.holders[txn] = mode
             self.grants += 1
             if self.tracer is not None:
                 self._emit("lock.grant", obj, txn, mode)
-            request.succeed(True)
-            return request
-        state.queue.append(request)
+            return None
+        request = LockRequest(self, obj, txn, mode)
+        if upgrade:
+            # Upgrade must wait at the front (it beats new requests but
+            # cannot bypass already-queued ones without risking starvation).
+            state.queue.insert(0, request)
+        else:
+            state.queue.append(request)
         self.waits += 1
         if self.tracer is not None:
             self._emit("lock.wait", obj, txn, mode)

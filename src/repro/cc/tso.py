@@ -119,9 +119,8 @@ class TimestampOrdering(ConcurrencyControl):
                 return True
             if self.sim.now >= deadline:
                 return False
-            change = self._changed.wait()
-            tick = self.sim.timeout(max(deadline - self.sim.now, 0.0))
-            yield self.sim.any_of([change, tick])
+            yield from self.sim.wait(self._changed.wait(),
+                                     deadline - self.sim.now)
 
     @staticmethod
     def _own(marks: _CopyMarks, txn: Any) -> bool:
@@ -154,6 +153,5 @@ class TimestampOrdering(ConcurrencyControl):
                 return True
             if self.sim.now >= deadline:
                 return False
-            change = self._changed.wait()
-            tick = self.sim.timeout(max(deadline - self.sim.now, 0.0))
-            yield self.sim.any_of([change, tick])
+            yield from self.sim.wait(self._changed.wait(),
+                                     deadline - self.sim.now)

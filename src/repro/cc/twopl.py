@@ -51,9 +51,6 @@ class TwoPhaseLocking(ConcurrencyControl):
 
     def _acquire(self, txn: Any, obj: str, mode: str):
         request = self.locks.acquire(txn, obj, mode)
-        if request.triggered:
+        if request is None:
             return True
-            yield  # pragma: no cover
-        tick = self.sim.timeout(self.lock_timeout)
-        result = yield self.sim.any_of([request, tick])
-        return request in result
+        return (yield from self.sim.wait(request, self.lock_timeout, False))

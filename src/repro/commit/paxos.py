@@ -137,11 +137,8 @@ class PaxosCommit(AtomicCommit):
             self.processor.store.record_prepare(txn, ctx.objects)
             self.processor.spawn(
                 f"px-vote{txn}", self._cast_vote(txn, "prepared", meta))
-        timer = self.sim.timeout(self.config.access_timeout)
-        fired = yield self.sim.any_of([wait, timer])
-        if wait in fired:
-            instances = fired[wait]
-        else:
+        instances = yield from self.sim.wait(wait, self.config.access_timeout)
+        if instances is None:
             # Fast path timed out (a silent RM, a lost accept, a cut):
             # become a recovery leader over our own transaction.
             instances = yield from self._lead_until_decided(txn)

@@ -55,12 +55,11 @@ class UpdateMixin:
 
     def _schedule_update_copies(self) -> None:
         """The ``schedule(Update-Copies-in-View)`` of Figs. 5 and 6."""
-        self._update_process = self.processor.spawn(
-            "update-copies", self._update_copies_task()
-        )
+        self.processor.spawn("update-copies", self._update_copies_task())
 
     def _update_copies_task(self):
-        """Fig. 9 outer loop: one parallel worker per locked object."""
+        """Fig. 9 outer loop: one parallel worker per locked object.
+        Nothing follows the paper's ``coend``, so nothing joins them."""
         state = self.state
         old_id = state.cur_id
         objects = sorted(state.locked)
@@ -73,7 +72,6 @@ class UpdateMixin:
             self._split_off_fresh_objects() if self.config.split_off_fastpath
             else frozenset()
         )
-        workers = []
         for obj in objects:
             if obj in split_off_objects and not self._has_in_doubt_write(obj):
                 # §6: pure split-off — the copy is known fresh already.
@@ -85,11 +83,10 @@ class UpdateMixin:
                     self.tracer.emit("recover.fresh", pid=self.pid, obj=obj,
                                      vpid=old_id)
                 continue
-            workers.append(self.processor.spawn(
-                f"update({obj})", self._update_one_object(obj, old_id)
-            ))
-        if workers:
-            yield self.sim.all_of(workers)
+            self.processor.spawn(
+                f"update({obj})", self._update_one_object(obj, old_id))
+        return
+        yield  # pragma: no cover - a process: it starts after the join
 
     def _split_off_fresh_objects(self) -> frozenset:
         """Objects provably fresh because the partition is a split-off.
@@ -275,9 +272,8 @@ class UpdateMixin:
             deadline = self.sim.now + self.config.commit_wait
             while (payload["v"] > state.cur_id or not state.assigned) \
                     and self.sim.now < deadline:
-                change = state.partition_changed.wait()
-                tick = self.sim.timeout(max(deadline - self.sim.now, 0.0))
-                yield self.sim.any_of([change, tick])
+                yield from self.sim.wait(state.partition_changed.wait(),
+                                         deadline - self.sim.now)
         if not (state.assigned and payload["v"] == state.cur_id):
             self.processor.reply(message, "vpread-reply",
                                  {"ok": False, "reason": "wrong-partition"})

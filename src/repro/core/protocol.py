@@ -68,7 +68,6 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         self._create_vp_process = None
         #: Fig. 6's armed 3δ wait for a commit (a Timeout), or None
         self._commit_wait = None
-        self._update_process = None
         self._before_images: dict = {}
         self._poisoned_txns: set = set()
         #: the pluggable atomic-commit backend (prepare round, decision

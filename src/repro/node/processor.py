@@ -8,8 +8,10 @@ A :class:`Processor` owns:
   open :meth:`Processor.broadcast_collect` window) by its handler;
   a kind nobody serves raises ``KeyError`` at its delivery;
 * an RPC helper implementing the paper's ``send ... receive ...
-  [no-response: ...]`` pattern (Figs. 9–11) with reply matching and a
-  timeout;
+  [no-response: ...]`` pattern (Figs. 9–11): reply matching through a
+  :class:`ReplyWaiter` waited on with ``sim.wait`` — the deadline
+  forgets the registration in its own dispatch, so a reply arriving
+  later, even in that instant, is late and counted;
 * a task registry: protocol layers register named generator factories;
   tasks are (re)spawned on start/recover and killed on crash, matching
   the paper's model where a crash wipes all volatile state but durable
@@ -22,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from ..net.message import Message
 from ..net.network import Network
-from ..sim import Process, Simulator
+from ..sim import Event, Process, Simulator
 from .storage import StorageEngine
 from .transport import (  # noqa: F401  (NoResponse re-exported)
     NoResponse, QuorumPredicate, ScatterCall, TransportStats,
@@ -38,6 +40,24 @@ SPAWN_SLACK = 16
 def window_closed(message: Message) -> None:
     """Serves a ``broadcast_collect`` reply kind between windows: an
     ack that missed its window is dropped."""
+
+
+class ReplyWaiter(Event):
+    """The pending reply of one :meth:`Processor.rpc`, registered in
+    the caller's reply table; cancelling it (the deadline, or the kill
+    of the waiting process) forgets the registration, so a reply that
+    still arrives is late — and counted."""
+
+    __slots__ = ("_table", "_request_id")
+
+    def __init__(self, processor: "Processor", request_id: int):
+        super().__init__(processor.sim)
+        self._table = processor._reply_waiters
+        self._request_id = request_id
+        self._table[request_id] = self.succeed
+
+    def cancel(self) -> None:
+        self._table.pop(self._request_id, None)
 
 
 class Processor:
@@ -103,17 +123,11 @@ class Processor:
         the caller decides whether that aborts the operation, retries
         elsewhere, or triggers a new virtual partition.
         """
-        request = self.send(dst, kind, payload)
-        waiter = self.sim.event()
-        self._reply_waiters[request.msg_id] = waiter.succeed
-        tick = self.sim.timeout(timeout)
-        try:
-            result = yield self.sim.any_of([waiter, tick])
-        finally:
-            self._reply_waiters.pop(request.msg_id, None)
-        if waiter in result:
-            return result[waiter]
-        raise NoResponse(dst, kind)
+        waiter = ReplyWaiter(self, self.send(dst, kind, payload).msg_id)
+        response = yield from self.sim.wait(waiter, timeout)
+        if response is None:
+            raise NoResponse(dst, kind)
+        return response
 
     def serve(self, kind: str, handler: Handler) -> None:
         """Call ``handler(message)`` at the delivery event of every

@@ -2,34 +2,24 @@
 
 The substrate on which the whole reproduction runs: a seeded,
 wall-clock-free event loop with generator-based processes, cancellable
-composite waits, cancellable timeouts, and FIFO mailboxes.
+timeouts, and one timed wait (:meth:`Simulator.wait`).
 """
 
 from .errors import (
     EmptySchedule,
-    Interrupt,
     ProcessCrashed,
     SimulationError,
     StopSimulation,
 )
-from .events import NORMAL, URGENT, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
+from .events import Event, Timeout
 from .kernel import Simulator
 from .process import Process
-from .queues import GetEvent, MessageQueue
 from .rng import RandomStreams
 from .sync import Notifier
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
     "EmptySchedule",
     "Event",
-    "GetEvent",
-    "Interrupt",
-    "MessageQueue",
-    "NORMAL",
     "Notifier",
     "Process",
     "ProcessCrashed",
@@ -38,5 +28,4 @@ __all__ = [
     "Simulator",
     "StopSimulation",
     "Timeout",
-    "URGENT",
 ]

@@ -23,20 +23,6 @@ class EmptySchedule(SimulationError):
     """The event queue ran dry before the requested horizon."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed by the interrupter.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-
-    @property
-    def cause(self):
-        return self.args[0]
-
-
 class ProcessCrashed(SimulationError):
     """A process terminated with an unhandled exception.
 

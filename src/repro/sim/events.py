@@ -8,10 +8,11 @@ An :class:`Event` moves through three states:
 * *processed* — its callbacks have run.
 
 Processes wait on events by ``yield``-ing them (see
-:mod:`repro.sim.process`).  Composite events (:class:`AnyOf`,
-:class:`AllOf`) let a process wait on several sources at once; losers
-that support cancellation (e.g. queue gets, timers) are cancelled so
-they do not fire later and steal items.
+:mod:`repro.sim.process`); a wait under a deadline is
+:meth:`Simulator.wait <repro.sim.kernel.Simulator.wait>`, which yields
+the event itself and, at expiry, :meth:`~Event.cancel`-s it — the event
+leaves whatever would have triggered it (a lock queue, a reply table) —
+and triggers it with the caller's *expired* value.
 
 Events are allocated on every message hop, timer, and lock wait, so
 they are deliberately small slotted objects:
@@ -20,9 +21,8 @@ they are deliberately small slotted objects:
   (the overwhelmingly common single-waiter case), or a list.  Most
   events never allocate a callback list at all.
 * triggering puts one ``(time, key, event)`` entry on the kernel's
-  schedule; cancelling a scheduled event sets ``_cancelled`` and the
-  kernel drops the entry when it reaches it — nothing searches the
-  heap.
+  schedule; cancelling a timeout sets ``_cancelled`` and the kernel
+  drops the entry when it reaches it — nothing searches the heap.
 * names default to ``""`` and are only formatted on demand (``repr``);
   the hot paths never build f-strings.
 """
@@ -30,16 +30,12 @@ they are deliberately small slotted objects:
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
-#: Scheduling priorities. Lower value runs first at equal timestamps.
-URGENT = 0
-NORMAL = 1
-
-# Schedule entries are ``(time, priority << 53 | seq << 1 | kind,
-# event)``.  The kind bit (1 = delayed-value timeout) never affects
-# ordering because sequence numbers are unique, so one integer
-# comparison reproduces the (priority, seq) lexicographic order exactly.
+# Schedule entries are ``(time, seq << 1 | kind, event)``.  The kind
+# bit (1 = delayed-value timeout) never affects ordering because
+# sequence numbers are unique, so one integer comparison orders
+# same-instant entries by sequence number.
 
 _PENDING = object()
 
@@ -95,7 +91,7 @@ class Event:
 
     # -- triggering ------------------------------------------------------
 
-    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
@@ -104,15 +100,11 @@ class Event:
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        if priority == NORMAL:
-            # same-instant NORMAL triggers keep FIFO order — skip the heap
-            sim._ready.append((sim._now, (1 << 53) | (seq << 1), self))
-        else:
-            heappush(sim._queue,
-                     (sim._now, (priority << 53) | (seq << 1), self))
+        # same-instant triggers keep FIFO order — they skip the heap
+        sim._ready.append((sim._now, seq << 1, self))
         return self
 
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with a failure carrying ``exception``."""
         if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
@@ -123,11 +115,7 @@ class Event:
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        if priority == NORMAL:
-            sim._ready.append((sim._now, (1 << 53) | (seq << 1), self))
-        else:
-            heappush(sim._queue,
-                     (sim._now, (priority << 53) | (seq << 1), self))
+        sim._ready.append((sim._now, seq << 1, self))
         return self
 
     def defuse(self) -> None:
@@ -137,14 +125,14 @@ class Event:
     # -- cancellation ----------------------------------------------------
 
     def cancel(self) -> None:
-        """Withdraw interest in a pending event.
+        """Withdraw a pending event from whatever would trigger it.
 
-        The base event simply drops its callbacks; subclasses that hold
-        external registrations (queue waiters, timers) override this to
-        release them.  Cancelling a triggered event is a no-op.
+        A plain event is triggered by whoever holds a reference, so
+        there is nothing to leave; subclasses parked somewhere (a lock
+        queue, the schedule, a reply table) override this to get out.
+        Callbacks stay: the canceller may still trigger the event
+        itself, as an expired :meth:`Simulator.wait` does.
         """
-        if self._value is _PENDING:
-            self.callbacks = None
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when this event is processed.
@@ -178,7 +166,7 @@ class Timeout(Event):
     The value is held aside and only materialized when the kernel pops
     the event (heap entries carry the DELAYED kind tag), so
     ``triggered`` stays false until the timeout actually occurs in
-    model time — composite conditions rely on this.
+    model time.
     """
 
     __slots__ = ("delay", "_delayed_value")
@@ -197,8 +185,7 @@ class Timeout(Event):
         seq = sim._seq
         sim._seq = seq + 1
         # the trailing 1 is the DELAYED kind tag
-        heappush(sim._queue,
-                 (sim._now + delay, (NORMAL << 53) | (seq << 1) | 1, self))
+        heappush(sim._queue, (sim._now + delay, (seq << 1) | 1, self))
 
     def cancel(self) -> None:
         # Lazy deletion: the kernel discards the heap entry when it is
@@ -221,180 +208,3 @@ class Timeout(Event):
             else "pending"
         )
         return f"<{label} {state} at {id(self):#x}>"
-
-
-class ConditionValue:
-    """Mapping of events to values for fired composite conditions."""
-
-    __slots__ = ("events",)
-
-    def __init__(self):
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key.value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{e!r}: {e.value!r}" for e in self.events)
-        return f"<ConditionValue {{{pairs}}}>"
-
-
-class Condition(Event):
-    """Base composite event over a list of sub-events."""
-
-    __slots__ = ("events", "_fired")
-
-    def __init__(self, sim, events: Iterable[Event], name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.callbacks = None
-        self._value = _PENDING
-        self._processed = False
-        self._cancelled = False
-        # composite callers pass freshly built lists; reuse them rather
-        # than copying (non-list iterables are materialized)
-        self.events = events if events.__class__ is list else list(events)
-        self._fired: list[Event] = []
-        if not self.events:
-            self.succeed(ConditionValue())
-            return
-        on_sub = self._on_sub_event
-        for event in self.events:
-            if event.sim is not sim:
-                raise ValueError("events belong to different simulators")
-            if event._value is not _PENDING:
-                on_sub(event)
-            else:
-                cbs = event.callbacks
-                if cbs is None:
-                    event.callbacks = on_sub
-                elif cbs.__class__ is list:
-                    cbs.append(on_sub)
-                else:
-                    event.callbacks = [cbs, on_sub]
-
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
-    def _on_sub_event(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            self._cancel_pending()
-            return
-        self._fired.append(event)
-        if self._satisfied():
-            result = ConditionValue()
-            result.events.extend(self._fired)
-            self.succeed(result)
-            self._cancel_pending()
-
-    def _cancel_pending(self) -> None:
-        # Cancel every loser that has not yet been processed — including
-        # ones that triggered at the same instant as the winner.  Events
-        # holding resources (queue gets) use cancel() to give them back;
-        # without this, a message delivered simultaneously with the
-        # winning event would be consumed and silently dropped.
-        fired = self._fired
-        for event in self.events:
-            if event not in fired and not event._processed:
-                event.cancel()
-
-
-#: shared "nothing fired yet" marker for AnyOf — its specialized
-#: ``_on_sub_event`` replaces ``_fired`` wholesale instead of appending,
-#: so every AnyOf can share one (never-mutated) empty list
-_NOT_FIRED: list = []
-
-
-class AnyOf(Condition):
-    """Fires as soon as one sub-event fires; remaining ones are cancelled.
-
-    This is the race workhorse (``reply | timeout`` on every single
-    RPC, ``grant | timeout`` on every lock wait), so it bypasses the
-    generic :class:`Condition` machinery: the first to fire triggers
-    the composite inline — no ``_satisfied`` indirection, no generic
-    result assembly, no per-instance ``_fired`` list until the winner
-    is known.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim, events: Iterable[Event], name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.callbacks = None
-        self._value = _PENDING
-        self._processed = False
-        self._cancelled = False
-        self.events = events if events.__class__ is list else list(events)
-        self._fired = _NOT_FIRED
-        if not self.events:
-            self.succeed(ConditionValue())
-            return
-        on_sub = self._on_sub_event
-        for event in self.events:
-            if event.sim is not sim:
-                raise ValueError("events belong to different simulators")
-            if event._value is not _PENDING:
-                on_sub(event)
-            else:
-                cbs = event.callbacks
-                if cbs is None:
-                    event.callbacks = on_sub
-                elif cbs.__class__ is list:
-                    cbs.append(on_sub)
-                else:
-                    event.callbacks = [cbs, on_sub]
-
-    def _satisfied(self) -> bool:
-        return len(self._fired) >= 1
-
-    def _on_sub_event(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if event._ok:
-            # First success wins: assemble the single-winner result and
-            # schedule the composite (inlined Event.succeed).  The
-            # result's event list doubles as ``_fired``.
-            fired = [event]
-            self._fired = fired
-            result = ConditionValue.__new__(ConditionValue)
-            result.events = fired
-            self._ok = True
-            self._value = result
-            sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            sim._ready.append((sim._now, (NORMAL << 53) | (seq << 1), self))
-            # Cancel the losers (the winner is already _processed, so
-            # the guard skips it) — see Condition._cancel_pending.
-            for other in self.events:
-                if other is not event and not other._processed:
-                    other.cancel()
-        else:
-            event._defused = True
-            self.fail(event._value)
-            self._cancel_pending()
-
-
-class AllOf(Condition):
-    """Fires when every sub-event has fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return len(self._fired) == len(self.events)

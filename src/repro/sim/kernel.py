@@ -1,6 +1,6 @@
 """The deterministic discrete-event simulation core.
 
-All model time is a float; ties are broken by ``(time, priority,
+All model time is a float; ties are broken by ``(time,
 sequence-number)`` so that two runs with the same seed replay the exact
 same interleaving.  There is no wall-clock anywhere in the kernel, which
 is what makes adversarially timed failure injection reproducible.
@@ -10,32 +10,38 @@ hop, timer, and lock grant passes through it — so the schedule is one
 structure of plain tuples:
 
 * every entry is ``(time, key, event)``, where ``key`` folds the
-  priority, the sequence number, and the entry kind into one integer
-  (``priority << 53 | seq << 1 | kind``).  Sequence numbers are unique,
-  so one integer comparison gives exactly the ``(time, priority, seq)``
-  total order and tuple comparison never reaches the event;
+  sequence number and the entry kind into one integer (``seq << 1 |
+  kind``).  Sequence numbers are unique, so one integer comparison
+  gives exactly the ``(time, seq)`` total order and tuple comparison
+  never reaches the event;
 * the kind bit tags entries whose value is materialized at pop time
   (timeouts), so dispatch never attribute-probes the event class;
-* cancellation sets ``event._cancelled`` and leaves the entry where it
-  is — dispatch skips cancelled entries lazily, and once they pile up
-  past the compaction threshold the heap is rebuilt without them (pop
-  order is unaffected: it is fixed by the entry tuples, not the heap
-  layout).  A cancelled event object is never re-armed: its stale
-  entry would fire it at the old instant;
-* *same-instant* NORMAL-priority triggers (message deliveries,
-  condition wins, process completions — the majority of all entries in
-  a message-passing workload) skip the heap entirely: they land on the
-  ``_ready`` FIFO, which is sorted by construction — the clock never
-  moves backwards and sequence numbers only grow, so appends arrive in
-  ``(time, key)`` order — and the dispatch loop merges the FIFO with
-  the heap by comparing their heads.  An O(1) append/popleft replaces
-  an O(log n) sift for roughly half of all scheduling traffic.
+* cancelling a timeout sets ``event._cancelled`` and leaves the entry
+  where it is — dispatch skips cancelled entries lazily, and once they
+  pile up past the compaction threshold the heap is rebuilt without
+  them (pop order is unaffected: it is fixed by the entry tuples, not
+  the heap layout).  A cancelled event object is never re-armed: its
+  stale entry would fire it at the old instant;
+* *same-instant* triggers (``succeed``/``fail``: message deliveries,
+  lock grants, awaited process completions — the majority of all
+  entries in a message-passing workload) skip the heap entirely: they
+  land on the ``_ready`` FIFO, which is sorted by construction — the
+  clock never moves backwards and sequence numbers only grow, so
+  appends arrive in ``(time, key)`` order — and the dispatch loop
+  merges the FIFO with the heap by comparing their heads.  An O(1)
+  append/popleft replaces an O(log n) sift for roughly half of all
+  scheduling traffic.
+
+Nothing is scheduled that nobody awaits: a process that finishes with
+no waiter is marked processed on the spot, and the one timed wait
+(:meth:`Simulator.wait`) resumes its caller in the dispatch of the
+event it guards — no composite event sits between them.
 
 Events themselves are small slotted objects (see
 :mod:`repro.sim.events`): no per-event name formatting, no
 callback-list allocation until a second callback actually arrives.
 None of this changes observable semantics: dispatch order is the total
-order ``(time, priority, seq)``.
+order ``(time, seq)``.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Optional
 
 from .errors import EmptySchedule, ProcessCrashed, StopSimulation
-from .events import _PENDING, AllOf, AnyOf, Event, Timeout
+from .events import _PENDING, Event, Timeout
 from .process import EventGenerator, Process
 
 #: default lazy-deletion compaction threshold: rebuild the heap once at
@@ -72,16 +78,16 @@ class Simulator:
         if compact_min < 0:
             raise ValueError(f"negative compact_min: {compact_min}")
         self._now = float(start)
-        #: the heap: (time, priority<<53|seq<<1|kind, event) tuples
+        #: the heap: (time, seq<<1|kind, event) tuples
         self._queue: list[tuple[float, int, Event]] = []
-        #: same-instant NORMAL-priority entries, sorted by construction
+        #: same-instant triggers, sorted by construction
         #: (appends happen in (time, key) order); merged with the heap
         #: at dispatch by comparing heads
         self._ready: deque[tuple[float, int, Event]] = deque()
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._pending_crashes: list[ProcessCrashed] = []
-        #: cancelled entries still sitting in the heap or the FIFO
+        #: cancelled entries still sitting in the heap
         self._cancelled_count = 0
         #: rebuild threshold — 0 compacts as soon as cancelled entries
         #: hold the majority, a huge value never compacts (pure lazy)
@@ -132,38 +138,50 @@ class Simulator:
         event._delayed_value = value
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue,
-                 (self._now + delay, (1 << 53) | (seq << 1) | 1, event))
+        heappush(self._queue, (self._now + delay, (seq << 1) | 1, event))
         return event
 
     def process(self, generator: EventGenerator, name: str = "") -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name)
 
-    def any_of(self, events) -> AnyOf:
-        """Composite event firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
+    def wait(self, event: Event, delay: float, expired: Any = None):
+        """Generator: the one timed wait — ``event`` under a deadline.
 
-    def all_of(self, events) -> AllOf:
-        """Composite event firing when all of ``events`` have fired."""
-        return AllOf(self, events)
+        Use as ``value = yield from sim.wait(event, delay, expired)``.
+        The process yields ``event`` itself, so whatever triggers it
+        resumes the process in that one dispatch.  The deadline is one
+        timeout: if ``event`` is still untriggered when it is
+        dispatched, it :meth:`~Event.cancel`-s the event (a lock
+        request leaves its queue, a reply waiter its table) and
+        triggers it with ``expired``.  The tie rule: *an event already
+        triggered when its deadline is dispatched wins*.  The timeout
+        is cancelled on resume and when the waiter is killed, so
+        neither leaves a live schedule entry behind.
+        """
+        def expire(_deadline: Event) -> None:
+            if event._value is _PENDING:
+                event.cancel()
+                event.succeed(expired)
+
+        deadline = self.timeout(delay)
+        deadline.callbacks = expire
+        try:
+            return (yield event)
+        finally:
+            deadline.cancel()
 
     # -- scheduling ------------------------------------------------------------
 
     def _compact(self) -> None:
-        """Rebuild the heap (and the ready FIFO) without cancelled
-        entries.  In-place (``queue[:] = ...``) so the dispatch loop's
-        local aliases stay valid; pop order is unaffected — it is fixed
-        by the entry tuples, not the heap layout, and filtering the
-        FIFO preserves its sort."""
+        """Rebuild the heap without cancelled entries.  In-place
+        (``queue[:] = ...``) so the dispatch loop's local alias stays
+        valid; pop order is unaffected — it is fixed by the entry
+        tuples, not the heap layout.  The ready FIFO holds none: only
+        timeouts are cancelled, and a timeout lives on the heap."""
         queue = self._queue
         queue[:] = [entry for entry in queue if not entry[2]._cancelled]
         heapify(queue)
-        ready = self._ready
-        survivors = [entry for entry in ready if not entry[2]._cancelled]
-        if len(survivors) != len(ready):
-            ready.clear()
-            ready.extend(survivors)
         self._cancelled_count = 0
 
     def _report_crash(self, crash: ProcessCrashed) -> None:

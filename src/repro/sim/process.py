@@ -8,17 +8,21 @@ processes can wait on each other.
 
 This mirrors the task structure of the paper's pseudocode (Figures
 3–12): each ``task ... cycle ... endcycle`` becomes a generator loop and
-a wait on one of several sources becomes a ``yield AnyOf``.  (A
-``select`` whose branches never wait — Fig. 6 — needs no process at
-all: see :mod:`repro.core.vp_monitor`.)
+a ``receive ... [no-response: ...]`` becomes ``yield from
+sim.wait(event, delay)``.  (A ``select`` whose branches never wait —
+Fig. 6 — needs no process at all: see :mod:`repro.core.vp_monitor`.)
+
+A process nobody waits on schedules nothing when it finishes: it is
+marked processed on the spot, so waiting on it *afterwards* crashes the
+waiter loudly, exactly like any other processed event.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from .errors import Interrupt, ProcessCrashed, StopSimulation
-from .events import _PENDING, URGENT, Event
+from .errors import ProcessCrashed, StopSimulation
+from .events import _PENDING, Event
 
 EventGenerator = Generator[Event, Any, Any]
 
@@ -44,9 +48,9 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self._target: Optional[Event] = None
-        # Kick the process off at the current instant — at NORMAL
-        # priority, so a freshly spawned process never preempts event
-        # deliveries that were already scheduled at this instant.
+        # Kick the process off at the current instant, behind whatever
+        # is already scheduled there: a freshly spawned process never
+        # preempts event deliveries due at this instant.
         init = Event(sim)
         init.succeed()
         init.callbacks = self._resume
@@ -65,21 +69,6 @@ class Process(Event):
         return self._target
 
     # -- control -----------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        Interrupting a finished process is an error; interrupting a
-        process twice before it handles the first interrupt queues both.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has already terminated")
-        if self._target is not None and not self._target.triggered:
-            self._target.cancel()
-        hit = Event(self.sim)
-        hit.defuse()
-        hit.fail(Interrupt(cause), priority=URGENT)
-        hit.add_callback(self._resume)
 
     def kill(self) -> None:
         """Terminate the process immediately without running it further.
@@ -117,12 +106,12 @@ class Process(Event):
                 next_target = self._throw(event._value)
         except StopIteration as stop:
             self._target = None
-            self.succeed(stop.value)
-            return
-        except Interrupt:
-            # An interrupt escaped the generator: treat as clean stop.
-            self._target = None
-            self.succeed(None)
+            if self.callbacks is None:
+                # nobody awaits the result: nothing to dispatch
+                self._value = stop.value
+                self._processed = True
+            else:
+                self.succeed(stop.value)
             return
         except StopSimulation:
             # Deliberate halt requests pass straight through to run().

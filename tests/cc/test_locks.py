@@ -1,4 +1,8 @@
-"""Unit tests for the copy lock manager."""
+"""Unit tests for the copy lock manager.
+
+``acquire`` returns ``None`` for a lock granted on the spot (no event,
+nothing scheduled) and the queued :class:`LockRequest` otherwise.
+"""
 
 import pytest
 
@@ -14,16 +18,18 @@ def manager():
 def test_shared_locks_are_compatible(manager):
     a = manager.acquire("t1", "x", SHARED)
     b = manager.acquire("t2", "x", SHARED)
-    assert a.triggered and b.triggered
+    assert a is None and b is None
     assert manager.holders("x") == {"t1": SHARED, "t2": SHARED}
+    assert manager.grants == 2 and manager.waits == 0
 
 
 def test_exclusive_blocks_everyone(manager):
     a = manager.acquire("t1", "x", EXCLUSIVE)
     b = manager.acquire("t2", "x", SHARED)
     c = manager.acquire("t3", "x", EXCLUSIVE)
-    assert a.triggered
+    assert a is None
     assert not b.triggered and not c.triggered
+    assert manager.holders("x") == {"t1": EXCLUSIVE}
 
 
 def test_release_promotes_fifo(manager):
@@ -54,20 +60,21 @@ def test_no_barging_behind_queued_exclusive(manager):
 def test_reentrant_same_mode(manager):
     manager.acquire("t1", "x", SHARED)
     again = manager.acquire("t1", "x", SHARED)
-    assert again.triggered
+    assert again is None
+    assert manager.grants == 1  # a re-entrant hold is not a new grant
 
 
 def test_x_covers_s(manager):
     manager.acquire("t1", "x", EXCLUSIVE)
     read = manager.acquire("t1", "x", SHARED)
-    assert read.triggered
+    assert read is None
     assert manager.holders("x") == {"t1": EXCLUSIVE}
 
 
 def test_upgrade_granted_when_sole_holder(manager):
     manager.acquire("t1", "x", SHARED)
     up = manager.acquire("t1", "x", EXCLUSIVE)
-    assert up.triggered
+    assert up is None
     assert manager.holders("x") == {"t1": EXCLUSIVE}
 
 
@@ -77,7 +84,8 @@ def test_upgrade_waits_for_other_readers(manager):
     up = manager.acquire("t1", "x", EXCLUSIVE)
     assert not up.triggered
     manager.release_all("t2")
-    assert up.triggered
+    assert up.triggered and up.value is True
+    assert manager.holders("x") == {"t1": EXCLUSIVE}
 
 
 def test_cancel_leaves_queue_and_promotes(manager):
@@ -127,4 +135,29 @@ def test_queue_length(manager):
 def test_locks_on_different_objects_independent(manager):
     a = manager.acquire("t1", "x", EXCLUSIVE)
     b = manager.acquire("t2", "y", EXCLUSIVE)
-    assert a.triggered and b.triggered
+    assert a is None and b is None
+    assert manager.holders("x") == {"t1": EXCLUSIVE}
+    assert manager.holders("y") == {"t2": EXCLUSIVE}
+
+
+def test_on_the_spot_grant_schedules_nothing(manager):
+    """A lock nobody waits for is not an event: no request object, no
+    schedule entry."""
+    sim = manager.sim
+    assert manager.acquire("t1", "x", SHARED) is None       # compatible
+    assert manager.acquire("t1", "x", SHARED) is None       # re-entrant
+    assert manager.acquire("t1", "x", EXCLUSIVE) is None    # sole upgrade
+    assert not sim._queue and not sim._ready
+    queued = manager.acquire("t2", "x", SHARED)
+    assert not sim._queue and not sim._ready  # parked, not scheduled
+    manager.release_all("t1")
+    assert [entry[2] for entry in sim._ready] == [queued]
+
+
+def test_request_repr_is_built_on_demand(manager):
+    manager.acquire("t1", "x", EXCLUSIVE)
+    request = manager.acquire("t2", "x", SHARED)
+    assert request.name == ""  # no per-request f-string on the hot path
+    assert repr(request) == "<lock(x,t2,S) queued>"
+    manager.release_all("t1")
+    assert repr(request) == "<lock(x,t2,S) granted>"

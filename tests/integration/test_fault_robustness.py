@@ -199,8 +199,9 @@ def test_lost_commit_message_heals_via_monitor_timeout():
 
 def test_coordinator_crash_mid_write_fanout_does_not_hang():
     """Regression: a coordinator crash used to kill its write fan-out
-    workers, orphaning the transaction's AllOf forever (the simulation
-    would then run unboundedly).  The transaction must terminate."""
+    workers, orphaning the join the transaction waited on for ever (the
+    simulation would then run unboundedly).  The transaction must
+    terminate."""
     cluster = Cluster(processors=3, seed=17)
     cluster.place("x", holders=[1, 2, 3], initial=0)
     cluster.start()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.net import CommGraph, FixedLatency, Network
 from repro.node import Processor
+from repro.node.transport import NoResponse
 from repro.sim import Simulator
 
 
@@ -156,7 +157,6 @@ def test_broadcast_collect_filters_and_respects_window():
 
 
 def test_late_reply_is_counted_and_traced():
-    from repro.node.transport import NoResponse
     from repro.obs.trace import Tracer
 
     sim, _, _, procs = build()
@@ -225,7 +225,8 @@ def live_entries(sim):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_scatter_gather_event_budget(k):
-    """k requests + k replies + the caller's start, wake-up and finish."""
+    """k requests + k replies + the caller's start and wake-up (its
+    finish dispatches nothing: nobody awaits the caller)."""
     sim, _, _, procs = build(n=6)
     targets = list(range(2, 2 + k))
     for p in targets:
@@ -242,13 +243,14 @@ def test_scatter_gather_event_budget(k):
     assert len(live_entries(sim)) == k + 1
     sim.run()
     assert sorted(proc.value) == targets
-    assert sim.dispatched == 2 * k + 3
+    assert sim.dispatched == 2 * k + 2
     assert sim.now == 2.0  # the cancelled deadline never moved the clock
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_broadcast_collect_event_budget(k):
-    """k pings + k acks + the caller's start, window timeout and finish."""
+    """k pings + k acks + the caller's start and window timeout (its
+    finish dispatches nothing: nobody awaits the caller)."""
     sim, _, _, procs = build(n=6)
     targets = list(range(2, 2 + k))
     for p in targets:
@@ -266,7 +268,7 @@ def test_broadcast_collect_event_budget(k):
     assert len(live_entries(sim)) == k + 1  # k acks and the window
     sim.run()
     assert proc.value == targets
-    assert sim.dispatched == 2 * k + 3
+    assert sim.dispatched == 2 * k + 2
 
 
 def test_gather_after_every_reply_does_not_wait():
@@ -339,6 +341,76 @@ def test_reply_at_the_deadline_instant_is_late():
     stats = procs[1].transport
     assert stats.no_responses == 1 and stats.late_replies == 1
     assert stats.fanout_latencies == [2.0]
+
+
+# -- Processor.rpc: the single-leg call is ``sim.wait`` on a ReplyWaiter ------
+
+
+def rpc_outcome(proc, dst, timeout):
+    """A caller body: ``("answered", payload)`` or ``("silent", now)``."""
+    def caller():
+        try:
+            response = yield from proc.rpc(dst, "echo", {"n": 1}, timeout)
+        except NoResponse:
+            return ("silent", proc.sim.now)
+        return ("answered", response.payload)
+
+    return caller()
+
+
+def test_rpc_reply_at_the_deadline_instant_is_late_and_counted():
+    """Round trip 2.0 against ``timeout=2.0``: the deadline was pushed
+    first, so it is dispatched first, forgets the registration in its
+    own dispatch, and the reply — later in that instant — is counted
+    late, the rule ``test_reply_at_the_deadline_instant_is_late`` pins
+    for a fan-out."""
+    sim, _, _, procs = build()
+    serve_echo(procs[2])
+    proc = sim.process(rpc_outcome(procs[1], 2, timeout=2.0))
+    sim.run()
+    assert proc.value == ("silent", 2.0)
+    assert procs[1].transport.late_replies == 1
+    assert procs[1]._reply_waiters == {}
+
+
+def test_rpc_reply_before_the_deadline_resumes_in_its_own_dispatch():
+    """Start, request, reply: the reply's delivery triggers the waiter
+    the caller is parked on, one more dispatch resumes it — no
+    composite event in between, no finish event, no live deadline."""
+    sim, _, _, procs = build()
+    serve_echo(procs[2])
+    proc = sim.process(rpc_outcome(procs[1], 2, timeout=5.0))
+    sim.run()
+    assert proc.value == ("answered", {"pid": 2, "n": 1})
+    assert sim.dispatched == 4 and sim.now == 2.0
+    assert procs[1]._reply_waiters == {}
+
+
+def test_bare_caller_on_a_crashed_processor_still_gets_no_response():
+    """The runner's client is a bare ``sim.process``: a crash of its
+    processor clears the reply table but does not kill it, so the
+    deadline must still wake it."""
+    sim, _, _, procs = build()
+    procs[2].serve("echo", lambda request: None)  # silent
+    proc = sim.process(rpc_outcome(procs[1], 2, timeout=4.0))
+    sim.run(until=1.5)
+    procs[1].crash()
+    assert procs[1]._reply_waiters == {}
+    sim.run()
+    assert proc.value == ("silent", 4.0)
+
+
+def test_caller_killed_mid_rpc_leaves_no_live_schedule_entry():
+    sim, _, _, procs = build()
+    procs[2].serve("echo", lambda request: None)  # silent
+    procs[1].spawn("caller", rpc_outcome(procs[1], 2, timeout=4.0))
+    sim.run(until=1.5)  # the request was delivered at t=1.0
+    assert len(live_entries(sim)) == 1  # the deadline
+    procs[1].crash()
+    assert live_entries(sim) == [] and not sim._ready
+    assert procs[1]._reply_waiters == {}
+    sim.run()
+    assert sim.now == 1.5  # nothing was left to move the clock
 
 
 def test_result_order_target_without_quorum_arrival_with():

@@ -15,32 +15,28 @@ import pytest
 
 from repro.sim import Simulator
 from repro.sim.kernel import _COMPACT_MIN
-from repro.sim.queues import MessageQueue
 
 
 def _churn_sim(compact_min, pairs=3, msgs=30):
     """The bench's producer/consumer churn shape, sized for tests:
-    every receive races a timeout whose loser is cancelled — the
-    lazy-deletion traffic compaction exists for."""
+    every receive is a timed wait whose losing deadline is cancelled —
+    the lazy-deletion traffic compaction exists for."""
     sim = Simulator(compact_min=compact_min)
 
-    def producer(queue):
+    def producer(slot):
         for index in range(msgs):
             yield sim.timeout(1.0)
-            queue.put(index)
+            slot[0].succeed(index)
 
-    def consumer(queue):
-        received = 0
-        while received < msgs:
-            get = queue.get()
-            result = yield sim.any_of([get, sim.timeout(3.0)])
-            if get in result:
-                received += 1
+    def consumer(slot):
+        for _ in range(msgs):
+            slot[0] = sim.event()
+            yield from sim.wait(slot[0], 3.0)
 
     for index in range(pairs):
-        queue = MessageQueue(sim, name=f"q{index}")
-        sim.process(producer(queue), name=f"prod{index}")
-        sim.process(consumer(queue), name=f"cons{index}")
+        slot = [None]
+        sim.process(producer(slot), name=f"prod{index}")
+        sim.process(consumer(slot), name=f"cons{index}")
     return sim
 
 
@@ -132,7 +128,7 @@ def test_steady_state_churn_allocation_is_flat():
         sim.run()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert sim.dispatched == 3 * 10 * msgs + 4 * 10
+        assert sim.dispatched == 2 * 10 * msgs + 2 * 10
         peaks[msgs] = peak - built
         assert peaks[msgs] < 64 * 1024, (
             f"churn of {msgs} msgs/pair peaked {peaks[msgs]} bytes "

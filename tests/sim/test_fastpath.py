@@ -9,9 +9,8 @@ import random
 import pytest
 
 from repro.sim import EmptySchedule, Simulator
-from repro.sim.events import URGENT, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.kernel import _COMPACT_MIN
-from repro.sim.queues import MessageQueue
 
 
 def test_cancelled_timeouts_are_never_dispatched():
@@ -61,48 +60,25 @@ def test_double_cancel_is_idempotent():
 
 
 def test_anyof_loser_timer_is_cancelled():
+    """(Named for the ``AnyOf`` race ``Simulator.wait`` replaced.)"""
     sim = Simulator()
-    queue = MessageQueue(sim, name="inbox")
+    inbox = sim.event(name="inbox")
     outcomes = []
 
     def receiver():
-        result = yield sim.any_of([queue.get(), sim.timeout(10.0)])
-        outcomes.append([e.value for e in result.events])
+        outcomes.append((yield from sim.wait(inbox, 10.0, "expired")))
 
     def sender():
         yield sim.timeout(1.0)
-        queue.put("hello")
+        inbox.succeed("hello")
 
     sim.process(receiver())
     sim.process(sender())
     sim.run()
-    assert outcomes == [["hello"]]
+    assert outcomes == ["hello"]
     # the losing timer's timeout never fires: the clock stops at the
     # message delivery, not at the 10.0 expiry
     assert sim.now == 1.0
-
-
-def test_anyof_loser_get_unconsumes_item():
-    """A get that triggered simultaneously with the winner gives its
-    item back to the front of the queue."""
-    sim = Simulator()
-    queue = MessageQueue(sim, name="inbox")
-    received = []
-
-    def racer():
-        get = queue.get()
-        other = sim.event(name="other")
-        other.succeed("winner-first")
-        # deliver the item at the same instant, after `other` triggers:
-        # the get loses the race and must un-consume
-        queue.put("precious")
-        result = yield sim.any_of([other, get])
-        received.append([e.value for e in result.events])
-
-    sim.process(racer())
-    sim.run()
-    assert received == [["winner-first"]]
-    assert queue.peek_all() == ["precious"]
 
 
 def test_unhandled_failed_event_raises():
@@ -191,11 +167,10 @@ def test_run_until_horizon_leaves_future_events_intact():
 @pytest.mark.parametrize("compact_min", [0, _COMPACT_MIN, 10**9])
 def test_cancelled_count_matches_cancelled_entries(compact_min):
     """``_cancelled_count`` is exactly the number of queued entries
-    whose event is cancelled — in the heap and in the ready FIFO, across
+    whose event is cancelled — only the heap ever holds one — across
     cancel, compaction, peek, horizon push-back and dispatch."""
     rng = random.Random(20240916)
     sim = Simulator(compact_min=compact_min)
-    queue = MessageQueue(sim, name="inbox")
     wait = [sim.timeout(0.0)]
     loose = []
 
@@ -206,8 +181,8 @@ def test_cancelled_count_matches_cancelled_entries(compact_min):
         return wait[0]
 
     def debt():
-        return sum(1 for entry in (*sim._queue, *sim._ready)
-                   if entry[2]._cancelled)
+        assert not any(entry[2]._cancelled for entry in sim._ready)
+        return sum(1 for entry in sim._queue if entry[2]._cancelled)
 
     def actor():
         for _ in range(600):
@@ -219,16 +194,17 @@ def test_cancelled_count_matches_cancelled_entries(compact_min):
             elif roll < 0.65:
                 rearm(rng.uniform(0.0, 3.0))
             else:
-                # a select race; when `first` is there it wins at once
-                # and a get the put already triggered must un-consume
-                get = queue.get()
-                tick = sim.timeout(rng.choice([0.0, 0.0, 1.0]))
-                if rng.random() < 0.6:
-                    queue.put("m")
-                racers = [get, tick, rearm(rng.uniform(0.0, 2.0))]
-                if rng.random() < 0.3:
-                    racers.insert(0, sim.event().succeed())
-                yield sim.any_of(racers)
+                # a timed wait: the event is triggered on the spot,
+                # later by a timer, or never (the deadline expires it)
+                event = sim.event()
+                roll = rng.random()
+                if roll < 0.4:
+                    event.succeed()
+                elif roll < 0.7:
+                    rearm(rng.uniform(0.0, 2.0)).add_callback(
+                        lambda _e, event=event:
+                        event.triggered or event.succeed())
+                yield from sim.wait(event, rng.choice([0.0, 0.0, 1.0]))
             assert sim._cancelled_count == debt()
 
     sim.process(actor())
@@ -258,23 +234,18 @@ class _IncomparableTimeout(_Incomparable, Timeout):
 
 def test_same_instant_entries_order_by_key_never_by_event():
     """1 000 entries at one instant, through both the heap and the
-    FIFO: dispatch order is (priority, seq) and tuple comparison stops
-    at the key — sequence numbers are unique."""
+    FIFO: dispatch order is creation order (``seq``) and tuple
+    comparison stops at the key — sequence numbers are unique."""
     rng = random.Random(7)
     sim = Simulator()
-    created = []  # (priority, creation index, event)
-    for index in range(1000):
-        kind = rng.randrange(3)
-        if kind == 0:
-            event = _Incomparable(sim).succeed(priority=URGENT)
-        elif kind == 1:
-            event = _Incomparable(sim).succeed()
+    created = []
+    for _ in range(1000):
+        if rng.randrange(2):
+            created.append(_Incomparable(sim).succeed())
         else:
-            event = _IncomparableTimeout(sim, 0.0)
-        created.append((URGENT if kind == 0 else 1, index, event))
+            created.append(_IncomparableTimeout(sim, 0.0))
     seen = []
     sim.trace_hook = lambda when, event: seen.append(id(event))
     sim.run()
-    created.sort(key=lambda entry: entry[:2])
-    assert seen == [id(event) for _, _, event in created]
+    assert seen == [id(event) for event in created]
     assert sim.dispatched == 1000 and sim.now == 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, ProcessCrashed, Simulator
+from repro.sim import ProcessCrashed, Simulator
 
 
 def test_process_runs_to_completion():
@@ -70,39 +70,6 @@ def test_waiting_on_already_finished_process():
     waiter = sim.process(late_waiter(child))
     with pytest.raises(ProcessCrashed):
         sim.run()
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    caught = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            caught.append((interrupt.cause, sim.now))
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        proc.interrupt("wake-up")
-
-    sim.process(interrupter())
-    sim.run()
-    assert caught == [("wake-up", 2.0)]
-
-
-def test_interrupt_finished_process_is_error():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
 
 
 def test_kill_stops_process_silently():
