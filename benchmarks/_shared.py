@@ -59,17 +59,6 @@ def emit_metrics(bench: str, values: Optional[Mapping[str, float]] = None,
     return payload
 
 
-def cost_metrics(result) -> dict:
-    """Per-committed-transaction message-cost figures for a finished
-    :class:`repro.workload.runner.ExperimentResult` — the numbers every
-    bench's JSON line carries so batching wins are diffable."""
-    return {
-        "msgs_per_txn": result.messages_per_committed_txn,
-        "envelopes_per_txn": result.envelopes_per_committed_txn,
-        "batch_occupancy": result.batch_occupancy,
-    }
-
-
 def bench_main(name: str, run: Callable[..., Any],
                check: Optional[Callable[[Any], None]] = None,
                smoke: Optional[Mapping[str, Any]] = None,

@@ -19,32 +19,18 @@ win only at write-heavy mixes — the crossover the table exposes.
 
 from __future__ import annotations
 
-from repro.core.config import ProtocolConfig
-from repro.workload import (
-    ExperimentSpec,
-    PrivateObjects,
-    WorkloadSpec,
-    run_many,
-    sweep_protocols,
-)
+from repro.workload import ExperimentSpec, WorkloadSpec, sweep_protocols
 from repro.workload.tables import render_table
 
-from _shared import bench_main, cost_metrics, emit_metrics, report, run_once
+from _shared import bench_main, emit_metrics, report, run_once
 
 PROTOCOLS = ["virtual-partitions", "rowa", "quorum", "majority",
              "missing-writes"]
 READ_FRACTIONS = [0.5, 0.7, 0.9, 0.99]
 SMOKE = {"read_fractions": [0.9], "duration": 60.0,
-         "protocols": ["virtual-partitions", "rowa"],
-         "batching_txns": 3}
+         "protocols": ["virtual-partitions", "rowa"]}
 BACKGROUND = {"probe", "probe-ack", "newvp", "vp-accept", "commit",
               "vpread", "mw-note"}
-
-#: transport batching window of the paired comparison (≤ δ = 1.0)
-BATCH_WINDOW = 0.5
-#: concurrent clients per processor in the batching comparison — the
-#: same-coordinator overlap is what per-destination batching coalesces
-BATCH_CLIENTS = 3
 
 
 def data_messages(result) -> int:
@@ -52,62 +38,8 @@ def data_messages(result) -> int:
                if kind not in BACKGROUND)
 
 
-def batching_spec(window: float, txns_per_client: int,
-                  clients: int = BATCH_CLIENTS) -> ExperimentSpec:
-    """The paired-comparison spec: identical in everything but the window.
-
-    Each client owns two private, fully replicated objects, so there are
-    no lock conflicts and every attempted transaction commits in both
-    runs; a fixed per-client transaction count makes the attempted work
-    identical regardless of completion-time drift.  The only degree of
-    freedom left is the transport — exactly what the pair measures.
-    """
-    return ExperimentSpec(
-        processors=5, objects=5 * clients * 2, seed=11,
-        duration=600.0, grace=120.0,
-        workload=WorkloadSpec(read_fraction=0.5, ops_per_txn=2,
-                              mean_interarrival=4.0),
-        config=ProtocolConfig(delta=1.0, batch_window=window),
-        clients=clients, txns_per_client=txns_per_client,
-        objects_for=PrivateObjects(clients),
-        check=True,
-    )
-
-
-def run_batching(txns_per_client: int = 8, workers=None) -> dict:
-    """Batched vs unbatched paired runs of the VP protocol."""
-    windows = (0.0, BATCH_WINDOW)
-    results = dict(zip(windows, run_many(
-        [batching_spec(window, txns_per_client) for window in windows],
-        workers=workers,
-    )))
-    rows = []
-    for window, r in sorted(results.items()):
-        rows.append([
-            f"{window:.2f}", r.committed, str(r.one_copy_ok),
-            r.network["sent"], r.network["envelopes"],
-            f"{r.envelopes_per_committed_txn:.2f}",
-            f"{r.batch_occupancy:.2f}",
-        ])
-    report(render_table(
-        ["batch window", "committed", "1SR", "logical msgs", "envelopes",
-         "envelopes/txn", "occupancy"],
-        rows,
-        title=f"E3b  Transport batching, paired runs (virtual partitions, "
-              f"{BATCH_CLIENTS} clients/processor, private objects)",
-    ))
-    emit_metrics("access_cost_batching", {
-        f"w{window:.2f}.{metric}": value
-        for window, r in sorted(results.items())
-        for metric, value in {
-            "committed": r.committed, **cost_metrics(r),
-        }.items()
-    })
-    return results
-
-
 def run(read_fractions=READ_FRACTIONS, duration=300.0,
-        protocols=PROTOCOLS, batching_txns=8, workers=None) -> dict:
+        protocols=PROTOCOLS, workers=None) -> dict:
     outcomes: dict = {}
     rows = []
     for fraction in read_fractions:
@@ -142,27 +74,13 @@ def run(read_fractions=READ_FRACTIONS, duration=300.0,
             ("phys_per_read", results[name].reads_per_logical_read),
             ("phys_per_op", results[name].accesses_per_operation),
             ("msgs_per_txn", results[name].messages_per_committed_txn),
-            ("envelopes_per_txn",
-             results[name].envelopes_per_committed_txn),
         )
     })
-    outcomes["batching"] = run_batching(txns_per_client=batching_txns,
-                                        workers=workers)
     return outcomes
 
 
 def test_benchmark_access_cost(benchmark):
     outcomes = run_once(benchmark, run)
-    paired = outcomes.pop("batching")
-    plain, batched = paired[0.0], paired[BATCH_WINDOW]
-    # Batching is cost-transparent: same committed work, same 1SR
-    # verdict, strictly fewer envelopes for the same logical traffic.
-    assert batched.committed == plain.committed > 0
-    assert batched.one_copy_ok and plain.one_copy_ok
-    assert plain.network["envelopes"] == plain.network["sent"]
-    assert (batched.envelopes_per_committed_txn
-            < plain.envelopes_per_committed_txn)
-    assert batched.batch_occupancy > 1.0
     for fraction, results in outcomes.items():
         vp = results["virtual-partitions"]
         quorum = results["quorum"]

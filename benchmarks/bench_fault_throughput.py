@@ -17,9 +17,6 @@ a majority; ROWA's writes collapse whenever any copy is down.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.core.config import ProtocolConfig
 from repro.net.nemesis import plan_crash_repair
 from repro.sim.rng import RandomStreams
 from repro.workload import (
@@ -28,10 +25,9 @@ from repro.workload import (
     WorkloadSpec,
     sweep_protocols,
 )
-from repro.workload.runner import run_experiment
 from repro.workload.tables import render_table
 
-from _shared import bench_main, cost_metrics, emit_metrics, report, run_once
+from _shared import bench_main, emit_metrics, report, run_once
 
 PROTOCOLS = ["virtual-partitions", "rowa", "quorum", "majority",
              "missing-writes"]
@@ -59,26 +55,16 @@ def run(duration: float = DURATION, protocols=PROTOCOLS,
         workers=None) -> dict:
     spec = e9_spec(duration)
     results = sweep_protocols(spec, protocols, workers=workers)
-    # One extra paired row: the VP protocol on the batched transport
-    # (window δ/2), same seed and failure schedule — how much of the
-    # message bill batching absorbs while faults are being tolerated.
-    if "virtual-partitions" in protocols:
-        results["virtual-partitions+batch"] = run_experiment(replace(
-            spec, protocol="virtual-partitions",
-            config=ProtocolConfig(delta=1.0, batch_window=0.5),
-        ))
     rows = []
     for name, r in results.items():
         rows.append([
             name, r.committed, r.aborted, f"{r.commit_rate:.2f}",
             r.reads_per_logical_read, r.accesses_per_operation,
             f"{r.messages_per_committed_txn:.1f}",
-            f"{r.envelopes_per_committed_txn:.1f}",
         ])
     report(render_table(
         ["protocol", "committed", "aborted", "commit rate",
-         "phys/logical read", "phys/op (mix)", "msgs/txn",
-         "envelopes/txn"],
+         "phys/logical read", "phys/op (mix)", "msgs/txn"],
         rows,
         title=f"E9  Read-heavy (90%) workload with rare crash/repair "
               f"(node MTTF 300, MTTR 40, duration {duration})",
@@ -91,7 +77,7 @@ def run(duration: float = DURATION, protocols=PROTOCOLS,
             "aborted": r.aborted,
             "phys_per_read": r.reads_per_logical_read,
             "phys_per_op": r.accesses_per_operation,
-            **cost_metrics(r),
+            "msgs_per_txn": r.messages_per_committed_txn,
         }.items()
     })
     return results

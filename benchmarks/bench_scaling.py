@@ -84,12 +84,11 @@ def run(nodes: Sequence[int] = NODES, degrees: Sequence[int] = DEGREES,
             n, d, r.committed, r.aborted,
             f"{r.txn_messages_per_committed_txn:.1f}",
             f"{r.messages_per_committed_txn:.1f}",
-            f"{r.envelopes_per_committed_txn:.1f}",
             r.one_copy_ok, len(r.audit_violations),
         ])
     report(render_table(
         ["nodes", "degree", "committed", "aborted", "txn msgs/txn",
-         "total msgs/txn", "envelopes/txn", "1SR", "audit viol"],
+         "total msgs/txn", "1SR", "audit viol"],
         rows,
         title=f"E15 Scaling: {objects} objects sharded by {PLACEMENT}, "
               f"Zipf home-biased clients ({txns_per_client} txns each, "

@@ -76,7 +76,6 @@ class Cluster:
             self.sim, self.graph, self.latency,
             self.streams.stream("network"),
             loss_prob=loss_prob, slow_prob=slow_prob, slow_factor=slow_factor,
-            batch_window=self.config.batch_window,
         )
         self.history = History()
         self.placement = CopyPlacement()

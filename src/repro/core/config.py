@@ -60,12 +60,6 @@ class ProtocolConfig:
     #: the classic blocking protocol) or Gray & Lamport's Paxos Commit
     #: ("paxos", non-blocking past any single crash) — see repro.commit
     commit_backend: str = "2pc"
-    #: transport batching window (0 = off): messages bound for the same
-    #: destination within one window share a batch envelope — one
-    #: latency/loss draw for the lot.  Bounded by delta so a batched
-    #: message still arrives within the declared delay bound and every
-    #: 2δ/3δ timer stays sound.
-    batch_window: float = 0.0
     #: optional per-processor probe phase offset (pid -> delay before the
     #: first probe round).  Real failure detectors are not synchronized;
     #: a processor with a large phase is "slow to detect" failures (§4's
@@ -106,12 +100,6 @@ class ProtocolConfig:
         if self.commit_backend not in ("2pc", "paxos"):
             raise ValueError(
                 f"unknown commit backend {self.commit_backend!r}")
-        if not 0.0 <= self.batch_window <= self.delta:
-            raise ValueError(
-                f"batch_window={self.batch_window} must lie in [0, "
-                f"delta={self.delta}]: a longer hold could push arrivals "
-                "past the bound the protocol's timers are derived from"
-            )
         if self.storage_append_cost < 0 or self.storage_sync_cost < 0:
             raise ValueError("storage costs must be non-negative")
         if self.storage_sync_cost > self.delta:

@@ -24,32 +24,25 @@ directed relation, so an asymmetric cut drops one direction's traffic
 while the reverse flows normally.  With no perturbations installed the
 draw sequence is byte-identical to the unperturbed transport.
 
-**Batching** (``batch_window > 0``): logical messages enqueued for the
-same (src, dst) pair within one window coalesce into a single batch
-envelope — one latency draw, one loss draw, one delivery event for the
-whole batch, the way real transports amortize per-message cost.  The
-window opener's arrival time is unchanged (arrival = open + max(delay,
-window) and delay ≥ window is the common case with window ≤ δ), and
-followers arrive *no later* than they would have alone — δ stays an
-upper bound, so every protocol timer derived from it remains sound.
-At arrival the carried messages are handed one by one, in carry order,
-to the destination's handler — the same path an unbatched message
-takes.  ``batch_window = 0`` (the default) preserves the unbatched
-behavior exactly, draw for draw.
+Every message is one delivery event: ``send`` makes its draws and
+schedules a single timeout that carries the message to ``_deliver``.
+The in-flight check is a version stamp: the event also carries the
+graph's ``version`` as of the send, and ``_deliver`` asks ``can_send``
+again only if the graph changed since.
 
-Everything is counted in :class:`NetworkStats` — logical messages
-*and* physical envelopes — so the benchmark harness can report message
-costs per logical operation and the batching win is measurable.
+Everything is counted in :class:`NetworkStats`, so the benchmark
+harness can report message costs per logical operation.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ..sim import Simulator
+from ..sim import Simulator, Timeout
 from .latency import LatencyModel
 from .message import Message
 from .topology import CommGraph
@@ -61,10 +54,8 @@ DeliveryHandler = Callable[[Message], None]
 class NetworkStats:
     """Counters for everything the transport did.
 
-    ``sent`` counts *logical* messages (what the protocol pays for in
-    the paper's cost model); ``envelopes`` counts *physical*
-    transmissions — with batching several logical messages share one
-    envelope, without it the two counters track each other.
+    ``sent`` counts messages — what the protocol pays for in the
+    paper's cost model.
     """
 
     sent: int = 0
@@ -72,27 +63,19 @@ class NetworkStats:
     dropped_no_edge: int = 0
     dropped_in_flight: int = 0
     dropped_lost: int = 0
+    #: arrivals at a live node that has no handler registered (a
+    #: crashed destination has no edges: it counts ``dropped_in_flight``)
     dropped_dst_down: int = 0
     duplicated: int = 0
     slow: int = 0
     #: messages whose delay was stretched by a per-link delay surge
     surged: int = 0
-    #: physical transmissions (one latency/loss draw each)
-    envelopes: int = 0
-    #: logical messages carried by those envelopes
-    enveloped_messages: int = 0
-    by_kind: Dict[str, int] = field(default_factory=dict)
+    by_kind: Dict[str, int] = field(default_factory=Counter)
 
     @property
     def dropped(self) -> int:
         return (self.dropped_no_edge + self.dropped_in_flight
                 + self.dropped_lost + self.dropped_dst_down)
-
-    @property
-    def batch_occupancy(self) -> float:
-        """Mean logical messages per envelope (1.0 = no batching win)."""
-        return (self.enveloped_messages / self.envelopes
-                if self.envelopes else 0.0)
 
     def snapshot(self) -> dict:
         return {
@@ -100,8 +83,9 @@ class NetworkStats:
             "delivered": self.delivered,
             "dropped": self.dropped,
             "slow": self.slow,
-            "envelopes": self.envelopes,
-            "batch_occupancy": self.batch_occupancy,
+            # transmissions, duplicates included; read only by
+            # ledger/metrics.py:78 and leaves with that row
+            "envelopes": self.sent + self.duplicated,
             "by_kind": dict(self.by_kind),
         }
 
@@ -113,7 +97,7 @@ class Network:
                  latency: LatencyModel, rng: random.Random,
                  loss_prob: float = 0.0,
                  slow_prob: float = 0.0, slow_factor: float = 5.0,
-                 dup_prob: float = 0.0, batch_window: float = 0.0):
+                 dup_prob: float = 0.0):
         if not 0.0 <= loss_prob < 1.0:
             raise ValueError(f"loss_prob out of range: {loss_prob}")
         if not 0.0 <= slow_prob < 1.0:
@@ -122,8 +106,6 @@ class Network:
             raise ValueError(f"dup_prob out of range: {dup_prob}")
         if slow_factor <= 1.0:
             raise ValueError("slow_factor must exceed 1")
-        if batch_window < 0.0:
-            raise ValueError(f"negative batch_window: {batch_window}")
         self.sim = sim
         self.graph = graph
         self.latency = latency
@@ -132,7 +114,6 @@ class Network:
         self.slow_prob = slow_prob
         self.slow_factor = slow_factor
         self.dup_prob = dup_prob
-        self.batch_window = batch_window
         self.stats = NetworkStats()
         # per-(src, dst) adversarial perturbations; empty dicts by
         # default so the unperturbed draw sequence is untouched
@@ -144,25 +125,14 @@ class Network:
         # must see identical id streams for the same seed (a process-
         # global counter would break back-to-back determinism)
         self._msg_ids = count(1)
-        # open batch envelopes, keyed by (src, dst)
-        self._pending: Dict[Tuple[int, int], List[Message]] = {}
         #: optional wiretap for tests: called with every sent message
         self.tap: Optional[Callable[[Message], None]] = None
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
-        # per-run message sequence numbers for trace correlation (kept
-        # even with per-network msg_ids: directly constructed test
-        # messages still draw from the global fallback counter)
-        self._trace_seq: dict[int, int] = {}
 
     def next_msg_id(self) -> int:
         """Allocate the next message id on this network's own stream."""
         return next(self._msg_ids)
-
-    @property
-    def delta(self) -> float:
-        """The δ bound the protocol's timers are derived from."""
-        return self.latency.bound
 
     # -- per-link perturbations (adversarial fault model) ----------------------
 
@@ -216,117 +186,75 @@ class Network:
 
     def send(self, message: Message) -> None:
         """Put ``message`` in flight; delivery (or loss) is resolved later."""
-        if message.dst not in self.graph.nodes:
-            raise KeyError(f"unknown destination {message.dst}")
-        self.stats.sent += 1
-        self.stats.by_kind[message.kind] = (
-            self.stats.by_kind.get(message.kind, 0) + 1
-        )
+        src, dst = message.src, message.dst
+        graph = self.graph
+        if dst not in graph.nodes:
+            raise KeyError(f"unknown destination {dst}")
+        stats = self.stats
+        stats.sent += 1
+        stats.by_kind[message.kind] += 1
+        seq = stats.sent  # rides in the delivery event, for the trace
         if self.tap is not None:
             self.tap(message)
         if self.tracer is not None:
-            self._trace_seq[id(message)] = self.stats.sent
-            self.tracer.emit(
-                "msg.send", pid=message.src, dst=message.dst,
-                kind=message.kind, seq=self.stats.sent,
-            )
-        if self.batch_window <= 0.0:
-            self._transmit((message,), held=0.0)
+            self.tracer.emit("msg.send", pid=src, dst=dst,
+                             kind=message.kind, seq=seq)
+        if not graph.can_send(src, dst):
+            stats.dropped_no_edge += 1
+            self._trace_drop(message, "no-edge", seq)
             return
-        key = (message.src, message.dst)
-        pending = self._pending.get(key)
-        if pending is not None:
-            # an envelope to this destination is already open: ride it
-            pending.append(message)
-            return
-        self._pending[key] = [message]
-        flush = self.sim.timeout(
-            self.batch_window, name=f"flush#{message.src}->{message.dst}"
-        )
-        flush.add_callback(lambda _event, k=key: self._flush(k))
-
-    def _flush(self, key: Tuple[int, int]) -> None:
-        batch = self._pending.pop(key, None)
-        if batch:
-            self._transmit(tuple(batch), held=self.batch_window)
-
-    def _transmit(self, batch: Tuple[Message, ...], held: float) -> None:
-        """Resolve one envelope: edge/loss/latency draws for the batch.
-
-        ``held`` is how long the envelope sat open before the draws;
-        the opener's total arrival time is ``held + max(delay - held,
-        0)`` — unchanged whenever ``delay >= held``, which the
-        ``batch_window <= delta`` constraint guarantees for in-bound
-        latency models.
-        """
-        first = batch[0]
-        key = (first.src, first.dst)
-        n = len(batch)
-        self.stats.envelopes += 1
-        self.stats.enveloped_messages += n
-        if not self.graph.can_send(first.src, first.dst):
-            self.stats.dropped_no_edge += n
-            for message in batch:
-                self._trace_drop(message, "no-edge")
-            return
+        key = (src, dst)
+        rng = self.rng
         loss = self._link_loss.get(key, self.loss_prob)
-        if loss and self.rng.random() < loss:
-            self.stats.dropped_lost += n
-            for message in batch:
-                self._trace_drop(message, "lost")
+        if loss and rng.random() < loss:
+            stats.dropped_lost += 1
+            self._trace_drop(message, "lost", seq)
             return
-        delay = self.latency.delay(first.src, first.dst, self.rng)
-        if self.slow_prob and self.rng.random() < self.slow_prob:
+        delay = self.latency.delay(src, dst, rng)
+        if self.slow_prob and rng.random() < self.slow_prob:
             delay *= self.slow_factor
-            self.stats.slow += n
+            stats.slow += 1
         surge = self._link_surge.get(key)
         if surge is not None:
             delay *= surge
-            self.stats.surged += n
-        self._schedule_delivery(batch, max(delay - held, 0.0))
+            stats.surged += 1
+        flight = (message, graph.version, seq)
+        self.sim.timeout(delay, flight).callbacks = self._deliver
         dup = self._link_dup.get(key, self.dup_prob)
-        if dup and self.rng.random() < dup:
-            self.stats.duplicated += n
-            self.stats.envelopes += 1
-            self.stats.enveloped_messages += n
-            dup_delay = self.latency.delay(first.src, first.dst, self.rng)
+        if dup and rng.random() < dup:
+            stats.duplicated += 1
+            dup_delay = self.latency.delay(src, dst, rng)
             if surge is not None:
                 dup_delay *= surge
-            self._schedule_delivery(batch, max(dup_delay - held, 0.0))
+            self.sim.timeout(dup_delay, flight).callbacks = self._deliver
 
-    def _schedule_delivery(self, batch: Tuple[Message, ...],
-                           delay: float) -> None:
-        arrival = self.sim.timeout(delay, name=f"deliver#{batch[0].msg_id}")
-        arrival.add_callback(lambda _event, b=batch: self._deliver(b))
-
-    def _deliver(self, batch: Tuple[Message, ...]) -> None:
-        first = batch[0]
-        if not self.graph.can_send(first.src, first.dst):
-            self.stats.dropped_in_flight += len(batch)
-            for message in batch:
-                self._trace_drop(message, "in-flight")
+    def _deliver(self, arrival: Timeout) -> None:
+        message, version, seq = arrival._value  # dispatched, so triggered
+        graph = self.graph
+        # every CommGraph mutation bumps ``version``: if it has not
+        # moved since the send, the send-time ``can_send`` still holds
+        if (version != graph.version
+                and not graph.can_send(message.src, message.dst)):
+            self.stats.dropped_in_flight += 1
+            self._trace_drop(message, "in-flight", seq)
             return
-        handler = self._handlers.get(first.dst)
-        if handler is None or not self.graph.node_up(first.dst):
-            self.stats.dropped_dst_down += len(batch)
-            for message in batch:
-                self._trace_drop(message, "dst-down")
+        handler = self._handlers.get(message.dst)
+        if handler is None:
+            self.stats.dropped_dst_down += 1
+            self._trace_drop(message, "dst-down", seq)
             return
-        for message in batch:
-            self.stats.delivered += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "msg.recv", pid=message.dst, src=message.src,
-                    kind=message.kind,
-                    seq=self._trace_seq.get(id(message), -1),
-                    latency=self.sim.now - message.sent_at,
-                )
-            handler(message)
+        self.stats.delivered += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                "msg.recv", pid=message.dst, src=message.src,
+                kind=message.kind, seq=seq,
+                latency=self.sim.now - message.sent_at,
+            )
+        handler(message)
 
-    def _trace_drop(self, message: Message, reason: str) -> None:
+    def _trace_drop(self, message: Message, reason: str, seq: int) -> None:
         if self.tracer is not None:
             self.tracer.emit(
                 "msg.drop", pid=message.dst, src=message.src,
-                kind=message.kind, reason=reason,
-                seq=self._trace_seq.get(id(message), -1),
+                kind=message.kind, reason=reason, seq=seq,
             )

@@ -58,8 +58,7 @@ class ExperimentSpec:
     check: bool = False  # run the 1SR checker afterwards (small runs only)
     trace: bool = False  # collect a structured event trace (cluster.tracer)
     audit: bool = False  # hook in the runtime invariant auditor
-    #: concurrent clients per processor (>1 creates same-tick fan-out
-    #: overlap, which is what transport batching coalesces)
+    #: concurrent clients per processor (>1 overlaps same-tick fan-outs)
     clients: int = 1
     #: fixed transaction count per client (None = open loop until
     #: ``duration``); fixed counts make paired runs attempt identical work
@@ -158,7 +157,15 @@ def spec_to_plain(spec: ExperimentSpec) -> dict:
     return plain
 
 
-def _from_plain(hint, value):
+#: dotted spec paths of knobs since removed, each with the default it
+#: had: old artifacts still pin them.  Carrying that default, the key is
+#: dropped on load; any other value names a run that no longer exists.
+_RETIRED_KEYS = {
+    "config.batch_window": (0.0, "transport batching was removed in PR 21"),
+}
+
+
+def _from_plain(hint, value, prefix=""):
     hint = _bare(hint)
     if value is None:
         return None
@@ -166,10 +173,19 @@ def _from_plain(hint, value):
         hints = typing.get_type_hints(hint)
         # an absent key is a knob added after the artifact was written:
         # it takes the dataclass default
-        return hint(**{name: _from_plain(hints.get(name), item)
-                       for name, item in value.items()})
+        fields = {}
+        for name, item in value.items():
+            path = prefix + name
+            if path in _RETIRED_KEYS:
+                default, why = _RETIRED_KEYS[path]
+                if item != default:
+                    raise ValueError(f"{path}={item!r}: {why}; this "
+                                     "artifact cannot be replayed")
+                continue
+            fields[name] = _from_plain(hints.get(name), item, f"{path}.")
+        return hint(**fields)
     if typing.get_origin(hint) is tuple:
-        return tuple(_from_plain(typing.get_args(hint)[0], item)
+        return tuple(_from_plain(typing.get_args(hint)[0], item, prefix)
                      for item in value)
     return value
 
@@ -281,17 +297,9 @@ class ExperimentResult:
                 if self.committed else float("inf"))
 
     @property
-    def envelopes_per_committed_txn(self) -> float:
-        """Physical transmissions per committed transaction — with
-        batching this drops below :attr:`messages_per_committed_txn`."""
-        envelopes = self.network.get("envelopes", self.network["sent"])
-        return (envelopes / self.committed
-                if self.committed else float("inf"))
-
-    @property
     def batch_occupancy(self) -> float:
-        """Mean logical messages per envelope (1.0 = no batching win)."""
-        return self.network.get("batch_occupancy", 1.0)
+        # read only by ledger/metrics.py:79 and leaves with that row
+        return 1.0
 
     # -- client-tier views (latency SLO + session efficiency) ----------------
 
@@ -513,13 +521,9 @@ def collect_registry(cluster: Cluster, sessions=(),
     registry.counter("msg.sent").inc(stats.sent)
     registry.counter("msg.delivered").inc(stats.delivered)
     registry.counter("msg.dropped").inc(stats.dropped)
-    registry.counter("msg.envelopes").inc(stats.envelopes)
-    registry.gauge("msg.batch_occupancy").set(stats.batch_occupancy)
     if committed:
         registry.gauge("txn.messages_per_commit").set(
             stats.sent / len(committed))
-        registry.gauge("txn.envelopes_per_commit").set(
-            stats.envelopes / len(committed))
     for kind in sorted(stats.by_kind):
         registry.counter(f"msg.kind.{kind}").inc(stats.by_kind[kind])
     fanout_latency = registry.histogram("transport.fanout_latency")

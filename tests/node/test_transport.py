@@ -386,6 +386,28 @@ def test_rpc_reply_before_the_deadline_resumes_in_its_own_dispatch():
     assert procs[1]._reply_waiters == {}
 
 
+def test_second_reply_to_one_rpc_is_late_and_wakes_nobody():
+    sim, _, net, procs = build()
+    replies = []
+
+    def server(request):
+        procs[2].reply(request, "pong", {"n": 1})
+        procs[2].reply(request, "pong", {"n": 2})  # same instant, same link
+
+    def client():
+        response = yield from procs[1].rpc(2, "ping", {}, timeout=10.0)
+        replies.append(response.payload["n"])
+
+    procs[2].serve("ping", server)
+    sim.process(client(), name="client")
+    sim.run()
+    # the first pong woke the RPC waiter; the second found nobody
+    # waiting — counted late, handed to no handler
+    assert net.stats.delivered == 3
+    assert replies == [1]
+    assert procs[1].transport.late_replies == 1
+
+
 def test_bare_caller_on_a_crashed_processor_still_gets_no_response():
     """The runner's client is a bare ``sim.process``: a crash of its
     processor clears the reply table but does not kill it, so the

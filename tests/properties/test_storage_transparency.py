@@ -1,11 +1,11 @@
 """Property: the storage engine is cost-transparent at default policy.
 
-Two pins, mirroring ``test_batching_transparency``:
+One trace pin and one paired-outcome check:
 
 1. **Trace identity** — with zero storage costs and compaction off, a
    failure-laden seeded run produces a byte-identical trace to the
    pre-engine implementation (the golden hash below was captured
-   before the refactor, and re-captured once since — see its comment).
+   before the refactor, and re-captured twice since — see its comment).
    Only the event families the engine added
    (``storage.*``, ``msg.late-reply``) are filtered before hashing —
    everything that existed before must be untouched, timestamps
@@ -57,29 +57,6 @@ GOLDEN_TRACE_SHA = \
     "6e021101f53c072e480e805e2cbbda5add17608b8427ed2263ba9504d2dfb6b5"
 #: event families added by this refactor, filtered before hashing
 NEW_EVENT_FAMILIES = ("storage.", "msg.late-reply")
-
-#: sha256 of the full (unfiltered) trace of the batched-transport
-#: variant of the same scenario (``batch_window = 0.5``).  Pins the
-#: envelope open/ride/flush schedule and the carry-order, per-message
-#: delivery of a batched envelope — which the default-config pin above
-#: never exercises.  Re-captured at PR 17 with the pin above (was
-#: ``2f1b0c4b…8296``): same events per instant up to t=36.0, committed
-#: 40 / aborted 28, tag set and 1SR verdict equal.  Re-captured at
-#: PR 18 with the pin above (was ``583bb0be…94f8``): same events per
-#: instant up to t=33.001, where five simultaneous invitations now
-#: arrive in pid order and p1, p2 also accept ``vp(2,3)`` on the way
-#: to ``vp(2,4)`` — which commits the same view at the same instant;
-#: committed 40 / aborted 28, tag set and 1SR verdict equal.
-#: Re-captured at PR 20 (was ``4786c2a5…fc02c``; the pin above did not
-#: move): a timed wait resumes its caller in the dispatch of the event
-#: it guards, so from t=4.27 on a resumed client sends one dispatch
-#: earlier and message ``seq``s shift.  With ``seq`` stripped, same
-#: events per instant up to t=36.002, where two ``cc-gate`` S locks on
-#: p4 find their writer already released and are granted on the spot
-#: instead of queuing; committed 40 / aborted 28, the 37 committed
-#: write tags and the 1SR verdict equal.
-BATCHED_GOLDEN_TRACE_SHA = \
-    "e709d1d0954c308cc771e4526216333e2e11318fa68d266790011dc0b36abf54"
 
 
 def _spec(config, failures, read_fraction, trace=False):
@@ -133,27 +110,6 @@ def test_default_policy_is_trace_identical_to_pre_engine_run(tmp_path):
     # ...and the run exercised the engine: the journal was busy
     assert result.registry.counter("storage.wal_appends").value > 0
     assert result.registry.counter("storage.forced_syncs").value > 0
-
-
-def test_batched_config_trace_is_pinned(tmp_path):
-    """Batched delivery is trace-deterministic: a partition + heal
-    run on the batched transport produces a byte-identical trace every
-    time, and batching must not change what commits (1SR holds)."""
-    def schedule(cluster):
-        cluster.injector.partition_at(30.0, [{1, 2, 3, 4}, {5}])
-        cluster.injector.heal_all_at(60.0)
-
-    config = ProtocolConfig(delta=1.0, batch_window=0.5)
-    result = run_experiment(_spec(config, schedule, read_fraction=0.3,
-                                  trace=True))
-    path = tmp_path / "batched_trace.jsonl"
-    result.cluster.write_trace(path)
-    digest = hashlib.sha256(path.read_text().encode()).hexdigest()
-    assert digest == BATCHED_GOLDEN_TRACE_SHA
-    assert result.one_copy_ok is True
-    # the run exercised batching: some envelope carried several messages
-    assert 0 < result.network["envelopes"] < result.network["sent"]
-    assert result.committed > 0
 
 
 def test_durability_costs_and_compaction_preserve_outcomes():

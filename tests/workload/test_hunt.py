@@ -290,7 +290,7 @@ RICH = replace(
                           init_strategy="previous", catchup="log",
                           split_off_fastpath=True, weakened_r4=True,
                           lock_timeout_deltas=9.0, access_timeout_deltas=9.0,
-                          commit_backend="paxos", batch_window=0.5,
+                          commit_backend="paxos",
                           storage_append_cost=0.1, storage_sync_cost=0.2,
                           checkpoint_every=5, log_retain=3),
     workload=WorkloadSpec(read_fraction=0.3, ops_per_txn=3, zipf_s=1.1,
@@ -318,6 +318,32 @@ def test_absent_spec_key_loads_the_dataclass_default(tmp_path, path):
         "cache_policy", "probe_phase")
     loaded, _ = load_artifact(artifact)
     assert loaded == with_paths(written, {path: default})
+
+
+def _pin_batch_window(artifact, value):
+    """Rewrite ``artifact`` as one recorded before PR 21 removed
+    ``ProtocolConfig.batch_window``: ``asdict`` pinned every field."""
+    data = json.loads(artifact.read_text())
+    data["spec"]["config"]["batch_window"] = value
+    artifact.write_text(json.dumps(data))
+
+
+def test_retired_spec_key_at_its_default_is_dropped_on_load(tmp_path):
+    artifact = _artifact(tmp_path, RICH)
+    written, _ = load_artifact(artifact)
+    _pin_batch_window(artifact, 0.0)
+    loaded, _ = load_artifact(artifact)
+    assert loaded == written
+
+
+def test_retired_spec_key_off_its_default_is_refused(tmp_path):
+    artifact = _artifact(tmp_path, RICH)
+    _pin_batch_window(artifact, 0.5)
+    with pytest.raises(ValueError) as refusal:
+        load_artifact(artifact)
+    assert "config.batch_window=0.5" in str(refusal.value)
+    assert ("transport batching was removed in PR 21; this artifact "
+            "cannot be replayed") in str(refusal.value)
 
 
 def test_flat_artifact_from_before_the_spec_section_still_convicts(tmp_path):
