@@ -24,12 +24,13 @@ stands on.  This bench prints two tables:
 * **churn best-of-N** — the same churn workload, warmed up and run
   ``churn_reps`` times reporting the best wall-clock; compared against
   the kernel-churn rate recorded at the PR-4 tag (``PR4_CHURN_RATE``).
-  The dispatch count is closed-form (``2·pairs·msgs + 2·pairs``) and
+  The dispatch count is closed-form (``2·pairs·msgs``) and
   pinned by ``--check``, so any kernel change that adds, drops, or
   reorders a dispatch fails CI deterministically.  The workload changed
   shape at PR 20 (3 → 2 events per message: no composite event sits
   between the parked event and the consumer), so churn rates before
-  and after that PR are not one series.
+  and after that PR are not one series; PR 22 took the ``2·pairs``
+  start events off (a process starts in the call that creates it).
 
 Wall-clock numbers are hardware-dependent; the deterministic side
 (dispatched-event counts, fingerprint equality) is what CI's
@@ -106,13 +107,14 @@ def churn_dispatches(pairs: int, msgs: int) -> int:
 
     2 dispatches per message (the producer's timeout, and the parked
     event that resumes the consumer — the cancelled deadline never
-    dispatches) plus the 2 process starts per pair; a finished process
-    nobody awaits schedules nothing.  The FIFO fast path changes *which
+    dispatches) and nothing else: a process starts in the call that
+    creates it, and a finished process nobody awaits schedules
+    nothing.  The FIFO fast path changes *which
     queue* an entry travels through, never whether it is dispatched —
     so this is invariant across kernel data-structure changes and is
     what ``--check`` pins.
     """
-    return 2 * pairs * msgs + 2 * pairs
+    return 2 * pairs * msgs
 
 
 def churn_best(pairs: int, msgs: int, reps: int):

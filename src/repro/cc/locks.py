@@ -28,13 +28,6 @@ from ..sim import Event, Simulator
 SHARED = "S"
 EXCLUSIVE = "X"
 
-_COMPATIBLE = {
-    (SHARED, SHARED): True,
-    (SHARED, EXCLUSIVE): False,
-    (EXCLUSIVE, SHARED): False,
-    (EXCLUSIVE, EXCLUSIVE): False,
-}
-
 
 class LockRequest(Event):
     """A queued lock acquisition, fired with ``True`` when granted;
@@ -61,6 +54,7 @@ class LockRequest(Event):
 
 @dataclass
 class _LockState:
+    seq: int  #: creation number: the table's insertion order
     holders: Dict[Any, str] = field(default_factory=dict)
     queue: List[LockRequest] = field(default_factory=list)
 
@@ -72,6 +66,9 @@ class LockManager:
         self.sim = sim
         self.name = name
         self._table: Dict[str, _LockState] = {}
+        self._created = 0
+        #: txn -> objects it holds or queues on (a drop prunes it)
+        self._touched: Dict[Any, set] = {}
         #: grants ever made, for metrics
         self.grants = 0
         self.waits = 0
@@ -98,15 +95,22 @@ class LockManager:
         """
         if mode not in (SHARED, EXCLUSIVE):
             raise ValueError(f"unknown lock mode {mode!r}")
-        state = self._table.setdefault(obj, _LockState())
+        state = self._table.get(obj)
+        if state is None:
+            self._created += 1
+            state = self._table[obj] = _LockState(self._created)
 
         held = state.holders.get(txn)
         if held == EXCLUSIVE or held == mode:
             # Re-entrant: X covers S; same mode is a no-op.
             return None
         upgrade = held == SHARED  # and mode == EXCLUSIVE
-        if not state.queue and (len(state.holders) == 1 if upgrade
-                                else self._compatible(state, mode)):
+        self._touched.setdefault(txn, set()).add(obj)
+        # A sole holder's upgrade passes the queue (nobody there can run
+        # before it ends): no head is ever left grantable for a release
+        # elsewhere to find — release_all visits only what its txn touched.
+        if (len(state.holders) == 1 if upgrade
+                else not state.queue and self._compatible(state, mode)):
             state.holders[txn] = mode
             self.grants += 1
             if self.tracer is not None:
@@ -114,8 +118,7 @@ class LockManager:
             return None
         request = LockRequest(self, obj, txn, mode)
         if upgrade:
-            # Upgrade must wait at the front (it beats new requests but
-            # cannot bypass already-queued ones without risking starvation).
+            # behind the other readers only: it beats every queued request
             state.queue.insert(0, request)
         else:
             state.queue.append(request)
@@ -127,18 +130,26 @@ class LockManager:
     # -- release ------------------------------------------------------------
 
     def release_all(self, txn: Any) -> List[str]:
-        """Strict 2PL release at end of transaction; returns freed objects."""
+        """Strict 2PL release at end of transaction; returns freed
+        objects.  Visits only what the transaction touched, in table
+        insertion order (it fixes the same-instant grant order)."""
         freed = []
-        for obj, state in list(self._table.items()):
-            if txn in state.holders:
-                mode = state.holders.pop(txn)
+        table = self._table
+        objects = self._touched.pop(txn, ())
+        if len(objects) > 1:
+            objects = sorted(objects, key=lambda obj: table[obj].seq)
+        for obj in objects:
+            state = table[obj]
+            mode = state.holders.pop(txn, None)
+            if mode is not None:
                 freed.append(obj)
                 if self.tracer is not None:
                     self._emit("lock.release", obj, txn, mode)
-            state.queue = [r for r in state.queue if r.txn != txn]
-            self._promote(obj, state)
+            if state.queue:
+                state.queue = [r for r in state.queue if r.txn != txn]
+                self._promote(obj, state)
             if not state.holders and not state.queue:
-                del self._table[obj]
+                del table[obj]
         return freed
 
     # -- inspection ------------------------------------------------------------
@@ -168,38 +179,28 @@ class LockManager:
     # -- internals -----------------------------------------------------------
 
     def _compatible(self, state: _LockState, mode: str) -> bool:
-        return all(
-            _COMPATIBLE[(held, mode)] for held in state.holders.values()
-        )
+        """S joins other S holders; X joins nobody."""
+        held = state.holders.values()
+        return not held or (mode == SHARED and EXCLUSIVE not in held)
 
     def _promote(self, obj: str, state: _LockState) -> None:
         """Grant queued requests from the head while compatible."""
-        while state.queue:
-            request = state.queue[0]
-            held = state.holders.get(request.txn)
-            if held == EXCLUSIVE or held == request.mode:
-                state.queue.pop(0)
-                request.succeed(True)
-                continue
-            if held == SHARED and request.mode == EXCLUSIVE:
-                if len(state.holders) == 1:
-                    state.holders[request.txn] = EXCLUSIVE
-                    state.queue.pop(0)
-                    self.grants += 1
-                    if self.tracer is not None:
-                        self._emit("lock.grant", obj, request.txn, EXCLUSIVE)
-                    request.succeed(True)
-                    continue
-                break
-            if self._compatible(state, request.mode):
-                state.holders[request.txn] = request.mode
-                state.queue.pop(0)
+        queue, holders = state.queue, state.holders
+        while queue:
+            request = queue[0]
+            txn, mode = request.txn, request.mode
+            held = holders.get(txn)
+            if held != EXCLUSIVE and held != mode:  # else: already covered
+                # (an upgrade needs its requester to be the sole holder)
+                if not (len(holders) == 1 if held == SHARED
+                        else self._compatible(state, mode)):
+                    break
+                holders[txn] = mode
                 self.grants += 1
                 if self.tracer is not None:
-                    self._emit("lock.grant", obj, request.txn, request.mode)
-                request.succeed(True)
-                continue
-            break
+                    self._emit("lock.grant", obj, txn, mode)
+            queue.pop(0)
+            request.succeed(True)
 
     def _drop_request(self, request: LockRequest) -> None:
         state = self._table.get(request.obj)
@@ -211,6 +212,10 @@ class LockManager:
             return
         if self.tracer is not None:
             self._emit("lock.drop", request.obj, request.txn, request.mode)
+        txn = request.txn
+        if txn not in state.holders and \
+                not any(r.txn == txn for r in state.queue):
+            self._touched[txn].discard(request.obj)
         self._promote(request.obj, state)
         if not state.holders and not state.queue:
             del self._table[request.obj]

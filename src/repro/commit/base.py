@@ -129,9 +129,37 @@ class AtomicCommit(ABC):
         """Restart resolution for whatever is still in doubt."""
 
     @abstractmethod
+    def _resolve_in_doubt(self, txn):
+        """Generator: learn (or decide) ``txn``'s outcome and apply it,
+        retrying until it is no longer in doubt here."""
+
     def kick_resolver(self, txn) -> None:
-        """Begin resolving one in-doubt transaction now (idempotent);
-        called by watchdogs, partition changes, and recovery."""
+        """Begin resolving one in-doubt transaction (idempotent via
+        ``resolving``); called by watchdogs, partition changes, and
+        recovery.  A crashed processor must not grow tasks — its
+        ``on_recover`` restarts resolvers for what is still in doubt.
+        """
+        if (self.processor.alive and txn in self.in_doubt
+                and txn not in self.resolving):
+            self.resolving.add(txn)
+            if self.tracer is not None:
+                self.tracer.emit("txn.indoubt", pid=self.pid, txn=str(txn),
+                                 coordinator=self.in_doubt[txn])
+            self.processor.spawn(f"resolve{txn}", self._resolver(txn))
+
+    def _resolver(self, txn):
+        try:
+            # The one exception to "a process acts in the call that
+            # creates it" (sim/process.py): look only after this
+            # instant's deliveries.  The decide watchdog is dispatched
+            # first in the very instant a timed-out coordinator's abort
+            # lands (both access_timeout + δ after the prepare left) and
+            # nothing here says a decide is still due, so the check
+            # ``txn in in_doubt`` waits for it before asking anybody.
+            yield self.sim.timeout(0)
+            yield from self._resolve_in_doubt(txn)
+        finally:
+            self.resolving.discard(txn)
 
     # -- shared bookkeeping -------------------------------------------------
 
@@ -148,7 +176,9 @@ class AtomicCommit(ABC):
             if since is not None:
                 self.metrics.in_doubt_dwell.append(self.sim.now - since)
 
-    def _delayed_reply(self, delay: float, message, kind: str, payload):
-        """Reply after ``delay`` — models a forced write gating an ack."""
-        yield self.sim.timeout(delay)
+    def _synced_reply(self, message, kind: str, payload):
+        """Generator: reply once a forced write has landed."""
+        sync_cost = self.config.storage_sync_cost
+        if sync_cost > 0:
+            yield self.sim.timeout(sync_cost)
         self.processor.reply(message, kind, payload)

@@ -247,8 +247,6 @@ class PaxosCommit(AtomicCommit):
         status = "committed" if outcome == "commit" else "aborted"
         self.host.history.finish_txn_once(
             txn, status, self.sim.now, reason="decided by recovery leader")
-        return
-        yield  # pragma: no cover - generator form when sync cost is zero
 
     # ------------------------------------------------------------------
     # the fast path: ballot-0 votes and their collection
@@ -513,10 +511,6 @@ class PaxosCommit(AtomicCommit):
         self._note_accepted(message.payload)
 
     def _handle_px_p1(self, message) -> None:
-        self.processor.spawn(f"px-p1{message.payload['txn']}",
-                             self._serve_promise(message))
-
-    def _serve_promise(self, message):
         """Acceptor phase 1b (remote): all-instance promise + one
         batched force before the reply."""
         payload = message.payload
@@ -524,49 +518,24 @@ class PaxosCommit(AtomicCommit):
                                       payload["rms"])
         if reply is None:
             self.processor.reply(message, "px-p1-reply", {"ok": False})
-            return
-        sync_cost = self.config.storage_sync_cost
-        if sync_cost > 0:
-            yield self.sim.timeout(sync_cost)
-        self.processor.reply(message, "px-p1-reply", reply)
-        return
-        yield  # pragma: no cover - generator form when sync cost is zero
+        else:
+            self.processor.spawn(f"px-p1{payload['txn']}", self._synced_reply(
+                message, "px-p1-reply", reply))
 
     def _handle_px_p2(self, message) -> None:
-        self.processor.spawn(f"px-p2{message.payload['txn']}",
-                             self._serve_accept(message))
-
-    def _serve_accept(self, message):
         """Acceptor phase 2b (remote): all-instance accept + one
         batched force before the reply."""
         payload = message.payload
-        ok = self._accept_locally(payload["txn"], payload["ballot"],
-                                  payload["votes"])
-        if not ok:
+        if self._accept_locally(payload["txn"], payload["ballot"],
+                                payload["votes"]):
+            self.processor.spawn(f"px-p2{payload['txn']}", self._synced_reply(
+                message, "px-p2-reply", {"ok": True}))
+        else:
             self.processor.reply(message, "px-p2-reply", {"ok": False})
-            return
-        sync_cost = self.config.storage_sync_cost
-        if sync_cost > 0:
-            yield self.sim.timeout(sync_cost)
-        self.processor.reply(message, "px-p2-reply", {"ok": True})
-        return
-        yield  # pragma: no cover - generator form when sync cost is zero
 
     # ------------------------------------------------------------------
     # in-doubt resolution (recovery leadership)
     # ------------------------------------------------------------------
-
-    def kick_resolver(self, txn) -> None:
-        """Start deciding one in-doubt transaction (idempotent)."""
-        if not self.processor.alive:
-            return
-        if txn in self.in_doubt and txn not in self.resolving:
-            self.resolving.add(txn)
-            if self.tracer is not None:
-                self.tracer.emit("txn.indoubt", pid=self.pid, txn=str(txn),
-                                 coordinator=self.in_doubt[txn])
-            self.processor.spawn(f"resolve{txn}",
-                                 self._resolve_in_doubt(txn))
 
     def _resolve_in_doubt(self, txn):
         """Become a recovery leader and *decide* the outcome from the
@@ -578,32 +547,28 @@ class PaxosCommit(AtomicCommit):
         lead; the loop notices and stops."""
         retry = self.config.access_timeout
         attempt = 1
-        try:
-            while txn in self.in_doubt:
-                meta = self._meta.get(txn)
-                if meta is None:  # pragma: no cover - stored at prepare
-                    yield self.sim.timeout(retry)
-                    continue
-                ballot = attempt * BALLOT_STRIDE + self.pid
-                votes = yield from self._lead(txn, meta, ballot)
-                if votes is not None:
-                    outcome = ("commit"
-                               if all(v == "prepared"
-                                      for v in votes.values())
-                               else "abort")
-                    if txn in self.in_doubt:
-                        if self.tracer is not None:
-                            self.tracer.emit("txn.resolve", pid=self.pid,
-                                             txn=str(txn), outcome=outcome)
-                        targets = sorted(set(meta["participants"])
-                                         | {meta["leader"]})
-                        yield from self._decide_and_distribute(
-                            txn, outcome, targets)
-                    break
-                attempt += 1
+        while txn in self.in_doubt:
+            meta = self._meta.get(txn)
+            if meta is None:  # pragma: no cover - stored at prepare
                 yield self.sim.timeout(retry)
-        finally:
-            self.resolving.discard(txn)
+                continue
+            ballot = attempt * BALLOT_STRIDE + self.pid
+            votes = yield from self._lead(txn, meta, ballot)
+            if votes is not None:
+                outcome = ("commit"
+                           if all(v == "prepared" for v in votes.values())
+                           else "abort")
+                if txn in self.in_doubt:
+                    if self.tracer is not None:
+                        self.tracer.emit("txn.resolve", pid=self.pid,
+                                         txn=str(txn), outcome=outcome)
+                    targets = sorted(set(meta["participants"])
+                                     | {meta["leader"]})
+                    yield from self._decide_and_distribute(
+                        txn, outcome, targets)
+                break
+            attempt += 1
+            yield self.sim.timeout(retry)
 
     # ------------------------------------------------------------------
     # crash / recovery

@@ -163,8 +163,6 @@ class TwoPhaseCommit(AtomicCommit):
         # it), so only in-flight transactions stay in the map.
         self.decisions.pop(ctx.txn_id, None)
         self.metrics.decisions_retired += 1
-        return
-        yield  # pragma: no cover - generator form when sync cost is zero
 
     # ------------------------------------------------------------------
     # participant side
@@ -196,19 +194,12 @@ class TwoPhaseCommit(AtomicCommit):
             )
             # The yes vote is 2PC's participant force point: the
             # prepare record must be durable before the vote leaves,
-            # or a crash could silently forget it.  With a nonzero
-            # sync cost the reply waits out the force write in a
-            # spawned process; at zero cost it goes out immediately.
+            # or a crash could silently forget it — the reply waits
+            # out the force write (no wait at all when it is free).
             self.processor.store.record_prepare(
                 txn, message.payload["objects"])
-            sync_cost = self.config.storage_sync_cost
-            if sync_cost > 0:
-                self.processor.spawn(
-                    f"prepare-sync{txn}",
-                    self._delayed_reply(sync_cost, message, "prepare-reply",
-                                        {"ok": True}))
-            else:
-                self.processor.reply(message, "prepare-reply", {"ok": True})
+            self.processor.spawn(f"prepare-sync{txn}", self._synced_reply(
+                message, "prepare-reply", {"ok": True}))
         else:
             self.processor.reply(message, "prepare-reply",
                                  {"ok": False, "reason": verdict})
@@ -246,59 +237,37 @@ class TwoPhaseCommit(AtomicCommit):
     # in-doubt resolution
     # ------------------------------------------------------------------
 
-    def kick_resolver(self, txn) -> None:
-        """Start the in-doubt resolver for ``txn`` unless it is moot.
-
-        Callable from anywhere (watchdog timer, partition change,
-        recovery); idempotent via ``resolving``.  A crashed processor
-        must not grow tasks — its ``on_recover`` restarts resolvers
-        for whatever is still in doubt.
-        """
-        if not self.processor.alive:
-            return
-        if txn in self.in_doubt and txn not in self.resolving:
-            self.resolving.add(txn)
-            coordinator = self.in_doubt[txn]
-            if self.tracer is not None:
-                self.tracer.emit("txn.indoubt", pid=self.pid, txn=str(txn),
-                                 coordinator=coordinator)
-            self.processor.spawn(f"resolve{txn}",
-                                 self._resolve_in_doubt(txn, coordinator))
-
-    def _resolve_in_doubt(self, txn, coordinator: int):
+    def _resolve_in_doubt(self, txn):
         """Learn an in-doubt transaction's outcome from its coordinator.
 
         Retries through partitions and crashes: the coordinator logs
         its decision before sending any decide, so the answer is
         "commit"/"abort" once decided and "undecided" at most briefly.
         A normally-delivered decide resolves the transaction while we
-        retry; the loop notices and stops — also when that happens
-        before this process first runs, which is why the coordinator is
-        captured at kick time.
+        retry; the loop notices and stops — also when that happened
+        before our first look (no coordinator left to read, no loop).
         """
         retry = self.config.access_timeout
-        try:
-            while txn in self.in_doubt:
-                try:
-                    response = yield from self.processor.rpc(
-                        coordinator, "txn-status", {"txn": txn},
-                        timeout=retry,
-                    )
-                except NoResponse:
-                    yield self.sim.timeout(retry)
-                    continue
-                outcome = response.payload["outcome"]
-                if outcome == "undecided":
-                    yield self.sim.timeout(retry)
-                    continue
-                if txn in self.in_doubt:
-                    if self.tracer is not None:
-                        self.tracer.emit("txn.resolve", pid=self.pid,
-                                         txn=str(txn), outcome=outcome)
-                    self.host._apply_decision(txn, outcome)
-                break
-        finally:
-            self.resolving.discard(txn)
+        coordinator = self.in_doubt.get(txn)
+        while txn in self.in_doubt:
+            try:
+                response = yield from self.processor.rpc(
+                    coordinator, "txn-status", {"txn": txn},
+                    timeout=retry,
+                )
+            except NoResponse:
+                yield self.sim.timeout(retry)
+                continue
+            outcome = response.payload["outcome"]
+            if outcome == "undecided":
+                yield self.sim.timeout(retry)
+                continue
+            if txn in self.in_doubt:
+                if self.tracer is not None:
+                    self.tracer.emit("txn.resolve", pid=self.pid,
+                                     txn=str(txn), outcome=outcome)
+                self.host._apply_decision(txn, outcome)
+            break
 
     # ------------------------------------------------------------------
     # crash / recovery

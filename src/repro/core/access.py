@@ -208,9 +208,9 @@ class AccessMixin:
     # ------------------------------------------------------------------
     # server side: Fig. 12 — Physical-Access
     # ------------------------------------------------------------------
-    # One process per request, spawned at its delivery event (see
-    # ``VirtualPartitionProtocol.attach``): an access may wait on the
-    # R5 gate, a copy lock, or priced storage.
+    # Run at the request's delivery event (``serve_spawned``, see
+    # ``VirtualPartitionProtocol.attach``); an access becomes a process
+    # only if it waits — on the R5 gate, a copy lock, or priced storage.
 
     def _handle_read(self, message):
         payload = message.payload

@@ -54,11 +54,8 @@ class UpdateMixin:
     """Partition initialization (rule R5) with the §6 optimizations."""
 
     def _schedule_update_copies(self) -> None:
-        """The ``schedule(Update-Copies-in-View)`` of Figs. 5 and 6."""
-        self.processor.spawn("update-copies", self._update_copies_task())
-
-    def _update_copies_task(self):
-        """Fig. 9 outer loop: one parallel worker per locked object.
+        """The ``schedule(Update-Copies-in-View)`` of Figs. 5 and 6 —
+        Fig. 9's outer loop: one parallel worker per locked object.
         Nothing follows the paper's ``coend``, so nothing joins them."""
         state = self.state
         old_id = state.cur_id
@@ -85,8 +82,6 @@ class UpdateMixin:
                 continue
             self.processor.spawn(
                 f"update({obj})", self._update_one_object(obj, old_id))
-        return
-        yield  # pragma: no cover - a process: it starts after the join
 
     def _split_off_fresh_objects(self) -> frozenset:
         """Objects provably fresh because the partition is a split-off.
@@ -336,7 +331,7 @@ class UpdateMixin:
     # server side: migration control (reshard engine only)
     # ------------------------------------------------------------------
     # Served like every other request kind (gate and release never
-    # wait, install runs as a process); a cluster that never reshards
+    # wait, install may); a cluster that never reshards
     # never receives one, and a handler-table entry costs no event.
 
     def _handle_reshard_gate(self, message) -> None:

@@ -111,7 +111,7 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
 
         Only the probe loop is a task; every inbound kind is served at
         its delivery event — handlers that never wait directly (Fig. 6's
-        two among them), the rest as one spawned process per request.
+        two among them), the rest spawned: a process only if it waits.
         """
         processor = self.processor
         processor.add_task("send-probes", self.send_probes)

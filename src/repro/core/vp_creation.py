@@ -92,13 +92,15 @@ class CreationMixin:
         if self.tracer is not None:
             self.tracer.emit("vp.commit", pid=self.pid, vpid=new_id,
                              view=sorted(accepted))
-        self._commit_partition(new_id, accepted, previous_map)
+        # The commits leave before our own join sends Update-Copies'
+        # recovery reads: a member must see its commit first.
         for pid in others:
             self.processor.send(pid, "commit", {
                 "id": new_id,
                 "view": sorted(accepted),
                 "previous_map": dict(previous_map),
             })
+        self._commit_partition(new_id, accepted, previous_map)
 
     def _previous_info(self):
         """This processor's (previous partition, objects accessible there)."""

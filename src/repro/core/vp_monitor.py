@@ -33,18 +33,13 @@ class MonitorMixin:
         # The durable max-id bump is forced before the acceptance
         # leaves: a crash after accepting must not let this processor
         # mint or accept ids below ``invited_id`` again.  The sync
-        # delays only this acceptance (a spawned delayed send), never
+        # delays only this acceptance (its own spawned send), never
         # later invitations: with concurrent initiators a blocking sync
         # here would stack one forced write per invitation onto later
         # accepts and push them past the initiators' invite_wait window
         # (which budgets exactly one).
-        sync_cost = self.config.storage_sync_cost
-        if sync_cost > 0:
-            self.processor.spawn(
-                f"accept-sync{invited_id}",
-                self._delayed_accept(sync_cost, invited_id, info))
-        else:
-            self._send_accept(invited_id, info)
+        self.processor.spawn(f"accept-sync{invited_id}",
+                             self._send_accept(invited_id, info))
         self._disarm_commit_wait()
         self._commit_wait = self.sim.timeout(self.config.commit_wait)
         self._commit_wait.callbacks = self._commit_wait_expired
@@ -89,6 +84,10 @@ class MonitorMixin:
             self._commit_wait = None
 
     def _send_accept(self, invited_id, info):
+        """Generator: send the acceptance once its forced write lands."""
+        sync_cost = self.config.storage_sync_cost
+        if sync_cost > 0:
+            yield self.sim.timeout(sync_cost)
         if self.tracer is not None:
             self.tracer.emit("vp.accept", pid=self.pid,
                              vpid=invited_id,
@@ -99,8 +98,3 @@ class MonitorMixin:
             "previous": info[0],
             "prev_accessible": sorted(info[1]),
         })
-
-    def _delayed_accept(self, delay, invited_id, info):
-        """Send the acceptance once its forced write completes."""
-        yield self.sim.timeout(delay)
-        self._send_accept(invited_id, info)

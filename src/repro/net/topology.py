@@ -57,17 +57,21 @@ class CommGraph:
 
         The *directed* reachability query: a one-way cut blocks only
         this direction, while an undirected cut or a crashed endpoint
-        blocks both.
+        blocks both.  Asked per message: no helper calls, and the cut
+        sets are probed only while non-empty.
         """
-        self._check(src)
-        self._check(dst)
+        nodes = self.nodes
+        if src not in nodes or dst not in nodes:
+            self._check(src)
+            self._check(dst)
+        down = self._down_nodes
+        if src in down or dst in down:
+            return False
         if src == dst:
-            return src not in self._down_nodes
-        if src in self._down_nodes or dst in self._down_nodes:
+            return True
+        if self._cut_links and frozenset((src, dst)) in self._cut_links:
             return False
-        if _edge(src, dst) in self._cut_links:
-            return False
-        return (src, dst) not in self._oneway_cuts
+        return not self._oneway_cuts or (src, dst) not in self._oneway_cuts
 
     def has_edge(self, a: int, b: int) -> bool:
         """True if ``a`` and ``b`` can currently exchange timely messages

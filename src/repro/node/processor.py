@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from ..net.message import Message
 from ..net.network import Network
-from ..sim import Event, Process, Simulator
+from ..sim import Event, Process, Simulator, start_process
 from .storage import StorageEngine
 from .transport import (  # noqa: F401  (NoResponse re-exported)
     NoResponse, QuorumPredicate, ScatterCall, TransportStats,
@@ -133,8 +133,8 @@ class Processor:
         """Call ``handler(message)`` at the delivery event of every
         ``kind`` request, in arrival order.
 
-        Handlers are plain callables; one that needs to wait starts its
-        own process with :meth:`spawn`.  The table outlives crashes: a
+        Handlers are plain callables; one that may need to wait runs a
+        generator with :meth:`spawn`.  The table outlives crashes: a
         down processor drops the message, a recovered one serves again.
         """
         if kind in self._handlers:
@@ -143,8 +143,8 @@ class Processor:
 
     def serve_spawned(self, kind: str, body: Callable[[Message], Any]) -> None:
         """:meth:`serve` ``kind`` with a handler that may wait: each
-        request runs the generator ``body(message)`` as its own
-        :meth:`spawn` process."""
+        request :meth:`spawn`-s the generator ``body(message)`` at its
+        delivery event, so only a request that waits costs a process."""
         name = f"serve-{kind}"
         self.serve(kind, lambda message: self.spawn(name, body(message)))
 
@@ -269,14 +269,19 @@ class Processor:
                 factory(), name=f"p{self.pid}.{name}"
             )
 
-    def spawn(self, name: str, generator) -> Process:
-        """Run a one-shot auxiliary process tied to this processor's life."""
-        process = self.sim.process(generator, name=f"p{self.pid}.{name}")
-        spawned = self._spawned
-        if len(spawned) >= self._prune_at:
-            spawned[:] = [p for p in spawned if p.is_alive]
-            self._prune_at = 2 * len(spawned) + SPAWN_SLACK
-        spawned.append(process)
+    def spawn(self, name: str, generator) -> Optional[Process]:
+        """Run a one-shot body tied to this processor's life; its first
+        step runs in this call.  Returns the process it became if it
+        waits (tracked, killed by :meth:`crash`); a body that finishes
+        at once costs no ``Process`` and no event, and returns ``None``."""
+        process = start_process(self.sim, generator, f"p{self.pid}.{name}",
+                                one_shot=True)
+        if process is not None and process.is_alive:
+            spawned = self._spawned
+            if len(spawned) >= self._prune_at:
+                spawned[:] = [p for p in spawned if p.is_alive]
+                self._prune_at = 2 * len(spawned) + SPAWN_SLACK
+            spawned.append(process)
         return process
 
     # -- failure model ------------------------------------------------------------

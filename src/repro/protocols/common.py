@@ -186,4 +186,4 @@ class BaselineServerMixin:
                 self.processor.send(server, "release",
                                     {"txn": ctx.txn_id, "outcome": outcome})
         return
-        yield  # pragma: no cover
+        yield  # pragma: no cover - never waits, but the manager ``yield from``-s it

@@ -13,7 +13,7 @@ from .errors import (
 )
 from .events import Event, Timeout
 from .kernel import Simulator
-from .process import Process
+from .process import Process, start_process
 from .rng import RandomStreams
 from .sync import Notifier
 
@@ -28,4 +28,5 @@ __all__ = [
     "Simulator",
     "StopSimulation",
     "Timeout",
+    "start_process",
 ]

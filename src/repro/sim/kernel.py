@@ -32,10 +32,11 @@ structure of plain tuples:
   append/popleft replaces an O(log n) sift for roughly half of all
   scheduling traffic.
 
-Nothing is scheduled that nobody awaits: a process that finishes with
-no waiter is marked processed on the spot, and the one timed wait
-(:meth:`Simulator.wait`) resumes its caller in the dispatch of the
-event it guards — no composite event sits between them.
+Nothing is scheduled that nobody awaits, and nothing is scheduled to
+*start*: a process runs its first step in the call that creates it,
+one that finishes with no waiter is marked processed on the spot, and
+the one timed wait (:meth:`Simulator.wait`) resumes its caller in the
+dispatch of the event it guards — no composite event sits between them.
 
 Events themselves are small slotted objects (see
 :mod:`repro.sim.events`): no per-event name formatting, no
@@ -52,7 +53,7 @@ from typing import Any, Optional
 
 from .errors import EmptySchedule, ProcessCrashed, StopSimulation
 from .events import _PENDING, Event, Timeout
-from .process import EventGenerator, Process
+from .process import EventGenerator, Process, start_process
 
 #: default lazy-deletion compaction threshold: rebuild the heap once at
 #: least this many cancelled entries linger *and* they outnumber live
@@ -111,7 +112,8 @@ class Simulator:
 
     @property
     def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
+        """The process whose step is running — its first, inside the
+        call that creates it, included — if any."""
         return self._active_process
 
     # -- event factories -----------------------------------------------------
@@ -142,8 +144,9 @@ class Simulator:
         return event
 
     def process(self, generator: EventGenerator, name: str = "") -> Process:
-        """Start a new process driving ``generator``."""
-        return Process(self, generator, name)
+        """Start a new process: ``generator``'s first step runs in
+        this call (see :func:`~repro.sim.process.start_process`)."""
+        return start_process(self, generator, name)
 
     def wait(self, event: Event, delay: float, expired: Any = None):
         """Generator: the one timed wait — ``event`` under a deadline.
@@ -249,6 +252,8 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event."""
+        if self._pending_crashes:  # a first step crashed outside dispatch
+            raise self._pending_crashes.pop(0)
         popped = self._pop_live()
         if popped is None:
             raise EmptySchedule("event queue is empty")
@@ -269,15 +274,19 @@ class Simulator:
 
         * ``until`` is a number: stop when the clock would pass it.
         * ``until`` is an :class:`Event`: stop when it fires and return
-          its value (a failed event re-raises its exception).
+          its value (a failed event re-raises its exception) — at
+          once, dispatching nothing, if it is already processed (a
+          process that finished in the call that created it).
         * ``until`` is ``None``: run until no events remain.
         """
         stop_event: Optional[Event] = None
         horizon = float("inf")
         if isinstance(until, Event):
             stop_event = until
-            if stop_event.processed:
-                raise RuntimeError(f"{until!r} already processed")
+            if stop_event._processed:
+                if stop_event._ok:
+                    return stop_event._value
+                raise stop_event._value
             stop_event.add_callback(self._stop_on)
         elif until is not None:
             horizon = float(until)
@@ -299,6 +308,8 @@ class Simulator:
         pending = _PENDING
         steps = 0
         try:
+            if pending_crashes:  # a first step crashed outside dispatch
+                raise pending_crashes.pop(0)
             while True:
                 # Merge the ready FIFO with the heap: both are sorted,
                 # so the smaller head is the global minimum.

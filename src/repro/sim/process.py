@@ -12,13 +12,22 @@ a ``receive ... [no-response: ...]`` becomes ``yield from
 sim.wait(event, delay)``.  (A ``select`` whose branches never wait —
 Fig. 6 — needs no process at all: see :mod:`repro.core.vp_monitor`.)
 
-A process nobody waits on schedules nothing when it finishes: it is
-marked processed on the spot, so waiting on it *afterwards* crashes the
-waiter loudly, exactly like any other processed event.
+The start rule (:func:`start_process`): *creating a process drives its
+generator to its first ``yield`` in the creating call.*  Nothing is
+scheduled to start it; what the first step triggers (a message, a lock
+grant) is still only *scheduled*, behind every entry already queued at
+that instant.  Nor does a process nobody waits on schedule anything
+when it finishes: it is marked processed on the spot, so waiting on it
+*afterwards* crashes the waiter loudly, like any other processed event.
+
+The one sanctioned exception, a body that opens with ``yield
+sim.timeout(0)`` to look only after this instant's other entries, is
+:meth:`repro.commit.base.AtomicCommit._resolver`; the reason is there.
 """
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Generator, Optional
 
 from .errors import ProcessCrashed, StopSimulation
@@ -28,13 +37,12 @@ EventGenerator = Generator[Event, Any, Any]
 
 
 class Process(Event):
-    """Wraps a generator and drives it through the event loop."""
+    """A started generator, resumed through the event loop (built by
+    :func:`start_process`, which runs its first step)."""
 
     __slots__ = ("_generator", "_target", "_send", "_throw")
 
     def __init__(self, sim, generator: EventGenerator, name: str = ""):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(f"{generator!r} is not a generator")
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
         self.callbacks = None
@@ -48,13 +56,6 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self._target: Optional[Event] = None
-        # Kick the process off at the current instant, behind whatever
-        # is already scheduled there: a freshly spawned process never
-        # preempts event deliveries due at this instant.
-        init = Event(sim)
-        init.succeed()
-        init.callbacks = self._resume
-        self._target = init
 
     # -- inspection --------------------------------------------------------
 
@@ -118,33 +119,75 @@ class Process(Event):
             self._target = None
             raise
         except BaseException as exc:  # noqa: BLE001 - surfaced via kernel
-            self._target = None
-            sim._report_crash(ProcessCrashed(self, exc))
-            self.fail(exc)
+            self._crash(exc)
             return
         finally:
             sim._active_process = None
+        self._park(next_target)
 
-        if next_target.__class__ is not Event and \
-                not isinstance(next_target, Event):
-            crash = ProcessCrashed(
-                self, TypeError(f"process yielded non-event {next_target!r}")
-            )
-            sim._report_crash(crash)
-            self.fail(crash)
+    def _crash(self, exc: BaseException, unparkable: bool = False) -> None:
+        """The generator died of ``exc``: report it and fail the event
+        with it — with the report itself for a yield ``_park`` refused."""
+        self._target = None
+        crash = ProcessCrashed(self, exc)
+        self.sim._report_crash(crash)
+        self.fail(crash if unparkable else exc)
+
+    def _park(self, target: Any) -> None:
+        """Wait on what the generator just yielded."""
+        if target.__class__ is not Event and not isinstance(target, Event):
+            self._crash(TypeError(f"process yielded non-event {target!r}"),
+                        unparkable=True)
             return
-        if next_target._processed:
-            crash = ProcessCrashed(
-                self, RuntimeError(f"{next_target!r} already processed")
-            )
-            sim._report_crash(crash)
-            self.fail(crash)
+        if target._processed:
+            self._crash(RuntimeError(f"{target!r} already processed"),
+                        unparkable=True)
             return
-        self._target = next_target
-        cbs = next_target.callbacks
+        self._target = target
+        cbs = target.callbacks
         if cbs is None:
-            next_target.callbacks = self._resume
+            target.callbacks = self._resume
         elif cbs.__class__ is list:
             cbs.append(self._resume)
         else:
-            next_target.callbacks = [cbs, self._resume]
+            target.callbacks = [cbs, self._resume]
+
+
+def start_process(sim, generator: EventGenerator, name: str = "",
+                  one_shot: bool = False) -> Optional[Process]:
+    """The start rule: run ``generator``'s first step *now*, as
+    ``sim.active_process`` (restored afterwards: a nested start leaves
+    the outer process active), and return the :class:`Process` it is —
+    parked on the first target it yielded; crashed, reported like a
+    crash in any later step; or finished, a processed event carrying
+    its value.  No kernel event is spent.  A ``one_shot`` body, whose
+    creator keeps no handle, becomes a ``Process`` only once it waits
+    or crashes (``None`` is returned if it just finishes), so its first
+    step cannot name itself: ``active_process`` is ``None`` there.
+    """
+    if generator.__class__ is not GeneratorType and not (
+            hasattr(generator, "send") and hasattr(generator, "throw")):
+        raise TypeError(f"{generator!r} is not a generator")
+    process = None if one_shot else Process(sim, generator, name)
+    outer = sim._active_process
+    sim._active_process = process
+    try:
+        target = generator.send(None)
+    except StopIteration as stop:
+        if process is not None:
+            process._value = stop.value
+            process._processed = True
+        return process
+    except StopSimulation:
+        raise
+    except BaseException as exc:  # noqa: BLE001 - surfaced via kernel
+        if process is None:
+            process = Process(sim, generator, name)
+        process._crash(exc)
+        return process
+    finally:
+        sim._active_process = outer
+    if process is None:
+        process = Process(sim, generator, name)
+    process._park(target)
+    return process

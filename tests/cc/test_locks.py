@@ -5,6 +5,8 @@ nothing scheduled) and the queued :class:`LockRequest` otherwise.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cc.locks import EXCLUSIVE, SHARED, LockManager
 from repro.sim import Simulator
@@ -76,6 +78,21 @@ def test_upgrade_granted_when_sole_holder(manager):
     up = manager.acquire("t1", "x", EXCLUSIVE)
     assert up is None
     assert manager.holders("x") == {"t1": EXCLUSIVE}
+
+
+def test_sole_holder_upgrade_passes_a_waiting_queue(manager):
+    """Nobody queued can run before the sole holder ends, so its
+    upgrade is granted on the spot — never parked at the head as a
+    grantable request only a release of this object would notice (the
+    table-scan ``release_all`` granted it at the next transaction end
+    anywhere on the processor)."""
+    manager.acquire("t1", "x", SHARED)
+    waiter = manager.acquire("t2", "x", EXCLUSIVE)
+    assert manager.acquire("t1", "x", EXCLUSIVE) is None
+    assert manager.holders("x") == {"t1": EXCLUSIVE}
+    assert not waiter.triggered and manager.queue_length("x") == 1
+    manager.release_all("t1")
+    assert waiter.triggered and manager.holders("x") == {"t2": EXCLUSIVE}
 
 
 def test_upgrade_waits_for_other_readers(manager):
@@ -161,3 +178,71 @@ def test_request_repr_is_built_on_demand(manager):
     assert repr(request) == "<lock(x,t2,S) queued>"
     manager.release_all("t1")
     assert repr(request) == "<lock(x,t2,S) granted>"
+
+
+# -- release_all visits only what the transaction touched ---------------------
+
+
+class TableScanManager(LockManager):
+    """The reference ``release_all``: walk the whole lock table, filter
+    and promote every queue (what the manager did before it kept a
+    transaction → objects index)."""
+
+    def release_all(self, txn):
+        freed = []
+        for obj, state in list(self._table.items()):
+            if txn in state.holders:
+                state.holders.pop(txn)
+                freed.append(obj)
+            state.queue = [r for r in state.queue if r.txn != txn]
+            self._promote(obj, state)
+            if not state.holders and not state.queue:
+                del self._table[obj]
+        return freed
+
+
+_TXNS = st.sampled_from(["t1", "t2", "t3", "t4"])
+_OBJS = st.sampled_from(["a", "b", "c"])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("acquire"), _TXNS, _OBJS,
+              st.sampled_from([SHARED, EXCLUSIVE])),
+    st.tuples(st.just("cancel"), st.integers(0, 7)),
+    st.tuples(st.just("release"), _TXNS),
+), max_size=40)
+
+
+def _grant_order(manager):
+    """Granted requests in the order the kernel will dispatch them."""
+    return [(e.obj, e.txn, e.mode) for _, _, e in manager.sim._ready]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS)
+def test_release_all_matches_a_table_scan(ops):
+    indexed = LockManager(Simulator())
+    scanned = TableScanManager(Simulator())
+    requests = []  # (indexed's, scanned's) queued requests, in issue order
+    for op in ops:
+        if op[0] == "acquire":
+            pair = [m.acquire(*op[1:]) for m in (indexed, scanned)]
+            assert (pair[0] is None) == (pair[1] is None)
+            if pair[0] is not None:
+                requests.append(pair)
+        elif op[0] == "cancel":
+            if requests:
+                for request in requests[op[1] % len(requests)]:
+                    request.cancel()
+        else:
+            assert indexed.release_all(op[1]) == scanned.release_all(op[1])
+        assert list(indexed._table) == list(scanned._table)
+        for obj in indexed._table:
+            assert indexed.holders(obj) == scanned.holders(obj)
+            assert indexed.queue_length(obj) == scanned.queue_length(obj)
+        assert _grant_order(indexed) == _grant_order(scanned)
+        # the index is exact: a txn is listed under precisely the
+        # objects it holds or queues on
+        listed = {(txn, obj) for txn, objs in indexed._touched.items()
+                  for obj in objs}
+        assert listed == {
+            (txn, obj) for obj, state in indexed._table.items()
+            for txn in [*state.holders, *(r.txn for r in state.queue)]}

@@ -169,3 +169,27 @@ def test_decision_applied_between_kick_and_first_resume():
     cluster.run(until=cluster.sim.now + 5.0)
     assert TXN not in host.commit.in_doubt
     assert TXN not in host.commit.resolving, "resolver never exited"
+
+
+def test_resolver_looks_only_after_this_instants_deliveries():
+    """The one sanctioned exception to the start rule
+    (``AtomicCommit._resolver``): the decide watchdog is dispatched
+    first in the instant a timed-out coordinator's abort lands, and the
+    resolver it kicks must see that decide before it asks anybody —
+    no ``txn-status`` leaves, where a resolver acting in the kick would
+    send one (and get a reply) about a settled outcome."""
+    cluster = Cluster(processors=3, seed=1)
+    cluster.place("x", holders=[1, 2, 3], initial=0)
+    cluster.start()
+    host = cluster.protocol(1)
+    host.commit.note_in_doubt(TXN, 2)
+    # same instant, watchdog scheduled (hence dispatched) first
+    cluster.sim.timeout(1.0).add_callback(
+        lambda _e: host.commit.kick_resolver(TXN))
+    cluster.sim.timeout(1.0).add_callback(
+        lambda _e: host._apply_decision(TXN, "abort"))
+    cluster.run(until=cluster.sim.now + 5.0)
+    assert TXN not in host.commit.in_doubt
+    assert TXN not in host.commit.resolving, "resolver never exited"
+    assert "txn-status" not in cluster.network.stats.by_kind
+

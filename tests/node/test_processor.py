@@ -311,3 +311,88 @@ def test_tracked_one_shots_are_bounded_by_in_flight_work():
         for processor in result.cluster.processors.values():
             live = sum(p.is_alive for p in processor._spawned)
             assert len(processor._spawned) <= live + 4 * SPAWN_SLACK
+
+
+# -- the fast path: a served body that never waits is no process --------------
+
+
+def test_served_body_that_never_waits_is_one_event_and_no_process():
+    sim, _, net, procs = build()
+    served = []
+
+    def body(message):
+        served.append((message.payload["n"], sim.now))
+        procs[2].reply(message, "pong", {"n": message.payload["n"]})
+        return
+        yield  # pragma: no cover - a generator that never waits
+
+    procs[2].serve_spawned("ping", body)
+    procs[1].serve("pong", lambda message: None)
+    for n in range(3):
+        procs[1].send(2, "ping", {"n": n})
+    before = sim.dispatched
+    sim.run(until=1.0)
+    # three deliveries, nothing else: no start event, no Process
+    assert sim.dispatched - before == 3
+    assert served == [(0, 1.0), (1, 1.0), (2, 1.0)]  # arrival order
+    assert procs[2]._spawned == []
+    assert net.stats.sent == 6  # the replies left at the delivery instant
+
+
+def test_spawn_returns_the_process_only_if_the_body_waits():
+    sim, _, _, procs = build()
+
+    def body(wait):
+        if wait:
+            yield sim.timeout(1.0)
+
+    assert procs[1].spawn("quick", body(False)) is None
+    waiting = procs[1].spawn("slow", body(True))
+    assert waiting.is_alive and procs[1]._spawned == [waiting]
+    assert sim.dispatched == 0
+
+
+def test_served_body_that_waits_is_one_tracked_process():
+    sim, _, _, procs = build()
+    done = []
+
+    def body(message):
+        yield sim.timeout(2.0)
+        done.append(sim.now)
+
+    procs[2].serve_spawned("slow", body)
+    procs[1].send(2, "slow")
+    procs[1].send(2, "slow")
+    sim.run(until=1.5)
+    assert [p.name for p in procs[2]._spawned] == ["p2.serve-slow"] * 2
+    assert all(p.is_alive and p.target is not None
+               for p in procs[2]._spawned)
+    victims = list(procs[2]._spawned)
+    procs[2].crash()
+    assert not any(p.is_alive for p in victims)
+    sim.run()
+    assert done == []  # killed: neither resumed
+
+    procs[2].recover()
+    procs[1].send(2, "slow")
+    sim.run()
+    assert done == [sim.now]
+    # finished, so the next prune forgets it
+    for _ in range(SPAWN_SLACK + 1):
+        procs[2].spawn("keeper", body(None))
+    assert all(p.is_alive for p in procs[2]._spawned)
+
+
+def test_served_body_that_raises_at_its_first_line_crashes_the_run():
+    sim, _, _, procs = build()
+
+    def body(message):
+        raise ValueError("bad request")
+        yield  # pragma: no cover
+
+    procs[2].serve_spawned("boom", body)
+    procs[1].send(2, "boom")
+    with pytest.raises(Exception, match=r"p2\.serve-boom") as info:
+        sim.run()
+    assert isinstance(info.value.original, ValueError)
+    assert procs[2]._spawned == []

@@ -225,8 +225,9 @@ def live_entries(sim):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_scatter_gather_event_budget(k):
-    """k requests + k replies + the caller's start and wake-up (its
-    finish dispatches nothing: nobody awaits the caller)."""
+    """k requests + k replies + the caller's wake-up (its start is no
+    event — the requests leave inside ``sim.process`` — and its finish
+    dispatches nothing: nobody awaits the caller)."""
     sim, _, _, procs = build(n=6)
     targets = list(range(2, 2 + k))
     for p in targets:
@@ -243,14 +244,14 @@ def test_scatter_gather_event_budget(k):
     assert len(live_entries(sim)) == k + 1
     sim.run()
     assert sorted(proc.value) == targets
-    assert sim.dispatched == 2 * k + 2
+    assert sim.dispatched == 2 * k + 1
     assert sim.now == 2.0  # the cancelled deadline never moved the clock
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_broadcast_collect_event_budget(k):
-    """k pings + k acks + the caller's start and window timeout (its
-    finish dispatches nothing: nobody awaits the caller)."""
+    """k pings + k acks + the window timeout (the caller's start is no
+    event and its finish dispatches nothing: nobody awaits it)."""
     sim, _, _, procs = build(n=6)
     targets = list(range(2, 2 + k))
     for p in targets:
@@ -268,7 +269,7 @@ def test_broadcast_collect_event_budget(k):
     assert len(live_entries(sim)) == k + 1  # k acks and the window
     sim.run()
     assert proc.value == targets
-    assert sim.dispatched == 2 * k + 2
+    assert sim.dispatched == 2 * k + 1
 
 
 def test_gather_after_every_reply_does_not_wait():
@@ -374,15 +375,15 @@ def test_rpc_reply_at_the_deadline_instant_is_late_and_counted():
 
 
 def test_rpc_reply_before_the_deadline_resumes_in_its_own_dispatch():
-    """Start, request, reply: the reply's delivery triggers the waiter
-    the caller is parked on, one more dispatch resumes it — no
-    composite event in between, no finish event, no live deadline."""
+    """Request, reply: the reply's delivery triggers the waiter the
+    caller is parked on, one more dispatch resumes it — no start event,
+    no composite event in between, no finish event, no live deadline."""
     sim, _, _, procs = build()
     serve_echo(procs[2])
     proc = sim.process(rpc_outcome(procs[1], 2, timeout=5.0))
     sim.run()
     assert proc.value == ("answered", {"pid": 2, "n": 1})
-    assert sim.dispatched == 4 and sim.now == 2.0
+    assert sim.dispatched == 3 and sim.now == 2.0
     assert procs[1]._reply_waiters == {}
 
 

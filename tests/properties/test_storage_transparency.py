@@ -5,7 +5,7 @@ One trace pin and one paired-outcome check:
 1. **Trace identity** — with zero storage costs and compaction off, a
    failure-laden seeded run produces a byte-identical trace to the
    pre-engine implementation (the golden hash below was captured
-   before the refactor, and re-captured twice since — see its comment).
+   before the refactor, and re-captured since — see its comment).
    Only the event families the engine added
    (``storage.*``, ``msg.late-reply``) are filtered before hashing —
    everything that existed before must be untouched, timestamps
@@ -28,33 +28,15 @@ PROCESSORS = 5
 CLIENTS = 2
 TXNS_PER_CLIENT = 4
 
-#: sha256 of the canonical JSONL trace of `_golden_spec`'s run,
-#: captured on the pre-storage-engine implementation (with the
-#: stale-view guard of copy_update applied there too — that guard is a
-#: protocol fix orthogonal to the storage refactor, and the capture
-#: must isolate the refactor).
-#:
-#: Re-captured once, at PR 17 (was ``0fc44127…fe82d``): requests are
-#: now handled at their delivery event in arrival order instead of
-#: three queue hops later in kind-poll order, so same-instant order —
-#: and with it every message sequence number from the first probe-ack
-#: at t=1.0 on — moved.  With ``seq`` stripped the old and new traces
-#: hold the same events at every instant up to t=54.38 (past the
-#: partition at 30 and the crash at 45), where a same-instant tie on
-#: the fault path first resolves the other legal way; committed 36 /
-#: aborted 52, the committed write-tag set and the 1SR verdict are
-#: equal.
-#:
-#: Re-captured once more, at PR 18 (was ``1d91d789…3f34d``): replies,
-#: collection windows and Fig. 6's invitations are consumed at their
-#: delivery events too, so same-instant order moved again — first at
-#: t=32.001, where the five probe windows opened at t=30 now close in
-#: pid order.  With ``seq`` stripped the old and new traces hold the
-#: same events at every instant of the whole run; committed 36 /
-#: aborted 52, the committed write-tag set and the 1SR verdict are
-#: equal.
+#: sha256 of the canonical JSONL trace of `_spec`'s run, re-captured at
+#: PR 22 (was ``6e021101…fb6b5``; first captured on the
+#: pre-storage-engine implementation, moved at PR 17 and PR 18): a
+#: process starts in the call that creates it, so from t=3.71 on a
+#: served request's effects precede the next delivery of their instant;
+#: with ``seq`` stripped the old and new traces hold the same events at
+#: every instant of the run (committed 36 / aborted 52, tags, 1SR equal).
 GOLDEN_TRACE_SHA = \
-    "6e021101f53c072e480e805e2cbbda5add17608b8427ed2263ba9504d2dfb6b5"
+    "2102a338aae7769f8a213c402b32a57a3f92404f2aa57407951282b541ead079"
 #: event families added by this refactor, filtered before hashing
 NEW_EVENT_FAMILIES = ("storage.", "msg.late-reply")
 

@@ -111,8 +111,9 @@ def test_mw_repair_returns_to_normal_mode():
         )
     value, _ = cluster.processor(5).store.peek("x")
     assert value == 42, "repair must push the missed value to p5"
-    read = cluster.read_once(3, "x")
+    # read first: the transaction issues its read inside read_once
     cost_before = cluster.total_metrics().physical_read_rpcs
+    read = cluster.read_once(3, "x")
     cluster.run(until=cluster.sim.now + 30.0)
     assert read.value == (True, 42)
     assert cluster.total_metrics().physical_read_rpcs == cost_before + 1

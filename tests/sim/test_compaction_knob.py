@@ -128,7 +128,7 @@ def test_steady_state_churn_allocation_is_flat():
         sim.run()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert sim.dispatched == 2 * 10 * msgs + 2 * 10
+        assert sim.dispatched == 2 * 10 * msgs  # starts are not events
         peaks[msgs] = peak - built
         assert peaks[msgs] < 64 * 1024, (
             f"churn of {msgs} msgs/pair peaked {peaks[msgs]} bytes "

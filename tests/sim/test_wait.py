@@ -1,5 +1,7 @@
 """The one timed wait (``Simulator.wait``) and the rule that nothing is
-scheduled that nobody awaits.
+scheduled that nobody awaits — a process's start included: its first
+step runs in ``sim.process(...)``, so every budget below counts only
+the events the process waits on.
 
 ``wait(event, delay, expired)`` yields ``event`` *itself*: whatever
 triggers it resumes the waiter in that one dispatch.  The deadline is
@@ -37,8 +39,8 @@ class Parked(Event):
 
 
 def test_winner_resumes_in_the_events_own_dispatch():
-    """Process start + the event: two dispatches, no third — no
-    composite sits between the event and its waiter, the losing
+    """The event's own dispatch and no other — the start costs none,
+    no composite sits between the event and its waiter, the losing
     deadline is cancelled, and the unawaited finish costs nothing."""
     sim = Simulator()
     event = sim.event()
@@ -48,13 +50,12 @@ def test_winner_resumes_in_the_events_own_dispatch():
         value = yield from sim.wait(event, 10.0, "expired")
         seen.append((value, sim.now, sim.dispatched))
 
-    sim.process(waiter())
-    sim.step()  # the process start
+    sim.process(waiter())  # parked on the event by the time this returns
     event.succeed("won")
     sim.run()
-    # resumed inside dispatch #2 (run() flushes its step count on exit)
-    assert seen == [("won", 0.0, 1)]
-    assert sim.dispatched == 2
+    # resumed inside dispatch #1 (run() flushes its step count on exit)
+    assert seen == [("won", 0.0, 0)]
+    assert sim.dispatched == 1
     assert sim.now == 0.0  # the cancelled deadline never moved the clock
 
 
@@ -87,8 +88,8 @@ def test_expiry_cancels_the_event_before_triggering_it():
     # cancel() saw a pending event, and the waiter resumed after it
     assert log == [("cancel", False), ("resumed", "expired", 3.0)]
     assert queue == []
-    # start, deadline, the expired event: three dispatches
-    assert sim.dispatched == 3
+    # the deadline, the expired event: two dispatches
+    assert sim.dispatched == 2
 
 
 def test_expired_value_defaults_to_none():
@@ -131,8 +132,7 @@ def test_tie_deadline_dispatched_first_expires():
     def waiter():
         return (yield from sim.wait(event, 5.0, "expired"))
 
-    proc = sim.process(waiter())
-    sim.step()  # the waiter is parked, its deadline pushed
+    proc = sim.process(waiter())  # parked, its deadline pushed
     sim.timeout(5.0).add_callback(
         lambda _e: log.append(("late", event.triggered, list(queue))))
     sim.run()
@@ -151,7 +151,6 @@ def test_failed_event_propagates_and_cancels_the_deadline():
             return str(exc)
 
     proc = sim.process(waiter())
-    sim.step()
     bad.fail(ValueError("poisoned"))
     sim.run(until=proc)
     assert proc.value == "poisoned"
@@ -173,7 +172,7 @@ def test_kill_cancels_the_deadline_and_the_event():
     assert live_entries(sim) == []  # no live schedule entry left
     assert queue == [] and log == [("cancel", False)]
     sim.run()
-    assert sim.now == 1.0 and sim.dispatched == 1
+    assert sim.now == 1.0 and sim.dispatched == 0
 
 
 # -- nothing is scheduled that nobody awaits ----------------------------------
@@ -190,7 +189,7 @@ def test_unawaited_finished_process_is_processed_at_once():
     sim.run()
     assert proc.processed and proc.ok and proc.value == 7
     assert not proc.is_alive
-    assert sim.dispatched == 2  # start + timeout; the finish is free
+    assert sim.dispatched == 1  # the timeout; start and finish are free
     assert not sim._queue and not sim._ready
 
 
@@ -204,14 +203,13 @@ def test_waiting_on_a_finished_unawaited_process_crashes_loudly():
     def late_waiter(target):
         yield target
 
-    child = sim.process(quick())
-    sim.step()  # child ran to completion, nobody was waiting
-    assert child.processed
+    child = sim.process(quick())  # ran to completion in this call
+    assert child.processed and sim.dispatched == 0
     sim.process(late_waiter(child))
     with pytest.raises(ProcessCrashed, match="already processed"):
         sim.run()
-    with pytest.raises(RuntimeError, match="already processed"):
-        sim.run(until=child)
+    # ...but run(until=) on it is not a wait: the value is there
+    assert sim.run(until=child) == 7
 
 
 def test_awaited_process_still_delivers_its_value():
@@ -226,9 +224,9 @@ def test_awaited_process_still_delivers_its_value():
 
     proc = sim.process(parent())
     assert sim.run(until=proc) == "result"
-    # parent start, child start, timeout, child finish (awaited by the
-    # parent), parent finish (awaited by run(until=...))
-    assert sim.dispatched == 5
+    # timeout, child finish (awaited by the parent), parent finish
+    # (awaited by run(until=...)); neither start is an event
+    assert sim.dispatched == 3
 
 
 def test_unawaited_failing_process_still_surfaces():
