@@ -7,7 +7,6 @@ from .metrics import (
     stale_reads,
 )
 from .one_copy import (
-    InconclusiveCheck,
     OneCopyResult,
     check_one_copy,
     is_one_copy_serializable,
@@ -25,7 +24,6 @@ __all__ = [
     "convergence_time",
     "stale_reads",
     "INITIAL_VERSION",
-    "InconclusiveCheck",
     "LogicalOp",
     "OneCopyResult",
     "PhysicalOp",

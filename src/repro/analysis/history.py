@@ -70,7 +70,6 @@ class TxnRecord:
     abort_reason: Optional[str] = None
     logical_ops: List[LogicalOp] = field(default_factory=list)
     physical_ops: List[PhysicalOp] = field(default_factory=list)
-    vpids: set = field(default_factory=set)
 
     @property
     def read_set(self) -> set[str]:
@@ -153,7 +152,6 @@ class History:
         self.physical_ops.append(op)
         if txn in self.txns:
             self.txns[txn].physical_ops.append(op)
-            self.txns[txn].vpids.add(vpid)
 
     def record_logical(self, *, time: float, txn: Any, kind: str, obj: str,
                        value: Any, version: Any) -> None:

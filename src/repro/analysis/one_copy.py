@@ -1,47 +1,61 @@
 """One-copy serializability (1SR) of the logical history.
 
-The correctness criterion of the paper: the committed transactions must
+The paper's correctness criterion: the committed transactions must
 behave as if executed serially against a *single-copy* database
-[TGGL, BGb].  With exact version tokens on every read and write, this
-reduces to: does some total order of the committed transactions replay
-such that every logical read returns the version installed by the
-latest preceding write (reads-own-writes included)?
+[TGGL, BGb].  Nothing here searches for that serial order.  Every read
+carries the exact version token it returned and every copy's writes are
+recorded in the order they were installed, so reads-from **and** version
+order are data, and 1SR is a cycle test on the multiversion
+serialization graph [BHG] over the committed transactions:
 
-Deciding this is NP-hard in general, so the checker is two-tier:
+* ``wr`` — the writer of the version a read returned → the reader;
+* ``ww`` — consecutive writers of an object, in version order;
+* ``rw`` — a reader → the writer of the version that superseded what it
+  read (a read of the transaction's own write adds nothing).
 
-* **exact** — memoized depth-first search over transaction orders
-  (replaying prefix states); complete for the tens of transactions the
-  scenario tests and anomaly benchmarks produce;
-* **witness** — for large histories, try the natural candidate orders
-  first (commit-time order, and partition-creation order per Theorem
-  1'); if one replays cleanly the history is 1SR.  If none does and
-  the history is too large for the exact search, the result is
-  *inconclusive* — reported as such rather than guessed.
+An object's version order is the order its committed versions were
+first installed on any copy.  Acyclic ⇒ 1SR, and a topological order is
+the witness — replayed here before it is returned, so the checker
+verifies itself; a cycle is the counter-example, reported as named edges.
+
+The verdict is 1SR **with respect to the installed version order**,
+because that order decides which version a copy ends up holding, hence
+what a later read or Update-Copies (R5) gets.  A replay that checks
+reads only would accept a committed blind write installed *before* a
+version it has to follow: no read notices, but the copies end in a state
+no serial execution leaves.  The graph convicts that history; it never
+accepts one the read-only replay rejects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .history import INITIAL_VERSION, History, TxnRecord
+from .serialization import find_cycle, topological_order
 
-
-class InconclusiveCheck(Exception):
-    """The history was too large for the exact check and no candidate
-    witness order replayed cleanly."""
+#: a graph edge: (from txn, "wr" | "ww" | "rw", object, to txn)
+Edge = Tuple[Any, str, str, Any]
 
 
 @dataclass
 class OneCopyResult:
     """Outcome of a 1SR check."""
 
-    ok: Optional[bool]  # True / False / None (inconclusive)
-    witness: Optional[List[Any]] = None  # a valid serial order, if ok
-    violation: Optional[str] = None
+    ok: bool
+    witness: Optional[List[Any]] = None  # a serial order that replays, if ok
+    violation: Optional[str] = None  # why not, if not ok
+    cycle: Tuple[Edge, ...] = ()  # the graph cycle ``violation`` prints
 
     def __bool__(self) -> bool:
-        return self.ok is True
+        return self.ok
+
+
+def format_cycle(cycle: Sequence[Edge]) -> str:
+    """``t1 -ww x→ t2 -rw x→ t1``; tuple ids print without spaces."""
+    steps = "".join(f"{txn} -{kind} {obj}→ " for txn, kind, obj, _ in cycle)
+    return f"{steps}{cycle[0][0]}".replace(", ", ",")
 
 
 def _replay(order: Sequence[TxnRecord]) -> Optional[str]:
@@ -62,119 +76,74 @@ def _replay(order: Sequence[TxnRecord]) -> Optional[str]:
     return None
 
 
-def _exact_search(records: List[TxnRecord]) -> Optional[List[Any]]:
-    """Memoized DFS over orders; a valid order or None if none exists."""
-    n = len(records)
-    writes_of: List[Dict[str, Any]] = []
-    for record in records:
-        overlay: Dict[str, Any] = {}
+def check_one_copy(history: History) -> OneCopyResult:
+    """Decide 1SR of the committed history: a witness order, or why not."""
+    records = {record.txn: record for record in history.committed()}
+    writer: Dict[Tuple[str, Any], Any] = {}  # (obj, final version) -> txn
+    reads: List[Tuple[Any, str, Any]] = []   # (txn, obj, another's version)
+    for txn, record in records.items():
+        own: Dict[str, Any] = {}
         for op in record.logical_ops:
             if op.kind == "w":
-                overlay[op.obj] = op.version
-        writes_of.append(overlay)
+                own[op.obj] = op.version
+            elif op.obj not in own:
+                reads.append((txn, op.obj, op.version))
+        writer.update(((obj, version), txn) for obj, version in own.items())
 
-    def readable(index: int, state: Dict[str, Any]) -> bool:
-        overlay: Dict[str, Any] = {}
-        for op in records[index].logical_ops:
+    # Recoverability screen: only the last write of a committed
+    # transaction is ever there to read in a serial execution.
+    for txn, obj, version in reads:
+        if version != INITIAL_VERSION and (obj, version) not in writer:
+            return OneCopyResult(ok=False, violation=(
+                f"txn {txn} read {obj}@{version}: a non-committed write, or "
+                f"one its writer overwrote before committing"))
+
+    # Version order: first installation on any copy.  A version with no
+    # physical write on record (hand-built histories) takes the position
+    # of its logical write.
+    installed: Dict[Tuple[str, Any], int] = {}
+    for ops in (history.physical_ops, history.logical_ops):
+        for position, op in enumerate(ops):
             if op.kind == "w":
-                overlay[op.obj] = op.version
-            else:
-                expected = overlay.get(
-                    op.obj, state.get(op.obj, INITIAL_VERSION)
-                )
-                if op.version != expected:
-                    return False
-        return True
+                installed.setdefault((op.obj, op.version), position)
 
-    failed: set[Tuple[frozenset, Tuple]] = set()
+    graph: Dict[Any, Set[Any]] = {txn: set() for txn in records}
+    named: Dict[Tuple[Any, Any], Edge] = {}
 
-    def search(used: frozenset, state: Dict[str, Any],
-               order: List[int]) -> Optional[List[int]]:
-        if len(order) == n:
-            return order
-        key = (used, tuple(sorted(state.items())))
-        if key in failed:
-            return None
-        for index in range(n):
-            if index in used:
-                continue
-            if not readable(index, state):
-                continue
-            new_state = dict(state)
-            new_state.update(writes_of[index])
-            result = search(used | {index}, new_state, order + [index])
-            if result is not None:
-                return result
-        failed.add(key)
-        return None
+    def add(source: Any, kind: str, obj: str, target: Any) -> None:
+        if source != target:
+            graph[source].add(target)
+            named.setdefault((source, target), (source, kind, obj, target))
 
-    indices = search(frozenset(), {}, [])
-    if indices is None:
-        return None
-    return [records[i].txn for i in indices]
+    latest: Dict[str, Tuple[str, Any]] = {}   # obj -> its newest version yet
+    superseded_by: Dict[Tuple[str, Any], Any] = {}
+    for key in sorted(writer, key=installed.__getitem__):
+        obj = key[0]
+        older = latest.get(obj, (obj, INITIAL_VERSION))
+        superseded_by[older] = writer[key]
+        if older in writer:
+            add(writer[older], "ww", obj, writer[key])
+        latest[obj] = key
+    for txn, obj, version in reads:
+        if (obj, version) in writer:
+            add(writer[(obj, version)], "wr", obj, txn)
+        if (obj, version) in superseded_by:
+            add(txn, "rw", obj, superseded_by[(obj, version)])
 
-
-def _candidate_orders(history: History,
-                      records: List[TxnRecord]) -> List[List[TxnRecord]]:
-    by_commit = sorted(records, key=lambda r: (r.end_time, r.begin_time))
-    orders = [by_commit]
-    # Theorem 1': an order consistent with partition creation order is a
-    # natural witness for the virtual partitions protocol.
-    def partition_key(record: TxnRecord):
-        vpids = [v for v in record.vpids if v is not None]
-        top = max(vpids) if vpids else None
-        return ((0, top) if top is not None else (1, None),
-                record.end_time)
-    try:
-        by_partition = sorted(records, key=partition_key)
-        orders.append(by_partition)
-    except TypeError:
-        pass  # mixed incomparable vpid types: skip this candidate
-    return orders
+    # ties by commit time: the common witness is still commit order
+    witness = topological_order(graph, key=lambda txn: (
+        records[txn].end_time, records[txn].begin_time))
+    if witness is None:
+        nodes = find_cycle(graph)
+        cycle = tuple(named[pair] for pair in zip(nodes, nodes[1:]))
+        return OneCopyResult(ok=False, cycle=cycle,
+                             violation=format_cycle(cycle))
+    failure = _replay([records[txn] for txn in witness])
+    if failure is not None:
+        raise AssertionError(f"acyclic graph, but its order fails: {failure}")
+    return OneCopyResult(ok=True, witness=witness)
 
 
-def check_one_copy(history: History, exact_limit: int = 14) -> OneCopyResult:
-    """Full 1SR check with explicit three-valued outcome."""
-    records = history.committed()
-    if not records:
-        return OneCopyResult(ok=True, witness=[])
-
-    # Recoverability screen: reading a version written by a non-committed
-    # transaction can never be 1SR.
-    committed_ids = {r.txn for r in records}
-    for record in records:
-        for op in record.logical_ops:
-            if op.kind != "r" or op.version == INITIAL_VERSION:
-                continue
-            writer = op.version[0] if isinstance(op.version, tuple) else None
-            if writer is not None and writer != record.txn \
-                    and writer not in committed_ids and writer != "T0":
-                return OneCopyResult(
-                    ok=False,
-                    violation=(f"txn {record.txn} read {op.obj} from "
-                               f"non-committed transaction {writer}"),
-                )
-
-    last_violation = None
-    for order in _candidate_orders(history, records):
-        violation = _replay(order)
-        if violation is None:
-            return OneCopyResult(ok=True, witness=[r.txn for r in order])
-        last_violation = violation
-
-    if len(records) <= exact_limit:
-        witness = _exact_search(records)
-        if witness is None:
-            return OneCopyResult(ok=False, violation=last_violation)
-        return OneCopyResult(ok=True, witness=witness)
-    return OneCopyResult(ok=None, violation=last_violation)
-
-
-def is_one_copy_serializable(history: History,
-                             exact_limit: int = 14) -> bool:
-    """Boolean form; raises :class:`InconclusiveCheck` when undecidable
-    within the exact-search budget."""
-    result = check_one_copy(history, exact_limit=exact_limit)
-    if result.ok is None:
-        raise InconclusiveCheck(result.violation or "history too large")
-    return result.ok
+def is_one_copy_serializable(history: History) -> bool:
+    """Boolean form of :func:`check_one_copy`."""
+    return check_one_copy(history).ok

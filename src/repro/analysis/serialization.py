@@ -9,8 +9,9 @@ is acyclic [H] — this checks assumption A1 actually held in a run.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 from .history import History
 
@@ -80,25 +81,33 @@ def is_cp_serializable(history: History) -> bool:
     return find_cycle(conflict_graph(history)) is None
 
 
+def topological_order(edges: Dict[Any, Set[Any]],
+                      key: Callable[[Any], Any]) -> List[Any] | None:
+    """A topological order that takes, among the nodes whose predecessors
+    are all placed, the smallest ``key(node)`` first; None on a cycle.
+    Every node must be a key of ``edges``."""
+    indegree: Dict[Any, int] = dict.fromkeys(edges, 0)
+    for targets in edges.values():
+        for target in targets:
+            indegree[target] += 1
+    nodes = sorted(edges, key=key)  # stable: equal keys keep dict order
+    rank = {node: index for index, node in enumerate(nodes)}
+    ready = [rank[node] for node in nodes if indegree[node] == 0]  # sorted
+    order: List[Any] = []
+    while ready:
+        node = nodes[heapq.heappop(ready)]
+        order.append(node)
+        for target in edges[node]:
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                heapq.heappush(ready, rank[target])
+    return order if len(order) == len(edges) else None
+
+
 def serial_order(history: History) -> List[Any]:
     """A topological order of the conflict graph (an equivalent serial
     execution); raises ``ValueError`` if the history is not serializable."""
-    edges = conflict_graph(history)
-    indegree: Dict[Any, int] = {node: 0 for node in edges}
-    for sources in edges.values():
-        for target in sources:
-            indegree[target] += 1
-    ready = sorted((node for node, deg in indegree.items() if deg == 0),
-                   key=repr)
-    order: List[Any] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for target in sorted(edges[node], key=repr):
-            indegree[target] -= 1
-            if indegree[target] == 0:
-                ready.append(target)
-        ready.sort(key=repr)
-    if len(order) != len(edges):
+    order = topological_order(conflict_graph(history), key=repr)
+    if order is None:
         raise ValueError("history is not CP-serializable (conflict cycle)")
     return order

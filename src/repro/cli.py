@@ -87,7 +87,7 @@ FLAGS = (
          "atomic-commit backend (default: blocking 2PC)",
          choices=COMMIT_BACKENDS),
     Flag("--check", "check", bool, False,
-         "run the 1SR checker afterwards (small runs)"),
+         "run the 1SR checker afterwards"),
     Flag("--open-loop", "open_loop", bool, False,
          "open-loop load: arrivals fire on the Poisson clock regardless "
          "of service time, so latency includes queueing (default: closed "
@@ -237,11 +237,12 @@ def cmd_scenario(args) -> int:
         outcome = _scenario_runner(args.name, flavor)(seed=args.seed)
         rows.append([
             flavor, len(outcome.committed), len(outcome.aborted),
-            outcome.cp_serializable, bool(outcome.one_copy.ok),
+            outcome.cp_serializable, outcome.one_copy.ok,
+            outcome.one_copy.violation or "-",
         ])
     print(render_table(
         ["protocol", "committed", "aborted", "CP-serializable",
-         "one-copy SR"],
+         "one-copy SR", "1SR cycle"],
         rows, title=f"paper scenario {args.name}",
     ))
     return 0

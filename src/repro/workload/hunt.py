@@ -42,13 +42,10 @@ def hunt_base(**overrides) -> ExperimentSpec:
     """The experiment every campaign is a copy of, with ``overrides``
     applied: any :class:`ExperimentSpec` knob (placement, reshard,
     session, commit backend, ...) is hunted by setting it here.
-
-    Small and fixed-count so committed histories stay inside the exact
-    1SR checker's limit — every campaign gets a decisive verdict.
     """
     return replace(ExperimentSpec(
         processors=4, objects=3, copies_per_object=3,
-        txns_per_client=3, retries=3,
+        txns_per_client=12, retries=3,
         workload=WorkloadSpec(read_fraction=0.6, mean_interarrival=25.0),
     ), **overrides)
 
@@ -124,7 +121,7 @@ def verdict_of(result: ExperimentResult) -> Optional[str]:
                 f"first {first['invariant']} at t={first['time']:.2f} "
                 f"p{first['pid']}: {first['detail']}")
     if result.one_copy_ok is False:
-        return "1SR violation: committed history is not one-copy serializable"
+        return f"1SR violation: {result.one_copy_violation}"
     return None
 
 

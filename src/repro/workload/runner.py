@@ -14,6 +14,7 @@ import typing
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Tuple
 
+from ..analysis.one_copy import check_one_copy
 from ..client.session import ClientSession, SessionSpec
 from ..cluster import Cluster
 from ..core.config import ProtocolConfig
@@ -55,7 +56,7 @@ class ExperimentSpec:
     #: callback(cluster) scheduling failures before the run starts
     failures: Optional[Callable[[Cluster], None]] = None
     retries: int = 0
-    check: bool = False  # run the 1SR checker afterwards (small runs only)
+    check: bool = False  # run the 1SR checker afterwards
     trace: bool = False  # collect a structured event trace (cluster.tracer)
     audit: bool = False  # hook in the runtime invariant auditor
     #: concurrent clients per processor (>1 overlaps same-tick fan-outs)
@@ -205,9 +206,11 @@ class ExperimentResult:
     aborted: int
     metrics: Any
     network: dict
-    one_copy_ok: Optional[bool]
+    one_copy_ok: Optional[bool]  # None = ``spec.check`` was off
     cluster: Optional[Cluster]
     registry: Optional[MetricsRegistry] = None
+    #: the 1SR cycle as text; None unless ``one_copy_ok`` is False
+    one_copy_violation: Optional[str] = None
     #: kernel events dispatched during the run — deterministic for a
     #: seeded spec, so it participates in serial/parallel equality
     events_dispatched: int = 0
@@ -238,6 +241,7 @@ class ExperimentResult:
             "committed": self.committed,
             "aborted": self.aborted,
             "one_copy_ok": self.one_copy_ok,
+            "one_copy_violation": self.one_copy_violation,
             "metrics": metrics,
             "network": dict(self.network),
             "events_dispatched": self.events_dispatched,
@@ -442,13 +446,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     committed = len(cluster.history.committed())
     aborted = len(cluster.history.aborted())
-    one_copy_ok: Optional[bool] = None
+    one_copy_ok = one_copy_violation = None
     if spec.check:
-        from ..analysis.one_copy import InconclusiveCheck
-        try:
-            one_copy_ok = cluster.check_one_copy_serializable()
-        except InconclusiveCheck:
-            one_copy_ok = None  # too many records for the exact checker
+        verdict = check_one_copy(cluster.history)
+        one_copy_ok, one_copy_violation = verdict.ok, verdict.violation
     audit_violations: tuple = ()
     if cluster.auditor is not None:
         cluster.auditor.finalize()
@@ -462,6 +463,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         metrics=cluster.total_metrics(),
         network=cluster.network.stats.snapshot(),
         one_copy_ok=one_copy_ok,
+        one_copy_violation=one_copy_violation,
         cluster=cluster,
         registry=collect_registry(cluster, sessions=sessions,
                                   observer=observer),

@@ -54,7 +54,7 @@ def test_physical_ops_attach_to_txn(history):
                             vpid="v1")
     record = history.txns["t1"]
     assert len(record.physical_ops) == 2
-    assert record.vpids == {"v1"}
+    assert {op.vpid for op in record.physical_ops} == {"v1"}
     assert len(history.ops_on_copy("x", 2)) == 2
     assert history.ops_on_copy("x", 3) == []
 

@@ -2,12 +2,9 @@
 
 import pytest
 
+from repro.analysis import one_copy
 from repro.analysis.history import INITIAL_VERSION, History
-from repro.analysis.one_copy import (
-    InconclusiveCheck,
-    check_one_copy,
-    is_one_copy_serializable,
-)
+from repro.analysis.one_copy import check_one_copy, is_one_copy_serializable
 
 
 def build(txns):
@@ -50,7 +47,8 @@ def test_lost_update_is_not_1sr():
     ])
     result = check_one_copy(history)
     assert result.ok is False
-    assert result.violation
+    assert result.cycle == (("t1", "ww", "x", "t2"), ("t2", "rw", "x", "t1"))
+    assert result.violation == "t1 -ww x→ t2 -rw x→ t1"
 
 
 def test_reads_from_cycle_is_not_1sr():
@@ -61,7 +59,10 @@ def test_reads_from_cycle_is_not_1sr():
         ("tC", [("r", "d", INITIAL_VERSION), ("w", "c", ("tC", 1))]),
         ("tD", [("r", "a", INITIAL_VERSION), ("w", "d", ("tD", 1))]),
     ])
-    assert check_one_copy(history).ok is False
+    result = check_one_copy(history)
+    assert result.ok is False
+    assert result.violation == (
+        "tA -rw b→ tB -rw c→ tC -rw d→ tD -rw a→ tA")
 
 
 def test_out_of_commit_order_witness_found():
@@ -109,6 +110,18 @@ def test_dirty_read_from_aborted_txn_rejected():
     assert "non-committed" in result.violation
 
 
+def test_read_of_a_version_its_writer_replaced_is_rejected():
+    """t1's first write of x never survives t1, so no serial one-copy
+    execution can show it to t2."""
+    history = build([
+        ("t1", [("w", "x", ("t1", 1)), ("w", "x", ("t1", 2))]),
+        ("t2", [("r", "x", ("t1", 1))]),
+    ])
+    result = check_one_copy(history)
+    assert result.ok is False and result.cycle == ()
+    assert "one its writer overwrote" in result.violation
+
+
 def test_aborted_txns_ignored():
     history = History()
     history.begin_txn("t1", origin=1, time=0.0)
@@ -132,18 +145,78 @@ def test_interleaved_objects_need_search():
     assert witness.index("t2") < witness.index("t3")
 
 
-def test_inconclusive_raises_in_boolean_form():
-    # 20 pairwise-antagonistic transactions exceed the exact budget when
-    # every candidate order fails.
+def _blind_write_history(install_order):
+    """t1 and t2 both write x blindly; t3 reads x from t1 and y from t2.
+    Which of the two x versions the copy ends up holding is decided by
+    the order they were installed in, not by anything a read saw."""
+    history = History()
+    for txn in ("t1", "t2", "t3"):
+        history.begin_txn(txn, origin=1, time=0.0)
+    for position, txn in enumerate(install_order):
+        history.record_physical(time=1.0 + position, txn=txn, kind="w",
+                                obj="x", copy_pid=1, value=None,
+                                version=(txn, 1), vpid=None)
+    for txn, kind, obj, version in [
+            ("t1", "w", "x", ("t1", 1)),
+            ("t2", "w", "x", ("t2", 1)), ("t2", "w", "y", ("t2", 2)),
+            ("t3", "r", "x", ("t1", 1)), ("t3", "r", "y", ("t2", 2))]:
+        history.record_logical(time=5.0, txn=txn, kind=kind, obj=obj,
+                               value=None, version=version)
+    for position, txn in enumerate(("t1", "t2", "t3")):
+        history.commit_txn(txn, time=10.0 + position)
+    return history
+
+
+def test_version_order_is_the_install_order():
+    # x installed t2 then t1: the serial order t2, t1, t3 leaves x@t1
+    result = check_one_copy(_blind_write_history(["t2", "t1"]))
+    assert result.ok is True
+    assert result.witness == ["t2", "t1", "t3"]
+
+
+def test_blind_write_installed_out_of_order_is_rejected():
+    """Same logical ops, x installed t1 then t2: every copy ends holding
+    x@t2, yet t3 — which read y from t2, so follows it — read x@t1.  The
+    order t2, t1, t3 still replays every *read*; it contradicts what the
+    copies hold, which is what the next reader would get."""
+    history = _blind_write_history(["t1", "t2"])
+    result = check_one_copy(history)
+    assert result.ok is False
+    assert set(result.cycle) == {("t3", "rw", "x", "t2"),
+                                 ("t2", "wr", "y", "t3")}
+    records = {record.txn: record for record in history.committed()}
+    assert one_copy._replay([records[t] for t in ("t2", "t1", "t3")]) is None
+
+
+def test_witness_is_commit_order_when_nothing_forces_otherwise():
+    history = build([(f"t{i}", [("w", f"o{i}", (f"t{i}", 1))])
+                     for i in (3, 1, 2)])
+    assert check_one_copy(history).witness == ["t3", "t1", "t2"]
+
+
+def test_a_witness_that_fails_replay_is_an_error_not_a_verdict(monkeypatch):
+    """The checker replays the order it is about to return; an acyclic
+    graph whose order does not replay is a checker bug and raises."""
+    monkeypatch.setattr(one_copy, "_replay", lambda order: "bad order")
+    history = build([("t1", [("w", "x", ("t1", 1))])])
+    with pytest.raises(AssertionError, match="bad order"):
+        check_one_copy(history)
+
+
+def test_twenty_antagonists_are_decisively_rejected():
+    """20 pairwise-antagonistic transactions: every one read the initial
+    x and overwrote it.  No size limit, no third answer — the first two
+    versions already close a cycle."""
     txns = []
     for i in range(20):
         txns.append((f"t{i}", [("r", "x", INITIAL_VERSION),
                                ("w", "x", (f"t{i}", 1))]))
     history = build(txns)
-    result = check_one_copy(history, exact_limit=5)
-    assert result.ok is None
-    with pytest.raises(InconclusiveCheck):
-        is_one_copy_serializable(history, exact_limit=5)
+    result = check_one_copy(history)
+    assert result.ok is False
+    assert result.cycle == (("t0", "ww", "x", "t1"), ("t1", "rw", "x", "t0"))
+    assert result.violation == "t0 -ww x→ t1 -rw x→ t0"
+    assert is_one_copy_serializable(history) is False
 
 
 def test_exact_search_definitively_rejects():

@@ -6,6 +6,7 @@ from repro.analysis.serialization import (
     find_cycle,
     is_cp_serializable,
     serial_order,
+    topological_order,
 )
 
 
@@ -111,3 +112,16 @@ def test_serial_order_raises_on_cycle():
     history.commit_txn("t2", time=5.0)
     with pytest.raises(ValueError):
         serial_order(history)
+
+
+def test_topological_order_takes_the_smallest_key_among_ready_nodes():
+    edges = {"c": set(), "a": {"d"}, "b": set(), "d": set()}
+    assert topological_order(edges, key=str) == ["a", "b", "c", "d"]
+    # keys that tie (or cannot be compared with each other) never make
+    # the nodes themselves get compared
+    assert topological_order({1: set(), "x": {1}}, key=lambda n: 0) == ["x", 1]
+
+
+def test_topological_order_of_a_cyclic_graph_is_none():
+    assert topological_order({"a": {"b"}, "b": {"a"}, "c": set()},
+                             key=str) is None

@@ -95,8 +95,8 @@ def test_s1_s3_and_1sr_hold_under_random_failures(seed):
                     assert depart_time <= first_join
 
     # The correctness criterion itself.
-    verdict = check_one_copy(history, exact_limit=12)
-    assert verdict.ok is not False, verdict.violation
+    verdict = check_one_copy(history)
+    assert verdict.ok is True, verdict.violation
 
 
 @given(st.integers(min_value=0, max_value=10_000))

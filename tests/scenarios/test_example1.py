@@ -37,7 +37,12 @@ def test_naive_is_serializable_but_not_one_copy(naive_outcome):
     """The exact phenomenon of Example 1: CP-serializable, non-1SR."""
     assert naive_outcome.cp_serializable
     assert naive_outcome.one_copy.ok is False
-    assert naive_outcome.one_copy.violation is not None
+    # The lost increment as a cycle: the second increment's version
+    # follows the first's on x, yet it read what the first overwrote.
+    cycle = naive_outcome.one_copy.cycle
+    assert len({edge[0] for edge in cycle}) == 2
+    assert sorted(edge[1:3] for edge in cycle) == [("rw", "x"), ("ww", "x")]
+    assert "-ww x→" in naive_outcome.one_copy.violation
 
 
 def test_vp_commits_both_increments_eventually(vp_outcome):

@@ -52,8 +52,14 @@ def test_naive_each_txn_touched_only_local_copies(naive_outcome):
 
 
 def test_naive_serializable_but_not_one_copy(naive_outcome):
+    """The paper's sentence as an assertion: serializable, yet the four
+    transactions each read what the next one overwrote."""
     assert naive_outcome.cp_serializable
     assert naive_outcome.one_copy.ok is False
+    cycle = naive_outcome.one_copy.cycle
+    assert len({edge[0] for edge in cycle}) == 4
+    assert sorted(edge[1:3] for edge in cycle) == [
+        ("rw", "a"), ("rw", "b"), ("rw", "c"), ("rw", "d")]
 
 
 def test_naive_all_reads_returned_initial_values(naive_outcome):
@@ -66,6 +72,7 @@ def test_naive_all_reads_returned_initial_values(naive_outcome):
 
 def test_vp_never_produces_the_cycle(vp_outcome):
     assert vp_outcome.one_copy.ok is True
+    assert sorted(vp_outcome.one_copy.witness) == sorted(vp_outcome.committed)
     assert vp_outcome.cp_serializable
 
 

@@ -1,6 +1,7 @@
 """Tests for the campaign hunter: conviction, shrinking, replay."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +32,8 @@ from repro.workload.runner import (
 
 FLAT_FIXTURE = (Path(__file__).parent / "fixtures"
                 / "hunt-naive-view-s0-c0.flat.json")
+#: one named edge of a printed 1SR cycle, e.g. ``(1,2) -rw o1→ (3,1)``
+EDGE = re.compile(r"\S+ -(wr|ww|rw) \S+→ \S+")
 
 SHARDED = dict(processors=9, objects=12, copies_per_object=3,
                placement="hash-ring")
@@ -72,7 +75,11 @@ def test_naive_view_canary_convicts(tmp_path):
                   out_dir=tmp_path)
     assert not report.survived, "naive-view must be convicted"
     finding = report.findings[0]
-    assert "1SR" in finding.verdict or "auditor" in finding.verdict
+    assert finding.campaign == 0
+    # a conviction arrives with its cycle, before and after shrinking
+    assert finding.verdict.startswith("1SR violation: ")
+    assert EDGE.search(finding.verdict), finding.verdict
+    assert EDGE.search(finding.shrunk_verdict), finding.shrunk_verdict
     assert finding.shrunk is not None
     assert len(finding.shrunk) <= len(finding.actions)
     assert finding.shrunk_verdict is not None, "shrunken repro must still fail"
@@ -82,7 +89,23 @@ def test_naive_view_canary_convicts(tmp_path):
     assert verdict_a == verdict_b == finding.shrunk_verdict
     data = json.loads(open(finding.artifact).read())
     assert data["spec"]["protocol"] == "naive-view"
+    assert data["verdict"] == finding.shrunk_verdict
     assert len(data["actions"]) == len(finding.shrunk)
+
+
+def test_campaign_past_the_old_search_limit_is_convicted():
+    """Hunt seed 0, campaign 3: 18 commits.  The order search this
+    checker replaced was exact up to 14 transactions and passed this run
+    as "inconclusive"; the graph convicts it, and says why."""
+    cfg = HuntConfig(base=hunt_base(protocol="naive-view"), seed=0,
+                     campaigns=4)
+    seed, actions = plan_campaigns(cfg)[3]
+    result = run_experiment(campaign_spec(cfg, actions, seed))
+    assert result.committed == 18
+    assert result.audit_violations == ()
+    assert result.one_copy_ok is False
+    verdict = verdict_of(result)
+    assert verdict.startswith("1SR violation: (") and EDGE.search(verdict)
 
 
 def test_virtual_partitions_survives_the_same_hunt():
@@ -105,7 +128,8 @@ def test_verdict_of_prefers_auditor_violations():
     assert verdict is not None and "S2" in verdict
 
 
-def test_verdict_of_inconclusive_check_is_not_a_failure():
+def test_verdict_of_an_unchecked_run_is_not_a_conviction():
+    """``one_copy_ok is None`` has one meaning: ``spec.check`` was off."""
     class FakeResult:
         audit_violations = ()
         one_copy_ok = None
@@ -113,9 +137,18 @@ def test_verdict_of_inconclusive_check_is_not_a_failure():
     assert verdict_of(FakeResult()) is None
 
 
+def test_verdict_of_a_1sr_violation_names_the_cycle():
+    class FakeResult:
+        audit_violations = ()
+        one_copy_ok = False
+        one_copy_violation = "t0 -ww x→ t1 -rw x→ t0"
+
+    assert verdict_of(FakeResult()) == (
+        "1SR violation: t0 -ww x→ t1 -rw x→ t0")
+
+
 def test_campaign_spec_is_the_template_plus_the_campaign():
-    """The default hunt's campaign experiment, written out: the values
-    every pre-template hunt ran with."""
+    """The default hunt's campaign experiment, written out."""
     (seed, actions), = plan_campaigns(HuntConfig(campaigns=1))
     assert campaign_spec(HuntConfig(), actions, seed) == ExperimentSpec(
         protocol="virtual-partitions", processors=4, objects=3,
@@ -124,7 +157,7 @@ def test_campaign_spec_is_the_template_plus_the_campaign():
                               mean_interarrival=25.0),
         latency=None, config=None, failures=ScheduledNemesis(actions),
         retries=3, check=True, audit=True, trace=False, clients=1,
-        txns_per_client=3, objects_for=None, placement=None,
+        txns_per_client=12, objects_for=None, placement=None,
         directory=None, directory_capacity=None, commit_backend=None,
         open_loop=False, session=None, reshard=None)
 
@@ -165,8 +198,9 @@ def test_naive_view_sharded_canary_convicts(tmp_path):
                   out_dir=tmp_path)
     assert not report.survived
     finding = report.findings[0]
-    assert finding.campaign == 6
-    assert "1SR" in finding.verdict
+    assert finding.campaign == 1
+    assert finding.verdict.startswith("1SR violation: ")
+    assert EDGE.search(finding.verdict), finding.verdict
     data = json.loads(open(finding.artifact).read())
     assert data["spec"]["placement"] == "hash-ring"
     verdict, _result = replay_artifact(finding.artifact)
@@ -352,11 +386,14 @@ def test_flat_artifact_from_before_the_spec_section_still_convicts(tmp_path):
     pins for the same campaign, and replays to the same conviction."""
     spec, data = load_artifact(FLAT_FIXTURE)
     assert "spec" not in data
-    cfg = HuntConfig(base=hunt_base(protocol="naive-view"))
+    cfg = HuntConfig(base=hunt_base(protocol="naive-view",
+                                    txns_per_client=3))  # PR 12's size
     assert spec == campaign_spec(cfg, spec.failures.actions, data["run_seed"])
     verdict, _result = replay_artifact(FLAT_FIXTURE)
-    assert verdict == data["verdict"]
+    # the file stores PR 12's fixed sentence; a verdict now names its cycle
+    assert data["verdict"].startswith("1SR violation")
     assert verdict.startswith("1SR violation")
+    assert EDGE.search(verdict), verdict
     # flat files older still (PR <= 8) lack the keys later PRs added
     for key in ("placement", "commit_backend", "cache_capacity",
                 "cache_policy", "lease_duration", "reshard_at",
