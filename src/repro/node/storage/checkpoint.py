@@ -1,10 +1,10 @@
 """Checkpoints and per-copy log compaction.
 
-A snapshot is an immutable record of everything durable — the copies
-(with their retained write logs and compaction floors), the durable
-cells, and the decision log; a checkpoint is a snapshot anchored at a
-WAL LSN.  Recovery restores the snapshot and replays the WAL tail after
-that LSN; the WAL prefix the snapshot captures can be discarded.
+A snapshot is a record of everything durable, keyed by name — the
+copies (with their retained write logs and compaction floors), the
+durable cells, and the decision log; a checkpoint is a snapshot anchored
+at a WAL LSN.  Recovery restores the snapshot and replays the WAL tail
+after that LSN; the WAL prefix the snapshot captures is discarded.
 
 Compaction bounds the §6 write logs: at checkpoint time each copy's
 log is trimmed to its newest ``retain`` entries, and the date of the
@@ -18,7 +18,7 @@ occasionally shipping the whole object).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
 from .store import Copy, LogEntry
@@ -47,11 +47,11 @@ NO_FLOOR = object()
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Everything durable, in canonical (sorted) order."""
+    """Everything durable, by name; snapshots share entries, never a mapping."""
 
-    copies: Tuple[CopySnapshot, ...] = ()
-    cells: Tuple[Tuple[str, Any], ...] = ()
-    decisions: Tuple[Tuple[Any, str], ...] = ()
+    copies: Dict[str, CopySnapshot] = field(default_factory=dict)
+    cells: Dict[str, Any] = field(default_factory=dict)
+    decisions: Dict[Any, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -65,44 +65,41 @@ class Checkpoint:
 EMPTY_CHECKPOINT = Checkpoint(lsn=0, state=Snapshot())
 
 
-def snapshot_copies(copies: Dict[str, Copy],
-                    floors: Dict[str, Any]) -> Tuple[CopySnapshot, ...]:
-    """Freeze every copy of the table (sorted by object name)."""
-    return tuple(
-        CopySnapshot(obj=obj, value=copy.value, date=copy.date,
-                     version=copy.version, size=copy.size,
-                     log=tuple(copy.log), floor=floors.get(obj, NO_FLOOR))
-        for obj, copy in sorted(copies.items()))
+def freeze(copy: Copy, floor: Any) -> CopySnapshot:
+    """One copy's durable state, sharing nothing mutable with it."""
+    return CopySnapshot(obj=copy.obj, value=copy.value, date=copy.date,
+                        version=copy.version, size=copy.size,
+                        log=tuple(copy.log), floor=floor)
 
 
-def restore_copies(snaps: Tuple[CopySnapshot, ...]
+def restore_copies(snaps: Dict[str, CopySnapshot]
                    ) -> Tuple[Dict[str, Copy], Dict[str, Any]]:
     """Rebuild a copy table (and its floors) from snapshots."""
     copies: Dict[str, Copy] = {}
     floors: Dict[str, Any] = {}
-    for snap in snaps:
-        copies[snap.obj] = Copy(snap.obj, snap.value, snap.date,
-                                size=snap.size, version=snap.version,
-                                log=list(snap.log))
+    for obj, snap in snaps.items():
+        copies[obj] = Copy(obj, snap.value, snap.date, size=snap.size,
+                           version=snap.version, log=list(snap.log))
         if snap.floor is not NO_FLOOR:
-            floors[snap.obj] = snap.floor
+            floors[obj] = snap.floor
     return copies, floors
 
 
 def compact_copies(copies: Dict[str, Copy], retain: int,
-                   floors: Dict[str, Any]) -> int:
+                   floors: Dict[str, Any]) -> Dict[str, int]:
     """Trim every copy's log to its newest ``retain`` entries, in place.
 
     The date of a copy's newest discarded entry (logs are append-ordered,
     so that is the largest date compacted away) becomes its floor in
     ``floors``; with nothing to discard the existing floor is kept.
-    Returns the total number of discarded entries.
+    Returns ``{obj: entries discarded}`` for the copies it trimmed —
+    nothing journals a trim, so the caller must re-freeze those.
     """
-    total = 0
+    trimmed: Dict[str, int] = {}
     for obj, copy in copies.items():
         excess = len(copy.log) - retain
         if excess > 0:
             floors[obj] = copy.log[excess - 1].date
             del copy.log[:excess]
-            total += excess
-    return total
+            trimmed[obj] = excess
+    return trimmed

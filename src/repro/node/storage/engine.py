@@ -40,8 +40,8 @@ from .checkpoint import (
     Checkpoint,
     Snapshot,
     compact_copies,
+    freeze,
     restore_copies,
-    snapshot_copies,
 )
 from .store import Copy, LogEntry
 from .wal import (
@@ -328,11 +328,6 @@ class StorageEngine:
         self._journal(REC_DECISION, forced=forced, txn=txn,
                       outcome=outcome)
 
-    @property
-    def decisions(self) -> Dict[Any, str]:
-        """The journalled decision log (read-only view for recovery)."""
-        return dict(self._decisions)
-
     def decision_of(self, txn: Any) -> Optional[str]:
         """One transaction's journalled outcome (O(1); None = no entry).
 
@@ -344,30 +339,43 @@ class StorageEngine:
     # -- checkpoints and compaction -------------------------------------------
 
     def snapshot(self) -> Snapshot:
-        """Everything durable, frozen in canonical order; changes nothing."""
-        return Snapshot(
-            copies=snapshot_copies(self._copies, self._floors),
-            cells=tuple((name, cell.value) for name, cell
-                        in sorted(self._cells.items())),
-            decisions=tuple(sorted(self._decisions.items(), key=repr)),
-        )
+        """Everything durable; changes nothing."""
+        return self._advanced({})
+
+    def _advanced(self, trimmed: Dict[str, int]) -> Snapshot:
+        """The last checkpoint's state brought up to date for what
+        changed since: a checkpoint truncates the journal, so that is
+        the ``obj``s and ``cell``s the WAL names, plus the copies an
+        (unjournalled) compaction ``trimmed``.  Only those are re-frozen
+        or, if retired, dropped; every other entry is shared."""
+        base = self.last_checkpoint.state
+        copies, cells = dict(base.copies), dict(base.cells)
+        named = {r.obj: None for r in self.wal if r.obj is not None}
+        for obj in {**named, **trimmed}:
+            if obj in self._copies:
+                copies[obj] = freeze(self._copies[obj],
+                                     self._floors.get(obj, NO_FLOOR))
+            else:
+                copies.pop(obj, None)
+        for name in {r.cell: None for r in self.wal if r.cell is not None}:
+            cells[name] = self._cells[name].value
+        return Snapshot(copies, cells, dict(self._decisions))
 
     def checkpoint(self, compact: bool = True) -> Checkpoint:
-        """Snapshot all durable state and truncate the journalled prefix.
+        """Snapshot all durable state and truncate the journal.
 
         Compaction (when ``log_retain`` is set, unless ``compact=False``)
         runs *before* the snapshot so the checkpoint captures the
         trimmed logs and their floors.
         """
-        if compact and self.log_retain is not None:
-            self.stats.compacted_entries += compact_copies(
-                self._copies, self.log_retain, self._floors)
-        snap = Checkpoint(self.wal.tail_lsn, self.snapshot())
-        self.wal.truncate_through(snap.lsn)
-        self.last_checkpoint = snap
+        trimmed = (compact_copies(self._copies, self.log_retain, self._floors)
+                   if compact and self.log_retain is not None else {})
+        self.stats.compacted_entries += sum(trimmed.values())
+        self.last_checkpoint = Checkpoint(self.wal.tail_lsn, self._advanced(trimmed))
+        self.wal.truncate()
         self._appends_since_checkpoint = 0
         self.stats.checkpoints += 1
-        return snap
+        return self.last_checkpoint
 
     def retained_entries(self) -> int:
         """Total write-log entries currently held across all copies."""
@@ -379,26 +387,27 @@ class StorageEngine:
         """A fresh engine recovered from checkpoint + WAL replay.
 
         This is the honest crash-recovery model: nothing of the live
-        state is reused — the snapshot is restored and the replay tail
-        applied on top.  The recovered engine finishes with a fresh
-        (uncompacted) checkpoint of its rebuilt state, like a real
+        state is reused — the new engine starts from what is on disk
+        (the last checkpoint and a fork of the journal), restores the
+        snapshot and applies the replay tail on top.  It finishes with a
+        fresh (uncompacted) checkpoint of its rebuilt state, like a real
         recovery would, so its own journal starts clean.
         """
         engine = StorageEngine(self.pid, self.checkpoint_every,
                                self.log_retain)
+        engine.last_checkpoint = self.last_checkpoint
+        engine.wal = self.wal.fork()
+        state = self.last_checkpoint.state
+        engine._copies, engine._floors = restore_copies(state.copies)
+        for name, value in state.cells.items():
+            engine._cells[name] = DurableCell(engine, name, value)
+        engine._decisions = dict(state.decisions)
         engine._replaying = True
-        try:
-            lsn, state = self.last_checkpoint.lsn, self.last_checkpoint.state
-            engine._copies, engine._floors = restore_copies(state.copies)
-            for name, value in state.cells:
-                engine._cells[name] = DurableCell(engine, name, value)
-            engine._decisions = dict(state.decisions)
-            for record in self.wal.records_after(lsn):
-                engine._replay(record)
-                engine.stats.replayed_records += 1
-                engine.stats.replayed_bytes += record.cost_bytes()
-        finally:
-            engine._replaying = False
+        for record in engine.wal:
+            engine._replay(record)
+            engine.stats.replayed_records += 1
+            engine.stats.replayed_bytes += record.cost_bytes()
+        engine._replaying = False
         engine.checkpoint(compact=False)
         return engine
 

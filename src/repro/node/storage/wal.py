@@ -106,14 +106,13 @@ class WalRecord:
 class WriteAheadLog:
     """The append-only journal: strictly increasing LSNs, replayable tail.
 
-    Checkpointing truncates the prefix a checkpoint snapshot already
-    captures (``truncate_through``); what remains is exactly the replay
-    tail recovery needs.
+    A checkpoint is taken at ``tail_lsn`` and captures every retained
+    record, so it ``truncate``s them all; what accumulates afterwards is
+    exactly the replay tail recovery needs.
     """
 
     def __init__(self) -> None:
         self._records: List[WalRecord] = []
-        self._next_lsn = 1
         #: LSN of the newest record ever appended (0 = none yet);
         #: survives truncation — it anchors checkpoint positions
         self.tail_lsn = 0
@@ -125,29 +124,24 @@ class WriteAheadLog:
                txn: Any = None, outcome: Optional[str] = None) -> WalRecord:
         if kind not in RECORD_KINDS:
             raise ValueError(f"unknown WAL record kind {kind!r}")
+        self.tail_lsn += 1
         record = WalRecord(
-            lsn=self._next_lsn, kind=kind, forced=forced, obj=obj,
+            lsn=self.tail_lsn, kind=kind, forced=forced, obj=obj,
             value=value, date=date, version=version, size=size,
             cell=cell, txn=txn, outcome=outcome,
         )
-        self._next_lsn += 1
-        self.tail_lsn = record.lsn
         self._records.append(record)
         return record
 
-    def records_after(self, lsn: int) -> List[WalRecord]:
-        """The replay tail: every retained record with LSN > ``lsn``."""
-        return [r for r in self._records if r.lsn > lsn]
+    def truncate(self) -> None:
+        """Drop every record: a checkpoint at ``tail_lsn`` holds them all."""
+        self._records = []
 
-    def truncate_through(self, lsn: int) -> int:
-        """Drop records with LSN <= ``lsn``; returns how many were cut.
-
-        Only valid once a checkpoint at ``lsn`` exists — the engine
-        enforces that ordering.
-        """
-        before = len(self._records)
-        self._records = [r for r in self._records if r.lsn > lsn]
-        return before - len(self._records)
+    def fork(self) -> "WriteAheadLog":
+        """An independent journal continuing from the same records."""
+        twin = WriteAheadLog()
+        twin._records, twin.tail_lsn = list(self._records), self.tail_lsn
+        return twin
 
     def __len__(self) -> int:
         return len(self._records)

@@ -59,7 +59,7 @@ def _assert_rebuilds_cleanly(cluster):
         # off identifiers staying monotone across crashes
         assert (rebuilt.durable_cell("max-id").value
                 == engine.durable_cell("max-id").value)
-        assert rebuilt.decisions == engine.decisions
+        assert rebuilt.snapshot().decisions == engine.snapshot().decisions
         replayed += rebuilt.stats.replayed_records
     return replayed
 

@@ -1,0 +1,26 @@
+"""Reference snapshot: freeze everything durable, from scratch.
+
+This is the full walk ``StorageEngine.snapshot`` used to be — every
+copy, every cell, every decision, rebuilt on each call.  The engine now
+folds the WAL tail into its last checkpoint instead; this stays as the
+oracle that fold is held equal to (``test_snapshot_fold.py``).  Nothing
+under ``src/`` imports it.
+"""
+
+from __future__ import annotations
+
+from repro.node.storage import NO_FLOOR, CopySnapshot, Snapshot, StorageEngine
+
+
+def reference_snapshot(engine: StorageEngine) -> Snapshot:
+    """Everything durable on ``engine`` right now, sharing nothing."""
+    return Snapshot(
+        copies={
+            obj: CopySnapshot(obj=obj, value=copy.value, date=copy.date,
+                              version=copy.version, size=copy.size,
+                              log=tuple(copy.log),
+                              floor=engine._floors.get(obj, NO_FLOOR))
+            for obj, copy in engine._copies.items()},
+        cells={name: cell.value for name, cell in engine._cells.items()},
+        decisions=dict(engine._decisions),
+    )

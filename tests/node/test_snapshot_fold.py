@@ -1,0 +1,120 @@
+"""Property: the folded snapshot equals the from-scratch reference.
+
+``StorageEngine.snapshot`` re-freezes only what the WAL tail names (and
+what compaction trimmed) on top of the last checkpoint's state.  Random
+operation sequences — every journalled mutation, manual and automatic
+checkpoints with and without compaction, and recovery by ``rebuilt()``
+— hold it equal, step by step, to ``reference_snapshot``: the old full
+walk over every copy, cell and decision.
+
+One-line mutations of ``engine.py`` this test was seen to fail under:
+
+* a retired object is not dropped (``copies.pop`` removed);
+* a trimmed-but-clean copy is not re-frozen (``trimmed`` left out of
+  the names);
+* cell names are ignored (the cell loop removed);
+* ``rebuilt()`` closes from an empty tail (the journal fork, or the
+  adoption of the source's checkpoint, removed);
+* the re-frozen copy shares its log list with the live copy
+  (``log=copy.log`` in ``freeze``).
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.node.storage import LogEntry, StorageEngine
+
+from tests.node.reference_snapshot import reference_snapshot
+
+OBJECTS = ("a", "b", "c")
+CELLS = ("max-id", "px:t1:1")
+TXNS = ("t1", "t2", "t3")
+OUTCOMES = ("undecided", "commit", "abort")
+#: ``write`` twice: logs must outgrow ``log_retain`` for trims to happen
+OPS = ("place", "write", "write", "install", "apply_log", "retire",
+       "durable_cell", "cell_set", "record_prepare", "record_decision",
+       "checkpoint", "checkpoint_uncompacted", "rebuilt")
+
+
+class Driven:
+    """An engine under test plus the reference state of its last
+    checkpoint, captured at the moment the checkpoint was taken."""
+
+    def __init__(self, retain, every):
+        self.clock = 0
+        self.adopt(StorageEngine(1, checkpoint_every=every,
+                                 log_retain=retain))
+
+    def adopt(self, engine):
+        self.engine = engine
+        # fresh: the empty checkpoint; rebuilt: its closing checkpoint
+        self.stored = reference_snapshot(engine)
+        take = engine.checkpoint
+
+        def checkpoint(compact=True):
+            # also reached from inside ``_journal``, mid-operation
+            taken = take(compact)
+            self.stored = reference_snapshot(engine)
+            return taken
+
+        engine.checkpoint = checkpoint
+
+    def tick(self):
+        self.clock += 1
+        return (self.clock, 1)
+
+    def step(self, op, i, j):
+        engine, obj = self.engine, OBJECTS[i]
+        if op == "place":
+            if not engine.holds(obj):  # incl. re-place after retire
+                engine.place(obj, initial=j, date=None if j else self.tick(),
+                             size=j + 1, version=f"p{self.clock}")
+        elif op in ("write", "install"):
+            if engine.holds(obj):
+                getattr(engine, op)(obj, j, self.tick(), f"v{self.clock}")
+        elif op == "apply_log":
+            if engine.holds(obj):
+                stale = LogEntry((0, 1), "stale", "v-old")
+                fresh = [LogEntry(self.tick(), n, f"a{self.clock}")
+                         for n in range(j + 1)]
+                engine.apply_log(obj, [stale, LogEntry(None, "undated"),
+                                       *fresh])
+        elif op == "retire":
+            if engine.holds(obj):
+                engine.retire(obj)
+        elif op == "durable_cell":
+            engine.durable_cell(CELLS[i % 2], (j, 0))
+        elif op == "cell_set":
+            engine.durable_cell(CELLS[i % 2], (0, 0)).value = self.tick()
+        elif op == "record_prepare":
+            engine.record_prepare(TXNS[i], OBJECTS[:j + 1])
+        elif op == "record_decision":
+            engine.record_decision(TXNS[i], OUTCOMES[j], forced=bool(j))
+        elif op == "checkpoint":
+            engine.checkpoint()
+        elif op == "checkpoint_uncompacted":
+            engine.checkpoint(compact=False)
+        elif op == "rebuilt":
+            self.adopt(engine.rebuilt())
+
+    def check(self):
+        engine = self.engine
+        assert engine.snapshot() == reference_snapshot(engine)
+        assert engine.last_checkpoint.state == self.stored
+        rebuilt = engine.rebuilt()
+        assert rebuilt.snapshot() == engine.snapshot()
+        assert rebuilt.last_checkpoint.state == reference_snapshot(rebuilt)
+        assert len(rebuilt.wal) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(retain=st.sampled_from([None, 1, 3]),
+       every=st.sampled_from([0, 3]),
+       steps=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2),
+                                st.integers(0, 2)), max_size=40))
+def test_folded_snapshot_equals_the_reference_walk(retain, every, steps):
+    driven = Driven(retain, every)
+    driven.check()
+    for op, i, j in steps:
+        driven.step(op, i, j)
+        driven.check()

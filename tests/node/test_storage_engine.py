@@ -21,6 +21,8 @@ from repro.node.storage import (
     StorageEngine,
 )
 
+from tests.node.reference_snapshot import reference_snapshot
+
 
 def drive(store):
     """One scripted mixed workload over the copy table."""
@@ -125,7 +127,8 @@ def test_force_write_points_are_counted():
     cell.value = 7  # a max-id bump is forced
     assert engine.stats.forced_syncs == 3  # prepare, commit, cell bump
     assert engine.stats.wal_appends == 5   # + undecided + cell creation
-    assert engine.decisions == {"t1": "commit", "t2": "undecided"}
+    assert engine.snapshot().decisions == {"t1": "commit",
+                                           "t2": "undecided"}
 
 
 def test_durable_cell_reacquisition_is_idempotent():
@@ -149,9 +152,9 @@ def test_snapshot_is_pure_and_is_what_checkpoint_stores():
     assert snap == engine.snapshot()
     assert (len(engine.wal), engine.stats.checkpoints,
             engine.retained_entries(), engine.last_checkpoint) == before
-    assert [c.obj for c in snap.copies] == ["x"]
-    assert snap.cells == (("max-id", (1, 1)),)
-    assert snap.decisions == (("t1", "commit"),)
+    assert list(snap.copies) == ["x"] and snap.copies["x"].obj == "x"
+    assert snap.cells == {"max-id": (1, 1)}
+    assert snap.decisions == {"t1": "commit"}
     stored = engine.checkpoint(compact=False)
     assert stored.state == snap and stored.lsn == engine.wal.tail_lsn
     assert stored is engine.last_checkpoint
@@ -176,7 +179,7 @@ def test_checkpoint_truncates_wal_and_rebuild_roundtrips():
     assert rebuilt.stats.replayed_records == 2
     assert rebuilt.stats.replayed_bytes > 0
     assert rebuilt.durable_cell("max-id").value == (1, 1)
-    assert rebuilt.decisions == {"t1": "commit", "t2": "abort"}
+    assert rebuilt.snapshot().decisions == {"t1": "commit", "t2": "abort"}
 
 
 def test_rebuild_from_empty_checkpoint_is_pure_replay():
@@ -286,3 +289,107 @@ def test_retire_drops_copy_and_floor_and_replays():
     rebuilt = engine.rebuilt()
     assert rebuilt.snapshot() == engine.snapshot()
     assert rebuilt.log_since("x", None) == [LogEntry((2, 1), 5)]
+
+
+# -- the snapshot fold: work bound, trims, aliasing --------------------------
+
+def test_compaction_refreezes_a_copy_the_tail_does_not_name():
+    """A copy can be over ``log_retain`` with an empty WAL tail (here:
+    after an uncompacted checkpoint).  Compaction still finds it, and the
+    trimmed copy is re-frozen although no record names it.  Fails when
+    ``trimmed`` is left out of the names ``_advanced`` re-freezes."""
+    engine = StorageEngine(1, log_retain=2)
+    engine.place("x", initial=0)
+    engine.place("quiet", initial=0)
+    for n in range(1, 6):
+        engine.write("x", n, (n, 1), f"v{n}")
+    stale = engine.checkpoint(compact=False).state
+    assert len(engine.wal) == 0 and len(stale.copies["x"].log) == 6
+    stored = engine.checkpoint().state       # no write in between
+    assert engine.stats.compacted_entries == 4
+    assert engine.retained_entries() == 3    # x's newest 2 + quiet's seed
+    assert engine.compaction_floor("x") == (3, 1)
+    assert stored == reference_snapshot(engine) == engine.snapshot()
+    assert [e.value for e in stored.copies["x"].log] == [4, 5]
+    assert stored.copies["x"].floor == (3, 1)
+    assert stored.copies["quiet"] is stale.copies["quiet"]
+    with pytest.raises(LogTruncated):
+        engine.log_since("x", (2, 1))
+    assert engine.rebuilt().snapshot() == stored
+
+
+def _refrozen_by_a_small_change(copies, cells):
+    """Checkpoint an engine holding ``copies`` copies and ``cells`` cells,
+    write 3 objects, set 2 cells, checkpoint again: the entries of the
+    second snapshot that are not the first one's objects."""
+    engine = StorageEngine(1, log_retain=8)
+    for n in range(copies):
+        engine.place(f"o{n}", initial=n, date=(0, 1))
+    held = [engine.durable_cell(f"px:{n}", (n, n)) for n in range(cells)]
+    old = engine.checkpoint().state
+    touched = {"o1", f"o{copies // 2}", f"o{copies - 1}"}
+    for obj in sorted(touched):
+        engine.write(obj, "new", (1, 1), "v1")
+    held[0].value = held[-1].value = (9, 9)
+    new = engine.checkpoint().state
+    assert new == reference_snapshot(engine)
+    assert set(new.copies) == set(old.copies) and len(new.copies) == copies
+    fresh_copies = {obj for obj in new.copies
+                    if new.copies[obj] is not old.copies[obj]}
+    fresh_cells = {name for name in new.cells
+                   if new.cells[name] is not old.cells[name]}
+    assert fresh_copies == touched
+    assert fresh_cells == {"px:0", f"px:{cells - 1}"}
+    return len(fresh_copies) + len(fresh_cells)
+
+
+def test_a_checkpoint_refreezes_only_what_changed_since_the_last():
+    """O(changed), asserted by identity: every untouched entry of the
+    new snapshot *is* the previous snapshot's object, and the number of
+    re-frozen entries does not move when the clean state grows 4x.
+    Fails under any from-scratch freeze (e.g. an empty base)."""
+    assert _refrozen_by_a_small_change(600, 5000) == 5
+    assert _refrozen_by_a_small_change(2400, 20000) == 5
+
+
+def _copy_of(snap):
+    """An independent copy of a snapshot (its entries are immutable)."""
+    return type(snap)(dict(snap.copies), dict(snap.cells),
+                      dict(snap.decisions))
+
+
+def test_stored_snapshots_share_no_mutable_state_with_the_engine():
+    """Fails when ``_advanced`` reuses a mapping of its base (or the
+    live decision log) instead of copying it, and when ``freeze`` keeps
+    the copy's log list."""
+    engine = StorageEngine(1, log_retain=2)
+    engine.place("x", initial=0)
+    engine.place("y", initial=0)
+    cell = engine.durable_cell("max-id", (0, 1))
+    engine.record_decision("t1", "undecided", forced=False)
+    previous = engine.checkpoint().state
+    engine.write("x", 1, (1, 1), "v1")
+    current = engine.checkpoint().state
+    was_previous = _copy_of(previous)
+    was_current = _copy_of(current)
+    assert isinstance(current.copies["x"].log, tuple)
+    # mutate the live engine every way there is
+    for n in range(2, 6):
+        engine.write("x", n, (n, 1), f"v{n}")
+    engine.retire("y")
+    cell.value = (7, 1)
+    engine.durable_cell("px:t1:1", "yes")
+    engine.record_decision("t1", "commit")
+    engine.record_decision("t2", "abort")
+    assert engine.last_checkpoint.state is current
+    assert current == was_current and previous == was_previous
+    # ... and a returned snapshot is the caller's to scribble on
+    scratch = engine.snapshot()
+    scratch.copies.clear()
+    scratch.cells["max-id"] = None
+    scratch.decisions["t9"] = "commit"
+    assert current == was_current
+    assert engine.snapshot() == reference_snapshot(engine)
+    # taking the next checkpoint leaves the one before it whole too
+    engine.checkpoint()
+    assert current == was_current and previous == was_previous
