@@ -9,9 +9,9 @@ benchmarks/bench_access_cost.py`` prints the table).
 Each bench's ``run()`` accepts keyword overrides for its sweep
 parameters; the module-level ``SMOKE`` dict holds a tiny configuration
 the smoke tests (``tests/benchmarks/test_smoke.py``) run every entry
-point with.  Alongside its human-readable table, every bench routes its
-headline numbers through a :class:`repro.obs.metrics.MetricsRegistry`
-and prints them as one ``{"bench": ..., "metrics": ...}`` JSON line.
+point with.  Alongside its human-readable table, every bench prints its
+headline numbers as one ``{"bench": ..., "metrics": ...}`` JSON line,
+shaped like a registry snapshot.
 
 Script entry points share one CLI (:func:`bench_main`): ``--workers N``
 fans the bench's experiment batch out through
@@ -39,21 +39,15 @@ def report(text: str) -> None:
     sys.stdout.flush()
 
 
-def emit_metrics(bench: str, values: Optional[Mapping[str, float]] = None,
-                 registry=None) -> dict:
+def emit_metrics(bench: str, values: Mapping[str, float]) -> dict:
     """Print a bench's headline numbers as one structured JSON line.
 
-    ``values`` is a flat ``{metric-name: number}`` mapping routed
-    through a fresh registry as gauges; pass ``registry`` instead to
-    emit an already-populated :class:`MetricsRegistry`.
+    ``values`` is a flat ``{metric-name: number}`` mapping, emitted as
+    the gauges of a registry-snapshot-shaped payload.
     """
-    from repro.obs.metrics import MetricsRegistry
-
-    if registry is None:
-        registry = MetricsRegistry()
-        for name, value in (values or {}).items():
-            registry.gauge(name).set(value)
-    payload = {"bench": bench, "metrics": registry.snapshot()}
+    payload = {"bench": bench, "metrics": {
+        "counters": {}, "gauges": dict(sorted(values.items())),
+        "histograms": {}}}
     print(json.dumps(payload, sort_keys=True))
     sys.stdout.flush()
     return payload

@@ -71,8 +71,7 @@ def blocking_window(backend: str, recover_after=None) -> dict:
     horizon = (recover_after or 0.0) + 8 * cluster.config.access_timeout
     cluster.run(until=cluster.sim.now + horizon)
 
-    dwells = [d for pid in (2, 3)
-              for d in cluster.protocol(pid).commit.metrics.in_doubt_dwell]
+    dwells = cluster.metrics.in_doubt_dwell
     resolved = all(TXN not in cluster.protocol(pid).commit.in_doubt
                    for pid in (2, 3))
     return {

@@ -57,7 +57,7 @@ def merge_cost(init_strategy: str, catchup: str,
     assert value == WRITE_BURST - 1, f"p5 not recovered: {value}"
     return {
         "vpreads": vpreads["n"],
-        "transfer_units": cluster.total_metrics().transfer_units,
+        "transfer_units": cluster.metrics.transfer_units,
     }
 
 
@@ -80,7 +80,7 @@ def split_off_cost(fastpath: bool) -> dict:
     assert read.value == (True, 0)
     return {
         "vpreads": vpreads["n"],
-        "transfer_units": cluster.total_metrics().transfer_units,
+        "transfer_units": cluster.metrics.transfer_units,
     }
 
 

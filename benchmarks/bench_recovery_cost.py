@@ -52,23 +52,17 @@ def recovery_cost(burst: int, log_retain, checkpoint_every: int) -> dict:
     cluster.run(until=heal_at + cluster.config.liveness_bound + 15)
     value, _ = cluster.processor(5).store.peek("x")
     assert value == burst - 1, f"p5 not recovered: {value}"
-    totals = cluster.total_metrics()
-    retained = wal_appends = forced = checkpoints = compacted = 0
-    for pid in cluster.pids:
-        store = cluster.processors[pid].store
-        retained += store.retained_entries()
-        wal_appends += store.stats.wal_appends
-        forced += store.stats.forced_syncs
-        checkpoints += store.stats.checkpoints
-        compacted += store.stats.compacted_entries
+    totals = cluster.metrics
+    storage = cluster.registry.sources["storage"]  # all five engines'
     return {
         "transfer_units": totals.transfer_units,
         "catchup_fallbacks": totals.catchup_fallbacks,
-        "retained_entries": retained,
-        "wal_appends": wal_appends,
-        "forced_syncs": forced,
-        "checkpoints": checkpoints,
-        "compacted_entries": compacted,
+        "retained_entries": sum(processor.store.retained_entries()
+                                for processor in cluster.processors.values()),
+        "wal_appends": storage.wal_appends,
+        "forced_syncs": storage.forced_syncs,
+        "checkpoints": storage.checkpoints,
+        "compacted_entries": storage.compacted_entries,
     }
 
 

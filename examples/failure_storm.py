@@ -61,9 +61,8 @@ committed = cluster.history.committed()
 aborted = cluster.history.aborted()
 print(f"storm survived: {len(committed)} committed, "
       f"{len(aborted)} aborted transaction attempts")
-print(f"virtual partitions created: {cluster.total_metrics().vp_created}")
-print(f"copy recoveries performed (rule R5): "
-      f"{cluster.total_metrics().recoveries}")
+print(f"virtual partitions created: {cluster.metrics.vp_created}")
+print(f"copy recoveries performed (rule R5): {cluster.metrics.recoveries}")
 
 # Audit S1 (view consistency): every partition has exactly one view.
 for vpid in cluster.history.partitions_seen():

@@ -25,7 +25,7 @@ serves clean entries under a valid lease.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 #: the two supported write policies
@@ -43,16 +43,6 @@ class CacheStats:
     evictions: int = 0
     dirty_evictions: int = 0
     invalidations: int = 0
-    #: dirty entries shipped to the store (evict- or drain-triggered)
-    flushes: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 @dataclass

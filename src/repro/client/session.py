@@ -65,7 +65,7 @@ class SessionSpec:
 
 @dataclass
 class SessionStats:
-    """What one client's session tier did, for the run-level rollup."""
+    """What the session tier did; a cluster's sessions share one."""
 
     programs: int = 0
     programs_committed: int = 0
@@ -86,18 +86,8 @@ class SessionStats:
     flush_writes: int = 0
     #: per-read client-observed latency (0.0 for local serves)
     read_latencies: List[float] = field(default_factory=list)
-    #: per-committed-program service time (run_program entry -> commit)
-    program_latencies: List[float] = field(default_factory=list)
     #: age of lease-served values (now - fetch_time) at serve time
     staleness: List[float] = field(default_factory=list)
-
-    @property
-    def local_reads(self) -> int:
-        return self.lease_reads + self.cache_reads
-
-    @property
-    def local_read_fraction(self) -> float:
-        return self.local_reads / self.reads if self.reads else 0.0
 
 
 class ClientSession:
@@ -193,7 +183,6 @@ class ClientSession:
         if not remote:
             self.stats.programs_local += 1
             self.stats.programs_committed += 1
-            self.stats.program_latencies.append(sim.now - start)
             return True, self._program_result(program, local)
 
         captured: Dict[str, Any] = {}
@@ -220,7 +209,6 @@ class ClientSession:
             return False, outcome
         self._absorb_commit(remote, captured, local, start)
         self.stats.programs_committed += 1
-        self.stats.program_latencies.append(sim.now - start)
         return True, self._program_result(program, local)
 
     def drain(self, retries: int = 0, backoff: Optional[float] = None):

@@ -34,6 +34,7 @@ from .net.network import Network
 from .net.topology import CommGraph
 from .node.processor import Processor
 from .node.storage import StorageEngine
+from .obs.metrics import MetricsRegistry
 from .sim import RandomStreams, Simulator
 
 #: protocol factory signature: (processor, placement, config, history,
@@ -84,12 +85,26 @@ class Cluster:
                 pid, self.config.checkpoint_every, self.config.log_retain))
             for pid in pids
         }
+        #: the one metrics surface: every component counts into its
+        #: subsystem's single stats object (the first component's own),
+        #: which the registry reads
+        self.registry = MetricsRegistry()
+        share = self.registry.share
+        share("msg", self.network.stats)
+        for processor in self.processors.values():
+            # shared before the protocols below journal their first cells
+            processor.transport = share("transport", processor.transport)
+            processor.store.stats = share("storage", processor.store.stats)
         factory = protocol or VirtualPartitionProtocol
         self.protocols: Dict[int, Any] = {
             pid: factory(self.processors[pid], self.placement, self.config,
                          self.history, self.latency, frozenset(pids))
             for pid in pids
         }
+        for proto in self.protocols.values():
+            proto.metrics = share("protocol", proto.metrics)
+        #: protocol counters of the whole cluster
+        self.metrics = self.registry.sources["protocol"]
         self.tms: Dict[int, TransactionManager] = {
             pid: TransactionManager(self.protocols[pid], self.history)
             for pid in pids
@@ -106,6 +121,8 @@ class Cluster:
             pid: proto.directory for pid, proto in self.protocols.items()
             if hasattr(proto, "directory")
         }
+        for routing in self.directories.values():
+            routing.stats = share("directory", routing.stats)
         #: the online-resharding driver, when the run has one
         self.reshard_engine = None
         self.injector = FailureInjector(self.sim, self.graph, self.processors,
@@ -266,8 +283,16 @@ class Cluster:
             spec = SessionSpec(**knobs)
         elif knobs:
             raise ValueError("pass either a spec or knobs, not both")
-        return ClientSession(self.tms[pid], self.protocols[pid], spec,
-                             auditor=self.auditor)
+        session = ClientSession(self.tms[pid], self.protocols[pid], spec,
+                                auditor=self.auditor)
+        share = self.registry.share
+        session.stats = share("client", session.stats)
+        if session.cache is not None:
+            session.cache.stats = share("client.cache", session.cache.stats)
+        if session.lease_table is not None:
+            session.lease_table.stats = share("client.lease",
+                                              session.lease_table.stats)
+        return session
 
     def protocol(self, pid: int):
         return self.protocols[pid]
@@ -282,14 +307,6 @@ class Cluster:
             raise RuntimeError("cluster was built without trace=True")
         from .obs.export import write_jsonl
         return write_jsonl(self.tracer.events, path)
-
-    def total_metrics(self):
-        """Protocol counters summed over all processors."""
-        totals = None
-        for pid in self.pids:
-            metrics = self.protocols[pid].metrics
-            totals = metrics if totals is None else totals.merge(metrics)
-        return totals
 
     def check_serializable(self) -> bool:
         """CP-serializability of the committed physical history."""

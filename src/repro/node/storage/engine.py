@@ -61,7 +61,8 @@ from .wal import (
 
 @dataclass
 class StorageStats:
-    """Durability cost accounting (cumulative, crash-proof)."""
+    """Durability cost accounting (cumulative, crash-proof); a
+    cluster's engines share one."""
 
     #: WAL records appended (forced ones included)
     wal_appends: int = 0

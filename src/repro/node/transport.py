@@ -56,7 +56,8 @@ QuorumPredicate = Callable[[Dict[int, Any]], bool]
 
 @dataclass
 class TransportStats:
-    """Per-processor fan-out accounting (cumulative, crash-proof)."""
+    """Fan-out accounting (cumulative, crash-proof); a cluster's
+    processors share one."""
 
     #: completed or started scatter calls
     fanouts: int = 0

@@ -7,7 +7,8 @@ The subsystem has four pieces:
   reads, transaction outcomes), all stamped with simulated time;
 * :mod:`repro.obs.trace` — the :class:`Tracer` recorder, wired through
   ``Cluster(trace=True)``;
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry;
+* :mod:`repro.obs.metrics` — the registry that reads a cluster's live
+  stats objects, and :func:`~repro.obs.metrics.summarize`;
 * :mod:`repro.obs.export` / :mod:`repro.obs.analyze` — deterministic
   JSONL traces and the analyzer that reconstructs per-view timelines,
   message breakdowns, and lock-wait distributions from them
@@ -17,21 +18,12 @@ The subsystem has four pieces:
 from .analyze import TraceAnalyzer, ViewFormation, vpid_key
 from .events import TraceEvent, jsonable
 from .export import dumps_jsonl, event_line, read_jsonl, write_jsonl
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    LogBucketHistogram,
-    MetricsRegistry,
-)
+from .metrics import MetricsRegistry, MetricsSnapshot, summarize
 from .trace import Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LogBucketHistogram",
     "MetricsRegistry",
+    "MetricsSnapshot",
     "TraceAnalyzer",
     "TraceEvent",
     "Tracer",
@@ -40,6 +32,7 @@ __all__ = [
     "event_line",
     "jsonable",
     "read_jsonl",
+    "summarize",
     "vpid_key",
     "write_jsonl",
 ]

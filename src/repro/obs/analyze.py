@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import events as ev
 from .events import TraceEvent
-from .metrics import Histogram
+from .metrics import summarize
 
 _VPID_RE = re.compile(r"vp\((\d+),(\d+)\)")
 
@@ -159,15 +159,16 @@ class TraceAnalyzer:
 
     # -- locks ----------------------------------------------------------------
 
-    def lock_waits(self) -> Histogram:
-        """Wait→grant durations, matched per (pid, object, transaction).
+    def lock_waits(self) -> dict:
+        """Summary of wait→grant durations, matched per (pid, object,
+        transaction).
 
         Requests that never got granted (dropped on timeout or still
         queued at the end of the trace) are not wait samples — they show
         up in ``lock.drop`` counts instead.
         """
         pending: Dict[tuple, float] = {}
-        waits = Histogram("lock.wait")
+        waits: List[float] = []
         for event in self.events:
             if event.etype not in (ev.LOCK_WAIT, ev.LOCK_GRANT,
                                    ev.LOCK_DROP):
@@ -179,8 +180,8 @@ class TraceAnalyzer:
             else:
                 started = pending.pop(key, None)
                 if started is not None and event.etype == ev.LOCK_GRANT:
-                    waits.observe(event.time - started)
-        return waits
+                    waits.append(event.time - started)
+        return summarize(waits)
 
     # -- transactions ---------------------------------------------------------
 
@@ -189,7 +190,7 @@ class TraceAnalyzer:
         begun: Dict[str, float] = {}
         committed = aborted = 0
         reasons: Dict[str, int] = {}
-        latency = Histogram("txn.latency")
+        latencies: List[float] = []
         for event in self.events:
             txn = event.fields.get("txn")
             if event.etype == ev.TXN_BEGIN:
@@ -197,7 +198,7 @@ class TraceAnalyzer:
             elif event.etype == ev.TXN_COMMIT:
                 committed += 1
                 if txn in begun:
-                    latency.observe(event.time - begun[txn])
+                    latencies.append(event.time - begun[txn])
             elif event.etype == ev.TXN_ABORT:
                 aborted += 1
                 reason = str(event.fields.get("reason", "?")).split(":")[0]
@@ -207,7 +208,7 @@ class TraceAnalyzer:
             "committed": committed,
             "aborted": aborted,
             "abort_reasons": dict(sorted(reasons.items())),
-            "latency": latency.summary(),
+            "latency": summarize(latencies),
         }
 
     # -- rollups --------------------------------------------------------------
@@ -225,7 +226,7 @@ class TraceAnalyzer:
             "events": len(self.events),
             "by_type": self.counts(),
             "messages": self.message_breakdown(),
-            "lock_waits": self.lock_waits().summary(),
+            "lock_waits": self.lock_waits(),
             "txns": self.txn_outcomes(),
             "views": {
                 vpid: {
@@ -267,7 +268,7 @@ class TraceAnalyzer:
         for kind, row in self.message_breakdown().items():
             lines.append(f"  {kind}: {row['sent']}/{row['delivered']}"
                          f"/{row['dropped']}")
-        waits = self.lock_waits().summary()
+        waits = self.lock_waits()
         lines.append("")
         lines.append(f"lock waits: {waits}")
         txns = self.txn_outcomes()

@@ -16,13 +16,17 @@ can run.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 
 @dataclass
 class ProtocolMetrics:
-    """Per-processor counters every protocol maintains."""
+    """Counters every protocol maintains.
+
+    Inside a cluster every processor's protocol counts into one shared
+    object, ``Cluster.metrics``.
+    """
 
     logical_reads: int = 0
     logical_writes: int = 0
@@ -58,27 +62,6 @@ class ProtocolMetrics:
         else:
             self.write_aborts += 1
         self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
-
-    def merge(self, other: "ProtocolMetrics") -> "ProtocolMetrics":
-        """Aggregate counters across processors (for run-level reports).
-
-        Field-generic on purpose: a counter added to the dataclass is
-        aggregated automatically instead of silently dropped (pinned by
-        ``tests/protocols/test_base_metrics.py``).  Numeric fields add;
-        dict-valued fields merge key-wise.
-        """
-        merged = ProtocolMetrics()
-        for spec in fields(self):
-            mine = getattr(self, spec.name)
-            theirs = getattr(other, spec.name)
-            if isinstance(mine, dict):
-                combined = dict(mine)
-                for key, amount in theirs.items():
-                    combined[key] = combined.get(key, 0) + amount
-                setattr(merged, spec.name, combined)
-            else:
-                setattr(merged, spec.name, mine + theirs)
-        return merged
 
 
 class ReplicaControlProtocol(ABC):

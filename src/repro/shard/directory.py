@@ -41,7 +41,8 @@ DistanceFn = Callable[[int], float]
 
 @dataclass
 class DirectoryStats:
-    """Per-processor lookup accounting (plain data, picklable)."""
+    """Lookup accounting (plain data, picklable); a cluster's
+    directories share one."""
 
     #: entry resolutions requested by the routing layer
     lookups: int = 0

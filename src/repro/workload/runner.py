@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Tuple
 
 from ..analysis.one_copy import check_one_copy
-from ..client.session import ClientSession, SessionSpec
+from ..client.session import SessionSpec
 from ..cluster import Cluster
 from ..core.config import ProtocolConfig
 from ..net.latency import LatencyModel
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsSnapshot, summarize
 from ..protocols import protocol_factory
 from ..shard.reshard import ReshardAction
 from .generator import WorkloadGenerator, WorkloadSpec, body_for
@@ -208,7 +208,8 @@ class ExperimentResult:
     network: dict
     one_copy_ok: Optional[bool]  # None = ``spec.check`` was off
     cluster: Optional[Cluster]
-    registry: Optional[MetricsRegistry] = None
+    #: the cluster's registry read at the end of the run
+    registry: Optional[MetricsSnapshot] = None
     #: the 1SR cycle as text; None unless ``one_copy_ok`` is False
     one_copy_violation: Optional[str] = None
     #: kernel events dispatched during the run — deterministic for a
@@ -397,6 +398,7 @@ def build_cluster(spec: ExperimentSpec) -> Cluster:
         cluster.shard(policy, names, initial=0, pids=engine.base_pids)
         engine.enable()
         cluster.reshard_engine = engine
+        cluster.registry.share("reshard", engine.stats)
     else:
         from ..shard import object_names
         cluster.shard(spec.placement, object_names(spec.objects),
@@ -414,8 +416,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     if spec.clients < 1:
         raise ValueError(f"clients must be >= 1: {spec.clients}")
-    observer = ClientObserver()
-    sessions: list = []
+    # one sample per committed program: completion - arrival (queueing
+    # included under the open loop)
+    latencies = cluster.registry.samples.setdefault("client.txn_latency", [])
     for pid in cluster.pids:
         for client in range(spec.clients):
             # client 0 keeps the original stream/tag names so existing
@@ -429,14 +432,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             )
             session = None
             if spec.session is not None and spec.session.enabled:
-                session = ClientSession(cluster.tm(pid),
-                                        cluster.protocols[pid],
-                                        spec.session,
-                                        auditor=cluster.auditor)
-                sessions.append(session)
+                session = cluster.session(pid, spec.session)
             cluster.sim.process(
                 _client(cluster, pid, generator, spec, tag=f"p{pid}{suffix}",
-                        session=session, observer=observer),
+                        session=session, latencies=latencies),
                 name=f"client@p{pid}{suffix}",
             )
 
@@ -460,133 +459,43 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         spec=spec,
         committed=committed,
         aborted=aborted,
-        metrics=cluster.total_metrics(),
+        metrics=cluster.metrics,
         network=cluster.network.stats.snapshot(),
         one_copy_ok=one_copy_ok,
         one_copy_violation=one_copy_violation,
         cluster=cluster,
-        registry=collect_registry(cluster, sessions=sessions,
-                                  observer=observer),
+        registry=_final_snapshot(cluster),
         events_dispatched=cluster.sim.dispatched,
         wall_seconds=wall_seconds,
         audit_violations=audit_violations,
     )
 
 
-@dataclass
-class ClientObserver:
-    """Client-observed latency samples, shared by a run's client loops.
-
-    One sample per committed program: completion − arrival.  Under the
-    closed loop arrival is when the think-time sleep ends (so the
-    sample equals service time); under the open loop arrival is the
-    Poisson clock tick, so queueing behind slow transactions shows up
-    — the latency-SLO view a cost-per-transaction metric cannot give.
-    """
-
-    latencies: list = field(default_factory=list)
-
-
-def _count_fields(registry: MetricsRegistry, prefix: str, stats) -> None:
-    """Add every int field of a ``*Stats`` dataclass to the counter
-    ``<prefix>.<field>`` (non-int fields — sample lists — are skipped)."""
-    for spec in dataclasses.fields(stats):
-        value = getattr(stats, spec.name)
-        if isinstance(value, int):
-            registry.counter(f"{prefix}.{spec.name}").inc(value)
-
-
-def collect_registry(cluster: Cluster, sessions=(),
-                     observer: Optional[ClientObserver] = None,
-                     ) -> MetricsRegistry:
-    """Distil a finished cluster's counters into a metrics registry.
-
-    This is the structured-output side of every experiment and
-    benchmark: counters for transaction outcomes and per-kind message
-    traffic, gauges for protocol-level totals, and a histogram of
-    committed-transaction latencies (simulated time).
-    """
-    registry = MetricsRegistry()
-    registry.counter("sim.dispatched").inc(cluster.sim.dispatched)
-    if cluster.auditor is not None:
-        registry.counter("audit.violations").inc(
-            len(cluster.auditor.violations))
+def _final_snapshot(cluster: Cluster) -> MetricsSnapshot:
+    """``cluster.registry`` read once, at the end of the run, with the
+    outcomes no component counts: dispatches, transaction outcomes and
+    service times, the write-log entries still held, and violations."""
     history = cluster.history
     committed = history.committed()
-    registry.counter("txn.committed").inc(len(committed))
-    registry.counter("txn.aborted").inc(len(history.aborted()))
-    latency = registry.histogram("txn.latency")
-    for record in committed:
-        if record.end_time is not None:
-            latency.observe(record.end_time - record.begin_time)
-    stats = cluster.network.stats
-    registry.counter("msg.sent").inc(stats.sent)
-    registry.counter("msg.delivered").inc(stats.delivered)
-    registry.counter("msg.dropped").inc(stats.dropped)
-    if committed:
-        registry.gauge("txn.messages_per_commit").set(
-            stats.sent / len(committed))
-    for kind in sorted(stats.by_kind):
-        registry.counter(f"msg.kind.{kind}").inc(stats.by_kind[kind])
-    fanout_latency = registry.histogram("transport.fanout_latency")
-    for pid in cluster.pids:
-        transport = cluster.processors[pid].transport
-        _count_fields(registry, "transport", transport)
-        fanout_latency.observe_many(transport.fanout_latencies)
-    for pid in sorted(cluster.directories):
-        _count_fields(registry, "directory", cluster.directories[pid].stats)
-    retained = 0
-    for pid in cluster.pids:
-        store = cluster.processors[pid].store
-        _count_fields(registry, "storage", store.stats)
-        retained += store.retained_entries()
-    registry.gauge("storage.retained_entries").set(retained)
-    totals = cluster.total_metrics()
-    if totals is not None:
-        for name in ("vp_created", "vp_joined", "recoveries",
-                     "transfer_units", "catchup_fallbacks",
-                     "logical_reads", "logical_writes",
-                     "physical_read_rpcs", "physical_write_rpcs",
-                     "decisions_retired", "reshard_installs",
-                     "reshard_retires"):
-            registry.gauge(f"protocol.{name}").set(getattr(totals, name))
-        # The commit protocol's measured blocking window: sim time each
-        # prepared participant spent in doubt before its outcome landed.
-        registry.log_histogram("txn.in_doubt_dwell").observe_many(
-            totals.in_doubt_dwell)
-    if cluster.reshard_engine is not None:
-        _count_fields(registry, "reshard", cluster.reshard_engine.stats)
-    if observer is not None and observer.latencies:
-        registry.log_histogram("client.txn_latency").observe_many(
-            observer.latencies)
-    if sessions:
-        _collect_sessions(registry, cluster, sessions)
-    return registry
-
-
-def _collect_sessions(registry: MetricsRegistry, cluster: Cluster,
-                      sessions) -> None:
-    """Aggregate the client tier's per-session stats into the registry."""
-    read_latency = registry.log_histogram("client.read_latency")
-    staleness = registry.log_histogram("client.staleness")
-    for session in sessions:
-        stats = session.stats
-        _count_fields(registry, "client", stats)
-        read_latency.observe_many(stats.read_latencies)
-        staleness.observe_many(stats.staleness)
-        if session.cache is not None:
-            _count_fields(registry, "client.cache", session.cache.stats)
-    # lease tables are per-processor (shared by that node's sessions),
-    # so collect them from the protocols, not the sessions
-    for pid in cluster.pids:
-        table = cluster.protocols[pid].lease_table
-        if table is None:
-            continue
-        _count_fields(registry, "client.lease", table.stats)
+    snapshot = cluster.registry.snapshot()
+    counters = snapshot["counters"]
+    counters["sim.dispatched"] = cluster.sim.dispatched
+    counters["txn.committed"] = len(committed)
+    counters["txn.aborted"] = len(history.aborted())
+    if cluster.auditor is not None:
+        counters["audit.violations"] = len(cluster.auditor.violations)
+    snapshot["gauges"]["storage.retained_entries"] = sum(
+        processor.store.retained_entries()
+        for processor in cluster.processors.values())
+    snapshot["histograms"]["txn.latency"] = summarize(
+        [record.end_time - record.begin_time for record in committed
+         if record.end_time is not None])
+    return MetricsSnapshot((kind, dict(sorted(values.items())))
+                           for kind, values in snapshot.items())
 
 
 def _client(cluster: Cluster, pid: int, generator: WorkloadGenerator,
-            spec: ExperimentSpec, tag: str, session=None, observer=None):
+            spec: ExperimentSpec, tag: str, session, latencies: list):
     """One client: Poisson arrivals until the duration elapses, or for
     exactly ``spec.txns_per_client`` transactions when that is set.
 
@@ -612,8 +521,8 @@ def _client(cluster: Cluster, pid: int, generator: WorkloadGenerator,
             body = body_for(program, tag=f"{tag}t{index}")
             committed, _ = yield from tm.run(body, retries=spec.retries,
                                              backoff=backoff)
-        if committed and observer is not None:
-            observer.latencies.append(sim.now - arrival)
+        if committed:
+            latencies.append(sim.now - arrival)
 
     def one(index):
         # draw order matters: interarrival was drawn by the caller,

@@ -22,7 +22,6 @@ def test_lookup_hits_misses_and_hit_rate():
     cache.put("x", 1)
     assert cache.lookup("x").value == 1
     assert cache.stats.hits == 1 and cache.stats.misses == 1
-    assert cache.stats.hit_rate == 0.5
 
 
 def test_peek_does_not_touch_lru_or_counters():
@@ -32,7 +31,7 @@ def test_peek_does_not_touch_lru_or_counters():
     cache.peek("a")  # no LRU touch: "a" stays oldest
     cache.put("c", 3)
     assert "a" not in cache and "b" in cache and "c" in cache
-    assert cache.stats.lookups == 0
+    assert cache.stats.hits == cache.stats.misses == 0
 
 
 def test_lru_eviction_order_follows_lookups():

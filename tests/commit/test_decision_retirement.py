@@ -26,7 +26,7 @@ def test_decision_map_stays_bounded_over_long_run():
             f"p{pid} still holds {live} decision entries after the "
             "grace period: retirement is not happening"
         )
-    totals = cluster.total_metrics()
+    totals = cluster.metrics
     # every commit retires its entry (aborts without a prepare round
     # never open one), so the counter scales with the decided load
     assert totals.decisions_retired >= result.committed

@@ -77,8 +77,9 @@ def test_prepared_participants_decide_without_coordinator():
     for pid in (2, 3):
         commit = cluster.protocol(pid).commit
         assert txn not in commit.in_doubt, "participant left blocked"
-        assert commit.metrics.in_doubt_dwell, "dwell not recorded"
         assert cluster.processor(pid).store.peek("x")[0] == 7
+    # one dwell per participant: the cluster counts into one list
+    assert len(cluster.metrics.in_doubt_dwell) == 2, "dwell not recorded"
     assert cluster.history.txns[txn].status == "committed"
     # the dead coordinator's client saw the outcome ceded, not a commit
     committed, _reason = outcome.value
@@ -103,8 +104,8 @@ def test_paxos_dwell_is_bounded_not_open_ended():
         assert cluster.sim.now < 120.0
     cluster.injector.crash_at(cluster.sim.now + 0.1, 1)
     cluster.run(until=cluster.sim.now + 2000.0)
-    for pid in (2, 3):
-        for dwell in cluster.protocol(pid).commit.metrics.in_doubt_dwell:
-            assert dwell <= 6 * cluster.config.access_timeout, (
-                f"p{pid} dwelled {dwell}: resolution waited on recovery"
-            )
+    assert cluster.metrics.in_doubt_dwell, "dwell not recorded"
+    for dwell in cluster.metrics.in_doubt_dwell:
+        assert dwell <= 6 * cluster.config.access_timeout, (
+            f"dwelled {dwell}: resolution waited on recovery"
+        )

@@ -35,7 +35,7 @@ def test_converged_partition_is_stable_without_failures():
     cluster.start()
     cluster.run(until=500.0)
     assert converged(cluster)
-    assert cluster.total_metrics().vp_created == 0
+    assert cluster.metrics.vp_created == 0
 
 
 def test_partition_splits_views():

@@ -86,11 +86,11 @@ def test_probe_with_stale_id_is_skipped():
     """Fig. 8: v ≺ cur-id → skip (an old delayed message)."""
     cluster = build()
     cluster.run(until=5.0)
-    created_before = cluster.total_metrics().vp_created
+    created_before = cluster.metrics.vp_created
     cluster.processors[1].send(2, "probe",
                                {"from": 1, "v": VpId(0, 1), "m": 99})
     cluster.run(until=10.0)
-    assert cluster.total_metrics().vp_created == created_before
+    assert cluster.metrics.vp_created == created_before
     assert cluster.protocol(2).assigned
 
 

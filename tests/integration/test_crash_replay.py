@@ -80,8 +80,7 @@ def test_rebuilt_engines_equal_with_checkpoints_and_compaction():
     assert result.committed > 0
     assert result.one_copy_ok is True
     cluster = result.cluster
-    assert any(cluster.processors[pid].store.stats.checkpoints > 0
-               for pid in cluster.pids)
+    assert cluster.registry.sources["storage"].checkpoints > 0
     _assert_rebuilds_cleanly(cluster)
 
 
@@ -104,7 +103,7 @@ def test_compacted_catchup_falls_back_to_full_transfer_and_converges():
     heal_at = cluster.sim.now + 1.0
     cluster.injector.heal_all_at(heal_at)
     cluster.run(until=heal_at + cluster.config.liveness_bound + 15)
-    totals = cluster.total_metrics()
+    totals = cluster.metrics
     assert totals.catchup_fallbacks >= 1
     # fallbacks ship whole objects: the transfer bill shows it
     assert totals.transfer_units >= 50

@@ -84,8 +84,8 @@ def test_lock_wait_distribution_skips_drops():
         E(9.0, "lock.drop", 2, obj="y", txn="(2, 1)", mode="S"),
     ]
     waits = TraceAnalyzer(events).lock_waits()
-    assert waits.count == 1
-    assert waits.percentile(50) == 3.0
+    assert waits["count"] == 1
+    assert waits["p50"] == 3.0
 
 
 def test_txn_outcomes():

@@ -90,8 +90,9 @@ def test_default_policy_is_trace_identical_to_pre_engine_run(tmp_path):
     assert digest == GOLDEN_TRACE_SHA
     assert result.one_copy_ok is True
     # ...and the run exercised the engine: the journal was busy
-    assert result.registry.counter("storage.wal_appends").value > 0
-    assert result.registry.counter("storage.forced_syncs").value > 0
+    counters = result.registry.snapshot()["counters"]
+    assert counters["storage.wal_appends"] > 0
+    assert counters["storage.forced_syncs"] > 0
 
 
 def test_durability_costs_and_compaction_preserve_outcomes():
@@ -120,10 +121,11 @@ def test_durability_costs_and_compaction_preserve_outcomes():
     assert free.one_copy_ok is True
     assert priced.one_copy_ok is True
     # the comparison is not vacuous: the priced run really paid
-    assert priced.registry.counter("storage.forced_syncs").value > 0
-    assert priced.registry.counter("storage.checkpoints").value > 0
-    assert (priced.registry.gauge("storage.retained_entries").value
-            < free.registry.gauge("storage.retained_entries").value)
+    paid = priced.registry.snapshot()
+    assert paid["counters"]["storage.forced_syncs"] > 0
+    assert paid["counters"]["storage.checkpoints"] > 0
+    assert (paid["gauges"]["storage.retained_entries"]
+            < free.registry.snapshot()["gauges"]["storage.retained_entries"])
 
 
 def test_concurrent_initiations_with_forced_writes_converge():

@@ -30,7 +30,7 @@ def test_majority_read_and_write_cost():
     read = cluster.read_once(2, "x")
     cluster.run(until=80.0)
     assert write.value[0] and read.value == (True, 5)
-    metrics = cluster.total_metrics()
+    metrics = cluster.metrics
     assert metrics.physical_write_rpcs == 3       # majority write
     # read = 3 data accesses (majority); version round counted apart
     assert metrics.physical_read_rpcs - metrics.version_collect_rpcs == 3
@@ -54,7 +54,7 @@ def test_mw_healthy_mode_reads_one_copy():
     read = cluster.read_once(3, "x")
     cluster.run(until=30.0)
     assert read.value == (True, 0)
-    assert cluster.total_metrics().physical_read_rpcs == 1
+    assert cluster.metrics.physical_read_rpcs == 1
 
 
 def test_mw_write_with_down_copy_succeeds_and_logs():
@@ -66,7 +66,7 @@ def test_mw_write_with_down_copy_succeeds_and_logs():
     assert write.value == (True, 42)
     # p5's copy became a missing-write entry; logging cost was counted.
     assert cluster.protocol(1)._missing.get("x") == {5}
-    assert cluster.total_metrics().transfer_units >= 1
+    assert cluster.metrics.transfer_units >= 1
 
 
 def test_mw_failure_mode_reads_majority():
@@ -75,14 +75,14 @@ def test_mw_failure_mode_reads_majority():
     cluster.run(until=10.0)
     cluster.write_once(1, "x", 42)
     cluster.run(until=80.0)
-    before = cluster.total_metrics()
-    read_rpcs_before = before.physical_read_rpcs
+    metrics = cluster.metrics
+    data_reads_before = (metrics.physical_read_rpcs
+                         - metrics.version_collect_rpcs)
     read = cluster.read_once(2, "x")
     cluster.run(until=160.0)
     assert read.value == (True, 42)
-    after = cluster.total_metrics()
-    data_reads = (after.physical_read_rpcs - after.version_collect_rpcs) - \
-                 (read_rpcs_before - before.version_collect_rpcs)
+    data_reads = (metrics.physical_read_rpcs - metrics.version_collect_rpcs
+                  - data_reads_before)
     assert data_reads >= 3, "failure-mode reads must assemble a majority"
 
 
@@ -112,11 +112,11 @@ def test_mw_repair_returns_to_normal_mode():
     value, _ = cluster.processor(5).store.peek("x")
     assert value == 42, "repair must push the missed value to p5"
     # read first: the transaction issues its read inside read_once
-    cost_before = cluster.total_metrics().physical_read_rpcs
+    cost_before = cluster.metrics.physical_read_rpcs
     read = cluster.read_once(3, "x")
     cluster.run(until=cluster.sim.now + 30.0)
     assert read.value == (True, 42)
-    assert cluster.total_metrics().physical_read_rpcs == cost_before + 1
+    assert cluster.metrics.physical_read_rpcs == cost_before + 1
 
 
 def test_mw_no_majority_write_aborts():

@@ -71,7 +71,7 @@ def test_write_after_read_skips_version_round():
     out = cluster.submit(1, body)
     cluster.run(until=60.0)
     assert out.value[0] is True
-    assert cluster.total_metrics().version_collect_rpcs == 0
+    assert cluster.metrics.version_collect_rpcs == 0
 
 
 def test_blind_write_pays_version_round():
@@ -79,7 +79,7 @@ def test_blind_write_pays_version_round():
     out = cluster.write_once(1, "x", "blind")
     cluster.run(until=60.0)
     assert out.value[0] is True
-    assert cluster.total_metrics().version_collect_rpcs == 3
+    assert cluster.metrics.version_collect_rpcs == 3
 
 
 def test_survives_minority_crash():

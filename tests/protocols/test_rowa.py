@@ -16,7 +16,7 @@ def test_read_costs_one_access():
     read = cluster.read_once(2, "x")
     cluster.run(until=30.0)
     assert read.value == (True, 0)
-    metrics = cluster.total_metrics()
+    metrics = cluster.metrics
     assert metrics.physical_read_rpcs == 1
     assert metrics.local_reads == 1  # p2 holds a copy: read locally
 
@@ -26,7 +26,7 @@ def test_write_touches_every_copy():
     write = cluster.write_once(1, "x", 7)
     cluster.run(until=30.0)
     assert write.value == (True, 7)
-    assert cluster.total_metrics().physical_write_rpcs == 5
+    assert cluster.metrics.physical_write_rpcs == 5
     for pid in cluster.pids:
         value, _ = cluster.processor(pid).store.peek("x")
         assert value == 7

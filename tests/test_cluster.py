@@ -59,16 +59,52 @@ def test_read_write_once_helpers():
     assert read.value == (True, "after")
 
 
-def test_total_metrics_sums_processors():
+def test_one_stats_object_per_subsystem():
+    cluster = Cluster(processors=3, seed=4, directory="cached")
+    sources = cluster.registry.sources
+    assert cluster.network.stats is sources["msg"]
+    assert cluster.metrics is sources["protocol"]
+    for pid in cluster.pids:
+        processor = cluster.processor(pid)
+        protocol = cluster.protocol(pid)
+        assert processor.transport is sources["transport"]
+        assert processor.store.stats is sources["storage"]
+        assert protocol.metrics is cluster.metrics
+        assert protocol.commit.metrics is cluster.metrics
+        assert cluster.directories[pid].stats is sources["directory"]
+    sessions = [cluster.session(pid, cache_capacity=2, lease_duration=5.0)
+                for pid in (1, 2, 1)]
+    for session in sessions:
+        assert session.stats is sources["client"]
+        assert session.cache.stats is sources["client.cache"]
+        assert session.lease_table.stats is sources["client.lease"]
+
+
+def test_no_count_is_lost_to_the_wiring():
+    # the protocols journal their first durable cells while the cluster
+    # builds them: the engines must share the one StorageStats by then
+    cluster = Cluster(processors=3, seed=4)
+    journalled = sum(len(cluster.processor(pid).store.wal)
+                     for pid in cluster.pids)
+    assert cluster.registry.sources["storage"].wal_appends == journalled > 0
+
+
+def test_registry_is_live_without_run_experiment():
     cluster = Cluster(processors=3, seed=4)
     cluster.place("x", holders=[1, 2, 3], initial=0)
     cluster.start()
     for pid in (1, 2, 3):
         done = cluster.read_once(pid, "x")
         cluster.sim.run(until=done)
-    totals = cluster.total_metrics()
-    assert totals.logical_reads == 3
-    assert totals.local_reads == 3
+    snapshot = cluster.registry.snapshot()
+    assert snapshot["gauges"]["protocol.logical_reads"] == 3
+    assert snapshot["gauges"]["protocol.local_reads"] == 3
+    assert snapshot["counters"]["msg.sent"] == cluster.network.stats.sent > 0
+    done = cluster.write_once(1, "x", 1)
+    cluster.sim.run(until=done)
+    later = cluster.registry.snapshot()
+    assert later["gauges"]["protocol.logical_writes"] == 1
+    assert later["counters"]["msg.sent"] > snapshot["counters"]["msg.sent"]
 
 
 def test_submit_returns_process_with_outcome():
