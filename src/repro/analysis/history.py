@@ -4,11 +4,11 @@ A :class:`History` records, with timestamps from the simulated clock:
 
 * transaction lifecycle (begin / commit / abort),
 * logical operations (what the transaction asked for),
-* physical operations (which copy was touched, in which virtual
-  partition — the conflict order on a copy is its record order, since
-  operations on one physical object are totally ordered, §3),
+* physical operations, in one list (which copy was touched, in which
+  virtual partition — the conflict order on a copy is its record order,
+  since operations on one physical object are totally ordered, §3),
 * join/depart events of the virtual partition protocol (needed to audit
-  properties S1–S3).
+  properties S1–S3), handed on with each physical op to the auditor.
 
 Reads and writes carry *version tokens*: each logical write is tagged
 with a unique token, physical copies remember the token of the write
@@ -38,13 +38,6 @@ class PhysicalOp:
     version: Any
     vpid: Any
 
-    def conflicts_with(self, other: "PhysicalOp") -> bool:
-        """Same copy, at least one write, different transactions."""
-        return (self.obj == other.obj
-                and self.copy_pid == other.copy_pid
-                and self.txn != other.txn
-                and ("w" in (self.kind, other.kind)))
-
 
 @dataclass(frozen=True)
 class LogicalOp:
@@ -69,15 +62,6 @@ class TxnRecord:
     end_time: Optional[float] = None
     abort_reason: Optional[str] = None
     logical_ops: List[LogicalOp] = field(default_factory=list)
-    physical_ops: List[PhysicalOp] = field(default_factory=list)
-
-    @property
-    def read_set(self) -> set[str]:
-        return {op.obj for op in self.logical_ops if op.kind == "r"}
-
-    @property
-    def write_set(self) -> set[str]:
-        return {op.obj for op in self.logical_ops if op.kind == "w"}
 
 
 class History:
@@ -89,9 +73,7 @@ class History:
         self.txns: Dict[Any, TxnRecord] = {}
         self.joins: List[tuple] = []    # (time, pid, vpid, frozenset(view))
         self.departs: List[tuple] = []  # (time, pid, vpid)
-        self.recoveries: List[tuple] = []  # (time, pid, obj, vpid)
-        #: optional runtime :class:`~repro.audit.InvariantAuditor`; the
-        #: join/depart stream is its view-protocol event source
+        #: optional runtime :class:`~repro.audit.InvariantAuditor`
         self.auditor = None
 
     # -- transactions ------------------------------------------------------------
@@ -150,8 +132,8 @@ class History:
             raise ValueError(f"kind must be 'r' or 'w', got {kind!r}")
         op = PhysicalOp(time, txn, kind, obj, copy_pid, value, version, vpid)
         self.physical_ops.append(op)
-        if txn in self.txns:
-            self.txns[txn].physical_ops.append(op)
+        if self.auditor is not None:
+            self.auditor.on_physical_access(op)
 
     def record_logical(self, *, time: float, txn: Any, kind: str, obj: str,
                        value: Any, version: Any) -> None:
@@ -174,11 +156,6 @@ class History:
         if self.auditor is not None:
             self.auditor.on_depart(time=time, pid=pid, vpid=vpid)
 
-    def record_recovery(self, *, time: float, pid: int, obj: str,
-                        vpid: Any) -> None:
-        """A copy was brought up to date by Update-Copies (R5)."""
-        self.recoveries.append((time, pid, obj, vpid))
-
     # -- queries ------------------------------------------------------------
 
     def committed(self) -> List[TxnRecord]:
@@ -189,15 +166,6 @@ class History:
     def aborted(self) -> List[TxnRecord]:
         records = [r for r in self.txns.values() if r.status == "aborted"]
         return sorted(records, key=lambda r: r.begin_time)
-
-    def active(self) -> List[TxnRecord]:
-        records = [r for r in self.txns.values() if r.status == "active"]
-        return sorted(records, key=lambda r: r.begin_time)
-
-    def ops_on_copy(self, obj: str, copy_pid: int) -> List[PhysicalOp]:
-        """Operations on one physical copy, in execution (= record) order."""
-        return [op for op in self.physical_ops
-                if op.obj == obj and op.copy_pid == copy_pid]
 
     def partitions_seen(self) -> List[Any]:
         """All vpids occurring in joins, in creation (≺) order."""

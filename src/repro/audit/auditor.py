@@ -89,6 +89,8 @@ class InvariantAuditor:
         self.violations: list[AuditViolation] = []
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
+        #: ``{pid: ReplicaState}`` of the audited servers (set by the cluster)
+        self.states: dict = {}
         self._context: deque = deque(maxlen=context_size)
         # view-protocol state (S1-S3)
         self._views: dict = {}          # vpid -> committed view
@@ -188,7 +190,7 @@ class InvariantAuditor:
         # hold the obligation and let on_depart/finalize() resolve it
         self._pending_s3.append((new_vpid, join_time, pid, old_vpid))
 
-    # -- access hooks (wired through AccessMixin) ------------------------------
+    # -- access hooks (logical: AccessMixin; physical: History) ---------------
 
     def on_logical_access(self, *, time: float, pid: int, txn: Any, kind: str,
                           obj: str, vpid: Any, targets: Tuple[int, ...],
@@ -234,8 +236,14 @@ class InvariantAuditor:
                 return recorded
         return dict(self.placement.weights(obj))
 
-    def on_physical_access(self, *, time: float, pid: int, txn: Any,
-                           kind: str, obj: str, vpid: Any, state) -> None:
+    def on_physical_access(self, op) -> None:
+        """A served ``PhysicalOp``, judged against its server's live
+        state; a pid absent from ``states`` (a baseline) is not audited."""
+        state = self.states.get(op.copy_pid)
+        if state is None:
+            return
+        time, pid, txn, kind, obj, vpid = (op.time, op.copy_pid, op.txn,
+                                           op.kind, op.obj, op.vpid)
         self._note("physical", time, pid, txn=str(txn), kind=kind, obj=obj,
                    vpid=str(vpid))
         if obj in state.locked:

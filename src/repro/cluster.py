@@ -162,9 +162,10 @@ class Cluster:
         self.auditor = auditor
         auditor.tracer = self.tracer
         self.history.auditor = auditor
-        for proto in self.protocols.values():
+        for pid, proto in self.protocols.items():
             if hasattr(proto, "auditor"):
                 proto.auditor = auditor
+                auditor.states[pid] = proto.state
 
     # -- setup -----------------------------------------------------------------
 

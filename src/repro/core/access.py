@@ -211,44 +211,28 @@ class AccessMixin:
     # Run at the request's delivery event (``serve_spawned``, see
     # ``VirtualPartitionProtocol.attach``); an access becomes a process
     # only if it waits — on the R5 gate, a copy lock, or priced storage.
+    # ``_refusal`` judges it before CC admission, and again only if it
+    # waited (else ``sim.active_process is None``: nothing could move).
 
     def _handle_read(self, message):
         payload = message.payload
         obj, vpid, txn = payload["obj"], payload["v"], payload["txn"]
         state = self.state
         # Fig. 12: wait until (l not in locked) — the R5 gate.
-        yield from state.locked_changed.wait_for(
-            lambda: obj not in state.locked
-        )
-        if not (state.assigned and vpid == state.cur_id):
+        while obj in state.locked:
+            yield state.locked_changed.wait()
+        reason = self._refusal(obj, vpid, txn, payload, False)
+        if reason is None:
+            granted, cc_reason = yield from self.cc.begin_read(
+                txn, payload.get("ts"), obj)
+            if not granted:
+                reason = cc_reason or REJECT_LOCK_TIMEOUT
+            elif self.sim.active_process is not None:
+                # the abort releases the lock (strict 2PL)
+                reason = self._refusal(obj, vpid, txn, payload, False)
+        if reason is not None:
             self.processor.reply(message, "read-reply",
-                                 {"ok": False,
-                                  "reason": REJECT_WRONG_PARTITION})
-            return
-        if self._placement_stale(obj, payload):
-            self.processor.reply(message, "read-reply",
-                                 {"ok": False,
-                                  "reason": REJECT_STALE_PLACEMENT})
-            return
-        granted, cc_reason = yield from self.cc.begin_read(
-            txn, payload.get("ts"), obj)
-        if not granted:
-            self.processor.reply(message, "read-reply",
-                                 {"ok": False,
-                                  "reason": cc_reason or REJECT_LOCK_TIMEOUT})
-            return
-        if not (state.assigned and vpid == state.cur_id):
-            # The partition changed while we waited for the lock.
-            self.processor.reply(message, "read-reply",
-                                 {"ok": False,
-                                  "reason": REJECT_WRONG_PARTITION})
-            return
-        if self._placement_stale(obj, payload):
-            # A reshard flipped the placement while we waited for the
-            # lock; the abort releases it (strict 2PL).
-            self.processor.reply(message, "read-reply",
-                                 {"ok": False,
-                                  "reason": REJECT_STALE_PLACEMENT})
+                                 {"ok": False, "reason": reason})
             return
         value, date = self.processor.store.read(obj)
         version = self.processor.store.version(obj)
@@ -256,11 +240,6 @@ class AccessMixin:
             time=self.sim.now, txn=txn, kind="r", obj=obj,
             copy_pid=self.pid, value=value, version=version, vpid=vpid,
         )
-        if self.auditor is not None:
-            self.auditor.on_physical_access(
-                time=self.sim.now, pid=self.pid, txn=txn, kind="r",
-                obj=obj, vpid=vpid, state=state,
-            )
         self.processor.reply(message, "read-reply",
                              {"ok": True, "value": value, "date": date,
                               "version": version})
@@ -272,49 +251,22 @@ class AccessMixin:
         state = self.state
         # Writes additionally wait out the reshard write gate: the §6
         # catch-up installing the new copy must see a quiescent value.
-        yield from state.locked_changed.wait_for(
-            lambda: obj not in state.locked and obj not in state.migrating
-        )
-        if not (state.assigned and vpid == state.cur_id):
+        while obj in state.locked or obj in state.migrating:
+            yield state.locked_changed.wait()
+        # judged before the lock: a refused write takes no lock to give back
+        reason = self._refusal(obj, vpid, txn, payload, True)
+        if reason is None:
+            granted, cc_reason = yield from self.cc.begin_write(
+                txn, payload.get("ts"), obj)
+            if not granted:
+                reason = cc_reason or REJECT_LOCK_TIMEOUT
+            elif self.sim.active_process is not None:
+                # a gate or flip that landed meanwhile would leave this
+                # write missing from the copy just installed elsewhere
+                reason = self._refusal(obj, vpid, txn, payload, True)
+        if reason is not None:
             self.processor.reply(message, "write-reply",
-                                 {"ok": False,
-                                  "reason": REJECT_WRONG_PARTITION})
-            return
-        if self._placement_stale(obj, payload):
-            self.processor.reply(message, "write-reply",
-                                 {"ok": False,
-                                  "reason": REJECT_STALE_PLACEMENT})
-            return
-        granted, cc_reason = yield from self.cc.begin_write(
-            txn, payload.get("ts"), obj)
-        if not granted:
-            self.processor.reply(message, "write-reply",
-                                 {"ok": False,
-                                  "reason": cc_reason or REJECT_LOCK_TIMEOUT})
-            return
-        if not (state.assigned and vpid == state.cur_id):
-            self.processor.reply(message, "write-reply",
-                                 {"ok": False,
-                                  "reason": REJECT_WRONG_PARTITION})
-            return
-        if (obj in state.migrating or self.placement.pending_copies(obj)
-                or self._placement_stale(obj, payload)):
-            # The gate closed (or the flip landed) while we waited for
-            # the lock: letting this write through would miss the copy
-            # just installed elsewhere.  Reject; the abort releases the
-            # lock and the client retries on the new placement.  The
-            # pending-migration fence backs up the volatile gate: a
-            # holder that crashed and recovered mid-migration forgets
-            # ``migrating``, but the staged placement still names the
-            # object until the flip, so no write slips in through the
-            # amnesia window.
-            self.processor.reply(message, "write-reply",
-                                 {"ok": False,
-                                  "reason": REJECT_STALE_PLACEMENT})
-            return
-        if txn in self._poisoned_txns:
-            self.processor.reply(message, "write-reply",
-                                 {"ok": False, "reason": REJECT_POISONED})
+                                 {"ok": False, "reason": reason})
             return
         images = self._before_images.setdefault(txn, {})
         store = self.processor.store
@@ -338,11 +290,6 @@ class AccessMixin:
             time=self.sim.now, txn=txn, kind="w", obj=obj,
             copy_pid=self.pid, value=value, version=version, vpid=vpid,
         )
-        if self.auditor is not None:
-            self.auditor.on_physical_access(
-                time=self.sim.now, pid=self.pid, txn=txn, kind="w",
-                obj=obj, vpid=vpid, state=state,
-            )
         # Durability cost model: the write's journal append must land
         # before the copy acknowledges.  The write is already visible
         # locally (strict 2PL holds the lock), so only the ack waits.
@@ -351,17 +298,25 @@ class AccessMixin:
             yield self.sim.timeout(append_cost)
         self.processor.reply(message, "write-reply", {"ok": True})
 
-    def _placement_stale(self, obj: str, payload) -> bool:
-        """Was this physical access routed on a flipped placement?
-
-        Requests carry the placement epoch they routed on (``pe``, 0
-        when the object was never resharded, matching requests from
-        older payloads); a mismatch against the authoritative map — or
-        a request reaching a processor whose copy was retired — means a
-        reshard flip won the race and the access must not be served.
-        """
-        return (payload.get("pe", 0) != self.placement.epoch_of(obj)
-                or not self.processor.store.holds(obj))
+    def _refusal(self, obj: str, vpid, txn, payload,
+                 write: bool) -> str | None:
+        """Fig. 12's guards in order (None: serve): the partition; the
+        placement epoch routed on (``pe``, 0 if never resharded) and
+        ``holds()`` — else a reshard flip won the race — plus, for a
+        write, the migration fence (the staged placement backs up the
+        volatile ``migrating`` gate, forgotten by a holder that crashed
+        mid-migration); for a write, a txn force-aborted here (R4)."""
+        state = self.state
+        if not (state.assigned and vpid == state.cur_id):
+            return REJECT_WRONG_PARTITION
+        if (payload.get("pe", 0) != self.placement.epoch_of(obj)
+                or not self.processor.store.holds(obj)
+                or write and (obj in state.migrating
+                              or self.placement.pending_copies(obj))):
+            return REJECT_STALE_PLACEMENT
+        if write and txn in self._poisoned_txns:
+            return REJECT_POISONED
+        return None
 
     def _vote(self, txn, payload) -> str | None:
         """R4 vote; None means yes, otherwise the refusal reason."""
@@ -466,7 +421,6 @@ class AccessMixin:
         for txn in sorted(self.cc.active_txns(), key=repr):
             if txn in self.commit.in_doubt:
                 continue
-            self._poisoned_txns.add(txn)
             self._apply_decision(txn, "abort")
             self._poisoned_txns.add(txn)
 

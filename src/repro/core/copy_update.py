@@ -74,8 +74,6 @@ class UpdateMixin:
                 # §6: pure split-off — the copy is known fresh already.
                 state.unlock_object(obj)
                 self.metrics.recoveries += 1
-                self.history.record_recovery(time=self.sim.now, pid=self.pid,
-                                             obj=obj, vpid=old_id)
                 if self.tracer is not None:
                     self.tracer.emit("recover.fresh", pid=self.pid, obj=obj,
                                      vpid=old_id)
@@ -185,8 +183,6 @@ class UpdateMixin:
                 store.install(obj, best[1], best[0], best[2])
         self.metrics.transfer_units += units
         self.metrics.recoveries += 1
-        self.history.record_recovery(time=self.sim.now, pid=self.pid,
-                                     obj=obj, vpid=old_id)
         if self.tracer is not None:
             self.tracer.emit("recover.object", pid=self.pid, obj=obj,
                              units=units, vpid=old_id)
@@ -339,7 +335,7 @@ class UpdateMixin:
 
         A plain handler, run at the request's delivery: the gate and the
         reported date are one atomic snapshot.  A write that already passed the gate check
-        but is still waiting on its copy lock is caught by the post-lock
+        but is still waiting on its copy lock is caught by the post-wait
         re-check in ``_handle_write`` — no write lands after the gate's
         date without the coordinator's verify round seeing it.
         """

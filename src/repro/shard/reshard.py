@@ -421,7 +421,7 @@ class ReshardEngine:
 
         Replies may be assembled across retry rounds — safe because the
         pending-migration fence, not the volatile gate, is what keeps
-        writes out (see ``_handle_write``); the gates exist to snapshot
+        writes out (see ``AccessMixin._refusal``); the gates exist to snapshot
         dates and park well-behaved writers.
         """
         config = self.cluster.config

@@ -3,7 +3,8 @@
 Used to implement the paper's ``wait until (l not in locked)`` (Fig. 12)
 without busy waiting: waiters park on a :class:`Notifier` and are all
 released whenever the guarded state changes, then re-check their
-predicate.
+predicate in their own loop, tested before any wait is built:
+``while obj in state.locked: yield state.locked_changed.wait()``.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ class Notifier:
         for event in waiters:
             if not event.triggered:
                 event.succeed()
-
-    def wait_for(self, predicate):
-        """Generator: resume only once ``predicate()`` is true.
-
-        Use as ``yield from notifier.wait_for(lambda: l not in locked)``.
-        The predicate is rechecked after every notification.
-        """
-        while not predicate():
-            yield self.wait()
 
     @property
     def waiting(self) -> int:

@@ -52,11 +52,17 @@ def test_physical_ops_attach_to_txn(history):
     history.record_physical(time=2.0, txn="t1", kind="w", obj="x",
                             copy_pid=2, value=1, version=("t1", 1),
                             vpid="v1")
-    record = history.txns["t1"]
-    assert len(record.physical_ops) == 2
-    assert {op.vpid for op in record.physical_ops} == {"v1"}
-    assert len(history.ops_on_copy("x", 2)) == 2
-    assert history.ops_on_copy("x", 3) == []
+    history.record_physical(time=3.0, txn="t2", kind="r", obj="x",
+                            copy_pid=3, value=1, version=("t1", 1),
+                            vpid="v1")
+    # one global list, in record order; a txn's or a copy's ops filter it
+    assert [op.time for op in history.physical_ops] == [1.0, 2.0, 3.0]
+    ops = [op for op in history.physical_ops if op.txn == "t1"]
+    assert [op.kind for op in ops] == ["r", "w"]
+    assert {op.vpid for op in ops} == {"v1"}
+    on_copy = [op for op in history.physical_ops
+               if (op.obj, op.copy_pid) == ("x", 2)]
+    assert on_copy == ops
 
 
 def test_logical_ops_and_read_write_sets(history):
@@ -66,8 +72,9 @@ def test_logical_ops_and_read_write_sets(history):
     history.record_logical(time=2.0, txn="t1", kind="w", obj="y",
                            value=9, version=("t1", 1))
     record = history.txns["t1"]
-    assert record.read_set == {"x"}
-    assert record.write_set == {"y"}
+    assert record.logical_ops == history.logical_ops
+    assert {op.obj for op in record.logical_ops if op.kind == "r"} == {"x"}
+    assert {op.obj for op in record.logical_ops if op.kind == "w"} == {"y"}
 
 
 def test_invalid_kind_rejected(history):
@@ -94,16 +101,3 @@ def test_view_of_detects_s1_violation(history):
     history.record_join(time=2.0, pid=2, vpid="v1", view={1, 2})
     with pytest.raises(AssertionError):
         history.view_of("v1")
-
-
-def test_conflicts_with():
-    from repro.analysis.history import PhysicalOp
-    read = PhysicalOp(1.0, "t1", "r", "x", 2, 0, None, None)
-    write = PhysicalOp(2.0, "t2", "w", "x", 2, 1, None, None)
-    other_copy = PhysicalOp(2.0, "t2", "w", "x", 3, 1, None, None)
-    same_txn = PhysicalOp(2.0, "t1", "w", "x", 2, 1, None, None)
-    read2 = PhysicalOp(3.0, "t2", "r", "x", 2, 0, None, None)
-    assert read.conflicts_with(write)
-    assert not read.conflicts_with(other_copy)
-    assert not read.conflicts_with(same_txn)
-    assert not read.conflicts_with(read2)

@@ -5,6 +5,7 @@ honours) exactly one invariant and checks the verdict — the auditor is
 pure observation, so no simulator is needed.
 """
 
+from repro.analysis.history import History, PhysicalOp
 from repro.audit import InvariantAuditor
 from repro.core.ids import VpId
 from repro.core.views import CopyPlacement
@@ -137,35 +138,60 @@ def test_unknown_vpid_is_skipped_not_flagged():
 # -- R5 / view match / placement (physical accesses) -------------------------
 
 
+def served_read(pid=1, vpid=V1):
+    """The op a server records for a read of ``x`` it served."""
+    return PhysicalOp(time=2.0, txn=(1, 1), kind="r", obj="x",
+                      copy_pid=pid, value=0, version=None, vpid=vpid)
+
+
 def test_r5_serving_a_locked_copy():
     auditor = InvariantAuditor(placement_xyz())
-    state = FakeState(locked={"x"})
-    auditor.on_physical_access(time=2.0, pid=1, txn=(1, 1), kind="r",
-                               obj="x", vpid=V1, state=state)
+    auditor.states[1] = FakeState(locked={"x"})
+    auditor.on_physical_access(served_read())
     assert [v.invariant for v in auditor.violations] == ["R5"]
 
 
 def test_view_match_serving_foreign_partition():
     auditor = InvariantAuditor(placement_xyz())
-    state = FakeState(cur_id=V2)
-    auditor.on_physical_access(time=2.0, pid=1, txn=(1, 1), kind="r",
-                               obj="x", vpid=V1, state=state)
+    auditor.states[1] = FakeState(cur_id=V2)
+    auditor.on_physical_access(served_read())
     assert [v.invariant for v in auditor.violations] == ["view-match"]
 
 
 def test_placement_serving_unheld_object():
     auditor = InvariantAuditor(placement_xyz())
-    state = FakeState(lview={1, 2, 3, 4})
-    auditor.on_physical_access(time=2.0, pid=4, txn=(1, 1), kind="r",
-                               obj="x", vpid=V1, state=state)
+    auditor.states[4] = FakeState(lview={1, 2, 3, 4})
+    auditor.on_physical_access(served_read(pid=4))
     assert [v.invariant for v in auditor.violations] == ["placement"]
 
 
 def test_clean_physical_access_passes():
     auditor = InvariantAuditor(placement_xyz())
-    auditor.on_physical_access(time=2.0, pid=1, txn=(1, 1), kind="r",
-                               obj="x", vpid=V1, state=FakeState())
+    auditor.states[1] = FakeState()
+    auditor.on_physical_access(served_read())
     assert auditor.ok
+
+
+def test_server_without_state_is_not_audited():
+    """A baseline's server (no ``states`` entry, ``vpid=None``) is not
+    judged: nothing is flagged and nothing enters the context."""
+    auditor = InvariantAuditor(placement_xyz())
+    auditor.states[1] = FakeState(locked={"x"})
+    auditor.on_physical_access(served_read(pid=4, vpid=None))
+    assert auditor.ok
+    auditor.on_join(time=3.0, pid=3, vpid=V1, view=frozenset({1, 2}))
+    assert [c["event"] for c in auditor.violations[0].context] == ["join"]
+
+
+def test_history_hands_each_served_op_to_the_auditor():
+    auditor = InvariantAuditor(placement_xyz())
+    auditor.states[1] = FakeState(locked={"x"})
+    history = History()
+    history.auditor = auditor
+    history.record_physical(time=2.0, txn=(1, 1), kind="r", obj="x",
+                            copy_pid=1, value=0, version=None, vpid=V1)
+    assert [v.invariant for v in auditor.violations] == ["R5"]
+    assert auditor.violations[0].context[-1]["event"] == "physical"
 
 
 # -- commit safety --------------------------------------------------------------

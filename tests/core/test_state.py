@@ -104,12 +104,14 @@ def test_locked_set_notifications(state):
     observed = []
 
     def waiter():
-        yield from state.locked_changed.wait_for(
-            lambda: "x" not in state.locked)
+        while "x" in state.locked:
+            yield state.locked_changed.wait()
         observed.append(sim.now)
 
     state.lock_objects({"x"})
     sim.process(waiter())
+    # a notification that leaves "x" locked: the loop re-checks, waits on
+    sim.timeout(2.0).add_callback(lambda e: state.lock_objects({"y"}))
     sim.timeout(5.0).add_callback(lambda e: state.unlock_object("x"))
     sim.run()
     assert observed == [5.0]

@@ -36,42 +36,6 @@ def test_new_waiters_need_a_new_notification():
     assert woken == [8.0]
 
 
-def test_wait_for_rechecks_predicate():
-    sim = Simulator()
-    notifier = Notifier(sim)
-    state = {"value": 0}
-    woken = []
-
-    def waiter():
-        yield from notifier.wait_for(lambda: state["value"] >= 2)
-        woken.append(sim.now)
-
-    def bumper():
-        for _ in range(3):
-            yield sim.timeout(2.0)
-            state["value"] += 1
-            notifier.notify_all()
-
-    sim.process(waiter())
-    sim.process(bumper())
-    sim.run()
-    assert woken == [4.0]  # after the second bump
-
-
-def test_wait_for_true_predicate_is_immediate():
-    sim = Simulator()
-    notifier = Notifier(sim)
-    woken = []
-
-    def waiter():
-        yield from notifier.wait_for(lambda: True)
-        woken.append(sim.now)
-
-    sim.process(waiter())
-    sim.run()
-    assert woken == [0.0]
-
-
 def test_waiting_count():
     sim = Simulator()
     notifier = Notifier(sim)
