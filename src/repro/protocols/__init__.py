@@ -1,7 +1,10 @@
 """Replica control protocols: the common interface and the baselines.
 
 The paper's own protocol lives in :mod:`repro.core`; everything here is
-either shared machinery or a comparison protocol from the literature:
+either shared machinery or a comparison protocol from the literature.
+Each baseline subclasses :class:`~repro.protocols.common.BaselineProtocol`
+(constructor, copy server, prepare/release round, and the read-one and
+write-all loops) and keeps only which copies its operations touch:
 
 * :class:`RowaProtocol` — read-one/write-ALL (no fault tolerance);
 * :class:`QuorumProtocol` — Gifford's weighted voting [G];

@@ -27,7 +27,7 @@ on that window.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Set
+from typing import Any, Dict, Set
 
 from ..core.errors import AccessAborted
 from .quorum import QuorumProtocol
@@ -38,10 +38,8 @@ class MissingWritesProtocol(QuorumProtocol):
 
     name = "missing-writes"
 
-    def __init__(self, processor, placement, config, history, latency,
-                 all_pids: Iterable[int]):
-        super().__init__(processor, placement, config, history, latency,
-                         all_pids)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         #: object -> copies known to have missed writes
         self._missing: Dict[str, Set[int]] = {}
         #: last version number seen per object (normal-mode write base)
@@ -62,38 +60,13 @@ class MissingWritesProtocol(QuorumProtocol):
             value = yield from super().logical_read(obj, ctx)
             return value
         self.metrics.logical_reads += 1
-        candidates = self.placement.holders_by_distance(
-            obj, self.placement.copies(obj),
-            lambda q: self._latency.distance(self.pid, q),
-        )
-        last_reason = "no-copy"
-        for server in candidates:
-            self.metrics.physical_read_rpcs += 1
-            if server == self.pid:
-                self.metrics.local_reads += 1
-            results = yield from self._fanout(
-                "read", [server],
-                lambda _s: {"obj": obj, "txn": ctx.txn_id,
-                            "ts": ctx.timestamp})
-            payload = results[server]
-            if payload is None:
-                last_reason = "no-response"
-                continue
-            if payload["ok"]:
-                ctx.note_access("r", obj, server, None)
-                self._last_seen[obj] = max(
-                    self._last_seen.get(obj, 0), payload["date"] or 0)
-                self._version_cache.setdefault(ctx.txn_id, {})[obj] = (
-                    payload["date"] or 0)
-                self.history.record_logical(
-                    time=self.sim.now, txn=ctx.txn_id, kind="r", obj=obj,
-                    value=payload["value"], version=payload["version"],
-                )
-                return payload["value"]
-            last_reason = payload["reason"]
-            break
-        self.metrics.abort("r", last_reason)
-        raise AccessAborted(obj, last_reason)
+        payload = yield from self._read_one(
+            obj, ctx, self._nearest(obj, self.placement.copies(obj)),
+            "no-copy")
+        date = payload["date"] or 0
+        self._last_seen[obj] = max(self._last_seen.get(obj, 0), date)
+        self._version_cache.setdefault(ctx.txn_id, {})[obj] = date
+        return payload["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):
         self.metrics.logical_writes += 1
@@ -180,12 +153,8 @@ class MissingWritesProtocol(QuorumProtocol):
         lagging = sorted(self._missing.get(obj, ()))
         if not lagging:
             return
-        good = [
-            p for p in self.placement.holders_by_distance(
-                obj, self.placement.copies(obj),
-                lambda q: self._latency.distance(self.pid, q))
-            if p not in lagging
-        ]
+        good = [p for p in self._nearest(obj, self.placement.copies(obj))
+                if p not in lagging]
         if not good:
             return
         repair_txn = ("mw-repair", self.pid, int(self.sim.now * 1000))

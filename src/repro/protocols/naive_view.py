@@ -30,32 +30,22 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from ..core.errors import AccessAborted
-from .base import ReplicaControlProtocol
-from .common import BaselineServerMixin
+from .common import BaselineProtocol
 
 
-class NaiveViewProtocol(BaselineServerMixin, ReplicaControlProtocol):
+class NaiveViewProtocol(BaselineProtocol):
     """Majority/read-one/write-all over unsynchronized local views."""
 
     name = "naive-view"
 
-    def __init__(self, processor, placement, config, history, latency,
-                 all_pids: Iterable[int]):
-        self.processor = processor
-        self.pid = processor.pid
-        self.sim = processor.sim
-        self.placement = placement
-        self.config = config
-        self.history = history
-        self.all_pids = frozenset(all_pids)
-        self._latency = latency
-        self.view: set[int] = set(all_pids)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.view: set[int] = set(self.all_pids)
         #: pause automatic refreshing (scenario tests drive views by hand)
         self.auto_refresh = True
-        self._init_server()
 
     def attach(self) -> None:
-        self._attach_server()
+        super().attach()
         self.processor.add_task("refresh-view", self._refresh_loop)
 
     # ------------------------------------------------------------------
@@ -63,7 +53,6 @@ class NaiveViewProtocol(BaselineServerMixin, ReplicaControlProtocol):
     # ------------------------------------------------------------------
 
     def _refresh_loop(self):
-        graph = self.processor.network.graph
         while True:
             yield self.sim.timeout(self.config.pi)
             if self.auto_refresh:
@@ -84,7 +73,7 @@ class NaiveViewProtocol(BaselineServerMixin, ReplicaControlProtocol):
         self.view = set(view)
 
     # ------------------------------------------------------------------
-    # logical operations
+    # logical operations: the ROWA loops over the copies in the view
     # ------------------------------------------------------------------
 
     def logical_read(self, obj: str, ctx):
@@ -92,65 +81,17 @@ class NaiveViewProtocol(BaselineServerMixin, ReplicaControlProtocol):
         if not self.placement.accessible(obj, self.view):
             self.metrics.abort("r", "inaccessible")
             raise AccessAborted(obj, "inaccessible")
-        candidates = self.placement.holders_by_distance(
-            obj, self.view, lambda q: self._latency.distance(self.pid, q)
-        )
-        last_reason = "no-copy-in-view"
-        for server in candidates:
-            self.metrics.physical_read_rpcs += 1
-            if server == self.pid:
-                self.metrics.local_reads += 1
-            results = yield from self._fanout(
-                "read", [server],
-                lambda _s: {"obj": obj, "txn": ctx.txn_id,
-                            "ts": ctx.timestamp})
-            payload = results[server]
-            if payload is None:
-                last_reason = "no-response"
-                continue
-            if payload["ok"]:
-                self.history.record_logical(
-                    time=self.sim.now, txn=ctx.txn_id, kind="r", obj=obj,
-                    value=payload["value"], version=payload["version"],
-                )
-                ctx.note_access("r", obj, server, None)
-                return payload["value"]
-            last_reason = payload["reason"]
-            break
-        self.metrics.abort("r", last_reason)
-        raise AccessAborted(obj, last_reason)
+        payload = yield from self._read_one(
+            obj, ctx, self._nearest(obj, self.view), "no-copy-in-view")
+        return payload["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):
         self.metrics.logical_writes += 1
         if not self.placement.accessible(obj, self.view):
             self.metrics.abort("w", "inaccessible")
             raise AccessAborted(obj, "inaccessible")
-        targets = sorted(self.placement.copies(obj) & self.view)
-        version = ctx.next_version()
-        self.metrics.physical_write_rpcs += len(targets)
-        results = yield from self._fanout(
-            "write", targets,
-            lambda _s: {"obj": obj, "value": value, "txn": ctx.txn_id,
-                        "ts": ctx.timestamp, "version": version,
-                        "date": None})
-        failures = {s: p for s, p in results.items()
-                    if p is None or not p["ok"]}
-        for server, payload in results.items():
-            if payload is not None and payload.get("ok"):
-                ctx.note_access("w", obj, server, None)
-        if failures:
-            reason = next(
-                (p["reason"] for p in failures.values() if p is not None),
-                "no-response",
-            )
-            ctx.poison(f"write {obj!r} failed at {sorted(failures)}: {reason}")
-            self.metrics.abort("w", reason)
-            raise AccessAborted(obj, reason)
-        self.history.record_logical(
-            time=self.sim.now, txn=ctx.txn_id, kind="w", obj=obj,
-            value=value, version=version,
-        )
-        return None
+        yield from self._write_all(obj, value, ctx,
+                                   sorted(self.placement.copies(obj) & self.view))
 
     def available(self, obj: str, write: bool) -> bool:
         return self.placement.accessible(obj, self.view)

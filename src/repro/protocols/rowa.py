@@ -9,94 +9,29 @@ the majority rule buys.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-from ..core.errors import AccessAborted
-from .base import ReplicaControlProtocol
-from .common import BaselineServerMixin
+from .common import BaselineProtocol
 
 
-class RowaProtocol(BaselineServerMixin, ReplicaControlProtocol):
+class RowaProtocol(BaselineProtocol):
     """Read any copy; write all copies or abort."""
 
     name = "rowa"
 
-    def __init__(self, processor, placement, config, history, latency,
-                 all_pids: Iterable[int]):
-        self.processor = processor
-        self.pid = processor.pid
-        self.sim = processor.sim
-        self.placement = placement
-        self.config = config
-        self.history = history
-        self.all_pids = frozenset(all_pids)
-        self._latency = latency
-        self._init_server()
-
-    def attach(self) -> None:
-        self._attach_server()
-
     def logical_read(self, obj: str, ctx):
         """Try copies nearest-first until one answers."""
         self.metrics.logical_reads += 1
-        candidates = self.placement.holders_by_distance(
-            obj, self.placement.copies(obj),
-            lambda q: self._latency.distance(self.pid, q),
-        )
-        last_reason = "no-copy"
-        for server in candidates:
-            self.metrics.physical_read_rpcs += 1
-            if server == self.pid:
-                self.metrics.local_reads += 1
-            results = yield from self._fanout(
-                "read", [server],
-                lambda _s: {"obj": obj, "txn": ctx.txn_id,
-                            "ts": ctx.timestamp})
-            payload = results[server]
-            if payload is None:
-                last_reason = "no-response"
-                continue
-            if payload["ok"]:
-                self.history.record_logical(
-                    time=self.sim.now, txn=ctx.txn_id, kind="r", obj=obj,
-                    value=payload["value"], version=payload["version"],
-                )
-                ctx.note_access("r", obj, server, None)
-                return payload["value"]
-            last_reason = payload["reason"]
-            break
-        self.metrics.abort("r", last_reason)
-        raise AccessAborted(obj, last_reason)
+        payload = yield from self._read_one(
+            obj, ctx, self._nearest(obj, self.placement.copies(obj)),
+            "no-copy")
+        return payload["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):
         """Every copy must acknowledge, or the write (and txn) aborts."""
         self.metrics.logical_writes += 1
-        targets = sorted(self.placement.copies(obj))
-        version = ctx.next_version()
-        self.metrics.physical_write_rpcs += len(targets)
-        results = yield from self._fanout(
-            "write", targets,
-            lambda _s: {"obj": obj, "value": value, "txn": ctx.txn_id,
-                        "ts": ctx.timestamp, "version": version,
-                        "date": None})
-        failures = {s: p for s, p in results.items()
-                    if p is None or not p["ok"]}
-        for server, payload in results.items():
-            if payload is not None and payload.get("ok"):
-                ctx.note_access("w", obj, server, None)
-        if failures:
-            reason = next(
-                (p["reason"] for p in failures.values() if p is not None),
-                "no-response",
-            )
-            ctx.poison(f"write {obj!r} failed at {sorted(failures)}: {reason}")
-            self.metrics.abort("w", reason)
-            raise AccessAborted(obj, reason)
-        self.history.record_logical(
-            time=self.sim.now, txn=ctx.txn_id, kind="w", obj=obj,
-            value=value, version=version,
-        )
-        return None
+        yield from self._write_all(obj, value, ctx,
+                                   sorted(self.placement.copies(obj)))
 
     def available(self, obj: str, write: bool) -> bool:
         """Omniscient availability (graph reachability), for benchmarks."""

@@ -3,15 +3,11 @@
 import pytest
 
 from repro import Cluster
-from repro.protocols import QuorumProtocol
+from repro.protocols import MajorityProtocol, QuorumProtocol
 
 
-def build(n=5, holders=None, seed=1, **proto_kwargs):
-    def factory(*args):
-        return QuorumProtocol(*args, **proto_kwargs)
-
-    cluster = Cluster(processors=n, seed=seed,
-                      protocol=factory if proto_kwargs else QuorumProtocol)
+def build(n=5, holders=None, seed=1):
+    cluster = Cluster(processors=n, seed=seed, protocol=QuorumProtocol)
     cluster.place("x", holders=holders or list(range(1, n + 1)), initial=0)
     cluster.start()
     return cluster
@@ -37,16 +33,33 @@ def test_weighted_thresholds():
     assert protocol.vote_weight("x", 1) == 3
 
 
-def test_invalid_explicit_quorums_rejected():
-    cluster = build(5, read_quorum=1, write_quorum=2)
-    with pytest.raises(ValueError):
-        cluster.protocol(1).thresholds("x")
+def thresholds(protocol, weights):
+    cluster = Cluster(processors=9, seed=1, protocol=protocol)
+    cluster.place("x", holders=weights, initial=0)
+    return cluster.protocol(1).thresholds("x")
 
 
-def test_non_majority_write_quorum_rejected():
-    cluster = build(5, read_quorum=5, write_quorum=2)
-    with pytest.raises(ValueError):
-        cluster.protocol(1).thresholds("x")
+@pytest.mark.parametrize("total", range(1, 10))
+@pytest.mark.parametrize("shape", ["uniform", "skewed"])
+def test_classic_pair_intersects(total, shape):
+    if shape == "uniform":
+        weights = {p: 1 for p in range(1, total + 1)}
+    else:
+        weights = {p: w for p, w in ((1, total - total // 3), (2, total // 3))
+                   if w}
+    r, w = thresholds(QuorumProtocol, weights)
+    assert r + w > total  # every read quorum meets every write quorum
+    assert 2 * w > total  # any two write quorums meet
+
+
+@pytest.mark.parametrize("total", range(1, 10))
+def test_majority_differs_from_quorum_on_even_copy_counts(total):
+    weights = {p: 1 for p in range(1, total + 1)}
+    quorum = thresholds(QuorumProtocol, weights)
+    majority = thresholds(MajorityProtocol, weights)
+    assert (quorum != majority) == (total % 2 == 0)
+    if total == 4:  # E18's four fully replicated processors
+        assert (quorum, majority) == ((2, 3), (3, 3))
 
 
 def test_read_returns_highest_version():
