@@ -18,8 +18,6 @@ class TransactionContext:
     """Mutable per-transaction bookkeeping."""
 
     txn_id: TxnId
-    origin: int
-    start_vpid: Any = None
     #: globally unique TSO timestamp: (begin_time, pid, seq)
     timestamp: Any = None
     participants: Set[int] = field(default_factory=set)

@@ -159,12 +159,6 @@ class LockManager:
         state = self._table.get(obj)
         return dict(state.holders) if state else {}
 
-    def is_write_locked(self, obj: str) -> bool:
-        """True if some transaction holds X on ``obj`` (condition (3) of
-        the weakened R4: recovery must not read such a copy)."""
-        state = self._table.get(obj)
-        return bool(state) and EXCLUSIVE in state.holders.values()
-
     def holding_txns(self) -> set:
         """All transactions currently holding any lock here."""
         txns = set()

@@ -134,9 +134,8 @@ class TransactionManager:
         """Start a new transaction rooted at this processor."""
         seq = next(self._seq)
         txn_id = (self.pid, seq)
-        ctx = TransactionContext(txn_id=txn_id, origin=self.pid)
+        ctx = TransactionContext(txn_id=txn_id)
         ctx.timestamp = (self.protocol.processor.sim.now, self.pid, seq)
-        ctx.start_vpid = getattr(self.protocol, "current_partition", None)
         self.history.begin_txn(txn_id, self.pid,
                                self.protocol.processor.sim.now)
         if self.tracer is not None:

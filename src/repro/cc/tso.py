@@ -27,7 +27,7 @@ rejected by the ``v = cur-id`` check before reaching the CC layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
 
 from ..sim import Notifier, Simulator
@@ -43,7 +43,6 @@ class _CopyMarks:
     rts: Any = None
     wts: Any = None
     uncommitted: Optional[tuple] = None  # (txn, ts)
-    readers: Set[Any] = field(default_factory=set)
 
 
 def _later(a, b) -> bool:
@@ -68,24 +67,18 @@ class TimestampOrdering(ConcurrencyControl):
         self._changed = Notifier(sim, name=f"{label}.decisions")
         #: admissions per transaction, for finish/active_txns
         self._by_txn: Dict[Any, Set[str]] = {}
-        self.rejections = 0
 
     # -- admission ------------------------------------------------------------
 
     def begin_read(self, txn: Any, ts: Any, obj: str):
-        marks = self._marks.setdefault(obj, _CopyMarks())
         settled = yield from self._await_no_older_uncommitted(txn, ts, obj)
         if not settled:
             return (False, REJECTED_TIMEOUT)
         marks = self._marks.setdefault(obj, _CopyMarks())
         if _later(marks.wts, ts) and not self._own(marks, txn):
-            self.rejections += 1
             return (False, REJECTED_TOO_LATE)
-        if not _later(ts, marks.rts) and marks.rts is not None:
-            pass  # reads never invalidate earlier reads
         if _later(ts, marks.rts):
             marks.rts = ts
-        marks.readers.add(txn)
         self._by_txn.setdefault(txn, set()).add(obj)
         return (True, None)
 
@@ -98,7 +91,6 @@ class TimestampOrdering(ConcurrencyControl):
             # re-writing our own uncommitted value is always fine
             return (True, None)
         if _later(marks.rts, ts) or _later(marks.wts, ts):
-            self.rejections += 1
             return (False, REJECTED_TOO_LATE)
         marks.wts = ts
         marks.uncommitted = (txn, ts)
@@ -133,7 +125,6 @@ class TimestampOrdering(ConcurrencyControl):
             marks = self._marks.get(obj)
             if marks is None:
                 continue
-            marks.readers.discard(txn)
             if marks.uncommitted is not None and marks.uncommitted[0] == txn:
                 marks.uncommitted = None
                 # An aborted write's value is rolled back by the server's

@@ -123,13 +123,6 @@ def test_release_all_returns_freed_objects(manager):
     assert manager.holders("x") == {}
 
 
-def test_is_write_locked(manager):
-    manager.acquire("t1", "x", SHARED)
-    assert not manager.is_write_locked("x")
-    manager.acquire("t2", "y", EXCLUSIVE)
-    assert manager.is_write_locked("y")
-
-
 def test_holding_txns(manager):
     manager.acquire("t1", "x", SHARED)
     manager.acquire("t2", "y", EXCLUSIVE)
