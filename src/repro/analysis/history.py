@@ -19,14 +19,13 @@ reads-from relation exact even when applications write equal values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 #: token representing the initial database state (a virtual writer T0)
 INITIAL_VERSION = ("T0", 0)
 
 
-@dataclass(frozen=True)
-class PhysicalOp:
+class PhysicalOp(NamedTuple):
     """One read or write on one physical copy."""
 
     time: float
@@ -39,8 +38,7 @@ class PhysicalOp:
     vpid: Any
 
 
-@dataclass(frozen=True)
-class LogicalOp:
+class LogicalOp(NamedTuple):
     """One logical read or write as issued by a transaction."""
 
     time: float

@@ -98,21 +98,17 @@ class Processor:
     def send(self, dst: int, kind: str, payload: Mapping[str, Any]
              | None = None) -> Message:
         """Fire-and-forget send; returns the envelope (for reply matching)."""
-        message = Message(src=self.pid, dst=dst, kind=kind,
-                          payload=payload or {}, sent_at=self.sim.now,
-                          msg_id=self.network.next_msg_id())
+        message = Message(self.pid, dst, kind, payload or {}, None,
+                          self.network.next_msg_id(), self.sim.now)
         self.network.send(message)
         return message
 
     def reply(self, request: Message, kind: str,
               payload: Mapping[str, Any] | None = None) -> None:
         """Respond to ``request``; routed back to its ``rpc`` waiter."""
-        response = Message(
-            src=self.pid, dst=request.src, kind=kind,
-            payload=payload or {}, reply_to=request.msg_id,
-            sent_at=self.sim.now, msg_id=self.network.next_msg_id(),
-        )
-        self.network.send(response)
+        self.network.send(Message(
+            self.pid, request.src, kind, payload or {}, request.msg_id,
+            self.network.next_msg_id(), self.sim.now))
 
     def rpc(self, dst: int, kind: str, payload: Mapping[str, Any] | None,
             timeout: float):

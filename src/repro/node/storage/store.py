@@ -19,11 +19,10 @@ mutation of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any, List, NamedTuple
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """One physical write applied to a copy."""
 
     date: Any

@@ -20,8 +20,7 @@ counts both kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List, NamedTuple, Optional
 
 # -- record kinds -----------------------------------------------------------
 
@@ -68,12 +67,12 @@ class LogTruncated(LookupError):
         self.floor = floor
 
 
-@dataclass(frozen=True)
-class WalRecord:
+class WalRecord(NamedTuple):
     """One journalled mutation.
 
     The fields beyond ``lsn``/``kind``/``forced`` are kind-dependent;
-    unused ones stay ``None``.  Records are immutable — replay and
+    unused ones stay ``None``.  Records are immutable by type (a tuple:
+    assigning a field raises ``AttributeError``), so replay and
     accounting may share them freely.
     """
 
@@ -125,11 +124,8 @@ class WriteAheadLog:
         if kind not in RECORD_KINDS:
             raise ValueError(f"unknown WAL record kind {kind!r}")
         self.tail_lsn += 1
-        record = WalRecord(
-            lsn=self.tail_lsn, kind=kind, forced=forced, obj=obj,
-            value=value, date=date, version=version, size=size,
-            cell=cell, txn=txn, outcome=outcome,
-        )
+        record = WalRecord(self.tail_lsn, kind, forced, obj, value, date,
+                           version, size, cell, txn, outcome)
         self._records.append(record)
         return record
 

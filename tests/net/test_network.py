@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.net import CommGraph, FixedLatency, Message, Network
+from repro.node import Processor
 from repro.sim import Simulator, Timeout
 
 
@@ -92,11 +93,22 @@ def test_by_kind_counters():
 
 
 def test_reply_envelope_links_request():
-    request = Message(src=1, dst=2, kind="read", payload={"obj": "x"})
-    response = request.reply("read-reply", {"value": 7})
-    assert response.src == 2 and response.dst == 1
+    """``Processor.reply`` is the one reply path: the response names its
+    request, and both ids are drawn from that network's own stream."""
+    sim, _, net, _ = build()
+    procs = {p: Processor(p, sim, net) for p in (1, 2)}
+    tapped = []
+    net.tap = tapped.append
+    net.next_msg_id()  # the stream has moved on: ids are not fixed
+    procs[2].serve("read", lambda request: procs[2].reply(
+        request, "read-reply", {"value": 7}))
+    procs[1].send(2, "read", {"obj": "x"})
+    sim.run()
+    request, response = tapped
+    assert (response.src, response.dst, response.kind) == (2, 1, "read-reply")
     assert response.reply_to == request.msg_id
-    assert response.payload["value"] == 7
+    assert (request.msg_id, response.msg_id) == (2, 3)
+    assert response.payload["value"] == 7 and response.sent_at == 1.0
 
 
 def test_unknown_destination_rejected():
