@@ -284,8 +284,8 @@ class StorageEngine:
         copy = self._get(obj)
         applied = 0
         for entry in entries:
-            if copy.date is None or (entry.date is not None
-                                     and entry.date > copy.date):
+            if entry.date is not None and (copy.date is None
+                                           or entry.date > copy.date):
                 self._set(REC_APPLY, copy, entry.value, entry.date,
                           entry.version)
                 applied += 1

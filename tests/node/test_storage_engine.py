@@ -118,6 +118,23 @@ def test_apply_log_journals_exactly_the_applied_entries():
     assert engine.rebuilt().snapshot() == engine.snapshot()
 
 
+@pytest.mark.parametrize("entries, applied, held", [
+    ([LogEntry(None, "undated", "v-none"), LogEntry((1, 1), 1, "v1")],
+     [("apply", 1)], (1, (1, 1), "v1")),
+    ([LogEntry(None, "undated", "v-none")], [], (0, None, None)),
+], ids=["then-dated", "alone"])
+def test_apply_log_skips_undated_entries_on_a_never_written_copy(
+        entries, applied, held):
+    """A requester whose copy was never written asks ``log_since(obj,
+    None)`` and gets the source's undated placement entry back: it is
+    skipped like any other undated entry, not installed over the copy."""
+    engine = StorageEngine(1)
+    engine.place("x", initial=0)
+    assert engine.apply_log("x", entries) == len(applied)
+    assert [(r.kind, r.value) for r in engine.wal][1:] == applied
+    assert (*engine.peek("x"), engine.version("x")) == held
+
+
 def test_force_write_points_are_counted():
     engine = StorageEngine(1)
     engine.record_prepare("t1", objects={"x"})
