@@ -18,11 +18,9 @@ from itertools import count
 from typing import Iterable, Optional
 
 from ..analysis.history import History
-from ..cc.factory import make_cc
-from ..commit import make_commit
 from ..net.latency import LatencyModel
 from ..node.processor import Processor, window_closed
-from ..protocols.base import ProtocolMetrics, ReplicaControlProtocol
+from ..protocols.base import ReplicaControlProtocol
 from ..shard.directory import LocalDirectory
 from .access import AccessMixin
 from .config import ProtocolConfig
@@ -45,34 +43,20 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
     def __init__(self, processor: Processor, placement: CopyPlacement,
                  config: ProtocolConfig, history: History,
                  latency: LatencyModel, all_pids: Iterable[int]):
-        self.processor = processor
-        self.pid = processor.pid
-        self.sim = processor.sim
-        self.placement = placement
-        self.config = config
-        self.history = history
-        self.all_pids = frozenset(all_pids)
-        self._latency = latency
+        super().__init__(processor, placement, config, history, latency,
+                         all_pids)
         self.state = ReplicaState(self.pid, self.sim, history,
                                   store=processor.store)
-        self.cc = make_cc(config, self.sim, label=f"p{self.pid}.cc")
         #: client-side routing directory (Figs. 10-11 lookups); the
         #: cluster swaps in a CachedDirectory for partial-map runs.
         #: Server-side votes stay on the authoritative ``placement``.
         self.directory = LocalDirectory(placement)
-        self.metrics = ProtocolMetrics()
-        #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
-        self.tracer = None
         #: optional :class:`~repro.audit.InvariantAuditor`; None = off
         self.auditor = None
         self._create_vp_process = None
         #: Fig. 6's armed 3δ wait for a commit (a Timeout), or None
         self._commit_wait = None
-        self._before_images: dict = {}
         self._poisoned_txns: set = set()
-        #: the pluggable atomic-commit backend (prepare round, decision
-        #: log, decide fan-out, in-doubt resolution) — see repro.commit
-        self.commit = make_commit(config.commit_backend, self)
         self._recovery_seq = count(1)
 
     def distance(self, pid: int) -> float:
@@ -106,8 +90,8 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
     # ------------------------------------------------------------------
 
     def attach(self) -> None:
-        """Register the Fig. 3 task set, the request handlers and the
-        crash/recover hooks.
+        """Register the Fig. 3 task set and the request handlers, then
+        the commit backend's kinds and the crash/recover hooks.
 
         Only the probe loop is a task; every inbound kind is served at
         its delivery event — handlers that never wait directly (Fig. 6's
@@ -124,44 +108,18 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         processor.serve("probe-ack", window_closed)
         processor.serve("reshard-gate", self._handle_reshard_gate)
         processor.serve("reshard-release", self._handle_reshard_release)
-        for kind, handler in self.commit.handlers().items():
-            processor.serve(kind, handler)
         processor.serve_spawned("read", self._handle_read)
         processor.serve_spawned("write", self._handle_write)
         processor.serve_spawned("vpread", self._handle_vpread)
         processor.serve_spawned("reshard-install",
                                 self._handle_reshard_install)
-        processor.on_crash(self._on_crash)
-        processor.on_recover(self._on_recover)
+        super().attach()
 
     def _on_crash(self) -> None:
-        """Volatile state vanishes; dirty uncommitted writes are undone.
-
-        Undoing at crash time models the recovery-time undo pass a WAL
-        would perform before the node serves anything again.  In-doubt
-        transactions (we voted yes in their prepare round) are exempt:
-        their prepare record and before-images are force-written, so
-        the undo/redo choice is deferred until the coordinator's
-        decision is learned — rolling them back here could erase a
-        committed write.
-        """
-        in_doubt = self.commit.in_doubt
-        for txn in sorted(self._before_images, key=repr):
-            if txn in in_doubt:
-                continue
-            images = self._before_images[txn]
-            for obj, (value, date, version) in images.items():
-                self.processor.store.install(obj, value, date, version)
-        self._before_images = {
-            txn: images for txn, images in self._before_images.items()
-            if txn in in_doubt
-        }
+        """The shared undo (in-doubt writes survive), then the view
+        state: force-aborts, the Fig. 6 wait and the volatile state."""
+        super()._on_crash()
         self._poisoned_txns.clear()
-        # Backend-owned commit state: the 2PC decision log finalizes
-        # undecided entries as the presumed abort; Paxos leaves them to
-        # the acceptors.  Resolver bookkeeping is volatile either way.
-        self.commit.on_crash()
-        self.cc = make_cc(self.config, self.sim, label=f"p{self.pid}.cc")
         self._wire_cc_tracer()
         self._disarm_commit_wait()
         self.state.reset_volatile()
@@ -171,7 +129,7 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
     def _on_recover(self) -> None:
         """Come back alone; probing will merge us with the reachable."""
         self.state.reboot()
-        self.commit.on_recover()
+        super()._on_recover()
         if self.tracer is not None:
             self.tracer.emit("proc.recover", pid=self.pid)
 

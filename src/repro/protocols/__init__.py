@@ -2,9 +2,13 @@
 
 The paper's own protocol lives in :mod:`repro.core`; everything here is
 either shared machinery or a comparison protocol from the literature.
-Each baseline subclasses :class:`~repro.protocols.common.BaselineProtocol`
-(constructor, copy server, prepare/release round, and the read-one and
-write-all loops) and keeps only which copies its operations touch:
+Every protocol gets its constructor, crash undo and atomic commit from
+:class:`~repro.protocols.base.ReplicaControlProtocol` — the baselines
+commit through 2PC, so all pay identical concurrency-control *and*
+commit costs.  Each baseline subclasses
+:class:`~repro.protocols.common.BaselineProtocol` (copy server, commit
+vote, and the read-one and write-all loops) and keeps only which
+copies its operations touch:
 
 * :class:`RowaProtocol` — read-one/write-ALL (no fault tolerance);
 * :class:`QuorumProtocol` — Gifford's weighted voting [G];

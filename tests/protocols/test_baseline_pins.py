@@ -9,7 +9,14 @@ History of the pins: the shared baseline skeleton moved none of them.
 The "txn-lost" vote (a participant whose crash hook forgot the
 transaction votes no) moved only missing-writes, from
 ``8b4630b50255098c`` (not 1SR) to the value below, which is 1SR.
-naive-view is not 1SR by design (the §4 strawman).
+Committing the baselines through ``TwoPhaseCommit`` (their own
+prepare/release round deleted) moved all five — rowa from
+``01366e42baebab8e``, quorum and majority from ``49d326b7949af0cb``,
+missing-writes from ``69a93b013bb8d32d``, naive-view from
+``ef6ffb8d21241e96`` — by adding the forced prepare and decision
+records, the decide watchdogs and, under these crashes, the in-doubt
+rules (``txn-status`` queries; an in-doubt copy keeps its write across
+a crash).  naive-view is not 1SR by design (the §4 strawman).
 """
 
 import hashlib
@@ -22,11 +29,11 @@ from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
 PINS = {
-    "rowa": ("01366e42baebab8e", True),
-    "quorum": ("49d326b7949af0cb", True),
-    "majority": ("49d326b7949af0cb", True),
-    "missing-writes": ("69a93b013bb8d32d", True),
-    "naive-view": ("ef6ffb8d21241e96", False),
+    "rowa": ("807036d4db56554c", True),
+    "quorum": ("cf3ac8af644bd260", True),
+    "majority": ("cf3ac8af644bd260", True),
+    "missing-writes": ("1a6630724f7fb94a", True),
+    "naive-view": ("547099c4e5bd5fbb", False),
 }
 
 
