@@ -129,9 +129,9 @@ class AtomicCommit(ABC):
     def handlers(self) -> Mapping[str, Callable]:
         """The backend's ``{message kind: handler}`` map.
 
-        Each handler is called with the message at its delivery event.
-        Handlers are plain callables; anything that needs to wait
-        spawns its own process.
+        Each handler is called with the message at its delivery event;
+        none waits — a vote or an acceptor's answer that must follow a
+        forced write leaves on an :meth:`_after_sync` timer.
         """
 
     def _prepared(self, txn, coordinator: int, objects) -> None:
@@ -211,9 +211,7 @@ class AtomicCommit(ABC):
             if since is not None:
                 self.metrics.in_doubt_dwell.append(self.sim.now - since)
 
-    def _synced_reply(self, message, kind: str, payload):
-        """Generator: reply once a forced write has landed."""
-        sync_cost = self.config.storage_sync_cost
-        if sync_cost > 0:
-            yield self.sim.timeout(sync_cost)
-        self.processor.reply(message, kind, payload)
+    def _after_sync(self, fn: Callable, *args) -> None:
+        """Call ``fn(*args)`` once the forced write just made has landed
+        (a ``storage_sync_cost`` timer that a crash cancels)."""
+        self.processor.after(self.config.storage_sync_cost, fn, *args)

@@ -16,14 +16,13 @@ Mapping onto this codebase's primitives:
 
 * **Acceptors** are the coordinator's view members at prepare time
   (their durable state rides on :meth:`StorageEngine.durable_cell`,
-  one cell per consensus instance, forced on every promise/accept —
-  the PR-3 durability points, ``storage_sync_cost`` charged per
-  acceptor write batch).
+  one cell per consensus instance, forced on every promise/accept at
+  one ``storage_sync_cost`` per batch; the answer waits on a timer).
 * **Ballot 0** is reserved for the RM itself: it force-writes its
   prepare record, then sends phase-2a ``px-accept`` messages straight
   to the acceptors (no phase 1 needed — ballot 0 cannot have been
   preempted unless a recovery leader already moved in, in which case
-  the stale 2a is simply dropped).
+  the stale 2a is simply dropped; ``_accept`` takes every 2a).
 * **Recovery leaders** (the coordinator on collection timeout, or any
   in-doubt participant's watchdog/partition-change/recovery resolver)
   run full ballots ``attempt * BALLOT_STRIDE + pid`` over all
@@ -114,16 +113,14 @@ class PaxosCommit(AtomicCommit):
                 # only decidable outcome — this unilateral abort is
                 # consensus-safe.  Cast the no-vote anyway so recovery
                 # leaders converge without waiting out a free instance.
-                self.processor.spawn(
-                    f"px-vote{txn}", self._cast_vote(txn, "aborted", meta))
+                self._cast_vote(txn, "aborted", meta)
                 self._outcome[txn] = "abort"
                 raise TransactionAborted(txn, f"local vote: {verdict}")
             # Our yes vote: force the prepare record, then run our own
             # instance exactly like any remote RM's.
             self.note_in_doubt(txn, self.pid)
             self._force_prepare(txn, ctx.objects)
-            self.processor.spawn(
-                f"px-vote{txn}", self._cast_vote(txn, "prepared", meta))
+            self._after_sync(self._cast_vote, txn, "prepared", meta)
         instances = yield from self.sim.wait(wait, self.config.access_timeout)
         if instances is None:
             # Fast path timed out (a silent RM, a lost accept, a cut):
@@ -223,39 +220,38 @@ class PaxosCommit(AtomicCommit):
         }
         return event
 
-    def _cast_vote(self, txn, vote: str, meta):
+    def _cast_vote(self, txn, vote: str, meta) -> None:
         """Ballot-0 phase 2a: propose this RM's own vote everywhere.
 
-        A prepared vote waits out the prepare record's force first;
-        the no-vote needs no durability (forgetting it re-aborts)."""
-        sync_cost = self.config.storage_sync_cost
-        if vote == "prepared" and sync_cost > 0:
-            yield self.sim.timeout(sync_cost)
+        A prepared vote is cast once the prepare record's force has
+        landed (:meth:`_after_sync`); the no-vote needs no durability
+        (forgetting it re-aborts)."""
+        request = {"txn": txn, "rm": self.pid, "ballot": 0, "vote": vote,
+                   "leader": meta["leader"]}
         for acceptor in meta["acceptors"]:
             if acceptor != self.pid:
-                self.processor.send(acceptor, "px-accept",
-                                    {"txn": txn, "rm": self.pid, "ballot": 0,
-                                     "vote": vote, "leader": meta["leader"]})
+                self.processor.send(acceptor, "px-accept", request)
         if self.pid in meta["acceptors"]:
-            yield from self._accept(txn, self.pid, 0, vote, meta["leader"])
+            self._accept(request)
 
-    def _accept(self, txn, rm: int, ballot: int, vote: str, leader: int):
-        """Acceptor: accept one instance's 2a, force it, notify the
-        leader (locally when we are the leader — no self-sends)."""
+    def _accept(self, request) -> None:
+        """Acceptor: accept one instance's 2a ``request``, force it, and
+        once the force has landed notify the leader (locally when we are
+        the leader — no self-sends)."""
+        txn, rm = request["txn"], request["rm"]
+        ballot, vote, leader = request["ballot"], request["vote"], request["leader"]
         cell = self._acceptor_cell(txn, rm)
         state: Optional[AcceptorState] = cell.value
         if state is not None and ballot < state[0]:
             return  # promised a higher ballot; drop the stale 2a
         cell.value = (ballot, ballot, vote)
-        sync_cost = self.config.storage_sync_cost
-        if sync_cost > 0:
-            yield self.sim.timeout(sync_cost)
         payload = {"txn": txn, "rm": rm, "ballot": ballot, "vote": vote,
                    "acceptor": self.pid}
         if leader == self.pid:
-            self._note_accepted(payload)
+            self._after_sync(self._note_accepted, payload)
         else:
-            self.processor.send(leader, "px-accepted", payload)
+            self._after_sync(self.processor.send, leader, "px-accepted",
+                             payload)
 
     def _note_accepted(self, payload) -> None:
         """Leader: tally one 2b; fire the collection event when every
@@ -399,8 +395,8 @@ class PaxosCommit(AtomicCommit):
         return {
             "prepare": self._handle_prepare,
             "release": self._handle_release,
-            "px-accept": self._handle_px_accept,
-            "px-accepted": self._handle_px_accepted,
+            "px-accept": lambda message: self._accept(message.payload),
+            "px-accepted": lambda message: self._note_accepted(message.payload),
             "px-p1": self._handle_px_p1,
             "px-p2": self._handle_px_p2,
         }
@@ -416,11 +412,9 @@ class PaxosCommit(AtomicCommit):
             # coordinator itself.  The watchdog's resolver *decides*
             # rather than asks.
             self._prepared(txn, message.src, payload["objects"])
-            self.processor.spawn(
-                f"px-vote{txn}", self._cast_vote(txn, "prepared", payload))
+            self._after_sync(self._cast_vote, txn, "prepared", payload)
         else:
-            self.processor.spawn(
-                f"px-vote{txn}", self._cast_vote(txn, "aborted", payload))
+            self._cast_vote(txn, "aborted", payload)
 
     def _handle_release(self, message) -> None:
         txn = message.payload["txn"]
@@ -435,16 +429,6 @@ class PaxosCommit(AtomicCommit):
         self.host._apply_decision(txn, outcome)
         self._meta.pop(txn, None)
 
-    def _handle_px_accept(self, message) -> None:
-        payload = message.payload
-        self.processor.spawn(
-            f"px-acc{payload['txn']}",
-            self._accept(payload["txn"], payload["rm"], payload["ballot"],
-                         payload["vote"], payload["leader"]))
-
-    def _handle_px_accepted(self, message) -> None:
-        self._note_accepted(message.payload)
-
     def _handle_px_p1(self, message) -> None:
         """Acceptor phase 1b (remote): all-instance promise + one
         batched force before the reply."""
@@ -454,8 +438,8 @@ class PaxosCommit(AtomicCommit):
         if reply is None:
             self.processor.reply(message, "px-p1-reply", {"ok": False})
         else:
-            self.processor.spawn(f"px-p1{payload['txn']}", self._synced_reply(
-                message, "px-p1-reply", reply))
+            self._after_sync(self.processor.reply, message, "px-p1-reply",
+                             reply)
 
     def _handle_px_p2(self, message) -> None:
         """Acceptor phase 2b (remote): all-instance accept + one
@@ -463,8 +447,8 @@ class PaxosCommit(AtomicCommit):
         payload = message.payload
         if self._accept_locally(payload["txn"], payload["ballot"],
                                 payload["votes"]):
-            self.processor.spawn(f"px-p2{payload['txn']}", self._synced_reply(
-                message, "px-p2-reply", {"ok": True}))
+            self._after_sync(self.processor.reply, message, "px-p2-reply",
+                             {"ok": True})
         else:
             self.processor.reply(message, "px-p2-reply", {"ok": False})
 

@@ -145,8 +145,8 @@ class TwoPhaseCommit(AtomicCommit):
             # classic 2PC uncertainty window: the watchdog's resolver
             # asks the coordinator's decision log
             self._prepared(txn, message.src, message.payload["objects"])
-            self.processor.spawn(f"prepare-sync{txn}", self._synced_reply(
-                message, "prepare-reply", {"ok": True}))
+            self._after_sync(self.processor.reply, message, "prepare-reply",
+                             {"ok": True})
         else:
             self.processor.reply(message, "prepare-reply",
                                  {"ok": False, "reason": verdict})

@@ -191,7 +191,8 @@ class AccessMixin:
     # ------------------------------------------------------------------
     # Run at the request's delivery event (``serve_spawned``, see
     # ``VirtualPartitionProtocol.attach``); an access becomes a process
-    # only if it waits — on the R5 gate, a copy lock, or priced storage.
+    # only if it waits — on the R5 gate or a copy lock.  A priced append
+    # delays only the write's ack, on a ``Processor.after`` timer.
     # ``_refusal`` judges it before CC admission, and again only if it
     # waited (else ``sim.active_process is None``: nothing could move).
 
@@ -274,10 +275,8 @@ class AccessMixin:
         # Durability cost model: the write's journal append must land
         # before the copy acknowledges.  The write is already visible
         # locally (strict 2PL holds the lock), so only the ack waits.
-        append_cost = self.config.storage_append_cost
-        if append_cost > 0:
-            yield self.sim.timeout(append_cost)
-        self.processor.reply(message, "write-reply", {"ok": True})
+        self.processor.after(self.config.storage_append_cost,
+                             self.processor.reply, message, "write-reply", {"ok": True})
 
     def _refusal(self, obj: str, vpid, txn, payload,
                  write: bool) -> str | None:

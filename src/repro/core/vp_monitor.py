@@ -32,14 +32,11 @@ class MonitorMixin:
         state.depart()
         # The durable max-id bump is forced before the acceptance
         # leaves: a crash after accepting must not let this processor
-        # mint or accept ids below ``invited_id`` again.  The sync
-        # delays only this acceptance (its own spawned send), never
-        # later invitations: with concurrent initiators a blocking sync
-        # here would stack one forced write per invitation onto later
-        # accepts and push them past the initiators' invite_wait window
-        # (which budgets exactly one).
-        self.processor.spawn(f"accept-sync{invited_id}",
-                             self._send_accept(invited_id, info))
+        # mint or accept ids below ``invited_id`` again.  Only this
+        # acceptance waits for the sync (on its own timer): a blocking
+        # sync would push later accepts past the initiators' invite_wait.
+        self.processor.after(self.config.storage_sync_cost,
+                             self._accept_invitation, invited_id, info)
         self._disarm_commit_wait()
         self._commit_wait = self.sim.timeout(self.config.commit_wait)
         self._commit_wait.callbacks = self._commit_wait_expired
@@ -83,14 +80,10 @@ class MonitorMixin:
             self._commit_wait.cancel()
             self._commit_wait = None
 
-    def _send_accept(self, invited_id, info):
-        """Generator: send the acceptance once its forced write lands."""
-        sync_cost = self.config.storage_sync_cost
-        if sync_cost > 0:
-            yield self.sim.timeout(sync_cost)
+    def _accept_invitation(self, invited_id, info) -> None:
+        """Send the acceptance (its forced write has landed)."""
         if self.tracer is not None:
-            self.tracer.emit("vp.accept", pid=self.pid,
-                             vpid=invited_id,
+            self.tracer.emit("vp.accept", pid=self.pid, vpid=invited_id,
                              initiator=invited_id.pid)
         self.processor.send(invited_id.pid, "vp-accept", {
             "id": invited_id,

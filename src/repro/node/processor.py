@@ -13,9 +13,9 @@ A :class:`Processor` owns:
   forgets the registration in its own dispatch, so a reply arriving
   later, even in that instant, is late and counted;
 * a task registry: protocol layers register named generator factories;
-  tasks are (re)spawned on start/recover and killed on crash, matching
-  the paper's model where a crash wipes all volatile state but durable
-  storage (the :class:`~repro.node.storage.StorageEngine`) survives.
+  tasks are (re)spawned on start/recover and killed on crash, as are
+  spawned bodies and :meth:`Processor.after` timers, matching the paper's
+  model where a crash wipes all volatile state but durable storage survives.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ class Processor:
         #: once the list outgrows ``_prune_at``
         self._spawned: list[Process] = []
         self._prune_at = SPAWN_SLACK
+        #: pending ``after`` timers; each leaves as it fires
+        self._timers: Dict[Event, None] = {}
         self._crash_hooks: list[Callable[[], None]] = []
         self._recover_hooks: list[Callable[[], None]] = []
         network.register(pid, self._on_delivery)
@@ -280,6 +282,23 @@ class Processor:
             spawned.append(process)
         return process
 
+    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Call ``fn(*args)`` ``delay`` from now (in this call if 0) on one
+        timer, no process: how a message waits out a priced forced write.
+        :meth:`crash` cancels the timer; a recovery does not revive it."""
+        if not delay:
+            fn(*args)
+            return
+        timers = self._timers
+
+        def fire(timer: Event) -> None:
+            del timers[timer]
+            fn(*args)
+
+        timer = self.sim.timeout(delay)
+        timer.callbacks = fire
+        timers[timer] = None
+
     # -- failure model ------------------------------------------------------------
 
     def crash(self) -> None:
@@ -294,7 +313,10 @@ class Processor:
         self.alive = False
         for process in (*self._tasks.values(), *self._spawned):
             process.kill()
+        for timer in self._timers:
+            timer.cancel()
         self._spawned.clear()
+        self._timers.clear()
         self._reply_waiters.clear()
         for hook in self._crash_hooks:
             hook()

@@ -139,11 +139,15 @@ class StorageEngine:
 
     # -- journalling --------------------------------------------------------
 
-    def _journal(self, kind: str, *, forced: bool = False,
-                 **fields: Any) -> None:
+    def _journal(self, kind: str, forced: bool = False,
+                 obj: Optional[str] = None, value: Any = None,
+                 date: Any = None, version: Any = None,
+                 size: Optional[int] = None, cell: Optional[str] = None,
+                 txn: Any = None, outcome: Optional[str] = None) -> None:
         if self._replaying:
             return
-        self.wal.append(kind, forced=forced, **fields)
+        self.wal.append(kind, forced, obj, value, date, version, size, cell,
+                        txn, outcome)
         self.stats.wal_appends += 1
         if forced:
             self.stats.forced_syncs += 1
@@ -167,8 +171,7 @@ class StorageEngine:
         copy.date = date
         copy.version = version
         copy.log.append(LogEntry(date, value, version))
-        self._journal(kind, obj=copy.obj, value=value, date=date,
-                      version=version)
+        self._journal(kind, False, copy.obj, value, date, version)
 
     # -- placement ------------------------------------------------------------
 

@@ -116,7 +116,7 @@ class WriteAheadLog:
         #: survives truncation — it anchors checkpoint positions
         self.tail_lsn = 0
 
-    def append(self, kind: str, *, forced: bool = False,
+    def append(self, kind: str, forced: bool = False,
                obj: Optional[str] = None, value: Any = None,
                date: Any = None, version: Any = None,
                size: Optional[int] = None, cell: Optional[str] = None,

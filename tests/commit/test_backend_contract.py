@@ -70,8 +70,8 @@ def run_one_write(protocol: str, backend: str):
         wal = cluster.processor(pid).store.wal
         host = cluster.protocol(pid)
 
-        def journal(kind, *, _pid=pid, _append=wal.append, **fields):
-            record = _append(kind, **fields)
+        def journal(*fields, _pid=pid, _append=wal.append):
+            record = _append(*fields)
             log.append(Journal(_pid, record, cluster.sim.now))
             return record
 

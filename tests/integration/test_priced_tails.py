@@ -1,0 +1,105 @@
+"""A crash inside a priced forced write's window stops the message that
+write was guarding.
+
+Four tails wait out a priced write and then send: 2PC's
+``prepare-reply``, a Paxos acceptor's ``px-accepted``, a copy's
+``write-reply`` and Fig. 6's ``vp-accept``.  In each case the serving
+processor crashes halfway through the window its request opened and
+recovers before the window ends.  Nothing answering that request may
+leave — the recovered processor has forgotten it — and the run
+dispatches exactly the pinned number of kernel events: the wait costs
+one timer event whether a process or a bare timer carries it.
+"""
+
+import pytest
+
+from repro import Cluster, ProtocolConfig
+
+WINDOW = 0.5
+HORIZON = 60.0
+
+
+def crash_inside_window(cluster, pid: int, kind: str, accepts):
+    """Crash ``pid`` at half the window its first accepted ``kind``
+    delivery opens, recover it at three quarters; returns that request
+    (a list, filled at its delivery)."""
+    processor = cluster.processor(pid)
+    handler = processor._handlers[kind]
+    armed = []
+
+    def armed_handler(message):
+        handler(message)
+        if not armed and accepts(message):
+            armed.append(message)
+            now = cluster.sim.now
+            cluster.injector.crash_at(now + WINDOW / 2, pid)
+            cluster.injector.recover_at(now + 3 * WINDOW / 4, pid)
+
+    processor._handlers[kind] = armed_handler
+    return armed
+
+
+def build(backend="2pc", **costs):
+    config = ProtocolConfig(delta=1.0, commit_backend=backend, **costs)
+    cluster = Cluster(processors=3, seed=1, config=config)
+    cluster.place("x", holders=[1, 2, 3], initial=0)
+    cluster.start()
+    sent = []
+    cluster.network.tap = sent.append
+    return cluster, sent
+
+
+def prepare_reply():
+    cluster, sent = build(storage_sync_cost=WINDOW)
+    armed = crash_inside_window(cluster, 2, "prepare", lambda m: True)
+    cluster.write_once(1, "x", 7)
+    return cluster, sent, armed, lambda m, request: (
+        m.kind == "prepare-reply" and m.reply_to == request.msg_id)
+
+
+def px_accepted():
+    cluster, sent = build("paxos", storage_sync_cost=WINDOW)
+    armed = crash_inside_window(cluster, 2, "px-accept",
+                                lambda m: m.payload["rm"] == 3)
+    cluster.write_once(1, "x", 7)
+    return cluster, sent, armed, lambda m, request: (
+        m.kind == "px-accepted"
+        and m.payload["txn"] == request.payload["txn"]
+        and m.payload["rm"] == request.payload["rm"])
+
+
+def write_reply():
+    cluster, sent = build(storage_append_cost=WINDOW)
+    armed = crash_inside_window(cluster, 2, "write", lambda m: True)
+    cluster.write_once(1, "x", 7)
+    return cluster, sent, armed, lambda m, request: (
+        m.kind == "write-reply" and m.reply_to == request.msg_id)
+
+
+def vp_accept():
+    cluster, sent = build(storage_sync_cost=WINDOW)
+    state = cluster.protocol(1).state
+    armed = crash_inside_window(
+        cluster, 1, "newvp", lambda m: state.max_id == m.payload["id"])
+    # p1 and p2 both invite; p1 accepts p2's higher identifier
+    cluster.injector.crash_at(1.0, 3)
+    return cluster, sent, armed, lambda m, request: (
+        m.kind == "vp-accept" and m.payload["id"] == request.payload["id"])
+
+
+@pytest.mark.parametrize("case, dispatched", [
+    (prepare_reply, 175),
+    (px_accepted, 197),
+    (write_reply, 147),
+    (vp_accept, 76),
+])
+def test_a_crash_inside_the_window_sends_nothing(case, dispatched):
+    cluster, sent, armed, answers = case()
+    cluster.run(until=HORIZON)
+    assert armed, "the priced request was never served"
+    request = armed[0]
+    server = request.dst
+    assert [label for _, label in cluster.injector.log][-2:] == [
+        f"crash({server})", f"recover({server})"]
+    assert not [m for m in sent if m.src == server and answers(m, request)]
+    assert cluster.sim.dispatched == dispatched

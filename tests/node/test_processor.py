@@ -396,3 +396,62 @@ def test_served_body_that_raises_at_its_first_line_crashes_the_run():
         sim.run()
     assert isinstance(info.value.original, ValueError)
     assert procs[2]._spawned == []
+
+
+# -- priced waits without a process (Processor.after) -------------------------
+
+
+def test_after_calls_at_now_plus_delay_in_one_event():
+    sim, _, _, procs = build()
+    calls = []
+    sim.run(until=2.0)
+    procs[1].after(1.5, lambda *args: calls.append((sim.now, args)), "a", 7)
+    assert calls == [] and sim.dispatched == 0
+    sim.run()
+    assert calls == [(3.5, ("a", 7))]
+    assert sim.dispatched == 1
+    assert procs[1]._spawned == []  # a timer, never a process
+
+
+def test_after_zero_delay_calls_inline_and_schedules_nothing():
+    sim, _, _, procs = build()
+    calls = []
+    procs[1].after(0, calls.append, "now")
+    assert calls == ["now"]
+    assert not procs[1]._timers
+    assert sim.peek() == float("inf")
+
+
+def test_a_crash_cancels_after_and_a_recovery_does_not_revive_it():
+    sim, _, _, procs = build()
+    calls = []
+    procs[2].after(2.0, calls.append, "late")
+    sim.run(until=1.0)
+    procs[2].crash()
+    sim.run(until=1.5)
+    procs[2].recover()  # inside the window
+    sim.run()
+    assert calls == []
+    assert sim.dispatched == 0  # the cancelled timer is never dispatched
+    procs[2].after(1.0, calls.append, "fresh")
+    sim.run()
+    assert calls == ["fresh"]
+
+
+def test_pending_timers_are_exactly_the_live_ones():
+    sim, _, _, procs = build()
+    proc = procs[1]
+    fired = []
+    for _ in range(3):
+        proc.after(10_000.0, fired.append, "keeper")
+    keepers = list(proc._timers)
+    for _ in range(1000):
+        proc.after(1.0, fired.append, "short")
+        assert len(proc._timers) == len(keepers) + 1
+        sim.run(until=sim.now + 2.0)
+        assert list(proc._timers) == keepers  # a fired timer leaves
+    assert fired == ["short"] * 1000
+    proc.crash()
+    assert not proc._timers
+    sim.run()
+    assert fired == ["short"] * 1000
