@@ -8,7 +8,11 @@ A :class:`History` records, with timestamps from the simulated clock:
   virtual partition — the conflict order on a copy is its record order,
   since operations on one physical object are totally ordered, §3),
 * join/depart events of the virtual partition protocol (needed to audit
-  properties S1–S3), handed on with each physical op to the auditor.
+  properties S1–S3).
+
+It is also where protocol code reports every fact, as one record passed
+to :meth:`History.record`: it keeps the kinds above and hands every
+record to its ``readers`` (the auditor, then the tracer).
 
 Reads and writes carry *version tokens*: each logical write is tagged
 with a unique token, physical copies remember the token of the write
@@ -19,7 +23,7 @@ reads-from relation exact even when applications write equal values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 #: token representing the initial database state (a virtual writer T0)
 INITIAL_VERSION = ("T0", 0)
@@ -49,6 +53,62 @@ class LogicalOp(NamedTuple):
     version: Any
 
 
+class LogicalAccess(NamedTuple):
+    """A logical access: the kept ``op``, the issuing ``pid``, and the
+    partition, copies and placement epoch R1/R3 judge it against."""
+
+    op: LogicalOp
+    pid: int
+    vpid: Any
+    targets: Tuple[int, ...]
+    epoch: int
+
+
+#: ``pid`` committed to partition ``vpid`` with ``view``
+Join = NamedTuple("Join", [("time", float), ("pid", int), ("vpid", Any),
+                           ("view", FrozenSet[int])])
+#: ``pid`` left partition ``vpid``
+Depart = NamedTuple("Depart", [("time", float), ("pid", int), ("vpid", Any)])
+
+
+class CrashDepart(Depart):
+    """A depart forced by a crash: audited, but not a trace event."""
+
+    __slots__ = ()
+
+
+# -- facts History keeps no list of: its readers see them, then they go ----
+
+#: a decider journalled ``outcome`` (or ``"undecided"``) for ``txn``
+Decision = NamedTuple("Decision", [("time", float), ("pid", int),
+                                   ("txn", Any), ("outcome", str)])
+#: ``pid`` applied ``txn``'s ``outcome`` to its copies
+DecisionApplied = NamedTuple("DecisionApplied", [
+    ("time", float), ("pid", int), ("txn", Any), ("outcome", str)])
+#: once a commit applied, ``pid``'s copy of ``obj`` holds ``version``
+CommittedWrite = NamedTuple("CommittedWrite", [
+    ("time", float), ("pid", int), ("obj", str), ("version", Any)])
+#: ``pid`` granted a lease of ``duration`` on ``obj`` (probe period ``pi``)
+LeaseGrant = NamedTuple("LeaseGrant", [
+    ("time", float), ("pid", int), ("obj", str), ("version", Any),
+    ("duration", float), ("pi", float)])
+#: ``pid`` served ``obj`` from a lease (staleness ``bound``)
+LeaseRead = NamedTuple("LeaseRead", [
+    ("time", float), ("pid", int), ("obj", str), ("version", Any),
+    ("expires_at", float), ("bound", float)])
+#: a reshard installed a copy of ``obj`` on ``pid`` from ``source``
+CopyInstall = NamedTuple("CopyInstall", [
+    ("time", float), ("pid", int), ("obj", str), ("source", int)])
+#: a reshard released ``pid``'s copy of ``obj``
+CopyRetire = NamedTuple("CopyRetire", [("time", float), ("pid", int),
+                                       ("obj", str)])
+#: ``pid`` flipped ``obj``'s placement; ``installed`` got new copies
+ReshardFlip = NamedTuple("ReshardFlip", [
+    ("time", float), ("pid", int), ("obj", str),
+    ("old_weights", Dict[int, int]), ("new_weights", Dict[int, int]),
+    ("old_epoch", int), ("new_epoch", int), ("installed", List[int])])
+
+
 @dataclass
 class TxnRecord:
     """Everything known about one transaction."""
@@ -69,10 +129,11 @@ class History:
         self.physical_ops: List[PhysicalOp] = []
         self.logical_ops: List[LogicalOp] = []
         self.txns: Dict[Any, TxnRecord] = {}
-        self.joins: List[tuple] = []    # (time, pid, vpid, frozenset(view))
-        self.departs: List[tuple] = []  # (time, pid, vpid)
-        #: optional runtime :class:`~repro.audit.InvariantAuditor`
-        self.auditor = None
+        self.joins: List[Join] = []
+        self.departs: List[Depart] = []
+        #: who :meth:`record` hands each fact to, in order: each has a
+        #: ``read(fact)``; ``Cluster`` wires the auditor, then the tracer
+        self.readers: tuple = ()
 
     # -- transactions ------------------------------------------------------------
 
@@ -121,38 +182,29 @@ class History:
             record.abort_reason = reason
         return True
 
-    # -- operations ------------------------------------------------------------
+    # -- the one entry point -------------------------------------------------
 
-    def record_physical(self, *, time: float, txn: Any, kind: str, obj: str,
-                        copy_pid: int, value: Any, version: Any,
-                        vpid: Any) -> None:
-        if kind not in ("r", "w"):
-            raise ValueError(f"kind must be 'r' or 'w', got {kind!r}")
-        op = PhysicalOp(time, txn, kind, obj, copy_pid, value, version, vpid)
-        self.physical_ops.append(op)
-        if self.auditor is not None:
-            self.auditor.on_physical_access(op)
-
-    def record_logical(self, *, time: float, txn: Any, kind: str, obj: str,
-                       value: Any, version: Any) -> None:
-        if kind not in ("r", "w"):
-            raise ValueError(f"kind must be 'r' or 'w', got {kind!r}")
-        op = LogicalOp(time, txn, kind, obj, value, version)
-        self.logical_ops.append(op)
-        if txn in self.txns:
-            self.txns[txn].logical_ops.append(op)
-
-    def record_join(self, *, time: float, pid: int, vpid: Any,
-                    view: Iterable[int]) -> None:
-        frozen = frozenset(view)
-        self.joins.append((time, pid, vpid, frozen))
-        if self.auditor is not None:
-            self.auditor.on_join(time=time, pid=pid, vpid=vpid, view=frozen)
-
-    def record_depart(self, *, time: float, pid: int, vpid: Any) -> None:
-        self.departs.append((time, pid, vpid))
-        if self.auditor is not None:
-            self.auditor.on_depart(time=time, pid=pid, vpid=vpid)
+    def record(self, fact) -> None:
+        """Report one fact: keep it if it is an access, a join or a
+        depart, then hand it to every reader in order."""
+        kind = type(fact)
+        if kind is PhysicalOp:
+            if fact.kind not in ("r", "w"):
+                raise ValueError(f"kind must be 'r' or 'w', got {fact.kind!r}")
+            self.physical_ops.append(fact)
+        elif kind is LogicalAccess:
+            op = fact.op
+            if op.kind not in ("r", "w"):
+                raise ValueError(f"kind must be 'r' or 'w', got {op.kind!r}")
+            self.logical_ops.append(op)
+            if op.txn in self.txns:
+                self.txns[op.txn].logical_ops.append(op)
+        elif kind is Join:
+            self.joins.append(fact)
+        elif kind is Depart or kind is CrashDepart:
+            self.departs.append(fact)
+        for reader in self.readers:
+            reader.read(fact)
 
     # -- queries ------------------------------------------------------------
 

@@ -6,10 +6,11 @@ events happen*, so a violation is caught at the instant it occurs and
 carries the trace context that produced it — which is what a campaign
 hunter needs to shrink a failing schedule into a story.
 
-The auditor is pure observation: hooks are one ``if auditor is not
-None`` away from the hot paths, it never mutates protocol state, draws
-no randomness, and schedules no events — an audited run is
-event-for-event identical to an unaudited one.
+The auditor is pure observation: a reader of the records protocol code
+reports to :class:`~repro.analysis.history.History`, one handler per
+record type.  It never mutates protocol state, draws no randomness,
+and schedules no events — an audited run is event-for-event identical
+to an unaudited one.
 
 What it checks, mapped to the paper:
 
@@ -35,7 +36,7 @@ What it checks, mapped to the paper:
   with bound ``B = L + Δ`` must return a version at least as new as
   the newest version whose commit was applied anywhere by ``t − B``.
   Version tokens carry no order, so the auditor orders them by
-  first-apply time (the ``on_committed_write`` timeline); it also
+  first-apply time (the committed-write timeline); it also
   flags serving past the lease's expiry and grants violating the
   ``L ≤ π`` rule.
 * **Placement epochs** (online resharding): R1/R3 are judged against
@@ -44,18 +45,23 @@ What it checks, mapped to the paper:
   otherwise — so a legitimate access racing a migration flip is not a
   false positive.  A flip must advance the object's epoch by exactly
   one (``on_reshard_flip``), a copy may only be installed on a live or
-  migration-pending holder (``on_copy_installed``, the *no-orphan-copy*
+  migration-pending holder (``on_copy_install``, the *no-orphan-copy*
   invariant), and a copy may only be retired once the live placement
-  no longer routes to it (``on_copy_retired``).  An *unguarded* flip —
+  no longer routes to it (``on_copy_retire``).  An *unguarded* flip —
   one that rewrites the entry without staging or an epoch bump — is
   convicted by exactly these checks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
+
+from ..analysis.history import (
+    CommittedWrite, CopyInstall, CopyRetire, CrashDepart, Decision, DecisionApplied, Depart,
+    Join, LeaseGrant, LeaseRead, LogicalAccess, PhysicalOp, ReshardFlip)
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,42 @@ class AuditViolation:
         return f"[t={self.time:.2f}] {self.invariant} @p{self.pid}: {self.detail}"
 
 
+def _seen(event: str, fact, **fields) -> dict:
+    return {"event": event, "time": fact.time, "pid": fact.pid, **fields}
+
+
+#: how each record reads in a violation's context — formatted only
+#: when a violation fires, from the records the context ring holds
+_CONTEXT = {
+    Join: lambda f: _seen("join", f, vpid=str(f.vpid), view=sorted(f.view)),
+    Depart: lambda f: _seen("depart", f, vpid=str(f.vpid)),
+    LogicalAccess: lambda f: {
+        "event": "logical", "time": f.op.time, "pid": f.pid,
+        "txn": str(f.op.txn), "kind": f.op.kind, "obj": f.op.obj,
+        "vpid": str(f.vpid)},
+    PhysicalOp: lambda f: {
+        "event": "physical", "time": f.time, "pid": f.copy_pid,
+        "txn": str(f.txn), "kind": f.kind, "obj": f.obj,
+        "vpid": str(f.vpid)},
+    ReshardFlip: lambda f: _seen("reshard-flip", f, obj=f.obj,
+                                 old_epoch=f.old_epoch,
+                                 new_epoch=f.new_epoch),
+    CopyInstall: lambda f: _seen("reshard-install", f, obj=f.obj),
+    CopyRetire: lambda f: _seen("reshard-retire", f, obj=f.obj),
+    Decision: lambda f: _seen("decision", f, txn=str(f.txn),
+                              outcome=f.outcome),
+    DecisionApplied: lambda f: _seen("apply", f, txn=str(f.txn),
+                                     outcome=f.outcome),
+    CommittedWrite: lambda f: _seen("commit-write", f, obj=f.obj,
+                                    version=str(f.version)),
+    LeaseGrant: lambda f: _seen("lease-grant", f, obj=f.obj,
+                                version=str(f.version), duration=f.duration),
+    LeaseRead: lambda f: _seen("lease-read", f, obj=f.obj,
+                               version=str(f.version), bound=f.bound),
+}
+_CONTEXT[CrashDepart] = _CONTEXT[Depart]
+
+
 class InvariantAuditor:
     """Continuously asserts S1–S3, R1/R3/R5 and commit safety."""
 
@@ -89,8 +131,11 @@ class InvariantAuditor:
         self.violations: list[AuditViolation] = []
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
-        #: ``{pid: ReplicaState}`` of the audited servers (set by the cluster)
+        #: ``{pid: ReplicaState}`` of the audited servers (set by the
+        #: cluster); accesses and decisions of any other pid (a
+        #: baseline's) are not audited
         self.states: dict = {}
+        #: the last records read (formatted only by :meth:`_violate`)
         self._context: deque = deque(maxlen=context_size)
         # view-protocol state (S1-S3)
         self._views: dict = {}          # vpid -> committed view
@@ -107,6 +152,25 @@ class InvariantAuditor:
         self._commit_index: dict = {}   # (obj, version) -> timeline index
         # reshard state: weights each retired epoch routed on
         self._placement_history: dict = {}  # (obj, epoch) -> {pid: weight}
+        #: one handler per record type History hands on
+        self._handlers = {
+            Join: self.on_join, Depart: self.on_depart,
+            CrashDepart: self.on_depart,
+            LogicalAccess: self.on_logical_access,
+            PhysicalOp: self.on_physical_access,
+            ReshardFlip: self.on_reshard_flip,
+            CopyInstall: self.on_copy_install,
+            CopyRetire: self.on_copy_retire,
+            Decision: self.on_decision,
+            DecisionApplied: self.on_decision_applied,
+            CommittedWrite: self.on_committed_write,
+            LeaseGrant: self.on_lease_grant, LeaseRead: self.on_lease_read,
+        }
+
+    def read(self, fact) -> None:
+        """Judge one record :class:`~repro.analysis.history.History`
+        handed on."""
+        self._handlers[type(fact)](fact)
 
     # -- verdict ---------------------------------------------------------------
 
@@ -132,11 +196,11 @@ class InvariantAuditor:
             return "auditor: all invariants held"
         return "\n".join(str(v) for v in self.violations)
 
-    # -- view-protocol hooks (wired through History) ---------------------------
+    # -- view protocol (S1-S3) -------------------------------------------------
 
-    def on_join(self, *, time: float, pid: int, vpid: Any,
-                view: FrozenSet[int]) -> None:
-        self._note("join", time, pid, vpid=str(vpid), view=sorted(view))
+    def on_join(self, join: Join) -> None:
+        self._context.append(join)
+        time, pid, vpid, view = join
         seen = self._views.get(vpid)
         if seen is None:
             self._views[vpid] = view
@@ -163,8 +227,9 @@ class InvariantAuditor:
                 self._require_depart(newer, self._first_join[newer], pid, vpid)
         self._members.setdefault(vpid, set()).add(pid)
 
-    def on_depart(self, *, time: float, pid: int, vpid: Any) -> None:
-        self._note("depart", time, pid, vpid=str(vpid))
+    def on_depart(self, depart: Depart) -> None:
+        self._context.append(depart)
+        time, pid, vpid = depart
         self._first_depart.setdefault((pid, vpid), time)
         still_pending = []
         for pending in self._pending_s3:
@@ -172,17 +237,17 @@ class InvariantAuditor:
             if (p, old_vpid) != (pid, vpid):
                 still_pending.append(pending)
                 continue
-            depart = self._first_depart[(pid, vpid)]
-            if depart > join_time:
+            first = self._first_depart[(pid, vpid)]
+            if first > join_time:
                 self._violate(
                     time, "S3", pid,
-                    f"departed {old_vpid} at {depart} after the first join "
+                    f"departed {old_vpid} at {first} after the first join "
                     f"of {new_vpid} at {join_time}",
                 )
         self._pending_s3 = still_pending
 
-    def _require_depart(self, new_vpid: Any, join_time: float, pid: int,
-                        old_vpid: Any) -> None:
+    def _require_depart(self, new_vpid, join_time: float, pid: int,
+                        old_vpid) -> None:
         depart = self._first_depart.get((pid, old_vpid))
         if depart is not None and depart <= join_time:
             return
@@ -190,18 +255,19 @@ class InvariantAuditor:
         # hold the obligation and let on_depart/finalize() resolve it
         self._pending_s3.append((new_vpid, join_time, pid, old_vpid))
 
-    # -- access hooks (logical: AccessMixin; physical: History) ---------------
+    # -- accesses (R1/R3 logical, R5 + view match physical) --------------------
 
-    def on_logical_access(self, *, time: float, pid: int, txn: Any, kind: str,
-                          obj: str, vpid: Any, targets: Tuple[int, ...],
-                          epoch: int = 0) -> None:
-        self._note("logical", time, pid, txn=str(txn), kind=kind, obj=obj,
-                   vpid=str(vpid))
+    def on_logical_access(self, access: LogicalAccess) -> None:
+        op, pid, vpid, targets, epoch = access
+        if pid not in self.states:
+            return
+        self._context.append(access)
         if self.placement is None:
             return
         view = self._views.get(vpid)
         if view is None:
             return  # a partition the auditor never saw committed; S-checks
+        time, txn, kind, obj = op.time, op.txn, op.kind, op.obj
         # Judge against the placement the access routed on: an access
         # stamped with an epoch a migration has since flipped is aborted
         # by the R4 stamp check, not an R1/R3 violation.
@@ -236,16 +302,15 @@ class InvariantAuditor:
                 return recorded
         return dict(self.placement.weights(obj))
 
-    def on_physical_access(self, op) -> None:
+    def on_physical_access(self, op: PhysicalOp) -> None:
         """A served ``PhysicalOp``, judged against its server's live
-        state; a pid absent from ``states`` (a baseline) is not audited."""
+        state."""
         state = self.states.get(op.copy_pid)
         if state is None:
             return
+        self._context.append(op)
         time, pid, txn, kind, obj, vpid = (op.time, op.copy_pid, op.txn,
                                            op.kind, op.obj, op.vpid)
-        self._note("physical", time, pid, txn=str(txn), kind=kind, obj=obj,
-                   vpid=str(vpid))
         if obj in state.locked:
             self._violate(
                 time, "R5", pid,
@@ -271,11 +336,9 @@ class InvariantAuditor:
                 f"served {kind}({obj}) without holding a copy",
             )
 
-    # -- reshard hooks (wired through the migration engine) --------------------
+    # -- resharding --------------------------------------------------------------
 
-    def on_reshard_flip(self, *, time: float, pid: int, obj: str,
-                        old_weights, new_weights, old_epoch: int,
-                        new_epoch: int, installed) -> None:
+    def on_reshard_flip(self, flip: ReshardFlip) -> None:
         """A migration flipped ``obj``'s directory entry.
 
         Records the retiring epoch's weights so in-flight accesses
@@ -283,8 +346,9 @@ class InvariantAuditor:
         routed on, and convicts flips that skip the epoch bump or route
         to holders that never installed a copy.
         """
-        self._note("reshard-flip", time, pid, obj=obj, old_epoch=old_epoch,
-                   new_epoch=new_epoch)
+        self._context.append(flip)
+        (time, pid, obj, old_weights, new_weights, old_epoch, new_epoch,
+         installed) = flip
         self._placement_history[(obj, old_epoch)] = dict(old_weights)
         if new_epoch != old_epoch + 1:
             self._violate(
@@ -301,7 +365,7 @@ class InvariantAuditor:
                 "a copy",
             )
 
-    def on_copy_installed(self, *, time: float, pid: int, obj: str) -> None:
+    def on_copy_install(self, install: CopyInstall) -> None:
         """A reshard materialized a copy of ``obj`` on ``pid``.
 
         The no-orphan-copy invariant: a copy may only appear on a
@@ -309,9 +373,10 @@ class InvariantAuditor:
         about to — anything else is unreachable storage that R3 will
         never write and R5 will never refresh.
         """
-        self._note("reshard-install", time, pid, obj=obj)
+        self._context.append(install)
         if self.placement is None:
             return
+        time, pid, obj = install.time, install.pid, install.obj
         allowed = self.placement.copies(obj) | \
             self.placement.pending_copies(obj)
         if pid not in allowed:
@@ -322,11 +387,12 @@ class InvariantAuditor:
                 "and any staged migration",
             )
 
-    def on_copy_retired(self, *, time: float, pid: int, obj: str) -> None:
+    def on_copy_retire(self, retire: CopyRetire) -> None:
         """A reshard released ``pid``'s copy of ``obj``."""
-        self._note("reshard-retire", time, pid, obj=obj)
+        self._context.append(retire)
         if self.placement is None:
             return
+        time, pid, obj = retire
         if pid in self.placement.copies(obj):
             self._violate(
                 time, "orphan-copy", pid,
@@ -334,11 +400,13 @@ class InvariantAuditor:
                 "still routes to it",
             )
 
-    # -- atomic-commit hooks -------------------------------------------------------------
+    # -- atomic commit -----------------------------------------------------------
 
-    def on_decision(self, time: float, pid: int, txn: Any,
-                    outcome: str) -> None:
-        self._note("decision", time, pid, txn=str(txn), outcome=outcome)
+    def on_decision(self, decision: Decision) -> None:
+        time, pid, txn, outcome = decision
+        if pid not in self.states:
+            return
+        self._context.append(decision)
         key = (pid, txn)
         old = self._coord_log.get(key)
         if old in ("commit", "abort") and outcome != old:
@@ -362,9 +430,9 @@ class InvariantAuditor:
                     f"applied {applied}",
                 )
 
-    def on_decision_applied(self, time: float, pid: int, txn: Any,
-                            outcome: str) -> None:
-        self._note("apply", time, pid, txn=str(txn), outcome=outcome)
+    def on_decision_applied(self, applied: DecisionApplied) -> None:
+        self._context.append(applied)
+        time, pid, txn, outcome = applied
         first = self._applied.setdefault(txn, outcome)
         if first != outcome:
             self._violate(
@@ -378,41 +446,37 @@ class InvariantAuditor:
                 f"txn {txn} applied as {outcome}, coordinator logged {decided}",
             )
 
-    # -- client-tier lease hooks -----------------------------------------------
+    # -- client-tier leases ------------------------------------------------------
 
-    def on_committed_write(self, *, time: float, pid: int, obj: str,
-                           version: Any) -> None:
+    def on_committed_write(self, write: CommittedWrite) -> None:
         """A processor applied a commit that wrote ``obj``.
 
         First apply wins: the same (obj, version) lands at every copy
         holder, and the *earliest* apply is the moment the write could
         first be observed — the conservative anchor for the staleness
         check.  Strict 2PL orders writes of one object identically at
-        every copy, so first-apply order is the version order.
+        every copy, so first-apply order is the version order.  Records
+        arrive in sim-time order, so each timeline is sorted.
         """
-        self._note("commit-write", time, pid, obj=obj, version=str(version))
-        key = (obj, version)
+        self._context.append(write)
+        key = (write.obj, write.version)
         if key in self._commit_index:
             return
-        timeline = self._commit_times.setdefault(obj, [])
+        timeline = self._commit_times.setdefault(write.obj, [])
         self._commit_index[key] = len(timeline)
-        timeline.append(time)
+        timeline.append(write.time)
 
-    def on_lease_grant(self, *, time: float, pid: int, obj: str,
-                       version: Any, duration: float, pi: float) -> None:
+    def on_lease_grant(self, grant: LeaseGrant) -> None:
         """A processor granted a lease; enforce the L <= pi rule."""
-        self._note("lease-grant", time, pid, obj=obj, version=str(version),
-                   duration=duration)
-        if duration > pi + 1e-9:
+        self._context.append(grant)
+        if grant.duration > grant.pi + 1e-9:
             self._violate(
-                time, "lease-rule", pid,
-                f"granted a {duration}-lease on {obj} with pi={pi}: the "
-                "staleness derivation requires L <= pi",
+                grant.time, "lease-rule", grant.pid,
+                f"granted a {grant.duration}-lease on {grant.obj} with "
+                f"pi={grant.pi}: the staleness derivation requires L <= pi",
             )
 
-    def on_lease_read(self, *, time: float, pid: int, obj: str,
-                      version: Any, expires_at: float,
-                      bound: float) -> None:
+    def on_lease_read(self, read: LeaseRead) -> None:
         """A read was served from a lease; check expiry and staleness.
 
         The served version must be at least as new as the newest
@@ -420,8 +484,8 @@ class InvariantAuditor:
         A version absent from the timeline is the initial value, older
         than every committed write.
         """
-        self._note("lease-read", time, pid, obj=obj, version=str(version),
-                   bound=bound)
+        self._context.append(read)
+        time, pid, obj, version, expires_at, bound = read
         if time > expires_at + 1e-9:
             self._violate(
                 time, "lease-expired", pid,
@@ -430,10 +494,7 @@ class InvariantAuditor:
         timeline = self._commit_times.get(obj, [])
         horizon = time - bound
         # newest timeline index whose first-apply time is <= horizon
-        newest_due = -1
-        for index, applied_at in enumerate(timeline):
-            if applied_at <= horizon:
-                newest_due = index
+        newest_due = bisect_right(timeline, horizon) - 1
         served = self._commit_index.get((obj, version), -1)
         if served < newest_due:
             self._violate(
@@ -446,16 +507,12 @@ class InvariantAuditor:
 
     # -- internals -------------------------------------------------------------
 
-    def _note(self, event: str, time: float, pid: int, **info) -> None:
-        entry = {"event": event, "time": time, "pid": pid}
-        entry.update(info)
-        self._context.append(entry)
-
     def _violate(self, time: float, invariant: str, pid: Optional[int],
                  detail: str) -> None:
         violation = AuditViolation(
             time=time, invariant=invariant, pid=pid, detail=detail,
-            context=tuple(dict(c) for c in self._context),
+            context=tuple(_CONTEXT[type(fact)](fact)
+                          for fact in self._context),
         )
         self.violations.append(violation)
         if self.tracer is not None:

@@ -167,6 +167,7 @@ class LockManager:
         return txns
 
     def queue_length(self, obj: str) -> int:
+        """Requests waiting on ``obj`` (for tests: no other reader)."""
         state = self._table.get(obj)
         return len(state.queue) if state else 0
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..analysis.history import LeaseGrant, LeaseRead
 from .cache import POLICIES, WRITE_BACK, WRITE_THROUGH, SessionCache
 from .lease import LeaseTable
 
@@ -93,15 +94,14 @@ class SessionStats:
 class ClientSession:
     """One client's cache + lease front-end over a TransactionManager."""
 
-    def __init__(self, tm, protocol, spec: SessionSpec,
-                 auditor=None):
+    def __init__(self, tm, protocol, spec: SessionSpec):
         self.tm = tm
         self.protocol = protocol
         self.pid = protocol.pid
         self.sim = protocol.processor.sim
         self.config = protocol.config
+        self.history = protocol.history
         self.spec = spec
-        self.auditor = auditor
         self.stats = SessionStats()
         self.cache: Optional[SessionCache] = None
         if spec.cache_capacity > 0:
@@ -264,13 +264,9 @@ class ClientSession:
                 self.stats.lease_reads += 1
                 self.stats.read_latencies.append(0.0)
                 self.stats.staleness.append(now - lease.fetch_time)
-                if self.auditor is not None:
-                    self.auditor.on_lease_read(
-                        time=now, pid=self.pid, obj=obj,
-                        version=lease.version,
-                        expires_at=lease.expires_at,
-                        bound=self.staleness_bound,
-                    )
+                self.history.record(LeaseRead(
+                    now, self.pid, obj, lease.version, lease.expires_at,
+                    self.staleness_bound))
                 return True, lease.value
             # with leases on, a clean cache entry is not a freshness
             # authority — drop it along with the dead lease
@@ -303,13 +299,10 @@ class ClientSession:
                         obj, read_value, version, now,
                         fetch_time=fetch_time,
                     )
-                    if lease is not None and self.auditor is not None:
-                        self.auditor.on_lease_grant(
-                            time=now, pid=self.pid, obj=obj,
-                            version=version,
-                            duration=self.lease_table.duration,
-                            pi=self.config.pi,
-                        )
+                    if lease is not None:
+                        self.history.record(LeaseGrant(
+                            now, self.pid, obj, version,
+                            self.lease_table.duration, self.config.pi))
                 if self.cache is not None:
                     self._fill(obj, read_value)
             elif slot is None:

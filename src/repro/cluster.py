@@ -137,9 +137,17 @@ class Cluster:
         self.auditor = None
         if audit:
             from .audit import InvariantAuditor
-            monitor = (audit if isinstance(audit, InvariantAuditor)
-                       else InvariantAuditor(self.placement))
-            self._wire_auditor(monitor)
+            self.auditor = (audit if isinstance(audit, InvariantAuditor)
+                            else InvariantAuditor(self.placement))
+            self.auditor.tracer = self.tracer
+            self.auditor.states.update(
+                (pid, proto.state) for pid, proto in self.protocols.items()
+                if hasattr(proto, "state"))
+        # History's readers: the auditor judges each fact before the
+        # trace shows it, so a violation's event precedes the fact's own
+        self.history.readers = tuple(
+            reader for reader in (self.auditor, self.tracer)
+            if reader is not None)
         self._started = False
 
     def _wire_tracer(self, tracer) -> None:
@@ -156,16 +164,6 @@ class Cluster:
                 proto.tracer = tracer
         for tm in self.tms.values():
             tm.tracer = tracer
-
-    def _wire_auditor(self, auditor) -> None:
-        """Install the runtime invariant ``auditor`` on every hook point."""
-        self.auditor = auditor
-        auditor.tracer = self.tracer
-        self.history.auditor = auditor
-        for pid, proto in self.protocols.items():
-            if hasattr(proto, "auditor"):
-                proto.auditor = auditor
-                auditor.states[pid] = proto.state
 
     # -- setup -----------------------------------------------------------------
 
@@ -284,8 +282,7 @@ class Cluster:
             spec = SessionSpec(**knobs)
         elif knobs:
             raise ValueError("pass either a spec or knobs, not both")
-        session = ClientSession(self.tms[pid], self.protocols[pid], spec,
-                                auditor=self.auditor)
+        session = ClientSession(self.tms[pid], self.protocols[pid], spec)
         share = self.registry.share
         session.stats = share("client", session.stats)
         if session.cache is not None:
@@ -300,14 +297,6 @@ class Cluster:
 
     def processor(self, pid: int) -> Processor:
         return self.processors[pid]
-
-    def write_trace(self, path) -> int:
-        """Dump the collected trace as canonical JSONL; returns the
-        number of events written.  Requires ``trace=True``."""
-        if self.tracer is None:
-            raise RuntimeError("cluster was built without trace=True")
-        from .obs.export import write_jsonl
-        return write_jsonl(self.tracer.events, path)
 
     def check_serializable(self) -> bool:
         """CP-serializability of the committed physical history."""

@@ -28,15 +28,18 @@ the R4 vote, decision application.
 The host (:class:`~repro.protocols.base.ReplicaControlProtocol`)
 provides ``processor``, ``pid``, ``sim``, ``config``, ``metrics``,
 ``tracer``, ``history``, ``_vote(txn, payload)``,
-``_apply_decision(txn, outcome)`` and three checks that raise no
-objection by default: ``_r4_screen(ctx)``, ``_force_aborted(txn)`` and
-``_audit_decision(txn, outcome)``.  Paxos Commit also reads ``state``.
+``_apply_decision(txn, outcome)`` and two checks that raise no
+objection by default: ``_r4_screen(ctx)`` and ``_force_aborted(txn)``.
+Paxos Commit also reads ``state``.  Every decision is journalled and
+reported to ``history`` by one call, :meth:`AtomicCommit._log_decision`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Mapping
+
+from ..analysis.history import Decision
 
 
 class AtomicCommit(ABC):
@@ -110,8 +113,7 @@ class AtomicCommit(ABC):
         re-derive) the outcome later, so no decide leaves before the
         decision record is durable; ``participants`` are sent to in
         order, this processor applying its own share in place."""
-        self.processor.store.record_decision(txn, outcome)
-        self.host._audit_decision(txn, outcome)
+        self._log_decision(txn, outcome)
         sync_cost = self.config.storage_sync_cost
         if sync_cost > 0:
             yield self.sim.timeout(sync_cost)
@@ -122,6 +124,12 @@ class AtomicCommit(ABC):
                 self.processor.send(server, "release",
                                     {"txn": txn, "outcome": outcome})
         self.metrics.decisions_retired += 1
+
+    def _log_decision(self, txn, outcome: str, forced: bool = True) -> None:
+        """Journal ``outcome`` (forced: a force point) and report it."""
+        self.processor.store.record_decision(txn, outcome, forced=forced)
+        self.host.history.record(Decision(self.sim.now, self.pid, txn,
+                                          outcome))
 
     # -- participant side ---------------------------------------------------
 

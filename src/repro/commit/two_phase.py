@@ -53,9 +53,7 @@ class TwoPhaseCommit(AtomicCommit):
         # already safe, so the open needs no sync of its own.
         if ctx.txn_id not in self.decisions:
             self.decisions[ctx.txn_id] = "undecided"
-            self.processor.store.record_decision(ctx.txn_id, "undecided",
-                                                 forced=False)
-            self.host._audit_decision(ctx.txn_id, "undecided")
+            self._log_decision(ctx.txn_id, "undecided", forced=False)
         reason = self.host._r4_screen(ctx)
         if reason is not None:
             raise TransactionAborted(ctx.txn_id, reason)
@@ -175,8 +173,7 @@ class TwoPhaseCommit(AtomicCommit):
             self.decisions[txn] = "abort"
             # Journalled as a forced decision record (its sync latency
             # is absorbed by the status reply already in flight).
-            self.processor.store.record_decision(txn, "abort")
-            self.host._audit_decision(txn, "abort")
+            self._log_decision(txn, "abort")
         self.processor.reply(message, "txn-status-reply",
                              {"outcome": outcome})
 
@@ -232,9 +229,7 @@ class TwoPhaseCommit(AtomicCommit):
         for txn, outcome in list(self.decisions.items()):
             if outcome == "undecided":
                 self.decisions[txn] = "abort"
-                self.processor.store.record_decision(txn, "abort",
-                                                     forced=False)
-                self.host._audit_decision(txn, "abort")
+                self._log_decision(txn, "abort", forced=False)
         retired = len(self.decisions)
         self.decisions.clear()
         self.metrics.decisions_retired += retired

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..analysis.history import (
+    CommittedWrite, DecisionApplied, LogicalAccess, LogicalOp, PhysicalOp,
+)
 from ..node.processor import NoResponse
 from .errors import AccessAborted
 
@@ -74,16 +77,11 @@ class AccessMixin:
             payload = response.payload
             if payload["ok"]:
                 value = payload["value"]
-                self.history.record_logical(
-                    time=self.sim.now, txn=ctx.txn_id, kind="r", obj=obj,
-                    value=value, version=payload["version"],
-                )
-                if self.auditor is not None:
-                    self.auditor.on_logical_access(
-                        time=self.sim.now, pid=self.pid, txn=ctx.txn_id,
-                        kind="r", obj=obj, vpid=vpid, targets=(server,),
-                        epoch=ctx.placement_epochs.get(obj, 0),
-                    )
+                self.history.record(LogicalAccess(
+                    LogicalOp(self.sim.now, ctx.txn_id, "r", obj, value,
+                              payload["version"]),
+                    self.pid, vpid, (server,),
+                    ctx.placement_epochs.get(obj, 0)))
                 ctx.note_access("r", obj, server, vpid)
                 ctx.read_versions[obj] = (payload["version"], self.sim.now)
                 return value
@@ -169,16 +167,9 @@ class AccessMixin:
             raise AccessAborted(obj, reason)
         for _status, server in outcomes:
             ctx.note_access("w", obj, server, vpid)
-        self.history.record_logical(
-            time=self.sim.now, txn=ctx.txn_id, kind="w", obj=obj,
-            value=value, version=version,
-        )
-        if self.auditor is not None:
-            self.auditor.on_logical_access(
-                time=self.sim.now, pid=self.pid, txn=ctx.txn_id,
-                kind="w", obj=obj, vpid=vpid, targets=tuple(targets),
-                epoch=route_epoch,
-            )
+        self.history.record(LogicalAccess(
+            LogicalOp(self.sim.now, ctx.txn_id, "w", obj, value, version),
+            self.pid, vpid, tuple(targets), route_epoch))
         return None
 
     def available(self, obj: str, write: bool) -> bool:
@@ -218,10 +209,8 @@ class AccessMixin:
             return
         value, date = self.processor.store.read(obj)
         version = self.processor.store.version(obj)
-        self.history.record_physical(
-            time=self.sim.now, txn=txn, kind="r", obj=obj,
-            copy_pid=self.pid, value=value, version=version, vpid=vpid,
-        )
+        self.history.record(PhysicalOp(self.sim.now, txn, "r", obj, self.pid,
+                                       value, version, vpid))
         self.processor.reply(message, "read-reply",
                              {"ok": True, "value": value, "date": date,
                               "version": version})
@@ -268,10 +257,8 @@ class AccessMixin:
         else:
             new_date = (state.cur_id, 1)
         store.write(obj, value, new_date, version)
-        self.history.record_physical(
-            time=self.sim.now, txn=txn, kind="w", obj=obj,
-            copy_pid=self.pid, value=value, version=version, vpid=vpid,
-        )
+        self.history.record(PhysicalOp(self.sim.now, txn, "w", obj, self.pid,
+                                       value, version, vpid))
         # Durability cost model: the write's journal append must land
         # before the copy acknowledges.  The write is already visible
         # locally (strict 2PL holds the lock), so only the ack waits.
@@ -354,40 +341,30 @@ class AccessMixin:
         return REJECT_WRONG_PARTITION
 
     def _apply_decision(self, txn, outcome: str) -> None:
+        now, store = self.sim.now, self.processor.store
+        images = self._before_images.pop(txn, {})
         if outcome == "abort":
-            images = self._before_images.pop(txn, {})
             for obj, (value, date, version) in images.items():
                 # the holds() guard: a reshard may have retired this
                 # copy after the transaction resolved here but before
                 # the (delayed) decide reached us — nothing to restore
-                if self.processor.store.holds(obj):
-                    self.processor.store.install(obj, value, date, version)
+                if store.holds(obj):
+                    store.install(obj, value, date, version)
         else:
-            written = self._before_images.pop(txn, {})
             # the commit fan-out doubles as lease invalidation: every
             # copy holder (and the coordinator) applies the decision,
             # so any lease it granted on the object is now stale
-            if written and self.lease_table is not None:
-                for obj in written:
+            if images and self.lease_table is not None:
+                for obj in images:
                     self.lease_table.invalidate(obj)
-            if written and self.auditor is not None:
-                for obj in sorted(written):
-                    if not self.processor.store.holds(obj):
-                        continue  # copy retired by a reshard meanwhile
-                    self.auditor.on_committed_write(
-                        time=self.sim.now, pid=self.pid, obj=obj,
-                        version=self.processor.store.version(obj),
-                    )
+            for obj in sorted(images):
+                if store.holds(obj):  # else retired by a reshard meanwhile
+                    self.history.record(CommittedWrite(
+                        now, self.pid, obj, store.version(obj)))
         self.commit.note_resolved(txn)
         self._poisoned_txns.discard(txn)
-        if self.auditor is not None:
-            self.auditor.on_decision_applied(self.sim.now, self.pid, txn,
-                                             outcome)
+        self.history.record(DecisionApplied(now, self.pid, txn, outcome))
         self.cc.finish(txn, outcome)
-
-    def _audit_decision(self, txn, outcome: str) -> None:
-        if self.auditor is not None:
-            self.auditor.on_decision(self.sim.now, self.pid, txn, outcome)
 
     # ------------------------------------------------------------------
     # partition-change effects on transactions (rule R4, strict mode)

@@ -29,6 +29,7 @@ for writing.
 
 from __future__ import annotations
 
+from ..analysis.history import CopyInstall, CopyRetire
 from ..node.storage import LogTruncated
 
 
@@ -400,12 +401,7 @@ class UpdateMixin:
             store.install(obj, value, date, version)
         self.metrics.reshard_installs += 1
         self.metrics.transfer_units += answer.get("units", 0)
-        if self.auditor is not None:
-            self.auditor.on_copy_installed(
-                time=self.sim.now, pid=self.pid, obj=obj)
-        if self.tracer is not None:
-            self.tracer.emit("reshard.install", pid=self.pid, obj=obj,
-                             source=source)
+        self.history.record(CopyInstall(self.sim.now, self.pid, obj, source))
         self.processor.reply(message, "reshard-install-reply",
                              {"ok": True, "date": store.date(obj)})
 
@@ -430,10 +426,6 @@ class UpdateMixin:
                 return
             store.retire(obj)
             self.metrics.reshard_retires += 1
-            if self.auditor is not None:
-                self.auditor.on_copy_retired(
-                    time=self.sim.now, pid=self.pid, obj=obj)
-            if self.tracer is not None:
-                self.tracer.emit("reshard.retire", pid=self.pid, obj=obj)
+            self.history.record(CopyRetire(self.sim.now, self.pid, obj))
         self.state.ungate_migration(obj)
         self.processor.reply(message, "reshard-release-reply", {"ok": True})

@@ -51,8 +51,6 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         #: cluster swaps in a CachedDirectory for partial-map runs.
         #: Server-side votes stay on the authoritative ``placement``.
         self.directory = LocalDirectory(placement)
-        #: optional :class:`~repro.audit.InvariantAuditor`; None = off
-        self.auditor = None
         self._create_vp_process = None
         #: Fig. 6's armed 3δ wait for a commit (a Timeout), or None
         self._commit_wait = None
@@ -68,15 +66,10 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
     # ------------------------------------------------------------------
 
     def set_tracer(self, tracer) -> None:
-        """Install (or remove, with ``None``) a trace-event sink.
-
-        Wires every layer this protocol owns: its own emissions, the
-        shared state's join/depart events, and the CC strategy's lock
-        table.  The CC strategy is recreated on crash, so the wiring is
-        reapplied there too.
-        """
+        """Install (or remove, with ``None``) a trace-event sink here and
+        on the CC's lock table, rewired when a crash recreates the CC.
+        Joins and departs reach the trace through ``History``."""
         self.tracer = tracer
-        self.state.tracer = tracer
         self._wire_cc_tracer()
 
     def _wire_cc_tracer(self) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
+from ..analysis.history import CrashDepart, Depart, History, Join
 from ..node.storage import StorageEngine
 from ..sim import Notifier, Simulator
 from .ids import VpId, initial_vp_id
@@ -35,9 +36,8 @@ class ReplicaState:
     def __init__(self, pid: int, sim: Simulator, history=None, store=None):
         self.pid = pid
         self.sim = sim
-        self.history = history
-        #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
-        self.tracer = None
+        #: where joins and departs are reported (a private one if none)
+        self.history = History() if history is None else history
         boot_id = initial_vp_id(pid)
         self.cur_id: VpId = boot_id
         # durable across crashes: a journalled cell of the processor's
@@ -64,9 +64,8 @@ class ReplicaState:
         #: bumped on every join/depart so in-flight operations can detect
         #: that the partition changed under them
         self.epoch: int = 0
-        if history is not None:
-            history.record_join(time=sim.now, pid=pid, vpid=boot_id,
-                                view={pid})
+        self.history.record(Join(sim.now, pid, boot_id,
+                                 self.view_history[boot_id]))
 
     # -- max-id (durable) ------------------------------------------------------
 
@@ -96,11 +95,7 @@ class ReplicaState:
         self.assigned = False
         self.epoch += 1
         self.partition_changed.notify_all()
-        if self.history is not None:
-            self.history.record_depart(time=self.sim.now, pid=self.pid,
-                                       vpid=self.cur_id)
-        if self.tracer is not None:
-            self.tracer.emit("vp.depart", pid=self.pid, vpid=self.cur_id)
+        self.history.record(Depart(self.sim.now, self.pid, self.cur_id))
 
     def join(self, vpid: VpId, view: Set[int],
              previous_map: Optional[Dict[int, tuple]] = None) -> None:
@@ -114,13 +109,8 @@ class ReplicaState:
         self.epoch += 1
         self.previous_map = dict(previous_map or {})
         self.partition_changed.notify_all()
-        self.view_history[vpid] = frozenset(view)
-        if self.history is not None:
-            self.history.record_join(time=self.sim.now, pid=self.pid,
-                                     vpid=vpid, view=view)
-        if self.tracer is not None:
-            self.tracer.emit("vp.join", pid=self.pid, vpid=vpid,
-                             view=sorted(view))
+        frozen = self.view_history[vpid] = frozenset(view)
+        self.history.record(Join(self.sim.now, self.pid, vpid, frozen))
 
     # -- the locked set (R5 gating) ---------------------------------------------
 
@@ -155,9 +145,9 @@ class ReplicaState:
 
     def reset_volatile(self) -> None:
         """Crash: views and assignment are volatile and vanish."""
-        if self.assigned and self.history is not None:
-            self.history.record_depart(time=self.sim.now, pid=self.pid,
-                                       vpid=self.cur_id)
+        if self.assigned:
+            self.history.record(CrashDepart(self.sim.now, self.pid,
+                                            self.cur_id))
         self.assigned = False
         self.lview = {self.pid}
         self.previous_map = {}

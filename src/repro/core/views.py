@@ -160,10 +160,6 @@ class CopyPlacement:
         self._check_weights(obj, weights, members)
         self._pending[obj] = weights
 
-    def abort_migration(self, obj: str) -> None:
-        """Drop a staged migration (the old entry was never supplanted)."""
-        self._pending.pop(obj, None)
-
     def commit_migration(self, obj: str) -> Mapping[int, int]:
         """Atomically flip ``obj`` to its staged placement.
 

@@ -52,20 +52,6 @@ class FailureInjector:
         self._link_claims: dict[FrozenSet[int], set[str]] = {}
         self._oneway_claims: dict[tuple[int, int], set[str]] = {}
 
-    # -- claim queries ---------------------------------------------------------
-
-    def claims_on_node(self, pid: int) -> frozenset:
-        """Actors currently holding processor ``pid`` down."""
-        return frozenset(self._node_claims.get(pid, ()))
-
-    def claims_on_link(self, a: int, b: int) -> frozenset:
-        """Actors currently holding the undirected ``a``–``b`` link cut."""
-        return frozenset(self._link_claims.get(frozenset((a, b)), ()))
-
-    def claims_on_oneway(self, src: int, dst: int) -> frozenset:
-        """Actors currently holding the ``src`` → ``dst`` direction cut."""
-        return frozenset(self._oneway_claims.get((src, dst), ()))
-
     # -- scheduling ------------------------------------------------------------
 
     def at(self, time: float, action: Action, label: str = "") -> None:

@@ -173,11 +173,6 @@ class Network:
     def clear_dup_storm(self, src: int, dst: int) -> None:
         self._link_dup.pop((src, dst), None)
 
-    def perturbed_links(self) -> set[Tuple[int, int]]:
-        """Routes currently carrying any perturbation (for reports)."""
-        return (set(self._link_loss) | set(self._link_surge)
-                | set(self._link_dup))
-
     def register(self, pid: int, handler: DeliveryHandler) -> None:
         """Attach the delivery callback for processor ``pid``."""
         if pid not in self.graph.nodes:

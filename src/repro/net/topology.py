@@ -47,11 +47,6 @@ class CommGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def node_up(self, p: int) -> bool:
-        """True if processor ``p`` has not crashed."""
-        self._check(p)
-        return p not in self._down_nodes
-
     def can_send(self, src: int, dst: int) -> bool:
         """True if a message from ``src`` can currently reach ``dst``.
 
@@ -79,7 +74,8 @@ class CommGraph:
 
         An asymmetric link — one direction cut — is not an edge: the
         protocol's clique/transitivity reasoning (assumption A2) needs
-        mutual timely delivery.
+        mutual timely delivery.  ``has_edge(p, p)``: ``p`` has not
+        crashed.
         """
         if a == b:
             self._check(a)
@@ -114,30 +110,6 @@ class CommGraph:
             components.append(component)
             remaining -= component
         return components
-
-    def cluster_of(self, p: int) -> set[int]:
-        """The connected component containing ``p``."""
-        for component in self.clusters():
-            if p in component:
-                return component
-        raise AssertionError("unreachable: every node is in some cluster")
-
-    def is_clique(self, processors: Iterable[int]) -> bool:
-        """True if every pair in ``processors`` shares an edge."""
-        members = list(processors)
-        return all(
-            self.has_edge(a, b)
-            for i, a in enumerate(members)
-            for b in members[i + 1:]
-        )
-
-    def is_transitive(self) -> bool:
-        """True if every cluster is a clique (assumption A2)."""
-        return all(self.is_clique(c) for c in self.clusters())
-
-    def alive_nodes(self) -> set[int]:
-        """Processors that have not crashed."""
-        return set(self.nodes) - self._down_nodes
 
     # -- mutations ------------------------------------------------------------
 

@@ -294,10 +294,6 @@ class StorageEngine:
                 applied += 1
         return applied
 
-    def compaction_floor(self, obj: str) -> Any:
-        """The copy's retained floor, or ``NO_FLOOR`` if never compacted."""
-        return self._floors.get(obj, NO_FLOOR)
-
     # -- durable cells -------------------------------------------------------
 
     def durable_cell(self, name: str, initial: Any = None) -> DurableCell:

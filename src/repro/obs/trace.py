@@ -6,7 +6,9 @@ Design constraints, in priority order:
    ``tracer`` attribute to ``None`` and guard every emission with
    ``if self.tracer is not None`` — when tracing is disabled the hot
    paths pay one attribute load per site, nothing more.  There is no
-   always-on no-op object on the message path.
+   always-on no-op object on the message path.  Joins, departs and
+   reshard steps are not emitted where they happen at all: protocol
+   code reports them to ``History``, which hands them to :meth:`read`.
 2. **Determinism.**  A tracer only ever records simulated time and
    values normalized by :func:`~repro.obs.events.jsonable`; two runs of
    the same seeded cluster serialize to byte-identical JSONL.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from typing import Collection, List, Optional
 
+from ..analysis.history import CopyInstall, CopyRetire, Depart, Join, ReshardFlip
 from ..sim import Simulator
 from .events import SIM_STEP, TraceEvent
 
@@ -58,6 +61,26 @@ class Tracer:
             ))
 
         target.trace_hook = hook
+
+    # -- the History reader -------------------------------------------------
+
+    def read(self, fact) -> None:
+        """Emit the event of a ``History`` record the trace shows (a
+        join, a non-crash depart, a reshard step); ignore the rest."""
+        kind = type(fact)
+        if kind is Join:
+            self.emit("vp.join", pid=fact.pid, vpid=fact.vpid,
+                      view=sorted(fact.view))
+        elif kind is Depart:
+            self.emit("vp.depart", pid=fact.pid, vpid=fact.vpid)
+        elif kind is CopyInstall:
+            self.emit("reshard.install", pid=fact.pid, obj=fact.obj,
+                      source=fact.source)
+        elif kind is CopyRetire:
+            self.emit("reshard.retire", pid=fact.pid, obj=fact.obj)
+        elif kind is ReshardFlip:
+            self.emit("reshard.flip", pid=fact.pid, obj=fact.obj,
+                      epoch=fact.new_epoch, holders=sorted(fact.new_weights))
 
     # -- introspection -------------------------------------------------------
 

@@ -79,9 +79,9 @@ class ReplicaControlProtocol(ABC):
 
     The backend calls back into its host (``repro.commit.base``):
     ``_vote`` and ``_apply_decision`` are the protocol's own; the
-    ``_r4_screen``, ``_force_aborted`` and ``_audit_decision`` defaults
-    here raise no objection — the virtual partitions protocol's views
-    override them.
+    ``_r4_screen`` and ``_force_aborted`` defaults here raise no
+    objection — the virtual partitions protocol's views override them.
+    Decisions go to ``history`` from the backend itself.
     """
 
     #: short identifier used in benchmark tables
@@ -202,6 +202,3 @@ class ReplicaControlProtocol(ABC):
     def _force_aborted(self, txn) -> bool:
         """Was ``txn`` force-aborted here while its votes were out?"""
         return False
-
-    def _audit_decision(self, txn, outcome: str) -> None:
-        """A decision was journalled here (the auditor's hook)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from ..analysis.history import LogicalAccess, LogicalOp, PhysicalOp
 from ..core.errors import AccessAborted
 from .base import ReplicaControlProtocol
 
@@ -86,10 +87,8 @@ class BaselineProtocol(ReplicaControlProtocol):
             return
         value, date = store.read(obj)
         version = store.version(obj)
-        self.history.record_physical(
-            time=self.sim.now, txn=txn, kind="r", obj=obj,
-            copy_pid=self.pid, value=value, version=version, vpid=None,
-        )
+        self.history.record(PhysicalOp(self.sim.now, txn, "r", obj, self.pid,
+                                       value, version, None))
         self.processor.reply(message, "read-reply", {
             "ok": True, "value": value, "date": date, "version": version,
         })
@@ -108,11 +107,9 @@ class BaselineProtocol(ReplicaControlProtocol):
         if date is None:
             date = store.date(obj)
         store.write(obj, payload["value"], date, payload["version"])
-        self.history.record_physical(
-            time=self.sim.now, txn=txn, kind="w", obj=obj,
-            copy_pid=self.pid, value=payload["value"],
-            version=payload["version"], vpid=None,
-        )
+        self.history.record(PhysicalOp(self.sim.now, txn, "w", obj, self.pid,
+                                       payload["value"], payload["version"],
+                                       None))
         self.processor.reply(message, "write-reply", {"ok": True})
 
     # ------------------------------------------------------------------
@@ -178,10 +175,8 @@ class BaselineProtocol(ReplicaControlProtocol):
                 last_reason = "no-response"
                 continue
             if payload["ok"]:
-                self.history.record_logical(
-                    time=self.sim.now, txn=ctx.txn_id, kind="r", obj=obj,
-                    value=payload["value"], version=payload["version"],
-                )
+                self._record_logical(ctx, "r", obj, payload["value"],
+                                     payload["version"])
                 ctx.note_access("r", obj, server, None)
                 return payload
             last_reason = payload["reason"]
@@ -212,7 +207,12 @@ class BaselineProtocol(ReplicaControlProtocol):
             ctx.poison(f"write {obj!r} failed at {sorted(failures)}: {reason}")
             self.metrics.abort("w", reason)
             raise AccessAborted(obj, reason)
-        self.history.record_logical(
-            time=self.sim.now, txn=ctx.txn_id, kind="w", obj=obj,
-            value=value, version=version,
-        )
+        self._record_logical(ctx, "w", obj, value, version)
+
+    def _record_logical(self, ctx, kind: str, obj: str, value,
+                        version) -> None:
+        """Report a logical access: a baseline has no partition, routes
+        on no placement epoch, and is not audited (so no targets)."""
+        self.history.record(LogicalAccess(
+            LogicalOp(self.sim.now, ctx.txn_id, kind, obj, value, version),
+            self.pid, None, (), 0))

@@ -96,10 +96,7 @@ class MissingWritesProtocol(QuorumProtocol):
         self._version_cache.setdefault(ctx.txn_id, {})[obj] = new_number
         if missed:
             self._note_missing(obj, missed, broadcast=True)
-        self.history.record_logical(
-            time=self.sim.now, txn=ctx.txn_id, kind="w", obj=obj,
-            value=value, version=version,
-        )
+        self._record_logical(ctx, "w", obj, value, version)
         return None
 
     def available(self, obj: str, write: bool) -> bool:

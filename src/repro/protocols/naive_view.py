@@ -27,7 +27,7 @@ exact interleavings.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from ..core.errors import AccessAborted
 from .common import BaselineProtocol
@@ -67,10 +67,6 @@ class NaiveViewProtocol(BaselineProtocol):
         """
         graph = self.processor.network.graph
         self.view = {self.pid} | graph.neighbors(self.pid)
-
-    def set_view(self, view: Iterable[int]) -> None:
-        """Scenario hook: impose a (possibly stale) view directly."""
-        self.view = set(view)
 
     # ------------------------------------------------------------------
     # logical operations: the ROWA loops over the copies in the view

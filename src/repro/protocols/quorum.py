@@ -77,10 +77,7 @@ class QuorumProtocol(BaselineProtocol):
         for server in responses:
             ctx.note_access("r", obj, server, None)
         self._version_cache.setdefault(ctx.txn_id, {})[obj] = best["date"] or 0
-        self.history.record_logical(
-            time=self.sim.now, txn=ctx.txn_id, kind="r", obj=obj,
-            value=best["value"], version=best["version"],
-        )
+        self._record_logical(ctx, "r", obj, best["value"], best["version"])
         return best["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):
@@ -118,10 +115,7 @@ class QuorumProtocol(BaselineProtocol):
         for server in responses:
             ctx.note_access("w", obj, server, None)
         self._version_cache.setdefault(ctx.txn_id, {})[obj] = new_number
-        self.history.record_logical(
-            time=self.sim.now, txn=ctx.txn_id, kind="w", obj=obj,
-            value=value, version=version,
-        )
+        self._record_logical(ctx, "w", obj, value, version)
         return None
 
     def end_transaction(self, ctx, outcome: str):

@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.history import ReshardFlip
 from ..core.copy_update import _date_newer
 
 #: name of the coordinator's durable journal cell
@@ -369,8 +370,9 @@ class ReshardEngine:
         placement.commit_migration(obj)
         self.stats.flips += 1
         self._journal_current(cell, obj, old, flipped=True)
-        self._after_flip(processor, obj, old, target,
-                         epoch_before, placement.epoch_of(obj), adds)
+        cluster.history.record(ReshardFlip(
+            sim.now, processor.pid, obj, old, target, epoch_before,
+            placement.epoch_of(obj), adds))
 
     def _unguarded_cutover(self, processor, cell, obj: str,
                            old: Dict[int, int], target: Dict[int, int],
@@ -396,23 +398,9 @@ class ReshardEngine:
                           bump_epoch=False)
         self.stats.flips += 1
         self._journal_current(cell, obj, old, flipped=True)
-        self._after_flip(processor, obj, old, target,
-                         epoch_before, placement.epoch_of(obj), adds)
-
-    def _after_flip(self, processor, obj: str, old: Dict[int, int],
-                    target: Dict[int, int], epoch_before: int,
-                    epoch_after: int, adds: List[int]) -> None:
-        if self.cluster.auditor is not None:
-            self.cluster.auditor.on_reshard_flip(
-                time=self.cluster.sim.now, pid=processor.pid, obj=obj,
-                old_weights=old, new_weights=target,
-                old_epoch=epoch_before, new_epoch=epoch_after,
-                installed=adds,
-            )
-        if self.cluster.tracer is not None:
-            self.cluster.tracer.emit(
-                "reshard.flip", pid=processor.pid, obj=obj,
-                epoch=epoch_after, holders=sorted(target))
+        cluster.history.record(ReshardFlip(
+            cluster.sim.now, processor.pid, obj, old, target, epoch_before,
+            placement.epoch_of(obj), adds))
 
     # -- RPC helpers ----------------------------------------------------------
 

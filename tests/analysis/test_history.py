@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.history import INITIAL_VERSION, History
+from repro.analysis.history import INITIAL_VERSION, History, Join, PhysicalOp
+from tests.analysis import record_logical
 
 
 @pytest.fixture()
@@ -46,15 +47,15 @@ def test_unknown_txn_rejected(history):
 
 def test_physical_ops_attach_to_txn(history):
     history.begin_txn("t1", origin=1, time=0.0)
-    history.record_physical(time=1.0, txn="t1", kind="r", obj="x",
-                            copy_pid=2, value=0, version=INITIAL_VERSION,
-                            vpid="v1")
-    history.record_physical(time=2.0, txn="t1", kind="w", obj="x",
-                            copy_pid=2, value=1, version=("t1", 1),
-                            vpid="v1")
-    history.record_physical(time=3.0, txn="t2", kind="r", obj="x",
-                            copy_pid=3, value=1, version=("t1", 1),
-                            vpid="v1")
+    history.record(PhysicalOp(time=1.0, txn="t1", kind="r", obj="x",
+                              copy_pid=2, value=0, version=INITIAL_VERSION,
+                              vpid="v1"))
+    history.record(PhysicalOp(time=2.0, txn="t1", kind="w", obj="x",
+                              copy_pid=2, value=1, version=("t1", 1),
+                              vpid="v1"))
+    history.record(PhysicalOp(time=3.0, txn="t2", kind="r", obj="x",
+                              copy_pid=3, value=1, version=("t1", 1),
+                              vpid="v1"))
     # one global list, in record order; a txn's or a copy's ops filter it
     assert [op.time for op in history.physical_ops] == [1.0, 2.0, 3.0]
     ops = [op for op in history.physical_ops if op.txn == "t1"]
@@ -67,10 +68,10 @@ def test_physical_ops_attach_to_txn(history):
 
 def test_logical_ops_and_read_write_sets(history):
     history.begin_txn("t1", origin=1, time=0.0)
-    history.record_logical(time=1.0, txn="t1", kind="r", obj="x",
-                           value=0, version=INITIAL_VERSION)
-    history.record_logical(time=2.0, txn="t1", kind="w", obj="y",
-                           value=9, version=("t1", 1))
+    record_logical(history, time=1.0, txn="t1", kind="r", obj="x",
+                   value=0, version=INITIAL_VERSION)
+    record_logical(history, time=2.0, txn="t1", kind="w", obj="y",
+                   value=9, version=("t1", 1))
     record = history.txns["t1"]
     assert record.logical_ops == history.logical_ops
     assert {op.obj for op in record.logical_ops if op.kind == "r"} == {"x"}
@@ -80,16 +81,16 @@ def test_logical_ops_and_read_write_sets(history):
 def test_invalid_kind_rejected(history):
     history.begin_txn("t1", origin=1, time=0.0)
     with pytest.raises(ValueError):
-        history.record_physical(time=1.0, txn="t1", kind="x", obj="x",
-                                copy_pid=1, value=0, version=None, vpid=None)
+        history.record(PhysicalOp(time=1.0, txn="t1", kind="x", obj="x",
+                                  copy_pid=1, value=0, version=None, vpid=None))
     with pytest.raises(ValueError):
-        history.record_logical(time=1.0, txn="t1", kind="q", obj="x",
-                               value=0, version=None)
+        record_logical(history, time=1.0, txn="t1", kind="q", obj="x",
+                       value=0, version=None)
 
 
 def test_view_of_is_unique_per_partition(history):
-    history.record_join(time=1.0, pid=1, vpid="v1", view={1, 2})
-    history.record_join(time=2.0, pid=2, vpid="v1", view={1, 2})
+    history.record(Join(time=1.0, pid=1, vpid="v1", view=frozenset({1, 2})))
+    history.record(Join(time=2.0, pid=2, vpid="v1", view=frozenset({1, 2})))
     assert history.view_of("v1") == frozenset({1, 2})
     assert history.members_of("v1") == {1, 2}
     with pytest.raises(KeyError):
@@ -97,7 +98,7 @@ def test_view_of_is_unique_per_partition(history):
 
 
 def test_view_of_detects_s1_violation(history):
-    history.record_join(time=1.0, pid=1, vpid="v1", view={1})
-    history.record_join(time=2.0, pid=2, vpid="v1", view={1, 2})
+    history.record(Join(time=1.0, pid=1, vpid="v1", view=frozenset({1})))
+    history.record(Join(time=2.0, pid=2, vpid="v1", view=frozenset({1, 2})))
     with pytest.raises(AssertionError):
         history.view_of("v1")

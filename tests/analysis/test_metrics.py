@@ -1,15 +1,16 @@
 """Unit tests for history measurement utilities."""
 
-from repro.analysis.history import INITIAL_VERSION, History
+from repro.analysis.history import INITIAL_VERSION, History, Join
 from repro.analysis.metrics import convergence_time, stale_reads
+from tests.analysis import record_logical
 
 
 def test_convergence_time_to_highest_partition():
     history = History()
-    history.record_join(time=10.0, pid=1, vpid=(2, 1), view={1, 2})
-    history.record_join(time=12.0, pid=2, vpid=(2, 1), view={1, 2})
-    history.record_join(time=15.0, pid=1, vpid=(3, 1), view={1, 2})
-    history.record_join(time=18.0, pid=2, vpid=(3, 1), view={1, 2})
+    history.record(Join(time=10.0, pid=1, vpid=(2, 1), view=frozenset({1, 2})))
+    history.record(Join(time=12.0, pid=2, vpid=(2, 1), view=frozenset({1, 2})))
+    history.record(Join(time=15.0, pid=1, vpid=(3, 1), view=frozenset({1, 2})))
+    history.record(Join(time=18.0, pid=2, vpid=(3, 1), view=frozenset({1, 2})))
     assert convergence_time(history, after=10.0) == 8.0
     assert convergence_time(history, after=16.0) == 2.0
     assert convergence_time(history, after=100.0) is None
@@ -18,8 +19,8 @@ def test_convergence_time_to_highest_partition():
 def _committed(history, txn, begin, end, ops):
     history.begin_txn(txn, origin=1, time=begin)
     for time, kind, obj, version in ops:
-        history.record_logical(time=time, txn=txn, kind=kind, obj=obj,
-                               value=None, version=version)
+        record_logical(history, time=time, txn=txn, kind=kind, obj=obj,
+                       value=None, version=version)
     history.commit_txn(txn, time=end)
 
 

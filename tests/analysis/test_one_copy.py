@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis import one_copy
-from repro.analysis.history import INITIAL_VERSION, History
+from repro.analysis.history import INITIAL_VERSION, History, PhysicalOp
 from repro.analysis.one_copy import check_one_copy, is_one_copy_serializable
+from tests.analysis import record_logical
 
 
 def build(txns):
@@ -15,8 +16,8 @@ def build(txns):
         history.begin_txn(txn, origin=1, time=time)
         for kind, obj, version in ops:
             time += 1.0
-            history.record_logical(time=time, txn=txn, kind=kind, obj=obj,
-                                   value=None, version=version)
+            record_logical(history, time=time, txn=txn, kind=kind, obj=obj,
+                           value=None, version=version)
         time += 1.0
         history.commit_txn(txn, time=time)
     return history
@@ -98,12 +99,12 @@ def test_read_own_write_then_overwrite():
 def test_dirty_read_from_aborted_txn_rejected():
     history = History()
     history.begin_txn("t1", origin=1, time=0.0)
-    history.record_logical(time=1.0, txn="t1", kind="w", obj="x",
-                           value=1, version=("t1", 1))
+    record_logical(history, time=1.0, txn="t1", kind="w", obj="x",
+                   value=1, version=("t1", 1))
     history.abort_txn("t1", time=2.0)
     history.begin_txn("t2", origin=1, time=3.0)
-    history.record_logical(time=4.0, txn="t2", kind="r", obj="x",
-                           value=1, version=("t1", 1))
+    record_logical(history, time=4.0, txn="t2", kind="r", obj="x",
+                   value=1, version=("t1", 1))
     history.commit_txn("t2", time=5.0)
     result = check_one_copy(history)
     assert result.ok is False
@@ -125,8 +126,8 @@ def test_read_of_a_version_its_writer_replaced_is_rejected():
 def test_aborted_txns_ignored():
     history = History()
     history.begin_txn("t1", origin=1, time=0.0)
-    history.record_logical(time=1.0, txn="t1", kind="w", obj="x",
-                           value=1, version=("t1", 1))
+    record_logical(history, time=1.0, txn="t1", kind="w", obj="x",
+                   value=1, version=("t1", 1))
     history.abort_txn("t1", time=2.0)
     assert check_one_copy(history).ok is True
 
@@ -153,15 +154,15 @@ def _blind_write_history(install_order):
     for txn in ("t1", "t2", "t3"):
         history.begin_txn(txn, origin=1, time=0.0)
     for position, txn in enumerate(install_order):
-        history.record_physical(time=1.0 + position, txn=txn, kind="w",
-                                obj="x", copy_pid=1, value=None,
-                                version=(txn, 1), vpid=None)
+        history.record(PhysicalOp(time=1.0 + position, txn=txn, kind="w",
+                                  obj="x", copy_pid=1, value=None,
+                                  version=(txn, 1), vpid=None))
     for txn, kind, obj, version in [
             ("t1", "w", "x", ("t1", 1)),
             ("t2", "w", "x", ("t2", 1)), ("t2", "w", "y", ("t2", 2)),
             ("t3", "r", "x", ("t1", 1)), ("t3", "r", "y", ("t2", 2))]:
-        history.record_logical(time=5.0, txn=txn, kind=kind, obj=obj,
-                               value=None, version=version)
+        record_logical(history, time=5.0, txn=txn, kind=kind, obj=obj,
+                       value=None, version=version)
     for position, txn in enumerate(("t1", "t2", "t3")):
         history.commit_txn(txn, time=10.0 + position)
     return history

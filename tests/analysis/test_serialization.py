@@ -1,6 +1,6 @@
 """Unit tests for the CP-serializability checker."""
 
-from repro.analysis.history import History
+from repro.analysis.history import History, PhysicalOp
 from repro.analysis.serialization import (
     conflict_graph,
     find_cycle,
@@ -14,9 +14,9 @@ def _committed_txn(history, txn, ops):
     """ops: list of (time, kind, obj, copy_pid)."""
     history.begin_txn(txn, origin=1, time=min(t for t, _, _, _ in ops))
     for time, kind, obj, copy_pid in ops:
-        history.record_physical(time=time, txn=txn, kind=kind, obj=obj,
-                                copy_pid=copy_pid, value=None, version=None,
-                                vpid=None)
+        history.record(PhysicalOp(time=time, txn=txn, kind=kind, obj=obj,
+                                  copy_pid=copy_pid, value=None, version=None,
+                                  vpid=None))
     history.commit_txn(txn, time=max(t for t, _, _, _ in ops) + 1)
 
 
@@ -39,14 +39,14 @@ def test_classic_rw_cycle_detected():
     # writes x (after t1's read): conflict edges t1->t2 and t2->t1.
     history.begin_txn("t1", origin=1, time=0.0)
     history.begin_txn("t2", origin=2, time=0.0)
-    history.record_physical(time=1.0, txn="t1", kind="r", obj="x",
-                            copy_pid=1, value=None, version=None, vpid=None)
-    history.record_physical(time=2.0, txn="t2", kind="r", obj="y",
-                            copy_pid=1, value=None, version=None, vpid=None)
-    history.record_physical(time=3.0, txn="t1", kind="w", obj="y",
-                            copy_pid=1, value=None, version=None, vpid=None)
-    history.record_physical(time=4.0, txn="t2", kind="w", obj="x",
-                            copy_pid=1, value=None, version=None, vpid=None)
+    history.record(PhysicalOp(time=1.0, txn="t1", kind="r", obj="x",
+                              copy_pid=1, value=None, version=None, vpid=None))
+    history.record(PhysicalOp(time=2.0, txn="t2", kind="r", obj="y",
+                              copy_pid=1, value=None, version=None, vpid=None))
+    history.record(PhysicalOp(time=3.0, txn="t1", kind="w", obj="y",
+                              copy_pid=1, value=None, version=None, vpid=None))
+    history.record(PhysicalOp(time=4.0, txn="t2", kind="w", obj="x",
+                              copy_pid=1, value=None, version=None, vpid=None))
     history.commit_txn("t1", time=5.0)
     history.commit_txn("t2", time=5.0)
     assert not is_cp_serializable(history)
@@ -59,14 +59,14 @@ def test_aborted_txns_are_excluded():
     history = History()
     history.begin_txn("t1", origin=1, time=0.0)
     history.begin_txn("t2", origin=2, time=0.0)
-    history.record_physical(time=1.0, txn="t1", kind="r", obj="x",
-                            copy_pid=1, value=None, version=None, vpid=None)
-    history.record_physical(time=2.0, txn="t2", kind="r", obj="y",
-                            copy_pid=1, value=None, version=None, vpid=None)
-    history.record_physical(time=3.0, txn="t1", kind="w", obj="y",
-                            copy_pid=1, value=None, version=None, vpid=None)
-    history.record_physical(time=4.0, txn="t2", kind="w", obj="x",
-                            copy_pid=1, value=None, version=None, vpid=None)
+    history.record(PhysicalOp(time=1.0, txn="t1", kind="r", obj="x",
+                              copy_pid=1, value=None, version=None, vpid=None))
+    history.record(PhysicalOp(time=2.0, txn="t2", kind="r", obj="y",
+                              copy_pid=1, value=None, version=None, vpid=None))
+    history.record(PhysicalOp(time=3.0, txn="t1", kind="w", obj="y",
+                              copy_pid=1, value=None, version=None, vpid=None))
+    history.record(PhysicalOp(time=4.0, txn="t2", kind="w", obj="x",
+                              copy_pid=1, value=None, version=None, vpid=None))
     history.commit_txn("t1", time=5.0)
     history.abort_txn("t2", time=5.0)
     assert is_cp_serializable(history)
@@ -105,9 +105,9 @@ def test_serial_order_raises_on_cycle():
     history.begin_txn("t2", origin=2, time=0.0)
     for time, txn, obj in [(1.0, "t1", "x"), (2.0, "t2", "x"),
                            (3.0, "t2", "y"), (4.0, "t1", "y")]:
-        history.record_physical(time=time, txn=txn, kind="w", obj=obj,
-                                copy_pid=1, value=None, version=None,
-                                vpid=None)
+        history.record(PhysicalOp(time=time, txn=txn, kind="w", obj=obj,
+                                  copy_pid=1, value=None, version=None,
+                                  vpid=None))
     history.commit_txn("t1", time=5.0)
     history.commit_txn("t2", time=5.0)
     with pytest.raises(ValueError):

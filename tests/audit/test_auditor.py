@@ -1,11 +1,15 @@
 """Unit tests for the runtime invariant auditor.
 
-Each test feeds the auditor a synthetic event stream that violates (or
+Each test feeds the auditor a synthetic record stream that violates (or
 honours) exactly one invariant and checks the verdict — the auditor is
-pure observation, so no simulator is needed.
+pure observation, so no simulator is needed.  Every record goes through
+``History.record``, the one entry point protocol code reports to.
 """
 
-from repro.analysis.history import History, PhysicalOp
+from repro.analysis.history import (
+    Decision, DecisionApplied, Depart, History, Join, LogicalAccess,
+    LogicalOp, PhysicalOp,
+)
 from repro.audit import InvariantAuditor
 from repro.core.ids import VpId
 from repro.core.views import CopyPlacement
@@ -30,17 +34,38 @@ class FakeState:
         self.locked = set(locked)
 
 
+def reading(auditor, servers=()):
+    """A History whose one reader is ``auditor``, which audits the
+    processors ``servers`` (the cluster registers each one's state)."""
+    for pid in servers:
+        auditor.states[pid] = FakeState()
+    history = History()
+    history.readers = (auditor,)
+    return history
+
+
+def join(time, pid, vpid, view):
+    return Join(time, pid, vpid, frozenset(view))
+
+
+def access(time, pid, kind, vpid, targets):
+    """Txn (1, 1)'s logical ``kind`` access of ``x`` issued at ``pid``."""
+    return LogicalAccess(LogicalOp(time, (1, 1), kind, "x", 0, None), pid,
+                         vpid, targets, 0)
+
+
 # -- S1/S2/S3 ----------------------------------------------------------------
 
 
 def test_clean_join_sequence_is_ok():
     auditor = InvariantAuditor()
-    auditor.on_join(time=1.0, pid=1, vpid=V1, view=frozenset({1, 2}))
-    auditor.on_join(time=1.0, pid=2, vpid=V1, view=frozenset({1, 2}))
-    auditor.on_depart(time=5.0, pid=1, vpid=V1)
-    auditor.on_depart(time=5.0, pid=2, vpid=V1)
-    auditor.on_join(time=6.0, pid=1, vpid=V2, view=frozenset({1, 2}))
-    auditor.on_join(time=6.0, pid=2, vpid=V2, view=frozenset({1, 2}))
+    history = reading(auditor)
+    history.record(join(1.0, 1, V1, {1, 2}))
+    history.record(join(1.0, 2, V1, {1, 2}))
+    history.record(Depart(5.0, 1, V1))
+    history.record(Depart(5.0, 2, V1))
+    history.record(join(6.0, 1, V2, {1, 2}))
+    history.record(join(6.0, 2, V2, {1, 2}))
     auditor.finalize()
     assert auditor.ok
     assert auditor.report() == "auditor: all invariants held"
@@ -48,30 +73,34 @@ def test_clean_join_sequence_is_ok():
 
 def test_s1_two_views_for_one_vpid():
     auditor = InvariantAuditor()
-    auditor.on_join(time=1.0, pid=1, vpid=V1, view=frozenset({1, 2}))
-    auditor.on_join(time=1.0, pid=2, vpid=V1, view=frozenset({1, 2, 3}))
+    history = reading(auditor)
+    history.record(join(1.0, 1, V1, {1, 2}))
+    history.record(join(1.0, 2, V1, {1, 2, 3}))
     assert [v.invariant for v in auditor.violations] == ["S1"]
 
 
 def test_s2_view_must_contain_joiner():
     auditor = InvariantAuditor()
-    auditor.on_join(time=1.0, pid=3, vpid=V1, view=frozenset({1, 2}))
+    history = reading(auditor)
+    history.record(join(1.0, 3, V1, {1, 2}))
     assert [v.invariant for v in auditor.violations] == ["S2"]
 
 
 def test_s3_depart_after_newer_join():
     auditor = InvariantAuditor()
-    auditor.on_join(time=1.0, pid=1, vpid=V1, view=frozenset({1, 2}))
-    auditor.on_join(time=5.0, pid=1, vpid=V2, view=frozenset({1, 2}))
-    auditor.on_depart(time=7.0, pid=1, vpid=V1)  # too late: V2 began at 5
+    history = reading(auditor)
+    history.record(join(1.0, 1, V1, {1, 2}))
+    history.record(join(5.0, 1, V2, {1, 2}))
+    history.record(Depart(7.0, 1, V1))  # too late: V2 began at 5
     auditor.finalize()
     assert [v.invariant for v in auditor.violations] == ["S3"]
 
 
 def test_s3_missing_depart_flagged_at_finalize():
     auditor = InvariantAuditor()
-    auditor.on_join(time=1.0, pid=1, vpid=V1, view=frozenset({1, 2}))
-    auditor.on_join(time=5.0, pid=1, vpid=V2, view=frozenset({1, 2}))
+    history = reading(auditor)
+    history.record(join(1.0, 1, V1, {1, 2}))
+    history.record(join(5.0, 1, V2, {1, 2}))
     assert auditor.ok, "obligation is pending, not yet a violation"
     auditor.finalize()
     assert [v.invariant for v in auditor.violations] == ["S3"]
@@ -81,9 +110,10 @@ def test_s3_same_instant_depart_and_join_is_legal():
     """Fig. 5/6 commit the new view and depart the old one in the same
     handler — the same-instant race must not be flagged."""
     auditor = InvariantAuditor()
-    auditor.on_join(time=1.0, pid=1, vpid=V1, view=frozenset({1, 2}))
-    auditor.on_join(time=5.0, pid=1, vpid=V2, view=frozenset({1, 2}))
-    auditor.on_depart(time=5.0, pid=1, vpid=V1)
+    history = reading(auditor)
+    history.record(join(1.0, 1, V1, {1, 2}))
+    history.record(join(5.0, 1, V2, {1, 2}))
+    history.record(Depart(5.0, 1, V1))
     auditor.finalize()
     assert auditor.ok
 
@@ -92,8 +122,9 @@ def test_s3_checked_against_late_joiner_of_old_partition():
     """The member of an old view that joins only after a newer view
     already includes it is caught by the reverse direction."""
     auditor = InvariantAuditor()
-    auditor.on_join(time=5.0, pid=1, vpid=V2, view=frozenset({1, 2}))
-    auditor.on_join(time=6.0, pid=1, vpid=V1, view=frozenset({1, 2}))
+    history = reading(auditor)
+    history.record(join(5.0, 1, V2, {1, 2}))
+    history.record(join(6.0, 1, V1, {1, 2}))
     auditor.finalize()
     assert "S3" in [v.invariant for v in auditor.violations]
 
@@ -103,35 +134,34 @@ def test_s3_checked_against_late_joiner_of_old_partition():
 
 def test_r1_access_in_minority_view():
     auditor = InvariantAuditor(placement_xyz())
-    auditor.on_join(time=1.0, pid=1, vpid=V1, view=frozenset({1}))
+    history = reading(auditor, servers=(1,))
+    history.record(join(1.0, 1, V1, {1}))
     auditor.violations.clear()  # the S2-clean join; isolate the R1 check
-    auditor.on_logical_access(time=2.0, pid=1, txn=(1, 1), kind="r",
-                              obj="x", vpid=V1, targets=(1,))
+    history.record(access(2.0, 1, "r", V1, (1,)))
     assert [v.invariant for v in auditor.violations] == ["R1"]
 
 
 def test_r3_write_must_hit_all_in_view_copies():
     auditor = InvariantAuditor(placement_xyz())
-    auditor.on_join(time=1.0, pid=1, vpid=V1, view=frozenset({1, 2, 3}))
-    auditor.on_logical_access(time=2.0, pid=1, txn=(1, 1), kind="w",
-                              obj="x", vpid=V1, targets=(1, 2))  # missing 3
+    history = reading(auditor, servers=(1,))
+    history.record(join(1.0, 1, V1, {1, 2, 3}))
+    history.record(access(2.0, 1, "w", V1, (1, 2)))  # missing 3
     assert [v.invariant for v in auditor.violations] == ["R3"]
 
 
 def test_clean_read_and_write_pass():
     auditor = InvariantAuditor(placement_xyz())
-    auditor.on_join(time=1.0, pid=1, vpid=V1, view=frozenset({1, 2, 3}))
-    auditor.on_logical_access(time=2.0, pid=1, txn=(1, 1), kind="r",
-                              obj="x", vpid=V1, targets=(2,))
-    auditor.on_logical_access(time=3.0, pid=1, txn=(1, 1), kind="w",
-                              obj="x", vpid=V1, targets=(1, 2, 3))
+    history = reading(auditor, servers=(1,))
+    history.record(join(1.0, 1, V1, {1, 2, 3}))
+    history.record(access(2.0, 1, "r", V1, (2,)))
+    history.record(access(3.0, 1, "w", V1, (1, 2, 3)))
     assert auditor.ok
 
 
 def test_unknown_vpid_is_skipped_not_flagged():
     auditor = InvariantAuditor(placement_xyz())
-    auditor.on_logical_access(time=2.0, pid=1, txn=(1, 1), kind="r",
-                              obj="x", vpid=V1, targets=(1,))
+    history = reading(auditor, servers=(1,))
+    history.record(access(2.0, 1, "r", V1, (1,)))
     assert auditor.ok
 
 
@@ -146,50 +176,58 @@ def served_read(pid=1, vpid=V1):
 
 def test_r5_serving_a_locked_copy():
     auditor = InvariantAuditor(placement_xyz())
+    history = reading(auditor)
     auditor.states[1] = FakeState(locked={"x"})
-    auditor.on_physical_access(served_read())
+    history.record(served_read())
     assert [v.invariant for v in auditor.violations] == ["R5"]
 
 
 def test_view_match_serving_foreign_partition():
     auditor = InvariantAuditor(placement_xyz())
+    history = reading(auditor)
     auditor.states[1] = FakeState(cur_id=V2)
-    auditor.on_physical_access(served_read())
+    history.record(served_read())
     assert [v.invariant for v in auditor.violations] == ["view-match"]
 
 
 def test_placement_serving_unheld_object():
     auditor = InvariantAuditor(placement_xyz())
+    history = reading(auditor)
     auditor.states[4] = FakeState(lview={1, 2, 3, 4})
-    auditor.on_physical_access(served_read(pid=4))
+    history.record(served_read(pid=4))
     assert [v.invariant for v in auditor.violations] == ["placement"]
 
 
 def test_clean_physical_access_passes():
     auditor = InvariantAuditor(placement_xyz())
+    history = reading(auditor)
     auditor.states[1] = FakeState()
-    auditor.on_physical_access(served_read())
+    history.record(served_read())
     assert auditor.ok
 
 
 def test_server_without_state_is_not_audited():
-    """A baseline's server (no ``states`` entry, ``vpid=None``) is not
-    judged: nothing is flagged and nothing enters the context."""
+    """A baseline's processor (no ``states`` entry, ``vpid=None``) is not
+    judged — neither its served ops, nor its logical accesses, nor its
+    decisions: nothing is flagged and nothing enters the context."""
     auditor = InvariantAuditor(placement_xyz())
+    history = reading(auditor)
     auditor.states[1] = FakeState(locked={"x"})
-    auditor.on_physical_access(served_read(pid=4, vpid=None))
+    history.record(served_read(pid=4, vpid=None))
+    history.record(access(2.0, 4, "w", None, (4,)))
+    history.record(Decision(2.0, 4, (1, 1), "commit"))
+    history.record(Decision(2.5, 4, (1, 1), "abort"))
     assert auditor.ok
-    auditor.on_join(time=3.0, pid=3, vpid=V1, view=frozenset({1, 2}))
+    history.record(join(3.0, 3, V1, {1, 2}))
     assert [c["event"] for c in auditor.violations[0].context] == ["join"]
 
 
 def test_history_hands_each_served_op_to_the_auditor():
     auditor = InvariantAuditor(placement_xyz())
+    history = reading(auditor)
     auditor.states[1] = FakeState(locked={"x"})
-    history = History()
-    history.auditor = auditor
-    history.record_physical(time=2.0, txn=(1, 1), kind="r", obj="x",
-                            copy_pid=1, value=0, version=None, vpid=V1)
+    history.record(served_read())
+    assert history.physical_ops == [served_read()]
     assert [v.invariant for v in auditor.violations] == ["R5"]
     assert auditor.violations[0].context[-1]["event"] == "physical"
 
@@ -199,9 +237,10 @@ def test_history_hands_each_served_op_to_the_auditor():
 
 def test_2pc_decision_flip_flagged():
     auditor = InvariantAuditor()
-    auditor.on_decision(1.0, 1, (1, 1), "undecided")
-    auditor.on_decision(2.0, 1, (1, 1), "abort")
-    auditor.on_decision(3.0, 1, (1, 1), "commit")
+    history = reading(auditor, servers=(1, 2, 3))
+    history.record(Decision(1.0, 1, (1, 1), "undecided"))
+    history.record(Decision(2.0, 1, (1, 1), "abort"))
+    history.record(Decision(3.0, 1, (1, 1), "commit"))
     # the flip itself plus the conflict with the first decided outcome
     assert {v.invariant for v in auditor.violations} == {"commit-decision"}
     assert "flipped" in auditor.violations[0].detail
@@ -209,16 +248,18 @@ def test_2pc_decision_flip_flagged():
 
 def test_2pc_undecided_then_commit_is_clean():
     auditor = InvariantAuditor()
-    auditor.on_decision(1.0, 1, (1, 1), "undecided")
-    auditor.on_decision(2.0, 1, (1, 1), "commit")
-    auditor.on_decision_applied(3.0, 2, (1, 1), "commit")
+    history = reading(auditor, servers=(1, 2, 3))
+    history.record(Decision(1.0, 1, (1, 1), "undecided"))
+    history.record(Decision(2.0, 1, (1, 1), "commit"))
+    history.record(DecisionApplied(3.0, 2, (1, 1), "commit"))
     assert auditor.ok
 
 
 def test_2pc_divergent_applied_outcomes():
     auditor = InvariantAuditor()
-    auditor.on_decision_applied(1.0, 2, (1, 1), "abort")
-    auditor.on_decision_applied(2.0, 3, (1, 1), "commit")
+    history = reading(auditor, servers=(1, 2, 3))
+    history.record(DecisionApplied(1.0, 2, (1, 1), "abort"))
+    history.record(DecisionApplied(2.0, 3, (1, 1), "commit"))
     assert [v.invariant for v in auditor.violations] == ["commit-apply"]
 
 
@@ -226,16 +267,18 @@ def test_2pc_commit_decided_after_applied_abort():
     """The coordinator-side R4 race the hunter caught: a processor
     already rolled the transaction back, then commit was decided."""
     auditor = InvariantAuditor()
-    auditor.on_decision(1.0, 1, (1, 1), "undecided")
-    auditor.on_decision_applied(2.0, 1, (1, 1), "abort")
-    auditor.on_decision(3.0, 1, (1, 1), "commit")
+    history = reading(auditor, servers=(1, 2, 3))
+    history.record(Decision(1.0, 1, (1, 1), "undecided"))
+    history.record(DecisionApplied(2.0, 1, (1, 1), "abort"))
+    history.record(Decision(3.0, 1, (1, 1), "commit"))
     assert "commit-decision" in [v.invariant for v in auditor.violations]
 
 
 def test_2pc_apply_contradicting_coordinator_log():
     auditor = InvariantAuditor()
-    auditor.on_decision(1.0, 1, (1, 1), "commit")
-    auditor.on_decision_applied(2.0, 2, (1, 1), "abort")
+    history = reading(auditor, servers=(1, 2, 3))
+    history.record(Decision(1.0, 1, (1, 1), "commit"))
+    history.record(DecisionApplied(2.0, 2, (1, 1), "abort"))
     assert [v.invariant for v in auditor.violations] == ["commit-apply"]
 
 
@@ -244,8 +287,9 @@ def test_2pc_apply_contradicting_coordinator_log():
 
 def test_violation_carries_context_and_serializes():
     auditor = InvariantAuditor()
-    auditor.on_join(time=1.0, pid=1, vpid=V1, view=frozenset({1, 2}))
-    auditor.on_join(time=1.5, pid=3, vpid=V1, view=frozenset({1, 2}))
+    history = reading(auditor)
+    history.record(join(1.0, 1, V1, {1, 2}))
+    history.record(join(1.5, 3, V1, {1, 2}))
     violation = auditor.violations[0]
     assert violation.context, "violations must carry recent trace context"
     data = violation.to_dict()

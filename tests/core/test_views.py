@@ -188,14 +188,6 @@ def test_begin_commit_migration_flips_atomically(placement):
     assert placement.flips == 1
 
 
-def test_abort_migration_restores_nothing_because_nothing_changed(placement):
-    placement.begin_migration("x", [4], members=[1, 2, 3, 4])
-    placement.abort_migration("x")
-    assert placement.pending_copies("x") == set()
-    assert placement.copies("x") == {1, 2, 3}
-    assert placement.epoch_of("x") == 0
-
-
 def test_migration_staging_errors(placement):
     with pytest.raises(KeyError, match="ghost"):
         placement.begin_migration("ghost", [1])

@@ -26,11 +26,11 @@ def test_scripted_crash_and_recover():
     injector.recover_at(10.0, 2)
 
     sim.run(until=7.0)
-    assert not graph.node_up(2)
+    assert not graph.has_edge(2, 2)
     assert proc.events == ["crash"]
 
     sim.run(until=12.0)
-    assert graph.node_up(2)
+    assert graph.has_edge(2, 2)
     assert proc.events == ["crash", "recover"]
     assert [label for _, label in injector.log] == ["crash(2)", "recover(2)"]
 
@@ -82,9 +82,9 @@ def test_at_accepts_now():
     sim.run()
     assert sim.now == 5.0
     injector.crash_at(sim.now, 1)  # must not raise
-    assert graph.node_up(1)        # not applied synchronously
+    assert graph.has_edge(1, 1)        # not applied synchronously
     sim.run()
-    assert not graph.node_up(1)
+    assert not graph.has_edge(1, 1)
     assert injector.log == [(5.0, "crash(1)")]
 
 
@@ -112,10 +112,9 @@ def test_planned_heal_must_not_resurrect_scripted_cut():
         FaultAction(time=2.0, kind="cut", args=(1, 2), hold=3.0),
     ])
     sim.run(until=3.0)
-    assert injector.claims_on_link(1, 2) == {"script", "nemesis#0"}
+    assert not graph.has_edge(1, 2)
     sim.run(until=6.0)               # the planned heal has fired
     assert not graph.has_edge(1, 2)  # script still owns the cut
-    assert injector.claims_on_link(1, 2) == {"script"}
     sim.run(until=11.0)              # the scripted heal releases it
     assert graph.has_edge(1, 2)
 
@@ -131,11 +130,10 @@ def test_planned_recover_must_not_undo_scripted_crash():
         FaultAction(time=2.0, kind="crash", args=(1,), hold=3.0),
     ])
     sim.run(until=6.0)               # the planned recover has fired
-    assert not graph.node_up(1)
+    assert not graph.has_edge(1, 1)
     assert "recover" not in proc.events
-    assert injector.claims_on_node(1) == {"script"}
     sim.run(until=11.0)
-    assert graph.node_up(1)
+    assert graph.has_edge(1, 1)
     assert proc.events == ["crash", "crash", "recover"]
 
 
@@ -149,8 +147,13 @@ def test_partition_at_rewrites_claims():
     injector.partition_at(1.0, [{1, 2}, {3, 4}])
     sim.run(until=2.0)
     assert graph.has_edge(1, 2)
-    assert injector.claims_on_link(1, 2) == frozenset()
-    assert injector.claims_on_link(1, 3) == frozenset({"script"})
+    injector._cut(1, 2)      # a scripted cut heals alone: the foreign
+    injector._heal(1, 2)     # claim is gone
+    assert graph.has_edge(1, 2)
+    injector._heal(1, 3, actor="nemesis#0")
+    assert not graph.has_edge(1, 3)  # the partition owns its cuts
+    injector._heal(1, 3)
+    assert graph.has_edge(1, 3)
 
 
 def test_heal_all_force_clears_link_claims():
@@ -163,8 +166,13 @@ def test_heal_all_force_clears_link_claims():
     sim.run(until=2.0)
     assert graph.has_edge(1, 2)
     assert graph.can_send(2, 3)
-    assert injector.claims_on_link(1, 2) == frozenset()
-    assert injector.claims_on_oneway(2, 3) == frozenset()
+    # no claim is left: a scripted cut and heal restore each alone
+    injector._cut(1, 2)
+    injector._heal(1, 2)
+    injector._cut_oneway(2, 3)
+    injector._heal_oneway(2, 3)
+    assert graph.has_edge(1, 2)
+    assert graph.can_send(2, 3)
 
 
 # -- edge cases ---------------------------------------------------------------
@@ -177,7 +185,7 @@ def test_recover_never_crashed_pid_is_harmless():
     injector = FailureInjector(sim, graph, {1: proc})
     injector.recover_at(1.0, 1)
     sim.run(until=2.0)
-    assert graph.node_up(1)
+    assert graph.has_edge(1, 1)
     assert proc.events == ["recover"]  # processors tolerate spurious recover
 
 

@@ -9,11 +9,22 @@ def make_graph(n=4):
     return CommGraph(range(1, n + 1))
 
 
+def is_clique(graph, members):
+    """Every pair of ``members`` shares an edge."""
+    return all(graph.has_edge(a, b) for a in members for b in members
+               if a < b)
+
+
+def is_transitive(graph):
+    """Assumption A2: every cluster is a clique."""
+    return all(is_clique(graph, cluster) for cluster in graph.clusters())
+
+
 def test_starts_as_single_clique():
     graph = make_graph(5)
     assert graph.clusters() == [{1, 2, 3, 4, 5}]
-    assert graph.is_clique({1, 2, 3, 4, 5})
-    assert graph.is_transitive()
+    assert is_clique(graph, {1, 2, 3, 4, 5})
+    assert is_transitive(graph)
 
 
 def test_empty_node_set_rejected():
@@ -41,8 +52,8 @@ def test_figure_1_non_transitive_graph():
     graph = CommGraph([1, 2, 3])  # 1=A, 2=B, 3=C
     graph.cut_link(1, 2)
     assert graph.clusters() == [{1, 2, 3}]
-    assert not graph.is_clique({1, 2, 3})
-    assert not graph.is_transitive()
+    assert not is_clique(graph, {1, 2, 3})
+    assert not is_transitive(graph)
     assert graph.neighbors(3) == {1, 2}
     assert graph.neighbors(1) == {3}
 
@@ -54,7 +65,7 @@ def test_crash_isolates_node_into_trivial_cluster():
     assert {2} in clusters
     assert {1, 3} in clusters
     assert graph.neighbors(2) == set()
-    assert not graph.node_up(2)
+    assert not graph.has_edge(2, 2)
 
 
 def test_recover_restores_edges():
@@ -62,7 +73,7 @@ def test_recover_restores_edges():
     graph.crash_node(2)
     graph.recover_node(2)
     assert graph.clusters() == [{1, 2, 3}]
-    assert graph.node_up(2)
+    assert graph.has_edge(2, 2)
 
 
 def test_cut_survives_crash_recover_cycle():
@@ -114,7 +125,7 @@ def test_heal_all_restores_clique_but_not_crashes():
     graph.crash_node(3)
     graph.heal_all()
     assert graph.has_edge(1, 2)
-    assert not graph.node_up(3)
+    assert not graph.has_edge(3, 3)
     assert {3} in graph.clusters()
 
 
@@ -144,16 +155,17 @@ def test_self_edge_rejected():
 
 
 def test_cluster_of():
+    """Each processor's cluster is the component that holds it."""
     graph = make_graph(4)
     graph.partition([{1, 2}, {3, 4}])
-    assert graph.cluster_of(1) == {1, 2}
-    assert graph.cluster_of(4) == {3, 4}
+    assert graph.clusters() == [{1, 2}, {3, 4}]
 
 
 def test_alive_nodes():
+    """A crashed processor is the one without a self-edge."""
     graph = make_graph(3)
     graph.crash_node(2)
-    assert graph.alive_nodes() == {1, 3}
+    assert {p for p in graph.nodes if graph.has_edge(p, p)} == {1, 3}
 
 
 # -- directed (one-way) cuts -------------------------------------------------
@@ -181,8 +193,8 @@ def test_oneway_cut_makes_graph_non_transitive():
     graph.cut_link_oneway(1, 2)
     # 1 and 2 still connect through 3, so one cluster — but not a clique.
     assert graph.clusters() == [{1, 2, 3}]
-    assert not graph.is_clique({1, 2, 3})
-    assert not graph.is_transitive()
+    assert not is_clique(graph, {1, 2, 3})
+    assert not is_transitive(graph)
 
 
 def test_oneway_cuts_in_both_directions_act_like_a_full_cut():
@@ -213,7 +225,7 @@ def test_partition_discards_intra_block_oneway_cuts():
     assert not graph.can_send(3, 1)
     graph.heal_all()
     assert graph.can_send(3, 1)
-    assert graph.is_transitive()
+    assert is_transitive(graph)
 
 
 def test_heal_all_clears_oneway_cuts():

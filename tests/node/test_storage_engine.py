@@ -229,7 +229,7 @@ def test_compaction_sets_floor_and_refuses_deep_log_reads():
     engine.checkpoint()                    # compacts to the newest 2
     assert engine.retained_entries() == 2
     assert engine.stats.compacted_entries == 3
-    assert engine.compaction_floor("x") == (2, 1)
+    assert engine.snapshot().copies["x"].floor == (2, 1)
     # at/above the floor: answered exactly
     assert [e.value for e in engine.log_since("x", (2, 1))] == [3, 4]
     assert [e.value for e in engine.log_since("x", (3, 1))] == [4]
@@ -247,7 +247,7 @@ def test_none_dated_floor_still_answers_dated_queries():
     engine.write("x", 1, (1, 1), "v1")
     engine.write("x", 2, (2, 1), "v2")
     engine.checkpoint()  # discards only the None-dated seed entry
-    assert engine.compaction_floor("x") is None
+    assert engine.snapshot().copies["x"].floor is None
     # a None-dated entry is never part of a dated answer, so any dated
     # ``after`` is still served exactly...
     assert [e.value for e in engine.log_since("x", (0, 0))] == [1, 2]
@@ -264,7 +264,7 @@ def test_compaction_floor_survives_rebuild():
     engine.checkpoint()
     engine.write("x", 9, (9, 1))  # tail past the checkpoint
     rebuilt = engine.rebuilt()
-    assert rebuilt.compaction_floor("x") == (2, 1)
+    assert rebuilt.snapshot().copies["x"].floor == (2, 1)
     with pytest.raises(LogTruncated):
         rebuilt.log_since("x", (1, 1))
     assert rebuilt.snapshot() == engine.snapshot()
@@ -286,7 +286,7 @@ def test_uncompacted_engine_has_no_floor():
     engine.place("x", initial=0)
     engine.write("x", 1, (1, 1))
     engine.checkpoint()  # no log_retain: no compaction
-    assert engine.compaction_floor("x") is NO_FLOOR
+    assert engine.snapshot().copies["x"].floor is NO_FLOOR
     assert len(engine.log_since("x", None)) == 2
 
 
@@ -296,10 +296,10 @@ def test_retire_drops_copy_and_floor_and_replays():
     engine.place("y", initial=0)
     engine.write("x", 1, (1, 1))
     engine.checkpoint()  # x's seed entry is compacted away: a floor
-    assert engine.compaction_floor("x") is None
+    assert engine.snapshot().copies["x"].floor is None
     engine.retire("x")   # the replay tail: retire, then a fresh placement
     assert not engine.holds("x")
-    assert engine.compaction_floor("x") is NO_FLOOR
+    assert "x" not in engine.snapshot().copies
     with pytest.raises(KeyError):
         engine.retire("x")
     engine.place("x", initial=5, date=(2, 1))
@@ -325,7 +325,7 @@ def test_compaction_refreezes_a_copy_the_tail_does_not_name():
     stored = engine.checkpoint().state       # no write in between
     assert engine.stats.compacted_entries == 4
     assert engine.retained_entries() == 3    # x's newest 2 + quiet's seed
-    assert engine.compaction_floor("x") == (3, 1)
+    assert engine.snapshot().copies["x"].floor == (3, 1)
     assert stored == reference_snapshot(engine) == engine.snapshot()
     assert [e.value for e in stored.copies["x"].log] == [4, 5]
     assert stored.copies["x"].floor == (3, 1)

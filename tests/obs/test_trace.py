@@ -105,7 +105,7 @@ def test_cluster_write_trace(tmp_path):
     cluster.start()
     cluster.run(until=10.0)
     path = tmp_path / "t.jsonl"
-    count = cluster.write_trace(path)
+    count = write_jsonl(cluster.tracer.events, path)
     assert count == len(cluster.tracer.events)
     assert len(read_jsonl(path)) == count
 

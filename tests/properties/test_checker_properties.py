@@ -14,8 +14,9 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.history import INITIAL_VERSION, History
+from repro.analysis.history import INITIAL_VERSION, History, PhysicalOp
 from repro.analysis.one_copy import _replay, check_one_copy
+from tests.analysis import record_logical
 from tests.analysis.reference_search import (
     install_positions,
     search_serial_order,
@@ -39,13 +40,13 @@ def serial_history(seed: int, txn_count: int, obj_count: int) -> History:
             obj = rng.choice(objects)
             if rng.random() < 0.5:
                 version = overlay.get(obj, state[obj])
-                history.record_logical(time=time, txn=txn, kind="r",
-                                       obj=obj, value=None, version=version)
+                record_logical(history, time=time, txn=txn, kind="r",
+                               obj=obj, value=None, version=version)
             else:
                 version = (txn, len(overlay) + 1)
                 overlay[obj] = version
-                history.record_logical(time=time, txn=txn, kind="w",
-                                       obj=obj, value=None, version=version)
+                record_logical(history, time=time, txn=txn, kind="w",
+                               obj=obj, value=None, version=version)
         state.update(overlay)
         time += 1.0
         history.commit_txn(txn, time=time)
@@ -77,11 +78,11 @@ def test_lost_update_rejected_regardless_of_padding(seed, pad):
     for name in ("inc-a", "inc-b"):
         txn = (name, 0)
         history.begin_txn(txn, origin=1, time=time)
-        history.record_logical(time=time + 1, txn=txn, kind="r",
-                               obj="counter", value=None,
-                               version=INITIAL_VERSION)
-        history.record_logical(time=time + 2, txn=txn, kind="w",
-                               obj="counter", value=None, version=(txn, 1))
+        record_logical(history, time=time + 1, txn=txn, kind="r",
+                       obj="counter", value=None,
+                       version=INITIAL_VERSION)
+        record_logical(history, time=time + 2, txn=txn, kind="w",
+                       obj="counter", value=None, version=(txn, 1))
         history.commit_txn(txn, time=time + 3)
         time += 10.0
     result = check_one_copy(history)
@@ -99,15 +100,15 @@ def test_reads_from_cycle_rejected_for_any_length(seed, length):
     for index in range(length):
         txn = ("cyc", index)
         history.begin_txn(txn, origin=1, time=float(index))
-        history.record_logical(
-            time=index + 0.1, txn=txn, kind="r",
-            obj=objects[(index + 1) % length], value=None,
-            version=INITIAL_VERSION,
-        )
-        history.record_logical(
-            time=index + 0.2, txn=txn, kind="w",
-            obj=objects[index], value=None, version=(txn, 1),
-        )
+        record_logical(history, 
+                       time=index + 0.1, txn=txn, kind="r",
+                       obj=objects[(index + 1) % length], value=None,
+                       version=INITIAL_VERSION,
+                       )
+        record_logical(history, 
+                       time=index + 0.2, txn=txn, kind="w",
+                       obj=objects[index], value=None, version=(txn, 1),
+                       )
         history.commit_txn(txn, time=index + 1.0)
     assert check_one_copy(history).ok is False
 
@@ -123,12 +124,12 @@ def test_commit_order_shuffle_of_independent_txns_accepted(seed):
     for position, index in enumerate(order):
         txn = ("ind", index)
         history.begin_txn(txn, origin=1, time=float(position))
-        history.record_logical(time=position + 0.1, txn=txn, kind="r",
-                               obj=f"own{index}", value=None,
-                               version=INITIAL_VERSION)
-        history.record_logical(time=position + 0.2, txn=txn, kind="w",
-                               obj=f"own{index}", value=None,
-                               version=(txn, 1))
+        record_logical(history, time=position + 0.1, txn=txn, kind="r",
+                       obj=f"own{index}", value=None,
+                       version=INITIAL_VERSION)
+        record_logical(history, time=position + 0.2, txn=txn, kind="w",
+                       obj=f"own{index}", value=None,
+                       version=(txn, 1))
         history.commit_txn(txn, time=position + 1.0)
     assert check_one_copy(history).ok is True
 
@@ -172,9 +173,9 @@ def installed_histories(draw):
         [(obj, txn, version)
          for obj in objects for txn, version in written[obj]]))
     for position, (obj, txn, version) in enumerate(installs):
-        history.record_physical(time=1.0 + position, txn=txn, kind="w",
-                                obj=obj, copy_pid=1, value=None,
-                                version=version, vpid=None)
+        history.record(PhysicalOp(time=1.0 + position, txn=txn, kind="w",
+                                  obj=obj, copy_pid=1, value=None,
+                                  version=version, vpid=None))
     for txn, shape in enumerate(shapes):
         own = {}
         for seq, (kind, obj) in enumerate(shape):
@@ -186,8 +187,8 @@ def installed_histories(draw):
                 version = draw(st.sampled_from(
                     [INITIAL_VERSION]
                     + [v for writer, v in written[obj] if writer != txn]))
-            history.record_logical(time=100.0, txn=txn, kind=kind, obj=obj,
-                                   value=None, version=version)
+            record_logical(history, time=100.0, txn=txn, kind=kind, obj=obj,
+                           value=None, version=version)
     for rank, txn in enumerate(draw(st.permutations(range(count)))):
         if draw(st.integers(0, 7)) == 0:
             history.abort_txn(txn, time=200.0 + rank)

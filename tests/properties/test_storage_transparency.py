@@ -21,6 +21,7 @@ import hashlib
 import json
 
 from repro.core.config import ProtocolConfig
+from repro.obs.export import write_jsonl
 from repro.workload.generator import PrivateObjects, WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
@@ -78,7 +79,7 @@ def test_default_policy_is_trace_identical_to_pre_engine_run(tmp_path):
     result = run_experiment(_spec(config, schedule, read_fraction=0.3,
                                   trace=True))
     path = tmp_path / "trace.jsonl"
-    result.cluster.write_trace(path)
+    write_jsonl(result.cluster.tracer.events, path)
     kept = []
     for line in path.read_text().splitlines(keepends=True):
         etype = json.loads(line)["e"]

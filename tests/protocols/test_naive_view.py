@@ -42,16 +42,10 @@ def test_auto_refresh_can_be_disabled():
     assert cluster.protocol(1).view == {1, 2, 3}  # stale on purpose
 
 
-def test_set_view_scenario_hook():
-    cluster = build()
-    cluster.protocol(1).set_view({1, 9, 7})
-    assert cluster.protocol(1).view == {1, 9, 7}
-
-
 def test_majority_gate_on_local_view():
     cluster = build()
     cluster.protocol(1).auto_refresh = False
-    cluster.protocol(1).set_view({1})
+    cluster.protocol(1).view = {1}
     read = cluster.read_once(1, "x")
     cluster.run(until=30.0)
     assert read.value == (False, "inaccessible")

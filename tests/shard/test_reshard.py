@@ -1,12 +1,16 @@
 """Online resharding: the migration engine, end to end.
 
 Unit coverage of :class:`ReshardAction` (the picklable schedule record
-hunter artifacts carry) and engine validation, plus three small
-simulations: a guarded migration that must stay auditor-clean and 1SR,
-the deliberately unguarded flip the auditor must convict, and a
+hunter artifacts carry) and engine validation, plus small simulations:
+a guarded migration that must stay auditor-clean and 1SR (and whose
+trace events are pinned), the deliberately unguarded flip the auditor
+must convict, and a
 coordinator crash mid-migration that must resume from the WAL journal
 and finish the campaign.
 """
+
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -86,6 +90,29 @@ def test_guarded_reshard_stays_clean_and_serializable():
     # install/retire traffic matches the movement
     assert result.metrics.reshard_installs > 0
     assert result.metrics.reshard_retires > 0
+
+
+def test_reshard_trace_events_are_pinned():
+    """The ``reshard.*`` events a traced guarded reshard leaves: one per
+    install, retire and flip, with the install's ``source`` and the
+    flip's ``epoch`` and sorted ``holders``.  Captured while each was
+    still emitted at its own site, before they came through History."""
+    result = run_experiment(replace(reshard_spec(), trace=True))
+    events = [event.to_dict() for event in result.cluster.tracer.events
+              if event.etype.startswith("reshard.")]
+    assert Counter(event["e"] for event in events) == {
+        "reshard.start": 1, "reshard.install": 13, "reshard.flip": 13,
+        "reshard.retire": 13, "reshard.done": 1}
+    first = {}
+    for event in events:
+        first.setdefault(event["e"], event)
+    assert first["reshard.install"] == {
+        "t": 45.0, "e": "reshard.install", "p": 7, "obj": "o1", "source": 1}
+    assert first["reshard.flip"] == {
+        "t": 48.0, "e": "reshard.flip", "p": 1, "epoch": 1,
+        "holders": [1, 6, 7], "obj": "o1"}
+    assert first["reshard.retire"] == {
+        "t": 49.0, "e": "reshard.retire", "p": 3, "obj": "o1"}
 
 
 def test_unguarded_flip_is_convicted_by_the_auditor():
