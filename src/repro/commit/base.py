@@ -37,6 +37,7 @@ reported to ``history`` by one call, :meth:`AtomicCommit._log_decision`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Any, Callable, Dict, Mapping
 
 from ..analysis.history import Decision
@@ -67,6 +68,11 @@ class AtomicCommit(ABC):
         self._in_doubt_since: Dict[Any, float] = {}
         #: txns with a live resolver task (idempotence guard)
         self.resolving: set = set()
+        #: ``_after_sync(fn, *args)``: call ``fn(*args)`` once the forced
+        #: write just made has landed (a ``storage_sync_cost`` timer that
+        #: a crash cancels); a partial, so no frame of its own
+        self._after_sync = partial(self.processor.after,
+                                   self.config.storage_sync_cost)
 
     # the cluster rebinds these on the host after the backend is built
     @property
@@ -137,20 +143,19 @@ class AtomicCommit(ABC):
     def handlers(self) -> Mapping[str, Callable]:
         """The backend's ``{message kind: handler}`` map.
 
-        Each handler is called with the message at its delivery event;
+        Each handler is called with the message at its delivery;
         none waits — a vote or an acceptor's answer that must follow a
-        forced write leaves on an :meth:`_after_sync` timer.
+        forced write leaves on an ``_after_sync`` timer.
         """
 
     def _prepared(self, txn, coordinator: int, objects) -> None:
         """A yes vote: ``txn`` is in doubt here until its outcome lands.
 
-        The decide watchdog (a bare timer) starts a resolver if no
-        decide arrived by then — lost to the network, a cut, or a
-        coordinator crash."""
+        The decide watchdog (a kernel call entry, never cancelled)
+        starts a resolver if no decide arrived by then — lost to the
+        network, a cut, or a coordinator crash."""
         self.note_in_doubt(txn, coordinator)
-        self.sim.timeout(self.config.access_timeout).add_callback(
-            lambda _event: self.kick_resolver(txn))
+        self.sim.call(self.config.access_timeout, self.kick_resolver, txn)
         self._force_prepare(txn, objects)
 
     def _force_prepare(self, txn, objects) -> None:
@@ -218,8 +223,3 @@ class AtomicCommit(ABC):
             since = self._in_doubt_since.pop(txn, None)
             if since is not None:
                 self.metrics.in_doubt_dwell.append(self.sim.now - since)
-
-    def _after_sync(self, fn: Callable, *args) -> None:
-        """Call ``fn(*args)`` once the forced write just made has landed
-        (a ``storage_sync_cost`` timer that a crash cancels)."""
-        self.processor.after(self.config.storage_sync_cost, fn, *args)

@@ -224,7 +224,7 @@ class PaxosCommit(AtomicCommit):
         """Ballot-0 phase 2a: propose this RM's own vote everywhere.
 
         A prepared vote is cast once the prepare record's force has
-        landed (:meth:`_after_sync`); the no-vote needs no durability
+        landed (``_after_sync``); the no-vote needs no durability
         (forgetting it re-aborts)."""
         request = {"txn": txn, "rm": self.pid, "ballot": 0, "vote": vote,
                    "leader": meta["leader"]}

@@ -52,7 +52,7 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         #: Server-side votes stay on the authoritative ``placement``.
         self.directory = LocalDirectory(placement)
         self._create_vp_process = None
-        #: Fig. 6's armed 3δ wait for a commit (a Timeout), or None
+        #: the key of Fig. 6's armed 3δ wait for a commit, or None
         self._commit_wait = None
         self._poisoned_txns: set = set()
         self._recovery_seq = count(1)

@@ -9,10 +9,10 @@ self-healing under omission failures.
 The figure's ``select`` over ``newvp`` | ``commit`` | ``T.timeout``
 never waits inside a branch, so it is three callbacks on one piece of
 state rather than a task: the two message kinds are handlers served at
-their delivery events and the timer is one cancellable timeout
-(``_commit_wait``).  An invitation therefore raises ``max_id`` the
-instant it is delivered, before anything else at that instant can act
-on the old value.
+their deliveries and the timer is one cancellable kernel call entry
+(``_commit_wait`` holds its key while it is pending).  An invitation
+therefore raises ``max_id`` the instant it is delivered, before
+anything else at that instant can act on the old value.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class MonitorMixin:
         self.processor.after(self.config.storage_sync_cost,
                              self._accept_invitation, invited_id, info)
         self._disarm_commit_wait()
-        self._commit_wait = self.sim.timeout(self.config.commit_wait)
-        self._commit_wait.callbacks = self._commit_wait_expired
+        self._commit_wait = self.sim.call(self.config.commit_wait,
+                                          self._commit_wait_expired)
 
     def monitor_commit(self, message) -> None:
         """Fig. 6 lines 12-20: commit only to the id we accepted last;
@@ -64,7 +64,7 @@ class MonitorMixin:
                                dict(message.payload["previous_map"]))
         self._disarm_commit_wait()
 
-    def _commit_wait_expired(self, _event) -> None:
+    def _commit_wait_expired(self, _arg) -> None:
         """Fig. 6 lines 22-24: no commit arrived in time; claim the
         next identifier and try to form a partition."""
         state = self.state
@@ -77,7 +77,7 @@ class MonitorMixin:
 
     def _disarm_commit_wait(self) -> None:
         if self._commit_wait is not None:
-            self._commit_wait.cancel()
+            self.sim.cancel(self._commit_wait)
             self._commit_wait = None
 
     def _accept_invitation(self, invited_id, info) -> None:

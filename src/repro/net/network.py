@@ -24,11 +24,11 @@ directed relation, so an asymmetric cut drops one direction's traffic
 while the reverse flows normally.  With no perturbations installed the
 draw sequence is byte-identical to the unperturbed transport.
 
-Every message is one delivery event: ``send`` makes its draws and
-schedules a single timeout that carries the message to ``_deliver``.
-The in-flight check is a version stamp: the event also carries the
-graph's ``version`` as of the send, and ``_deliver`` asks ``can_send``
-again only if the graph changed since.
+Every message is one kernel call entry: ``send`` makes its draws and
+schedules ``_deliver`` on the message (no event: nobody yields on a
+delivery).  The in-flight check is a version stamp: the entry also
+carries the graph's ``version`` as of the send, and ``_deliver`` asks
+``can_send`` again only if the graph changed since.
 
 Everything is counted in :class:`NetworkStats`, so the benchmark
 harness can report message costs per logical operation.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Dict, Optional, Tuple
 
-from ..sim import Simulator, Timeout
+from ..sim import Simulator
 from .latency import LatencyModel
 from .message import Message
 from .topology import CommGraph
@@ -115,24 +115,19 @@ class Network:
         self.slow_factor = slow_factor
         self.dup_prob = dup_prob
         self.stats = NetworkStats()
-        # per-(src, dst) adversarial perturbations; empty dicts by
-        # default so the unperturbed draw sequence is untouched
+        # per-(src, dst) adversarial perturbations, read only while one
+        # is non-empty: the unperturbed draw sequence is untouched
         self._link_loss: Dict[Tuple[int, int], float] = {}
         self._link_surge: Dict[Tuple[int, int], float] = {}
         self._link_dup: Dict[Tuple[int, int], float] = {}
         self._handlers: dict[int, DeliveryHandler] = {}
-        # per-network message ids: two clusters built in one process
-        # must see identical id streams for the same seed (a process-
-        # global counter would break back-to-back determinism)
-        self._msg_ids = count(1)
+        #: the next message id on this network's own stream (same-seed
+        #: clusters built back-to-back see equal ids); a C call, no frame
+        self.next_msg_id: Callable[[], int] = count(1).__next__
         #: optional wiretap for tests: called with every sent message
         self.tap: Optional[Callable[[Message], None]] = None
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
-
-    def next_msg_id(self) -> int:
-        """Allocate the next message id on this network's own stream."""
-        return next(self._msg_ids)
 
     # -- per-link perturbations (adversarial fault model) ----------------------
 
@@ -188,7 +183,7 @@ class Network:
         stats = self.stats
         stats.sent += 1
         stats.by_kind[message.kind] += 1
-        seq = stats.sent  # rides in the delivery event, for the trace
+        seq = stats.sent  # rides in the delivery entry, for the trace
         if self.tap is not None:
             self.tap(message)
         if self.tracer is not None:
@@ -198,9 +193,13 @@ class Network:
             stats.dropped_no_edge += 1
             self._trace_drop(message, "no-edge", seq)
             return
-        key = (src, dst)
         rng = self.rng
-        loss = self._link_loss.get(key, self.loss_prob)
+        loss, surge, dup = self.loss_prob, None, self.dup_prob
+        if self._link_loss or self._link_surge or self._link_dup:
+            key = (src, dst)
+            loss = self._link_loss.get(key, loss)
+            surge = self._link_surge.get(key)
+            dup = self._link_dup.get(key, dup)
         if loss and rng.random() < loss:
             stats.dropped_lost += 1
             self._trace_drop(message, "lost", seq)
@@ -209,22 +208,20 @@ class Network:
         if self.slow_prob and rng.random() < self.slow_prob:
             delay *= self.slow_factor
             stats.slow += 1
-        surge = self._link_surge.get(key)
         if surge is not None:
             delay *= surge
             stats.surged += 1
         flight = (message, graph.version, seq)
-        self.sim.timeout(delay, flight).callbacks = self._deliver
-        dup = self._link_dup.get(key, self.dup_prob)
+        self.sim.call(delay, self._deliver, flight)
         if dup and rng.random() < dup:
             stats.duplicated += 1
             dup_delay = self.latency.delay(src, dst, rng)
             if surge is not None:
                 dup_delay *= surge
-            self.sim.timeout(dup_delay, flight).callbacks = self._deliver
+            self.sim.call(dup_delay, self._deliver, flight)
 
-    def _deliver(self, arrival: Timeout) -> None:
-        message, version, seq = arrival._value  # dispatched, so triggered
+    def _deliver(self, flight) -> None:
+        message, version, seq = flight
         graph = self.graph
         # every CommGraph mutation bumps ``version``: if it has not
         # moved since the send, the send-time ``can_send`` still holds
@@ -233,8 +230,9 @@ class Network:
             self.stats.dropped_in_flight += 1
             self._trace_drop(message, "in-flight", seq)
             return
-        handler = self._handlers.get(message.dst)
-        if handler is None:
+        try:
+            handler = self._handlers[message.dst]
+        except KeyError:
             self.stats.dropped_dst_down += 1
             self._trace_drop(message, "dst-down", seq)
             return

@@ -3,7 +3,7 @@
 A :class:`Processor` owns:
 
 * the one inbound path (:meth:`Processor._on_delivery`): every message
-  is consumed by a callable at its delivery event — a reply by the one
+  is consumed by a callable at its delivery — a reply by the one
   its call registered, a *served* kind (:meth:`Processor.serve`, or an
   open :meth:`Processor.broadcast_collect` window) by its handler;
   a kind nobody serves raises ``KeyError`` at its delivery;
@@ -85,8 +85,8 @@ class Processor:
         #: once the list outgrows ``_prune_at``
         self._spawned: list[Process] = []
         self._prune_at = SPAWN_SLACK
-        #: pending ``after`` timers; each leaves as it fires
-        self._timers: Dict[Event, None] = {}
+        #: keys of the pending ``after`` timers; each leaves as it fires
+        self._timers: Dict[int, None] = {}
         self._crash_hooks: list[Callable[[], None]] = []
         self._recover_hooks: list[Callable[[], None]] = []
         network.register(pid, self._on_delivery)
@@ -97,20 +97,23 @@ class Processor:
 
     # -- messaging ------------------------------------------------------------
 
+    # send and reply build a Message with no Python frame: tuple.__new__,
+    # the network's id stream and the clock's slot are all C calls
+
     def send(self, dst: int, kind: str, payload: Mapping[str, Any]
              | None = None) -> Message:
         """Fire-and-forget send; returns the envelope (for reply matching)."""
-        message = Message(self.pid, dst, kind, payload or {}, None,
-                          self.network.next_msg_id(), self.sim.now)
+        message = tuple.__new__(Message, (self.pid, dst, kind, payload or {}, None,
+                                          self.network.next_msg_id(), self.sim._now))
         self.network.send(message)
         return message
 
     def reply(self, request: Message, kind: str,
               payload: Mapping[str, Any] | None = None) -> None:
         """Respond to ``request``; routed back to its ``rpc`` waiter."""
-        self.network.send(Message(
+        self.network.send(tuple.__new__(Message, (
             self.pid, request.src, kind, payload or {}, request.msg_id,
-            self.network.next_msg_id(), self.sim.now))
+            self.network.next_msg_id(), self.sim._now)))
 
     def rpc(self, dst: int, kind: str, payload: Mapping[str, Any] | None,
             timeout: float):
@@ -284,20 +287,19 @@ class Processor:
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Call ``fn(*args)`` ``delay`` from now (in this call if 0) on one
-        timer, no process: how a message waits out a priced forced write.
-        :meth:`crash` cancels the timer; a recovery does not revive it."""
+        kernel call entry, no event or process: how a message waits out a
+        priced forced write.  :meth:`crash` cancels it; recovery does not."""
         if not delay:
             fn(*args)
             return
         timers = self._timers
 
-        def fire(timer: Event) -> None:
-            del timers[timer]
+        def fire(_arg) -> None:
+            del timers[key]
             fn(*args)
 
-        timer = self.sim.timeout(delay)
-        timer.callbacks = fire
-        timers[timer] = None
+        key = self.sim.call(delay, fire)
+        timers[key] = None
 
     # -- failure model ------------------------------------------------------------
 
@@ -313,8 +315,8 @@ class Processor:
         self.alive = False
         for process in (*self._tasks.values(), *self._spawned):
             process.kill()
-        for timer in self._timers:
-            timer.cancel()
+        for key in self._timers:
+            self.sim.cancel(key)
         self._spawned.clear()
         self._timers.clear()
         self._reply_waiters.clear()

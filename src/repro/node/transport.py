@@ -18,9 +18,9 @@ Processor`:
   *not* RPC responses but independent messages.
 
 A call costs the kernel its messages and one deadline: every reply is
-consumed by a callback at its delivery event
-(:meth:`Processor._on_delivery`), and the whole call — however many
-legs — holds one timeout on the schedule.  The call is a plain object,
+consumed by a callback at its delivery (:meth:`Processor._on_delivery`),
+and the whole call — however many legs — holds one kernel call entry
+(no event) on the schedule.  The call is a plain object,
 **not** a processor task: a crash of the calling processor forgets the
 reply registrations, and the deadline still fires to count the silent
 legs, so nothing is orphaned.
@@ -112,9 +112,8 @@ class ScatterCall:
             self._pending[request.msg_id] = server
             waiters[request.msg_id] = on_reply
         self._targets = list(self._pending.values())
-        if self._pending:
-            self._deadline = self.sim.timeout(timeout)
-            self._deadline.callbacks = self._on_deadline
+        if self._pending:  # the deadline's key, while it is pending
+            self._deadline = self.sim.call(timeout, self._on_deadline)
 
     def _on_reply(self, message) -> None:
         self._results[self._pending.pop(message.reply_to)] = message.payload
@@ -122,11 +121,12 @@ class ScatterCall:
             if self._quorum is None or not self._quorum(self._results):
                 return
             self.processor.transport.early_exits += 1
-        self._deadline.cancel()
+        self.sim.cancel(self._deadline)
         self._finish()
 
-    def _on_deadline(self, _event) -> None:
+    def _on_deadline(self, _arg) -> None:
         """Every leg still unanswered is a silence."""
+        self._deadline = None
         self.processor.transport.no_responses += len(self._pending)
         for server in self._pending.values():
             self._results[server] = None

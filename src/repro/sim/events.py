@@ -14,8 +14,10 @@ the event itself and, at expiry, :meth:`~Event.cancel`-s it — the event
 leaves whatever would have triggered it (a lock queue, a reply table) —
 and triggers it with the caller's *expired* value.
 
-Events are allocated on every message hop, timer, and lock wait, so
-they are deliberately small slotted objects:
+Events are allocated on every wait a process yields on (a timer
+nobody yields on is a call entry, not an event:
+:meth:`Simulator.call <repro.sim.kernel.Simulator.call>`), so they
+are deliberately small slotted objects:
 
 * ``callbacks`` is polymorphic — ``None`` (none yet), a bare callable
   (the overwhelmingly common single-waiter case), or a list.  Most
@@ -29,13 +31,9 @@ they are deliberately small slotted objects:
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable
 
-# Schedule entries are ``(time, seq << 1 | kind, event)``.  The kind
-# bit (1 = delayed-value timeout) never affects ordering because
-# sequence numbers are unique, so one integer comparison orders
-# same-instant entries by sequence number.
+# Event entries are ``(time, seq << 1, event)`` (see repro.sim.kernel).
 
 _PENDING = object()
 
@@ -161,31 +159,16 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation.
+    """An event that fires, with ``None``, ``delay`` time units after
+    creation; built only by :meth:`Simulator.timeout
+    <repro.sim.kernel.Simulator.timeout>`.
 
-    The value is held aside and only materialized when the kernel pops
-    the event (heap entries carry the DELAYED kind tag), so
-    ``triggered`` stays false until the timeout actually occurs in
-    model time.
+    It sits on the heap untriggered — the kernel sets its value when it
+    pops the entry — so ``triggered`` stays false until the timeout
+    actually occurs in model time.
     """
 
-    __slots__ = ("delay", "_delayed_value")
-
-    def __init__(self, sim, delay: float, value: Any = None, name: str = ""):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.sim = sim
-        self.name = name
-        self.callbacks = None
-        self._value = _PENDING
-        self._processed = False
-        self._cancelled = False
-        self.delay = delay
-        self._delayed_value = value
-        seq = sim._seq
-        sim._seq = seq + 1
-        # the trailing 1 is the DELAYED kind tag
-        heappush(sim._queue, (sim._now + delay, (seq << 1) | 1, self))
+    __slots__ = ("delay",)
 
     def cancel(self) -> None:
         # Lazy deletion: the kernel discards the heap entry when it is

@@ -9,20 +9,21 @@ The dispatch loop is the hottest code in the repository — every message
 hop, timer, and lock grant passes through it — so the schedule is one
 structure of plain tuples:
 
-* every entry is ``(time, key, event)``, where ``key`` folds the
-  sequence number and the entry kind into one integer (``seq << 1 |
-  kind``).  Sequence numbers are unique, so one integer comparison
-  gives exactly the ``(time, seq)`` total order and tuple comparison
-  never reaches the event;
-* the kind bit tags entries whose value is materialized at pop time
-  (timeouts), so dispatch never attribute-probes the event class;
-* cancelling a timeout sets ``event._cancelled`` and leaves the entry
-  where it is — dispatch skips cancelled entries lazily, and once they
-  pile up past the compaction threshold the heap is rebuilt without
-  them (pop order is unaffected: it is fixed by the entry tuples, not
-  the heap layout).  A cancelled event object is never re-armed: its
-  stale entry would fire it at the old instant;
-* *same-instant* triggers (``succeed``/``fail``: message deliveries,
+* an entry is ``(time, key, event)`` or, for a timer nobody yields on
+  (a delivery, a deadline, a timer before a send), a *call entry*
+  ``(time, key, fn, arg)`` dispatched as ``fn(arg)`` with no event
+  behind it.  ``key`` is ``seq << 1 | shape`` (1 = call); sequence
+  numbers are unique, so one integer comparison gives exactly the
+  ``(time, seq)`` total order and tuple comparison never reaches the
+  third field;
+* cancelling a timeout sets ``event._cancelled``, cancelling a call
+  entry records its key, and the entry stays where it is — dispatch
+  skips cancelled entries lazily, and once they pile up past the
+  compaction threshold the heap is rebuilt without them (pop order is
+  unaffected: it is fixed by the entry tuples, not the heap layout).
+  A cancelled event object is never re-armed: its stale entry would
+  fire it at the old instant;
+* *same-instant* triggers (``succeed``/``fail``: gather wake-ups,
   lock grants, awaited process completions — the majority of all
   entries in a message-passing workload) skip the heap entirely: they
   land on the ``_ready`` FIFO, which is sorted by construction — the
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .errors import EmptySchedule, ProcessCrashed, StopSimulation
 from .events import _PENDING, Event, Timeout
@@ -60,10 +61,6 @@ from .process import EventGenerator, Process, start_process
 #: ones (constructor knob ``compact_min`` overrides per instance)
 _COMPACT_MIN = 512
 
-#: schedule-entry ``kind`` bit: a timeout, whose held-aside value is
-#: materialized at pop (0 = value already set, just run callbacks)
-_KIND_DELAYED = 1
-
 _new = object.__new__
 
 
@@ -72,15 +69,15 @@ class Simulator:
 
     __slots__ = ("_now", "_queue", "_ready", "_seq",
                  "_active_process", "_pending_crashes", "_cancelled_count",
-                 "_compact_min", "strict", "crashes", "dispatched",
-                 "trace_hook")
+                 "_cancelled_keys", "_compact_min", "strict", "crashes",
+                 "dispatched", "trace_hook")
 
     def __init__(self, start: float = 0.0, compact_min: int = _COMPACT_MIN):
         if compact_min < 0:
             raise ValueError(f"negative compact_min: {compact_min}")
         self._now = float(start)
-        #: the heap: (time, seq<<1|kind, event) tuples
-        self._queue: list[tuple[float, int, Event]] = []
+        #: the heap: (time, seq<<1, event) and (time, seq<<1|1, fn, arg)
+        self._queue: list[tuple] = []
         #: same-instant triggers, sorted by construction
         #: (appends happen in (time, key) order); merged with the heap
         #: at dispatch by comparing heads
@@ -90,6 +87,8 @@ class Simulator:
         self._pending_crashes: list[ProcessCrashed] = []
         #: cancelled entries still sitting in the heap
         self._cancelled_count = 0
+        #: keys of the cancelled call entries among them (a dict: no calls)
+        self._cancelled_keys: dict[int, None] = {}
         #: rebuild threshold — 0 compacts as soon as cancelled entries
         #: hold the majority, a huge value never compacts (pure lazy)
         self._compact_min = compact_min
@@ -99,8 +98,9 @@ class Simulator:
         #: total events dispatched by this simulator (deterministic for a
         #: seeded run; the numerator of every events/sec measurement)
         self.dispatched = 0
-        #: optional dispatch hook ``(time, event) -> None`` for tracing;
-        #: None (the default) costs one attribute check per step
+        #: optional dispatch hook ``(time, event) -> None`` for tracing
+        #: (a call entry passes its ``fn``); None (the default) costs
+        #: one attribute check per step
         self.trace_hook: Optional[Any] = None
 
     # -- clock -------------------------------------------------------------
@@ -122,11 +122,9 @@ class Simulator:
         """A fresh untriggered one-shot event."""
         return Event(self, name)
 
-    def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
-        """An event firing ``delay`` units from now."""
-        # Inlined Timeout.__init__ (kept in lock-step with events.py):
-        # timeouts are allocated on every message hop and retry loop,
-        # so the factory skips the constructor frame.
+    def timeout(self, delay: float, name: str = "") -> Timeout:
+        """An event firing (with ``None``) ``delay`` units from now, for a
+        process to yield (else use :meth:`call`); builds every Timeout."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         event = _new(Timeout)
@@ -137,11 +135,30 @@ class Simulator:
         event._processed = False
         event._cancelled = False
         event.delay = delay
-        event._delayed_value = value
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, (seq << 1) | 1, event))
+        heappush(self._queue, (self._now + delay, seq << 1, event))
         return event
+
+    def call(self, delay: float, fn: Callable[[Any], Any], arg: Any = None) -> int:
+        """Call ``fn(arg)`` ``delay`` from now with no event behind it, in
+        ``(time, seq)`` order like any entry; returns its key for :meth:`cancel`."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        seq = self._seq
+        self._seq = seq + 1
+        key = seq << 1 | 1  # the call shape bit
+        heappush(self._queue, (self._now + delay, key, fn, arg))
+        return key
+
+    def cancel(self, key: int) -> None:
+        """Withdraw the *pending* call entry ``key`` (a fired one's key
+        would linger): it never runs and is never counted as dispatched."""
+        self._cancelled_keys[key] = None
+        count = self._cancelled_count + 1
+        self._cancelled_count = count
+        if count >= self._compact_min and count * 2 > len(self._queue):
+            self._compact()
 
     def process(self, generator: EventGenerator, name: str = "") -> Process:
         """Start a new process: ``generator``'s first step runs in
@@ -154,25 +171,27 @@ class Simulator:
         Use as ``value = yield from sim.wait(event, delay, expired)``.
         The process yields ``event`` itself, so whatever triggers it
         resumes the process in that one dispatch.  The deadline is one
-        timeout: if ``event`` is still untriggered when it is
+        :meth:`call` entry: if ``event`` is still untriggered when it is
         dispatched, it :meth:`~Event.cancel`-s the event (a lock
         request leaves its queue, a reply waiter its table) and
         triggers it with ``expired``.  The tie rule: *an event already
-        triggered when its deadline is dispatched wins*.  The timeout
-        is cancelled on resume and when the waiter is killed, so
-        neither leaves a live schedule entry behind.
+        triggered when its deadline is dispatched wins*.  A deadline
+        still pending is cancelled on resume and when the waiter is
+        killed, so neither leaves a live schedule entry behind.
         """
-        def expire(_deadline: Event) -> None:
+        def expire(_arg) -> None:
+            nonlocal deadline
+            deadline = None
             if event._value is _PENDING:
                 event.cancel()
                 event.succeed(expired)
 
-        deadline = self.timeout(delay)
-        deadline.callbacks = expire
+        deadline = self.call(delay, expire)
         try:
             return (yield event)
         finally:
-            deadline.cancel()
+            if deadline is not None:
+                self.cancel(deadline)
 
     # -- scheduling ------------------------------------------------------------
 
@@ -181,10 +200,14 @@ class Simulator:
         (``queue[:] = ...``) so the dispatch loop's local alias stays
         valid; pop order is unaffected — it is fixed by the entry
         tuples, not the heap layout.  The ready FIFO holds none: only
-        timeouts are cancelled, and a timeout lives on the heap."""
+        timeouts and call entries are cancelled, and both are heap-only."""
         queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2]._cancelled]
+        dead = self._cancelled_keys
+        queue[:] = [entry for entry in queue
+                    if (entry[1] not in dead if entry[1] & 1
+                        else not entry[2]._cancelled)]
         heapify(queue)
+        dead.clear()
         self._cancelled_count = 0
 
     def _report_crash(self, crash: ProcessCrashed) -> None:
@@ -214,10 +237,11 @@ class Simulator:
                 from_ready = False
             else:
                 return None
-            if entry[2]._cancelled:
-                self._cancelled_count -= 1
-                continue
-            return entry, from_ready
+            key = entry[1]
+            if not (key in self._cancelled_keys if key & 1 else entry[2]._cancelled):
+                return entry, from_ready
+            self._cancelled_keys.pop(key, None)
+            self._cancelled_count -= 1
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -231,25 +255,6 @@ class Simulator:
             heappush(self._queue, entry)
         return entry[0]
 
-    def _run_callbacks(self, event: Event) -> None:
-        """Process one event that is already triggered and due: run its
-        callbacks (or surface an unhandled failure)."""
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if callbacks is not None:
-            if callbacks.__class__ is list:
-                for callback in callbacks:
-                    callback(event)
-            else:
-                callbacks(event)
-        elif not event._ok and not getattr(event, "_defused", False):
-            # A failure nobody waited for: surface it.
-            value = event._value
-            if isinstance(value, BaseException):
-                raise value
-            raise RuntimeError(f"unhandled failed event {event!r}: {value!r}")
-
     def step(self) -> None:
         """Process exactly one event."""
         if self._pending_crashes:  # a first step crashed outside dispatch
@@ -257,15 +262,32 @@ class Simulator:
         popped = self._pop_live()
         if popped is None:
             raise EmptySchedule("event queue is empty")
-        (when, key, event), _from_ready = popped
-        self._now = when
+        entry = popped[0]
+        self._now = when = entry[0]
         self.dispatched += 1
+        event = entry[2]  # or a call entry's fn
         if self.trace_hook is not None:
             self.trace_hook(when, event)
-        if key & 1 == _KIND_DELAYED and event._value is _PENDING:
-            event._ok = True
-            event._value = event._delayed_value
-        self._run_callbacks(event)
+        if entry[1] & 1:
+            event(entry[3])
+        else:  # run the callbacks, or surface a failure nobody waited for
+            if event._value is _PENDING:  # a timeout, due now
+                event._ok = True
+                event._value = None
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._processed = True
+            if callbacks is not None:
+                if callbacks.__class__ is list:
+                    for callback in callbacks:
+                        callback(event)
+                else:
+                    callbacks(event)
+            elif not event._ok and not getattr(event, "_defused", False):
+                value = event._value
+                if isinstance(value, BaseException):
+                    raise value
+                raise RuntimeError(f"unhandled failed event {event!r}: {value!r}")
         if self._pending_crashes:
             raise self._pending_crashes.pop(0)
 
@@ -304,6 +326,7 @@ class Simulator:
         ready = self._ready
         ready_popleft = ready.popleft
         pending_crashes = self._pending_crashes
+        dead = self._cancelled_keys
         pop = heappop
         pending = _PENDING
         steps = 0
@@ -322,10 +345,16 @@ class Simulator:
                     entry = pop(queue)
                 else:
                     break
-                when, key, event = entry
-                if event._cancelled:
+                key = entry[1]
+                if key & 1:  # a call entry
+                    if key in dead:
+                        del dead[key]
+                        self._cancelled_count -= 1
+                        continue
+                elif entry[2]._cancelled:
                     self._cancelled_count -= 1
                     continue
+                when = entry[0]
                 if when > horizon:
                     # Not due yet: put it back for the next run() call.
                     # Only heap entries can overshoot — FIFO entries
@@ -336,12 +365,18 @@ class Simulator:
                     return None
                 self._now = when
                 steps += 1
+                event = entry[2]  # or a call entry's fn
                 trace = self.trace_hook
                 if trace is not None:
                     trace(when, event)
-                if key & 1 and event._value is pending:  # delayed kind
+                if key & 1:
+                    event(entry[3])
+                    if pending_crashes:
+                        raise pending_crashes.pop(0)
+                    continue
+                if event._value is pending:  # a timeout, due now
                     event._ok = True
-                    event._value = event._delayed_value
+                    event._value = None
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True

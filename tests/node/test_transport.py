@@ -8,6 +8,7 @@ from repro.net import CommGraph, FixedLatency, Network
 from repro.node import Processor
 from repro.node.transport import NoResponse
 from repro.sim import Simulator
+from tests.sim.schedule import live_entries
 
 
 def build(n=4):
@@ -217,10 +218,6 @@ def test_quorum_kill_leaves_no_reply_waiters():
 def serve_echo(proc, kind="echo"):
     proc.serve(kind, lambda request: proc.reply(
         request, f"{kind}-reply", {"pid": proc.pid, "n": request.payload["n"]}))
-
-
-def live_entries(sim):
-    return [entry for entry in sim._queue if not entry[2]._cancelled]
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])

@@ -112,8 +112,8 @@ def test_steady_state_churn_allocation_is_flat():
     """Allocation regression guard: running the churn must not grow
     memory with the number of dispatched events.  A dispatched entry
     and its event are garbage at once; the only residue is the lost
-    races' cancelled Timeouts, each waiting in the heap for its expiry
-    (a bounded window, not a function of run length) — measured peak
+    races' cancelled deadline entries, each waiting in the heap for its
+    expiry (a bounded window, not a function of run length) — measured peak
     above the built simulation is ~14 KB regardless of run length;
     64 KB is the alarm line."""
     # warm allocator/caches outside the measured window

@@ -11,6 +11,7 @@ import pytest
 from repro.sim import EmptySchedule, Simulator
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import _COMPACT_MIN
+from tests.sim.schedule import cancelled_entries, is_cancelled
 
 
 def test_cancelled_timeouts_are_never_dispatched():
@@ -157,22 +158,32 @@ def test_run_until_horizon_leaves_future_events_intact():
     assert fired == [10.0]
 
 
-# -- schedule entries carry the event ---------------------------------------
-# An entry is ``(time, key, event)`` and a cancelled entry stays put until
-# the kernel reaches it, so two things have to hold: the cancelled-entry
-# debt counter matches what is really queued, and ordering never falls
-# through to the event object.
+# -- schedule entries carry the event or the call ----------------------------
+# An entry is ``(time, key, event)`` or ``(time, key, fn, arg)`` and a
+# cancelled entry stays put until the kernel reaches it, so two things
+# have to hold: the cancelled-entry debt counter matches what is really
+# queued, and ordering never falls through to the third field.
 
 
 @pytest.mark.parametrize("compact_min", [0, _COMPACT_MIN, 10**9])
 def test_cancelled_count_matches_cancelled_entries(compact_min):
     """``_cancelled_count`` is exactly the number of queued entries
-    whose event is cancelled — only the heap ever holds one — across
-    cancel, compaction, peek, horizon push-back and dispatch."""
+    that are cancelled — a timeout or a call entry; only the heap ever
+    holds one — across cancel, compaction, peek, horizon push-back and
+    dispatch.  A call entry is cancelled only while pending, as its
+    owners do."""
     rng = random.Random(20240916)
     sim = Simulator(compact_min=compact_min)
     wait = [sim.timeout(0.0)]
     loose = []
+    calls = {}  # keys of the pending call entries; each leaves as it fires
+
+    def call(delay):
+        def fire(_arg):
+            del calls[key]
+
+        key = sim.call(delay, fire)
+        calls[key] = None
 
     def rearm(delay):
         """Cancel-and-replace: a superseded wait must never fire."""
@@ -181,16 +192,22 @@ def test_cancelled_count_matches_cancelled_entries(compact_min):
         return wait[0]
 
     def debt():
-        assert not any(entry[2]._cancelled for entry in sim._ready)
-        return sum(1 for entry in sim._queue if entry[2]._cancelled)
+        assert not any(is_cancelled(sim, entry) for entry in sim._ready)
+        return cancelled_entries(sim)
 
     def actor():
         for _ in range(600):
             roll = rng.random()
-            if roll < 0.3:
+            if roll < 0.2:
                 loose.append(sim.timeout(rng.uniform(0.0, 5.0)))
-            elif roll < 0.5 and loose:
+            elif roll < 0.3:
+                call(rng.uniform(0.0, 5.0))
+            elif roll < 0.45 and loose:
                 loose.pop(rng.randrange(len(loose))).cancel()
+            elif roll < 0.5 and calls:
+                key = rng.choice(list(calls))
+                del calls[key]
+                sim.cancel(key)
             elif roll < 0.65:
                 rearm(rng.uniform(0.0, 3.0))
             else:
@@ -212,8 +229,8 @@ def test_cancelled_count_matches_cancelled_entries(compact_min):
         assert sim._cancelled_count == debt()
         sim.run(until=sim.now + 0.75)
         assert sim._cancelled_count == debt()
-    assert sim._cancelled_count == 0
-    assert not sim._queue and not sim._ready
+    assert sim._cancelled_count == 0 and not sim._cancelled_keys
+    assert not sim._queue and not sim._ready and not calls
 
 
 class _Incomparable(Event):
@@ -232,6 +249,21 @@ class _IncomparableTimeout(_Incomparable, Timeout):
     __slots__ = ()
 
 
+class _IncomparableCall:
+    """A call entry's function (or argument) that refuses to be ordered
+    or equated."""
+
+    __hash__ = object.__hash__
+
+    def __call__(self, _arg):
+        pass
+
+    def __lt__(self, other):
+        raise AssertionError("schedule compared two call entries")
+
+    __gt__ = __le__ = __ge__ = __eq__ = __lt__
+
+
 def test_same_instant_entries_order_by_key_never_by_event():
     """1 000 entries at one instant, through both the heap and the
     FIFO: dispatch order is creation order (``seq``) and tuple
@@ -240,12 +272,20 @@ def test_same_instant_entries_order_by_key_never_by_event():
     sim = Simulator()
     created = []
     for _ in range(1000):
-        if rng.randrange(2):
+        roll = rng.randrange(3)
+        if roll == 0:
             created.append(_Incomparable(sim).succeed())
+        elif roll == 1:
+            # Simulator.timeout is the one Timeout constructor
+            timeout = sim.timeout(0.0)
+            timeout.__class__ = _IncomparableTimeout
+            created.append(timeout)
         else:
-            created.append(_IncomparableTimeout(sim, 0.0))
+            fn = _IncomparableCall()
+            sim.call(0.0, fn, _IncomparableCall())
+            created.append(fn)
     seen = []
-    sim.trace_hook = lambda when, event: seen.append(id(event))
+    sim.trace_hook = lambda when, target: seen.append(id(target))
     sim.run()
-    assert seen == [id(event) for event in created]
+    assert seen == [id(target) for target in created]
     assert sim.dispatched == 1000 and sim.now == 0.0

@@ -5,20 +5,16 @@ the events the process waits on.
 
 ``wait(event, delay, expired)`` yields ``event`` *itself*: whatever
 triggers it resumes the waiter in that one dispatch.  The deadline is
-one cancellable timeout that — only if ``event`` is still untriggered
-when it is dispatched — ``cancel()``-s the event and triggers it with
-``expired``.  The tie rule: an event already triggered when its
-deadline is dispatched wins.
+one cancellable kernel call entry (no event) that — only if ``event``
+is still untriggered when it is dispatched — ``cancel()``-s the event
+and triggers it with ``expired``.  The tie rule: an event already
+triggered when its deadline is dispatched wins.
 """
 
 import pytest
 
 from repro.sim import Event, ProcessCrashed, Simulator
-
-
-def live_entries(sim):
-    return [entry for entry in (*sim._queue, *sim._ready)
-            if not entry[2]._cancelled]
+from tests.sim.schedule import live_entries
 
 
 class Parked(Event):

@@ -87,7 +87,7 @@ def test_naive_view_canary_convicts(tmp_path):
     verdict_a, _ = replay_artifact(finding.artifact)
     verdict_b, result = replay_artifact(finding.artifact)
     assert verdict_a == verdict_b == finding.shrunk_verdict
-    data = json.loads(open(finding.artifact).read())
+    data = json.loads(Path(finding.artifact).read_text())
     assert data["spec"]["protocol"] == "naive-view"
     assert data["verdict"] == finding.shrunk_verdict
     assert len(data["actions"]) == len(finding.shrunk)
@@ -201,7 +201,7 @@ def test_naive_view_sharded_canary_convicts(tmp_path):
     assert finding.campaign == 1
     assert finding.verdict.startswith("1SR violation: ")
     assert EDGE.search(finding.verdict), finding.verdict
-    data = json.loads(open(finding.artifact).read())
+    data = json.loads(Path(finding.artifact).read_text())
     assert data["spec"]["placement"] == "hash-ring"
     verdict, _result = replay_artifact(finding.artifact)
     assert verdict == finding.verdict
