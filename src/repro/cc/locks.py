@@ -127,6 +127,19 @@ class LockManager:
             self._emit("lock.wait", obj, txn, mode)
         return request
 
+    def flash_shared(self, txn: Any, obj: str) -> bool:
+        """Grant and release at once a shared lock :meth:`acquire` would
+        grant on the spot, counted and traced as such but leaving no
+        table entry; False, doing nothing, where it would queue."""
+        state = self._table.get(obj)
+        if state and (state.queue or EXCLUSIVE in state.holders.values()):
+            return False
+        self.grants += 1
+        if self.tracer is not None:
+            self._emit("lock.grant", obj, txn, SHARED)
+            self._emit("lock.release", obj, txn, SHARED)
+        return True
+
     # -- release ------------------------------------------------------------
 
     def release_all(self, txn: Any) -> List[str]:

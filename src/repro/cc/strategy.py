@@ -10,6 +10,7 @@ swap them under identical workloads.
 A strategy answers, per physical access at one copy server: *may this
 transaction read/write this copy now?* — possibly after waiting — and
 is told the transaction's fate so it can release its admission state.
+Recovery reads ask if a copy is stable now, and wait only if it is not.
 """
 
 from __future__ import annotations
@@ -49,3 +50,8 @@ class ConcurrencyControl(ABC):
         """Generator → bool: wait until reading ``obj`` cannot observe
         an uncommitted write (condition (3) of the weakened R4 for
         recovery reads); False on timeout."""
+
+    @abstractmethod
+    def stable_read_now(self, obj: str) -> bool:
+        """Would :meth:`stable_read_gate` grant without waiting?  True
+        does what that grant does; False changes nothing."""

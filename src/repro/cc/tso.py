@@ -71,7 +71,8 @@ class TimestampOrdering(ConcurrencyControl):
     # -- admission ------------------------------------------------------------
 
     def begin_read(self, txn: Any, ts: Any, obj: str):
-        settled = yield from self._await_no_older_uncommitted(txn, ts, obj)
+        settled = yield from self._await(
+            lambda: self._no_older_uncommitted(txn, ts, obj))
         if not settled:
             return (False, REJECTED_TIMEOUT)
         marks = self._marks.setdefault(obj, _CopyMarks())
@@ -83,7 +84,8 @@ class TimestampOrdering(ConcurrencyControl):
         return (True, None)
 
     def begin_write(self, txn: Any, ts: Any, obj: str):
-        settled = yield from self._await_no_older_uncommitted(txn, ts, obj)
+        settled = yield from self._await(
+            lambda: self._no_older_uncommitted(txn, ts, obj))
         if not settled:
             return (False, REJECTED_TIMEOUT)
         marks = self._marks.setdefault(obj, _CopyMarks())
@@ -97,22 +99,22 @@ class TimestampOrdering(ConcurrencyControl):
         self._by_txn.setdefault(txn, set()).add(obj)
         return (True, None)
 
-    def _await_no_older_uncommitted(self, txn: Any, ts: Any, obj: str):
-        """Strictness: wait for the fate of an uncommitted older writer."""
+    def _await(self, settled):
+        """Generator → bool: wait, up to the timeout, until ``settled()``
+        holds; it is re-checked at every decision."""
         deadline = self.sim.now + self.wait_timeout
-        while True:
-            marks = self._marks.setdefault(obj, _CopyMarks())
-            holder = marks.uncommitted
-            if holder is None or holder[0] == txn:
-                return True
-            if _later(holder[1], ts):
-                # the uncommitted write is NEWER than us: we are too
-                # late either way; let the rts/wts check reject us.
-                return True
+        while not settled():
             if self.sim.now >= deadline:
                 return False
             yield from self.sim.wait(self._changed.wait(),
                                      deadline - self.sim.now)
+        return True
+
+    def _no_older_uncommitted(self, txn: Any, ts: Any, obj: str) -> bool:
+        """Strictness: no uncommitted older writer.  A NEWER one makes us
+        too late either way: the rts/wts check rejects us."""
+        holder = self._marks.setdefault(obj, _CopyMarks()).uncommitted
+        return holder is None or holder[0] == txn or _later(holder[1], ts)
 
     @staticmethod
     def _own(marks: _CopyMarks, txn: Any) -> bool:
@@ -137,12 +139,8 @@ class TimestampOrdering(ConcurrencyControl):
 
     def stable_read_gate(self, obj: str):
         """Wait until no uncommitted write marks the copy."""
-        deadline = self.sim.now + self.wait_timeout
-        while True:
-            marks = self._marks.get(obj)
-            if marks is None or marks.uncommitted is None:
-                return True
-            if self.sim.now >= deadline:
-                return False
-            yield from self.sim.wait(self._changed.wait(),
-                                     deadline - self.sim.now)
+        return (yield from self._await(lambda: self.stable_read_now(obj)))
+
+    def stable_read_now(self, obj: str) -> bool:
+        marks = self._marks.get(obj)
+        return marks is None or marks.uncommitted is None

@@ -7,7 +7,6 @@ release at end of transaction.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Any, Set
 
 from ..sim import Simulator
@@ -25,7 +24,7 @@ class TwoPhaseLocking(ConcurrencyControl):
         self.sim = sim
         self.lock_timeout = lock_timeout
         self.locks = LockManager(sim, name=label)
-        self._gate_seq = count(1)
+        self._gates = 0  # gate transactions named so far
 
     def begin_read(self, txn: Any, ts: Any, obj: str):
         granted = yield from self._acquire(txn, obj, SHARED)
@@ -43,10 +42,17 @@ class TwoPhaseLocking(ConcurrencyControl):
 
     def stable_read_gate(self, obj: str):
         """A short shared lock: granted means no writer holds the copy."""
-        gate_txn = ("cc-gate", next(self._gate_seq))
+        self._gates += 1
+        gate_txn = ("cc-gate", self._gates)
         granted = yield from self._acquire(gate_txn, obj, SHARED)
         if granted:
             self.locks.release_all(gate_txn)
+        return granted
+
+    def stable_read_now(self, obj: str) -> bool:
+        """The gate's shared lock, granted and released on the spot."""
+        granted = self.locks.flash_shared(("cc-gate", self._gates + 1), obj)
+        self._gates += granted
         return granted
 
     def _acquire(self, txn: Any, obj: str, mode: str):

@@ -67,8 +67,16 @@ class AccessMixin:
         attempts = candidates if self.config.read_retry else candidates[:1]
         last_reason = "no-response"
         for server in attempts:
+            if server == self.pid:
+                self.metrics.local_reads += 1
+            self.metrics.physical_read_rpcs += 1
             try:
-                response = yield from self._read_rpc(obj, server, vpid, ctx)
+                response = yield from self.processor.rpc(
+                    server, "read",
+                    {"obj": obj, "v": vpid, "txn": ctx.txn_id,
+                     "ts": ctx.timestamp,
+                     "pe": ctx.placement_epochs.get(obj, 0)},
+                    timeout=self.config.access_timeout)
             except NoResponse:
                 last_reason = "no-response"
                 if state.cur_id != vpid or not state.assigned:
@@ -102,19 +110,6 @@ class AccessMixin:
         self.metrics.abort("r", last_reason)
         raise AccessAborted(obj, last_reason)
 
-    def _read_rpc(self, obj: str, server: int, vpid, ctx):
-        if server == self.pid:
-            self.metrics.local_reads += 1
-        self.metrics.physical_read_rpcs += 1
-        response = yield from self.processor.rpc(
-            server, "read",
-            {"obj": obj, "v": vpid, "txn": ctx.txn_id,
-             "ts": ctx.timestamp,
-             "pe": ctx.placement_epochs.get(obj, 0)},
-            timeout=self.config.access_timeout,
-        )
-        return response
-
     # ------------------------------------------------------------------
     # client side: Fig. 11 — Logical-Write
     # ------------------------------------------------------------------
@@ -130,8 +125,10 @@ class AccessMixin:
         version = ctx.next_version()
         ctx.placement_epochs[obj] = self.directory.route_epoch(obj)
         route_epoch = ctx.placement_epochs[obj]
-        targets, call = self.processor.scatter_to_copies(
-            self.directory, obj, state.lview, "write",
+        targets = self.directory.write_targets(obj, state.lview)
+        self.processor.transport.routed_fanouts += 1
+        call = self.processor.scatter(
+            targets, "write",
             lambda _server: {"obj": obj, "value": value, "v": vpid,
                              "txn": ctx.txn_id, "ts": ctx.timestamp,
                              "version": version, "pe": route_epoch},
@@ -421,7 +418,7 @@ class AccessMixin:
         empty but the in-doubt write (force-written with its prepare
         record) is still on the copy.
         """
-        return any(
-            obj in self._before_images.get(txn, {})
-            for txn in self.commit.in_doubt
-        )
+        for txn in self.commit.in_doubt:
+            if obj in self._before_images.get(txn, ()):
+                return True
+        return False

@@ -25,18 +25,15 @@ would block on each other forever (each waits for the other's unlock
 before answering).  They do take a short shared lock, which is exactly
 condition (3) of the weakened R4: recovery never reads a copy locked
 for writing.
+
+Neither side holds a process unless it waits: an object's update is a
+callback chain, and a ``vpread`` is answered at its delivery.
 """
 
 from __future__ import annotations
 
 from ..analysis.history import CopyInstall, CopyRetire
 from ..node.storage import LogTruncated
-
-
-#: sentinel returned by ``_read_sources`` when a source copy is
-#: temporarily unusable (in-doubt 2PC write) but the view itself is
-#: fine — the caller should re-read later, not force a new partition.
-RETRY_LATER = object()
 
 
 def _date_newer(candidate, reference) -> bool:
@@ -66,10 +63,8 @@ class UpdateMixin:
         if self.tracer is not None:
             self.tracer.emit("recover.start", pid=self.pid, vpid=old_id,
                              objects=len(objects))
-        split_off_objects = (
-            self._split_off_fresh_objects() if self.config.split_off_fastpath
-            else frozenset()
-        )
+        split_off_objects = (self._split_off_fresh_objects()
+                             if self.config.split_off_fastpath else frozenset())
         for obj in objects:
             if obj in split_off_objects and not self._has_in_doubt_write(obj):
                 # §6: pure split-off — the copy is known fresh already.
@@ -79,8 +74,7 @@ class UpdateMixin:
                     self.tracer.emit("recover.fresh", pid=self.pid, obj=obj,
                                      vpid=old_id)
                 continue
-            self.processor.spawn(
-                f"update({obj})", self._update_one_object(obj, old_id))
+            self._update_object(obj, old_id)
 
     def _split_off_fresh_objects(self) -> frozenset:
         """Objects provably fresh because the partition is a split-off.
@@ -100,101 +94,114 @@ class UpdateMixin:
         fresh = set()
         for obj in state.locked:
             holders = self.placement.copies(obj) & state.lview
-            if holders and all(
-                obj in previous_map[holder][1] for holder in holders
-            ):
+            if holders and all(obj in previous_map[holder][1]
+                               for holder in holders):
                 fresh.add(obj)
         return frozenset(fresh)
 
-    def _update_one_object(self, obj: str, old_id):
-        """Fig. 9 inner loop for one object, honouring the strategy."""
-        state = self.state
-        store = self.processor.store
-        while self._has_in_doubt_write(obj):
-            # A prepared-but-undecided write sits on the local copy: its
-            # date must not be taken as authoritative (the §6 fast path
-            # would serve it with no reads at all) until the resolver
-            # task learns the 2PC outcome.  Park; the object stays
-            # locked, which is exactly what R5 requires of a copy whose
-            # freshness is unknown.
-            yield self.sim.timeout(self.config.delta)
-            if not (state.assigned and state.cur_id == old_id):
-                return
-        if not store.holds(obj):
-            # A concurrent reshard retired this copy while the update
-            # was queued or parked: the object moved off this processor,
-            # so there is nothing left to catch up locally.
-            state.unlock_object(obj)
+    def _update_object(self, obj: str, old_id) -> None:
+        """Fig. 9's inner loop for one object, honouring the strategy: no
+        process but a chain tied to this processor's life — this prefix,
+        :meth:`_read_copies`, then its continuation :meth:`_install_freshest`;
+        the two waits are :meth:`Processor.after` timers."""
+        if not self._update_goes_on(obj, old_id):
             return
-        local_value, local_date = store.peek(obj)
-        best = (local_date, local_value, store.version(obj))
-        units = 0
-        entries_to_apply = None
-
+        if self._has_in_doubt_write(obj):
+            # A prepared-but-undecided write sits on the local copy: its
+            # date is not authoritative (the §6 fast path would serve it
+            # with no reads at all) until the resolver learns the 2PC
+            # outcome.  Park; R5 keeps a copy of unknown freshness locked.
+            self.processor.after(self.config.delta, self._update_object,
+                                 obj, old_id)
+            return
+        local_date = self.processor.store.date(obj)
         sources = self._recovery_sources(obj)
         if sources:
-            while True:
-                results = yield from self._read_sources(obj, sources)
-                if results is not RETRY_LATER:
-                    break
-                # A source answered "in-doubt": its copy carries a
-                # prepared write whose 2PC outcome is pending.  The
-                # view is fine — re-read once the source has resolved
-                # it, instead of spawning a new partition generation.
-                yield self.sim.timeout(self.config.commit_wait)
-                if not (state.assigned and state.cur_id == old_id):
-                    return
-                if not store.holds(obj):
-                    state.unlock_object(obj)
-                    return
-            if results is None:
-                # Fig. 9 line 12's [no-response]: the view is wrong;
-                # leave the object locked — the next partition's update
-                # (with a fresh locked set) takes over.  Actionable only
-                # while we still stand in the partition the evidence was
-                # gathered in: once a newer generation superseded this
-                # one, the silence (or a "wrong-partition" refusal from
-                # a source that already moved on) says nothing about the
-                # *current* view — reacting to it mints a partition per
-                # generation and the views never settle.
-                if state.assigned and state.cur_id == old_id:
-                    self.create_new_vp()
-                return
-            for payload in results:
-                units += payload.get("units", 0)
-                if payload.get("truncated"):
-                    # the source compacted past our date; it shipped the
-                    # whole value instead of log entries
-                    self.metrics.catchup_fallbacks += 1
-                date = payload["date"]
-                if _date_newer(date, best[0]):
-                    best = (date, payload["value"], payload["version"])
-                    entries_to_apply = payload.get("entries")
+            self._read_copies(obj, old_id, sources, local_date)
+        else:
+            self._install_freshest(obj, old_id, (), local_date, {})
 
-        # Fig. 9 lines 15-17: install only if still in the same partition.
+    def _update_goes_on(self, obj: str, old_id) -> bool:
+        """Still in the partition the update started in, with a copy?"""
+        state = self.state
         if not (state.assigned and state.cur_id == old_id):
-            return
-        if not store.holds(obj):
+            return False
+        if not self.processor.store.holds(obj):
+            # A concurrent reshard retired this copy while the update
+            # was queued or parked: nothing is left to catch up locally.
             state.unlock_object(obj)
+            return False
+        return True
+
+    def _read_copies(self, obj: str, old_id, sources: list[int],
+                     local_date) -> None:
+        """Issue the vpread RPCs in parallel, if the update goes on."""
+        if not self._update_goes_on(obj, old_id):
             return
-        if _date_newer(best[0], local_date):
-            if entries_to_apply is not None:
-                store.apply_log(obj, entries_to_apply)
-            else:
-                store.install(obj, best[1], best[0], best[2])
+        want_log = self.config.catchup == "log"
+        after = self.processor.store.date(obj) if want_log else None
+        request = {"obj": obj, "v": self.state.cur_id, "after": after,
+                   "mode": "log" if want_log else "full"}
+        self.processor.scatter(
+            sources, "vpread", lambda _server: request,
+            timeout=self.config.access_timeout,
+        ).then(lambda results: self._install_freshest(
+            obj, old_id, sources, local_date, results))
+
+    def _install_freshest(self, obj: str, old_id, sources, local_date,
+                          results: dict) -> None:
+        """Fig. 9 lines 12-17 on the replies of ``sources``: install the
+        newest copy read, only if still in the same partition."""
+        refusals = {reply and reply["reason"] for reply in results.values()
+                    if not (reply and reply["ok"])}  # None: silence
+        if refusals - {"in-doubt"}:
+            # Fig. 9 line 12's [no-response] — silence, or a source in
+            # another partition or write-locked, which R5 must not read:
+            # the view is wrong; the object stays locked for the next
+            # partition's update.  Actionable only while we still stand
+            # in the partition the evidence was gathered in: reacting to
+            # a superseded generation's silence (or to a refusal from a
+            # source that already moved on) mints a partition per
+            # generation, and the views never settle.
+            if self.state.assigned and self.state.cur_id == old_id:
+                self.create_new_vp()
+            return
+        if refusals:
+            # A source's copy carries a prepared write whose 2PC outcome
+            # is pending.  The view is fine: re-read once it is resolved
+            # instead of spawning a new partition generation.
+            self.processor.after(self.config.commit_wait, self._read_copies,
+                                 obj, old_id, sources, local_date)
+            return
+        newest, units = None, 0
+        for reply in results.values():
+            units += reply.get("units", 0)
+            if reply.get("truncated"):
+                # the source compacted past our date; it shipped the
+                # whole value instead of log entries
+                self.metrics.catchup_fallbacks += 1
+            if _date_newer(reply["date"],
+                           newest["date"] if newest else local_date):
+                newest = reply
+        if not self._update_goes_on(obj, old_id):
+            return
+        store = self.processor.store
+        if newest is not None and newest.get("entries") is not None:
+            store.apply_log(obj, newest["entries"])
+        elif newest is not None:
+            store.install(obj, newest["value"], newest["date"],
+                          newest["version"])
         self.metrics.transfer_units += units
         self.metrics.recoveries += 1
         if self.tracer is not None:
             self.tracer.emit("recover.object", pid=self.pid, obj=obj,
                              units=units, vpid=old_id)
-        state.unlock_object(obj)
+        self.state.unlock_object(obj)
 
     def _recovery_sources(self, obj: str) -> list[int]:
         """Which remote copies to read, per the configured strategy."""
         state = self.state
-        holders = sorted(
-            (self.placement.copies(obj) & state.lview) - {self.pid}
-        )
+        holders = sorted((self.placement.copies(obj) & state.lview) - {self.pid})
         if self.config.init_strategy == "read-all" or not state.previous_map:
             return holders
         # §6 optimized search: among view members holding a copy for
@@ -213,80 +220,57 @@ class UpdateMixin:
             return []  # our copy is already the freshest: no reads
         return [best_holder]
 
-    def _read_sources(self, obj: str, sources: list[int]):
-        """Issue vpread RPCs in parallel; None signals a no-response."""
-        state = self.state
-        want_log = self.config.catchup == "log"
-        _, local_date = self.processor.store.peek(obj)
-        request = {
-            "obj": obj,
-            "v": state.cur_id,
-            "after": local_date if want_log else None,
-            "mode": "log" if want_log else "full",
-        }
-        results = yield from self.processor.scatter_gather(
-            sources, "vpread", lambda _server: request,
-            timeout=self.config.access_timeout,
-        )
-        payloads = []
-        retry = False
-        for server in sources:
-            payload = results[server]
-            if payload is None:
-                return None
-            if not payload["ok"]:
-                if payload["reason"] == "in-doubt":
-                    retry = True
-                    continue
-                # The source is in another partition or its copy is
-                # write-locked; treat like silence — R5 must not read it.
-                return None
-            payloads.append(payload)
-        if retry:
-            return RETRY_LATER
-        return payloads
-
     # ------------------------------------------------------------------
     # server side: answering recovery reads
     # ------------------------------------------------------------------
 
-    def _handle_vpread(self, message):
+    def _handle_vpread(self, message) -> None:
+        """Answer a recovery read at its delivery, if we stand in its
+        partition and the copy is stable; else run the body that waits
+        for our join or at the gate — a process only if it does wait."""
         payload = message.payload
-        obj = payload["obj"]
         state = self.state
-        if not (state.assigned and payload["v"] == state.cur_id):
-            # The requester may simply be ahead of us: its commit for
-            # the same partition can still be in flight (message delays
-            # are independent).  Wait up to the commit timeout for our
-            # own join before giving up — Fig. 12's plain "if" (silence)
-            # would make the requester declare us dead over a race the
-            # network is allowed to produce.
-            deadline = self.sim.now + self.config.commit_wait
-            while (payload["v"] > state.cur_id or not state.assigned) \
-                    and self.sim.now < deadline:
-                yield from self.sim.wait(state.partition_changed.wait(),
-                                         deadline - self.sim.now)
+        if (state.assigned and payload["v"] == state.cur_id
+                and self.cc.stable_read_now(payload["obj"])):
+            self._answer_vpread(message)
+        else:
+            self.processor.spawn("vpread", self._vpread_when_ready(message))
+
+    def _vpread_when_ready(self, message):
+        payload = message.payload
+        state = self.state
+        # The requester may simply be ahead of us: its commit for the
+        # same partition can still be in flight.  Wait up to the commit
+        # timeout for our own join — Fig. 12's plain "if" (silence) would
+        # have the requester declare us dead over a legal network race.
+        deadline = self.sim.now + self.config.commit_wait
+        while (payload["v"] > state.cur_id or not state.assigned) \
+                and self.sim.now < deadline:
+            yield from self.sim.wait(state.partition_changed.wait(),
+                                     deadline - self.sim.now)
         if not (state.assigned and payload["v"] == state.cur_id):
             self.processor.reply(message, "vpread-reply",
                                  {"ok": False, "reason": "wrong-partition"})
             return
         # Condition (3) of the weakened R4: never ship a value a live
-        # transaction is overwriting.  The CC strategy provides the gate
-        # (a brief shared lock under 2PL; an uncommitted-writer wait
-        # under TSO).
-        granted = yield from self.cc.stable_read_gate(obj)
+        # transaction is overwriting (the CC's gate: a brief shared lock
+        # under 2PL, an uncommitted-writer wait under TSO).
+        granted = yield from self.cc.stable_read_gate(payload["obj"])
         if not granted:
             self.processor.reply(message, "vpread-reply",
                                  {"ok": False, "reason": "write-locked"})
             return
-        # The gate covers the 2PC uncertainty window in normal
-        # operation: an in-doubt writer still holds its copy lock, and
-        # the decide is applied before the lock is released.  But CC
-        # locks are volatile — after a crash the lock table is empty
-        # while the (force-written) in-doubt write is still on the
-        # copy.  That residue must never be shipped; tell the requester
-        # to retry us once the resolver has learned the outcome, rather
-        # than let it declare the view wrong.
+        self._answer_vpread(message)
+
+    def _answer_vpread(self, message) -> None:
+        """Reply to a recovery read past the partition check and gate."""
+        payload = message.payload
+        obj = payload["obj"]
+        # The gate covers the 2PC uncertainty window in normal operation
+        # (an in-doubt writer holds its copy lock until the decide is
+        # applied), but CC locks are volatile: after a crash the
+        # force-written in-doubt write is still on the copy.  Never ship
+        # it; the requester retries once the resolver learned the outcome.
         if self._has_in_doubt_write(obj):
             self.processor.reply(message, "vpread-reply",
                                  {"ok": False, "reason": "in-doubt"})
@@ -301,23 +285,18 @@ class UpdateMixin:
             return
         value, date = store.peek(obj)
         version = store.version(obj)
-        truncated = False
+        entries, truncated = None, False
         if payload["mode"] == "log":
             try:
                 entries = store.log_since(obj, payload["after"])
-                units = len(entries)
             except LogTruncated:
                 # Compaction discarded entries the requester would need
                 # (its copy predates the retained floor).  §6's log
                 # catch-up degrades gracefully to Fig. 9's full-object
                 # transfer — correctness never depends on log history,
                 # only the transfer cost does.
-                entries = None
-                units = store.size(obj)
                 truncated = True
-        else:
-            entries = None
-            units = store.size(obj)
+        units = store.size(obj) if entries is None else len(entries)
         self.processor.reply(message, "vpread-reply", {
             "ok": True, "value": value, "date": date,
             "version": version, "entries": entries, "units": units,

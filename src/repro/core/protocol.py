@@ -103,7 +103,7 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         processor.serve("reshard-release", self._handle_reshard_release)
         processor.serve_spawned("read", self._handle_read)
         processor.serve_spawned("write", self._handle_write)
-        processor.serve_spawned("vpread", self._handle_vpread)
+        processor.serve("vpread", self._handle_vpread)
         processor.serve_spawned("reshard-install",
                                 self._handle_reshard_install)
         super().attach()

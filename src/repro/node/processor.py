@@ -14,8 +14,8 @@ A :class:`Processor` owns:
   later, even in that instant, is late and counted;
 * a task registry: protocol layers register named generator factories;
   tasks are (re)spawned on start/recover and killed on crash, as are
-  spawned bodies and :meth:`Processor.after` timers, matching the paper's
-  model where a crash wipes all volatile state but durable storage survives.
+  spawned bodies, ``after`` timers and ``then`` continuations, matching
+  the paper's model where a crash wipes volatile state, not storage.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ class Processor:
         #: engine configured with checkpoint/compaction policy
         self.store = store if store is not None else StorageEngine(pid)
         self.alive = True
+        #: crashes so far (a ``ScatterCall.then`` runs only in its own)
+        self.incarnation = 0
         #: fan-out accounting for the shared transport primitives
         self.transport = TransportStats()
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
@@ -154,30 +156,9 @@ class Processor:
     def scatter(self, targets: Iterable[int], kind: str,
                 payload_for: Callable[[int], Mapping[str, Any] | None],
                 *, timeout: float) -> ScatterCall:
-        """Start parallel RPCs to ``targets``; gather the replies later.
-
-        The two-phase form: requests go out now, the caller may do
-        local work, then ``results = yield from call.gather()``.
-        """
+        """Start parallel RPCs to ``targets``: the requests go out now;
+        ``yield from call.gather()`` or ``call.then(fn)`` takes the replies."""
         return ScatterCall(self, targets, kind, payload_for, timeout=timeout)
-
-    def scatter_to_copies(self, directory, obj: str, view: Iterable[int],
-                          kind: str,
-                          payload_for: Callable[[int],
-                                                Mapping[str, Any] | None],
-                          *, timeout: float):
-        """Directory-routed fan-out: resolve ``obj``'s copy-holders
-        inside ``view`` through ``directory`` and scatter to them.
-
-        Returns ``(targets, call)`` — the resolved holder list (sorted)
-        and the in-flight :class:`ScatterCall`; the caller gathers when
-        ready.  Counted separately from plain scatters so routed
-        traffic is measurable per processor.
-        """
-        targets = directory.write_targets(obj, view)
-        self.transport.routed_fanouts += 1
-        call = self.scatter(targets, kind, payload_for, timeout=timeout)
-        return targets, call
 
     def scatter_gather(self, targets: Iterable[int], kind: str,
                        payload_for: Callable[[int], Mapping[str, Any] | None],
@@ -313,6 +294,7 @@ class Processor:
         if not self.alive:
             return
         self.alive = False
+        self.incarnation += 1
         for process in (*self._tasks.values(), *self._spawned):
             process.kill()
         for key in self._timers:

@@ -7,23 +7,22 @@ and treat silence as evidence about the view.  Every such site routes
 through two primitives owned by the :class:`~repro.node.processor.
 Processor`:
 
-* :class:`ScatterCall` — parallel RPCs with per-target reply matching
-  (``scatter`` / ``gather``, or the one-shot ``scatter_gather``).  A
-  caller-supplied *quorum predicate* enables early exit: once the
-  responses collected so far satisfy it, the legs still unanswered are
-  dropped and the partial result map is returned
-  (``scatter_gather(..., quorum=…)``).
+* :class:`ScatterCall` — parallel RPCs with per-target reply matching,
+  collected by a process (``scatter`` / ``gather``, the one-shot
+  ``scatter_gather``; a *quorum predicate* drops the legs unanswered
+  once the partial result map satisfies it) or by a continuation
+  (``scatter(…).then(fn)``).
 * ``broadcast_collect`` (on the processor) — one-way broadcast followed
   by a timed collection window, the Figs. 5/7 pattern where replies are
   *not* RPC responses but independent messages.
 
-A call costs the kernel its messages and one deadline: every reply is
-consumed by a callback at its delivery (:meth:`Processor._on_delivery`),
-and the whole call — however many legs — holds one kernel call entry
-(no event) on the schedule.  The call is a plain object,
-**not** a processor task: a crash of the calling processor forgets the
-reply registrations, and the deadline still fires to count the silent
-legs, so nothing is orphaned.
+A call costs the kernel its messages, one deadline (a call entry, no
+event, however many legs) and one wake-up of its gatherer or
+continuation: every reply is consumed by a callback at its delivery
+(:meth:`Processor._on_delivery`).  The call is a plain object, **not**
+a processor task: a crash of the calling processor forgets the reply
+registrations, and the deadline still fires to count the silent legs,
+so nothing is orphaned.
 
 :class:`TransportStats` counts fan-outs, per-target RPCs, silences and
 early exits, and records the model-time duration of every completed
@@ -83,10 +82,10 @@ class ScatterCall:
     Created by :meth:`Processor.scatter`; the requests leave
     immediately.  Call :meth:`gather` (a generator — drive it with
     ``yield from``) to wait for the result map ``{target: payload}``
-    where ``None`` marks a silent target.  Creating the call and
-    gathering later lets a caller do local work (e.g. its own vote)
-    while the requests are in flight, exactly like the hand-rolled
-    two-phase sites did.
+    where ``None`` marks a silent target, or hand the map to a
+    continuation with :meth:`then`.  Creating the call and gathering
+    later lets a caller do local work (e.g. its own vote) while the
+    requests are in flight.
     """
 
     def __init__(self, processor, targets: Iterable[int], kind: str,
@@ -102,7 +101,7 @@ class ScatterCall:
         #: request id -> target of every leg still unanswered
         self._pending: Dict[int, int] = {}
         self._quorum: Optional[QuorumPredicate] = None
-        #: the event a blocked :meth:`gather` waits on
+        #: what :meth:`_finish` calls: wakes a gather or a continuation
         self._wake = None
         waiters = processor._reply_waiters
         on_reply = self._on_reply  # one bound method for all legs
@@ -133,13 +132,13 @@ class ScatterCall:
         self._finish()
 
     def _finish(self) -> None:
-        """Forget the legs still unanswered; wake a blocked gather."""
+        """Forget the legs still unanswered; wake whoever waits."""
         waiters = self.processor._reply_waiters
         for request_id in self._pending:
             waiters.pop(request_id, None)
         self._pending.clear()
         if self._wake is not None:
-            self._wake.succeed()
+            self._wake()
 
     def gather(self, quorum: Optional[QuorumPredicate] = None):
         """Generator: collect ``{target: payload_or_None}``.
@@ -154,10 +153,30 @@ class ScatterCall:
         """
         if self._pending:
             self._quorum = quorum
-            self._wake = self.sim.event()
-            yield self._wake
+            wake = self.sim.event()
+            self._wake = wake.succeed
+            yield wake
         self.processor.transport.fanout_latencies.append(
             self.sim.now - self.started_at)
         if quorum is not None:
             return self._results
         return {server: self._results[server] for server in self._targets}
+
+    def then(self, fn: Callable[[Dict[int, Any]], Any]) -> None:
+        """:meth:`gather` without a process: ``fn(results)`` runs in the slot
+        the wake-up would take (after a crash: dispatched, doing nothing).
+        No closure refers back to the call, so no cycle outlives it."""
+        processor, incarnation = self.processor, self.processor.incarnation
+        sim, results, targets = self.sim, self._results, self._targets
+        started_at = self.started_at
+
+        def resume(_arg) -> None:
+            if processor.incarnation == incarnation:
+                processor.transport.fanout_latencies.append(
+                    sim.now - started_at)
+                fn({server: results[server] for server in targets})
+
+        if self._pending:
+            self._wake = lambda: sim.call(0, resume)
+        else:
+            resume(None)

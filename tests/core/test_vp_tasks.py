@@ -9,6 +9,7 @@ import sys
 
 from repro import Cluster, VpId
 from repro.core.protocol import VirtualPartitionProtocol
+from repro.node import Processor
 from repro.net.nemesis import FaultAction
 from repro.workload.failures import ScheduledNemesis
 from repro.workload.generator import WorkloadSpec
@@ -251,6 +252,23 @@ def test_crash_while_armed_fires_nothing_after_recovery():
     assert protocol.state.max_id > HUGE
 
 
+def quarter_fault_churn():
+    """The ledger's ``fault-churn`` spec at a quarter of its duration,
+    seed 2: two cycles of a partition, then a crash of p2."""
+    actions = []
+    for start in (20.0, 140.0):
+        actions.append(FaultAction(time=start, kind="partition",
+                                   args=((1, 2, 3), (4, 5)), hold=40.0))
+        actions.append(FaultAction(time=start + 60.0, kind="crash",
+                                   args=(2,), hold=25.0))
+    return ExperimentSpec(
+        processors=5, clients=2, seed=2, duration=330.0, grace=80.0,
+        retries=0, objects=40, audit=True, open_loop=True,
+        workload=WorkloadSpec(read_fraction=0.5, ops_per_txn=2,
+                              mean_interarrival=4.0),
+        failures=ScheduledNemesis(tuple(actions)))
+
+
 def test_refusal_does_not_beat_a_same_instant_invitation(monkeypatch):
     """The tie Fig. 6's handlers decide.  When a generation forms, a
     member's recovery read can be refused ("wrong-partition") at the
@@ -258,17 +276,11 @@ def test_refusal_does_not_beat_a_same_instant_invitation(monkeypatch):
     delivery, the invitation departs the member first and the refusal
     is no longer actionable; were the invitation still queued behind
     the reply, every member of the generation would mint a competing
-    partition from ``_update_one_object``'s no-response branch.
+    partition from Fig. 9's no-response branch, which runs in the
+    recovery reads' continuation, ``_install_freshest``.
 
-    The ledger's ``fault-churn`` spec at a quarter of its duration,
-    seed 2; the counts are those of the mailbox-loop implementation.
+    The counts are those of the mailbox-loop implementation.
     """
-    actions = []
-    for start in (20.0, 140.0):
-        actions.append(FaultAction(time=start, kind="partition",
-                                   args=((1, 2, 3), (4, 5)), hold=40.0))
-        actions.append(FaultAction(time=start + 60.0, kind="crash",
-                                   args=(2,), hold=25.0))
     minted_by = []
     create_new_vp = VirtualPartitionProtocol.create_new_vp
 
@@ -278,12 +290,37 @@ def test_refusal_does_not_beat_a_same_instant_invitation(monkeypatch):
         create_new_vp(self)
 
     monkeypatch.setattr(VirtualPartitionProtocol, "create_new_vp", counted)
-    result = run_experiment(ExperimentSpec(
-        processors=5, clients=2, seed=2, duration=330.0, grace=80.0,
-        retries=0, objects=40, audit=True, open_loop=True,
-        workload=WorkloadSpec(read_fraction=0.5, ops_per_txn=2,
-                              mean_interarrival=4.0),
-        failures=ScheduledNemesis(tuple(actions))))
+    result = run_experiment(quarter_fault_churn())
     assert result.registry.snapshot()["gauges"]["protocol.vp_created"] == 29
-    assert minted_by.count("_update_one_object") == 8
+    assert minted_by.count("_install_freshest") == 8
     assert not result.audit_violations
+
+
+def test_recovery_spawns_only_the_reads_that_wait(monkeypatch):
+    """Fig. 9's updates are callback chains, never processes, and a
+    recovery read is answered at its delivery: only one that must wait
+    — for the server's own join, or at the stable-read gate — is
+    spawned, and it parks (294 of the 6 612 served here)."""
+    spawned = []
+    served = []
+    spawn = Processor.spawn
+    handle_vpread = VirtualPartitionProtocol._handle_vpread
+
+    def recorded_spawn(self, name, generator):
+        process = spawn(self, name, generator)
+        spawned.append((name, process is not None and process.is_alive))
+        return process
+
+    def recorded_vpread(self, message):
+        served.append(message)
+        handle_vpread(self, message)
+
+    monkeypatch.setattr(Processor, "spawn", recorded_spawn)
+    monkeypatch.setattr(VirtualPartitionProtocol, "_handle_vpread",
+                        recorded_vpread)
+    result = run_experiment(quarter_fault_churn())
+    assert result.registry.snapshot()["gauges"]["protocol.vp_created"] == 29
+    assert not [name for name, _ in spawned if name.startswith("update(")]
+    vpreads = [parked for name, parked in spawned if name == "vpread"]
+    assert all(vpreads)
+    assert (len(served), len(vpreads)) == (6612, 294)

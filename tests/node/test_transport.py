@@ -492,3 +492,109 @@ def test_killed_collector_leaves_the_kind_dropping():
     next(procs[1].broadcast_collect(
         [2], "ping", {}, reply_kind="pong", window=5.0,
         accept=lambda m: True))
+
+
+# -- ScatterCall.then: the gather as a continuation, no process --------------
+
+
+def collect_via(procs, call, how, sink):
+    """Hand ``call``'s result map to ``sink`` by ``how``: "then", or
+    "gather" in a process spawned on the caller."""
+    if how == "then":
+        call.then(sink)
+        return
+
+    def gatherer():
+        sink((yield from call.gather()))
+
+    procs[1].spawn("gatherer", gatherer())
+
+
+def same_instant_order(how):
+    """Where the end of a one-leg call lands among two same-instant
+    ``succeed``-s: one triggered just before the reply finishes the
+    call, one just after (both inside the reply's delivery)."""
+    sim, _, _, procs = build()
+    serve_echo(procs[2])
+    order = []
+    before, after = sim.event(), sim.event()
+    before.add_callback(lambda _event: order.append("before"))
+    after.add_callback(lambda _event: order.append("after"))
+    call = procs[1].scatter([2], "echo", lambda server: {"n": 1},
+                            timeout=5.0)
+    (request_id, on_reply), = procs[1]._reply_waiters.items()
+
+    def around(message):
+        before.succeed()
+        on_reply(message)
+        after.succeed()
+
+    procs[1]._reply_waiters[request_id] = around
+    collect_via(procs, call, how, lambda _results: order.append("resumed"))
+    sim.run()
+    return order, sim.dispatched
+
+
+def test_continuation_takes_the_slot_of_the_gather_wake_up():
+    """Between the same-instant ``succeed`` before it and the one after
+    it, exactly where a gathering process would resume — and at the
+    same event count: the request, the reply, three wake-ups."""
+    assert same_instant_order("then") == same_instant_order("gather") == (
+        ["before", "resumed", "after"], 5)
+
+
+@pytest.mark.parametrize("how", ["then", "gather"])
+def test_continuation_marks_silent_legs_and_records_one_latency(how):
+    sim, graph, _, procs = build()
+    graph.cut_link(1, 3)
+    for p in (2, 3):
+        serve_echo(procs[p])
+    call = procs[1].scatter([3, 2], "echo", lambda server: {"n": server},
+                            timeout=4.0)
+    taken = []
+    collect_via(procs, call, how, taken.append)
+    sim.run()
+    assert taken == [{3: None, 2: {"pid": 2, "n": 2}}]
+    assert list(taken[0]) == [3, 2]  # target order, as gather returns it
+    stats = procs[1].transport
+    assert stats.no_responses == 1
+    assert stats.fanout_latencies == [4.0]  # once, at the deadline
+
+
+def test_continuation_with_no_targets_runs_at_once():
+    sim, _, _, procs = build()
+    taken = []
+    procs[1].scatter([], "echo", lambda server: {}, timeout=4.0).then(
+        taken.append)
+    assert taken == [{}]
+    assert procs[1].transport.fanout_latencies == [0.0]
+    assert sim.dispatched == 0
+
+
+@pytest.mark.parametrize("recovered", [False, True])
+@pytest.mark.parametrize("how", ["then", "gather"])
+def test_continuation_after_a_crash_is_dispatched_and_does_nothing(
+        how, recovered):
+    """Like a killed gatherer's wake-up, the continuation of a crashed
+    caller still takes its slot — the deadline ends the call — and is
+    counted, but calls nothing and records no latency, whether or not
+    the processor is back up by then."""
+    sim, _, _, procs = build()
+    echo_server(procs[2], delay=5.0)
+    call = procs[1].scatter([2], "echo", lambda server: {"n": 1},
+                            timeout=4.0)
+    taken = []
+    collect_via(procs, call, how, taken.append)
+    sim.run(until=1.5)
+    procs[1].crash()
+    if recovered:
+        procs[1].recover()
+    sim.run()
+    assert taken == []
+    stats = procs[1].transport
+    assert stats.fanout_latencies == []
+    assert stats.no_responses == 1
+    # request, the deadline, the end-of-call wake-up, the server's
+    # timer, its reply (dropped at a down processor or counted late)
+    assert sim.dispatched == 5
+    assert stats.late_replies == (1 if recovered else 0)
