@@ -66,11 +66,12 @@ class FailureInjector:
         if delay < 0:
             raise ValueError(f"time {time} is in the past (now={self.sim.now})")
 
-        def fire(_event, act=action, lab=label):
-            self._record(lab or getattr(act, "__name__", "?"))
-            act()
+        def fire(_arg):
+            self._record(label or getattr(action, "__name__", "?"))
+            action()
 
-        self.sim.timeout(delay, name=f"failure@{time}").add_callback(fire)
+        fire.name = f"failure@{time}"  # what a kernel trace shows
+        self.sim.call(delay, fire)
 
     def _record(self, label: str) -> None:
         self.log.append((self.sim.now, label))

@@ -22,9 +22,11 @@ are deliberately small slotted objects:
 * ``callbacks`` is polymorphic — ``None`` (none yet), a bare callable
   (the overwhelmingly common single-waiter case), or a list.  Most
   events never allocate a callback list at all.
-* triggering puts one ``(time, key, event)`` entry on the kernel's
-  schedule; cancelling a timeout sets ``_cancelled`` and the kernel
-  drops the entry when it reaches it — nothing searches the heap.
+* triggering puts one ``(time, seq, _dispatch, event)`` call entry on
+  the kernel's schedule — the one entry shape — and :func:`_dispatch`
+  is the one body that processes an event; cancelling a timeout
+  cancels its entry's key like any call entry's, and the kernel drops
+  the entry when it reaches it — nothing searches the heap.
 * names default to ``""`` and are only formatted on demand (``repr``);
   the hot paths never build f-strings.
 """
@@ -33,8 +35,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-# Event entries are ``(time, seq << 1, event)`` (see repro.sim.kernel).
-
 _PENDING = object()
 
 
@@ -42,7 +42,7 @@ class Event:
     """A one-shot occurrence that callbacks and processes can wait on."""
 
     __slots__ = ("sim", "name", "callbacks", "_value", "_ok",
-                 "_processed", "_defused", "_cancelled")
+                 "_processed", "_defused")
 
     def __init__(self, sim, name: str = ""):
         self.sim = sim
@@ -52,8 +52,6 @@ class Event:
         self._value: Any = _PENDING
         #: set by the kernel once callbacks have been executed
         self._processed = False
-        #: True once withdrawn while scheduled; the kernel skips it
-        self._cancelled = False
         # ``_ok`` and ``_defused`` are deliberately NOT initialized:
         # every trigger path (succeed/fail/materialize)
         # stores ``_ok`` before anything reads it, and ``_defused`` is
@@ -99,7 +97,7 @@ class Event:
         seq = sim._seq
         sim._seq = seq + 1
         # same-instant triggers keep FIFO order — they skip the heap
-        sim._ready.append((sim._now, seq << 1, self))
+        sim._ready.append((sim._now, seq, _dispatch, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -113,7 +111,7 @@ class Event:
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        sim._ready.append((sim._now, seq << 1, self))
+        sim._ready.append((sim._now, seq, _dispatch, self))
         return self
 
     def defuse(self) -> None:
@@ -163,25 +161,24 @@ class Timeout(Event):
     creation; built only by :meth:`Simulator.timeout
     <repro.sim.kernel.Simulator.timeout>`.
 
-    It sits on the heap untriggered — the kernel sets its value when it
-    pops the entry — so ``triggered`` stays false until the timeout
-    actually occurs in model time.
+    It sits on the heap untriggered — :func:`_dispatch` sets its value
+    when the kernel pops the entry — so ``triggered`` stays false until
+    the timeout actually occurs in model time.  ``_key`` is its entry's
+    key while the entry may still dispatch.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "_key")
 
     def cancel(self) -> None:
-        # Lazy deletion: the kernel discards the heap entry when it is
-        # popped; compact once dead entries dominate.
-        if self._processed or self._cancelled:
+        """Withdraw the entry (:meth:`Simulator.cancel
+        <repro.sim.kernel.Simulator.cancel>`) — at most once, and not
+        once the timeout is processed."""
+        key = self._key
+        if key is None or self._processed:
             return
+        self._key = None
         self.callbacks = None
-        self._cancelled = True
-        sim = self.sim
-        count = sim._cancelled_count + 1
-        sim._cancelled_count = count
-        if count >= sim._compact_min and count * 2 > len(sim._queue):
-            sim._compact()
+        self.sim.cancel(key)
 
     def __repr__(self) -> str:
         label = self.name or f"timeout({self.delay})"
@@ -191,3 +188,27 @@ class Timeout(Event):
             else "pending"
         )
         return f"<{label} {state} at {id(self):#x}>"
+
+
+def _dispatch(event: Event) -> None:
+    """Process ``event``: the one event-dispatch body, the ``fn`` of
+    every event's schedule entry.  A timeout, due now, gets its
+    ``None``; then the callbacks run — or a failure nobody waited for
+    is raised."""
+    if event._value is _PENDING:  # a timeout, due now
+        event._ok = True
+        event._value = None
+    callbacks = event.callbacks
+    event.callbacks = None
+    event._processed = True
+    if callbacks is not None:
+        if callbacks.__class__ is list:
+            for callback in callbacks:
+                callback(event)
+        else:
+            callbacks(event)
+    elif not event._ok and not getattr(event, "_defused", False):
+        value = event._value
+        if isinstance(value, BaseException):
+            raise value
+        raise RuntimeError(f"unhandled failed event {event!r}: {value!r}")

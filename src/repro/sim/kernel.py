@@ -7,28 +7,29 @@ is what makes adversarially timed failure injection reproducible.
 
 The dispatch loop is the hottest code in the repository — every message
 hop, timer, and lock grant passes through it — so the schedule is one
-structure of plain tuples:
+structure of plain tuples in one shape:
 
-* an entry is ``(time, key, event)`` or, for a timer nobody yields on
-  (a delivery, a deadline, a timer before a send), a *call entry*
-  ``(time, key, fn, arg)`` dispatched as ``fn(arg)`` with no event
-  behind it.  ``key`` is ``seq << 1 | shape`` (1 = call); sequence
-  numbers are unique, so one integer comparison gives exactly the
-  ``(time, seq)`` total order and tuple comparison never reaches the
-  third field;
-* cancelling a timeout sets ``event._cancelled``, cancelling a call
-  entry records its key, and the entry stays where it is — dispatch
-  skips cancelled entries lazily, and once they pile up past the
-  compaction threshold the heap is rebuilt without them (pop order is
-  unaffected: it is fixed by the entry tuples, not the heap layout).
-  A cancelled event object is never re-armed: its stale entry would
-  fire it at the old instant;
+* every entry is a *call entry* ``(time, seq, fn, arg)``, dispatched
+  as ``fn(arg)``.  A timer nobody yields on (a delivery, a deadline, a
+  timer before a send) is :meth:`Simulator.call`'s ``fn`` with no event
+  behind it; a triggered event or a timeout is ``(time, seq,
+  _dispatch, event)``, and :func:`~repro.sim.events._dispatch` is the
+  one body that processes an event.  Sequence numbers are unique, so
+  tuple comparison gives exactly the ``(time, seq)`` total order and
+  never reaches the third field;
+* an entry's key is its ``seq``, and cancelling one — a call entry by
+  :meth:`Simulator.cancel`, a timeout by :meth:`Timeout.cancel
+  <repro.sim.events.Timeout.cancel>`, which calls it — records the key
+  in ``_cancelled_keys``; the entry stays where it is.  Dispatch skips
+  a cancelled key lazily, and once they pile up past the compaction
+  threshold the heap is rebuilt without them (pop order is
+  unaffected: it is fixed by the entry tuples, not the heap layout);
 * *same-instant* triggers (``succeed``/``fail``: gather wake-ups,
   lock grants, awaited process completions — the majority of all
   entries in a message-passing workload) skip the heap entirely: they
   land on the ``_ready`` FIFO, which is sorted by construction — the
   clock never moves backwards and sequence numbers only grow, so
-  appends arrive in ``(time, key)`` order — and the dispatch loop
+  appends arrive in ``(time, seq)`` order — and the dispatch loop
   merges the FIFO with the heap by comparing their heads.  An O(1)
   append/popleft replaces an O(log n) sift for roughly half of all
   scheduling traffic.
@@ -53,12 +54,11 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from .errors import EmptySchedule, ProcessCrashed, StopSimulation
-from .events import _PENDING, Event, Timeout
+from .events import _PENDING, Event, Timeout, _dispatch
 from .process import EventGenerator, Process, start_process
 
-#: default lazy-deletion compaction threshold: rebuild the heap once at
-#: least this many cancelled entries linger *and* they outnumber live
-#: ones (constructor knob ``compact_min`` overrides per instance)
+#: lazy-deletion compaction threshold: rebuild the heap once at least
+#: this many cancelled entries linger *and* they outnumber live ones
 _COMPACT_MIN = 512
 
 _new = object.__new__
@@ -69,38 +69,30 @@ class Simulator:
 
     __slots__ = ("_now", "_queue", "_ready", "_seq",
                  "_active_process", "_pending_crashes", "_cancelled_count",
-                 "_cancelled_keys", "_compact_min", "strict", "crashes",
-                 "dispatched", "trace_hook")
+                 "_cancelled_keys", "dispatched", "trace_hook")
 
-    def __init__(self, start: float = 0.0, compact_min: int = _COMPACT_MIN):
-        if compact_min < 0:
-            raise ValueError(f"negative compact_min: {compact_min}")
-        self._now = float(start)
-        #: the heap: (time, seq<<1, event) and (time, seq<<1|1, fn, arg)
+    def __init__(self):
+        self._now = 0.0
+        #: the heap of (time, seq, fn, arg) entries
         self._queue: list[tuple] = []
         #: same-instant triggers, sorted by construction
-        #: (appends happen in (time, key) order); merged with the heap
+        #: (appends happen in (time, seq) order); merged with the heap
         #: at dispatch by comparing heads
-        self._ready: deque[tuple[float, int, Event]] = deque()
+        self._ready: deque[tuple] = deque()
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: crashed processes not yet reported: run() raises them
         self._pending_crashes: list[ProcessCrashed] = []
         #: cancelled entries still sitting in the heap
         self._cancelled_count = 0
-        #: keys of the cancelled call entries among them (a dict: no calls)
+        #: their keys (a dict: no calls)
         self._cancelled_keys: dict[int, None] = {}
-        #: rebuild threshold — 0 compacts as soon as cancelled entries
-        #: hold the majority, a huge value never compacts (pure lazy)
-        self._compact_min = compact_min
-        #: if False, crashed processes are recorded but do not abort run()
-        self.strict = True
-        self.crashes: list[ProcessCrashed] = []
         #: total events dispatched by this simulator (deterministic for a
         #: seeded run; the numerator of every events/sec measurement)
         self.dispatched = 0
-        #: optional dispatch hook ``(time, event) -> None`` for tracing
-        #: (a call entry passes its ``fn``); None (the default) costs
-        #: one attribute check per step
+        #: optional dispatch hook ``(time, target) -> None`` for tracing
+        #: (the event of an event's entry, else the call entry's ``fn``);
+        #: None (the default) costs one attribute check per step
         self.trace_hook: Optional[Any] = None
 
     # -- clock -------------------------------------------------------------
@@ -133,11 +125,11 @@ class Simulator:
         event.callbacks = None
         event._value = _PENDING
         event._processed = False
-        event._cancelled = False
         event.delay = delay
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, seq << 1, event))
+        event._key = seq
+        heappush(self._queue, (self._now + delay, seq, _dispatch, event))
         return event
 
     def call(self, delay: float, fn: Callable[[Any], Any], arg: Any = None) -> int:
@@ -147,17 +139,16 @@ class Simulator:
             raise ValueError(f"negative delay {delay}")
         seq = self._seq
         self._seq = seq + 1
-        key = seq << 1 | 1  # the call shape bit
-        heappush(self._queue, (self._now + delay, key, fn, arg))
-        return key
+        heappush(self._queue, (self._now + delay, seq, fn, arg))
+        return seq
 
     def cancel(self, key: int) -> None:
-        """Withdraw the *pending* call entry ``key`` (a fired one's key
-        would linger): it never runs and is never counted as dispatched."""
+        """Withdraw the *pending* entry ``key`` (a fired one's key would
+        linger): it never runs and is never counted as dispatched."""
         self._cancelled_keys[key] = None
         count = self._cancelled_count + 1
         self._cancelled_count = count
-        if count >= self._compact_min and count * 2 > len(self._queue):
+        if count >= _COMPACT_MIN and count * 2 > len(self._queue):
             self._compact()
 
     def process(self, generator: EventGenerator, name: str = "") -> Process:
@@ -200,96 +191,15 @@ class Simulator:
         (``queue[:] = ...``) so the dispatch loop's local alias stays
         valid; pop order is unaffected — it is fixed by the entry
         tuples, not the heap layout.  The ready FIFO holds none: only
-        timeouts and call entries are cancelled, and both are heap-only."""
+        heap entries are ever cancelled."""
         queue = self._queue
         dead = self._cancelled_keys
-        queue[:] = [entry for entry in queue
-                    if (entry[1] not in dead if entry[1] & 1
-                        else not entry[2]._cancelled)]
+        queue[:] = [entry for entry in queue if entry[1] not in dead]
         heapify(queue)
         dead.clear()
         self._cancelled_count = 0
 
-    def _report_crash(self, crash: ProcessCrashed) -> None:
-        self.crashes.append(crash)
-        if self.strict:
-            self._pending_crashes.append(crash)
-
     # -- execution ------------------------------------------------------------
-
-    def _pop_live(self):
-        """Pop the next live ``(entry, from_ready)``, merging the heap
-        with the ready FIFO and discarding cancelled entries, or
-        ``None`` when both are empty.  Callers either dispatch the
-        entry or push it back untouched (``peek``)."""
-        queue = self._queue
-        ready = self._ready
-        while True:
-            if ready:
-                if queue and queue[0] < ready[0]:
-                    entry = heappop(queue)
-                    from_ready = False
-                else:
-                    entry = ready.popleft()
-                    from_ready = True
-            elif queue:
-                entry = heappop(queue)
-                from_ready = False
-            else:
-                return None
-            key = entry[1]
-            if not (key in self._cancelled_keys if key & 1 else entry[2]._cancelled):
-                return entry, from_ready
-            self._cancelled_keys.pop(key, None)
-            self._cancelled_count -= 1
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        popped = self._pop_live()
-        if popped is None:
-            return float("inf")
-        entry, from_ready = popped
-        if from_ready:
-            self._ready.appendleft(entry)
-        else:
-            heappush(self._queue, entry)
-        return entry[0]
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        if self._pending_crashes:  # a first step crashed outside dispatch
-            raise self._pending_crashes.pop(0)
-        popped = self._pop_live()
-        if popped is None:
-            raise EmptySchedule("event queue is empty")
-        entry = popped[0]
-        self._now = when = entry[0]
-        self.dispatched += 1
-        event = entry[2]  # or a call entry's fn
-        if self.trace_hook is not None:
-            self.trace_hook(when, event)
-        if entry[1] & 1:
-            event(entry[3])
-        else:  # run the callbacks, or surface a failure nobody waited for
-            if event._value is _PENDING:  # a timeout, due now
-                event._ok = True
-                event._value = None
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            if callbacks is not None:
-                if callbacks.__class__ is list:
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    callbacks(event)
-            elif not event._ok and not getattr(event, "_defused", False):
-                value = event._value
-                if isinstance(value, BaseException):
-                    raise value
-                raise RuntimeError(f"unhandled failed event {event!r}: {value!r}")
-        if self._pending_crashes:
-            raise self._pending_crashes.pop(0)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until a horizon time, an event fires, or the queue empties.
@@ -300,6 +210,9 @@ class Simulator:
           once, dispatching nothing, if it is already processed (a
           process that finished in the call that created it).
         * ``until`` is ``None``: run until no events remain.
+
+        A process that crashed — in this run or in a first step before
+        it — aborts the run with its :class:`ProcessCrashed`.
         """
         stop_event: Optional[Event] = None
         horizon = float("inf")
@@ -317,7 +230,7 @@ class Simulator:
                     f"horizon {horizon} is in the past (now={self._now})"
                 )
 
-        # The dispatch loop proper.  Everything reachable per iteration
+        # The one dispatch loop.  Everything reachable per iteration
         # is a local: the heap and the FIFO (compaction mutates both in
         # place, so the aliases stay valid) and the heap primitives.
         # ``dispatched`` accumulates locally and is flushed on every
@@ -328,7 +241,6 @@ class Simulator:
         pending_crashes = self._pending_crashes
         dead = self._cancelled_keys
         pop = heappop
-        pending = _PENDING
         steps = 0
         try:
             if pending_crashes:  # a first step crashed outside dispatch
@@ -345,13 +257,8 @@ class Simulator:
                     entry = pop(queue)
                 else:
                     break
-                key = entry[1]
-                if key & 1:  # a call entry
-                    if key in dead:
-                        del dead[key]
-                        self._cancelled_count -= 1
-                        continue
-                elif entry[2]._cancelled:
+                if entry[1] in dead:
+                    del dead[entry[1]]
                     self._cancelled_count -= 1
                     continue
                 when = entry[0]
@@ -365,34 +272,11 @@ class Simulator:
                     return None
                 self._now = when
                 steps += 1
-                event = entry[2]  # or a call entry's fn
+                fn = entry[2]
                 trace = self.trace_hook
                 if trace is not None:
-                    trace(when, event)
-                if key & 1:
-                    event(entry[3])
-                    if pending_crashes:
-                        raise pending_crashes.pop(0)
-                    continue
-                if event._value is pending:  # a timeout, due now
-                    event._ok = True
-                    event._value = None
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks is not None:
-                    if callbacks.__class__ is list:
-                        for callback in callbacks:
-                            callback(event)
-                    else:
-                        callbacks(event)
-                elif not event._ok and not getattr(event, "_defused", False):
-                    value = event._value
-                    if isinstance(value, BaseException):
-                        raise value
-                    raise RuntimeError(
-                        f"unhandled failed event {event!r}: {value!r}"
-                    )
+                    trace(when, entry[3] if fn is _dispatch else fn)
+                fn(entry[3])
                 if pending_crashes:
                     raise pending_crashes.pop(0)
             # Queue empty.
@@ -418,4 +302,3 @@ class Simulator:
         if not event.ok:
             event.defuse()
         raise StopSimulation(event.value)
-

@@ -20,6 +20,13 @@ that instant.  Nor does a process nobody waits on schedule anything
 when it finishes: it is marked processed on the spot, so waiting on it
 *afterwards* crashes the waiter loudly, like any other processed event.
 
+A process is resumed by its target's one schedule entry, ``(time, seq,
+_dispatch, event)`` (see :mod:`repro.sim.kernel`); killing it cancels
+that target, and a timeout's cancel is its key's, like any call
+entry's.  A crash is never swallowed: the next :meth:`Simulator.run
+<repro.sim.kernel.Simulator.run>` step raises its
+:class:`~repro.sim.errors.ProcessCrashed`.
+
 The one sanctioned exception, a body that opens with ``yield
 sim.timeout(0)`` to look only after this instant's other entries, is
 :meth:`repro.commit.base.AtomicCommit._resolver`; the reason is there.
@@ -50,7 +57,6 @@ class Process(Event):
         self._ok = True
         self._processed = False
         self._defused = False
-        self._cancelled = False
         self._generator = generator
         # bound methods cached once: _resume runs per dispatch
         self._send = generator.send
@@ -130,7 +136,7 @@ class Process(Event):
         with it — with the report itself for a yield ``_park`` refused."""
         self._target = None
         crash = ProcessCrashed(self, exc)
-        self.sim._report_crash(crash)
+        self.sim._pending_crashes.append(crash)
         self.fail(crash if unparkable else exc)
 
     def _park(self, target: Any) -> None:

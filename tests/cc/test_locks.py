@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.cc.locks import EXCLUSIVE, SHARED, LockManager
 from repro.sim import Simulator
+from tests.sim.schedule import ready_events
 
 
 @pytest.fixture()
@@ -161,7 +162,7 @@ def test_on_the_spot_grant_schedules_nothing(manager):
     queued = manager.acquire("t2", "x", SHARED)
     assert not sim._queue and not sim._ready  # parked, not scheduled
     manager.release_all("t1")
-    assert [entry[2] for entry in sim._ready] == [queued]
+    assert ready_events(sim) == [queued]
 
 
 def test_request_repr_is_built_on_demand(manager):
@@ -206,7 +207,7 @@ _OPS = st.lists(st.one_of(
 
 def _grant_order(manager):
     """Granted requests in the order the kernel will dispatch them."""
-    return [(e.obj, e.txn, e.mode) for _, _, e in manager.sim._ready]
+    return [(e.obj, e.txn, e.mode) for e in ready_events(manager.sim)]
 
 
 @settings(max_examples=300, deadline=None)

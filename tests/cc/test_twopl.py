@@ -84,7 +84,7 @@ def test_expiry_leaves_the_queue_and_promotes_the_next_waiter():
     sim.process(reader("T3", 1.0, 9.0))   # S must not barge past the X
     sim.run(until=4.5)
     assert cc.locks.queue_length("x") == 2
-    sim.step()  # the only entry at t=5: T2's deadline
+    sim.run(until=5.0)  # T2's deadline, and the grants it makes
     assert sim.now == 5.0
     assert cc.locks.queue_length("x") == 0
     assert cc.locks.holders("x") == {"T1": SHARED, "T3": SHARED}

@@ -19,6 +19,7 @@ from repro.net import (
 )
 from repro.net.nemesis import KINDS
 from repro.sim import Simulator
+from tests.sim.schedule import live_entries
 
 #: ``injector.log`` of the online process-per-element crash/repair
 #: generator ``plan_crash_repair`` replaced, captured at the last
@@ -222,7 +223,7 @@ def test_transport_actions_require_network(kind):
         apply_schedule(injector, [
             FaultAction(time=1.0, kind=kind, args=(1, 2, 0.5), hold=1.0),
         ])
-    assert sim.peek() == float("inf")
+    assert live_entries(sim) == []
 
 
 @pytest.mark.parametrize("bad", [
@@ -245,7 +246,7 @@ def test_apply_schedule_rejects_a_malformed_action_whole(bad):
     good = FaultAction(time=1.0, kind="cut", args=(1, 2), hold=2.0)
     with pytest.raises(ValueError):
         apply_schedule(injector, [good, bad])
-    assert sim.peek() == float("inf")
+    assert live_entries(sim) == []
 
 
 def test_mix_weights_complete():

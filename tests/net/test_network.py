@@ -7,7 +7,7 @@ import pytest
 from repro.net import CommGraph, FixedLatency, Message, Network
 from repro.node import Processor
 from repro.sim import Simulator
-from tests.sim.schedule import is_call, live_entries
+from tests.sim.schedule import live_entries, target
 
 
 def build(n=3, latency=None, **kwargs):
@@ -235,16 +235,16 @@ def test_each_copy_of_a_duplicate_is_checked_at_its_own_arrival():
 def test_delivery_event_carries_no_formatted_name():
     sim, _, net, _ = build(dup_prob=0.99)
     dispatched = []
-    sim.trace_hook = lambda _when, target: dispatched.append(target)
+    sim.trace_hook = lambda _when, fn: dispatched.append(fn)
     net.send(Message(src=1, dst=2, kind="ping"))
     assert len(live_entries(sim)) == 2
-    assert all(is_call(entry) for entry in live_entries(sim))
+    assert [target(entry) for entry in live_entries(sim)] == [net._deliver] * 2
     sim.run()
     # events.py: "the hot paths never build f-strings" — one bare call
     # entry per transmission, no event behind it, nothing else
     # scheduled; a kernel trace names it ""
     assert dispatched == [net._deliver, net._deliver]
-    assert all(getattr(target, "name", "") == "" for target in dispatched)
+    assert all(getattr(fn, "name", "") == "" for fn in dispatched)
 
 
 # -- trace correlation: ``seq`` rides in the delivery event -------------------

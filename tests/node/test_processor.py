@@ -10,6 +10,7 @@ from repro.node.processor import SPAWN_SLACK
 from repro.sim import Simulator
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
+from tests.sim.schedule import live_entries
 
 
 def build(n=3):
@@ -419,7 +420,7 @@ def test_after_zero_delay_calls_inline_and_schedules_nothing():
     procs[1].after(0, calls.append, "now")
     assert calls == ["now"]
     assert not procs[1]._timers
-    assert sim.peek() == float("inf")
+    assert live_entries(sim) == []
 
 
 def test_a_crash_cancels_after_and_a_recovery_does_not_revive_it():

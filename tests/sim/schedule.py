@@ -1,17 +1,21 @@
 """Reading a simulator's schedule from tests (importable from ``tests/``
-only).  An entry is ``(time, key, event)`` or, with the low bit of
-``key`` set, a call entry ``(time, key, fn, arg)``; a cancelled entry
-stays queued until the kernel reaches it or compacts it away."""
+only) — the one place tests know the entry layout.  Every entry, on
+the heap and on the ready FIFO alike, is ``(time, seq, fn, arg)``; a
+triggered event or a timeout is ``(time, seq, _dispatch, event)``.  A
+cancelled entry stays queued, its ``seq`` in ``sim._cancelled_keys``,
+until the kernel reaches it or compacts it away."""
 
-
-def is_call(entry) -> bool:
-    return bool(entry[1] & 1)
+from repro.sim.events import _dispatch
 
 
 def is_cancelled(sim, entry) -> bool:
-    if is_call(entry):
-        return entry[1] in sim._cancelled_keys
-    return entry[2]._cancelled
+    return entry[1] in sim._cancelled_keys
+
+
+def target(entry):
+    """The event an event's entry processes, else the call's ``fn`` —
+    what ``trace_hook`` is given."""
+    return entry[3] if entry[2] is _dispatch else entry[2]
 
 
 def live_entries(sim):
@@ -25,3 +29,8 @@ def cancelled_entries(sim) -> int:
     must equal at every moment."""
     return sum(1 for entry in (*sim._queue, *sim._ready)
                if is_cancelled(sim, entry))
+
+
+def ready_events(sim):
+    """The triggered events on the ready FIFO, in dispatch order."""
+    return [entry[3] for entry in sim._ready]

@@ -1,14 +1,15 @@
 """The kernel's call entries (``Simulator.call``): a timer nobody
-yields on is ``(time, key, fn, arg)`` on the schedule, dispatched as
-``fn(arg)`` with no event behind it.  It takes the next sequence number
-like any entry, so it keeps the ``(time, seq)`` order; a cancel takes
-its key and keeps a timeout's guarantees."""
+yields on is ``(time, seq, fn, arg)`` on the schedule, dispatched as
+``fn(arg)`` with no event behind it — the one entry shape, an event's
+being ``(time, seq, _dispatch, event)``.  It takes the next sequence
+number like any entry, so it keeps the ``(time, seq)`` order; a cancel
+takes its key, as a timeout's does."""
 
 import random
 
 import pytest
 
-from repro.sim import EmptySchedule, Simulator
+from repro.sim import Simulator
 from tests.sim.schedule import cancelled_entries, live_entries
 
 
@@ -63,21 +64,6 @@ def test_cancelled_call_never_runs_and_is_not_dispatched():
     assert sim._cancelled_count == 0 and not sim._cancelled_keys
 
 
-def test_step_and_peek_see_call_entries():
-    sim = Simulator()
-    fired = []
-    doomed = sim.call(1.0, fired.append, "doomed")
-    sim.call(2.0, fired.append, "kept")
-    sim.cancel(doomed)
-    assert sim.peek() == 2.0
-    assert sim._cancelled_count == 0  # peek discarded the dead entry
-    assert [entry[3] for entry in live_entries(sim)] == ["kept"]
-    sim.step()  # peek consumed nothing
-    assert fired == ["kept"] and sim.now == 2.0 and sim.dispatched == 1
-    with pytest.raises(EmptySchedule):
-        sim.step()
-
-
 def test_call_past_the_horizon_is_pushed_back():
     sim = Simulator()
     fired = []
@@ -89,12 +75,13 @@ def test_call_past_the_horizon_is_pushed_back():
     assert fired == [10.0] and sim.now == 10.0
 
 
-@pytest.mark.parametrize("compact_min", [0, 8])
-def test_compaction_drops_dead_call_entries(compact_min):
+@pytest.mark.parametrize("threshold", [0, 8])
+def test_compaction_drops_dead_call_entries(threshold, monkeypatch):
     """Once cancelled entries (calls and timeouts alike) hold the
     majority past the threshold, the heap is rebuilt without them, the
     cancelled count stays exact, and the survivors fire in time order."""
-    sim = Simulator(compact_min=compact_min)
+    monkeypatch.setattr("repro.sim.kernel._COMPACT_MIN", threshold)
+    sim = Simulator()
     fired = []
     keys = [sim.call(float(i + 1), fired.append, i + 1) for i in range(60)]
     timeouts = [sim.timeout(100.0 + i) for i in range(20)]
@@ -127,17 +114,19 @@ def test_trace_hook_sees_call_entries():
     assert record == ["ran"] and sim.dispatched == len(seen)
 
 
-# -- randomized: one total order over every shape ------------------------------
+# -- randomized: one total order over every entry -------------------------------
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_random_mix_dispatches_in_time_then_creation_order(seed):
+def test_random_mix_dispatches_in_time_then_creation_order(seed, monkeypatch):
     """Timeouts, call entries, same-instant ``succeed``s and cancels of
-    both cancellable shapes, created from inside dispatches too: the
+    both cancellable kinds, created from inside dispatches too: the
     live entries dispatch exactly in ``(time, creation)`` order, as a
     sorted-list reference says, and nothing is left behind."""
     rng = random.Random(seed)
-    sim = Simulator(compact_min=rng.choice([0, 4, 512]))
+    monkeypatch.setattr("repro.sim.kernel._COMPACT_MIN",
+                        rng.choice([0, 4, 512]))
+    sim = Simulator()
     created = 0
     reference = []  # (time, creation label) of every live entry
     dispatched = []
@@ -169,7 +158,7 @@ def test_random_mix_dispatches_in_time_then_creation_order(seed):
                 sim.event().succeed().add_callback(
                     lambda _e, label=label: fired(label))
             reference.append((sim.now + delay, label))
-        # cancel a few pending entries of either cancellable shape
+        # cancel a few pending entries of either cancellable kind
         for pending in (pending_calls, pending_timeouts):
             if pending and rng.random() < 0.3:
                 label = rng.choice(sorted(pending))
@@ -182,9 +171,10 @@ def test_random_mix_dispatches_in_time_then_creation_order(seed):
         assert sim._cancelled_count == cancelled_entries(sim)
 
     spawn(20)
-    while sim.peek() != float("inf"):
+    while live_entries(sim):
         sim.run(until=sim.now + rng.choice([0.25, 1.0]))
         assert sim._cancelled_count == cancelled_entries(sim)
+    sim.run()  # pops the cancelled entries past the last horizon
     assert dispatched == [label for _, label in sorted(reference)]
     assert sim.dispatched == len(dispatched)
     assert sim._cancelled_count == 0 and not sim._cancelled_keys

@@ -1,8 +1,9 @@
-"""The ``compact_min`` constructor knob at its degenerate settings, and
-the kernel's steady-state allocation profile.
+"""The compaction threshold ``repro.sim.kernel._COMPACT_MIN`` at its
+degenerate settings (patched in: it is a module constant, not a knob),
+and the kernel's steady-state allocation profile.
 
-``compact_min=0`` compacts as soon as cancelled entries hold the queue
-majority; a huge value never compacts (pure lazy deletion).  Both must
+A threshold of 0 compacts as soon as cancelled entries hold the queue
+majority; a huge one never compacts (pure lazy deletion).  Both must
 be behavior-transparent: the same workload dispatches the same events
 in the same order at any setting — only the internal queue residency
 differs.  The tracemalloc test pins the flat core's allocation shape:
@@ -17,11 +18,11 @@ from repro.sim import Simulator
 from repro.sim.kernel import _COMPACT_MIN
 
 
-def _churn_sim(compact_min, pairs=3, msgs=30):
+def _churn_sim(pairs=3, msgs=30):
     """The bench's producer/consumer churn shape, sized for tests:
     every receive is a timed wait whose losing deadline is cancelled —
     the lazy-deletion traffic compaction exists for."""
-    sim = Simulator(compact_min=compact_min)
+    sim = Simulator()
 
     def producer(slot):
         for index in range(msgs):
@@ -40,15 +41,11 @@ def _churn_sim(compact_min, pairs=3, msgs=30):
     return sim
 
 
-def test_negative_compact_min_rejected():
-    with pytest.raises(ValueError):
-        Simulator(compact_min=-1)
-
-
-def test_compact_min_zero_compacts_eagerly():
+def test_compact_min_zero_compacts_eagerly(monkeypatch):
     """At the 0 threshold, dead entries can never hold the majority for
     long: cancelling the whole queue collapses it geometrically."""
-    sim = Simulator(compact_min=0)
+    monkeypatch.setattr("repro.sim.kernel._COMPACT_MIN", 0)
+    sim = Simulator()
     timeouts = [sim.timeout(10.0 + index) for index in range(100)]
     for timeout in timeouts:
         timeout.cancel()
@@ -62,10 +59,10 @@ def test_compact_min_zero_compacts_eagerly():
 
 
 def test_default_threshold_keeps_small_queues_lazy():
-    """Below ``compact_min`` cancelled entries just linger — small
+    """Below ``_COMPACT_MIN`` cancelled entries just linger — small
     simulations never pay a rebuild."""
+    assert _COMPACT_MIN > 100
     sim = Simulator()
-    assert sim._compact_min == _COMPACT_MIN
     timeouts = [sim.timeout(10.0 + index) for index in range(100)]
     for timeout in timeouts:
         timeout.cancel()
@@ -75,10 +72,11 @@ def test_default_threshold_keeps_small_queues_lazy():
     assert sim.dispatched == 0
 
 
-def test_compact_min_huge_never_compacts():
+def test_compact_min_huge_never_compacts(monkeypatch):
     """A huge threshold is pure lazy deletion: every dead entry stays
     until the dispatch loop pops and skips it."""
-    sim = Simulator(compact_min=1 << 30)
+    monkeypatch.setattr("repro.sim.kernel._COMPACT_MIN", 1 << 30)
+    sim = Simulator()
     timeouts = [sim.timeout(10.0 + index) for index in range(1000)]
     for index, timeout in enumerate(timeouts):
         if index % 5 != 0:  # cancel 800 of 1000
@@ -90,8 +88,8 @@ def test_compact_min_huge_never_compacts():
     assert not sim._queue
 
 
-@pytest.mark.parametrize("compact_min", [0, 1 << 30])
-def test_degenerate_thresholds_are_behavior_transparent(compact_min):
+@pytest.mark.parametrize("threshold", [0, 1 << 30])
+def test_degenerate_thresholds_are_behavior_transparent(threshold, monkeypatch):
     """Same churn, same dispatch schedule, at both degenerate settings:
     compaction may only change queue residency, never what runs when."""
     def schedule(sim):
@@ -101,9 +99,11 @@ def test_degenerate_thresholds_are_behavior_transparent(compact_min):
         sim.run()
         return order
 
-    baseline = _churn_sim(_COMPACT_MIN)
-    degenerate = _churn_sim(compact_min)
-    assert schedule(degenerate) == schedule(baseline)
+    baseline = _churn_sim()
+    baseline_order = schedule(baseline)
+    monkeypatch.setattr("repro.sim.kernel._COMPACT_MIN", threshold)
+    degenerate = _churn_sim()
+    assert schedule(degenerate) == baseline_order
     assert degenerate.dispatched == baseline.dispatched
     assert degenerate.now == baseline.now
 
@@ -117,13 +117,13 @@ def test_steady_state_churn_allocation_is_flat():
     above the built simulation is ~14 KB regardless of run length;
     64 KB is the alarm line."""
     # warm allocator/caches outside the measured window
-    warm = _churn_sim(_COMPACT_MIN, pairs=5, msgs=50)
+    warm = _churn_sim(pairs=5, msgs=50)
     warm.run()
 
     peaks = {}
     for msgs in (200, 800):
         tracemalloc.start()
-        sim = _churn_sim(_COMPACT_MIN, pairs=10, msgs=msgs)
+        sim = _churn_sim(pairs=10, msgs=msgs)
         built = tracemalloc.get_traced_memory()[0]
         sim.run()
         peak = tracemalloc.get_traced_memory()[1]

@@ -1,17 +1,17 @@
-"""Fast-path semantics: the single-pop dispatch loop, real
-``_cancelled`` attributes, and lazy-deletion compaction must be
-observably identical to the old peek-then-pop kernel.  (The golden
-trace sha in ``tests/properties/test_storage_transparency.py`` pins
-the same claim end-to-end.)"""
+"""Fast-path semantics: the single-pop dispatch loop, cancellation by
+key, and lazy-deletion compaction must be observably identical to the
+old peek-then-pop kernel.  (The golden trace sha in
+``tests/properties/test_storage_transparency.py`` pins the same claim
+end-to-end.)"""
 
 import random
 
 import pytest
 
-from repro.sim import EmptySchedule, Simulator
+from repro.sim import Simulator
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import _COMPACT_MIN
-from tests.sim.schedule import cancelled_entries, is_cancelled
+from tests.sim.schedule import cancelled_entries, is_cancelled, live_entries
 
 
 def test_cancelled_timeouts_are_never_dispatched():
@@ -34,19 +34,6 @@ def test_dispatched_counter_skips_cancelled_events():
     sim.run()
     # 5 scheduled, 3 cancelled (indices 0, 2, 4): only 2 dispatch
     assert sim.dispatched == 2
-
-
-def test_step_and_peek_share_the_skip_rule():
-    sim = Simulator()
-    first = sim.timeout(1.0)
-    sim.timeout(2.0)
-    first.cancel()
-    assert sim.peek() == 2.0
-    # peek must not consume: step dispatches the same event
-    sim.step()
-    assert sim.now == 2.0
-    with pytest.raises(EmptySchedule):
-        sim.step()
 
 
 def test_double_cancel_is_idempotent():
@@ -87,26 +74,6 @@ def test_unhandled_failed_event_raises():
     sim.event().fail(ValueError("nobody is listening"))
     with pytest.raises(ValueError, match="nobody is listening"):
         sim.run()
-
-
-def test_non_strict_crash_recording_still_works():
-    sim = Simulator()
-    sim.strict = False
-
-    def bomber():
-        yield sim.timeout(1.0)
-        raise ValueError("bad")
-
-    def survivor():
-        yield sim.timeout(2.0)
-        return "ok"
-
-    sim.process(bomber()).defuse()
-    other = sim.process(survivor())
-    sim.run()
-    assert other.value == "ok"
-    assert len(sim.crashes) == 1
-    assert isinstance(sim.crashes[0].original, ValueError)
 
 
 def test_compaction_evicts_cancelled_entries():
@@ -158,22 +125,23 @@ def test_run_until_horizon_leaves_future_events_intact():
     assert fired == [10.0]
 
 
-# -- schedule entries carry the event or the call ----------------------------
-# An entry is ``(time, key, event)`` or ``(time, key, fn, arg)`` and a
-# cancelled entry stays put until the kernel reaches it, so two things
-# have to hold: the cancelled-entry debt counter matches what is really
-# queued, and ordering never falls through to the third field.
+# -- one entry shape, one cancellation mechanism -------------------------------
+# Every entry is ``(time, seq, fn, arg)`` and a cancelled entry stays put,
+# its key recorded, until the kernel reaches it, so two things have to
+# hold: the cancelled-entry debt counter matches what is really queued,
+# and ordering never falls through to the third field.
 
 
-@pytest.mark.parametrize("compact_min", [0, _COMPACT_MIN, 10**9])
-def test_cancelled_count_matches_cancelled_entries(compact_min):
+@pytest.mark.parametrize("threshold", [0, _COMPACT_MIN, 10**9])
+def test_cancelled_count_matches_cancelled_entries(threshold, monkeypatch):
     """``_cancelled_count`` is exactly the number of queued entries
     that are cancelled — a timeout or a call entry; only the heap ever
-    holds one — across cancel, compaction, peek, horizon push-back and
-    dispatch.  A call entry is cancelled only while pending, as its
-    owners do."""
+    holds one — across cancel, compaction, horizon push-back and
+    dispatch (checked at every dispatch through ``trace_hook``).  A call
+    entry is cancelled only while pending, as its owners do."""
+    monkeypatch.setattr("repro.sim.kernel._COMPACT_MIN", threshold)
     rng = random.Random(20240916)
-    sim = Simulator(compact_min=compact_min)
+    sim = Simulator()
     wait = [sim.timeout(0.0)]
     loose = []
     calls = {}  # keys of the pending call entries; each leaves as it fires
@@ -224,13 +192,58 @@ def test_cancelled_count_matches_cancelled_entries(compact_min):
                 yield from sim.wait(event, rng.choice([0.0, 0.0, 1.0]))
             assert sim._cancelled_count == debt()
 
+    checks = []
+
+    def check(_when, _target):
+        checks.append(sim._cancelled_count == debt())
+
+    sim.trace_hook = check
     sim.process(actor())
-    while sim.peek() != float("inf"):
+    while live_entries(sim):
         assert sim._cancelled_count == debt()
         sim.run(until=sim.now + 0.75)
         assert sim._cancelled_count == debt()
+    sim.run()  # pops the cancelled entries past the last horizon
+    assert checks and all(checks) and len(checks) == sim.dispatched
     assert sim._cancelled_count == 0 and not sim._cancelled_keys
     assert not sim._queue and not sim._ready and not calls
+
+
+def test_cancelling_a_fired_or_killed_timeout_records_nothing():
+    """``Timeout.cancel`` after the timeout fired, or after the process
+    parked on it was killed (which cancelled it already), leaves the
+    count exact and no key behind."""
+    sim = Simulator()
+    fired = sim.timeout(1.0)
+    sim.run()
+    fired.cancel()
+    assert sim._cancelled_count == 0 and not sim._cancelled_keys
+
+    def sleeper():
+        yield sim.timeout(5.0)
+
+    proc = sim.process(sleeper())
+    parked = proc.target
+    proc.kill()
+    assert sim._cancelled_count == 1 == cancelled_entries(sim)
+    parked.cancel()
+    parked.cancel()
+    assert sim._cancelled_count == 1 == cancelled_entries(sim)
+    sim.run()
+    assert sim.dispatched == 1  # only the first timeout
+    assert sim._cancelled_count == 0 and not sim._cancelled_keys
+
+
+def test_trace_hook_gets_the_event_of_an_event_entry():
+    """An event's entry is ``(time, seq, _dispatch, event)``; the hook
+    sees the event — a triggered one or a timeout — never ``_dispatch``."""
+    sim = Simulator()
+    seen = []
+    sim.trace_hook = lambda when, target: seen.append(target)
+    triggered = sim.event(name="e").succeed()
+    timeout = sim.timeout(1.0, name="t")
+    sim.run()
+    assert seen == [triggered, timeout]
 
 
 class _Incomparable(Event):

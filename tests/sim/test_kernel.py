@@ -15,11 +15,6 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_clock_custom_start():
-    sim = Simulator(start=5.0)
-    assert sim.now == 5.0
-
-
 def test_timeout_advances_clock():
     sim = Simulator()
     sim.timeout(3.5)
@@ -35,7 +30,8 @@ def test_run_until_horizon_stops_clock_exactly():
 
 
 def test_run_until_past_horizon_rejected():
-    sim = Simulator(start=10.0)
+    sim = Simulator()
+    sim.run(until=10.0)
     with pytest.raises(ValueError):
         sim.run(until=5.0)
 
@@ -141,14 +137,6 @@ def test_stop_simulation_from_process():
     sim.timeout(100.0)
     assert sim.run() == "early"
     assert sim.now == 1.0
-
-
-def test_peek_skips_cancelled_timeouts():
-    sim = Simulator()
-    first = sim.timeout(1.0)
-    sim.timeout(2.0)
-    first.cancel()
-    assert sim.peek() == 2.0
 
 
 def test_value_access_before_trigger_is_error():

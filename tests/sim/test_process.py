@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import ProcessCrashed, Simulator, start_process
+from tests.sim.schedule import cancelled_entries, live_entries
 
 
 def test_process_runs_to_completion():
@@ -115,26 +116,6 @@ def test_crashing_process_surfaces_exception():
     assert isinstance(info.value.original, ValueError)
 
 
-def test_non_strict_mode_records_crashes():
-    sim = Simulator()
-    sim.strict = False
-
-    def bomber():
-        yield sim.timeout(1.0)
-        raise ValueError("bad")
-
-    def survivor():
-        yield sim.timeout(2.0)
-        return "ok"
-
-    proc = sim.process(bomber())
-    proc.defuse()
-    other = sim.process(survivor())
-    sim.run()
-    assert other.value == "ok"
-    assert len(sim.crashes) == 1
-
-
 def test_yielding_non_event_crashes_process():
     sim = Simulator()
 
@@ -237,12 +218,6 @@ def test_crash_in_first_step_is_reported_like_any_other():
     assert isinstance(info.value.original, ValueError)
     assert info.value.process is proc
 
-    lenient = Simulator()
-    lenient.strict = False
-    lenient.process(bomber(), name="bomber-2").defuse()
-    lenient.run()
-    assert [str(c.process.name) for c in lenient.crashes] == ["bomber-2"]
-
 
 def test_kill_of_a_process_parked_on_its_first_target_cancels_it():
     sim = Simulator()
@@ -252,9 +227,10 @@ def test_kill_of_a_process_parked_on_its_first_target_cancels_it():
         raise AssertionError("a killed process never resumes")
 
     proc = sim.process(sleeper())
-    first = proc.target
+    assert live_entries(sim)
     proc.kill()
-    assert first._cancelled and proc.target is None
+    assert cancelled_entries(sim) == 1 and not live_entries(sim)
+    assert proc.target is None
     sim.run()
     assert sim.dispatched == 0 and sim.now == 0.0
 
@@ -309,10 +285,10 @@ def test_one_shot_first_step_has_no_process_to_name():
 def test_unparkable_yield_fails_the_process_with_the_crash_report():
     """A yield the kernel refuses (a non-event, a processed event) has
     no exception of the generator's own: the process event fails with
-    the ``ProcessCrashed`` wrapper, in its first step as in a later one."""
+    the ``ProcessCrashed`` wrapper, in its first step as in a later one,
+    and ``run()`` raises that same report."""
     for steps_before in (0, 1):
         sim = Simulator()
-        sim.strict = False
         spent = sim.event()
         spent.succeed()
         sim.run()
@@ -325,7 +301,10 @@ def test_unparkable_yield_fails_the_process_with_the_crash_report():
         for target, original in ((42, TypeError), (spent, RuntimeError)):
             proc = sim.process(bad(target))
             proc.defuse()
-            sim.run()
+            with pytest.raises(ProcessCrashed) as info:
+                sim.run()
+            assert info.value is proc.value
+            sim.run()  # the defused failure dispatches silently
             assert isinstance(proc.value, ProcessCrashed)
             assert proc.value.process is proc
             assert isinstance(proc.value.original, original)
@@ -349,11 +328,12 @@ def test_run_until_a_process_finished_at_creation_returns_at_once():
     with pytest.raises(ProcessCrashed):
         sim.run(until=sim.process(bomber()))
     # ...and once its failure was dispatched, run(until=) re-raises it
-    lenient = Simulator()
-    lenient.strict = False
-    crashed = lenient.process(bomber())
+    sim = Simulator()
+    crashed = sim.process(bomber())
     crashed.defuse()
-    lenient.run()
+    with pytest.raises(ProcessCrashed):
+        sim.run()
+    sim.run()
     assert crashed.processed
     with pytest.raises(ValueError, match="bad"):
-        lenient.run(until=crashed)
+        sim.run(until=crashed)
