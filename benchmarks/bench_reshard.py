@@ -44,10 +44,10 @@ SMOKE = {"base": 6, "spares": 2, "objects": 20, "txns_per_client": 8,
 
 
 def movement_prediction(base: int, spares: int, objects: int,
-                        degree: int, seed: int) -> int:
+                        degree: int) -> int:
     """Objects the policy reassigns when the membership grows — the
     bound the engine's moved-object count must meet exactly."""
-    policy = make_policy(PLACEMENT, degree=degree, seed=seed)
+    policy = make_policy(PLACEMENT, degree=degree)
     names = object_names(objects)
     before = policy.assign(names, list(range(1, base + 1)))
     after = policy.assign(names, list(range(1, base + spares + 1)))
@@ -99,7 +99,7 @@ def run(base: int = BASE, spares: int = SPARES, objects: int = OBJECTS,
                        txns_per_client, duration, reshard_at, seed)
              for cell in cells]
     results = dict(zip(cells, run_many(specs, workers=workers)))
-    prediction = movement_prediction(base, spares, objects, degree, seed)
+    prediction = movement_prediction(base, spares, objects, degree)
 
     rows = []
     for cell, r in results.items():

@@ -60,8 +60,7 @@ def point_spec(n: int, degree: int, objects: int,
         check=True, audit=True,
         workload=WorkloadSpec(read_fraction=0.8, ops_per_txn=3,
                               zipf_s=1.2, mean_interarrival=2.0),
-        objects_for=HomeFirstPools(PLACEMENT, n, objects, degree,
-                                   seed=SEED),
+        objects_for=HomeFirstPools(PLACEMENT, n, objects, degree),
     )
 
 

@@ -184,7 +184,7 @@ class Cluster:
             self._install_initial(obj, initial, size)
 
     def shard(self, policy: "str | Any", objects: Iterable[str],
-              degree: int = 3, seed: int = 0, initial: Any = None,
+              degree: int = 3, initial: Any = None,
               pids: Optional[Iterable[int]] = None) -> None:
         """Policy-driven setup: shard ``objects`` across the cluster.
 
@@ -196,7 +196,7 @@ class Cluster:
         """
         from .shard.policy import PlacementPolicy, make_policy
         if not isinstance(policy, PlacementPolicy):
-            policy = make_policy(policy, degree=degree, seed=seed)
+            policy = make_policy(policy, degree=degree)
         over = self.pids if pids is None else sorted(set(pids))
         strangers = sorted(set(over) - set(self.pids))
         if strangers:

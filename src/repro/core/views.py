@@ -13,6 +13,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional
 
 
+def weighted_majority(weights: Mapping[int, int], view: Iterable[int]) -> bool:
+    """Rule R1: do ``view``'s copies hold a strict majority of ``weights``?"""
+    members = set(view)
+    in_view = sum(w for p, w in weights.items() if p in members)
+    return 2 * in_view > sum(weights.values())
+
+
 class CopyPlacement:
     """Where each logical object's copies live, and their weights."""
 
@@ -233,10 +240,7 @@ class CopyPlacement:
     def accessible(self, obj: str, view: Iterable[int]) -> bool:
         """Rule R1's majority test: does ``view`` hold a weighted majority
         of the copies of ``obj``?"""
-        members = set(view)
-        weights = self._weights(obj)
-        in_view = sum(w for p, w in weights.items() if p in members)
-        return 2 * in_view > self.total_weight(obj)
+        return weighted_majority(self._weights(obj), view)
 
     def accessible_objects(self, view: Iterable[int],
                            local: Iterable[str] | None = None) -> set[str]:

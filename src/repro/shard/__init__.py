@@ -23,7 +23,6 @@ from .policy import (
     HashRingPolicy,
     LocalityPolicy,
     PlacementPolicy,
-    RandomKPolicy,
     WeightedHomePolicy,
     make_policy,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "LocalDirectory",
     "LocalityPolicy",
     "PlacementPolicy",
-    "RandomKPolicy",
     "ReshardAction",
     "ReshardEngine",
     "ReshardStats",

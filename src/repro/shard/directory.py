@@ -33,7 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
-from ..core.views import CopyPlacement
+from ..core.views import CopyPlacement, weighted_majority
 
 #: caller-supplied expected-delay function (usually ``protocol.distance``)
 DistanceFn = Callable[[int], float]
@@ -74,10 +74,7 @@ class Directory(ABC):
 
     def accessible(self, obj: str, view: Iterable[int]) -> bool:
         """Rule R1's weighted-majority test, off the directory entry."""
-        members = set(view)
-        weights = self.entry(obj)
-        in_view = sum(w for p, w in weights.items() if p in members)
-        return 2 * in_view > sum(weights.values())
+        return weighted_majority(self.entry(obj), view)
 
     def read_candidates(self, obj: str, view: Iterable[int],
                         distance: DistanceFn) -> List[int]:

@@ -10,11 +10,10 @@ it returns one ``{pid: weight}`` assignment per object, with the
 **primary** copy-holder first (dict insertion order is the contract —
 the workload layer derives home-shard affinity from it).
 
-All policies are deterministic pure functions of their parameters:
-hash-based ones derive every choice from sha256 (like
-:mod:`repro.sim.rng`), and :class:`RandomKPolicy` draws from named
-:class:`~repro.sim.rng.RandomStreams` substreams, so the same spec
-always yields the same sharding on any machine.
+All policies are deterministic pure functions of their parameters
+(the hash ring derives every choice from sha256, like
+:mod:`repro.sim.rng`), so the same spec always yields the same
+sharding on any machine.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ import bisect
 import hashlib
 from abc import ABC, abstractmethod
 from typing import Dict, List, Sequence
-
-from ..sim.rng import RandomStreams
 
 #: one object's placement: ``{pid: weight}``, primary holder first
 Assignment = Dict[int, int]
@@ -112,26 +109,6 @@ class HashRingPolicy(PlacementPolicy):
         return {pid: 1 for pid in holders}
 
 
-class RandomKPolicy(PlacementPolicy):
-    """``degree`` holders drawn uniformly per object (all weight 1).
-
-    Every object draws from its own named substream of one master
-    seed, so placements are independent across objects yet fully
-    reproducible — and insensitive to the order objects are declared.
-    """
-
-    name = "random-k"
-
-    def __init__(self, degree: int = 3, seed: int = 0):
-        super().__init__(degree)
-        self.streams = RandomStreams(seed)
-
-    def _one(self, index: int, obj: str, ring: List[int]) -> Assignment:
-        rng = self.streams.stream(f"place:{obj}")
-        holders = rng.sample(ring, self.degree)
-        return {pid: 1 for pid in holders}
-
-
 class WeightedHomePolicy(PlacementPolicy):
     """Example 2's layout, generalized: object ``i``'s *home* processor
     (round-robin on the ring) holds a copy of weight ``degree``; the
@@ -186,19 +163,17 @@ class LocalityPolicy(PlacementPolicy):
         return {pid: 1 for pid in ordered[:self.degree]}
 
 
-#: policy registry: name -> constructor(degree=..., seed=...)
+#: policy registry: name -> constructor(degree=..., **kwargs)
 POLICIES = {
     HashRingPolicy.name: HashRingPolicy,
-    RandomKPolicy.name: RandomKPolicy,
     WeightedHomePolicy.name: WeightedHomePolicy,
     LocalityPolicy.name: LocalityPolicy,
 }
 
 
-def make_policy(name: str, degree: int = 3, seed: int = 0,
-                **kwargs: int) -> PlacementPolicy:
+def make_policy(name: str, degree: int = 3, **kwargs: int) -> PlacementPolicy:
     """Resolve a policy name (as specs and the CLI carry it) to an
-    instance.  ``seed`` only matters to seeded policies."""
+    instance."""
     try:
         cls = POLICIES[name]
     except KeyError:
@@ -206,6 +181,4 @@ def make_policy(name: str, degree: int = 3, seed: int = 0,
             f"unknown placement policy {name!r}; choose from "
             f"{sorted(POLICIES)}"
         ) from None
-    if cls is RandomKPolicy:
-        return cls(degree=degree, seed=seed, **kwargs)
     return cls(degree=degree, **kwargs)

@@ -48,7 +48,6 @@ class HomeFirstPools:
     processors: int
     objects: int
     degree: int
-    seed: int = 0
     _pools: Optional[Dict[int, Tuple[str, ...]]] = field(
         default=None, repr=False, compare=False)
 
@@ -60,8 +59,7 @@ class HomeFirstPools:
     def _build(self) -> Dict[int, Tuple[str, ...]]:
         pids = list(range(1, self.processors + 1))
         names = object_names(self.objects)
-        policy = make_policy(self.placement, degree=self.degree,
-                             seed=self.seed)
+        policy = make_policy(self.placement, degree=self.degree)
         assignments = policy.assign(names, pids)
         by_home: Dict[int, List[str]] = {pid: [] for pid in pids}
         for obj in names:

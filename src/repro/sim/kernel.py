@@ -45,10 +45,20 @@ Events themselves are small slotted objects (see
 callback-list allocation until a second callback actually arrives.
 None of this changes observable semantics: dispatch order is the total
 order ``(time, seq)``.
+
+A run creates no reference cycles, so :meth:`Simulator.run` pauses
+Python's cyclic collector for its dispatch loop — left on, it traces
+the run's young objects hundreds of times and frees nothing.  It pauses
+only a collector that was enabled on entry, and every exit path runs
+one young-generation pass (``gc.collect(0)``) before enabling it again,
+so the run, not its caller's next allocation, pays for what it
+allocated.  ``tests/sim/test_collector.py`` pins the contract: code
+that builds a cycle per message breaks it there.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
@@ -234,7 +244,8 @@ class Simulator:
         # is a local: the heap and the FIFO (compaction mutates both in
         # place, so the aliases stay valid) and the heap primitives.
         # ``dispatched`` accumulates locally and is flushed on every
-        # exit path.
+        # exit path, which also detaches the stop callback and hands
+        # back the cyclic collector (see the module docstring).
         queue = self._queue
         ready = self._ready
         ready_popleft = ready.popleft
@@ -242,6 +253,9 @@ class Simulator:
         dead = self._cancelled_keys
         pop = heappop
         steps = 0
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
         try:
             if pending_crashes:  # a first step crashed outside dispatch
                 raise pending_crashes.pop(0)
@@ -297,6 +311,21 @@ class Simulator:
             return stop.value
         finally:
             self.dispatched += steps
+            if stop_event is not None and not stop_event._processed:
+                self._detach_stop(stop_event)
+            if collecting:
+                gc.collect(0)
+                gc.enable()
+
+    def _detach_stop(self, event: Event) -> None:
+        """Take this run's stop callback off an event that did not
+        fire, so a later run does not stop on it."""
+        stop = self._stop_on
+        callbacks = event.callbacks
+        if callbacks == stop:
+            event.callbacks = None
+        elif callbacks.__class__ is list and stop in callbacks:
+            callbacks.remove(stop)
 
     def _stop_on(self, event: Event) -> None:
         if not event.ok:

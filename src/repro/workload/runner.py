@@ -390,7 +390,7 @@ def build_cluster(spec: ExperimentSpec) -> Cluster:
     elif spec.reshard:
         from ..shard import ReshardEngine, object_names
         from ..shard.policy import make_policy
-        policy = make_policy(spec.placement, degree=copies, seed=spec.seed)
+        policy = make_policy(spec.placement, degree=copies)
         names = object_names(spec.objects)
         engine = ReshardEngine(cluster, policy, names, spec.reshard)
         # the added pids start copy-free: the initial placement covers
@@ -402,7 +402,7 @@ def build_cluster(spec: ExperimentSpec) -> Cluster:
     else:
         from ..shard import object_names
         cluster.shard(spec.placement, object_names(spec.objects),
-                      degree=copies, seed=spec.seed, initial=0)
+                      degree=copies, initial=0)
     return cluster
 
 

@@ -65,7 +65,7 @@ def test_engine_rejects_stranger_and_engulfing_adds():
     from repro.shard import object_names
 
     cluster = Cluster(processors=3)
-    policy = make_policy("hash-ring", degree=2, seed=0)
+    policy = make_policy("hash-ring", degree=2)
     names = object_names(4)
     with pytest.raises(ValueError, match="not cluster members"):
         ReshardEngine(cluster, policy, names,

@@ -67,7 +67,7 @@ def _spec(**overrides):
         duration=200.0, clients=1, txns_per_client=5, check=True,
         audit=True, placement="hash-ring",
         workload=WorkloadSpec(zipf_s=1.1, ops_per_txn=2),
-        objects_for=HomeFirstPools("hash-ring", 8, 64, 3, seed=5),
+        objects_for=HomeFirstPools("hash-ring", 8, 64, 3),
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -102,7 +102,7 @@ def test_cached_directory_is_timing_transparent():
 
 def test_home_first_pools_orders_home_objects_first():
     pools = HomeFirstPools("weighted-home", processors=5, objects=50,
-                           degree=3, seed=0)
+                           degree=3)
     names = object_names(50)
     assignments = make_policy("weighted-home", degree=3).assign(
         names, [1, 2, 3, 4, 5])
@@ -118,6 +118,6 @@ def test_home_first_pools_orders_home_objects_first():
 def test_home_first_pools_survives_pickling():
     import pickle
 
-    pools = HomeFirstPools("hash-ring", 4, 20, 2, seed=3)
+    pools = HomeFirstPools("hash-ring", 4, 20, 2)
     clone = pickle.loads(pickle.dumps(pools))
     assert clone(2, 0) == pools(2, 0)

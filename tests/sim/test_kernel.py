@@ -114,6 +114,41 @@ def test_run_until_event_empty_schedule_raises():
         sim.run(until=never)
 
 
+def test_a_run_that_ends_before_its_event_leaves_no_stop_behind():
+    """Regression: a ``run(until=event)`` that ends before the event
+    fires (here: the queue runs dry) must take its stop callback with
+    it, or a later ``run(until=t)`` stops when that event fires."""
+    sim = Simulator()
+    event = sim.event()
+    with pytest.raises(EmptySchedule):
+        sim.run(until=event)
+    late = []
+    sim.call(5.0, lambda _: event.succeed(42))
+    sim.call(8.0, late.append, "t=8")
+    assert sim.run(until=10.0) is None
+    assert sim.now == 10.0 and late == ["t=8"]
+
+
+def test_a_crash_abort_leaves_no_stop_behind():
+    """The same on a crash abort: the stop event is triggered in the
+    crashing instant but not yet processed when the run aborts."""
+    sim = Simulator()
+    event = sim.event()
+
+    def crasher():
+        yield sim.timeout(1.0)
+        event.succeed("stop")
+        raise RuntimeError("boom")
+
+    proc = sim.process(crasher())
+    sim.call(3.0, lambda _: None)
+    with pytest.raises(ProcessCrashed):
+        sim.run(until=event)
+    proc.defuse()  # the crash is reported: its failure is handled
+    assert sim.run(until=5.0) is None
+    assert sim.now == 5.0
+
+
 def test_run_until_failed_event_reraises():
     sim = Simulator()
 
