@@ -26,14 +26,19 @@ before answering).  They do take a short shared lock, which is exactly
 condition (3) of the weakened R4: recovery never reads a copy locked
 for writing.
 
-Neither side holds a process unless it waits: an object's update is a
-callback chain, and a ``vpread`` is answered at its delivery.
+Fig. 9's ``cobegin`` is one :class:`ReadRound`: a source answers in one
+reply every object it can answer at the delivery, and each object that
+must wait (for its join, or at the stable-read gate) in a reply of its
+own.  Neither side holds a process unless it waits.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..analysis.history import CopyInstall, CopyRetire
 from ..node.storage import LogTruncated
+from ..node.transport import ScatterCall
 
 
 def _date_newer(candidate, reference) -> bool:
@@ -48,33 +53,77 @@ def _date_newer(candidate, reference) -> bool:
     return candidate > reference
 
 
+def _decide(protocol, old_id, incarnation, reads, _results=None) -> None:
+    """Fig. 9 lines 12-17 for each ``(sources, local date, answers)`` of
+    ``reads`` unless a crash came first; a source not heard is silent."""
+    if protocol.processor.incarnation != incarnation:
+        return
+    for obj, (sources, local_date, answers) in list(reads.items()):
+        for source in sources:
+            answers.setdefault(source, None)
+        protocol._install_freshest(obj, old_id, sources, local_date, answers)
+
+
+class ReadRound(ScatterCall):
+    """Fig. 9's ``cobegin`` for ``(object, sources, local date)`` reads: a
+    fan-out of ONE ``vpread`` per source naming every object it must
+    answer, each leg registered until its source owes nothing.  An
+    object is decided once all of its own sources have answered, the
+    rest by the continuation at the deadline, each in a gatherer's slot."""
+
+    def __init__(self, protocol, old_id, reads):
+        self._decide = partial(_decide, protocol, old_id,
+                               protocol.processor.incarnation)
+        #: object -> (sources, local date, answers so far), and source ->
+        #: the objects it has not answered yet, both in update order
+        self._reads, self._owed = {}, {}
+        for obj, sources, date in reads:
+            self._reads[obj] = (sources, date, {})
+            for source in sources:
+                self._owed.setdefault(source, {})[obj] = None
+        log = protocol.config.catchup == "log"
+        request = {"v": protocol.state.cur_id, "mode": "log" if log else "full"}
+        super().__init__(protocol.processor, sorted(self._owed), "vpread",
+                         lambda source: {**request, "objs": {
+                             obj: protocol.processor.store.date(obj)
+                             if log else None for obj in self._owed[source]}},
+                         timeout=protocol.config.access_timeout)
+        self.then(partial(self._decide, self._reads))
+
+    def _on_reply(self, message) -> None:
+        owed, done = self._owed[message.src], []
+        for obj, answer in message.payload.items():
+            if obj in owed:  # else a duplicate's
+                del owed[obj]
+                sources, _, answers = self._reads[obj]
+                answers[message.src] = answer
+                if len(answers) == len(sources):
+                    done.append(obj)
+        if owed:
+            self.processor._reply_waiters[message.reply_to] = self._on_reply
+        else:  # the leg is over, and the last one ends the round
+            super()._on_reply(message)
+        if done and self._pending:  # else the continuation decides them
+            self.sim.call(0, self._decide, {
+                obj: self._reads.pop(obj) for obj in done})
+
+
 class UpdateMixin:
     """Partition initialization (rule R5) with the §6 optimizations."""
 
     def _schedule_update_copies(self) -> None:
         """The ``schedule(Update-Copies-in-View)`` of Figs. 5 and 6 —
-        Fig. 9's outer loop: one parallel worker per locked object.
-        Nothing follows the paper's ``coend``, so nothing joins them."""
-        state = self.state
-        old_id = state.cur_id
-        objects = sorted(state.locked)
+        Fig. 9's outer loop: every locked object at once, its reads in
+        one round.  Nothing follows the paper's ``coend``, so nothing
+        joins them."""
+        old_id, objects = self.state.cur_id, sorted(self.state.locked)
         if not objects:
             return
         if self.tracer is not None:
             self.tracer.emit("recover.start", pid=self.pid, vpid=old_id,
                              objects=len(objects))
-        split_off_objects = (self._split_off_fresh_objects()
-                             if self.config.split_off_fastpath else frozenset())
-        for obj in objects:
-            if obj in split_off_objects and not self._has_in_doubt_write(obj):
-                # §6: pure split-off — the copy is known fresh already.
-                state.unlock_object(obj)
-                self.metrics.recoveries += 1
-                if self.tracer is not None:
-                    self.tracer.emit("recover.fresh", pid=self.pid, obj=obj,
-                                     vpid=old_id)
-                continue
-            self._update_object(obj, old_id)
+        self._update_objects(objects, old_id, self._split_off_fresh_objects()
+                             if self.config.split_off_fastpath else ())
 
     def _split_off_fresh_objects(self) -> frozenset:
         """Objects provably fresh because the partition is a split-off.
@@ -99,27 +148,39 @@ class UpdateMixin:
                 fresh.add(obj)
         return frozenset(fresh)
 
-    def _update_object(self, obj: str, old_id) -> None:
-        """Fig. 9's inner loop for one object, honouring the strategy: no
+    def _update_objects(self, objects, old_id, fresh=()) -> None:
+        """Fig. 9's inner loop (``fresh``: a split-off's fresh objects): no
         process but a chain tied to this processor's life — this prefix,
-        :meth:`_read_copies`, then its continuation :meth:`_install_freshest`;
-        the two waits are :meth:`Processor.after` timers."""
-        if not self._update_goes_on(obj, old_id):
-            return
-        if self._has_in_doubt_write(obj):
-            # A prepared-but-undecided write sits on the local copy: its
-            # date is not authoritative (the §6 fast path would serve it
-            # with no reads at all) until the resolver learns the 2PC
-            # outcome.  Park; R5 keeps a copy of unknown freshness locked.
-            self.processor.after(self.config.delta, self._update_object,
-                                 obj, old_id)
-            return
-        local_date = self.processor.store.date(obj)
-        sources = self._recovery_sources(obj)
-        if sources:
-            self._read_copies(obj, old_id, sources, local_date)
-        else:
-            self._install_freshest(obj, old_id, (), local_date, {})
+        one :class:`ReadRound` for all objects that need reads, then
+        :meth:`_install_freshest`; the waits are :meth:`Processor.after`."""
+        reads = []
+        for obj in objects:
+            if not self._update_goes_on(obj, old_id):
+                continue
+            if self._has_in_doubt_write(obj):
+                # A prepared-but-undecided write sits on the local copy: its
+                # date is not authoritative (the §6 fast path would serve it
+                # with no reads at all) until the resolver learns the 2PC
+                # outcome.  Park; R5 keeps a copy of unknown freshness locked.
+                self.processor.after(self.config.delta, self._update_objects,
+                                     (obj,), old_id)
+                continue
+            if obj in fresh:
+                # §6: pure split-off — the copy is known fresh already.
+                self.state.unlock_object(obj)
+                self.metrics.recoveries += 1
+                if self.tracer is not None:
+                    self.tracer.emit("recover.fresh", pid=self.pid, obj=obj,
+                                     vpid=old_id)
+                continue
+            local_date = self.processor.store.date(obj)
+            sources = self._recovery_sources(obj)
+            if sources:
+                reads.append((obj, sources, local_date))
+            else:
+                self._install_freshest(obj, old_id, (), local_date, {})
+        if reads:
+            ReadRound(self, old_id, reads)
 
     def _update_goes_on(self, obj: str, old_id) -> bool:
         """Still in the partition the update started in, with a copy?"""
@@ -133,24 +194,9 @@ class UpdateMixin:
             return False
         return True
 
-    def _read_copies(self, obj: str, old_id, sources: list[int],
-                     local_date) -> None:
-        """Issue the vpread RPCs in parallel, if the update goes on."""
-        if not self._update_goes_on(obj, old_id):
-            return
-        want_log = self.config.catchup == "log"
-        after = self.processor.store.date(obj) if want_log else None
-        request = {"obj": obj, "v": self.state.cur_id, "after": after,
-                   "mode": "log" if want_log else "full"}
-        self.processor.scatter(
-            sources, "vpread", lambda _server: request,
-            timeout=self.config.access_timeout,
-        ).then(lambda results: self._install_freshest(
-            obj, old_id, sources, local_date, results))
-
     def _install_freshest(self, obj: str, old_id, sources, local_date,
                           results: dict) -> None:
-        """Fig. 9 lines 12-17 on the replies of ``sources``: install the
+        """Fig. 9 lines 12-17 on the answers of ``sources``: install the
         newest copy read, only if still in the same partition."""
         refusals = {reply and reply["reason"] for reply in results.values()
                     if not (reply and reply["ok"])}  # None: silence
@@ -168,10 +214,11 @@ class UpdateMixin:
             return
         if refusals:
             # A source's copy carries a prepared write whose 2PC outcome
-            # is pending.  The view is fine: re-read once it is resolved
-            # instead of spawning a new partition generation.
-            self.processor.after(self.config.commit_wait, self._read_copies,
-                                 obj, old_id, sources, local_date)
+            # is pending.  The view is fine: update again (a one-object
+            # round) once it is resolved instead of spawning a new
+            # partition generation.
+            self.processor.after(self.config.commit_wait,
+                                 self._update_objects, (obj,), old_id)
             return
         newest, units = None, 0
         for reply in results.values():
@@ -225,18 +272,27 @@ class UpdateMixin:
     # ------------------------------------------------------------------
 
     def _handle_vpread(self, message) -> None:
-        """Answer a recovery read at its delivery, if we stand in its
-        partition and the copy is stable; else run the body that waits
-        for our join or at the gate — a process only if it does wait."""
+        """Answer in one reply every object we can answer at once — we
+        stand in the read's partition and the copy is stable, or we left
+        that partition; each other object runs the body that waits for
+        our join or at the gate, and is answered in a reply of its own."""
         payload = message.payload
         state = self.state
-        if (state.assigned and payload["v"] == state.cur_id
-                and self.cc.stable_read_now(payload["obj"])):
-            self._answer_vpread(message)
-        else:
-            self.processor.spawn("vpread", self._vpread_when_ready(message))
+        current = state.assigned and payload["v"] == state.cur_id
+        moved_on = state.assigned and payload["v"] < state.cur_id
+        answers = {}
+        for obj, after in payload["objs"].items():
+            if current and self.cc.stable_read_now(obj):
+                answers[obj] = self._vpread_answer(obj, payload["mode"], after)
+            elif moved_on:
+                answers[obj] = {"ok": False, "reason": "wrong-partition"}
+            else:
+                self.processor.spawn(
+                    "vpread", self._vpread_when_ready(message, obj, after))
+        if answers:
+            self.processor.reply(message, "vpread-reply", answers)
 
-    def _vpread_when_ready(self, message):
+    def _vpread_when_ready(self, message, obj: str, after):
         payload = message.payload
         state = self.state
         # The requester may simply be ahead of us: its commit for the
@@ -249,46 +305,36 @@ class UpdateMixin:
             yield from self.sim.wait(state.partition_changed.wait(),
                                      deadline - self.sim.now)
         if not (state.assigned and payload["v"] == state.cur_id):
-            self.processor.reply(message, "vpread-reply",
-                                 {"ok": False, "reason": "wrong-partition"})
-            return
+            answer = {"ok": False, "reason": "wrong-partition"}
         # Condition (3) of the weakened R4: never ship a value a live
         # transaction is overwriting (the CC's gate: a brief shared lock
         # under 2PL, an uncommitted-writer wait under TSO).
-        granted = yield from self.cc.stable_read_gate(payload["obj"])
-        if not granted:
-            self.processor.reply(message, "vpread-reply",
-                                 {"ok": False, "reason": "write-locked"})
-            return
-        self._answer_vpread(message)
+        elif not (yield from self.cc.stable_read_gate(obj)):
+            answer = {"ok": False, "reason": "write-locked"}
+        else:
+            answer = self._vpread_answer(obj, payload["mode"], after)
+        self.processor.reply(message, "vpread-reply", {obj: answer})
 
-    def _answer_vpread(self, message) -> None:
-        """Reply to a recovery read past the partition check and gate."""
-        payload = message.payload
-        obj = payload["obj"]
+    def _vpread_answer(self, obj: str, mode: str, after) -> dict:
+        """The answer for ``obj`` past the partition check and gate."""
         # The gate covers the 2PC uncertainty window in normal operation
         # (an in-doubt writer holds its copy lock until the decide is
         # applied), but CC locks are volatile: after a crash the
         # force-written in-doubt write is still on the copy.  Never ship
         # it; the requester retries once the resolver learned the outcome.
         if self._has_in_doubt_write(obj):
-            self.processor.reply(message, "vpread-reply",
-                                 {"ok": False, "reason": "in-doubt"})
-            return
+            return {"ok": False, "reason": "in-doubt"}
         store = self.processor.store
         if not store.holds(obj):
             # A reshard retired our copy while this request was in
             # flight; the requester must pick a holder of the new
             # placement instead.
-            self.processor.reply(message, "vpread-reply",
-                                 {"ok": False, "reason": "no-copy"})
-            return
+            return {"ok": False, "reason": "no-copy"}
         value, date = store.peek(obj)
-        version = store.version(obj)
         entries, truncated = None, False
-        if payload["mode"] == "log":
+        if mode == "log":
             try:
-                entries = store.log_since(obj, payload["after"])
+                entries = store.log_since(obj, after)
             except LogTruncated:
                 # Compaction discarded entries the requester would need
                 # (its copy predates the retained floor).  §6's log
@@ -297,11 +343,9 @@ class UpdateMixin:
                 # only the transfer cost does.
                 truncated = True
         units = store.size(obj) if entries is None else len(entries)
-        self.processor.reply(message, "vpread-reply", {
-            "ok": True, "value": value, "date": date,
-            "version": version, "entries": entries, "units": units,
-            "truncated": truncated,
-        })
+        return {"ok": True, "value": value, "date": date,
+                "version": store.version(obj), "entries": entries,
+                "units": units, "truncated": truncated}
 
     # ------------------------------------------------------------------
     # server side: migration control (reshard engine only)
@@ -333,8 +377,8 @@ class UpdateMixin:
         """Install a copy of ``obj`` here via the §6 catch-up path.
 
         The new holder reads the nearest in-view source copy with a
-        ``vpread`` (same stable-read gate and in-doubt refusal as
-        partition initialization) and materializes it locally.  Every
+        one-object ``vpread`` (same stable-read gate and in-doubt refusal
+        as partition initialization) and materializes it locally.  Every
         refusal maps to a not-ok reply; the coordinator retries until
         the views merge and the sources quiesce.
         """
@@ -361,11 +405,12 @@ class UpdateMixin:
         source = min(in_view, key=lambda p: (self.distance(p), p))
         results = yield from self.processor.scatter_gather(
             [source], "vpread",
-            lambda _server: {"obj": obj, "v": state.cur_id,
-                             "after": None, "mode": "full"},
+            lambda _server: {"v": state.cur_id, "mode": "full",
+                             "objs": {obj: None}},
             timeout=self.config.access_timeout,
         )
-        answer = results[source]
+        reply = results[source]
+        answer = reply[obj] if reply else None
         if answer is None or not answer["ok"]:
             reason = "no-response" if answer is None else answer["reason"]
             self.processor.reply(message, "reshard-install-reply",

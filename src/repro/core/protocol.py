@@ -14,7 +14,6 @@ one per-processor object and wires them to the processor runtime:
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Iterable, Optional
 
 from ..analysis.history import History
@@ -55,7 +54,6 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         #: the key of Fig. 6's armed 3δ wait for a commit, or None
         self._commit_wait = None
         self._poisoned_txns: set = set()
-        self._recovery_seq = count(1)
 
     def distance(self, pid: int) -> float:
         """Expected delay to ``pid``; rule R2 reads the minimum."""

@@ -58,13 +58,13 @@ class TransportStats:
     """Fan-out accounting (cumulative, crash-proof); a cluster's
     processors share one."""
 
-    #: completed or started scatter calls
+    #: scatter calls (recovery read rounds included) started
     fanouts: int = 0
     #: broadcast_collect rounds
     broadcasts: int = 0
-    #: individual request RPCs issued by scatter calls
+    #: request messages of scatter calls
     rpcs: int = 0
-    #: RPCs that timed out without a reply
+    #: requests still owing a reply (or an answer) at their deadline
     no_responses: int = 0
     #: gathers cut short by a satisfied quorum predicate
     early_exits: int = 0

@@ -21,7 +21,6 @@ from .directory import (
 from .policy import (
     POLICIES,
     HashRingPolicy,
-    LocalityPolicy,
     PlacementPolicy,
     WeightedHomePolicy,
     make_policy,
@@ -37,7 +36,6 @@ __all__ = [
     "HashRingPolicy",
     "HomeFirstPools",
     "LocalDirectory",
-    "LocalityPolicy",
     "PlacementPolicy",
     "ReshardAction",
     "ReshardEngine",

@@ -131,43 +131,10 @@ class WeightedHomePolicy(PlacementPolicy):
         return weights
 
 
-class LocalityPolicy(PlacementPolicy):
-    """Zone-local placement: processors are grouped into contiguous
-    zones of ``zone_size``; an object's copies fill its home zone
-    first (home processor, then its zone peers), spilling onto the
-    ring only when the degree exceeds the zone (all weight 1).
-
-    This is the placement a geo-replicated deployment wants: a zone
-    (rack, datacenter) holds a majority of most objects' copies, so
-    zone-local views keep them accessible when the WAN flaps.
-    """
-
-    name = "locality"
-
-    def __init__(self, degree: int = 3, zone_size: int = 5):
-        super().__init__(degree)
-        if zone_size < 1:
-            raise ValueError(f"zone_size must be >= 1: {zone_size}")
-        self.zone_size = zone_size
-
-    def _one(self, index: int, obj: str, ring: List[int]) -> Assignment:
-        home = index % len(ring)
-        zone_start = (home // self.zone_size) * self.zone_size
-        zone = [ring[i] for i in range(
-            zone_start, min(zone_start + self.zone_size, len(ring)))]
-        ordered = zone[home - zone_start:] + zone[:home - zone_start]
-        for step in range(1, len(ring)):  # spill past the zone if needed
-            pid = ring[(zone_start + self.zone_size - 1 + step) % len(ring)]
-            if pid not in ordered:
-                ordered.append(pid)
-        return {pid: 1 for pid in ordered[:self.degree]}
-
-
 #: policy registry: name -> constructor(degree=..., **kwargs)
 POLICIES = {
     HashRingPolicy.name: HashRingPolicy,
     WeightedHomePolicy.name: WeightedHomePolicy,
-    LocalityPolicy.name: LocalityPolicy,
 }
 
 

@@ -19,6 +19,7 @@ from ..client.session import SessionSpec
 from ..cluster import Cluster
 from ..core.config import ProtocolConfig
 from ..net.latency import LatencyModel
+from ..node.processor import SPAWN_SLACK
 from ..obs.metrics import MetricsSnapshot, summarize
 from ..protocols import protocol_factory
 from ..shard.reshard import ReshardAction
@@ -524,36 +525,27 @@ def _client(cluster: Cluster, pid: int, generator: WorkloadGenerator,
         if committed:
             latencies.append(sim.now - arrival)
 
-    def one(index):
-        # draw order matters: interarrival was drawn by the caller,
-        # the program is drawn here — exactly the historical sequence
+    #: the open loop's workers, finished ones pruned as Processor.spawn does
+    workers: list = []
+    prune_at = SPAWN_SLACK
+    index = 0
+    while (index < spec.txns_per_client if spec.txns_per_client is not None
+           else sim.now < spec.duration):
+        yield sim.timeout(generator.next_interarrival())
+        if spec.txns_per_client is None and sim.now >= spec.duration:
+            break
+        # draw order matters: the interarrival, then the program —
+        # exactly the historical sequence
         program = generator.next_program()
-        yield from run_one(index, program, sim.now)
-
-    def spawn(index):
-        program = generator.next_program()
-        return sim.process(run_one(index, program, sim.now),
-                           name=f"txn@{tag}t{index}")
-
-    workers = []
-    if spec.txns_per_client is not None:
-        for index in range(spec.txns_per_client):
-            yield sim.timeout(generator.next_interarrival())
-            if spec.open_loop:
-                workers.append(spawn(index))
-            else:
-                yield from one(index)
-    else:
-        index = 0
-        while sim.now < spec.duration:
-            yield sim.timeout(generator.next_interarrival())
-            if sim.now >= spec.duration:
-                break
-            if spec.open_loop:
-                workers.append(spawn(index))
-            else:
-                yield from one(index)
-            index += 1
+        if spec.open_loop:
+            if len(workers) >= prune_at:
+                workers[:] = [worker for worker in workers if worker.is_alive]
+                prune_at = 2 * len(workers) + SPAWN_SLACK
+            workers.append(sim.process(run_one(index, program, sim.now),
+                                       name=f"txn@{tag}t{index}"))
+        else:
+            yield from run_one(index, program, sim.now)
+        index += 1
     for worker in workers:
         if worker.is_alive:
             yield worker

@@ -298,9 +298,10 @@ def test_refusal_does_not_beat_a_same_instant_invitation(monkeypatch):
 
 def test_recovery_spawns_only_the_reads_that_wait(monkeypatch):
     """Fig. 9's updates are callback chains, never processes, and a
-    recovery read is answered at its delivery: only one that must wait
-    — for the server's own join, or at the stable-read gate — is
-    spawned, and it parks (294 of the 6 612 served here)."""
+    recovery read is answered at its delivery: only an object that must
+    wait — for the server's own join, or at the stable-read gate — is
+    spawned, and it parks (294 of the 6 612 objects served here, named
+    in 338 requests: one per requester, read round and source)."""
     spawned = []
     served = []
     spawn = Processor.spawn
@@ -323,4 +324,5 @@ def test_recovery_spawns_only_the_reads_that_wait(monkeypatch):
     assert not [name for name, _ in spawned if name.startswith("update(")]
     vpreads = [parked for name, parked in spawned if name == "vpread"]
     assert all(vpreads)
-    assert (len(served), len(vpreads)) == (6612, 294)
+    assert (len(served), sum(len(m.payload["objs"]) for m in served),
+            len(vpreads)) == (338, 6612, 294)

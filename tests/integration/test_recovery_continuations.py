@@ -1,15 +1,16 @@
 """A crash inside Update-Copies-in-View kills that recovery for good.
 
 Fig. 9 runs one update per locked object, and each can be cut short at
-three points: while its recovery reads (``vpread``) are in flight,
+three points: while its recovery read round (``vpread``) is in flight,
 while it parks on an in-doubt write of its own copy, and while it waits
 to re-read a source that answered "in-doubt".  In each case below the
 recovering processor crashes at that point and recovers a tick later.  The
 update it had started must then do nothing more, ever: it installs
 nothing, unlocks nothing and mints no partition, and the run dispatches
 exactly the pinned number of kernel events and completes exactly the
-pinned number of fan-outs.  The pins hold whether a process or a
-callback chain carries the update.
+pinned number of fan-outs.  The pins hold whether a process, a
+callback chain on a per-object call or one on a read round
+(:class:`~repro.core.copy_update.ReadRound`) carries the update.
 """
 
 import sys
@@ -131,7 +132,8 @@ def in_doubt_reread_wait(armed):
     def tap(message):
         if (not armed and message.kind == "vpread-reply"
                 and message.dst == 4
-                and message.payload.get("reason") == "in-doubt"):
+                and any(answer["reason"] == "in-doubt"
+                        for answer in message.payload.values())):
             # the refusal lands a tick from now; the wait begins there
             crash_then_recover(cluster, 4, cluster.sim.now + 6.0, armed)
 

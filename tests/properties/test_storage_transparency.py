@@ -29,15 +29,17 @@ PROCESSORS = 5
 CLIENTS = 2
 TXNS_PER_CLIENT = 4
 
-#: sha256 of the canonical JSONL trace of `_spec`'s run, re-captured at
-#: PR 22 (was ``6e021101…fb6b5``; first captured on the
-#: pre-storage-engine implementation, moved at PR 17 and PR 18): a
-#: process starts in the call that creates it, so from t=3.71 on a
-#: served request's effects precede the next delivery of their instant;
-#: with ``seq`` stripped the old and new traces hold the same events at
-#: every instant of the run (committed 36 / aborted 52, tags, 1SR equal).
+#: sha256 of the canonical JSONL trace of `_spec`'s run, re-captured
+#: when Fig. 9's reads became one request per source and read round
+#: (was ``2102a338…ead079``, captured when a process started in the
+#: call that creates it; ``6e021101…fb6b5`` before that, first captured
+#: on the pre-storage-engine implementation): 138 ``vpread`` requests
+#: and 138 replies became 10 requests and 34 replies; with those
+#: message events dropped and ``seq`` stripped, the old and new traces
+#: hold the same events at every instant of the run (committed 36 /
+#: aborted 52, tags, 1SR equal).
 GOLDEN_TRACE_SHA = \
-    "2102a338aae7769f8a213c402b32a57a3f92404f2aa57407951282b541ead079"
+    "68c0923d51fa84b71bbffcb1a120502dc909e7fa425ca697269798a9520d5305"
 #: event families added by this refactor, filtered before hashing
 NEW_EVENT_FAMILIES = ("storage.", "msg.late-reply")
 

@@ -5,7 +5,6 @@ import pytest
 from repro.shard.policy import (
     POLICIES,
     HashRingPolicy,
-    LocalityPolicy,
     WeightedHomePolicy,
     make_policy,
 )
@@ -51,8 +50,6 @@ def test_validation_errors():
         make_policy("round-robin")
     with pytest.raises(ValueError, match="vnodes"):
         HashRingPolicy(vnodes=0)
-    with pytest.raises(ValueError, match="zone_size"):
-        LocalityPolicy(zone_size=0)
 
 
 def test_hash_ring_elasticity():
@@ -93,24 +90,6 @@ def test_weighted_home_primary_first():
     for weights in assignments.values():
         first = next(iter(weights))
         assert weights[first] == 3
-
-
-def test_locality_fills_home_zone_first():
-    policy = LocalityPolicy(degree=3, zone_size=5)
-    assignments = policy.assign(OBJECTS, PIDS)
-    for index, obj in enumerate(OBJECTS):
-        home = PIDS[index % len(PIDS)]
-        holders = set(assignments[obj])
-        assert home in holders
-        zone_start = ((home - 1) // 5) * 5 + 1
-        zone = set(range(zone_start, zone_start + 5))
-        assert holders <= zone  # degree 3 fits inside a 5-wide zone
-
-
-def test_locality_spills_past_small_zone():
-    policy = LocalityPolicy(degree=4, zone_size=2)
-    assignments = policy.assign(["x"], [1, 2, 3, 4, 5])
-    assert len(assignments["x"]) == 4
 
 
 def test_make_policy_passes_kwargs():

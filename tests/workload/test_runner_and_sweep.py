@@ -139,6 +139,36 @@ def test_open_loop_produces_work_and_latency_samples():
     assert result.latency_p99 >= result.latency_p50 >= 0.0
 
 
+def test_open_loop_prunes_finished_workers(monkeypatch):
+    """An open-loop client keeps its workers (to join the live ones at
+    the end) in a list pruned of finished ones as ``Processor.spawn``
+    prunes its bodies: it tracks the live workers, not every arrival."""
+    from repro.node.processor import SPAWN_SLACK
+    from repro.workload import runner
+    from repro.workload.generator import WorkloadGenerator
+
+    clients, sizes = [], []
+    client = runner._client
+    next_program = WorkloadGenerator.next_program
+
+    def recorded_client(*args, **kwargs):
+        clients.append(client(*args, **kwargs))
+        return clients[-1]
+
+    def sampled_program(self):
+        sizes.extend(len(generator.gi_frame.f_locals["workers"])
+                     for generator in clients if generator.gi_frame)
+        return next_program(self)
+
+    monkeypatch.setattr(runner, "_client", recorded_client)
+    monkeypatch.setattr(WorkloadGenerator, "next_program", sampled_program)
+    result = run_experiment(small_spec(open_loop=True, duration=3000.0,
+                                       retries=3))
+    assert len(sizes) > 10 * SPAWN_SLACK  # arrivals, one sample each
+    assert max(sizes) <= 2 * SPAWN_SLACK
+    assert result.committed > 0
+
+
 def test_closed_and_open_loop_draw_rng_identically(monkeypatch):
     """Satellite pin: both loop modes consume the workload rng in the
     same per-client order (interarrival, program, interarrival, ...),
