@@ -27,7 +27,7 @@ Mapping onto this codebase's primitives:
   in-doubt participant's watchdog/partition-change/recovery resolver)
   run full ballots ``attempt * BALLOT_STRIDE + pid`` over all
   instances at once, batched per acceptor through the ordinary
-  ``scatter_gather`` quorum machinery: phase 1 to a majority, pick
+  ``scatter(…).gather(quorum)`` machinery: phase 1 to a majority, pick
   each instance's highest-ballot accepted value — aborting *free*
   instances, whose RM's ballot-0 vote can then never reach a majority
   unseen — and phase 2 to a majority.
@@ -344,9 +344,9 @@ class PaxosCommit(AtomicCommit):
             return sum(1 for r in results.values()
                        if r is not None and r["ok"]) >= needed
 
-        replies = yield from self.processor.scatter_gather(
+        replies = yield from self.processor.scatter(
             others, kind, lambda _server: payload,
-            timeout=self.config.access_timeout, quorum=quorum)
+            timeout=self.config.access_timeout).gather(quorum)
         return [r for r in replies.values() if r is not None and r["ok"]]
 
     def _promise_locally(self, txn, ballot: int, rms):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Mapping
 
 from ..core.errors import TransactionAborted
-from ..node.transport import NoResponse
 from .base import AtomicCommit
 
 
@@ -194,18 +193,13 @@ class TwoPhaseCommit(AtomicCommit):
         retry = self.config.access_timeout
         coordinator = self.in_doubt.get(txn)
         while txn in self.in_doubt:
-            try:
-                response = yield from self.processor.rpc(
-                    coordinator, "txn-status", {"txn": txn},
-                    timeout=retry,
-                )
-            except NoResponse:
+            reply = (yield from self.processor.scatter(
+                (coordinator,), "txn-status", lambda _server: {"txn": txn},
+                timeout=retry).gather())[coordinator]
+            if reply is None or reply["outcome"] == "undecided":
                 yield self.sim.timeout(retry)
                 continue
-            outcome = response.payload["outcome"]
-            if outcome == "undecided":
-                yield self.sim.timeout(retry)
-                continue
+            outcome = reply["outcome"]
             if txn in self.in_doubt:
                 if self.tracer is not None:
                     self.tracer.emit("txn.resolve", pid=self.pid,

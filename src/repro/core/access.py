@@ -27,7 +27,6 @@ from typing import Any
 from ..analysis.history import (
     CommittedWrite, DecisionApplied, LogicalAccess, LogicalOp, PhysicalOp,
 )
-from ..node.processor import NoResponse
 from .errors import AccessAborted
 
 #: payload reasons a server may reject a physical access with
@@ -65,24 +64,21 @@ class AccessMixin:
         # on; servers reject mismatches and the commit vote re-checks.
         ctx.placement_epochs[obj] = self.directory.route_epoch(obj)
         attempts = candidates if self.config.read_retry else candidates[:1]
+        request = {"obj": obj, "v": vpid, "txn": ctx.txn_id,
+                   "ts": ctx.timestamp, "pe": ctx.placement_epochs[obj]}
         last_reason = "no-response"
         for server in attempts:
             if server == self.pid:
                 self.metrics.local_reads += 1
             self.metrics.physical_read_rpcs += 1
-            try:
-                response = yield from self.processor.rpc(
-                    server, "read",
-                    {"obj": obj, "v": vpid, "txn": ctx.txn_id,
-                     "ts": ctx.timestamp,
-                     "pe": ctx.placement_epochs.get(obj, 0)},
-                    timeout=self.config.access_timeout)
-            except NoResponse:
+            payload = (yield from self.processor.scatter(
+                (server,), "read", lambda _server: request,
+                timeout=self.config.access_timeout).gather())[server]
+            if payload is None:  # silence
                 last_reason = "no-response"
                 if state.cur_id != vpid or not state.assigned:
                     break
                 continue  # R2: retry the next-nearest copy
-            payload = response.payload
             if payload["ok"]:
                 value = payload["value"]
                 self.history.record(LogicalAccess(

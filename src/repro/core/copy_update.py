@@ -403,12 +403,12 @@ class UpdateMixin:
                                  {"ok": False, "reason": "no-source-in-view"})
             return
         source = min(in_view, key=lambda p: (self.distance(p), p))
-        results = yield from self.processor.scatter_gather(
+        results = yield from self.processor.scatter(
             [source], "vpread",
             lambda _server: {"v": state.cur_id, "mode": "full",
                              "objs": {obj: None}},
             timeout=self.config.access_timeout,
-        )
+        ).gather()
         reply = results[source]
         answer = reply[obj] if reply else None
         if answer is None or not answer["ok"]:

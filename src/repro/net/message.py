@@ -11,8 +11,8 @@ class Message(NamedTuple):
 
     ``kind`` is the protocol-level message type (``"newvp"``, ``"probe"``,
     ``"read"``, ...) the receiver dispatches on; ``payload`` carries the
-    protocol fields; ``reply_to`` links responses to requests for the
-    RPC helper.  Ids come only from the network the message travels on
+    protocol fields; ``reply_to`` links a reply to its call's request.
+    Ids come only from the network the message travels on
     (``Network.next_msg_id``, drawn by ``Processor.send`` / ``reply``),
     so same-seed clusters built back-to-back in one process see
     identical id streams; a directly constructed envelope keeps id 0.

@@ -243,10 +243,17 @@ def _validate(injector: FailureInjector, action: FaultAction) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown fault kind: {kind}")
     if kind == "partition":
-        if not all(isinstance(block, tuple) for block in args):
-            raise ValueError(f"partition blocks must be tuples: {args}")
+        if len(args) < 2 or not all(isinstance(b, tuple) and b for b in args):
+            raise ValueError(f"a partition takes 2+ non-empty tuples: {args}")
+        pids = [pid for block in args for pid in block]
     elif len(args) != _ARITY[kind]:
         raise ValueError(f"{kind} takes {_ARITY[kind]} args: {args}")
+    else:
+        pids = args[:1] if kind == "crash" else args[:2]
+    # a self-edge, overlapping blocks or an unknown pid would raise mid-run
+    if len(set(pids)) < len(pids) or not injector.graph.nodes >= set(pids):
+        raise ValueError(f"{kind} names a pid twice or one not in the "
+                         f"graph: {args}")
     if kind == "flap":
         period, cycles = args[2:]
         if not period > 0:

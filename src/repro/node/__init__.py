@@ -1,6 +1,6 @@
-"""Processor runtime: tasks, request handlers, RPC, durable storage."""
+"""Processor runtime: tasks, request handlers, calls, durable storage."""
 
-from .processor import NoResponse, Processor
+from .processor import Processor
 from .storage import (
     Copy,
     DurableCell,
@@ -17,7 +17,6 @@ __all__ = [
     "DurableCell",
     "LogEntry",
     "LogTruncated",
-    "NoResponse",
     "Processor",
     "StorageEngine",
     "StorageStats",

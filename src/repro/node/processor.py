@@ -7,11 +7,10 @@ A :class:`Processor` owns:
   its call registered, a *served* kind (:meth:`Processor.serve`, or an
   open :meth:`Processor.broadcast_collect` window) by its handler;
   a kind nobody serves raises ``KeyError`` at its delivery;
-* an RPC helper implementing the paper's ``send ... receive ...
-  [no-response: ...]`` pattern (Figs. 9–11): reply matching through a
-  :class:`ReplyWaiter` waited on with ``sim.wait`` — the deadline
-  forgets the registration in its own dispatch, so a reply arriving
-  later, even in that instant, is late and counted;
+* one request/reply call for the paper's ``send ... receive ...
+  [no-response: ...]`` pattern (Figs. 9–12), :meth:`Processor.scatter`,
+  to one target or many: its deadline forgets the unanswered legs in
+  its own dispatch, so a reply later, even in that instant, is late;
 * a task registry: protocol layers register named generator factories;
   tasks are (re)spawned on start/recover and killed on crash, as are
   spawned bodies, ``after`` timers and ``then`` continuations, matching
@@ -24,11 +23,9 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from ..net.message import Message
 from ..net.network import Network
-from ..sim import Event, Process, Simulator, start_process
+from ..sim import Process, Simulator, start_process
 from .storage import StorageEngine
-from .transport import (  # noqa: F401  (NoResponse re-exported)
-    NoResponse, QuorumPredicate, ScatterCall, TransportStats,
-)
+from .transport import ScatterCall, TransportStats
 
 TaskFactory = Callable[[], Any]  # returns a generator
 Handler = Callable[[Message], None]
@@ -40,24 +37,6 @@ SPAWN_SLACK = 16
 def window_closed(message: Message) -> None:
     """Serves a ``broadcast_collect`` reply kind between windows: an
     ack that missed its window is dropped."""
-
-
-class ReplyWaiter(Event):
-    """The pending reply of one :meth:`Processor.rpc`, registered in
-    the caller's reply table; cancelling it (the deadline, or the kill
-    of the waiting process) forgets the registration, so a reply that
-    still arrives is late — and counted."""
-
-    __slots__ = ("_table", "_request_id")
-
-    def __init__(self, processor: "Processor", request_id: int):
-        super().__init__(processor.sim)
-        self._table = processor._reply_waiters
-        self._request_id = request_id
-        self._table[request_id] = self.succeed
-
-    def cancel(self) -> None:
-        self._table.pop(self._request_id, None)
 
 
 class Processor:
@@ -74,7 +53,7 @@ class Processor:
         self.alive = True
         #: crashes so far (a ``ScatterCall.then`` runs only in its own)
         self.incarnation = 0
-        #: fan-out accounting for the shared transport primitives
+        #: call accounting for the shared transport primitives
         self.transport = TransportStats()
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
@@ -112,25 +91,10 @@ class Processor:
 
     def reply(self, request: Message, kind: str,
               payload: Mapping[str, Any] | None = None) -> None:
-        """Respond to ``request``; routed back to its ``rpc`` waiter."""
+        """Respond to ``request``; routed back to the call that sent it."""
         self.network.send(tuple.__new__(Message, (
             self.pid, request.src, kind, payload or {}, request.msg_id,
             self.network.next_msg_id(), self.sim._now)))
-
-    def rpc(self, dst: int, kind: str, payload: Mapping[str, Any] | None,
-            timeout: float):
-        """Generator: request/response with a deadline.
-
-        Use as ``response = yield from processor.rpc(...)``.  Raises
-        :class:`NoResponse` when no reply arrives within ``timeout`` —
-        the caller decides whether that aborts the operation, retries
-        elsewhere, or triggers a new virtual partition.
-        """
-        waiter = ReplyWaiter(self, self.send(dst, kind, payload).msg_id)
-        response = yield from self.sim.wait(waiter, timeout)
-        if response is None:
-            raise NoResponse(dst, kind)
-        return response
 
     def serve(self, kind: str, handler: Handler) -> None:
         """Call ``handler(message)`` at the delivery event of every
@@ -151,28 +115,15 @@ class Processor:
         name = f"serve-{kind}"
         self.serve(kind, lambda message: self.spawn(name, body(message)))
 
-    # -- fan-out primitives (see node/transport.py) ---------------------------
+    # -- transport primitives (see node/transport.py) -------------------------
 
     def scatter(self, targets: Iterable[int], kind: str,
                 payload_for: Callable[[int], Mapping[str, Any] | None],
                 *, timeout: float) -> ScatterCall:
-        """Start parallel RPCs to ``targets``: the requests go out now;
-        ``yield from call.gather()`` or ``call.then(fn)`` takes the replies."""
+        """Start a call to ``targets``: the requests go out now; ``yield
+        from call.gather()`` or ``call.then(fn)`` takes ``{target: reply
+        payload or None}`` (None = silence)."""
         return ScatterCall(self, targets, kind, payload_for, timeout=timeout)
-
-    def scatter_gather(self, targets: Iterable[int], kind: str,
-                       payload_for: Callable[[int], Mapping[str, Any] | None],
-                       *, timeout: float,
-                       quorum: Optional[QuorumPredicate] = None):
-        """Generator: parallel RPCs to ``targets`` under one deadline.
-
-        Returns ``{target: reply_payload_or_None}`` (None = silence).
-        With ``quorum``, stops early once the predicate holds on the
-        partial map (see :meth:`ScatterCall.gather`).
-        """
-        call = self.scatter(targets, kind, payload_for, timeout=timeout)
-        results = yield from call.gather(quorum=quorum)
-        return results
 
     def broadcast_collect(self, targets: Iterable[int], kind: str,
                           payload: Mapping[str, Any] | None, *,

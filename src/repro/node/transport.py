@@ -1,32 +1,32 @@
-"""The shared fan-out transport primitive.
+"""The shared request/reply transport primitive.
 
 Every layer of the protocol speaks the same ``send … receive …
 [no-response: …]`` shape from the paper's figures: issue the same kind
-of request to a set of processors in parallel, wait under one deadline,
-and treat silence as evidence about the view.  Every such site routes
-through two primitives owned by the :class:`~repro.node.processor.
-Processor`:
+of request to a set of processors in parallel (Fig. 10's read: to one),
+wait under one deadline, and treat silence as evidence about the view.
+Every such site routes through two primitives of the Processor:
 
-* :class:`ScatterCall` — parallel RPCs with per-target reply matching,
-  collected by a process (``scatter`` / ``gather``, the one-shot
-  ``scatter_gather``; a *quorum predicate* drops the legs unanswered
-  once the partial result map satisfies it) or by a continuation
-  (``scatter(…).then(fn)``).
+* :class:`ScatterCall` — the one request/reply call, to one target or
+  many, collected by a process (``scatter(…).gather()``; a *quorum
+  predicate* drops the legs unanswered once the partial result map
+  satisfies it) or by a continuation (``scatter(…).then(fn)``).
 * ``broadcast_collect`` (on the processor) — one-way broadcast followed
   by a timed collection window, the Figs. 5/7 pattern where replies are
-  *not* RPC responses but independent messages.
+  independent messages.
 
 A call costs the kernel its messages, one deadline (a call entry, no
 event, however many legs) and one wake-up of its gatherer or
 continuation: every reply is consumed by a callback at its delivery
-(:meth:`Processor._on_delivery`).  The call is a plain object, **not**
-a processor task: a crash of the calling processor forgets the reply
-registrations, and the deadline still fires to count the silent legs,
-so nothing is orphaned.
+(:meth:`Processor._on_delivery`); one in the deadline's instant is
+late.  The call is a plain object, **not** a processor task: a crash
+of the calling processor forgets the reply registrations, and the
+deadline still fires once to count the silent legs — waking nobody if
+the crash killed the gatherer — so nothing is orphaned.
 
-:class:`TransportStats` counts fan-outs, per-target RPCs, silences and
-early exits, and records the model-time duration of every completed
-gather — the fan-out latency histogram the experiment harness reports.
+:class:`TransportStats` counts every call (single-copy reads and
+``txn-status`` queries included), its requests, silences and early
+exits, and records the model-time duration of every completed gather —
+the fan-out latency histogram the experiment harness reports.
 """
 
 from __future__ import annotations
@@ -35,30 +35,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 
-class NoResponse(Exception):
-    """An expected reply did not arrive within the timeout.
-
-    This is the trigger for the paper's ``[no-response: Create-new-VP;
-    ...]`` exception handlers: a missing reply is evidence that the
-    local view no longer matches the can-communicate relation.
-    """
-
-    def __init__(self, dst: int, kind: str):
-        super().__init__(f"no response from {dst} to {kind!r}")
-        self.dst = dst
-        self.kind = kind
-
-
 #: predicate over the partial result map; True = stop waiting
 QuorumPredicate = Callable[[Dict[int, Any]], bool]
 
 
 @dataclass
 class TransportStats:
-    """Fan-out accounting (cumulative, crash-proof); a cluster's
+    """Call accounting (cumulative, crash-proof); a cluster's
     processors share one."""
 
-    #: scatter calls (recovery read rounds included) started
+    #: scatter calls started, one-target and recovery read rounds included
     fanouts: int = 0
     #: broadcast_collect rounds
     broadcasts: int = 0
@@ -68,7 +54,7 @@ class TransportStats:
     no_responses: int = 0
     #: gathers cut short by a satisfied quorum predicate
     early_exits: int = 0
-    #: scatter calls whose target set came from a directory lookup
+    #: write fan-outs whose targets came from a directory lookup (no reads)
     routed_fanouts: int = 0
     #: replies that arrived after their waiter timed out or was dropped
     late_replies: int = 0
@@ -77,7 +63,7 @@ class TransportStats:
 
 
 class ScatterCall:
-    """An in-flight parallel RPC fan-out.
+    """An in-flight request/reply call to one or more targets.
 
     Created by :meth:`Processor.scatter`; the requests leave
     immediately.  Call :meth:`gather` (a generator — drive it with
@@ -160,7 +146,8 @@ class ScatterCall:
             self.sim.now - self.started_at)
         if quorum is not None:
             return self._results
-        return {server: self._results[server] for server in self._targets}
+        targets = self._targets
+        return dict(zip(targets, map(self._results.__getitem__, targets)))
 
     def then(self, fn: Callable[[Dict[int, Any]], Any]) -> None:
         """:meth:`gather` without a process: ``fn(results)`` runs in the slot
@@ -174,7 +161,7 @@ class ScatterCall:
             if processor.incarnation == incarnation:
                 processor.transport.fanout_latencies.append(
                     sim.now - started_at)
-                fn({server: results[server] for server in targets})
+                fn(dict(zip(targets, map(results.__getitem__, targets))))
 
         if self._pending:
             self._wake = lambda: sim.call(0, resume)

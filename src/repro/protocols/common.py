@@ -145,17 +145,6 @@ class BaselineProtocol(ReplicaControlProtocol):
         return self.placement.holders_by_distance(
             obj, among, lambda q: self._latency.distance(self.pid, q))
 
-    def _fanout(self, kind: str, servers: Iterable[int], payload_for):
-        """Generator: parallel RPCs; returns ``{server: payload_or_None}``
-        (None = no response).  A thin veneer over the processor's shared
-        scatter-gather primitive (node/transport.py), kept so the
-        baselines read like the paper's pseudocode."""
-        results = yield from self.processor.scatter_gather(
-            servers, kind, payload_for,
-            timeout=self.config.access_timeout,
-        )
-        return results
-
     def _read_one(self, obj: str, ctx, candidates: Iterable[int],
                   last_reason: str):
         """Generator: read ``obj`` at the first of ``candidates`` that
@@ -166,11 +155,11 @@ class BaselineProtocol(ReplicaControlProtocol):
             self.metrics.physical_read_rpcs += 1
             if server == self.pid:
                 self.metrics.local_reads += 1
-            results = yield from self._fanout(
-                "read", [server],
+            payload = (yield from self.processor.scatter(
+                (server,), "read",
                 lambda _s: {"obj": obj, "txn": ctx.txn_id,
-                            "ts": ctx.timestamp})
-            payload = results[server]
+                            "ts": ctx.timestamp},
+                timeout=self.config.access_timeout).gather())[server]
             if payload is None:
                 last_reason = "no-response"
                 continue
@@ -189,11 +178,12 @@ class BaselineProtocol(ReplicaControlProtocol):
         write (and its transaction) aborts."""
         version = ctx.next_version()
         self.metrics.physical_write_rpcs += len(targets)
-        results = yield from self._fanout(
-            "write", targets,
+        results = yield from self.processor.scatter(
+            targets, "write",
             lambda _s: {"obj": obj, "value": value, "txn": ctx.txn_id,
                         "ts": ctx.timestamp, "version": version,
-                        "date": None})
+                        "date": None},
+            timeout=self.config.access_timeout).gather()
         failures = {s: p for s, p in results.items()
                     if p is None or not p["ok"]}
         for server, payload in results.items():

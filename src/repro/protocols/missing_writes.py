@@ -77,11 +77,12 @@ class MissingWritesProtocol(QuorumProtocol):
         ) + 1
         version = ctx.next_version()
         self.metrics.physical_write_rpcs += len(targets)
-        results = yield from self._fanout(
-            "write", targets,
+        results = yield from self.processor.scatter(
+            targets, "write",
             lambda _s: {"obj": obj, "value": value, "txn": ctx.txn_id,
                         "ts": ctx.timestamp, "version": version,
-                        "date": new_number})
+                        "date": new_number},
+            timeout=self.config.access_timeout).gather()
         reached = {s for s, p in results.items()
                    if p is not None and p.get("ok")}
         missed = set(targets) - reached
@@ -156,20 +157,21 @@ class MissingWritesProtocol(QuorumProtocol):
             return
         repair_txn = ("mw-repair", self.pid, int(self.sim.now * 1000))
         repair_ts = (self.sim.now, self.pid, 10**9)
-        results = yield from self._fanout(
-            "read", good[:1],
-            lambda _s: {"obj": obj, "txn": repair_txn, "ts": repair_ts})
-        payload = results[good[0]]
+        payload = (yield from self.processor.scatter(
+            good[:1], "read",
+            lambda _s: {"obj": obj, "txn": repair_txn, "ts": repair_ts},
+            timeout=self.config.access_timeout).gather())[good[0]]
         if payload is None or not payload["ok"]:
             return
         self.processor.send(good[0], "release",
                             {"txn": repair_txn, "outcome": "commit"})
-        pushes = yield from self._fanout(
-            "write", lagging,
+        pushes = yield from self.processor.scatter(
+            lagging, "write",
             lambda _s: {"obj": obj, "value": payload["value"],
                         "txn": repair_txn, "ts": repair_ts,
                         "version": payload["version"],
-                        "date": payload["date"]})
+                        "date": payload["date"]},
+            timeout=self.config.access_timeout).gather()
         healed = {s for s, p in pushes.items()
                   if p is not None and p.get("ok")}
         self.metrics.transfer_units += len(healed)

@@ -161,10 +161,10 @@ class QuorumProtocol(BaselineProtocol):
             # One wave per scatter call: the wave logic (nearest-first,
             # widen on silence) is the protocol's cost profile and must
             # stay; only the fan-out mechanics are shared.
-            results = yield from self.processor.scatter_gather(
+            results = yield from self.processor.scatter(
                 wave, kind, payload_for,
                 timeout=self.config.access_timeout,
-            )
+            ).gather()
             for server, payload in results.items():
                 if payload is not None and payload["ok"]:
                     responses[server] = payload

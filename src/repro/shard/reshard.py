@@ -304,11 +304,11 @@ class ReshardEngine:
         # needs the copy) and silence retry until they drain.
         waiting = sorted(old)
         while waiting:
-            results = yield from processor.scatter_gather(
+            results = yield from processor.scatter(
                 waiting, "reshard-release",
                 lambda p: {"obj": obj, "retire": p in drops},
                 timeout=config.access_timeout,
-            )
+            ).gather()
             waiting = [p for p in waiting
                        if results[p] is None or not results[p]["ok"]]
             if waiting:
@@ -416,10 +416,10 @@ class ReshardEngine:
         replies: Dict[int, Any] = {}
         waiting = list(holders)
         while waiting:
-            results = yield from processor.scatter_gather(
+            results = yield from processor.scatter(
                 waiting, "reshard-gate", lambda _p: {"obj": obj},
                 timeout=config.access_timeout,
-            )
+            ).gather()
             for pid in list(waiting):
                 if results[pid] is not None:
                     replies[pid] = results[pid]
@@ -437,13 +437,13 @@ class ReshardEngine:
         waits and retries the whole round.
         """
         config = self.cluster.config
-        results = yield from processor.scatter_gather(
+        results = yield from processor.scatter(
             adds, "reshard-install",
             lambda _p: {"obj": obj, "sources": sources, "size": size},
             # the handler runs a nested vpread under access_timeout;
             # give the outer call room for both legs
             timeout=2 * config.access_timeout + config.delta,
-        )
+        ).gather()
         floor = _UNSET
         for pid in adds:
             reply = results[pid]

@@ -17,6 +17,7 @@ from repro.core.access import (
     REJECT_STALE_PLACEMENT,
     AccessMixin,
 )
+from tests.node.calls import ask
 
 HOLDER = ("holder", 1)  # a transaction that holds x's X lock at p1
 TXN = (2, 99)
@@ -53,9 +54,8 @@ def access_p1(cluster, kind):
     replies = []
 
     def client():
-        response = yield from cluster.processor(2).rpc(
-            1, kind, payload, timeout=50.0)
-        replies.append(response.payload)
+        replies.append((yield from ask(cluster.processor(2), 1, kind,
+                                       payload, timeout=50.0)))
 
     cluster.sim.process(client())
     return replies

@@ -10,7 +10,11 @@ nothing, unlocks nothing and mints no partition, and the run dispatches
 exactly the pinned number of kernel events and completes exactly the
 pinned number of fan-outs.  The pins hold whether a process, a
 callback chain on a per-object call or one on a read round
-(:class:`~repro.core.copy_update.ReadRound`) carries the update.
+(:class:`~repro.core.copy_update.ReadRound`) carries the update.  The
+in-doubt cases count their resolvers' ``txn-status`` queries (one-target
+calls) among the fan-outs, and a resolver the crash kills mid-query
+leaves its call's deadline to fire: two dispatches, the deadline and a
+wake-up nobody waits on.
 """
 
 import sys
@@ -143,8 +147,8 @@ def in_doubt_reread_wait(armed):
 
 @pytest.mark.parametrize("case, dispatched, fanouts", [
     (reads_in_flight, 588, 7),
-    (in_doubt_park, 415, 2),
-    (in_doubt_reread_wait, 766, 18),
+    (in_doubt_park, 417, 4),
+    (in_doubt_reread_wait, 766, 20),
 ])
 def test_a_crash_inside_recovery_kills_that_update(
         monkeypatch, case, dispatched, fanouts):

@@ -238,11 +238,23 @@ def test_transport_actions_require_network(kind):
     FaultAction(time=1.0, kind="cut", args=(1, 2), hold=-1.0),
     FaultAction(time=1.0, kind="cut", args=(1, 2), hold=float("nan")),
     FaultAction(time=-1.0, kind="cut", args=(1, 2), hold=1.0),
+    FaultAction(time=1.0, kind="crash", args=(9,), hold=1.0),
+    FaultAction(time=1.0, kind="oneway", args=(1, 9), hold=1.0),
+    FaultAction(time=1.0, kind="partition", args=((1, 2), (9,)), hold=1.0),
+    FaultAction(time=1.0, kind="cut", args=(1, 1), hold=1.0),
+    FaultAction(time=1.0, kind="surge", args=(2, 2, 2.0), hold=1.0),
+    FaultAction(time=1.0, kind="flap", args=(3, 3, 1.0, 1), hold=1.0),
+    FaultAction(time=1.0, kind="partition", args=((1, 2), (2, 3)), hold=1.0),
+    FaultAction(time=1.0, kind="partition", args=((1, 2),), hold=1.0),
+    FaultAction(time=1.0, kind="partition", args=((1, 2, 3), ()), hold=1.0),
 ])
 def test_apply_schedule_rejects_a_malformed_action_whole(bad):
     """A schedule can come from an artifact file: one bad action fails
-    the lot, and nothing of it reaches the kernel's queue."""
-    sim, _, _, injector = build(network=True)
+    the lot, and nothing of it reaches the kernel's queue — not even
+    one that would raise only at its instant (an unknown pid, a
+    self-edge, overlapping blocks) or one that would silently cut
+    nothing (a one-block partition)."""
+    sim, _, _, injector = build(pids=(1, 2, 3), network=True)
     good = FaultAction(time=1.0, kind="cut", args=(1, 2), hold=2.0)
     with pytest.raises(ValueError):
         apply_schedule(injector, [good, bad])

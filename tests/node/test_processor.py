@@ -5,11 +5,12 @@ import random
 import pytest
 
 from repro.net import CommGraph, FixedLatency, Network
-from repro.node import NoResponse, Processor
+from repro.node import Processor
 from repro.node.processor import SPAWN_SLACK
 from repro.sim import Simulator
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
+from tests.node.calls import ask
 from tests.sim.schedule import live_entries
 
 
@@ -49,27 +50,27 @@ def test_rpc_roundtrip():
         request, "echo-reply", {"text": request.payload["text"]}))
 
     def client():
-        response = yield from procs[1].rpc(2, "echo", {"text": "hi"}, timeout=5.0)
-        return (response.payload["text"], sim.now)
+        payload = yield from ask(procs[1], 2, "echo", {"text": "hi"},
+                                 timeout=5.0)
+        return (payload["text"], sim.now)
 
     proc = sim.process(client())
     sim.run()
     assert proc.value == ("hi", 2.0)  # 1.0 each way
 
 
-def test_rpc_no_response_raises():
+def test_rpc_silence_is_none_at_the_deadline():
     sim, graph, _, procs = build()
     graph.cut_link(1, 2)
 
     def client():
-        try:
-            yield from procs[1].rpc(2, "echo", {}, timeout=3.0)
-        except NoResponse as exc:
-            return (exc.dst, sim.now)
+        payload = yield from ask(procs[1], 2, "echo", {}, timeout=3.0)
+        return (payload, sim.now)
 
     proc = sim.process(client())
     sim.run()
-    assert proc.value == (2, 3.0)
+    assert proc.value == (None, 3.0)
+    assert procs[1].transport.no_responses == 1
 
 
 def test_late_reply_after_timeout_is_dropped():
@@ -82,9 +83,7 @@ def test_late_reply_after_timeout_is_dropped():
     outcomes = []
 
     def client():
-        try:
-            yield from procs[1].rpc(2, "ask", {}, timeout=2.0)
-        except NoResponse:
+        if (yield from ask(procs[1], 2, "ask", timeout=2.0)) is None:
             outcomes.append("timeout")
 
     procs[2].serve_spawned("ask", slow_server)
@@ -218,9 +217,9 @@ def test_reply_goes_to_its_rpc_waiter_even_when_its_kind_is_served():
     procs[2].serve("echo", lambda m: procs[2].reply(m, "echo", m.payload))
 
     def client():
-        response = yield from procs[1].rpc(2, "echo", {"text": "hi"},
-                                           timeout=5.0)
-        return response.payload["text"]
+        payload = yield from ask(procs[1], 2, "echo", {"text": "hi"},
+                                 timeout=5.0)
+        return payload["text"]
 
     proc = sim.process(client())
     sim.run()

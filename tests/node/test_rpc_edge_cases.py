@@ -1,10 +1,11 @@
-"""Edge-case tests: RPC and handler behaviour across crashes."""
+"""Edge-case tests: one-target calls and handlers across crashes."""
 
 import random
 
 from repro.net import CommGraph, FixedLatency, Network
-from repro.node import NoResponse, Processor
+from repro.node import Processor
 from repro.sim import Simulator
+from tests.node.calls import ask
 
 
 def build(n=3):
@@ -21,9 +22,7 @@ def test_rpc_to_crashed_server_times_out():
     procs[2].crash()
 
     def client():
-        try:
-            yield from procs[1].rpc(2, "ask", {}, timeout=4.0)
-        except NoResponse:
+        if (yield from ask(procs[1], 2, "ask", timeout=4.0)) is None:
             return sim.now
 
     proc = sim.process(client())
@@ -41,11 +40,8 @@ def test_server_crash_after_request_before_reply():
     outcomes = []
 
     def client():
-        try:
-            yield from procs[1].rpc(2, "ask", {}, timeout=10.0)
-            outcomes.append("replied")
-        except NoResponse:
-            outcomes.append("no-response")
+        payload = yield from ask(procs[1], 2, "ask", timeout=10.0)
+        outcomes.append("no-response" if payload is None else "replied")
 
     procs[2].serve_spawned("ask", server)
     sim.process(client())
@@ -65,11 +61,9 @@ def test_requester_crash_drops_pending_reply():
     state = []
 
     def client():
-        try:
-            response = yield from procs[1].rpc(2, "ask", {}, timeout=20.0)
-            state.append(("got", response))
-        except NoResponse:
-            state.append(("timeout", None))
+        payload = yield from ask(procs[1], 2, "ask", timeout=20.0)
+        state.append(("timeout", None) if payload is None
+                     else ("got", payload))
 
     procs[2].serve_spawned("ask", server)
     sim.process(client())
@@ -97,9 +91,9 @@ def test_recovered_processor_serves_again():
     procs[2].recover()
 
     def client():
-        response = yield from procs[1].rpc(2, "echo", {"text": "back"},
-                                           timeout=5.0)
-        return response.payload["text"]
+        payload = yield from ask(procs[1], 2, "echo", {"text": "back"},
+                                 timeout=5.0)
+        return payload["text"]
 
     proc = sim.process(client())
     sim.run()
@@ -130,8 +124,8 @@ def test_two_rpcs_in_flight_matched_correctly():
 
     def client(n, delay):
         yield sim.timeout(delay)
-        response = yield from procs[1].rpc(2, "ask", {"n": n}, timeout=10.0)
-        return response.payload["echo"]
+        payload = yield from ask(procs[1], 2, "ask", {"n": n}, timeout=10.0)
+        return payload["echo"]
 
     first = sim.process(client(1, 0.0))
     second = sim.process(client(2, 0.1))
