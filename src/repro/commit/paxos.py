@@ -18,6 +18,9 @@ Mapping onto this codebase's primitives:
   (their durable state rides on :meth:`StorageEngine.durable_cell`,
   one cell per consensus instance, forced on every promise/accept at
   one ``storage_sync_cost`` per batch; the answer waits on a timer).
+  An acceptor's ballot-0 accepts of one instant for one leader share
+  that force and leave as one ``px-accepted`` (Gray & Lamport's 2b
+  bundling; with free forces each flushes inline, alone).
 * **Ballot 0** is reserved for the RM itself: it force-writes its
   prepare record, then sends phase-2a ``px-accept`` messages straight
   to the acceptors (no phase 1 needed — ballot 0 cannot have been
@@ -75,6 +78,9 @@ class PaxosCommit(AtomicCommit):
         #: coordinator-side fast-path collection: txn -> {event,
         #: instances, tallies}; volatile (cleared on crash)
         self._collect: Dict[Any, dict] = {}
+        #: acceptor side: (leader, instant) -> the 2b answers accepted
+        #: then, waiting out their one shared force; volatile
+        self._batches: Dict[Tuple[int, float], list] = {}
 
     # ------------------------------------------------------------------
     # coordinator side
@@ -100,7 +106,9 @@ class PaxosCommit(AtomicCommit):
         meta.update(acceptors=acceptors, majority=len(acceptors) // 2 + 1,
                     leader=self.pid)
         self._meta[txn] = meta
-        wait = self._begin_collect(txn, participants)
+        wait = self.sim.event(name=f"px-collect{txn}")  # fires with {rm: vote}
+        self._collect[txn] = {"event": wait, "tallies": {},
+                              "instances": dict.fromkeys(participants)}
         for server in participants:
             if server != self.pid:
                 self.processor.send(server, "prepare", meta)
@@ -167,8 +175,7 @@ class PaxosCommit(AtomicCommit):
             raise ValueError(f"unknown outcome {outcome!r}")
         txn = ctx.txn_id
         known = self._outcome.pop(txn, None)
-        started = txn in self._collect
-        self._collect.pop(txn, None)
+        started = self._collect.pop(txn, None) is not None
         if outcome == "commit" and known != "commit":
             # Defensive: prepare_commit determines the outcome before
             # returning, so a commit without one cannot happen — but it
@@ -208,18 +215,6 @@ class PaxosCommit(AtomicCommit):
     # the fast path: ballot-0 votes and their collection
     # ------------------------------------------------------------------
 
-    def _begin_collect(self, txn, participants):
-        """Register the coordinator's fast-path tally; returns the
-        event that fires with ``{rm: vote}`` once every instance has a
-        majority of same-ballot accepts."""
-        event = self.sim.event(name=f"px-collect{txn}")
-        self._collect[txn] = {
-            "event": event,
-            "instances": {rm: None for rm in participants},
-            "tallies": {},
-        }
-        return event
-
     def _cast_vote(self, txn, vote: str, meta) -> None:
         """Ballot-0 phase 2a: propose this RM's own vote everywhere.
 
@@ -235,9 +230,10 @@ class PaxosCommit(AtomicCommit):
             self._accept(request)
 
     def _accept(self, request) -> None:
-        """Acceptor: accept one instance's 2a ``request``, force it, and
-        once the force has landed notify the leader (locally when we are
-        the leader — no self-sends)."""
+        """Acceptor: accept one instance's 2a ``request`` and force it.
+        Every accept taken in one instant for one leader shares that
+        force and, once it has landed, leaves as one ``px-accepted``
+        (tallied in place when we are the leader — no self-sends)."""
         txn, rm = request["txn"], request["rm"]
         ballot, vote, leader = request["ballot"], request["vote"], request["leader"]
         cell = self._acceptor_cell(txn, rm)
@@ -245,35 +241,38 @@ class PaxosCommit(AtomicCommit):
         if state is not None and ballot < state[0]:
             return  # promised a higher ballot; drop the stale 2a
         cell.value = (ballot, ballot, vote)
-        payload = {"txn": txn, "rm": rm, "ballot": ballot, "vote": vote,
-                   "acceptor": self.pid}
-        if leader == self.pid:
-            self._after_sync(self._note_accepted, payload)
-        else:
-            self._after_sync(self.processor.send, leader, "px-accepted",
-                             payload)
+        key = (leader, self.sim.now)
+        batch = self._batches.setdefault(key, [])
+        batch.append((txn, rm, ballot, vote))  # first: a free force flushes inline
+        if len(batch) == 1:
+            self._after_sync(self._flush, key)
 
-    def _note_accepted(self, payload) -> None:
-        """Leader: tally one 2b; fire the collection event when every
-        instance has a same-ballot majority."""
-        txn = payload["txn"]
-        entry = self._collect.get(txn)
-        meta = self._meta.get(txn)
-        if entry is None or meta is None:
-            return  # not collecting (already decided, or not ours)
-        instances = entry["instances"]
-        rm = payload["rm"]
-        if rm not in instances:
-            return
-        votes = (entry["tallies"].setdefault(rm, {})
-                 .setdefault(payload["ballot"], {}))
-        votes[payload["acceptor"]] = payload["vote"]
-        if instances[rm] is None and len(votes) >= meta["majority"]:
-            instances[rm] = payload["vote"]
-            if all(v is not None for v in instances.values()):
-                event = entry["event"]
-                if not event.triggered:
-                    event.succeed(dict(instances))
+    def _flush(self, key) -> None:
+        """One batch's force has landed: answer its leader."""
+        accepts = self._batches.pop(key)
+        if key[0] == self.pid:
+            self._note_accepted(self.pid, accepts)
+        else:
+            self.processor.send(key[0], "px-accepted", {"accepts": accepts})
+
+    def _note_accepted(self, acceptor: int, accepts) -> None:
+        """Leader: tally ``acceptor``'s 2b batch, instance by instance;
+        fire a collection event when every instance of its transaction
+        has a same-ballot majority."""
+        for txn, rm, ballot, vote in accepts:
+            entry = self._collect.get(txn)
+            meta = self._meta.get(txn)
+            if entry is None or meta is None or rm not in entry["instances"]:
+                continue  # not collecting (already decided, or not ours)
+            instances = entry["instances"]
+            votes = entry["tallies"].setdefault(rm, {}).setdefault(ballot, {})
+            votes[acceptor] = vote
+            if instances[rm] is None and len(votes) >= meta["majority"]:
+                instances[rm] = vote
+                if all(v is not None for v in instances.values()):
+                    event = entry["event"]
+                    if not event.triggered:
+                        event.succeed(dict(instances))
 
     # ------------------------------------------------------------------
     # recovery leadership (full ballots)
@@ -310,13 +309,8 @@ class PaxosCommit(AtomicCommit):
         # RM's ballot-0 vote cannot be chosen behind our back — abort.
         votes: Dict[int, str] = {}
         for rm in rms:
-            best = None
-            for reply in promises:
-                entry = reply["accepted"].get(rm)
-                if entry is not None and (best is None
-                                          or entry[0] > best[0]):
-                    best = entry
-            votes[rm] = best[1] if best is not None else "aborted"
+            entries = [r["accepted"][rm] for r in promises if rm in r["accepted"]]
+            votes[rm] = max(entries, key=lambda e: e[0])[1] if entries else "aborted"
 
         # Phase 2: accepts from a majority.
         accepted = 0
@@ -349,34 +343,35 @@ class PaxosCommit(AtomicCommit):
             timeout=self.config.access_timeout).gather(quorum)
         return [r for r in replies.values() if r is not None and r["ok"]]
 
+    def _cells(self, txn, ballot: int, rms):
+        """The local acceptor's cells of ``rms``' instances, or None when
+        one has promised a ballot above ``ballot`` (preempted)."""
+        cells = [(rm, self._acceptor_cell(txn, rm)) for rm in rms]
+        if any(cell.value is not None and ballot < cell.value[0]
+               for _rm, cell in cells):
+            return None
+        return cells
+
     def _promise_locally(self, txn, ballot: int, rms):
         """Local-acceptor phase 1b for all instances (batched force);
         returns a reply-shaped dict, or None when preempted."""
-        cells = [(rm, self._acceptor_cell(txn, rm)) for rm in rms]
-        for _rm, cell in cells:
-            state: Optional[AcceptorState] = cell.value
-            if state is not None and ballot < state[0]:
-                return None
+        cells = self._cells(txn, ballot, rms)
+        if cells is None:
+            return None
         accepted = {}
         for rm, cell in cells:
-            state = cell.value
-            cell.value = (ballot,
-                          state[1] if state else None,
-                          state[2] if state else None)
+            state: Optional[AcceptorState] = cell.value
+            cell.value = (ballot, *(state[1:] if state else (None, None)))
             if state is not None and state[1] is not None:
-                accepted[rm] = (state[1], state[2])
+                accepted[rm] = state[1:]
         return {"ok": True, "accepted": accepted}
 
     def _accept_locally(self, txn, ballot: int, votes) -> bool:
         """Local-acceptor phase 2b for all instances (batched force)."""
-        cells = [(rm, self._acceptor_cell(txn, rm)) for rm in votes]
-        for _rm, cell in cells:
-            state: Optional[AcceptorState] = cell.value
-            if state is not None and ballot < state[0]:
-                return False
-        for rm, cell in cells:
+        cells = self._cells(txn, ballot, votes)
+        for rm, cell in cells or ():
             cell.value = (ballot, ballot, votes[rm])
-        return True
+        return cells is not None
 
     def _acceptor_cell(self, txn, rm: int):
         """The durable cell of one consensus instance's acceptor state.
@@ -396,7 +391,8 @@ class PaxosCommit(AtomicCommit):
             "prepare": self._handle_prepare,
             "release": self._handle_release,
             "px-accept": lambda message: self._accept(message.payload),
-            "px-accepted": lambda message: self._note_accepted(message.payload),
+            "px-accepted": lambda message: self._note_accepted(
+                message.src, message.payload["accepts"]),
             "px-p1": self._handle_px_p1,
             "px-p2": self._handle_px_p2,
         }
@@ -507,3 +503,4 @@ class PaxosCommit(AtomicCommit):
         self.resolving.clear()
         self._collect.clear()
         self._outcome.clear()
+        self._batches.clear()

@@ -89,6 +89,8 @@ class DurableCell:
     engine as a forced record.
     """
 
+    __slots__ = ("_engine", "_name", "_value")
+
     def __init__(self, engine: "StorageEngine", name: str, initial: Any):
         self._engine = engine
         self._name = name

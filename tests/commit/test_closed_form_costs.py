@@ -1,0 +1,112 @@
+"""Commit cost in closed form, per failure-free transaction.
+
+Gray & Lamport (*Consensus on Transaction Commit*) state a commit's
+cost as closed forms in the number of resource managers.  Here, for one
+transaction with N participants, A acceptors (the coordinator's view)
+and e = 1 when the coordinator is itself a participant, else 0:
+
+* **2PC:** ``prepare``, ``prepare-reply`` and ``release`` to each remote
+  participant, 3(N - e) messages; one forced ``prepare`` per
+  participant plus the forced decision, N + 1 forced writes.
+* **Paxos Commit:** N - e ``prepare`` and N - e ``release``; each RM
+  sends its ballot-0 vote to every other acceptor, N(A - 1)
+  ``px-accept``; every acceptor forces every instance, so
+  N(A + 1) + 1 forced writes.  An acceptor answers every instance it
+  accepted in one instant in one ``px-accepted``: with the forced
+  writes free that is one per instance, N(A - 1); priced, at most two
+  per acceptor, 2(A - 1) (see :func:`px_accepted_priced`).
+
+Each case runs one transaction at processor 1 on a settled cluster and
+counts the messages it sends by kind and the forced writes it makes.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro import Cluster, ProtocolConfig
+
+COMMIT_KINDS = ("prepare", "prepare-reply", "release", "px-accept",
+                "px-accepted", "px-p1", "px-p2", "txn-status")
+
+
+def run_one_commit(backend: str, processors: int, writes, sync: float):
+    """Counts of one transaction writing object i on ``writes[i]``."""
+    config = ProtocolConfig(delta=1.0, storage_sync_cost=sync,
+                            commit_backend=backend)
+    cluster = Cluster(processors=processors, seed=1, config=config)
+    for i, holders in enumerate(writes):
+        cluster.place(f"o{i}", holders=holders, initial=0)
+    cluster.start()
+    cluster.run(until=5.0)
+    sent = []
+    cluster.network.tap = sent.append
+    store = cluster.registry.sources["storage"]
+    forced = store.forced_syncs
+
+    def body(txn):
+        for i in range(len(writes)):
+            yield from txn.write(f"o{i}", 1)
+        return 1
+
+    outcome = cluster.submit(1, body)
+    cluster.run(until=cluster.sim.now + 40.0)
+    assert outcome.value == (True, 1)
+    kinds = Counter(m.kind for m in sent if m.kind in COMMIT_KINDS)
+    return kinds, store.forced_syncs - forced
+
+
+def px_accepted_priced(acceptors: int, rms) -> int:
+    """``px-accepted`` messages when forced writes are priced.
+
+    The leader (processor 1) tallies its own acceptor's answers in
+    place.  Every other acceptor takes 2a messages in at most two
+    instants: the coordinator's own vote and the acceptor's own vote
+    land one sync and one delta after the prepare leaves, every other
+    remote RM's vote one delta later."""
+    count = 0
+    for acceptor in range(2, acceptors + 1):
+        first = 1 in rms or acceptor in rms
+        second = bool(set(rms) - {1, acceptor})
+        count += first + second
+    return count
+
+
+CASES = [
+    # (processors, holders of each written object)
+    (5, [[1, 2, 3]]),
+    (5, [[2, 3, 4]]),
+    (5, [[1, 2, 3, 4, 5]]),
+    (5, [[1]]),
+    (5, [[2]]),
+    (5, [[1, 2]]),
+    (5, [[2, 3], [3, 4]]),
+    (3, [[1, 2, 3]]),
+    (3, [[2, 3]]),
+]
+
+
+@pytest.mark.parametrize("sync", [0.0, 0.5])
+@pytest.mark.parametrize("processors, writes", CASES)
+def test_two_phase_commit_costs_its_closed_form(processors, writes, sync):
+    kinds, forced = run_one_commit("2pc", processors, writes, sync)
+    rms = set().union(*writes)
+    remote = len(rms) - int(1 in rms)  # N - e: 3(N - e) messages
+    assert kinds == Counter({"prepare": remote, "prepare-reply": remote,
+                             "release": remote}) - Counter()
+    assert forced == len(rms) + 1
+
+
+@pytest.mark.parametrize("sync", [0.0, 0.5])
+@pytest.mark.parametrize("processors, writes", CASES)
+def test_paxos_commit_costs_its_closed_form(processors, writes, sync):
+    kinds, forced = run_one_commit("paxos", processors, writes, sync)
+    rms = set().union(*writes)
+    n, e, a = len(rms), int(1 in rms), processors
+    accepted = n * (a - 1) if sync == 0 else px_accepted_priced(a, rms)
+    assert kinds == Counter({"prepare": n - e, "release": n - e,
+                             "px-accept": n * (a - 1),
+                             "px-accepted": accepted}) - Counter()
+    assert forced == n * (a + 1) + 1
+    if sync:
+        assert accepted <= 2 * (a - 1)

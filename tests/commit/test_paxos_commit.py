@@ -109,3 +109,59 @@ def test_paxos_dwell_is_bounded_not_open_ended():
         assert dwell <= 6 * cluster.config.access_timeout, (
             f"dwelled {dwell}: resolution waited on recovery"
         )
+
+
+def one_write(processors: int, sync: float):
+    """One failure-free write at p1 to a copy on every processor;
+    returns its outcome and ``(time, message, instances)`` per message
+    it sent, ``instances`` being what a 2b batch carried as it left."""
+    config = ProtocolConfig(delta=1.0, storage_sync_cost=sync,
+                            commit_backend="paxos")
+    cluster = Cluster(processors=processors, seed=1, config=config)
+    cluster.place("x", holders=cluster.pids, initial=0)
+    cluster.start()
+    cluster.run(until=5.0)
+    sent = []
+    cluster.network.tap = lambda m: sent.append(
+        (cluster.sim.now, m, [accept[1] for accept in m.payload.get("accepts", ())]))
+    outcome = cluster.write_once(1, "x", 7)
+    cluster.run(until=60.0)
+    return outcome.value, sent
+
+
+@pytest.mark.parametrize("processors, release", [(5, 10.0), (2, 9.0)])
+def test_free_forces_decide_on_the_fast_path(processors, release):
+    """The hunter's Paxos setting (forced writes free): every 2b leaves
+    in the call that forced it, so the coordinator collects a majority
+    of ballot-0 accepts per instance and no recovery ballot runs.  A
+    lost 2b would only delay the commit through px-p1/px-p2, which is
+    why the instants are pinned: the prepare leaves at 7, the votes
+    reach the acceptors at 8 and 9 and the leader at 10, and the
+    release leaves at 10.  On two processors p2 is the only other
+    acceptor and accepts its own vote at 8, so the release leaves at 9;
+    the majority there is both acceptors, so the leader's own 2b,
+    tallied in place, is needed."""
+    outcome, sent = one_write(processors, sync=0.0)
+    assert outcome == (True, 7)
+    remote = processors - 1
+    assert not {m.kind for _, m, _ in sent} & {"px-p1", "px-p2"}
+    assert [t for t, m, _ in sent if m.kind == "prepare"] == [7.0] * remote
+    assert [t for t, m, _ in sent if m.kind == "release"] == [release] * remote
+    # free forces never batch: one px-accepted per instance and acceptor,
+    # carrying that instance as it leaves
+    accepted = [rms for _, m, rms in sent if m.kind == "px-accepted"]
+    assert len(accepted) == processors * remote
+    assert all(len(rms) == 1 for rms in accepted)
+
+
+def test_one_instant_of_accepts_travels_in_one_message():
+    """Priced forces: p2 accepts the coordinator's vote and its own at
+    8.5 and answers both in one px-accepted once their shared force
+    lands at 9; p3's vote reaches it one delta later and leaves in a
+    second message at 10."""
+    outcome, sent = one_write(3, sync=0.5)
+    assert outcome == (True, 7)
+    batches = [(t, rms) for t, m, rms in sent
+               if m.kind == "px-accepted" and m.src == 2]
+    assert batches == [(9.0, [1, 2]), (10.0, [3])]
+    assert not {m.kind for _, m, _ in sent} & {"px-p1", "px-p2"}

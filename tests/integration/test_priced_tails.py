@@ -9,6 +9,11 @@ recovers before the window ends.  Nothing answering that request may
 leave — the recovered processor has forgotten it — and the run
 dispatches exactly the pinned number of kernel events: the wait costs
 one timer event whether a process or a bare timer carries it.
+
+A ``px-accepted`` carries every instance its acceptor accepted for one
+leader in one instant, so the Paxos cases look for the instance inside
+the batch; in the second one the crash hits a batch of two (the
+coordinator's vote and the acceptor's own) and neither leaves.
 """
 
 import pytest
@@ -57,15 +62,31 @@ def prepare_reply():
         m.kind == "prepare-reply" and m.reply_to == request.msg_id)
 
 
+def carries(message, txn, rms) -> bool:
+    """Whether ``message`` is a 2b batch answering an instance of
+    ``txn`` whose RM is in ``rms``."""
+    return message.kind == "px-accepted" and any(
+        accept[0] == txn and accept[1] in rms
+        for accept in message.payload["accepts"])
+
+
 def px_accepted():
     cluster, sent = build("paxos", storage_sync_cost=WINDOW)
     armed = crash_inside_window(cluster, 2, "px-accept",
                                 lambda m: m.payload["rm"] == 3)
     cluster.write_once(1, "x", 7)
-    return cluster, sent, armed, lambda m, request: (
-        m.kind == "px-accepted"
-        and m.payload["txn"] == request.payload["txn"]
-        and m.payload["rm"] == request.payload["rm"])
+    return cluster, sent, armed, lambda m, request: carries(
+        m, request.payload["txn"], {request.payload["rm"]})
+
+
+def px_accepted_batch():
+    # p2 accepts p1's vote and its own in one instant: one batch
+    cluster, sent = build("paxos", storage_sync_cost=WINDOW)
+    armed = crash_inside_window(cluster, 2, "px-accept",
+                                lambda m: m.payload["rm"] == 1)
+    cluster.write_once(1, "x", 7)
+    return cluster, sent, armed, lambda m, request: carries(
+        m, request.payload["txn"], {1, 2})
 
 
 def write_reply():
@@ -89,7 +110,8 @@ def vp_accept():
 
 @pytest.mark.parametrize("case, dispatched", [
     (prepare_reply, 175),
-    (px_accepted, 197),
+    (px_accepted, 192),
+    (px_accepted_batch, 190),
     (write_reply, 147),
     (vp_accept, 76),
 ])
@@ -103,3 +125,22 @@ def test_a_crash_inside_the_window_sends_nothing(case, dispatched):
         f"crash({server})", f"recover({server})"]
     assert not [m for m in sent if m.src == server and answers(m, request)]
     assert cluster.sim.dispatched == dispatched
+
+
+def test_the_batch_case_crashes_a_batch_of_two():
+    # the crash finds p1's vote and p2's own in one batch and drops it:
+    # a batch is volatile, so none is left after the run
+    cluster, _sent, _armed, _answers = px_accepted_batch()
+    commit = cluster.protocol(2).commit
+    held = []
+    on_crash = commit.on_crash
+
+    def recording_on_crash():
+        held.extend(accept[1] for batch in commit._batches.values()
+                    for accept in batch)
+        on_crash()
+
+    commit.on_crash = recording_on_crash
+    cluster.run(until=HORIZON)
+    assert sorted(held) == [1, 2]
+    assert not commit._batches
