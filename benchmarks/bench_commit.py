@@ -54,13 +54,12 @@ def blocking_window(backend: str, recover_after=None) -> dict:
             # the storage sync and has not left yet
             return cluster.processor(1).store.decision_of(TXN) == "commit"
         # paxos: every ballot-0 vote accepted at a majority of acceptors
-        for acceptor in (2, 3):
-            store = cluster.processor(acceptor).store
-            for rm in (1, 2, 3):
-                value = store.durable_cell(f"px:{TXN}:{rm}").value
-                if value is None or value[1] is None:
-                    return False
-        return True
+        def accepted(pid, rm):
+            value = cluster.processor(pid).store.durable_cell(f"px:{TXN}:{rm}").value
+            return value is not None and value[1] is not None
+
+        return all(sum(accepted(pid, rm) for pid in (1, 2, 3)) >= 2
+                   for rm in (1, 2, 3))
 
     while not prepared_everywhere():
         cluster.sim.run(until=cluster.sim.now + 0.25)

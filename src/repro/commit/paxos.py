@@ -23,9 +23,12 @@ Mapping onto this codebase's primitives:
   bundling; with free forces each flushes inline, alone).
 * **Ballot 0** is reserved for the RM itself: it force-writes its
   prepare record, then sends phase-2a ``px-accept`` messages straight
-  to the acceptors (no phase 1 needed — ballot 0 cannot have been
-  preempted unless a recovery leader already moved in, in which case
-  the stale 2a is simply dropped; ``_accept`` takes every 2a).
+  to its *fast set*: the leader, itself, then the lowest other
+  acceptors up to a majority (no phase 1: ballot 0 cannot have been
+  preempted unless a recovery leader already moved in, and ``_accept``
+  drops such a stale 2a).  The other acceptors see the instance only
+  in a recovery ballot: a silent fast-set acceptor costs its
+  transaction an access timeout and a ballot round.
 * **Recovery leaders** (the coordinator on collection timeout, or any
   in-doubt participant's watchdog/partition-change/recovery resolver)
   run full ballots ``attempt * BALLOT_STRIDE + pid`` over all
@@ -216,17 +219,19 @@ class PaxosCommit(AtomicCommit):
     # ------------------------------------------------------------------
 
     def _cast_vote(self, txn, vote: str, meta) -> None:
-        """Ballot-0 phase 2a: propose this RM's own vote everywhere.
+        """Ballot-0 phase 2a: propose this RM's own vote to its fast set.
 
         A prepared vote is cast once the prepare record's force has
         landed (``_after_sync``); the no-vote needs no durability
         (forgetting it re-aborts)."""
         request = {"txn": txn, "rm": self.pid, "ballot": 0, "vote": vote,
                    "leader": meta["leader"]}
-        for acceptor in meta["acceptors"]:
+        first = (meta["leader"], self.pid)
+        fast = sorted(meta["acceptors"], key=lambda a: (a not in first, a))[:meta["majority"]]
+        for acceptor in fast:
             if acceptor != self.pid:
                 self.processor.send(acceptor, "px-accept", request)
-        if self.pid in meta["acceptors"]:
+        if self.pid in fast:
             self._accept(request)
 
     def _accept(self, request) -> None:
@@ -284,9 +289,7 @@ class PaxosCommit(AtomicCommit):
         highest-ballot accepted value (aborting free instances), phase
         2 to a majority.  Returns the chosen ``{rm: vote}`` map, or
         None when preempted or short of quorum."""
-        rms = meta["participants"]
-        acceptors = meta["acceptors"]
-        majority = meta["majority"]
+        rms, acceptors, majority = meta["participants"], meta["acceptors"], meta["majority"]
         sync_cost = self.config.storage_sync_cost
         others = [a for a in acceptors if a != self.pid]
 
@@ -314,8 +317,7 @@ class PaxosCommit(AtomicCommit):
 
         # Phase 2: accepts from a majority.
         accepted = 0
-        if self.pid in acceptors and self._accept_locally(txn, ballot,
-                                                          votes):
+        if self.pid in acceptors and self._accept_locally(txn, ballot, votes):
             accepted += 1
             if sync_cost > 0:
                 yield self.sim.timeout(sync_cost)
@@ -429,22 +431,18 @@ class PaxosCommit(AtomicCommit):
         """Acceptor phase 1b (remote): all-instance promise + one
         batched force before the reply."""
         payload = message.payload
-        reply = self._promise_locally(payload["txn"], payload["ballot"],
-                                      payload["rms"])
+        reply = self._promise_locally(payload["txn"], payload["ballot"], payload["rms"])
         if reply is None:
             self.processor.reply(message, "px-p1-reply", {"ok": False})
         else:
-            self._after_sync(self.processor.reply, message, "px-p1-reply",
-                             reply)
+            self._after_sync(self.processor.reply, message, "px-p1-reply", reply)
 
     def _handle_px_p2(self, message) -> None:
         """Acceptor phase 2b (remote): all-instance accept + one
         batched force before the reply."""
         payload = message.payload
-        if self._accept_locally(payload["txn"], payload["ballot"],
-                                payload["votes"]):
-            self._after_sync(self.processor.reply, message, "px-p2-reply",
-                             {"ok": True})
+        if self._accept_locally(payload["txn"], payload["ballot"], payload["votes"]):
+            self._after_sync(self.processor.reply, message, "px-p2-reply", {"ok": True})
         else:
             self.processor.reply(message, "px-p2-reply", {"ok": False})
 

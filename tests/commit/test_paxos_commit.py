@@ -3,9 +3,9 @@
 The headline property 2PC cannot offer: with the coordinator crashed
 between the prepare round and the decide fan-out — and *never*
 recovering — the prepared participants still reach the transaction's
-outcome, because every vote lives in a Paxos instance replicated to
-2F+1 acceptors and any recovery leader reaching a majority of them can
-finish the protocol.
+outcome, because every vote lives in a Paxos instance accepted at a
+majority of its 2F+1 acceptors and any recovery leader reaching a
+majority of them can finish the protocol.
 """
 
 import pytest
@@ -40,6 +40,18 @@ def test_paxos_happy_path_commits_and_stays_1sr():
     assert result.audit_violations == ()
 
 
+def chosen_everywhere(cluster, txn) -> bool:
+    """Whether every processor's instance of ``txn`` is accepted at a
+    majority of the processors (each is an RM and an acceptor here)."""
+    def accepted(pid, rm):
+        value = cluster.processor(pid).store.durable_cell(f"px:{txn}:{rm}").value
+        return value is not None and value[1] is not None
+
+    pids = cluster.pids
+    return all(sum(accepted(pid, rm) for pid in pids) > len(pids) // 2
+               for rm in pids)
+
+
 def test_prepared_participants_decide_without_coordinator():
     """Coordinator crashes after the prepare round, before any decide
     leaves, and never comes back.  Under 2PC the participants would
@@ -53,20 +65,11 @@ def test_prepared_participants_decide_without_coordinator():
     cluster.run(until=5.0)
     outcome = cluster.write_once(1, "x", 7)
     txn = (1, 1)
-    # park once every prepared vote is replicated: each participant's
-    # ballot-0 accept has landed at acceptors 2 and 3 (a majority of
-    # the three), but the coordinator — whose px-accepted confirmations
-    # take one more delta — has not decided yet
-    def votes_replicated():
-        for acceptor in (2, 3):
-            store = cluster.processor(acceptor).store
-            for rm in (1, 2, 3):
-                value = store.durable_cell(f"px:{txn}:{rm}").value
-                if value is None or value[1] is None:
-                    return False
-        return True
-
-    while not votes_replicated():
+    # park once every prepared vote is chosen: each participant's
+    # ballot-0 accept has landed at a majority of the three acceptors,
+    # but the coordinator — whose px-accepted confirmations take one
+    # more delta — has not decided yet
+    while not chosen_everywhere(cluster, txn):
         cluster.sim.run(until=cluster.sim.now + 0.25)
         assert cluster.sim.now < 120.0, "votes never replicated"
     assert cluster.processor(1).store.decision_of(txn) is None
@@ -111,8 +114,8 @@ def test_paxos_dwell_is_bounded_not_open_ended():
         )
 
 
-def one_write(processors: int, sync: float):
-    """One failure-free write at p1 to a copy on every processor;
+def one_write(processors: int, sync: float, coordinator: int = 1):
+    """One failure-free write at ``coordinator`` to a copy on every processor;
     returns its outcome and ``(time, message, instances)`` per message
     it sent, ``instances`` being what a 2b batch carried as it left."""
     config = ProtocolConfig(delta=1.0, storage_sync_cost=sync,
@@ -124,7 +127,7 @@ def one_write(processors: int, sync: float):
     sent = []
     cluster.network.tap = lambda m: sent.append(
         (cluster.sim.now, m, [accept[1] for accept in m.payload.get("accepts", ())]))
-    outcome = cluster.write_once(1, "x", 7)
+    outcome = cluster.write_once(coordinator, "x", 7)
     cluster.run(until=60.0)
     return outcome.value, sent
 
@@ -147,21 +150,69 @@ def test_free_forces_decide_on_the_fast_path(processors, release):
     assert not {m.kind for _, m, _ in sent} & {"px-p1", "px-p2"}
     assert [t for t, m, _ in sent if m.kind == "prepare"] == [7.0] * remote
     assert [t for t, m, _ in sent if m.kind == "release"] == [release] * remote
-    # free forces never batch: one px-accepted per instance and acceptor,
-    # carrying that instance as it leaves
+    # free forces never batch: one px-accepted per instance and
+    # non-leader fast-set acceptor (M - 1 of them), carrying that
+    # instance as it leaves
     accepted = [rms for _, m, rms in sent if m.kind == "px-accepted"]
-    assert len(accepted) == processors * remote
+    assert len(accepted) == processors * (processors // 2)
     assert all(len(rms) == 1 for rms in accepted)
 
 
 def test_one_instant_of_accepts_travels_in_one_message():
-    """Priced forces: p2 accepts the coordinator's vote and its own at
-    8.5 and answers both in one px-accepted once their shared force
-    lands at 9; p3's vote reaches it one delta later and leaves in a
+    """Priced forces on five processors, where p2 is in every RM's fast
+    set: it accepts the coordinator's vote and its own at 8.5 and
+    answers both in one px-accepted once their shared force lands at 9;
+    the votes of p3, p4 and p5 reach it one delta later and leave in a
     second message at 10."""
-    outcome, sent = one_write(3, sync=0.5)
+    outcome, sent = one_write(5, sync=0.5)
     assert outcome == (True, 7)
     batches = [(t, rms) for t, m, rms in sent
                if m.kind == "px-accepted" and m.src == 2]
-    assert batches == [(9.0, [1, 2]), (10.0, [3])]
+    assert batches == [(9.0, [1, 2]), (10.0, [3, 4, 5])]
     assert not {m.kind for _, m, _ in sent} & {"px-p1", "px-p2"}
+
+
+@pytest.mark.parametrize("leader", [1, 5])
+def test_each_vote_goes_to_a_majority_including_the_leader(leader):
+    """Priced forces on five processors: every RM sends its ballot-0
+    vote to exactly M - 1 = 2 other acceptors, the leader among them
+    (the leader's own vote is accepted in place) — also when the
+    leader is not the lowest-numbered acceptor."""
+    outcome, sent = one_write(5, sync=0.5, coordinator=leader)
+    assert outcome == (True, 7)
+    targets = {}
+    for _, m, _ in sent:
+        if m.kind == "px-accept":
+            assert m.payload["ballot"] == 0 and m.payload["rm"] == m.src
+            targets.setdefault(m.src, []).append(m.dst)
+    assert sorted(targets) == [1, 2, 3, 4, 5]
+    for rm, dsts in targets.items():
+        assert len(set(dsts)) == len(dsts) == 2
+        assert (leader in dsts) == (rm != leader)
+
+
+def test_a_silent_fast_set_acceptor_costs_a_recovery_ballot():
+    """The fast set's price: a write on copies {1, 4, 5} of five, with
+    p2 — in every RM's fast set, but no participant — crashed as the
+    prepare leaves.  p4's and p5's instances are then accepted at two
+    acceptors only, so the fast path stalls until a recovery ballot
+    over the whole acceptor set (fixed at prepare time, p2 included)
+    chooses them; the transaction commits, later, and stays correct."""
+    config = ProtocolConfig(delta=1.0, commit_backend="paxos")
+    cluster = Cluster(processors=5, seed=1, config=config, audit=True)
+    cluster.place("x", holders=[1, 4, 5], initial=0)
+    cluster.start()
+    cluster.run(until=5.0)
+    sent = []
+    cluster.network.tap = lambda m: sent.append((cluster.sim.now, m))
+    cluster.injector.crash_at(7.0, 2)
+    outcome = cluster.write_once(1, "x", 7)
+    cluster.run(until=100.0)
+    assert outcome.value == (True, 7)
+    assert [t for t, m in sent if m.kind == "prepare"] == [7.0, 7.0]
+    kinds = {m.kind for _, m in sent}
+    assert {"px-p1", "px-p2"} <= kinds
+    assert cluster.history.txns[(1, 1)].status == "committed"
+    assert all(cluster.processor(pid).store.peek("x")[0] == 7 for pid in (1, 4, 5))
+    assert cluster.auditor.ok, [str(v) for v in cluster.auditor.violations]
+    assert cluster.check_one_copy_serializable() is True

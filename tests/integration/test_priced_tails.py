@@ -12,8 +12,12 @@ one timer event whether a process or a bare timer carries it.
 
 A ``px-accepted`` carries every instance its acceptor accepted for one
 leader in one instant, so the Paxos cases look for the instance inside
-the batch; in the second one the crash hits a batch of two (the
-coordinator's vote and the acceptor's own) and neither leaves.
+the batch.  Each RM sends its vote only to its fast set (the leader,
+itself, then the lowest other acceptor on three processors), so p2 is
+the acceptor that gets a 2a: in the first case the write's copies are
+on p1 and p3 and p2's batch holds the coordinator's vote alone; in the
+second the crash hits a batch of two (the coordinator's vote and the
+acceptor's own) and neither leaves.
 """
 
 import pytest
@@ -44,10 +48,10 @@ def crash_inside_window(cluster, pid: int, kind: str, accepts):
     return armed
 
 
-def build(backend="2pc", **costs):
+def build(backend="2pc", holders=(1, 2, 3), **costs):
     config = ProtocolConfig(delta=1.0, commit_backend=backend, **costs)
     cluster = Cluster(processors=3, seed=1, config=config)
-    cluster.place("x", holders=[1, 2, 3], initial=0)
+    cluster.place("x", holders=list(holders), initial=0)
     cluster.start()
     sent = []
     cluster.network.tap = sent.append
@@ -71,9 +75,10 @@ def carries(message, txn, rms) -> bool:
 
 
 def px_accepted():
-    cluster, sent = build("paxos", storage_sync_cost=WINDOW)
+    # p2 holds no copy: the coordinator's vote is its batch's only one
+    cluster, sent = build("paxos", holders=(1, 3), storage_sync_cost=WINDOW)
     armed = crash_inside_window(cluster, 2, "px-accept",
-                                lambda m: m.payload["rm"] == 3)
+                                lambda m: m.payload["rm"] == 1)
     cluster.write_once(1, "x", 7)
     return cluster, sent, armed, lambda m, request: carries(
         m, request.payload["txn"], {request.payload["rm"]})
@@ -110,8 +115,8 @@ def vp_accept():
 
 @pytest.mark.parametrize("case, dispatched", [
     (prepare_reply, 175),
-    (px_accepted, 192),
-    (px_accepted_batch, 190),
+    (px_accepted, 194),
+    (px_accepted_batch, 221),
     (write_reply, 147),
     (vp_accept, 76),
 ])
