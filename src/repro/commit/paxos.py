@@ -16,10 +16,11 @@ Mapping onto this codebase's primitives:
 
 * **Acceptors** are the coordinator's view members at prepare time
   (their durable state rides on :meth:`StorageEngine.durable_cell`,
-  one cell per consensus instance, forced on every promise/accept at
-  one ``storage_sync_cost`` per batch; the answer waits on a timer).
+  one cell per consensus instance; the answer waits on a timer).  Each
+  charged ``storage_sync_cost`` is one forced record: the first cell
+  written for it is forced, the rest are plain appends that ride it.
   An acceptor's ballot-0 accepts of one instant for one leader share
-  that force and leave as one ``px-accepted`` (Gray & Lamport's 2b
+  one force and leave as one ``px-accepted`` (Gray & Lamport's 2b
   bundling; with free forces each flushes inline, alone).
 * **Ballot 0** is reserved for the RM itself: it force-writes its
   prepare record, then sends phase-2a ``px-accept`` messages straight
@@ -29,6 +30,12 @@ Mapping onto this codebase's primitives:
   drops such a stale 2a).  The other acceptors see the instance only
   in a recovery ballot: a silent fast-set acceptor costs its
   transaction an access timeout and a ballot round.
+* **Co-location:** a yes-voting RM's own acceptor accepts the vote in
+  the instant the prepare record is written, a plain append that force
+  covers.  The 2a leaving when the force lands carries ``own``: whether
+  that acceptor holds the vote (after a higher promise it refused).
+  The leader counts it off an ``own`` 2a, so no ``px-accepted`` ever
+  carries an RM's own instance.
 * **Recovery leaders** (the coordinator on collection timeout, or any
   in-doubt participant's watchdog/partition-change/recovery resolver)
   run full ballots ``attempt * BALLOT_STRIDE + pid`` over all
@@ -106,8 +113,7 @@ class PaxosCommit(AtomicCommit):
         state = self.host.state
         acceptors = sorted(state.lview) if state.assigned else [self.pid]
         meta = self._prepare_payload(ctx)
-        meta.update(acceptors=acceptors, majority=len(acceptors) // 2 + 1,
-                    leader=self.pid)
+        meta.update(acceptors=acceptors, majority=len(acceptors) // 2 + 1, leader=self.pid)
         self._meta[txn] = meta
         wait = self.sim.event(name=f"px-collect{txn}")  # fires with {rm: vote}
         self._collect[txn] = {"event": wait, "tallies": {},
@@ -131,7 +137,7 @@ class PaxosCommit(AtomicCommit):
             # instance exactly like any remote RM's.
             self.note_in_doubt(txn, self.pid)
             self._force_prepare(txn, ctx.objects)
-            self._after_sync(self._cast_vote, txn, "prepared", meta)
+            self._cast_vote(txn, "prepared", meta)
         instances = yield from self.sim.wait(wait, self.config.access_timeout)
         if instances is None:
             # Fast path timed out (a silent RM, a lost accept, a cut):
@@ -146,8 +152,7 @@ class PaxosCommit(AtomicCommit):
                 # participants' recovery leaders own it now (that is
                 # the point of Paxos Commit).  end_transaction sees no
                 # determined outcome and stays silent.
-                raise TransactionAborted(txn, "coordinator crashed "
-                                              "while deciding")
+                raise TransactionAborted(txn, "coordinator crashed while deciding")
             else:
                 # A recovery leader finished the transaction while we
                 # slept: either its decide already applied here (the
@@ -155,17 +160,12 @@ class PaxosCommit(AtomicCommit):
                 # transactions) or this node itself led the resolution
                 # (which journals the decision).  Adopt that outcome —
                 # deciding anything else would contradict consensus.
-                known = (self._outcome.get(txn)
-                         or self.processor.store.decision_of(txn))
+                known = (self._outcome.get(txn) or self.processor.store.decision_of(txn))
                 if known is None:
-                    raise TransactionAborted(
-                        txn, "consensus state lost while deciding")
-                instances = {self.pid: ("prepared" if known == "commit"
-                                        else "aborted")}
+                    raise TransactionAborted(txn, "consensus state lost while deciding")
+                instances = {self.pid: ("prepared" if known == "commit" else "aborted")}
         self._collect.pop(txn, None)
-        outcome = ("commit"
-                   if all(v == "prepared" for v in instances.values())
-                   else "abort")
+        outcome = ("commit" if all(v == "prepared" for v in instances.values()) else "abort")
         self._outcome[txn] = outcome
         if outcome == "abort":
             raise TransactionAborted(txn, "a participant voted aborted")
@@ -220,14 +220,23 @@ class PaxosCommit(AtomicCommit):
 
     def _cast_vote(self, txn, vote: str, meta) -> None:
         """Ballot-0 phase 2a: propose this RM's own vote to its fast set.
-
-        A prepared vote is cast once the prepare record's force has
-        landed (``_after_sync``); the no-vote needs no durability
-        (forgetting it re-aborts)."""
-        request = {"txn": txn, "rm": self.pid, "ballot": 0, "vote": vote,
-                   "leader": meta["leader"]}
+        Our acceptor takes a yes vote under the prepare force (``own``)
+        and the 2a leaves when that lands; the no-vote needs no
+        durability (forgetting it re-aborts): it leaves at once and our
+        acceptor answers it like any other."""
         first = (meta["leader"], self.pid)
         fast = sorted(meta["acceptors"], key=lambda a: (a not in first, a))[:meta["majority"]]
+        own = (vote == "prepared" and self.pid in fast
+               and self._accept_locally(txn, 0, {self.pid: vote}, forced=False))
+        request = {"txn": txn, "rm": self.pid, "ballot": 0, "vote": vote,
+                   "leader": meta["leader"], "own": own}
+        if vote == "prepared":
+            self._after_sync(self._propose, request, fast)
+        else:
+            self._propose(request, fast)
+
+    def _propose(self, request, fast) -> None:
+        """Send a ballot-0 2a to its fast set, then to our own acceptor."""
         for acceptor in fast:
             if acceptor != self.pid:
                 self.processor.send(acceptor, "px-accept", request)
@@ -235,19 +244,25 @@ class PaxosCommit(AtomicCommit):
             self._accept(request)
 
     def _accept(self, request) -> None:
-        """Acceptor: accept one instance's 2a ``request`` and force it.
-        Every accept taken in one instant for one leader shares that
-        force and, once it has landed, leaves as one ``px-accepted``
-        (tallied in place when we are the leader — no self-sends)."""
+        """Acceptor: accept one instance's 2a ``request`` (an ``own`` one
+        its RM's acceptor holds already: the leader counts that one off
+        it).  The accepts of one instant for one leader share one force,
+        the first forced and the rest riding it, and once it has landed
+        leave as one ``px-accepted`` (tallied in place by the leader)."""
         txn, rm = request["txn"], request["rm"]
         ballot, vote, leader = request["ballot"], request["vote"], request["leader"]
+        if request["own"]:
+            if leader == self.pid:
+                self._note_accepted(rm, [(txn, rm, ballot, vote)])
+            if rm == self.pid:
+                return
         cell = self._acceptor_cell(txn, rm)
         state: Optional[AcceptorState] = cell.value
         if state is not None and ballot < state[0]:
             return  # promised a higher ballot; drop the stale 2a
-        cell.value = (ballot, ballot, vote)
         key = (leader, self.sim.now)
         batch = self._batches.setdefault(key, [])
+        cell.write((ballot, ballot, vote), forced=not batch)
         batch.append((txn, rm, ballot, vote))  # first: a free force flushes inline
         if len(batch) == 1:
             self._after_sync(self._flush, key)
@@ -337,8 +352,7 @@ class PaxosCommit(AtomicCommit):
             return []
 
         def quorum(results):
-            return sum(1 for r in results.values()
-                       if r is not None and r["ok"]) >= needed
+            return sum(1 for r in results.values() if r is not None and r["ok"]) >= needed
 
         replies = yield from self.processor.scatter(
             others, kind, lambda _server: payload,
@@ -361,26 +375,27 @@ class PaxosCommit(AtomicCommit):
         if cells is None:
             return None
         accepted = {}
-        for rm, cell in cells:
+        for i, (rm, cell) in enumerate(cells):
             state: Optional[AcceptorState] = cell.value
-            cell.value = (ballot, *(state[1:] if state else (None, None)))
+            cell.write((ballot, *(state[1:] if state else (None, None))), forced=not i)
             if state is not None and state[1] is not None:
                 accepted[rm] = state[1:]
         return {"ok": True, "accepted": accepted}
 
-    def _accept_locally(self, txn, ballot: int, votes) -> bool:
-        """Local-acceptor phase 2b for all instances (batched force)."""
+    def _accept_locally(self, txn, ballot: int, votes, forced: bool = True) -> bool:
+        """Local-acceptor phase 2b for all instances (batched force;
+        ``forced=False``: another record's force covers them all)."""
         cells = self._cells(txn, ballot, votes)
-        for rm, cell in cells or ():
-            cell.value = (ballot, ballot, votes[rm])
+        for i, (rm, cell) in enumerate(cells or ()):
+            cell.write((ballot, ballot, votes[rm]), forced=forced and not i)
         return cells is not None
 
     def _acceptor_cell(self, txn, rm: int):
         """The durable cell of one consensus instance's acceptor state.
 
-        Durable cells journal a forced WAL record on every write, so
-        promises and accepts survive the acceptor's crash — the
-        protocol's correctness leans on exactly that."""
+        Durable cells journal a WAL record on every write, so promises
+        and accepts survive the acceptor's crash — the protocol's
+        correctness leans on exactly that."""
         return self.processor.store.durable_cell(f"px:{txn}:{rm}")
 
     # ------------------------------------------------------------------
@@ -410,9 +425,7 @@ class PaxosCommit(AtomicCommit):
             # coordinator itself.  The watchdog's resolver *decides*
             # rather than asks.
             self._prepared(txn, message.src, payload["objects"])
-            self._after_sync(self._cast_vote, txn, "prepared", payload)
-        else:
-            self._cast_vote(txn, "aborted", payload)
+        self._cast_vote(txn, "prepared" if verdict is None else "aborted", payload)
 
     def _handle_release(self, message) -> None:
         txn = message.payload["txn"]
@@ -461,12 +474,9 @@ class PaxosCommit(AtomicCommit):
         chosen = yield from self._ballots(txn, lambda: txn in self.in_doubt)
         if chosen is not None and txn in self.in_doubt:
             meta, votes = chosen
-            outcome = ("commit"
-                       if all(v == "prepared" for v in votes.values())
-                       else "abort")
+            outcome = ("commit" if all(v == "prepared" for v in votes.values()) else "abort")
             if self.tracer is not None:
-                self.tracer.emit("txn.resolve", pid=self.pid,
-                                 txn=str(txn), outcome=outcome)
+                self.tracer.emit("txn.resolve", pid=self.pid, txn=str(txn), outcome=outcome)
             yield from self._decide(
                 txn, outcome,
                 sorted(set(meta["participants"]) | {meta["leader"]}))
@@ -480,8 +490,7 @@ class PaxosCommit(AtomicCommit):
         while going():
             meta = self._meta.get(txn)
             if meta is not None:
-                votes = yield from self._lead(
-                    txn, meta, attempt * BALLOT_STRIDE + self.pid)
+                votes = yield from self._lead(txn, meta, attempt * BALLOT_STRIDE + self.pid)
                 if votes is not None:
                     return meta, votes
                 attempt += 1

@@ -66,7 +66,8 @@ class StorageStats:
 
     #: WAL records appended (forced ones included)
     wal_appends: int = 0
-    #: appends that were force-synced (2PC force-write points)
+    #: appends that were force-synced: one per charged sync (the
+    #: commit force points); the plain appends of that sync ride it
     forced_syncs: int = 0
     #: checkpoints taken (manual + automatic)
     checkpoints: int = 0
@@ -86,7 +87,7 @@ class DurableCell:
     The paper requires partition identifiers to be globally unique and
     increasing even across crashes; keeping ``max-id`` durable is the
     standard way to get that.  Every write is journalled by the owning
-    engine as a forced record.
+    engine, as a forced record unless it rides another's force.
     """
 
     __slots__ = ("_engine", "_name", "_value")
@@ -102,9 +103,12 @@ class DurableCell:
 
     @value.setter
     def value(self, new: Any) -> None:
+        self.write(new)
+
+    def write(self, new: Any, forced: bool = True) -> None:
+        """Set and journal ``new``; unforced, it rides this instant's force."""
         self._value = new
-        self._engine._journal(REC_CELL, forced=True,
-                              cell=self._name, value=new)
+        self._engine._journal(REC_CELL, forced, cell=self._name, value=new)
 
 
 class StorageEngine:
@@ -113,11 +117,9 @@ class StorageEngine:
     def __init__(self, pid: int, checkpoint_every: int = 0,
                  log_retain: Optional[int] = None):
         if checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0: {checkpoint_every}")
+            raise ValueError(f"checkpoint_every must be >= 0: {checkpoint_every}")
         if log_retain is not None and log_retain < 1:
-            raise ValueError(
-                f"log_retain must be None or >= 1: {log_retain}")
+            raise ValueError(f"log_retain must be None or >= 1: {log_retain}")
         self.pid = pid
         #: auto-checkpoint after this many WAL appends (0 = manual only)
         self.checkpoint_every = checkpoint_every
@@ -148,8 +150,7 @@ class StorageEngine:
                  txn: Any = None, outcome: Optional[str] = None) -> None:
         if self._replaying:
             return
-        self.wal.append(kind, forced, obj, value, date, version, size, cell,
-                        txn, outcome)
+        self.wal.append(kind, forced, obj, value, date, version, size, cell, txn, outcome)
         self.stats.wal_appends += 1
         if forced:
             self.stats.forced_syncs += 1
@@ -190,8 +191,7 @@ class StorageEngine:
         if size < 1:
             raise ValueError("object size must be at least 1")
         self._copies[obj] = Copy(obj, initial, date, size=size, version=version)
-        self._journal(REC_PLACE, obj=obj, value=initial, date=date,
-                      size=size, version=version)
+        self._journal(REC_PLACE, obj=obj, value=initial, date=date, size=size, version=version)
 
     def holds(self, obj: str) -> bool:
         """True if this processor has a copy of ``obj``."""
@@ -280,8 +280,7 @@ class StorageEngine:
         copy = self._get(obj)
         if after is None:
             return list(copy.log)
-        return [entry for entry in copy.log
-                if entry.date is not None and entry.date > after]
+        return [entry for entry in copy.log if entry.date is not None and entry.date > after]
 
     def apply_log(self, obj: str, entries: Iterable[LogEntry]) -> int:
         """Apply missed writes in order; returns how many were applied
@@ -291,8 +290,7 @@ class StorageEngine:
         for entry in entries:
             if entry.date is not None and (copy.date is None
                                            or entry.date > copy.date):
-                self._set(REC_APPLY, copy, entry.value, entry.date,
-                          entry.version)
+                self._set(REC_APPLY, copy, entry.value, entry.date, entry.version)
                 applied += 1
         return applied
 
@@ -303,20 +301,21 @@ class StorageEngine:
 
         Re-requesting an existing name returns the live cell (its
         current value wins over ``initial``), so recovery hooks can
-        reacquire their cells idempotently.
+        reacquire their cells idempotently.  A ``None`` initial is not
+        journalled: replay recreates a cell it never saw as ``None``.
         """
         cell = self._cells.get(name)
         if cell is None:
             cell = self._cells[name] = DurableCell(self, name, initial)
-            self._journal(REC_CELL, cell=name, value=initial)
+            if initial is not None:
+                self._journal(REC_CELL, cell=name, value=initial)
         return cell
 
     # -- 2PC force-write points ---------------------------------------------
 
     def record_prepare(self, txn: Any, objects: Any = None) -> None:
         """Journal a participant's yes-vote prepare record (forced)."""
-        self._journal(REC_PREPARE, forced=True, txn=txn,
-                      value=sorted(objects) if objects else None)
+        self._journal(REC_PREPARE, forced=True, txn=txn, value=sorted(objects) if objects else None)
 
     def record_decision(self, txn: Any, outcome: str,
                         forced: bool = True) -> None:
@@ -327,8 +326,7 @@ class StorageEngine:
         crash-time presumed-abort finalization ride unforced.
         """
         self._decisions[txn] = outcome
-        self._journal(REC_DECISION, forced=forced, txn=txn,
-                      outcome=outcome)
+        self._journal(REC_DECISION, forced=forced, txn=txn, outcome=outcome)
 
     def decision_of(self, txn: Any) -> Optional[str]:
         """One transaction's journalled outcome (O(1); None = no entry).
@@ -355,8 +353,7 @@ class StorageEngine:
         named = {r.obj: None for r in self.wal if r.obj is not None}
         for obj in {**named, **trimmed}:
             if obj in self._copies:
-                copies[obj] = freeze(self._copies[obj],
-                                     self._floors.get(obj, NO_FLOOR))
+                copies[obj] = freeze(self._copies[obj], self._floors.get(obj, NO_FLOOR))
             else:
                 copies.pop(obj, None)
         for name in {r.cell: None for r in self.wal if r.cell is not None}:
@@ -395,8 +392,7 @@ class StorageEngine:
         fresh (uncompacted) checkpoint of its rebuilt state, like a real
         recovery would, so its own journal starts clean.
         """
-        engine = StorageEngine(self.pid, self.checkpoint_every,
-                               self.log_retain)
+        engine = StorageEngine(self.pid, self.checkpoint_every, self.log_retain)
         engine.last_checkpoint = self.last_checkpoint
         engine.wal = self.wal.fork()
         state = self.last_checkpoint.state
@@ -414,24 +410,20 @@ class StorageEngine:
         return engine
 
     def _replay(self, record: WalRecord) -> None:
-        """Redo one record; ``_replaying`` keeps the redo unjournalled."""
+        """Redo one record; ``_replaying`` keeps the redo unjournalled.
+        A prepare record is participant-volatile: nothing to redo."""
         if record.kind == REC_PLACE:
             self.place(record.obj, initial=record.value, date=record.date,
                        size=record.size or 1, version=record.version)
         elif record.kind in (REC_WRITE, REC_INSTALL, REC_APPLY):
             # not ``write``: transaction writes are not re-counted
-            self._set(record.kind, self._get(record.obj), record.value,
-                      record.date, record.version)
+            self._set(record.kind, self._get(record.obj), record.value, record.date, record.version)
         elif record.kind == REC_CELL:
             self.durable_cell(record.cell).value = record.value
         elif record.kind == REC_DECISION:
             self._decisions[record.txn] = record.outcome
-        elif record.kind == REC_PREPARE:
-            pass  # participant-volatile bookkeeping; nothing materialized
         elif record.kind == REC_RETIRE:
             self.retire(record.obj)
-        else:  # pragma: no cover - append() validates kinds
-            raise ValueError(f"unknown WAL record kind {record.kind!r}")
 
     def __repr__(self) -> str:
         return (f"StorageEngine(pid={self.pid}, "

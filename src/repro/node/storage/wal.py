@@ -9,13 +9,15 @@ records after its LSN, and the rebuilt state equals the pre-crash
 durable state (pinned by ``tests/integration/test_crash_replay.py``).
 
 Records are either plain **appends** (copy writes ride on the next
-group sync) or **forced** (the 2PC force-write points: a participant's
+group sync) or **forced** (the commit force points: a participant's
 prepare record, the coordinator's decision-log entry, a ``max-id``
-bump).  Gray & Lamport's *Consensus on Transaction Commit* makes those
-forced writes the central cost metric of a commit protocol; the
-protocol layer charges ``ProtocolConfig.storage_sync_cost`` model time
-at each one, and :class:`~repro.node.storage.engine.StorageStats`
-counts both kinds.
+bump, one Paxos acceptor record per charged sync).  A plain append made
+under a force — a co-located acceptor's accept beside its RM's prepare
+record, the other instances of an acceptor's batch — rides that force.
+Gray & Lamport's *Consensus on Transaction Commit* makes the forced
+writes the central cost metric of a commit protocol; the protocol layer
+charges ``ProtocolConfig.storage_sync_cost`` model time at each one,
+and :class:`~repro.node.storage.engine.StorageStats` counts both kinds.
 """
 
 from __future__ import annotations
@@ -146,5 +148,4 @@ class WriteAheadLog:
         return iter(self._records)
 
     def __repr__(self) -> str:
-        return (f"WriteAheadLog({len(self._records)} records, "
-                f"tail_lsn={self.tail_lsn})")
+        return (f"WriteAheadLog({len(self._records)} records, tail_lsn={self.tail_lsn})")

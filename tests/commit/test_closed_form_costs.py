@@ -12,11 +12,15 @@ is itself a participant, else 0:
 * **Paxos Commit:** N - e ``prepare`` and N - e ``release``; each RM
   sends its ballot-0 vote to the other M - 1 acceptors of its fast set
   (the leader, itself, then the lowest others), N(M - 1)
-  ``px-accept``; each instance is forced at its M fast-set acceptors,
-  so N(M + 1) + 1 forced writes.  An acceptor answers every instance
-  it accepted in one instant in one ``px-accepted``: with the forced
-  writes free that is one per instance, N(M - 1); priced, at most that
-  and at most two per acceptor (see :func:`px_accepted_priced`).
+  ``px-accept``.  The RM's own acceptor accepts under the prepare
+  record's force and is counted off the 2a, so each instance costs M - 1
+  acceptor forces, N·M + 1 forced writes in all, and an RM's own
+  instance never travels in a ``px-accepted``.  An acceptor answers
+  every instance it accepted in one instant in one ``px-accepted``:
+  with the forced writes free that is one per instance the leader does
+  not hold itself, (N - e)(M - 2) + e(M - 1); priced, at most two per
+  acceptor (see :func:`px_accepted_priced`), and each such answer and
+  the leader's one batch of remote votes is one forced record.
 
 Each case runs one transaction at processor 1 on a settled cluster and
 counts the messages it sends by kind and the forced writes it makes.
@@ -72,13 +76,12 @@ def px_accepted_priced(acceptors: int, rms) -> int:
 
     The leader (processor 1) tallies its own acceptor's answers in
     place.  Every other acceptor takes 2a messages in at most two
-    instants: the coordinator's own vote and the acceptor's own vote
-    land one sync and one delta after the prepare leaves, every other
-    remote RM's vote one delta later."""
+    instants: the coordinator's own vote lands one sync and one delta
+    after the prepare leaves, every other remote RM's vote one delta
+    later.  The acceptor's own vote is never among them."""
     count = 0
     for acceptor in range(2, acceptors + 1):
-        first = (1 in rms and acceptor in fast_set(acceptors, 1)
-                 or acceptor in rms)
+        first = 1 in rms and acceptor in fast_set(acceptors, 1)
         second = any(acceptor in fast_set(acceptors, rm)
                      for rm in set(rms) - {1, acceptor})
         count += first + second
@@ -97,6 +100,10 @@ CASES = [
     (3, [[1, 2, 3]]),
     (3, [[2, 3]]),
 ]
+
+#: Paxos Commit's forced writes per case of CASES when forces are
+#: priced: N prepares, one decision and one per acceptor batch
+PRICED_FORCED = [9, 7, 11, 4, 4, 7, 7, 6, 4]
 
 
 @pytest.mark.parametrize("sync", [0.0, 0.5])
@@ -117,10 +124,16 @@ def test_paxos_commit_costs_its_closed_form(processors, writes, sync):
     rms = set().union(*writes)
     n, e, a = len(rms), int(1 in rms), processors
     m = a // 2 + 1
-    accepted = n * (m - 1) if sync == 0 else px_accepted_priced(a, rms)
+    if sync == 0:
+        accepted = (n - e) * (m - 2) + e * (m - 1)
+        assert forced == n * m + 1
+    else:
+        accepted = px_accepted_priced(a, rms)
+        assert accepted <= min((n - e) * (m - 2) + e * (m - 1), 2 * (a - 1))
+        # the leader's acceptor forces one batch of the remote RMs' votes
+        assert forced == n + 1 + accepted + bool(rms - {1})
+        assert forced == PRICED_FORCED[CASES.index((processors, writes))]
+        assert forced <= n * m + 1
     assert kinds == Counter({"prepare": n - e, "release": n - e,
                              "px-accept": n * (m - 1),
                              "px-accepted": accepted}) - Counter()
-    assert forced == n * (m + 1) + 1
-    if sync:
-        assert accepted <= min(n * (m - 1), 2 * (a - 1))

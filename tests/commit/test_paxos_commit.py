@@ -12,6 +12,7 @@ import pytest
 
 from repro import Cluster, ProtocolConfig
 from repro.commit import COMMIT_BACKENDS, make_commit
+from repro.commit.paxos import BALLOT_STRIDE
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
@@ -116,8 +117,9 @@ def test_paxos_dwell_is_bounded_not_open_ended():
 
 def one_write(processors: int, sync: float, coordinator: int = 1):
     """One failure-free write at ``coordinator`` to a copy on every processor;
-    returns its outcome and ``(time, message, instances)`` per message
-    it sent, ``instances`` being what a 2b batch carried as it left."""
+    returns its outcome, ``(time, message, instances)`` per message it
+    sent, ``instances`` being what a 2b batch carried as it left, and
+    the cluster."""
     config = ProtocolConfig(delta=1.0, storage_sync_cost=sync,
                             commit_backend="paxos")
     cluster = Cluster(processors=processors, seed=1, config=config)
@@ -129,7 +131,7 @@ def one_write(processors: int, sync: float, coordinator: int = 1):
         (cluster.sim.now, m, [accept[1] for accept in m.payload.get("accepts", ())]))
     outcome = cluster.write_once(coordinator, "x", 7)
     cluster.run(until=60.0)
-    return outcome.value, sent
+    return outcome.value, sent, cluster
 
 
 @pytest.mark.parametrize("processors, release", [(5, 10.0), (2, 9.0)])
@@ -141,34 +143,37 @@ def test_free_forces_decide_on_the_fast_path(processors, release):
     why the instants are pinned: the prepare leaves at 7, the votes
     reach the acceptors at 8 and 9 and the leader at 10, and the
     release leaves at 10.  On two processors p2 is the only other
-    acceptor and accepts its own vote at 8, so the release leaves at 9;
-    the majority there is both acceptors, so the leader's own 2b,
-    tallied in place, is needed."""
-    outcome, sent = one_write(processors, sync=0.0)
+    acceptor: it accepts its own vote at 8 and its 2a, which says so,
+    reaches the leader at 9, so the release leaves at 9; the majority
+    there is both acceptors, so the leader's own 2b, tallied in place,
+    is needed."""
+    outcome, sent, _ = one_write(processors, sync=0.0)
     assert outcome == (True, 7)
     remote = processors - 1
     assert not {m.kind for _, m, _ in sent} & {"px-p1", "px-p2"}
     assert [t for t, m, _ in sent if m.kind == "prepare"] == [7.0] * remote
     assert [t for t, m, _ in sent if m.kind == "release"] == [release] * remote
     # free forces never batch: one px-accepted per instance and
-    # non-leader fast-set acceptor (M - 1 of them), carrying that
-    # instance as it leaves
+    # fast-set acceptor that is neither the leader nor the instance's
+    # RM, carrying that instance as it leaves: (N - 1)(M - 2) for the
+    # remote RMs' instances, M - 1 for the coordinator's
     accepted = [rms for _, m, rms in sent if m.kind == "px-accepted"]
-    assert len(accepted) == processors * (processors // 2)
+    majority = processors // 2 + 1
+    assert len(accepted) == (processors - 1) * (majority - 2) + majority - 1
     assert all(len(rms) == 1 for rms in accepted)
 
 
 def test_one_instant_of_accepts_travels_in_one_message():
     """Priced forces on five processors, where p2 is in every RM's fast
-    set: it accepts the coordinator's vote and its own at 8.5 and
-    answers both in one px-accepted once their shared force lands at 9;
-    the votes of p3, p4 and p5 reach it one delta later and leave in a
-    second message at 10."""
-    outcome, sent = one_write(5, sync=0.5)
+    set: it accepts the coordinator's vote at 8.5 and answers it once
+    its force lands at 9 (its own vote rode its prepare force and is
+    counted off its 2a); the votes of p3, p4 and p5 reach it one delta
+    later and leave in one message at 10."""
+    outcome, sent, _ = one_write(5, sync=0.5)
     assert outcome == (True, 7)
     batches = [(t, rms) for t, m, rms in sent
                if m.kind == "px-accepted" and m.src == 2]
-    assert batches == [(9.0, [1, 2]), (10.0, [3, 4, 5])]
+    assert batches == [(9.0, [1]), (10.0, [3, 4, 5])]
     assert not {m.kind for _, m, _ in sent} & {"px-p1", "px-p2"}
 
 
@@ -178,7 +183,7 @@ def test_each_vote_goes_to_a_majority_including_the_leader(leader):
     vote to exactly M - 1 = 2 other acceptors, the leader among them
     (the leader's own vote is accepted in place) — also when the
     leader is not the lowest-numbered acceptor."""
-    outcome, sent = one_write(5, sync=0.5, coordinator=leader)
+    outcome, sent, _ = one_write(5, sync=0.5, coordinator=leader)
     assert outcome == (True, 7)
     targets = {}
     for _, m, _ in sent:
@@ -216,3 +221,74 @@ def test_a_silent_fast_set_acceptor_costs_a_recovery_ballot():
     assert all(cluster.processor(pid).store.peek("x")[0] == 7 for pid in (1, 4, 5))
     assert cluster.auditor.ok, [str(v) for v in cluster.auditor.violations]
     assert cluster.check_one_copy_serializable() is True
+
+
+@pytest.mark.parametrize("sync", [0.0, 0.5])
+@pytest.mark.parametrize("processors", [2, 3, 5])
+def test_no_rm_answers_for_its_own_instance(processors, sync):
+    """Co-location: a yes-voting RM's own acceptor accepts its vote
+    under the prepare force, and the 2a says so, so the leader counts
+    that acceptor off the 2a.  No px-accepted ever carries its sender's
+    own instance, free forces or priced."""
+    outcome, sent, _ = one_write(processors, sync)
+    assert outcome == (True, 7)
+    answers = [(m.src, rms) for _, m, rms in sent if m.kind == "px-accepted"]
+    assert answers and all(src not in rms for src, rms in answers)
+    assert all(m.payload["own"] for _, m, _ in sent if m.kind == "px-accept")
+
+
+def test_a_refused_own_accept_is_not_counted():
+    """p2's acceptor has promised a recovery ballot for p2's instance
+    before the prepare arrives: it refuses p2's ballot-0 vote, and the
+    2a says so.  The leader must not count p2's acceptor, so on three
+    processors (fast set {1, 2}) the instance stalls at one accept
+    until a recovery ballot (p1's, from the collection timeout) settles
+    it; p3 promises with p1, the ballot picks the vote p1 accepted and
+    the transaction commits everywhere."""
+    config = ProtocolConfig(delta=1.0, storage_sync_cost=0.5,
+                            commit_backend="paxos")
+    cluster = Cluster(processors=3, seed=1, config=config, audit=True)
+    cluster.place("x", holders=[1, 2, 3], initial=0)
+    cluster.start()
+    cluster.run(until=5.0)
+    txn = (1, 1)
+    cell = cluster.processor(2).store.durable_cell(f"px:{txn}:2")
+    cell.value = (BALLOT_STRIDE + 3, None, None)  # p3's first ballot
+    leader = cluster.protocol(1).commit
+    tallied = []
+    note = leader._note_accepted
+
+    def recording_note(acceptor, accepts):
+        tallied.extend((acceptor, accept[1]) for accept in accepts)
+        note(acceptor, accepts)
+
+    leader._note_accepted = recording_note
+    sent = []
+    cluster.network.tap = sent.append
+    outcome = cluster.write_once(1, "x", 7)
+    cluster.run(until=100.0)
+    votes = [m.payload for m in sent if m.kind == "px-accept" and m.src == 2]
+    assert [(v["rm"], v["own"]) for v in votes] == [(2, False)]
+    assert (2, 2) not in tallied and (1, 2) in tallied
+    assert {"px-p1", "px-p2"} <= {m.kind for m in sent}
+    assert outcome.value == (True, 7)
+    assert cluster.history.txns[txn].status == "committed"
+    assert all(cluster.processor(pid).store.peek("x")[0] == 7 for pid in cluster.pids)
+    assert cluster.auditor.ok, [str(v) for v in cluster.auditor.violations]
+    assert cluster.check_one_copy_serializable() is True
+
+
+def test_a_batch_is_one_forced_record_and_replays_whole():
+    """Priced forces on five processors: p2 takes the votes of p3, p4
+    and p5 in one instant.  That batch appends three cell records, only
+    the first of them forced, and a rebuilt engine (crash replay) holds
+    all three accepts."""
+    outcome, _sent, cluster = one_write(5, sync=0.5)
+    assert outcome == (True, 7)
+    store = cluster.processor(2).store
+    names = {f"px:{(1, 1)}:{rm}" for rm in (3, 4, 5)}
+    batch = [r for r in store.wal if r.kind == "cell" and r.cell in names]
+    assert [r.forced for r in batch] == [True, False, False]
+    assert len({r.lsn for r in batch}) == 3
+    cells = store.rebuilt().snapshot().cells
+    assert {name: cells[name] for name in names} == dict.fromkeys(names, (0, 0, "prepared"))

@@ -14,8 +14,11 @@ back to a full-object transfer and the system still converges to a
 correct, one-copy-serializable state.
 """
 
+from dataclasses import replace
+
 from repro import Cluster, ProtocolConfig
 from repro.core.config import CATCHUP_LOG, INIT_PREVIOUS
+from repro.node.storage import StorageEngine
 from repro.workload.generator import PrivateObjects, WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
@@ -82,6 +85,35 @@ def test_rebuilt_engines_equal_with_checkpoints_and_compaction():
     cluster = result.cluster
     assert cluster.registry.sources["storage"].checkpoints > 0
     _assert_rebuilds_cleanly(cluster)
+
+
+def test_a_cell_created_and_never_written_journals_nothing():
+    """A durable cell made with a None initial (a Paxos acceptor cell a
+    preempted promise never wrote) appends no WAL record, is in no
+    snapshot, and comes back from replay as None; its first write is
+    journalled and replayed like any other."""
+    engine = StorageEngine(1)
+    engine.place("x", initial=0)
+    fresh = engine.durable_cell("px:t1:2")
+    assert fresh.value is None
+    assert [r.kind for r in engine.wal] == ["place"]
+    assert engine.stats.wal_appends == 1
+    assert "px:t1:2" not in engine.snapshot().cells
+    rebuilt = engine.rebuilt()
+    assert rebuilt.snapshot() == engine.snapshot()
+    assert rebuilt.durable_cell("px:t1:2").value is None
+    fresh.write((0, 0, "prepared"), forced=False)
+    assert engine.stats.forced_syncs == 0 and engine.stats.wal_appends == 2
+    assert engine.rebuilt().durable_cell("px:t1:2").value == (0, 0, "prepared")
+
+
+def test_rebuilt_engines_equal_under_paxos_commit():
+    """Paxos Commit's acceptor cells, written forced or riding another
+    record's force, replay like every other record."""
+    result = run_experiment(replace(_failure_spec(), commit_backend="paxos"))
+    assert result.committed > 0
+    assert result.one_copy_ok is True
+    assert _assert_rebuilds_cleanly(result.cluster) > 0
 
 
 def test_compacted_catchup_falls_back_to_full_transfer_and_converges():

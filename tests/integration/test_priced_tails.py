@@ -1,8 +1,9 @@
 """A crash inside a priced forced write's window stops the message that
 write was guarding.
 
-Four tails wait out a priced write and then send: 2PC's
-``prepare-reply``, a Paxos acceptor's ``px-accepted``, a copy's
+Five tails wait out a priced write and then send: 2PC's
+``prepare-reply``, a Paxos RM's ``px-accept`` (its vote, under its
+prepare force), a Paxos acceptor's ``px-accepted``, a copy's
 ``write-reply`` and Fig. 6's ``vp-accept``.  In each case the serving
 processor crashes halfway through the window its request opened and
 recovers before the window ends.  Nothing answering that request may
@@ -13,11 +14,11 @@ one timer event whether a process or a bare timer carries it.
 A ``px-accepted`` carries every instance its acceptor accepted for one
 leader in one instant, so the Paxos cases look for the instance inside
 the batch.  Each RM sends its vote only to its fast set (the leader,
-itself, then the lowest other acceptor on three processors), so p2 is
-the acceptor that gets a 2a: in the first case the write's copies are
-on p1 and p3 and p2's batch holds the coordinator's vote alone; in the
-second the crash hits a batch of two (the coordinator's vote and the
-acceptor's own) and neither leaves.
+itself, then the lowest other acceptors), and its own acceptor's
+accept rides its prepare force, so no batch holds the acceptor's own
+vote.  On three processors with copies on p1 and p3, p2's batch holds
+the coordinator's vote alone; on five with copies on p1, p3 and p4,
+the crash hits p2's batch of p3's and p4's votes and neither leaves.
 """
 
 import pytest
@@ -48,9 +49,9 @@ def crash_inside_window(cluster, pid: int, kind: str, accepts):
     return armed
 
 
-def build(backend="2pc", holders=(1, 2, 3), **costs):
+def build(backend="2pc", holders=(1, 2, 3), processors=3, **costs):
     config = ProtocolConfig(delta=1.0, commit_backend=backend, **costs)
-    cluster = Cluster(processors=3, seed=1, config=config)
+    cluster = Cluster(processors=processors, seed=1, config=config)
     cluster.place("x", holders=list(holders), initial=0)
     cluster.start()
     sent = []
@@ -64,6 +65,15 @@ def prepare_reply():
     cluster.write_once(1, "x", 7)
     return cluster, sent, armed, lambda m, request: (
         m.kind == "prepare-reply" and m.reply_to == request.msg_id)
+
+
+def px_accept():
+    # p2 crashes inside its prepare force: its vote never leaves
+    cluster, sent = build("paxos", storage_sync_cost=WINDOW)
+    armed = crash_inside_window(cluster, 2, "prepare", lambda m: True)
+    cluster.write_once(1, "x", 7)
+    return cluster, sent, armed, lambda m, request: (
+        m.kind == "px-accept" and m.payload["txn"] == request.payload["txn"])
 
 
 def carries(message, txn, rms) -> bool:
@@ -85,13 +95,14 @@ def px_accepted():
 
 
 def px_accepted_batch():
-    # p2 accepts p1's vote and its own in one instant: one batch
-    cluster, sent = build("paxos", storage_sync_cost=WINDOW)
+    # p2 accepts p3's and p4's votes in one instant: one batch
+    cluster, sent = build("paxos", holders=(1, 3, 4), processors=5,
+                          storage_sync_cost=WINDOW)
     armed = crash_inside_window(cluster, 2, "px-accept",
-                                lambda m: m.payload["rm"] == 1)
+                                lambda m: m.payload["rm"] == 3)
     cluster.write_once(1, "x", 7)
     return cluster, sent, armed, lambda m, request: carries(
-        m, request.payload["txn"], {1, 2})
+        m, request.payload["txn"], {3, 4})
 
 
 def write_reply():
@@ -115,8 +126,9 @@ def vp_accept():
 
 @pytest.mark.parametrize("case, dispatched", [
     (prepare_reply, 175),
-    (px_accepted, 194),
-    (px_accepted_batch, 221),
+    (px_accept, 216),
+    (px_accepted, 191),
+    (px_accepted_batch, 501),
     (write_reply, 147),
     (vp_accept, 76),
 ])
@@ -133,8 +145,8 @@ def test_a_crash_inside_the_window_sends_nothing(case, dispatched):
 
 
 def test_the_batch_case_crashes_a_batch_of_two():
-    # the crash finds p1's vote and p2's own in one batch and drops it:
-    # a batch is volatile, so none is left after the run
+    # the crash finds p3's and p4's votes in one batch and drops it: a
+    # batch is volatile, so none is left after the run
     cluster, _sent, _armed, _answers = px_accepted_batch()
     commit = cluster.protocol(2).commit
     held = []
@@ -147,5 +159,5 @@ def test_the_batch_case_crashes_a_batch_of_two():
 
     commit.on_crash = recording_on_crash
     cluster.run(until=HORIZON)
-    assert sorted(held) == [1, 2]
+    assert sorted(held) == [3, 4]
     assert not commit._batches

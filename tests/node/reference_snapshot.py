@@ -21,6 +21,9 @@ def reference_snapshot(engine: StorageEngine) -> Snapshot:
                               log=tuple(copy.log),
                               floor=engine._floors.get(obj, NO_FLOOR))
             for obj, copy in engine._copies.items()},
-        cells={name: cell.value for name, cell in engine._cells.items()},
+        # a cell holding None was never written: nothing journals it,
+        # and a rebuilt engine recreates it as None when asked
+        cells={name: cell.value for name, cell in engine._cells.items()
+               if cell.value is not None},
         decisions=dict(engine._decisions),
     )

@@ -28,11 +28,13 @@ from tests.node.reference_snapshot import reference_snapshot
 
 OBJECTS = ("a", "b", "c")
 CELLS = ("max-id", "px:t1:1")
+#: cells made with a None initial; ``cell_set`` writes the second
+FRESH = ("px:t2:1", "px:t1:1")
 TXNS = ("t1", "t2", "t3")
 OUTCOMES = ("undecided", "commit", "abort")
 #: ``write`` twice: logs must outgrow ``log_retain`` for trims to happen
 OPS = ("place", "write", "write", "install", "apply_log", "retire",
-       "durable_cell", "cell_set", "record_prepare", "record_decision",
+       "durable_cell", "fresh_cell", "cell_set", "record_prepare", "record_decision",
        "checkpoint", "checkpoint_uncompacted", "rebuilt")
 
 
@@ -84,6 +86,8 @@ class Driven:
                 engine.retire(obj)
         elif op == "durable_cell":
             engine.durable_cell(CELLS[i % 2], (j, 0))
+        elif op == "fresh_cell":  # created with None: journals nothing
+            engine.durable_cell(FRESH[i % 2])
         elif op == "cell_set":
             engine.durable_cell(CELLS[i % 2], (0, 0)).value = self.tick()
         elif op == "record_prepare":
