@@ -14,7 +14,10 @@ side to wherever the weight is.
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster import Cluster
+from repro.net import FaultAction, apply_schedule
 from repro.protocols import protocol_factory
 from repro.workload.tables import render_table
 
@@ -27,12 +30,14 @@ SMOKE = {"splits": (2,), "protocols": ["virtual-partitions", "rowa"],
          "weighted": False}
 
 
-def availability(protocol_name: str, majority_block) -> dict:
+def availability(protocol_name: str, k: int) -> dict:
     cluster = Cluster(processors=N, seed=5,
                       protocol=protocol_factory(protocol_name))
     cluster.place("x", holders=list(range(1, N + 1)), initial=0)
     cluster.start()
-    cluster.injector.partition_at(5.0, [majority_block])
+    sides = (tuple(range(1, k + 1)), tuple(range(k + 1, N + 1)))
+    apply_schedule(cluster.injector,
+                   [FaultAction(5.0, "partition", sides, math.inf)])
     cluster.run(until=5.0 + cluster.config.liveness_bound + 5)
     reads = sum(cluster.protocol(p).available("x", write=False)
                 for p in cluster.pids)
@@ -47,7 +52,8 @@ def weighted_availability(protocol_name: str) -> dict:
                       protocol=protocol_factory(protocol_name))
     cluster.place("x", holders={1: 2, 2: 1, 3: 1, 4: 1, 5: 1}, initial=0)
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2}])  # weight 3 of 6... not maj
+    apply_schedule(cluster.injector, [  # weight 3 of 6... not maj
+        FaultAction(5.0, "partition", ((1, 2), (3, 4, 5)), math.inf)])
     cluster.run(until=5.0 + cluster.config.liveness_bound + 5)
     return {
         "side12_write": cluster.protocol(1).available("x", write=True),
@@ -62,9 +68,8 @@ def run(splits=(1, 2, 3, 4), protocols=PROTOCOLS,
     rows = []
     outcomes: dict = {}
     for k in splits:
-        block = set(range(1, k + 1))
         for name in protocols:
-            result = availability(name, block)
+            result = availability(name, k)
             outcomes[(k, name)] = result
             rows.append([f"{k}|{N - k}", name, result["read"],
                          result["write"]])

@@ -16,7 +16,8 @@ Both must yield one-copy serializable histories under partitions.
 from __future__ import annotations
 
 from repro.core.config import ProtocolConfig
-from repro.workload import ExperimentSpec, ScriptedFailures, WorkloadSpec, run_many
+from repro.net import FaultAction
+from repro.workload import ExperimentSpec, ScheduledNemesis, WorkloadSpec, run_many
 from repro.workload.tables import render_table
 
 from _shared import bench_main, emit_metrics, report, run_once
@@ -35,9 +36,9 @@ def cc_spec(cc: str, contention: str,
         retries=3,
         check=True,  # 1SR verdict computed in the (possibly child) run
         # partition at 37.5% of the run, heal at 65%
-        failures=ScriptedFailures(
-            partitions=[(duration * 0.375, [{1, 2, 3}, {4, 5}])],
-            heal_at=duration * 0.65),
+        failures=ScheduledNemesis((FaultAction(
+            duration * 0.375, "partition", ((1, 2, 3), (4, 5)),
+            duration * 0.65 - duration * 0.375),)),
     )
 
 

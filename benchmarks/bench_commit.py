@@ -18,7 +18,10 @@ Two measurements:
 
 from __future__ import annotations
 
+import math
+
 from repro import Cluster, ProtocolConfig
+from repro.net import FaultAction, apply_schedule
 from repro.net.nemesis import NemesisMix
 from repro.workload.hunt import HuntConfig, campaign_spec, hunt_base, plan_campaigns, verdict_of
 from repro.workload.parallel import run_many
@@ -64,9 +67,10 @@ def blocking_window(backend: str, recover_after=None) -> dict:
     while not prepared_everywhere():
         cluster.sim.run(until=cluster.sim.now + 0.25)
         assert cluster.sim.now < 120.0, "prepare phase never completed"
-    cluster.injector.crash_at(cluster.sim.now + 0.1, 1)
+    (recover,) = apply_schedule(cluster.injector, [
+        FaultAction(cluster.sim.now + 0.1, "crash", (1,), math.inf)])
     if recover_after is not None:
-        cluster.injector.recover_at(cluster.sim.now + recover_after, 1)
+        cluster.injector.at(cluster.sim.now + recover_after, *recover)
     horizon = (recover_after or 0.0) + 8 * cluster.config.access_timeout
     cluster.run(until=cluster.sim.now + horizon)
 

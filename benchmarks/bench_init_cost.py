@@ -19,6 +19,8 @@ writes).
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster import Cluster
 from repro.core.config import (
     CATCHUP_FULL,
@@ -27,6 +29,7 @@ from repro.core.config import (
     INIT_READ_ALL,
     ProtocolConfig,
 )
+from repro.net import FaultAction, apply_schedule
 from repro.workload.tables import render_table
 
 from _shared import bench_main, emit_metrics, report, run_once
@@ -42,7 +45,8 @@ def merge_cost(init_strategy: str, catchup: str,
     cluster = Cluster(processors=5, seed=13, config=config)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0, size=OBJECT_SIZE)
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    (heal,) = apply_schedule(cluster.injector, [
+        FaultAction(5.0, "partition", ((1, 2, 3), (4, 5)), math.inf)])
     cluster.run(until=40.0)
     for index in range(WRITE_BURST):
         cluster.write_once(1, "x", index)
@@ -50,9 +54,9 @@ def merge_cost(init_strategy: str, catchup: str,
     vpreads = {"n": 0}
     cluster.network.tap = lambda m: vpreads.__setitem__(
         "n", vpreads["n"] + (m.kind == "vpread"))
-    heal_at = cluster.sim.now + 1.0
-    cluster.injector.heal_all_at(heal_at)
-    cluster.run(until=heal_at + cluster.config.liveness_bound + 15)
+    healed = cluster.sim.now + 1.0
+    cluster.injector.at(healed, *heal)
+    cluster.run(until=healed + cluster.config.liveness_bound + 15)
     value, _ = cluster.processor(5).store.peek("x")
     assert value == WRITE_BURST - 1, f"p5 not recovered: {value}"
     return {
@@ -73,7 +77,8 @@ def split_off_cost(fastpath: bool) -> dict:
     vpreads = {"n": 0}
     cluster.network.tap = lambda m: vpreads.__setitem__(
         "n", vpreads["n"] + (m.kind == "vpread"))
-    cluster.injector.crash_at(5.0, 5)
+    apply_schedule(cluster.injector,
+                   [FaultAction(5.0, "crash", (5,), math.inf)])
     cluster.run(until=5.0 + cluster.config.liveness_bound + 10)
     read = cluster.read_once(1, "x")
     cluster.run(until=cluster.sim.now + 10)

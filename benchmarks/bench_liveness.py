@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.cluster import Cluster
 from repro.core.config import ProtocolConfig
+from repro.net import FaultAction, apply_schedule
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.workload.tables import render_table
 
@@ -31,11 +32,11 @@ def convergence_time(delta: float, pi: float, seed: int,
                       config=config)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0)
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2}, {3, 4, 5}])
     settle = 5.0 + 2 * config.liveness_bound
-    heal_at = settle + 1.0
-    cluster.injector.heal_all_at(heal_at)
-    cluster.run(until=heal_at + 3 * config.liveness_bound)
+    healed = settle + 1.0
+    apply_schedule(cluster.injector, [FaultAction(
+        5.0, "partition", ((1, 2), (3, 4, 5)), healed - 5.0)])
+    cluster.run(until=healed + 3 * config.liveness_bound)
 
     final_ids = {cluster.protocol(p).current_partition for p in cluster.pids}
     assert len(final_ids) == 1 and None not in final_ids, (
@@ -44,7 +45,7 @@ def convergence_time(delta: float, pi: float, seed: int,
     final_id = final_ids.pop()
     last_join = max(t for t, _pid, vpid, _v in cluster.history.joins
                     if vpid == final_id)
-    return last_join - heal_at
+    return last_join - healed
 
 
 def run(deltas=(0.5, 1.0, 2.0), pi_factors=(3, 10, 20),

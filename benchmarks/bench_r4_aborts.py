@@ -16,8 +16,11 @@ finish.
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster import Cluster
 from repro.core.config import ProtocolConfig
+from repro.net import FaultAction, apply_schedule
 from repro.workload.tables import render_table
 
 from _shared import bench_main, emit_metrics, report, run_once
@@ -40,14 +43,12 @@ def churn_run(weakened: bool, seed: int = 3,
         # copies on 1..4 only: p5's churn never affects accessibility
         cluster.place(obj, holders=[1, 2, 3, 4], initial=0)
     cluster.start()
-    t, down = 10.0, False
+    crashes, t, hold = [], 10.0, CHURN_PERIOD / 2
     while t < duration:
-        if down:
-            cluster.injector.recover_at(t, 5)
-        else:
-            cluster.injector.crash_at(t, 5)
-        down = not down
-        t += CHURN_PERIOD / 2
+        crashes.append(FaultAction(
+            t, "crash", (5,), hold if t + hold < duration else math.inf))
+        t += CHURN_PERIOD
+    apply_schedule(cluster.injector, crashes)
 
     def slow_body_for(pid):
         def slow_body(txn):

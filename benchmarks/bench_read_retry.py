@@ -13,8 +13,11 @@ copy's holder has just crashed and the view has not caught up yet:
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster import Cluster
 from repro.core.config import ProtocolConfig
+from repro.net import FaultAction, apply_schedule
 from repro.net.latency import DistanceLatency, ring_distances
 from repro.workload.tables import render_table
 
@@ -44,9 +47,10 @@ def run_flavor(read_retry: bool, trials: int = TRIALS) -> dict:
     for trial in range(trials):
         # p2 is p1's nearest holder of x; crash it right before a read,
         # inside the detection window (the view still lists it).
-        crash_at = cluster.sim.now + 10.0
-        cluster.injector.crash_at(crash_at, 2)
-        cluster.run(until=crash_at + 0.5)
+        crashed = cluster.sim.now + 10.0
+        (recover,) = apply_schedule(cluster.injector, [
+            FaultAction(crashed, "crash", (2,), math.inf)])
+        cluster.run(until=crashed + 0.5)
 
         def read_body(txn):
             value = yield from txn.read("x")
@@ -65,9 +69,9 @@ def run_flavor(read_retry: bool, trials: int = TRIALS) -> dict:
                 eventually_ok += 1
         total_read_time += cluster.sim.now - start
         # heal for the next trial
-        recover_at = cluster.sim.now + 5.0
-        cluster.injector.recover_at(recover_at, 2)
-        cluster.run(until=recover_at + cluster.config.liveness_bound + 5)
+        recovered = cluster.sim.now + 5.0
+        cluster.injector.at(recovered, *recover)
+        cluster.run(until=recovered + cluster.config.liveness_bound + 5)
 
     return {
         "first_attempt_ok": first_attempt_ok,

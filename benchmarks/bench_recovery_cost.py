@@ -17,8 +17,11 @@ correct — compaction trades transfer units for memory, never safety.
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster import Cluster
 from repro.core.config import CATCHUP_LOG, INIT_PREVIOUS, ProtocolConfig
+from repro.net import FaultAction, apply_schedule
 from repro.workload.tables import render_table
 
 from _shared import bench_main, emit_metrics, report, run_once
@@ -42,14 +45,15 @@ def recovery_cost(burst: int, log_retain, checkpoint_every: int) -> dict:
     cluster = Cluster(processors=5, seed=13, config=config)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0, size=OBJECT_SIZE)
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    (heal,) = apply_schedule(cluster.injector, [
+        FaultAction(5.0, "partition", ((1, 2, 3), (4, 5)), math.inf)])
     cluster.run(until=40.0)
     for index in range(burst):
         cluster.write_once(1, "x", index)
         cluster.run(until=cluster.sim.now + 10.0)
-    heal_at = cluster.sim.now + 1.0
-    cluster.injector.heal_all_at(heal_at)
-    cluster.run(until=heal_at + cluster.config.liveness_bound + 15)
+    healed = cluster.sim.now + 1.0
+    cluster.injector.at(healed, *heal)
+    cluster.run(until=healed + cluster.config.liveness_bound + 15)
     value, _ = cluster.processor(5).store.peek("x")
     assert value == burst - 1, f"p5 not recovered: {value}"
     totals = cluster.metrics

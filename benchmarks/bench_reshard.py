@@ -21,8 +21,9 @@ assignments, nowhere near all objects) and **transactions disturbed**
 
 from __future__ import annotations
 
+from repro.net import FaultAction
 from repro.shard import ReshardAction, make_policy, object_names
-from repro.workload import ExperimentSpec, ScriptedFailures, WorkloadSpec
+from repro.workload import ExperimentSpec, ScheduledNemesis, WorkloadSpec
 from repro.workload.parallel import run_many
 from repro.workload.tables import render_table
 
@@ -62,11 +63,10 @@ def cell_spec(cell: str, base: int, spares: int, objects: int,
     if cell == "partition":
         # cut the two highest *base* pids — copy-holders mid-migration
         # — a delta after the reshard starts; heal while it still runs
-        cut = [base - 1, base]
-        rest = [p for p in range(1, total + 1) if p not in cut]
-        failures = ScriptedFailures(
-            partitions=[(reshard_at + 4.0, [rest, cut])],
-            heal_at=reshard_at + 40.0)
+        cut = (base - 1, base)
+        rest = tuple(p for p in range(1, total + 1) if p not in cut)
+        failures = ScheduledNemesis((FaultAction(
+            reshard_at + 4.0, "partition", (rest, cut), 36.0),))
     return ExperimentSpec(
         protocol="virtual-partitions",
         processors=total, objects=objects, copies_per_object=degree,

@@ -17,8 +17,11 @@ quantitative.
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster import Cluster
 from repro.core.config import ProtocolConfig
+from repro.net import FaultAction, apply_schedule
 from repro.workload.tables import render_table
 
 from _shared import bench_main, emit_metrics, report, run_once
@@ -39,8 +42,9 @@ def staleness_window(pi: float, seed: int = 2) -> dict:
     cluster = Cluster(processors=5, seed=seed, config=config)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial="old")
     cluster.start()
-    partition_at = 0.5 * pi + 2 * config.delta + 0.5
-    cluster.injector.partition_at(partition_at, [{1, 2, 3}, {4, 5}])
+    split = 0.5 * pi + 2 * config.delta + 0.5
+    apply_schedule(cluster.injector, [
+        FaultAction(split, "partition", ((1, 2, 3), (4, 5)), math.inf)])
 
     outcome: dict = {"write_time": None, "last_stale_read": None,
                      "stale_reads": 0}
@@ -65,7 +69,7 @@ def staleness_window(pi: float, seed: int = 2) -> dict:
     def minority_poller():
         # p4 keeps issuing single reads; record stale successes.
         tm = cluster.tm(4)
-        while cluster.sim.now < partition_at + 4 * config.liveness_bound:
+        while cluster.sim.now < split + 4 * config.liveness_bound:
             yield cluster.sim.timeout(1.0)
 
             def read_body(txn):
@@ -80,7 +84,7 @@ def staleness_window(pi: float, seed: int = 2) -> dict:
 
     cluster.sim.process(majority_writer(), name="majority-writer")
     cluster.sim.process(minority_poller(), name="minority-poller")
-    cluster.run(until=partition_at + 5 * config.liveness_bound)
+    cluster.run(until=split + 5 * config.liveness_bound)
     assert outcome["write_time"] is not None, "majority write never landed"
     window = (outcome["last_stale_read"] - outcome["write_time"]
               if outcome["last_stale_read"] is not None else 0.0)

@@ -10,7 +10,7 @@ checked directly on the join/depart log.
 Run:  python examples/failure_storm.py
 """
 
-from repro import Cluster
+from repro import Cluster, FaultAction, apply_schedule
 from repro.workload import WorkloadGenerator, WorkloadSpec, body_for
 
 N = 7
@@ -23,18 +23,19 @@ for index, obj in enumerate(OBJECTS):
     cluster.place(obj, holders=holders, initial=0)
 cluster.start()
 
-# The storm script.
-storm = cluster.injector
-storm.crash_at(40.0, 7)
-storm.cut_at(80.0, 1, 2)          # non-transitive: 1-2 cut, both reach 3
-storm.partition_at(160.0, [{1, 2, 3, 4}, {5, 6}])
-storm.recover_at(200.0, 7)        # 7 rejoins... somewhere
-storm.partition_at(260.0, [{3, 4, 5}, {1, 2, 6, 7}])  # re-partition
-storm.crash_at(320.0, 3)
-storm.heal_all_at(400.0)
-storm.recover_at(440.0, 3)
-storm.cut_at(500.0, 4, 5)
-storm.heal_at(560.0, 4, 5)
+# The storm script: each fault starts at `time` and ends `hold` later.
+apply_schedule(cluster.injector, [
+    FaultAction(time=40.0, kind="crash", args=(7,), hold=160.0),
+    # non-transitive: 1-2 cut, both reach 3, until the partition
+    FaultAction(time=80.0, kind="cut", args=(1, 2), hold=80.0),
+    FaultAction(time=160.0, kind="partition",
+                args=((1, 2, 3, 4), (5, 6), (7,)), hold=100.0),
+    # re-partition: the first partition ends as this one starts
+    FaultAction(time=260.0, kind="partition",
+                args=((3, 4, 5), (1, 2, 6, 7)), hold=140.0),
+    FaultAction(time=320.0, kind="crash", args=(3,), hold=120.0),
+    FaultAction(time=500.0, kind="cut", args=(4, 5), hold=60.0),
+])
 
 # Clients at every processor, retrying through the chaos.
 def client(pid):

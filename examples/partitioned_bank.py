@@ -10,7 +10,9 @@ are designed for.
 Run:  python examples/partitioned_bank.py
 """
 
-from repro import Cluster, TransactionAborted
+import math
+
+from repro import Cluster, FaultAction, TransactionAborted, apply_schedule
 
 BRANCH_A, BRANCH_B, BRANCH_C = (1, 2), (3, 4), (5, 6)
 ALL = [*BRANCH_A, *BRANCH_B, *BRANCH_C]
@@ -51,8 +53,8 @@ for origin, amount in [(1, 100), (3, 50)]:
 
 # The split: branches A+B on one side, branch C on the other.
 split_at = cluster.sim.now + 1.0
-cluster.injector.partition_at(split_at, [set(BRANCH_A) | set(BRANCH_B),
-                                         set(BRANCH_C)])
+(heal,) = apply_schedule(cluster.injector, [FaultAction(
+    split_at, "partition", (BRANCH_A + BRANCH_B, BRANCH_C), math.inf)])
 cluster.run(until=split_at + cluster.config.liveness_bound)
 
 # Majority side (4 of 6 copies) keeps serving...
@@ -68,9 +70,9 @@ assert bad.value[0] is False
 audit("during the split")
 
 # Heal; rule R5 reconciles branch C's stale copies before any read.
-heal_at = cluster.sim.now + 1.0
-cluster.injector.heal_all_at(heal_at)
-cluster.run(until=heal_at + cluster.config.liveness_bound + 10)
+healed = cluster.sim.now + 1.0
+cluster.injector.at(healed, *heal)
+cluster.run(until=healed + cluster.config.liveness_bound + 10)
 balances = audit("after the heal")
 
 # Every copy agrees, and no money was created or destroyed.

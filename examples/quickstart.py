@@ -4,7 +4,9 @@ protocol adapt — in about forty lines.
 Run:  python examples/quickstart.py
 """
 
-from repro import Cluster
+import math
+
+from repro import Cluster, FaultAction, apply_schedule
 
 # Five processors, a counter replicated on all of them.
 cluster = Cluster(processors=5, seed=42)
@@ -27,7 +29,9 @@ print(f"healthy increment: committed={committed}, counter={value}")
 
 # Partition {1,2,3} from {4,5}.  The protocol detects it via probing and
 # forms two virtual partitions within Delta = pi + 8*delta time units.
-cluster.injector.partition_at(31.0, [{1, 2, 3}, {4, 5}])
+# A FaultAction holds for `hold` time units; this one until we heal it.
+(heal,) = apply_schedule(cluster.injector, [
+    FaultAction(31.0, "partition", ((1, 2, 3), (4, 5)), hold=math.inf)])
 cluster.run(until=31.0 + cluster.config.liveness_bound)
 print(f"p1 view after partition: {sorted(cluster.protocol(1).view)}")
 print(f"p4 view after partition: {sorted(cluster.protocol(4).view)}")
@@ -41,7 +45,7 @@ print(f"minority increment: {minority.value}")
 
 # Heal.  The sides merge into a fresh virtual partition and rule R5
 # brings p4/p5's stale copies up to date before anyone may read them.
-cluster.injector.heal_all_at(cluster.sim.now + 1.0)
+cluster.injector.at(cluster.sim.now + 1.0, *heal)
 cluster.run(until=cluster.sim.now + cluster.config.liveness_bound + 10)
 value, _date = cluster.processor(4).store.peek("counter")
 print(f"p4's copy after heal: {value}")

@@ -14,7 +14,9 @@ including being completely alone.
 Run:  python examples/weighted_primary.py
 """
 
-from repro import Cluster
+import math
+
+from repro import Cluster, FaultAction, apply_schedule
 
 PRIMARY, REPLICA_A, REPLICA_B = 1, 2, 3
 
@@ -26,7 +28,8 @@ def demo(weights, label):
     cluster.start()
 
     # Isolate the primary from both replicas.
-    cluster.injector.partition_at(5.0, [{PRIMARY}, {REPLICA_A, REPLICA_B}])
+    (heal,) = apply_schedule(cluster.injector, [FaultAction(
+        5.0, "partition", ((PRIMARY,), (REPLICA_A, REPLICA_B)), math.inf)])
     cluster.run(until=5.0 + cluster.config.liveness_bound)
 
     primary_write = cluster.write_once(PRIMARY, "config", "v2-from-primary")
@@ -36,7 +39,7 @@ def demo(weights, label):
     print(f"  replica-side write: {replica_write.value}")
 
     # Heal and confirm the surviving write propagated everywhere.
-    cluster.injector.heal_all_at(cluster.sim.now + 1.0)
+    cluster.injector.at(cluster.sim.now + 1.0, *heal)
     cluster.run(until=cluster.sim.now + cluster.config.liveness_bound + 10)
     values = {pid: cluster.processor(pid).store.peek("config")[0]
               for pid in cluster.pids}

@@ -39,8 +39,10 @@ from .net import (
     CommGraph,
     DistanceLatency,
     FailureInjector,
+    FaultAction,
     FixedLatency,
     UniformLatency,
+    apply_schedule,
 )
 
 __version__ = "1.0.0"
@@ -52,6 +54,7 @@ __all__ = [
     "CopyPlacement",
     "DistanceLatency",
     "FailureInjector",
+    "FaultAction",
     "FixedLatency",
     "History",
     "ProtocolConfig",
@@ -63,4 +66,5 @@ __all__ = [
     "is_cp_serializable",
     "is_one_copy_serializable",
     "__version__",
+    "apply_schedule",
 ]

@@ -3,8 +3,7 @@
 Examples::
 
     python -m repro run --protocol virtual-partitions --processors 5 \\
-        --read-fraction 0.95 --duration 300 --partition "1,2,3|4,5@100" \\
-        --heal-at 200
+        --read-fraction 0.95 --duration 300 --fault "partition:1,2,3|4,5@100+100"
 
     python -m repro compare --protocols virtual-partitions,quorum,rowa \\
         --read-fraction 0.9
@@ -21,6 +20,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -29,10 +29,11 @@ from typing import Any, Iterable, List, NamedTuple, Optional, Sequence
 
 from .client.cache import POLICIES as CACHE_POLICIES
 from .commit import COMMIT_BACKENDS
+from .net.nemesis import KINDS, FaultAction
 from .protocols import PROTOCOLS
 from .shard import POLICIES as PLACEMENT_POLICIES
 from .shard import ReshardAction
-from .workload import ExperimentSpec, ScriptedFailures, run_experiment
+from .workload import ExperimentSpec, ScheduledNemesis, run_experiment
 from .workload.hunt import HuntConfig, hunt, hunt_base, replay_artifact
 from .workload.runner import with_paths
 from .workload.sweep import sweep, sweep_protocols
@@ -140,50 +141,51 @@ def _apply_flags(args, base: ExperimentSpec) -> ExperimentSpec:
     return with_paths(base, values)
 
 
-def _parse_partition(text: str):
-    """``"1,2,3|4,5@50.0"`` → (time, [[1,2,3],[4,5]])."""
-    try:
-        blocks_text, time_text = text.rsplit("@", 1)
-        when = float(time_text)
-        blocks = [
-            [int(p) for p in block.split(",") if p]
-            for block in blocks_text.split("|")
-        ]
-    except (ValueError, IndexError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad partition spec {text!r}; expected like '1,2,3|4,5@50'"
-        ) from exc
-    if not blocks or any(not block for block in blocks):
-        raise argparse.ArgumentTypeError(f"empty block in {text!r}")
-    return when, blocks
+def _number(token: str):
+    """A fault argument: an int when it is integral, else a float."""
+    value = float(token)
+    return int(value) if value.is_integer() else value
 
 
-def _parse_crash(text: str):
+def _parse_fault(text: str) -> FaultAction:
+    """``"KIND:ARGS@TIME[+HOLD]"`` → a :class:`FaultAction`; no ``+HOLD``
+    is a permanent fault.  A partition's ARGS are ``|``-separated
+    blocks of pids, any other kind's a comma-separated list of
+    numbers: ``partition:1,2,3|4,5@50+30``, ``crash:4@30+20``,
+    ``cut:1,2@10``, ``surge:1,2,4.0@10+5``."""
     try:
-        pid_text, time_text = text.split("@", 1)
-        return float(time_text), int(pid_text)
+        kind, rest = text.split(":", 1)
+        args_text, when = rest.rsplit("@", 1)
+        time_text, _, hold_text = when.partition("+")
+        if kind == "partition":
+            args: tuple = tuple(
+                tuple(int(p) for p in block.split(","))
+                for block in args_text.split("|"))
+        else:
+            args = tuple(_number(a) for a in args_text.split(","))
+        fault = FaultAction(float(time_text), kind, args,
+                            float(hold_text) if hold_text else math.inf)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"bad spec {text!r}; expected like '4@30'"
+            f"bad fault {text!r}; expected like 'partition:1,2,3|4,5@50+30'"
         ) from exc
+    if kind not in KINDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown fault kind {kind!r} in {text!r}; one of {KINDS}")
+    return fault
 
 
 def _experiment_flags(parser, flags: Sequence[Flag] = FLAGS) -> None:
-    """The knob table plus the failure-script flags."""
+    """The knob table plus the fault schedule."""
     _add_flags(parser, flags)
-    parser.add_argument("--partition", type=_parse_partition,
-                        action="append", metavar="BLOCKS@TIME",
-                        help="e.g. '1,2,3|4,5@50' (repeatable)")
-    parser.add_argument("--heal-at", type=float, default=None)
-    parser.add_argument("--crash", type=_parse_crash, action="append",
-                        metavar="PID@TIME", help="e.g. '4@30' (repeatable)")
-    parser.add_argument("--recover", type=_parse_crash, action="append",
-                        metavar="PID@TIME")
+    parser.add_argument("--fault", type=_parse_fault, action="append",
+                        metavar="KIND:ARGS@TIME[+HOLD]",
+                        help="e.g. 'partition:1,2,3|4,5@50+30' or "
+                             "'crash:4@30+20' (repeatable)")
 
 
 def _spec_from(args) -> ExperimentSpec:
-    failures = ScriptedFailures(args.partition or (), args.heal_at,
-                                args.crash or (), args.recover or ())
+    failures = ScheduledNemesis(tuple(args.fault or ()))
     return replace(_apply_flags(args, ExperimentSpec()), failures=failures)
 
 

@@ -16,21 +16,23 @@ randomness.  That split is what makes campaigns
 shrinkable: the hunter can delete actions from the list and replay the
 remainder bit-for-bit, which an online random process cannot offer.
 
-Every applied action holds its faults under its own ownership claim
-(``nemesis#<n>``), so overlapping actions — and any scripted schedule
-running alongside — compose: an action's undo releases only its own
-claim, never a fault someone else still wants in place.
+A hand-written scenario is a schedule too: every injected fault is a
+``FaultAction``.  Every applied action holds its faults under its own
+ownership claim, unique to the injector, so overlapping actions
+compose: an action's undo releases only its own claim, never a fault
+another action still wants in place.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .failures import FailureInjector
+from .failures import Action, FailureInjector
 
 #: action kinds a nemesis can draw, in canonical order
 KINDS = ("crash", "cut", "oneway", "surge", "grey", "dup", "flap", "partition")
@@ -38,7 +40,8 @@ KINDS = ("crash", "cut", "oneway", "surge", "grey", "dup", "flap", "partition")
 
 @dataclass(frozen=True)
 class FaultAction:
-    """One planned fault: do something at ``time``, undo at ``time + hold``.
+    """One fault: do something at ``time``, undo at ``time + hold``
+    (never, for ``hold=math.inf``).
 
     ``args`` is kind-specific:
 
@@ -214,21 +217,39 @@ def _draw_action(rng: random.Random, kind: str, pids: Sequence[int],
 
 
 def apply_schedule(injector: FailureInjector, actions: Sequence[FaultAction],
-                   ) -> None:
+                   ) -> List[Tuple[Action, str]]:
     """Install a planned schedule on ``injector`` — fully deterministic.
 
     Each action does its fault at ``time`` and undoes it at ``time +
-    hold`` under a unique per-action claim, so overlapping actions on
-    the same element compose instead of healing each other early.
-    Transport perturbations (surge/grey/dup) are last-writer-wins per
-    route — they are probabilistic noise, not safety-bearing state.
-    The whole schedule is validated first, so a malformed action raises
-    with nothing on the kernel's queue.
+    hold`` under a claim of its own, unique to the injector, so
+    overlapping actions on the same element compose instead of healing
+    each other early.  A permanent fault has ``hold=math.inf`` and no
+    undo on the queue.  Transport perturbations (surge/grey/dup) are
+    last-writer-wins per route — they are probabilistic noise, not
+    safety-bearing state.  The whole schedule is validated first, so a
+    malformed action raises with nothing on the kernel's queue.
+
+    Returns each action's undo as a ``(fn, label)`` pair: a caller that
+    learns an action's end only mid-run applies it with an infinite
+    hold and later schedules ``injector.at(time, *undo)``.
     """
     for action in actions:
         _validate(injector, action)
-    for i, action in enumerate(actions):
-        _apply_one(injector, action, actor=f"nemesis#{i}")
+    undos = []
+    for action in actions:
+        do, undo = _do_undo(injector, action, next(injector._actors))
+        t = action.time
+        if action.kind == "flap":
+            period, cycles = action.args[2:]
+            for c in range(cycles):
+                injector.at(t + 2 * c * period, *do)
+                injector.at(t + (2 * c + 1) * period, *undo)
+        else:
+            injector.at(t, *do)
+            if action.hold < math.inf:
+                injector.at(t + action.hold, *undo)
+        undos.append(undo)
+    return undos
 
 
 #: kind -> length of ``args``; a partition takes any number of blocks
@@ -237,7 +258,7 @@ _ARITY = {"crash": 1, "cut": 2, "oneway": 2, "surge": 3, "grey": 3,
 
 
 def _validate(injector: FailureInjector, action: FaultAction) -> None:
-    """Reject an action ``_apply_one`` cannot install — a schedule may
+    """Reject an action ``apply_schedule`` cannot install — a schedule may
     come from an artifact file, which is outside input."""
     kind, args = action.kind, action.args
     if kind not in KINDS:
@@ -269,75 +290,43 @@ def _validate(injector: FailureInjector, action: FaultAction) -> None:
         injector._network()  # raises unless the injector has a transport
 
 
-def _apply_one(injector: FailureInjector, action: FaultAction,
-               actor: str) -> None:
-    t, args, hold = action.time, action.args, action.hold
-    kind = action.kind
+def _do_undo(injector: FailureInjector, action: FaultAction, actor: int):
+    """The ``(fn, label)`` pairs that do and undo ``action`` under
+    ``actor``'s claim (a flap's are one cut and its heal)."""
+    kind, args = action.kind, action.args
     if kind == "crash":
-        pid = args[0]
-        injector.at(t, lambda: injector._crash(pid, actor),
-                    f"nemesis-crash({pid})")
-        injector.at(t + hold, lambda: injector._recover(pid, actor),
-                    f"nemesis-recover({pid})")
-    elif kind == "cut":
+        (pid,) = args
+        return ((lambda: injector._crash(pid, actor), f"crash({pid})"),
+                (lambda: injector._recover(pid, actor), f"recover({pid})"))
+    if kind in ("cut", "flap"):
+        a, b = args[:2]
+        name = "flap-" if kind == "flap" else ""
+        return ((lambda: injector._cut(a, b, actor), f"{name}cut({a},{b})"),
+                (lambda: injector._heal(a, b, actor), f"{name}heal({a},{b})"))
+    if kind == "oneway":
         a, b = args
-        injector.at(t, lambda: injector._cut(a, b, actor),
-                    f"nemesis-cut({a},{b})")
-        injector.at(t + hold, lambda: injector._heal(a, b, actor),
-                    f"nemesis-heal({a},{b})")
-    elif kind == "oneway":
-        a, b = args
-        injector.at(t, lambda: injector._cut_oneway(a, b, actor),
-                    f"nemesis-cut-oneway({a},{b})")
-        injector.at(t + hold, lambda: injector._heal_oneway(a, b, actor),
-                    f"nemesis-heal-oneway({a},{b})")
-    elif kind == "surge":
-        src, dst, factor = args
-        net = injector._network()
-        injector.at(t, lambda: net.set_delay_surge(src, dst, factor),
-                    f"nemesis-surge({src},{dst},{factor})")
-        injector.at(t + hold, lambda: net.clear_delay_surge(src, dst),
-                    f"nemesis-surge-end({src},{dst})")
-    elif kind == "grey":
-        src, dst, prob = args
-        net = injector._network()
-        injector.at(t, lambda: net.set_grey_loss(src, dst, prob),
-                    f"nemesis-grey({src},{dst},{prob})")
-        injector.at(t + hold, lambda: net.clear_grey_loss(src, dst),
-                    f"nemesis-grey-end({src},{dst})")
-    elif kind == "dup":
-        src, dst, prob = args
-        net = injector._network()
-        injector.at(t, lambda: net.set_dup_storm(src, dst, prob),
-                    f"nemesis-dup({src},{dst},{prob})")
-        injector.at(t + hold, lambda: net.clear_dup_storm(src, dst),
-                    f"nemesis-dup-end({src},{dst})")
-    elif kind == "flap":
-        a, b, period, cycles = args
-        for c in range(cycles):
-            injector.at(t + 2 * c * period,
-                        lambda: injector._cut(a, b, actor),
-                        f"nemesis-flap-cut({a},{b})")
-            injector.at(t + (2 * c + 1) * period,
-                        lambda: injector._heal(a, b, actor),
-                        f"nemesis-flap-heal({a},{b})")
-    elif kind == "partition":
-        pairs = [
-            (a, b)
-            for i, block in enumerate(args)
-            for a in block
-            for other in args[i + 1:]
-            for b in other
-        ]
+        return ((lambda: injector._cut_oneway(a, b, actor),
+                 f"cut-oneway({a},{b})"),
+                (lambda: injector._heal_oneway(a, b, actor),
+                 f"heal-oneway({a},{b})"))
+    if kind == "partition":
+        pairs = [(a, b) for i, block in enumerate(args) for a in block
+                 for other in args[i + 1:] for b in other]
 
-        def impose(ps=tuple(pairs)):
-            for a, b in ps:
+        def impose():
+            for a, b in pairs:
                 injector._cut(a, b, actor)
 
-        def release(ps=tuple(pairs)):
-            for a, b in ps:
+        def release():
+            for a, b in pairs:
                 injector._heal(a, b, actor)
 
-        injector.at(t, impose, f"nemesis-partition({list(map(list, args))})")
-        injector.at(t + hold, release, "nemesis-partition-end")
-
+        return ((impose, f"partition({list(map(list, args))})"),
+                (release, "partition-end"))
+    src, dst, value = args  # surge, grey, dup
+    net = injector._network()
+    start, end = {"surge": (net.set_delay_surge, net.clear_delay_surge),
+                  "grey": (net.set_grey_loss, net.clear_grey_loss),
+                  "dup": (net.set_dup_storm, net.clear_dup_storm)}[kind]
+    return ((lambda: start(src, dst, value), f"{kind}({src},{dst},{value})"),
+            (lambda: end(src, dst), f"{kind}-end({src},{dst})"))

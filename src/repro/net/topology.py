@@ -186,12 +186,6 @@ class CommGraph:
                         self._cut_links.add(_edge(a, b))
         self.version += 1
 
-    def heal_all(self) -> None:
-        """Restore the failure-free single clique (links only, not crashes)."""
-        self._cut_links.clear()
-        self._oneway_cuts.clear()
-        self.version += 1
-
     # -- helpers -----------------------------------------------------------
 
     def _check(self, p: int) -> None:

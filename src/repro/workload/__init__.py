@@ -1,6 +1,6 @@
 """Workloads, scenarios, and the experiment harness."""
 
-from .failures import ScheduledNemesis, ScriptedFailures
+from .failures import ScheduledNemesis
 from .generator import (
     PrivateObjects,
     WorkloadGenerator,
@@ -33,7 +33,6 @@ __all__ = [
     "HuntReport",
     "PrivateObjects",
     "ScheduledNemesis",
-    "ScriptedFailures",
     "WorkloadGenerator",
     "WorkloadSpec",
     "body_for",

@@ -14,7 +14,7 @@ Two practical constraints follow from pickling:
 * Specs cross a process boundary, so their callables (``failures``,
   ``objects_for``) must be module-level functions or picklable
   callable objects — not lambdas or closures.
-  :class:`~repro.workload.failures.ScriptedFailures` is the reference
+  :class:`~repro.workload.failures.ScheduledNemesis` is the reference
   example.
 * A finished :class:`Cluster` holds live generators and cannot cross
   back, so parallel results carry ``cluster=None``

@@ -11,12 +11,14 @@ partitions protocol (expecting correctness under identical timing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from ..analysis.one_copy import OneCopyResult, check_one_copy
 from ..analysis.serialization import is_cp_serializable
 from ..cluster import Cluster
+from ..net.nemesis import FaultAction, apply_schedule
 from ..protocols.naive_view import NaiveViewProtocol
 
 #: processor names used in the paper's figures
@@ -108,7 +110,8 @@ def run_example1_vp(seed: int = 0, retries: int = 40,
     cluster = Cluster(processors=3, seed=seed, trace=trace)
     cluster.place("x", holders=[A, B, C], initial=0)
     cluster.start()
-    cluster.injector.cut_at(2.0, A, B)
+    apply_schedule(cluster.injector,
+                   [FaultAction(2.0, "cut", (A, B), math.inf)])
 
     first = cluster.submit(A, _increment_body("x"), retries=retries,
                            backoff=backoff)
@@ -195,9 +198,12 @@ def run_example2_vp(seed: int = 0, retries: int = 40,
     for obj, holders in EXAMPLE2_PLACEMENT.items():
         cluster.place(obj, holders=holders, initial=f"{obj}0")
     cluster.start()
-    cluster.injector.partition_at(2.0, [{A, B}, {C, D}])
+    # the re-partition at 121: the first partition's hold ends there
+    apply_schedule(cluster.injector, [
+        FaultAction(2.0, "partition", ((A, B), (C, D)), 119.0)])
     cluster.run(until=120.0)
-    cluster.injector.partition_at(cluster.sim.now + 1.0, [{B, C}, {A, D}])
+    apply_schedule(cluster.injector, [
+        FaultAction(121.0, "partition", ((B, C), (A, D)), math.inf)])
 
     outcomes = {}
     for pid, (read_obj, write_obj) in sorted(EXAMPLE2_TXNS.items()):

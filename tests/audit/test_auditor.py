@@ -300,13 +300,13 @@ def test_violation_carries_context_and_serializes():
 
 def test_audited_cluster_run_stays_clean():
     """End-to-end: a partitioned-and-healed VP run audits clean."""
-    from repro import Cluster
+    from repro import Cluster, FaultAction, apply_schedule
 
     cluster = Cluster(processors=3, seed=7, audit=True)
     cluster.place("x", holders=[1, 2, 3], initial=0)
     cluster.start()
-    cluster.injector.partition_at(30.0, [{1, 2}, {3}])
-    cluster.injector.heal_all_at(80.0)
+    apply_schedule(cluster.injector, [
+        FaultAction(30.0, "partition", ((1, 2), (3,)), 50.0)])
     outcomes = [cluster.write_once(1, "x", 1)]
     cluster.run(until=200.0)
     cluster.auditor.finalize()

@@ -1,8 +1,10 @@
 """Integration tests for ClientSession on a live simulated cluster."""
 
+from math import inf
+
 import pytest
 
-from repro import Cluster
+from repro import Cluster, FaultAction, apply_schedule
 from repro.client.session import SessionSpec
 
 
@@ -173,7 +175,8 @@ def test_membership_event_revokes_the_lease():
     run_program(cluster, session, [("r", "x")])
     assert len(session.lease_table) == 1
     epoch_before = cluster.protocol(1).state.epoch
-    cluster.injector.crash_at(cluster.sim.now + 0.5, 3)
+    apply_schedule(cluster.injector,
+                   [FaultAction(cluster.sim.now + 0.5, "crash", (3,), inf)])
     cluster.run(until=cluster.sim.now + 25.0)  # past probe detection
     assert cluster.protocol(1).state.epoch > epoch_before
     run_program(cluster, session, [("r", "x")])

@@ -8,9 +8,11 @@ majority of its 2F+1 acceptors and any recovery leader reaching a
 majority of them can finish the protocol.
 """
 
+from math import inf
+
 import pytest
 
-from repro import Cluster, ProtocolConfig
+from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
 from repro.commit import COMMIT_BACKENDS, make_commit
 from repro.commit.paxos import BALLOT_STRIDE
 from repro.workload.generator import WorkloadSpec
@@ -75,7 +77,8 @@ def test_prepared_participants_decide_without_coordinator():
         assert cluster.sim.now < 120.0, "votes never replicated"
     assert cluster.processor(1).store.decision_of(txn) is None
     assert txn in cluster.protocol(2).commit.in_doubt
-    cluster.injector.crash_at(cluster.sim.now + 0.1, 1)
+    apply_schedule(cluster.injector, [
+        FaultAction(cluster.sim.now + 0.1, "crash", (1,), inf)])
     cluster.run(until=cluster.sim.now + 400.0)  # p1 stays down
 
     for pid in (2, 3):
@@ -106,7 +109,8 @@ def test_paxos_dwell_is_bounded_not_open_ended():
     while txn not in cluster.protocol(2).commit.in_doubt:
         cluster.sim.run(until=cluster.sim.now + 0.25)
         assert cluster.sim.now < 120.0
-    cluster.injector.crash_at(cluster.sim.now + 0.1, 1)
+    apply_schedule(cluster.injector, [
+        FaultAction(cluster.sim.now + 0.1, "crash", (1,), inf)])
     cluster.run(until=cluster.sim.now + 2000.0)
     assert cluster.metrics.in_doubt_dwell, "dwell not recorded"
     for dwell in cluster.metrics.in_doubt_dwell:
@@ -210,7 +214,7 @@ def test_a_silent_fast_set_acceptor_costs_a_recovery_ballot():
     cluster.run(until=5.0)
     sent = []
     cluster.network.tap = lambda m: sent.append((cluster.sim.now, m))
-    cluster.injector.crash_at(7.0, 2)
+    apply_schedule(cluster.injector, [FaultAction(7.0, "crash", (2,), inf)])
     outcome = cluster.write_once(1, "x", 7)
     cluster.run(until=100.0)
     assert outcome.value == (True, 7)

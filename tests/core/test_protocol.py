@@ -1,6 +1,12 @@
 """Integration tests of the virtual partition protocol's lifecycle."""
 
-from repro import Cluster, ProtocolConfig
+from dataclasses import replace
+from math import inf
+
+from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
+
+#: the majority | minority split most tests here impose, until healed
+SPLIT = FaultAction(5.0, "partition", ((1, 2, 3), (4, 5)), inf)
 
 
 def make_cluster(n=5, seed=0, **kwargs):
@@ -41,7 +47,7 @@ def test_converged_partition_is_stable_without_failures():
 def test_partition_splits_views():
     cluster = make_cluster()
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    apply_schedule(cluster.injector, [SPLIT])
     cluster.run(until=5.0 + cluster.config.liveness_bound)
     assert cluster.protocol(1).view == frozenset({1, 2, 3})
     assert cluster.protocol(4).view == frozenset({4, 5})
@@ -54,8 +60,7 @@ def test_partition_splits_views():
 def test_heal_merges_partitions():
     cluster = make_cluster()
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
-    cluster.injector.heal_all_at(60.0)
+    apply_schedule(cluster.injector, [replace(SPLIT, hold=55.0)])
     cluster.run(until=60.0 + cluster.config.liveness_bound)
     assert converged(cluster)
     assert cluster.protocol(1).view == frozenset({1, 2, 3, 4, 5})
@@ -65,10 +70,10 @@ def test_merged_partition_id_exceeds_both_old_ids():
     """S3: the merged partition must come later in creation order."""
     cluster = make_cluster()
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    (heal,) = apply_schedule(cluster.injector, [SPLIT])
     cluster.run(until=40.0)
     before = {cluster.protocol(p).current_partition for p in cluster.pids}
-    cluster.injector.heal_all_at(cluster.sim.now + 1.0)
+    cluster.injector.at(cluster.sim.now + 1.0, *heal)
     cluster.run(until=cluster.sim.now + cluster.config.liveness_bound + 5)
     after = cluster.protocol(1).current_partition
     assert all(after > old for old in before if old is not None)
@@ -77,7 +82,7 @@ def test_merged_partition_id_exceeds_both_old_ids():
 def test_majority_rule_gates_access():
     cluster = make_cluster()
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    apply_schedule(cluster.injector, [SPLIT])
     cluster.run(until=40.0)
     assert cluster.protocol(1).available("x", write=False)
     assert not cluster.protocol(4).available("x", write=False)
@@ -86,7 +91,7 @@ def test_majority_rule_gates_access():
 def test_minority_writes_abort_majority_writes_commit():
     cluster = make_cluster()
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    apply_schedule(cluster.injector, [SPLIT])
     cluster.run(until=40.0)
     good = cluster.write_once(1, "x", 10)
     bad = cluster.write_once(4, "x", 20)
@@ -98,11 +103,11 @@ def test_minority_writes_abort_majority_writes_commit():
 def test_r5_recovery_propagates_value_on_merge():
     cluster = make_cluster()
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    (heal,) = apply_schedule(cluster.injector, [SPLIT])
     cluster.run(until=40.0)
     cluster.write_once(1, "x", 77)
     cluster.run(until=60.0)
-    cluster.injector.heal_all_at(61.0)
+    cluster.injector.at(61.0, *heal)
     cluster.run(until=61.0 + cluster.config.liveness_bound + 10)
     for pid in (4, 5):
         value, date = cluster.processor(pid).store.peek("x")
@@ -128,10 +133,11 @@ def test_reads_use_nearest_copy():
 def test_crash_and_recover_rejoins():
     cluster = make_cluster()
     cluster.start()
-    cluster.injector.crash_at(5.0, 4)
+    (recover,) = apply_schedule(cluster.injector,
+                                [FaultAction(5.0, "crash", (4,), inf)])
     cluster.run(until=5.0 + cluster.config.liveness_bound)
     assert 4 not in cluster.protocol(1).view
-    cluster.injector.recover_at(50.0, 4)
+    cluster.injector.at(50.0, *recover)
     cluster.run(until=50.0 + cluster.config.liveness_bound)
     assert converged(cluster)
     assert 4 in cluster.protocol(1).view
@@ -140,11 +146,12 @@ def test_crash_and_recover_rejoins():
 def test_recovered_processor_catches_up_on_writes():
     cluster = make_cluster()
     cluster.start()
-    cluster.injector.crash_at(5.0, 4)
+    (recover,) = apply_schedule(cluster.injector,
+                                [FaultAction(5.0, "crash", (4,), inf)])
     cluster.run(until=30.0)
     cluster.write_once(1, "x", 123)
     cluster.run(until=50.0)
-    cluster.injector.recover_at(51.0, 4)
+    cluster.injector.at(51.0, *recover)
     cluster.run(until=51.0 + cluster.config.liveness_bound + 10)
     value, _date = cluster.processor(4).store.peek("x")
     assert value == 123
@@ -153,7 +160,7 @@ def test_recovered_processor_catches_up_on_writes():
 def test_transactions_during_partition_stay_1sr():
     cluster = make_cluster()
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    (heal,) = apply_schedule(cluster.injector, [SPLIT])
     cluster.run(until=40.0)
 
     def body(txn):
@@ -164,7 +171,7 @@ def test_transactions_during_partition_stay_1sr():
     for _ in range(3):
         cluster.submit(1, body)
         cluster.run(until=cluster.sim.now + 30.0)
-    cluster.injector.heal_all_at(cluster.sim.now + 1)
+    cluster.injector.at(cluster.sim.now + 1, *heal)
     cluster.run(until=cluster.sim.now + cluster.config.liveness_bound + 10)
     value, _ = cluster.processor(4).store.peek("x")
     assert value == 3
@@ -177,7 +184,7 @@ def _count_recovery_reads(init_strategy, split_off_fastpath):
                             split_off_fastpath=split_off_fastpath)
     cluster = make_cluster(config=config)
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    (heal,) = apply_schedule(cluster.injector, [SPLIT])
     cluster.run(until=40.0)
     cluster.write_once(1, "x", 55)
     cluster.run(until=60.0)
@@ -188,7 +195,7 @@ def _count_recovery_reads(init_strategy, split_off_fastpath):
             counts["vpread"] += 1
 
     cluster.network.tap = tap
-    cluster.injector.heal_all_at(61.0)
+    cluster.injector.at(61.0, *heal)
     cluster.run(until=61.0 + cluster.config.liveness_bound + 10)
     value, _ = cluster.processor(5).store.peek("x")
     assert value == 55, "recovery must propagate the majority write"
@@ -213,9 +220,9 @@ def test_identical_seeds_identical_histories():
                           latency=UniformLatency(0.5, 1.0))
         cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0)
         cluster.start()
-        cluster.injector.partition_at(5.0, [{1, 2}, {3, 4, 5}])
+        apply_schedule(cluster.injector, [
+            FaultAction(5.0, "partition", ((1, 2), (3, 4, 5)), 45.0)])
         cluster.write_once(3, "x", 1)
-        cluster.injector.heal_all_at(50.0)
         cluster.run(until=120.0)
         history = cluster.history
         return (

@@ -6,8 +6,9 @@ arbitration rules the paper relies on.
 """
 
 import sys
+from math import inf
 
-from repro import Cluster, VpId
+from repro import Cluster, VpId, apply_schedule
 from repro.core.protocol import VirtualPartitionProtocol
 from repro.node import Processor
 from repro.net.nemesis import FaultAction
@@ -114,7 +115,7 @@ def test_ack_with_wrong_sequence_is_ignored():
     cluster.run(until=5.0)
     # Craft a stale ack from p4 to p1 with an old sequence number, then
     # crash p4; p1's next round must still detect the silence.
-    cluster.injector.crash_at(6.0, 4)
+    apply_schedule(cluster.injector, [FaultAction(6.0, "crash", (4,), inf)])
     cluster.processors[4].send(1, "probe-ack", {"from": 4, "m": 999_999})
     cluster.run(until=6.0 + cluster.config.liveness_bound)
     assert 4 not in cluster.protocol(1).view
@@ -146,8 +147,8 @@ def test_unassigned_processor_does_not_answer_probes():
 
 def test_view_history_records_every_joined_partition():
     cluster = build()
-    cluster.injector.partition_at(5.0, [{1, 2}, {3, 4}])
-    cluster.injector.heal_all_at(60.0)
+    apply_schedule(cluster.injector, [
+        FaultAction(5.0, "partition", ((1, 2), (3, 4)), 55.0)])
     cluster.run(until=120.0)
     state = cluster.protocol(1).state
     assert state.cur_id in state.view_history
@@ -237,8 +238,7 @@ def test_commit_we_are_in_disarms_the_wait():
 
 def test_crash_while_armed_fires_nothing_after_recovery():
     cluster = build(trace=True)
-    cluster.injector.crash_at(7.0, 2)
-    cluster.injector.recover_at(8.0, 2)
+    apply_schedule(cluster.injector, [FaultAction(7.0, "crash", (2,), 1.0)])
     cluster.run(until=5.0)
     protocol = cluster.protocol(2)
     cluster.processors[1].send(2, "newvp", {"id": HUGE})

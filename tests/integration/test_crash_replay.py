@@ -15,10 +15,12 @@ correct, one-copy-serializable state.
 """
 
 from dataclasses import replace
+from math import inf
 
-from repro import Cluster, ProtocolConfig
+from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
 from repro.core.config import CATCHUP_LOG, INIT_PREVIOUS
 from repro.node.storage import StorageEngine
+from repro.workload.failures import ScheduledNemesis
 from repro.workload.generator import PrivateObjects, WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
@@ -28,11 +30,9 @@ CLIENTS = 2
 
 
 def _failure_spec(checkpoint_every=0, log_retain=None):
-    def schedule(cluster):
-        cluster.injector.partition_at(30.0, [{1, 2, 3, 4}, {5}])
-        cluster.injector.crash_at(45.0, 2)
-        cluster.injector.recover_at(70.0, 2)
-        cluster.injector.heal_all_at(60.0)
+    schedule = ScheduledNemesis((
+        FaultAction(30.0, "partition", ((1, 2, 3, 4), (5,)), 30.0),
+        FaultAction(45.0, "crash", (2,), 25.0)))
 
     return ExperimentSpec(
         protocol="virtual-partitions", processors=PROCESSORS,
@@ -126,15 +126,16 @@ def test_compacted_catchup_falls_back_to_full_transfer_and_converges():
     cluster = Cluster(processors=5, seed=13, config=config)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0, size=50)
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    (heal,) = apply_schedule(cluster.injector, [
+        FaultAction(5.0, "partition", ((1, 2, 3), (4, 5)), inf)])
     cluster.run(until=30.0)
     burst = 8
     for index in range(burst):
         cluster.write_once(1, "x", index)
         cluster.run(until=cluster.sim.now + 10.0)
-    heal_at = cluster.sim.now + 1.0
-    cluster.injector.heal_all_at(heal_at)
-    cluster.run(until=heal_at + cluster.config.liveness_bound + 15)
+    healed = cluster.sim.now + 1.0
+    cluster.injector.at(healed, *heal)
+    cluster.run(until=healed + cluster.config.liveness_bound + 15)
     totals = cluster.metrics
     assert totals.catchup_fallbacks >= 1
     # fallbacks ship whole objects: the transfer bill shows it

@@ -5,7 +5,9 @@
 and combinations — always ending with a one-copy serializability audit.
 """
 
-from repro import Cluster, ProtocolConfig
+from math import inf
+
+from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
 
 
 def increment(obj="x"):
@@ -87,7 +89,8 @@ def test_crash_during_transaction_rolls_back_dirty_writes():
     outcome = cluster.submit(1, slow_writer)
     cluster.run(until=10.0)  # write applied everywhere, txn still open
     assert cluster.processor(2).store.peek("x")[0] == "dirty"
-    cluster.injector.crash_at(11.0, 1)  # the coordinator dies
+    # the coordinator dies
+    apply_schedule(cluster.injector, [FaultAction(11.0, "crash", (1,), inf)])
     cluster.run(until=300.0)
     # p2/p3 eventually formed a new partition; strict R4 force-aborted
     # the orphan, restoring the before-image.
@@ -105,8 +108,8 @@ def test_repeated_partition_cycles_converge_and_stay_correct():
     cluster.start()
     t = 10.0
     for _cycle in range(3):
-        cluster.injector.partition_at(t, [{1, 2, 3}, {4, 5}])
-        cluster.injector.heal_all_at(t + 60.0)
+        apply_schedule(cluster.injector, [
+            FaultAction(t, "partition", ((1, 2, 3), (4, 5)), 60.0)])
         t += 120.0
     outcomes = drive_increments(cluster, count=6, retries=12, backoff=8.0)
     committed = sum(1 for o in outcomes if o.value[0])
@@ -168,8 +171,8 @@ def test_weakened_r4_is_still_one_copy_serializable_under_partitions():
     cluster = Cluster(processors=5, seed=15, config=config)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0)
     cluster.start()
-    cluster.injector.partition_at(20.0, [{1, 2, 3}, {4, 5}])
-    cluster.injector.heal_all_at(150.0)
+    apply_schedule(cluster.injector, [
+        FaultAction(20.0, "partition", ((1, 2, 3), (4, 5)), 130.0)])
     outcomes = drive_increments(cluster, count=6)
     committed = sum(1 for o in outcomes if o.value[0])
     assert committed >= 4
@@ -182,8 +185,7 @@ def test_lost_commit_message_heals_via_monitor_timeout():
     cluster = Cluster(processors=3, seed=16, loss_prob=0.15)
     cluster.place("x", holders=[1, 2, 3], initial=0)
     cluster.start()
-    cluster.injector.crash_at(10.0, 3)
-    cluster.injector.recover_at(60.0, 3)
+    apply_schedule(cluster.injector, [FaultAction(10.0, "crash", (3,), 50.0)])
     cluster.run(until=400.0)
     # Under sustained 15% loss processors may be caught between accept
     # and commit (unassigned) at any instant — but creation attempts
@@ -211,12 +213,13 @@ def test_coordinator_crash_mid_write_fanout_does_not_hang():
         return "wrote"
 
     outcome = cluster.submit(1, writer, retries=0)
-    cluster.injector.crash_at(0.5, 1)  # crash mid-fanout
+    (recover,) = apply_schedule(cluster.injector, [  # crash mid-fanout
+        FaultAction(0.5, "crash", (1,), inf)])
     cluster.run(until=200.0)
     assert outcome.triggered, "the transaction process must terminate"
     committed, _ = outcome.value
     assert committed is False  # the crashed coordinator cannot commit
     # Recovery restores the copies.
-    cluster.injector.recover_at(201.0, 1)
+    cluster.injector.at(201.0, *recover)
     cluster.run(until=201.0 + 2 * cluster.config.liveness_bound)
     assert cluster.check_one_copy_serializable()

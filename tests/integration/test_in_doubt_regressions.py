@@ -14,7 +14,9 @@ invisible to recovery until resolved.  These tests replay the exact
 schedules deterministically so the hole cannot quietly reopen.
 """
 
-from repro import Cluster, ProtocolConfig
+from math import inf
+
+from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
 
 from tests.properties.test_protocol_invariants import run_random_cluster
 
@@ -93,7 +95,8 @@ def test_watchdog_fires_while_coordinator_dead():
     resolver tasks — while the coordinator is crashed, and deliver the
     logged commit the moment the coordinator's WAL comes back."""
     cluster = _cluster_in_decide_window()
-    cluster.injector.crash_at(cluster.sim.now + 0.5, 1)
+    (recover,) = apply_schedule(cluster.injector, [
+        FaultAction(cluster.sim.now + 0.5, "crash", (1,), inf)])
     # run far past the per-vote decide watchdog (access_timeout = 96):
     # it fires against a dead coordinator, the resolver's txn-status
     # gets no response, and 2PC's blocking window holds
@@ -102,9 +105,9 @@ def test_watchdog_fires_while_coordinator_dead():
         commit = cluster.protocol(pid).commit
         assert TXN in commit.in_doubt, "in-doubt txn rolled back"
         assert TXN in commit.resolving, "resolver not armed (or leaked)"
-    recover_at = cluster.sim.now + 1.0
-    cluster.injector.recover_at(recover_at, 1)
-    cluster.run(until=recover_at + 3 * cluster.config.access_timeout)
+    recovered = cluster.sim.now + 1.0
+    cluster.injector.at(recovered, *recover)
+    cluster.run(until=recovered + 3 * cluster.config.access_timeout)
     for pid in (2, 3):
         commit = cluster.protocol(pid).commit
         assert TXN not in commit.in_doubt

@@ -11,8 +11,9 @@ that each record is read exactly once per occurrence.
 from collections import Counter
 
 from repro.client.session import SessionSpec
+from repro.net import FaultAction
 from repro.shard import ReshardAction
-from repro.workload import ExperimentSpec, WorkloadSpec
+from repro.workload import ExperimentSpec, ScheduledNemesis, WorkloadSpec
 from repro.workload import runner
 
 RECORD_TYPES = {
@@ -35,11 +36,9 @@ class Counting:
             self.reader.read(fact)
 
 
-def faults(cluster):
-    cluster.injector.partition_at(60.0, [{1, 2, 3, 4}, {5, 6}])
-    cluster.injector.heal_all_at(90.0)
-    cluster.injector.crash_at(110.0, 3)
-    cluster.injector.recover_at(130.0, 3)
+faults = ScheduledNemesis((
+    FaultAction(60.0, "partition", ((1, 2, 3, 4), (5, 6)), 30.0),
+    FaultAction(110.0, "crash", (3,), 20.0)))
 
 
 def test_every_fact_reaches_each_reader_once(monkeypatch):

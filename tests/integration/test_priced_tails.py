@@ -21,9 +21,11 @@ the coordinator's vote alone; on five with copies on p1, p3 and p4,
 the crash hits p2's batch of p3's and p4's votes and neither leaves.
 """
 
+from math import inf
+
 import pytest
 
-from repro import Cluster, ProtocolConfig
+from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
 
 WINDOW = 0.5
 HORIZON = 60.0
@@ -42,8 +44,9 @@ def crash_inside_window(cluster, pid: int, kind: str, accepts):
         if not armed and accepts(message):
             armed.append(message)
             now = cluster.sim.now
-            cluster.injector.crash_at(now + WINDOW / 2, pid)
-            cluster.injector.recover_at(now + 3 * WINDOW / 4, pid)
+            (recover,) = apply_schedule(cluster.injector, [
+                FaultAction(now + WINDOW / 2, "crash", (pid,), inf)])
+            cluster.injector.at(now + 3 * WINDOW / 4, *recover)
 
     processor._handlers[kind] = armed_handler
     return armed
@@ -119,7 +122,7 @@ def vp_accept():
     armed = crash_inside_window(
         cluster, 1, "newvp", lambda m: state.max_id == m.payload["id"])
     # p1 and p2 both invite; p1 accepts p2's higher identifier
-    cluster.injector.crash_at(1.0, 3)
+    apply_schedule(cluster.injector, [FaultAction(1.0, "crash", (3,), inf)])
     return cluster, sent, armed, lambda m, request: (
         m.kind == "vp-accept" and m.payload["id"] == request.payload["id"])
 

@@ -18,10 +18,11 @@ wake-up nobody waits on.
 """
 
 import sys
+from math import inf
 
 import pytest
 
-from repro import Cluster, ProtocolConfig
+from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
 from repro.core.protocol import VirtualPartitionProtocol
 from repro.core.state import ReplicaState
 from repro.node.storage import StorageEngine
@@ -65,8 +66,7 @@ def crash_then_recover(cluster, pid, at, armed):
     """Crash ``pid`` at ``at`` and recover it one tick later; note the
     partition it stands in now, whose update the crash must kill."""
     armed.append(cluster.protocol(pid).state.cur_id)
-    cluster.injector.crash_at(at, pid)
-    cluster.injector.recover_at(at + 1.0, pid)
+    apply_schedule(cluster.injector, [FaultAction(at, "crash", (pid,), 1.0)])
 
 
 def reads_in_flight(armed):
@@ -76,8 +76,8 @@ def reads_in_flight(armed):
                       config=ProtocolConfig(delta=1.0))
     cluster.place("x", holders=[1, 2, 3], initial=0)
     cluster.start()
-    cluster.injector.partition_at(5.0, [{1, 2}, {3}])
-    cluster.injector.heal_all_at(30.0)
+    apply_schedule(cluster.injector, [
+        FaultAction(5.0, "partition", ((1, 2), (3,)), 25.0)])
     processor = cluster.processor(1)
     handler = processor._handlers["vpread"]
 
@@ -93,25 +93,30 @@ def reads_in_flight(armed):
 def decide_window(processors, holders, cut=None):
     """A write of x by p1 whose commit is durably decided but whose
     decide has not left (the decide waits out a 3-tick forced write);
-    p1 then crashes for good, so its participants stay in doubt."""
+    p1 then crashes for good, so its participants stay in doubt.  With
+    ``cut``, the blocks are partitioned from t=1 until the returned
+    undo is scheduled."""
     cluster = Cluster(processors=processors, seed=1, trace=True,
                       config=ProtocolConfig(delta=4.0, storage_sync_cost=3.0))
     cluster.place("x", holders=holders, initial=0)
     cluster.start()
+    undo = None
     if cut is not None:
-        cluster.injector.partition_at(1.0, cut)
+        (undo,) = apply_schedule(cluster.injector, [
+            FaultAction(1.0, "partition", cut, inf)])
     cluster.run(until=30.0)
     cluster.write_once(1, "x", 42)
     while cluster.processor(1).store.decision_of(TXN) != "commit":
         cluster.sim.run(until=cluster.sim.now + 0.25)
-    cluster.injector.crash_at(cluster.sim.now + 0.5, 1)
-    return cluster
+    apply_schedule(cluster.injector, [
+        FaultAction(cluster.sim.now + 0.5, "crash", (1,), inf)])
+    return cluster, undo
 
 
 def in_doubt_park(armed):
     """p2 and p3 re-form without p1; p3's own copy carries the in-doubt
     write, so its update parks.  It crashes a tick into the park."""
-    cluster = decide_window(3, [1, 2, 3])
+    cluster, _ = decide_window(3, [1, 2, 3])
     state = cluster.protocol(3).state
     while not (state.assigned and 1 not in state.lview
                and "x" in state.locked):
@@ -126,12 +131,11 @@ def in_doubt_reread_wait(armed):
     recover (their locks go, the in-doubt writes stay), then all three
     re-form without p1.  Both of p4's sources answer "in-doubt", and
     p4 crashes five ticks into its wait to re-read them."""
-    cluster = decide_window(4, [2, 3, 4], cut=[{1, 2, 3}, {4}])
+    cluster, heal = decide_window(4, [2, 3, 4], cut=((1, 2, 3), (4,)))
     now = cluster.sim.now
-    for pid in (2, 3):
-        cluster.injector.crash_at(now + 1.0, pid)
-        cluster.injector.recover_at(now + 2.0, pid)
-    cluster.injector.heal_all_at(now + 3.0)
+    apply_schedule(cluster.injector, [
+        FaultAction(now + 1.0, "crash", (pid,), 1.0) for pid in (2, 3)])
+    cluster.injector.at(now + 3.0, *heal)
 
     def tap(message):
         if (not armed and message.kind == "vpread-reply"

@@ -13,8 +13,9 @@ to a round, and the message count on a quarter-length ``fault-churn``.
 
 import sys
 from collections import Counter
+from math import inf
 
-from repro import Cluster, ProtocolConfig
+from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
 from repro.core.copy_update import ReadRound
 from repro.core.protocol import VirtualPartitionProtocol
 from repro.net.network import Network
@@ -66,14 +67,16 @@ def gated_neighbour(crash=None):
     for obj in ("x", "y"):
         cluster.place(obj, holders=[1, 2, 3], initial=0)
     cluster.start()
-    cluster.injector.partition_at(1.0, [{1, 2}, {3}])
+    (heal,) = apply_schedule(cluster.injector, [
+        FaultAction(1.0, "partition", ((1, 2), (3,)), inf)])
     cluster.run(until=30.0)
     cluster.write_once(1, "y", 42)
     while cluster.processor(1).store.decision_of(TXN) != "commit":
         cluster.sim.run(until=cluster.sim.now + 0.25)
     now = cluster.sim.now
-    cluster.injector.crash_at(now + 0.5, 1)
-    cluster.injector.heal_all_at(now + 1.0)
+    apply_schedule(cluster.injector, [FaultAction(now + 0.5, "crash", (1,), inf)])
+    # the partition ends at an instant learned only now
+    cluster.injector.at(now + 1.0, *heal)
     sent = []
     cluster.network.tap = sent.append
     state = cluster.protocol(3).state
@@ -81,8 +84,8 @@ def gated_neighbour(crash=None):
         cluster.sim.run(until=cluster.sim.now + 0.25)
     start = cluster.sim.now
     if crash is not None:
-        cluster.injector.crash_at(start + crash, 3)
-        cluster.injector.recover_at(start + crash + 1.0, 3)
+        apply_schedule(cluster.injector, [
+            FaultAction(start + crash, "crash", (3,), 1.0)])
     return cluster, sent, state.cur_id
 
 
@@ -123,8 +126,8 @@ def test_a_silent_source_costs_only_its_objects_their_deadline(monkeypatch):
     cluster.place("x", holders=[1, 2, 3], initial=0)
     cluster.place("z", holders=[2, 3], initial=0)
     cluster.start()
-    cluster.injector.partition_at(1.0, [{1, 2}, {3}])
-    cluster.injector.heal_all_at(30.0)
+    apply_schedule(cluster.injector, [
+        FaultAction(1.0, "partition", ((1, 2), (3,)), 29.0)])
     rounds = []
 
     def tap(message):

@@ -1,5 +1,7 @@
 """Unit tests for failure injection."""
 
+from math import inf
+
 import pytest
 
 from repro.net import CommGraph, FailureInjector, FaultAction, apply_schedule
@@ -22,8 +24,7 @@ def test_scripted_crash_and_recover():
     graph = CommGraph([1, 2, 3])
     proc = FakeProcessor()
     injector = FailureInjector(sim, graph, {2: proc})
-    injector.crash_at(5.0, 2)
-    injector.recover_at(10.0, 2)
+    apply_schedule(injector, [FaultAction(5.0, "crash", (2,), 5.0)])
 
     sim.run(until=7.0)
     assert not graph.has_edge(2, 2)
@@ -39,8 +40,7 @@ def test_scripted_link_cut_and_heal():
     sim = Simulator()
     graph = CommGraph([1, 2])
     injector = FailureInjector(sim, graph)
-    injector.cut_at(1.0, 1, 2)
-    injector.heal_at(2.0, 1, 2)
+    apply_schedule(injector, [FaultAction(1.0, "cut", (1, 2), 1.0)])
     sim.run(until=1.5)
     assert not graph.has_edge(1, 2)
     sim.run(until=3.0)
@@ -48,18 +48,47 @@ def test_scripted_link_cut_and_heal():
 
 
 def test_scripted_partition_sequence():
+    """A re-partition: the first partition's hold ends where the second
+    starts, and the second's undo heals the lot."""
     sim = Simulator()
     graph = CommGraph([1, 2, 3, 4])
     injector = FailureInjector(sim, graph)
-    injector.partition_at(1.0, [{1, 2}, {3, 4}])
-    injector.partition_at(2.0, [{2, 3}, {1, 4}])
-    injector.heal_all_at(3.0)
+    apply_schedule(injector, [
+        FaultAction(1.0, "partition", ((1, 2), (3, 4)), 1.0),
+        FaultAction(2.0, "partition", ((2, 3), (1, 4)), 1.0),
+    ])
     sim.run(until=1.5)
     assert sorted(map(sorted, graph.clusters())) == [[1, 2], [3, 4]]
     sim.run(until=2.5)
     assert sorted(map(sorted, graph.clusters())) == [[1, 4], [2, 3]]
     sim.run(until=3.5)
     assert graph.clusters() == [{1, 2, 3, 4}]
+    assert [label for _, label in injector.log] == [
+        "partition([[1, 2], [3, 4]])", "partition-end",
+        "partition([[2, 3], [1, 4]])", "partition-end"]
+
+
+def test_a_repartition_leaves_exactly_the_second_partitions_cuts():
+    """Whichever of the first partition's undo and the second's do runs
+    first in their shared instant, the cut set afterwards is the second
+    partition's inter-block pairs — no more, no fewer."""
+    second = ((2, 3), (1, 4))
+    for order in ("undo-first", "do-first"):
+        sim = Simulator()
+        graph = CommGraph([1, 2, 3, 4])
+        injector = FailureInjector(sim, graph)
+        (undo,) = apply_schedule(injector, [
+            FaultAction(1.0, "partition", ((1, 2), (3, 4)), inf)])
+        if order == "undo-first":
+            injector.at(2.0, *undo)
+        apply_schedule(injector, [FaultAction(2.0, "partition", second, inf)])
+        if order == "do-first":
+            injector.at(2.0, *undo)
+        sim.run(until=3.0)
+        cut = {frozenset((a, b)) for a in graph.nodes for b in graph.nodes
+               if a < b and not graph.has_edge(a, b)}
+        assert cut == {frozenset((a, b)) for a in second[0]
+                       for b in second[1]}, order
 
 
 def test_past_time_rejected():
@@ -69,7 +98,7 @@ def test_past_time_rejected():
     sim.timeout(5.0)
     sim.run()
     with pytest.raises(ValueError):
-        injector.crash_at(1.0, 1)
+        apply_schedule(injector, [FaultAction(1.0, "crash", (1,), inf)])
 
 
 def test_at_accepts_now():
@@ -81,7 +110,8 @@ def test_at_accepts_now():
     sim.timeout(5.0)
     sim.run()
     assert sim.now == 5.0
-    injector.crash_at(sim.now, 1)  # must not raise
+    # must not raise
+    apply_schedule(injector, [FaultAction(sim.now, "crash", (1,), inf)])
     assert graph.has_edge(1, 1)        # not applied synchronously
     sim.run()
     assert not graph.has_edge(1, 1)
@@ -92,110 +122,95 @@ def test_at_zero_at_boot():
     sim = Simulator()
     graph = CommGraph([1, 2])
     injector = FailureInjector(sim, graph)
-    injector.cut_at(0.0, 1, 2)
+    apply_schedule(injector, [FaultAction(0.0, "cut", (1, 2), inf)])
     sim.run()
     assert not graph.has_edge(1, 2)
 
 
-# -- ownership claims: concurrent fault actors -------------------------------
+# -- permanent faults and observed ends ----------------------------------------
 
 
-def test_planned_heal_must_not_resurrect_scripted_cut():
-    """Regression: a generated link-repair used to silently heal a link
-    a scripted ``cut_at`` deliberately held down."""
-    sim = Simulator()
-    graph = CommGraph([1, 2])
-    injector = FailureInjector(sim, graph)
-    injector.cut_at(1.0, 1, 2)
-    injector.heal_at(10.0, 1, 2)
-    apply_schedule(injector, [
-        FaultAction(time=2.0, kind="cut", args=(1, 2), hold=3.0),
-    ])
-    sim.run(until=3.0)
-    assert not graph.has_edge(1, 2)
-    sim.run(until=6.0)               # the planned heal has fired
-    assert not graph.has_edge(1, 2)  # script still owns the cut
-    sim.run(until=11.0)              # the scripted heal releases it
-    assert graph.has_edge(1, 2)
-
-
-def test_planned_recover_must_not_undo_scripted_crash():
-    sim = Simulator()
-    graph = CommGraph([1, 2])
-    proc = FakeProcessor()
-    injector = FailureInjector(sim, graph, {1: proc})
-    injector.crash_at(1.0, 1)
-    injector.recover_at(10.0, 1)
-    apply_schedule(injector, [
-        FaultAction(time=2.0, kind="crash", args=(1,), hold=3.0),
-    ])
-    sim.run(until=6.0)               # the planned recover has fired
-    assert not graph.has_edge(1, 1)
-    assert "recover" not in proc.events
-    sim.run(until=11.0)
-    assert graph.has_edge(1, 1)
-    assert proc.events == ["crash", "crash", "recover"]
-
-
-def test_partition_at_rewrites_claims():
-    """partition_at stays authoritative: it clears intra-block claims
-    (foreign ones included) and owns every inter-block cut."""
-    sim = Simulator()
-    graph = CommGraph([1, 2, 3, 4])
-    injector = FailureInjector(sim, graph)
-    injector._cut(1, 2, actor="nemesis#0")
-    injector.partition_at(1.0, [{1, 2}, {3, 4}])
-    sim.run(until=2.0)
-    assert graph.has_edge(1, 2)
-    injector._cut(1, 2)      # a scripted cut heals alone: the foreign
-    injector._heal(1, 2)     # claim is gone
-    assert graph.has_edge(1, 2)
-    injector._heal(1, 3, actor="nemesis#0")
-    assert not graph.has_edge(1, 3)  # the partition owns its cuts
-    injector._heal(1, 3)
-    assert graph.has_edge(1, 3)
-
-
-def test_heal_all_force_clears_link_claims():
+def test_an_infinite_hold_is_never_undone():
     sim = Simulator()
     graph = CommGraph([1, 2, 3])
+    proc = FakeProcessor()
+    injector = FailureInjector(sim, graph, {3: proc})
+    apply_schedule(injector, [
+        FaultAction(1.0, "crash", (3,), inf),
+        FaultAction(1.0, "cut", (1, 2), inf),
+        FaultAction(1.0, "partition", ((1,), (2, 3)), inf),
+    ])
+    sim.run()  # nothing is left on the queue to undo them
+    assert sim.now == 1.0
+    assert proc.events == ["crash"]
+    assert not graph.has_edge(1, 2) and not graph.has_edge(3, 3)
+    assert [label for _, label in injector.log] == [
+        "crash(3)", "cut(1,2)", "partition([[1], [2, 3]])"]
+
+
+def test_an_observed_end_is_the_actions_own_undo():
+    """A fault whose end is learned mid-run: applied with an infinite
+    hold, ended by scheduling the undo ``apply_schedule`` returned —
+    which releases only that action's claim."""
+    sim = Simulator()
+    graph = CommGraph([1, 2])
     injector = FailureInjector(sim, graph)
-    injector._cut(1, 2, actor="nemesis#4")
-    injector._cut_oneway(2, 3, actor="nemesis#5")
-    injector.heal_all_at(1.0)
-    sim.run(until=2.0)
+    (undo,) = apply_schedule(injector, [FaultAction(1.0, "cut", (1, 2), inf)])
+    apply_schedule(injector, [FaultAction(2.0, "cut", (1, 2), 4.0)])
+    sim.run(until=3.0)
+    injector.at(4.0, *undo)  # the end, learned at t=3
+    sim.run(until=5.0)
+    assert not graph.has_edge(1, 2)  # the second cut still holds it
+    sim.run(until=7.0)
     assert graph.has_edge(1, 2)
-    assert graph.can_send(2, 3)
-    # no claim is left: a scripted cut and heal restore each alone
-    injector._cut(1, 2)
-    injector._heal(1, 2)
-    injector._cut_oneway(2, 3)
-    injector._heal_oneway(2, 3)
+    assert [label for _, label in injector.log] == [
+        "cut(1,2)", "cut(1,2)", "heal(1,2)", "heal(1,2)"]
+
+
+# -- ownership claims: concurrent fault actions --------------------------------
+
+
+def test_claims_are_unique_across_apply_schedule_calls():
+    """Regression: actor ids were numbered per ``apply_schedule`` call,
+    so two calls on one injector shared ``nemesis#0`` and the shorter
+    cut's undo healed a link the longer one still held down."""
+    sim = Simulator()
+    graph = CommGraph([1, 2])
+    injector = FailureInjector(sim, graph)
+    apply_schedule(injector, [FaultAction(1.0, "cut", (1, 2), 10.0)])
+    apply_schedule(injector, [FaultAction(2.0, "cut", (1, 2), 2.0)])
+    sim.run(until=5.0)
+    assert not graph.has_edge(1, 2)
+    sim.run(until=12.0)
     assert graph.has_edge(1, 2)
-    assert graph.can_send(2, 3)
 
 
 # -- edge cases ---------------------------------------------------------------
 
 
 def test_recover_never_crashed_pid_is_harmless():
+    """A crash's undo scheduled before the crash itself: the recover of
+    a pid nobody crashed is a no-op the processor tolerates."""
     sim = Simulator()
     graph = CommGraph([1, 2])
     proc = FakeProcessor()
     injector = FailureInjector(sim, graph, {1: proc})
-    injector.recover_at(1.0, 1)
+    (undo,) = apply_schedule(injector, [FaultAction(5.0, "crash", (1,), inf)])
+    injector.at(1.0, *undo)
     sim.run(until=2.0)
     assert graph.has_edge(1, 1)
     assert proc.events == ["recover"]  # processors tolerate spurious recover
 
 
-def test_cut_already_cut_link_needs_single_heal():
-    """Cutting twice under one actor is idempotent — one heal restores."""
+def test_overlapping_cuts_heal_with_the_last_undo():
+    """Two actions cutting one link: the link comes back only when the
+    last of them lets go."""
     sim = Simulator()
     graph = CommGraph([1, 2])
     injector = FailureInjector(sim, graph)
-    injector.cut_at(1.0, 1, 2)
-    injector.cut_at(2.0, 1, 2)
-    injector.heal_at(3.0, 1, 2)
-    sim.run(until=4.0)
+    apply_schedule(injector, [FaultAction(1.0, "cut", (1, 2), 2.0),
+                              FaultAction(2.0, "cut", (1, 2), 2.0)])
+    sim.run(until=3.5)
+    assert not graph.has_edge(1, 2)
+    sim.run(until=4.5)
     assert graph.has_edge(1, 2)

@@ -45,7 +45,7 @@ def test_crash_repair_plan_replays_the_online_process():
     sim, graph, _, injector = build(pids)
     apply_schedule(injector, plan_crash_repair(rng, pids, **params))
     sim.run(until=400.0)
-    assert [[t, label.replace("nemesis-", "random-")]
+    assert [[t, "random-" + label]
             for t, label in injector.log] == recorded["log"]
     assert all(graph.has_edge(p, p) for p in pids)
     assert graph.clusters() == [set(pids)]
@@ -144,20 +144,20 @@ def test_apply_schedule_cut_and_undo():
 
 
 def test_apply_schedule_partition_is_composable():
-    """A nemesis partition is pairwise inter-block cuts under its own
-    actor, so undoing it never clobbers someone else's cut."""
+    """A partition is pairwise inter-block cuts under its own actor, so
+    undoing it never clobbers another action's cut."""
     sim = Simulator()
     graph = CommGraph([1, 2, 3, 4])
     injector = FailureInjector(sim, graph)
-    injector._cut(1, 3)  # scripted cut, independent of the nemesis
     apply_schedule(injector, [
+        FaultAction(time=0.0, kind="cut", args=(1, 3), hold=float("inf")),
         FaultAction(time=1.0, kind="partition", args=((1, 2), (3, 4)),
                     hold=2.0),
     ])
     sim.run(until=1.5)
     assert sorted(map(sorted, graph.clusters())) == [[1, 2], [3, 4]]
     sim.run(until=5.0)
-    assert not graph.has_edge(1, 3), "scripted cut must survive the undo"
+    assert not graph.has_edge(1, 3), "the other cut must survive the undo"
     assert graph.has_edge(1, 4) and graph.has_edge(2, 3)
 
 
@@ -185,7 +185,7 @@ def test_apply_schedule_oneway_cut_and_undo():
     sim.run(until=3.0)
     assert graph.can_send(1, 2)
     assert [label for _, label in injector.log] == [
-        "nemesis-cut-oneway(1,2)", "nemesis-heal-oneway(1,2)"]
+        "cut-oneway(1,2)", "heal-oneway(1,2)"]
 
 
 def test_apply_schedule_flap():
@@ -197,7 +197,7 @@ def test_apply_schedule_flap():
         sim.run(until=until)
         assert graph.has_edge(1, 2) is up
     assert [label for _, label in injector.log] == [
-        "nemesis-flap-cut(1,2)", "nemesis-flap-heal(1,2)"] * 2
+        "flap-cut(1,2)", "flap-heal(1,2)"] * 2
 
 
 @pytest.mark.parametrize("kind, value, table", [

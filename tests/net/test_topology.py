@@ -120,10 +120,11 @@ def test_partition_rejects_overlap_and_unknowns():
 
 
 def test_heal_all_restores_clique_but_not_crashes():
+    """Healing all links is a one-block partition; crashes stay."""
     graph = make_graph(3)
     graph.partition([{1}, {2, 3}])
     graph.crash_node(3)
-    graph.heal_all()
+    graph.partition([graph.nodes])
     assert graph.has_edge(1, 2)
     assert not graph.has_edge(3, 3)
     assert {3} in graph.clusters()
@@ -136,7 +137,7 @@ def test_version_counter_tracks_changes():
     graph.heal_link(1, 2)
     graph.crash_node(1)
     graph.recover_node(1)
-    graph.heal_all()
+    graph.partition([graph.nodes])
     assert graph.version == v0 + 5
 
 
@@ -223,7 +224,7 @@ def test_partition_discards_intra_block_oneway_cuts():
     graph.partition([{1, 2}, {3, 4}])
     assert graph.can_send(1, 2) and graph.can_send(2, 1)
     assert not graph.can_send(3, 1)
-    graph.heal_all()
+    graph.partition([graph.nodes])
     assert graph.can_send(3, 1)
     assert is_transitive(graph)
 
@@ -231,7 +232,7 @@ def test_partition_discards_intra_block_oneway_cuts():
 def test_heal_all_clears_oneway_cuts():
     graph = make_graph(3)
     graph.cut_link_oneway(2, 3)
-    graph.heal_all()
+    graph.partition([graph.nodes])
     assert graph.can_send(2, 3)
 
 

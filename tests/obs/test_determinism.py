@@ -6,7 +6,7 @@ from simulated time and seeded randomness, never from process state
 (sorted keys, compact separators), so equality is literal bytes.
 """
 
-from repro import Cluster
+from repro import Cluster, FaultAction, apply_schedule
 from repro.obs.export import dumps_jsonl
 
 
@@ -15,8 +15,8 @@ def _traced_run(seed: int) -> str:
     for index, obj in enumerate(["x", "y"]):
         cluster.place(obj, holders=[1, 2, 3, 4], initial=index)
     cluster.start()
-    cluster.injector.partition_at(10.0, [{1, 2}, {3, 4}])
-    cluster.injector.heal_all_at(60.0)
+    apply_schedule(cluster.injector, [
+        FaultAction(10.0, "partition", ((1, 2), (3, 4)), 50.0)])
     cluster.write_once(1, "x", 1)
     cluster.read_once(3, "y")
     cluster.write_once(2, "y", 5)

@@ -10,11 +10,12 @@ same shape as the protocol-invariant properties next door.
 """
 
 import random
+from math import inf
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Cluster
+from repro import Cluster, FaultAction, apply_schedule
 from repro.client.session import SessionSpec
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
@@ -33,28 +34,37 @@ class ChurnSchedule:
     def __call__(self, cluster) -> None:
         rng = random.Random(self.seed)
         pids = list(cluster.pids)
-        down: set = set()
+        injector = cluster.injector
+        # each fault holds until a later draw ends it: its undo, by pid
+        # for a crash, is scheduled then (a new partition ends the last)
+        down: dict = {}
+        partition = None
         t = 10.0
         for _ in range(self.events):
             action = rng.randrange(4)
             if action == 0 and len(down) < len(pids) - 2:
                 victim = rng.choice([p for p in pids if p not in down])
-                cluster.injector.crash_at(t, victim)
-                down.add(victim)
+                (down[victim],) = apply_schedule(
+                    injector, [FaultAction(t, "crash", (victim,), inf)])
             elif action == 1 and down:
                 lucky = rng.choice(sorted(down))
-                cluster.injector.recover_at(t, lucky)
-                down.discard(lucky)
+                injector.at(t, *down.pop(lucky))
             elif action == 2:
                 split = rng.randrange(1, len(pids))
-                cluster.injector.partition_at(t, [set(pids[:split])])
-            else:
-                cluster.injector.heal_all_at(t)
+                if partition is not None:
+                    injector.at(t, *partition)
+                (partition,) = apply_schedule(injector, [FaultAction(
+                    t, "partition", (tuple(pids[:split]),
+                                     tuple(pids[split:])), inf)])
+            elif partition is not None:
+                injector.at(t, *partition)
+                partition = None
             t += rng.uniform(10.0, 30.0)
         # end healthy so grace covers convergence
-        cluster.injector.heal_all_at(t)
+        if partition is not None:
+            injector.at(t, *partition)
         for pid in sorted(down):
-            cluster.injector.recover_at(t + 1.0, pid)
+            injector.at(t + 1.0, *down[pid])
 
 
 # derandomize=True: deterministic example sequence, reproducible in CI
@@ -101,7 +111,8 @@ def test_partition_mid_lease_serves_stale_within_bound_then_recovers():
     session = cluster.session(1, spec=SESSION)
     assert run_program(cluster, session, [("r", "x")]) == (True, 0)
     t0 = cluster.sim.now
-    cluster.injector.partition_at(t0 + 1.0, [{1}, {2, 3}])
+    (heal,) = apply_schedule(cluster.injector, [
+        FaultAction(t0 + 1.0, "partition", ((1,), (2, 3)), inf)])
     cluster.run(until=t0 + 2.0)
     # isolated but not yet detected: the lease still serves, and the
     # value's age is inside L + Delta by construction
@@ -120,7 +131,7 @@ def test_partition_mid_lease_serves_stale_within_bound_then_recovers():
                              backoff=2 * cluster.config.delta)
     cluster.sim.run(until=outcome)
     assert outcome.value[0], "majority partition must accept the write"
-    cluster.injector.heal_all_at(cluster.sim.now + 1.0)
+    cluster.injector.at(cluster.sim.now + 1.0, *heal)
     cluster.run(until=cluster.sim.now + 2 * cluster.config.liveness_bound)
     committed, value = run_program(cluster, session, [("r", "x")])
     assert committed and value == 99, "post-heal read must be fresh"
@@ -137,7 +148,8 @@ def test_view_change_mid_lease_revokes_before_expiry():
     run_program(cluster, session, [("r", "x")])
     lease = session.lease_table.serve("x", cluster.sim.now)
     assert lease is not None
-    cluster.injector.crash_at(cluster.sim.now + 0.1, 3)
+    apply_schedule(cluster.injector, [
+        FaultAction(cluster.sim.now + 0.1, "crash", (3,), inf)])
     # wait for detection but stay inside the lease window? Detection
     # takes up to ~pi, which exceeds L=7.5 — so instead check that the
     # epoch mismatch (not expiry) is what kills the lease: freeze the

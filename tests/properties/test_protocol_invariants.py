@@ -7,11 +7,12 @@ whole simulation), but each is an adversarial end-to-end argument.
 """
 
 import random
+from math import inf
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Cluster
+from repro import Cluster, FaultAction, apply_schedule
 from repro.analysis.one_copy import check_one_copy
 
 
@@ -25,23 +26,31 @@ def run_random_cluster(seed: int, n: int, event_count: int,
 
     rng = random.Random(seed)
     pids = list(cluster.pids)
-    down: set[int] = set()
+    injector = cluster.injector
+    # each fault holds until a later draw ends it: its undo, by pid for
+    # a crash, is scheduled then (a new partition ends the last one)
+    down: dict = {}
+    partition = None
     t = 5.0
     for _ in range(event_count):
         action = rng.randrange(4)
         if action == 0 and len(down) < n - 1:
             victim = rng.choice([p for p in pids if p not in down])
-            cluster.injector.crash_at(t, victim)
-            down.add(victim)
+            (down[victim],) = apply_schedule(
+                injector, [FaultAction(t, "crash", (victim,), inf)])
         elif action == 1 and down:
             lucky = rng.choice(sorted(down))
-            cluster.injector.recover_at(t, lucky)
-            down.discard(lucky)
+            injector.at(t, *down.pop(lucky))
         elif action == 2:
             split = rng.randrange(1, n)
-            cluster.injector.partition_at(t, [set(pids[:split])])
-        else:
-            cluster.injector.heal_all_at(t)
+            if partition is not None:
+                injector.at(t, *partition)
+            (partition,) = apply_schedule(injector, [FaultAction(
+                t, "partition", (tuple(pids[:split]), tuple(pids[split:])),
+                inf)])
+        elif partition is not None:
+            injector.at(t, *partition)
+            partition = None
         t += rng.uniform(10.0, 40.0)
 
     def body(txn):
@@ -56,7 +65,7 @@ def run_random_cluster(seed: int, n: int, event_count: int,
         cluster.sim.run(until=outcome)
     # let recoveries settle
     for pid in sorted(down):
-        cluster.injector.recover_at(cluster.sim.now + 1.0, pid)
+        injector.at(cluster.sim.now + 1.0, *down[pid])
     cluster.run(until=cluster.sim.now + 2 * cluster.config.liveness_bound)
     return cluster
 

@@ -19,9 +19,12 @@ One trace pin and one paired-outcome check:
 
 import hashlib
 import json
+from itertools import groupby
 
 from repro.core.config import ProtocolConfig
+from repro.net import FaultAction, apply_schedule
 from repro.obs.export import write_jsonl
+from repro.workload.failures import ScheduledNemesis
 from repro.workload.generator import PrivateObjects, WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
@@ -30,18 +33,34 @@ CLIENTS = 2
 TXNS_PER_CLIENT = 4
 
 #: sha256 of the canonical JSONL trace of `_spec`'s run, re-captured
-#: when Fig. 9's reads became one request per source and read round
-#: (was ``2102a338…ead079``, captured when a process started in the
-#: call that creates it; ``6e021101…fb6b5`` before that, first captured
-#: on the pre-storage-engine implementation): 138 ``vpread`` requests
-#: and 138 replies became 10 requests and 34 replies; with those
-#: message events dropped and ``seq`` stripped, the old and new traces
-#: hold the same events at every instant of the run (committed 36 /
-#: aborted 52, tags, 1SR equal).
+#: when every injected fault became a ``FaultAction`` (was
+#: ``68c0923d…d5305``): the old trace with its heal-all label mapped to
+#: ``partition-end`` has this trace's tie-insensitive digest
 GOLDEN_TRACE_SHA = \
-    "68c0923d51fa84b71bbffcb1a120502dc909e7fa425ca697269798a9520d5305"
+    "4adf89e055641a85744d0304808e372e114d5a0b5347f00bd7a4cb0ed6d409e1"
+#: the same trace's :func:`tie_insensitive_digest`: it moves only when
+#: the events of some instant do, not when their order does
+GOLDEN_TRACE_DIGEST = \
+    "e9ab18e4d2cf622108423b842ae3b1adfecb12e77a5db5c0ac52916873a2c5b5"
 #: event families added by this refactor, filtered before hashing
 NEW_EVENT_FAMILIES = ("storage.", "msg.late-reply")
+
+
+def tie_insensitive_digest(lines, labels=None) -> str:
+    """sha256 of a chronological JSONL trace with ``seq`` stripped and
+    each instant's lines sorted, so same-instant order does not count;
+    ``labels`` renames ``fail.inject`` labels first (old → new)."""
+    canonical = []
+    for _, instant in groupby(map(json.loads, lines), key=lambda e: e["t"]):
+        at_instant = []
+        for event in instant:
+            event.pop("seq", None)
+            if labels and event["e"] == "fail.inject":
+                event["label"] = labels.get(event["label"], event["label"])
+            at_instant.append(json.dumps(event, sort_keys=True,
+                                         separators=(",", ":")))
+        canonical.extend(sorted(at_instant))
+    return hashlib.sha256("\n".join(canonical).encode()).hexdigest()
 
 
 def _spec(config, failures, read_fraction, trace=False):
@@ -69,11 +88,9 @@ def _committed_write_tags(result):
 
 def test_default_policy_is_trace_identical_to_pre_engine_run(tmp_path):
     """Partition + crash + recover + heal, every §6 optimization on."""
-    def schedule(cluster):
-        cluster.injector.partition_at(30.0, [{1, 2, 3, 4}, {5}])
-        cluster.injector.crash_at(45.0, 2)
-        cluster.injector.recover_at(70.0, 2)
-        cluster.injector.heal_all_at(60.0)
+    schedule = ScheduledNemesis((
+        FaultAction(30.0, "partition", ((1, 2, 3, 4), (5,)), 30.0),
+        FaultAction(45.0, "crash", (2,), 25.0)))
 
     config = ProtocolConfig(delta=1.0, init_strategy="previous",
                             catchup="log", split_off_fastpath=True,
@@ -91,6 +108,7 @@ def test_default_policy_is_trace_identical_to_pre_engine_run(tmp_path):
         kept.append(line)
     digest = hashlib.sha256("".join(kept).encode()).hexdigest()
     assert digest == GOLDEN_TRACE_SHA
+    assert tie_insensitive_digest(kept) == GOLDEN_TRACE_DIGEST
     assert result.one_copy_ok is True
     # ...and the run exercised the engine: the journal was busy
     counters = result.registry.snapshot()["counters"]
@@ -98,13 +116,27 @@ def test_default_policy_is_trace_identical_to_pre_engine_run(tmp_path):
     assert counters["storage.forced_syncs"] > 0
 
 
+def test_the_digest_ignores_seq_and_same_instant_order_only():
+    trace = ['{"e":"msg.send","seq":3,"t":1.0}\n',
+             '{"e":"msg.recv","seq":4,"t":1.0}\n',
+             '{"e":"fail.inject","label":"crash(2)","t":2.0}\n']
+    swapped = ['{"e":"msg.recv","seq":7,"t":1.0}\n',
+               '{"e":"msg.send","seq":8,"t":1.0}\n', trace[2]]
+    assert tie_insensitive_digest(swapped) == tie_insensitive_digest(trace)
+    later = [trace[0], trace[1].replace('1.0', '1.5'), trace[2]]
+    assert tie_insensitive_digest(later) != tie_insensitive_digest(trace)
+    renamed = trace[:2] + [trace[2].replace("crash(2)", "down(2)")]
+    assert tie_insensitive_digest(renamed) != tie_insensitive_digest(trace)
+    assert tie_insensitive_digest(trace, {"crash(2)": "down(2)"}) \
+        == tie_insensitive_digest(renamed)
+
+
 def test_durability_costs_and_compaction_preserve_outcomes():
     """Paired runs through a partition + heal: free/unbounded storage
     vs. priced forced writes with checkpointing and log compaction.
     Timing moves; the committed work and its serializability do not."""
-    def schedule(cluster):
-        cluster.injector.partition_at(30.0, [{1, 2, 3, 4}, {5}])
-        cluster.injector.heal_all_at(60.0)
+    schedule = ScheduledNemesis((
+        FaultAction(30.0, "partition", ((1, 2, 3, 4), (5,)), 30.0),))
 
     def config(costed):
         return ProtocolConfig(
@@ -149,10 +181,9 @@ def test_concurrent_initiations_with_forced_writes_converge():
     cluster = Cluster(processors=5, seed=99, config=config)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0)
     cluster.start()
-    cluster.injector.partition_at(20.0, [{1, 2, 3}, {4, 5}])
-    cluster.injector.crash_at(40.0, 2)
-    cluster.injector.recover_at(75.0, 2)
-    cluster.injector.heal_all_at(90.0)
+    apply_schedule(cluster.injector, [
+        FaultAction(20.0, "partition", ((1, 2, 3), (4, 5)), 70.0),
+        FaultAction(40.0, "crash", (2,), 35.0)])
 
     def incr(txn):
         value = yield from txn.read("x")

@@ -35,7 +35,7 @@ def test_clusters_always_partition_the_node_set(seed, n, steps):
         elif action == 3:
             graph.recover_node(a)
         else:
-            graph.heal_all()
+            graph.partition([graph.nodes])  # heal every link
         clusters = graph.clusters()
         covered = set()
         for cluster in clusters:

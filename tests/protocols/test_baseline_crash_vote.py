@@ -21,7 +21,7 @@ copy refuses every access: served, a read of it could return a write
 that then aborts, and a write over it would be undone by that abort.
 """
 
-from repro import Cluster
+from repro import Cluster, FaultAction, apply_schedule
 from repro.analysis.one_copy import check_one_copy
 from repro.protocols import RowaProtocol
 
@@ -31,8 +31,8 @@ def crash_p3(at: float, recover: float) -> Cluster:
     for obj in ("x", "y"):
         cluster.place(obj, holders=[1, 2, 3], initial=0)
     cluster.start()
-    cluster.injector.crash_at(at, 3)
-    cluster.injector.recover_at(recover, 3)
+    apply_schedule(cluster.injector,
+                   [FaultAction(at, "crash", (3,), recover - at)])
     return cluster
 
 
@@ -88,8 +88,7 @@ def test_an_in_doubt_write_is_not_served_before_its_abort_lands():
     # the release would reach p3 at 27.0, while p3 is down since its yes
     # vote.  p3 is back at 28.0; its resolver learns the abort at 30.0.
     cluster = crash_p3(at=3.5, recover=28.0)
-    cluster.injector.crash_at(2.5, 2)
-    cluster.injector.recover_at(10.0, 2)
+    apply_schedule(cluster.injector, [FaultAction(2.5, "crash", (2,), 7.5)])
     t1 = cluster.write_once(1, "x", 1)
     cluster.run(until=28.0)
     assert not t1.value[0], t1.value

@@ -31,7 +31,8 @@ import json
 
 import pytest
 
-from repro.workload.failures import ScriptedFailures
+from repro.net import FaultAction
+from repro.workload.failures import ScheduledNemesis
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
@@ -49,9 +50,10 @@ def spec(protocol: str) -> ExperimentSpec:
         protocol=protocol, processors=5, objects=8, seed=3, duration=300,
         workload=WorkloadSpec(read_fraction=0.8, mean_interarrival=4.0),
         retries=1, check=True,
-        failures=ScriptedFailures(
-            [(60.0, [[1, 2, 3], [4, 5]])], 140.0,
-            [(90.0, 2), (200.0, 4)], [(93.0, 2), (230.0, 4)]),
+        failures=ScheduledNemesis((
+            FaultAction(60.0, "partition", ((1, 2, 3), (4, 5)), 80.0),
+            FaultAction(90.0, "crash", (2,), 3.0),
+            FaultAction(200.0, "crash", (4,), 30.0))),
     )
 
 

@@ -1,6 +1,8 @@
 """Unit tests for Thomas majority voting and the missing-writes scheme."""
 
-from repro import Cluster
+from math import inf
+
+from repro import Cluster, FaultAction, apply_schedule
 from repro.protocols import MajorityProtocol, MissingWritesProtocol
 
 
@@ -38,7 +40,8 @@ def test_majority_read_and_write_cost():
 
 def test_majority_tolerates_minority_partition():
     cluster = build(MajorityProtocol)
-    cluster.injector.partition_at(5.0, [{1, 2, 3}, {4, 5}])
+    apply_schedule(cluster.injector, [
+        FaultAction(5.0, "partition", ((1, 2, 3), (4, 5)), inf)])
     cluster.run(until=10.0)
     good = cluster.write_once(1, "x", 9)
     bad = cluster.write_once(4, "x", 8)
@@ -59,7 +62,7 @@ def test_mw_healthy_mode_reads_one_copy():
 
 def test_mw_write_with_down_copy_succeeds_and_logs():
     cluster = build(MissingWritesProtocol)
-    cluster.injector.crash_at(5.0, 5)
+    apply_schedule(cluster.injector, [FaultAction(5.0, "crash", (5,), inf)])
     cluster.run(until=10.0)
     write = cluster.write_once(1, "x", 42)
     cluster.run(until=80.0)
@@ -71,7 +74,7 @@ def test_mw_write_with_down_copy_succeeds_and_logs():
 
 def test_mw_failure_mode_reads_majority():
     cluster = build(MissingWritesProtocol)
-    cluster.injector.crash_at(5.0, 5)
+    apply_schedule(cluster.injector, [FaultAction(5.0, "crash", (5,), inf)])
     cluster.run(until=10.0)
     cluster.write_once(1, "x", 42)
     cluster.run(until=80.0)
@@ -88,7 +91,7 @@ def test_mw_failure_mode_reads_majority():
 
 def test_mw_note_broadcast_switches_everyone():
     cluster = build(MissingWritesProtocol)
-    cluster.injector.crash_at(5.0, 5)
+    apply_schedule(cluster.injector, [FaultAction(5.0, "crash", (5,), inf)])
     cluster.run(until=10.0)
     cluster.write_once(1, "x", 42)
     cluster.run(until=80.0)
@@ -98,11 +101,12 @@ def test_mw_note_broadcast_switches_everyone():
 
 def test_mw_repair_returns_to_normal_mode():
     cluster = build(MissingWritesProtocol)
-    cluster.injector.crash_at(5.0, 5)
+    (recover,) = apply_schedule(cluster.injector,
+                                [FaultAction(5.0, "crash", (5,), inf)])
     cluster.run(until=10.0)
     cluster.write_once(1, "x", 42)
     cluster.run(until=80.0)
-    cluster.injector.recover_at(81.0, 5)
+    cluster.injector.at(81.0, *recover)
     # give the repair loop (period pi) a few cycles
     cluster.run(until=81.0 + 5 * cluster.config.pi)
     for pid in cluster.pids:
@@ -122,7 +126,8 @@ def test_mw_repair_returns_to_normal_mode():
 def test_mw_no_majority_write_aborts():
     cluster = build(MissingWritesProtocol)
     for pid in (3, 4, 5):
-        cluster.injector.crash_at(5.0, pid)
+        apply_schedule(cluster.injector,
+                       [FaultAction(5.0, "crash", (pid,), inf)])
     cluster.run(until=10.0)
     write = cluster.write_once(1, "x", 1)
     cluster.run(until=200.0)

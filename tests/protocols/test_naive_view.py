@@ -1,6 +1,8 @@
 """Unit tests for the naive-view strawman protocol."""
 
-from repro import Cluster
+from math import inf
+
+from repro import Cluster, FaultAction, apply_schedule
 from repro.protocols import NaiveViewProtocol, protocol_factory
 
 
@@ -28,7 +30,8 @@ def test_refresh_view_is_closed_neighbourhood():
 
 def test_auto_refresh_follows_topology():
     cluster = build()
-    cluster.injector.partition_at(5.0, [{1}, {2, 3}])
+    apply_schedule(cluster.injector,
+                   [FaultAction(5.0, "partition", ((1,), (2, 3)), inf)])
     cluster.run(until=5.0 + 2 * cluster.config.pi)
     assert cluster.protocol(1).view == {1}
     assert cluster.protocol(2).view == {2, 3}
@@ -37,7 +40,8 @@ def test_auto_refresh_follows_topology():
 def test_auto_refresh_can_be_disabled():
     cluster = build()
     cluster.protocol(1).auto_refresh = False
-    cluster.injector.partition_at(5.0, [{1}, {2, 3}])
+    apply_schedule(cluster.injector,
+                   [FaultAction(5.0, "partition", ((1,), (2, 3)), inf)])
     cluster.run(until=5.0 + 3 * cluster.config.pi)
     assert cluster.protocol(1).view == {1, 2, 3}  # stale on purpose
 

@@ -1,8 +1,10 @@
 """Unit tests for Gifford weighted voting."""
 
+from math import inf
+
 import pytest
 
-from repro import Cluster
+from repro import Cluster, FaultAction, apply_schedule
 from repro.protocols import MajorityProtocol, QuorumProtocol
 
 
@@ -97,8 +99,8 @@ def test_blind_write_pays_version_round():
 
 def test_survives_minority_crash():
     cluster = build(5)
-    cluster.injector.crash_at(5.0, 4)
-    cluster.injector.crash_at(5.0, 5)
+    apply_schedule(cluster.injector, [FaultAction(5.0, "crash", (4,), inf),
+                                      FaultAction(5.0, "crash", (5,), inf)])
     cluster.run(until=10.0)
     write = cluster.write_once(1, "x", 42)
     cluster.run(until=80.0)
@@ -111,7 +113,8 @@ def test_survives_minority_crash():
 def test_majority_crash_blocks_access():
     cluster = build(5)
     for pid in (3, 4, 5):
-        cluster.injector.crash_at(5.0, pid)
+        apply_schedule(cluster.injector,
+                       [FaultAction(5.0, "crash", (pid,), inf)])
     cluster.run(until=10.0)
     write = cluster.write_once(1, "x", 42)
     cluster.run(until=200.0)
@@ -122,11 +125,12 @@ def test_recovered_copy_catches_up_via_version_rule():
     """A stale copy rejoining simply loses version races; reads keep
     returning the newest value because quorums intersect."""
     cluster = build(5)
-    cluster.injector.crash_at(5.0, 5)
+    (recover,) = apply_schedule(cluster.injector,
+                                [FaultAction(5.0, "crash", (5,), inf)])
     cluster.run(until=10.0)
     cluster.write_once(1, "x", "during-crash")
     cluster.run(until=60.0)
-    cluster.injector.recover_at(61.0, 5)
+    cluster.injector.at(61.0, *recover)
     cluster.run(until=70.0)
     read = cluster.read_once(5, "x")
     cluster.run(until=140.0)

@@ -1,6 +1,8 @@
 """Unit tests for the read-one/write-all baseline."""
 
-from repro import Cluster
+from math import inf
+
+from repro import Cluster, FaultAction, apply_schedule
 from repro.protocols import RowaProtocol
 
 
@@ -34,7 +36,7 @@ def test_write_touches_every_copy():
 
 def test_single_crashed_copy_blocks_writes():
     cluster = build()
-    cluster.injector.crash_at(5.0, 5)
+    apply_schedule(cluster.injector, [FaultAction(5.0, "crash", (5,), inf)])
     cluster.run(until=10.0)
     write = cluster.write_once(1, "x", 7)
     cluster.run(until=120.0)
@@ -43,13 +45,15 @@ def test_single_crashed_copy_blocks_writes():
 
 def test_reads_fail_over_to_next_copy():
     cluster = build()
-    cluster.injector.crash_at(5.0, 2)
+    apply_schedule(cluster.injector, [FaultAction(5.0, "crash", (2,), inf)])
     cluster.run(until=10.0)
     read = cluster.read_once(2, "x")  # p2 itself crashed; client at p2...
     cluster.run(until=60.0)
     # a crashed processor cannot run clients; use p1 reading with p2 down
     cluster2 = build(seed=3)
-    cluster2.injector.crash_at(5.0, 1)  # p1's own copy is gone
+    # p1's own copy is gone
+    apply_schedule(cluster2.injector,
+                   [FaultAction(5.0, "crash", (1,), inf)])
     cluster2.run(until=10.0)
     cluster2.processors[1].recover()  # client node itself stays alive
     cluster2.graph.recover_node(1)
@@ -63,7 +67,7 @@ def test_no_copy_anywhere_aborts_read():
     cluster = Cluster(processors=3, seed=1, protocol=RowaProtocol)
     cluster.place("x", holders=[2], initial=0)
     cluster.start()
-    cluster.injector.crash_at(1.0, 2)
+    apply_schedule(cluster.injector, [FaultAction(1.0, "crash", (2,), inf)])
     cluster.run(until=5.0)
     read = cluster.read_once(1, "x")
     cluster.run(until=120.0)

@@ -14,8 +14,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.net import FaultAction
 from repro.shard import ReshardAction, ReshardEngine, make_policy
-from repro.workload import ExperimentSpec, run_experiment
+from repro.workload import ExperimentSpec, ScheduledNemesis, run_experiment
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -122,11 +123,10 @@ def test_unguarded_flip_is_convicted_by_the_auditor():
 
 
 def test_coordinator_crash_resumes_from_journal():
-    def crash_coordinator(cluster):
-        # pid 1 drives the migration (lowest base pid); kill it right
-        # after the campaign starts, bring it back much later
-        cluster.injector.crash_at(41.0, 1)
-        cluster.injector.recover_at(70.0, 1)
+    # pid 1 drives the migration (lowest base pid); kill it right
+    # after the campaign starts, bring it back much later
+    crash_coordinator = ScheduledNemesis(
+        (FaultAction(41.0, "crash", (1,), 29.0),))
 
     result = run_experiment(reshard_spec(failures=crash_coordinator,
                                          duration=200.0))

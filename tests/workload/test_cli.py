@@ -1,15 +1,19 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import math
+
 import pytest
 
 from repro.cli import (
     FLAGS,
     _apply_flags,
-    _parse_crash,
-    _parse_partition,
+    _parse_axis_value,
+    _parse_fault,
     build_parser,
     main,
 )
+from repro.net import FaultAction
 from repro.workload import ExperimentSpec
 from repro.workload.hunt import hunt_base
 from repro.workload.runner import with_paths
@@ -20,26 +24,25 @@ for _flag in FLAGS:
 
 
 def test_parse_partition():
-    when, blocks = _parse_partition("1,2,3|4,5@50")
-    assert when == 50.0
-    assert blocks == [[1, 2, 3], [4, 5]]
+    assert _parse_fault("partition:1,2,3|4,5@50+30") == FaultAction(
+        50.0, "partition", ((1, 2, 3), (4, 5)), 30.0)
+    # no +HOLD: a permanent fault
+    assert _parse_fault("partition:1|2@5").hold == math.inf
 
 
 def test_parse_partition_rejects_garbage():
-    import argparse
-
-    with pytest.raises(argparse.ArgumentTypeError):
-        _parse_partition("nope")
-    with pytest.raises(argparse.ArgumentTypeError):
-        _parse_partition("|@5")
+    for text in ("nope", "partition:|@5", "partition:1,2@", "meteor:1@5",
+                 "cut:1,x@5", "crash:4@30+soon"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_fault(text)
 
 
 def test_parse_crash():
-    assert _parse_crash("4@30") == (30.0, 4)
-    import argparse
-
+    assert _parse_fault("crash:4@30+20") == FaultAction(30.0, "crash", (4,),
+                                                        20.0)
+    assert _parse_fault("surge:1,2,4.5@10+5").args == (1, 2, 4.5)
     with pytest.raises(argparse.ArgumentTypeError):
-        _parse_crash("4-30")
+        _parse_fault("crash:4-30")
 
 
 def test_parser_defaults():
@@ -88,10 +91,33 @@ def test_run_command_prints_table(capsys):
 def test_run_with_failures(capsys):
     code = main(["run", "--duration", "80", "--processors", "3",
                  "--objects", "3", "--retries", "2",
-                 "--partition", "1,2|3@20", "--heal-at", "60",
-                 "--crash", "3@70", "--recover", "3@75"])
+                 "--fault", "partition:1,2|3@20+40",
+                 "--fault", "crash:3@70+5"])
     assert code == 0
     assert "committed" in capsys.readouterr().out
+
+
+def test_sweep_command(capsys):
+    assert [_parse_axis_value(v) for v in ("3", "0.5", "rowa")] == [
+        3, 0.5, "rowa"]
+    code = main(["sweep", "--axis", "protocol",
+                 "--values", "rowa,virtual-partitions", "--duration", "40",
+                 "--processors", "3", "--objects", "3",
+                 "--fault", "crash:3@10+5"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "sweep over protocol (2 runs, workers=1)" in out
+    assert "rowa" in out and "virtual-partitions" in out
+
+
+def test_reshard_command(capsys):
+    code = main(["reshard", "--processors", "5", "--copies", "3",
+                 "--spares", "1", "--at", "20", "--duration", "60",
+                 "--objects", "6", "--fault", "partition:1,2,3|4,5@30+10"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "reshard: +1 processors at t=20.0" in out
+    assert "| campaigns_completed" in out and "| audit violations " in out
 
 
 def test_run_with_tso(capsys):

@@ -1,9 +1,12 @@
 """Unit tests for the experiment runner and sweeps."""
 
+from math import inf
+
 import pytest
 
 from repro.client.session import SessionSpec
 from repro.core.config import ProtocolConfig
+from repro.net import FaultAction, apply_schedule
 from repro.workload import (
     ExperimentSpec,
     WorkloadSpec,
@@ -120,7 +123,8 @@ def test_failures_callback_runs():
 
     def inject(cluster):
         seen.append(True)
-        cluster.injector.crash_at(10.0, 3)
+        apply_schedule(cluster.injector,
+                       [FaultAction(10.0, "crash", (3,), inf)])
 
     result = run_experiment(small_spec(failures=inject, retries=1))
     assert seen == [True]
