@@ -10,6 +10,7 @@ tracks (and respects) the bound.
 
 from __future__ import annotations
 
+from repro.analysis.metrics import convergence_time
 from repro.cluster import Cluster
 from repro.core.config import ProtocolConfig
 from repro.net import FaultAction, apply_schedule
@@ -22,8 +23,8 @@ SMOKE = {"deltas": (1.0,), "pi_factors": (3,), "jitters": (False,),
          "seeds": (1,)}
 
 
-def convergence_time(delta: float, pi: float, seed: int,
-                     jittered: bool) -> float:
+def measure_convergence(delta: float, pi: float, seed: int,
+                        jittered: bool) -> float:
     """Time from heal to the last join of the final common partition."""
     latency = (UniformLatency(0.4 * delta, delta) if jittered
                else FixedLatency(delta))
@@ -42,10 +43,7 @@ def convergence_time(delta: float, pi: float, seed: int,
     assert len(final_ids) == 1 and None not in final_ids, (
         f"cluster did not reconverge: {final_ids}"
     )
-    final_id = final_ids.pop()
-    last_join = max(t for t, _pid, vpid, _v in cluster.history.joins
-                    if vpid == final_id)
-    return last_join - healed
+    return convergence_time(cluster.history, after=healed)
 
 
 def run(deltas=(0.5, 1.0, 2.0), pi_factors=(3, 10, 20),
@@ -60,7 +58,7 @@ def run(deltas=(0.5, 1.0, 2.0), pi_factors=(3, 10, 20),
             bound = pi + 8 * delta
             for jittered in jitters:
                 measured = max(
-                    convergence_time(delta, pi, seed, jittered)
+                    measure_convergence(delta, pi, seed, jittered)
                     for seed in seeds
                 )
                 outcomes[(delta, pi, jittered)] = (measured, bound)

@@ -1,11 +1,7 @@
 """Execution analysis: histories, serializability and 1SR checkers."""
 
 from .history import INITIAL_VERSION, History, LogicalOp, PhysicalOp, TxnRecord
-from .metrics import (
-    StaleRead,
-    convergence_time,
-    stale_reads,
-)
+from .metrics import convergence_time
 from .one_copy import (
     OneCopyResult,
     check_one_copy,
@@ -20,9 +16,7 @@ from .serialization import (
 
 __all__ = [
     "History",
-    "StaleRead",
     "convergence_time",
-    "stale_reads",
     "INITIAL_VERSION",
     "LogicalOp",
     "OneCopyResult",

@@ -122,11 +122,14 @@ _CONTEXT = {
 }
 _CONTEXT[CrashDepart] = _CONTEXT[Depart]
 
+#: how many of the last records a violation's context shows
+CONTEXT_SIZE = 24
+
 
 class InvariantAuditor:
     """Continuously asserts S1–S3, R1/R3/R5 and commit safety."""
 
-    def __init__(self, placement=None, context_size: int = 24):
+    def __init__(self, placement=None):
         self.placement = placement
         self.violations: list[AuditViolation] = []
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
@@ -136,7 +139,7 @@ class InvariantAuditor:
         #: baseline's) are not audited
         self.states: dict = {}
         #: the last records read (formatted only by :meth:`_violate`)
-        self._context: deque = deque(maxlen=context_size)
+        self._context: deque = deque(maxlen=CONTEXT_SIZE)
         # view-protocol state (S1-S3)
         self._views: dict = {}          # vpid -> committed view
         self._members: dict = {}        # vpid -> pids that joined it

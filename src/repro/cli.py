@@ -312,7 +312,7 @@ def cmd_reshard(args) -> int:
     try:
         action = ReshardAction.onto_spares(
             args.processors, args.spares, args.at,
-            guarded=not args.unguarded, coordinator=args.coordinator)
+            coordinator=args.coordinator)
     except ValueError as exc:
         raise SystemExit(f"--spares: {exc}") from None
     spec = replace(_spec_from(args), reshard=(action,), audit=True)
@@ -345,8 +345,7 @@ def cmd_hunt(args) -> int:
     base = _apply_flags(args, hunt_base())
     if args.reshard_at > 0 and args.reshard_spares > 0:
         base = replace(base, reshard=(ReshardAction.onto_spares(
-            base.processors, args.reshard_spares, args.reshard_at,
-            guarded=not args.reshard_unguarded),))
+            base.processors, args.reshard_spares, args.reshard_at),))
     cfg = HuntConfig(base=base, seed=args.seed, campaigns=args.campaigns,
                      workers=args.workers, shrink_budget=args.shrink_budget,
                      stop_after=args.stop_after)
@@ -434,9 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     rs_p.add_argument("--spares", type=int, default=1, metavar="N",
                       help="hold the N highest pids out of the initial "
                            "placement, then expand onto them (default: 1)")
-    rs_p.add_argument("--unguarded", action="store_true",
-                      help="skip the two-phase cutover (flip immediately); "
-                           "exists to demonstrate the auditor convicting it")
     rs_p.add_argument("--coordinator", type=int, default=None,
                       help="pid that drives the migration (default: lowest "
                            "base pid)")
@@ -473,9 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     ht_p.add_argument("--reshard-spares", type=int, default=0, metavar="N",
                       help="hold the N highest pids out of the initial "
                            "placement; the reshard expands onto them")
-    ht_p.add_argument("--reshard-unguarded", action="store_true",
-                      help="flip placements without the two-phase cutover "
-                           "— the conviction canary for --expect-failure")
     ht_p.add_argument("--replay", default=None, metavar="ARTIFACT",
                       help="re-run a repro artifact instead of hunting")
     ht_p.add_argument("--expect-failure", action="store_true",

@@ -49,11 +49,9 @@ class Cluster:
                  latency: Optional[LatencyModel] = None,
                  config: Optional[ProtocolConfig] = None,
                  protocol: Optional[ProtocolFactory] = None,
-                 loss_prob: float = 0.0, slow_prob: float = 0.0,
-                 slow_factor: float = 5.0,
-                 trace: "bool | Any" = False,
-                 audit: "bool | Any" = False,
-                 directory: "Optional[str | Any]" = None,
+                 trace: bool = False,
+                 audit: bool = False,
+                 directory: Optional[str] = None,
                  directory_capacity: Optional[int] = None):
         if isinstance(processors, int):
             pids = list(range(1, processors + 1))
@@ -73,11 +71,8 @@ class Cluster:
                 "misfire on legitimate delays"
             )
         self.graph = CommGraph(pids)
-        self.network = Network(
-            self.sim, self.graph, self.latency,
-            self.streams.stream("network"),
-            loss_prob=loss_prob, slow_prob=slow_prob, slow_factor=slow_factor,
-        )
+        self.network = Network(self.sim, self.graph, self.latency,
+                               self.streams.stream("network"))
         self.history = History()
         self.placement = CopyPlacement()
         self.processors: Dict[int, Processor] = {
@@ -111,8 +106,7 @@ class Cluster:
         }
         if directory is not None:
             from .shard.directory import make_directory
-            dir_factory = (make_directory(directory, directory_capacity)
-                           if isinstance(directory, str) else directory)
+            dir_factory = make_directory(directory, directory_capacity)
             for pid, proto in self.protocols.items():
                 if hasattr(proto, "directory"):
                     proto.directory = dir_factory(pid, self.placement)
@@ -131,14 +125,12 @@ class Cluster:
         self.tracer = None
         if trace:
             from .obs.trace import Tracer
-            tracer = trace if isinstance(trace, Tracer) else Tracer(self.sim)
-            self._wire_tracer(tracer)
+            self._wire_tracer(Tracer(self.sim))
         #: runtime invariant auditor; None unless ``audit`` was requested
         self.auditor = None
         if audit:
             from .audit import InvariantAuditor
-            self.auditor = (audit if isinstance(audit, InvariantAuditor)
-                            else InvariantAuditor(self.placement))
+            self.auditor = InvariantAuditor(self.placement)
             self.auditor.tracer = self.tracer
             self.auditor.states.update(
                 (pid, proto.state) for pid, proto in self.protocols.items()

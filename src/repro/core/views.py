@@ -185,26 +185,6 @@ class CopyPlacement:
         self._flips += 1
         return old
 
-    def replace(self, obj: str, holders: Mapping[int, int] | Iterable[int],
-                members: Optional[Iterable[int]] = None, *,
-                bump_epoch: bool = True) -> Mapping[int, int]:
-        """Overwrite ``obj``'s entry in one step, no staging.
-
-        ``bump_epoch=False`` is the deliberately *unguarded* flip used by
-        the hunter's conviction canary: stale routes and stale R4 stamps
-        go undetected, which the auditor must catch.  Returns the old
-        weights.
-        """
-        old = self._weights(obj)
-        weights = self._normalize(obj, holders)
-        self._check_weights(obj, weights, members)
-        self._pending.pop(obj, None)
-        self._placement[obj] = weights
-        if bump_epoch:
-            self._epochs[obj] = self._epochs.get(obj, 0) + 1
-        self._flips += 1
-        return old
-
     # -- queries ------------------------------------------------------------
 
     @property

@@ -68,7 +68,6 @@ class FailureInjector:
             self._record(label or getattr(action, "__name__", "?"))
             action()
 
-        fire.name = f"failure@{time}"  # what a kernel trace shows
         self.sim.call(delay, fire)
 
     def _record(self, label: str) -> None:

@@ -5,24 +5,23 @@ performance failures):
 
 * **omission**: a message is dropped if the edge is absent at send time,
   absent at the scheduled delivery time (the link died while the message
-  was in flight), the destination is down at delivery, or the per-link
-  loss process fires;
-* **performance**: with probability ``slow_prob`` a message is delayed
-  beyond the declared bound δ by factor ``slow_factor`` — it still
-  arrives, but later than the protocol's timers allow, which is exactly
-  how the paper distinguishes performance failures from crashes;
-* **duplication** is supported for robustness testing (off by default).
+  was in flight), the destination is down at delivery, or its route's
+  *grey loss* fires (a link that is up but lossy — neither cleanly cut
+  nor healthy);
+* **performance**: a *delay surge* multiplies one route's latency draws,
+  so its messages still arrive, but (for factors pushing the draw past
+  δ) later than the protocol's timers allow — exactly how the paper
+  distinguishes performance failures from crashes;
+* **duplication**: a *duplication storm* re-sends a fraction of one
+  route's messages (robustness testing).
 
-**Per-link perturbations** refine all three failure classes for
-adversarial testing: a *delay surge* multiplies one direction's latency
-draws (a sustained performance failure on one route), *grey loss*
-overrides the loss probability on one direction (a link that is up but
-lossy — neither cleanly cut nor healthy), and a *duplication storm*
-raises the duplication probability on one direction.  Directed cuts
-live in :class:`CommGraph` (``can_send``); the transport consults the
-directed relation, so an asymmetric cut drops one direction's traffic
-while the reverse flows normally.  With no perturbations installed the
-draw sequence is byte-identical to the unperturbed transport.
+All three are per-route tables, filled by the failure injector's
+``surge``/``grey``/``dup`` actions; a route joins two distinct
+processors, so a message a processor sends itself takes no loss, surge
+or duplication draw.  Directed cuts live in :class:`CommGraph`
+(``can_send``); the transport consults the directed relation, so an
+asymmetric cut drops one direction's traffic while the reverse flows
+normally.  With no route perturbed the only draw is the latency's.
 
 Every message is one kernel call entry: ``send`` makes its draws and
 schedules ``_deliver`` on the message (no event: nobody yields on a
@@ -67,7 +66,6 @@ class NetworkStats:
     #: crashed destination has no edges: it counts ``dropped_in_flight``)
     dropped_dst_down: int = 0
     duplicated: int = 0
-    slow: int = 0
     #: messages whose delay was stretched by a per-link delay surge
     surged: int = 0
     by_kind: Dict[str, int] = field(default_factory=Counter)
@@ -82,7 +80,6 @@ class NetworkStats:
             "sent": self.sent,
             "delivered": self.delivered,
             "dropped": self.dropped,
-            "slow": self.slow,
             # transmissions, duplicates included; read only by
             # ledger/metrics.py:78 and leaves with that row
             "envelopes": self.sent + self.duplicated,
@@ -94,29 +91,14 @@ class Network:
     """Routes messages between registered processors."""
 
     def __init__(self, sim: Simulator, graph: CommGraph,
-                 latency: LatencyModel, rng: random.Random,
-                 loss_prob: float = 0.0,
-                 slow_prob: float = 0.0, slow_factor: float = 5.0,
-                 dup_prob: float = 0.0):
-        if not 0.0 <= loss_prob < 1.0:
-            raise ValueError(f"loss_prob out of range: {loss_prob}")
-        if not 0.0 <= slow_prob < 1.0:
-            raise ValueError(f"slow_prob out of range: {slow_prob}")
-        if not 0.0 <= dup_prob < 1.0:
-            raise ValueError(f"dup_prob out of range: {dup_prob}")
-        if slow_factor <= 1.0:
-            raise ValueError("slow_factor must exceed 1")
+                 latency: LatencyModel, rng: random.Random):
         self.sim = sim
         self.graph = graph
         self.latency = latency
         self.rng = rng
-        self.loss_prob = loss_prob
-        self.slow_prob = slow_prob
-        self.slow_factor = slow_factor
-        self.dup_prob = dup_prob
         self.stats = NetworkStats()
-        # per-(src, dst) adversarial perturbations, read only while one
-        # is non-empty: the unperturbed draw sequence is untouched
+        # per-(src, dst) perturbations, read only while one is
+        # non-empty: the unperturbed draw sequence is untouched
         self._link_loss: Dict[Tuple[int, int], float] = {}
         self._link_surge: Dict[Tuple[int, int], float] = {}
         self._link_dup: Dict[Tuple[int, int], float] = {}
@@ -129,10 +111,10 @@ class Network:
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
 
-    # -- per-link perturbations (adversarial fault model) ----------------------
+    # -- per-route perturbations (the fault model's transport half) -----------
 
     def set_grey_loss(self, src: int, dst: int, prob: float) -> None:
-        """Override the loss probability on the ``src`` → ``dst`` route.
+        """Lose a ``prob`` share of the ``src`` → ``dst`` route's messages.
 
         Models a *grey* link: up, but dropping a fraction of its
         traffic — the omission failure that is neither a clean cut nor
@@ -160,7 +142,7 @@ class Network:
         self._link_surge.pop((src, dst), None)
 
     def set_dup_storm(self, src: int, dst: int, prob: float) -> None:
-        """Override the duplication probability on ``src`` → ``dst``."""
+        """Duplicate a ``prob`` share of the ``src`` → ``dst`` messages."""
         if not 0.0 <= prob < 1.0:
             raise ValueError(f"dup prob out of range: {prob}")
         self._link_dup[(src, dst)] = prob
@@ -194,20 +176,17 @@ class Network:
             self._trace_drop(message, "no-edge", seq)
             return
         rng = self.rng
-        loss, surge, dup = self.loss_prob, None, self.dup_prob
+        loss = surge = dup = None
         if self._link_loss or self._link_surge or self._link_dup:
             key = (src, dst)
-            loss = self._link_loss.get(key, loss)
+            loss = self._link_loss.get(key)
             surge = self._link_surge.get(key)
-            dup = self._link_dup.get(key, dup)
+            dup = self._link_dup.get(key)
         if loss and rng.random() < loss:
             stats.dropped_lost += 1
             self._trace_drop(message, "lost", seq)
             return
         delay = self.latency.delay(src, dst, rng)
-        if self.slow_prob and rng.random() < self.slow_prob:
-            delay *= self.slow_factor
-            stats.slow += 1
         if surge is not None:
             delay *= surge
             stats.surged += 1

@@ -4,8 +4,8 @@ A trace is a flat, time-ordered stream of typed events stamped with
 simulated time, the emitting processor, and (where meaningful) the
 virtual partition the event belongs to.  Event types are dotted names
 grouped by subsystem (``msg.*``, ``vp.*``, ``lock.*``, ``txn.*``,
-``recover.*``, ``fail.*``, ``proc.*``, ``sim.*``) so analyzers and
-filters can select whole families by prefix.
+``recover.*``, ``fail.*``, ``proc.*``) so analyzers can select whole
+families by prefix.
 
 Everything in an event must serialize *deterministically*: two runs of
 the same seeded simulation must produce byte-identical JSONL traces
@@ -63,9 +63,6 @@ TXN_RESOLVE = "txn.resolve"   # resolver learned the 2PC outcome
 
 # -- runtime invariant auditor ----------------------------------------------
 AUDIT_VIOLATION = "audit.violation"
-
-# -- simulation kernel (opt-in; very chatty) --------------------------------
-SIM_STEP = "sim.step"
 
 
 def jsonable(value: Any) -> Any:

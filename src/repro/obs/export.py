@@ -26,10 +26,10 @@ def event_line(event: TraceEvent) -> str:
 def dumps_jsonl(events: Iterable[TraceEvent]) -> str:
     """The whole trace as one JSONL string (trailing newline included).
 
-    Built with a single ``join`` rather than per-event writes — an
-    ``attach_kernel`` trace easily runs to hundreds of thousands of
-    lines, where two method calls per event dominate.  The bytes are
-    unchanged (pinned by the trace-determinism test).
+    Built with a single ``join`` rather than per-event writes — a long
+    traced run easily reaches hundreds of thousands of lines, where two
+    method calls per event dominate.  The bytes are unchanged (pinned
+    by the trace-determinism test).
     """
     lines = [event_line(event) for event in events]
     if not lines:

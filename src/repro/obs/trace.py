@@ -12,55 +12,29 @@ Design constraints, in priority order:
 2. **Determinism.**  A tracer only ever records simulated time and
    values normalized by :func:`~repro.obs.events.jsonable`; two runs of
    the same seeded cluster serialize to byte-identical JSONL.
-3. **Selectivity.**  ``kinds`` restricts recording to event-type
-   prefixes (``kinds={"vp", "txn"}`` keeps partition formation and
-   transaction outcomes while dropping the chatty message stream).
 """
 
 from __future__ import annotations
 
-from typing import Collection, List, Optional
+from typing import List, Optional
 
 from ..analysis.history import CopyInstall, CopyRetire, Depart, Join, ReshardFlip
 from ..sim import Simulator
-from .events import SIM_STEP, TraceEvent
+from .events import TraceEvent
 
 
 class Tracer:
     """Collects :class:`TraceEvent` records from an instrumented run."""
 
-    __slots__ = ("sim", "events", "_prefixes")
+    __slots__ = ("sim", "events")
 
-    def __init__(self, sim: Simulator,
-                 kinds: Optional[Collection[str]] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
         self.events: List[TraceEvent] = []
-        self._prefixes: Optional[tuple] = (
-            tuple(sorted(kinds)) if kinds is not None else None
-        )
 
     def emit(self, etype: str, pid: Optional[int] = None, **fields) -> None:
         """Record one event at the current simulated instant."""
-        if self._prefixes is not None and not etype.startswith(self._prefixes):
-            return
         self.events.append(TraceEvent(self.sim.now, etype, pid, fields))
-
-    # -- optional kernel-level stream ---------------------------------------
-
-    def attach_kernel(self, sim: Optional[Simulator] = None) -> None:
-        """Subscribe to the simulator's event-dispatch hook.
-
-        Records one ``sim.step`` event per kernel dispatch — extremely
-        chatty, so it is opt-in rather than part of the default wiring.
-        """
-        target = sim or self.sim
-
-        def hook(when: float, event) -> None:
-            self.events.append(TraceEvent(
-                when, SIM_STEP, None, {"event": getattr(event, "name", "")}
-            ))
-
-        target.trace_hook = hook
 
     # -- the History reader -------------------------------------------------
 

@@ -38,12 +38,6 @@ engine's WAL *before* it takes effect, and a recovery hook resumes the
 campaign from the journal — already-flipped objects skip straight to
 release, unflipped ones re-run their (idempotent) gate/install/verify
 loop.
-
-``guarded=False`` is the deliberately broken variant used as the
-hunter's conviction canary: no staging, no gates, no epoch bump — the
-auditor must convict it (orphan-copy installs, a flip that does not
-advance the epoch), which proves the safety machinery is load-bearing
-rather than vacuously green.
 """
 
 from __future__ import annotations
@@ -69,25 +63,22 @@ class ReshardAction:
     ``add`` are the processors joining the assignment ring at ``time``
     (they must already be cluster members — spare capacity held out of
     the initial placement).  ``coordinator`` is the pid driving the
-    migration (None = the lowest base pid).  ``guarded=False`` runs the
-    unguarded conviction canary described in the module docstring.
+    migration (None = the lowest base pid).
     """
 
     time: float
     add: Tuple[int, ...]
-    guarded: bool = True
     coordinator: Optional[int] = None
 
     @classmethod
     def onto_spares(cls, processors: int, spares: int, time: float,
-                    guarded: bool = True,
                     coordinator: Optional[int] = None) -> "ReshardAction":
         """Expand at ``time`` onto the ``spares`` highest pids of a
         ``processors``-node cluster (held out of the initial ring)."""
         if not 0 < spares < processors:
             raise ValueError(f"spares must add pids and leave a base ring: "
                              f"need 0 < {spares} < {processors}")
-        return cls(time=time, guarded=guarded, coordinator=coordinator,
+        return cls(time=time, coordinator=coordinator,
                    add=tuple(range(processors - spares + 1, processors + 1)))
 
 
@@ -243,8 +234,7 @@ class ReshardEngine:
                 # Resumed after the flip of an object the recomputed
                 # plan now considers settled; only release remains.
                 target = dict(cluster.placement.weights(obj))
-            yield from self._migrate(processor, cell, obj, target,
-                                     action.guarded)
+            yield from self._migrate(processor, cell, obj, target)
         self.stats.objects_unchanged += len(self.objects) - \
             len(cell.value["done"])
         cell.value = {"action": index, "done": list(cell.value["done"]),
@@ -275,7 +265,7 @@ class ReshardEngine:
         return plan
 
     def _migrate(self, processor, cell, obj: str,
-                 target: Dict[int, int], guarded: bool):
+                 target: Dict[int, int]):
         """Move one object to ``target``; idempotent under resume."""
         cluster = self.cluster
         placement = cluster.placement
@@ -293,12 +283,8 @@ class ReshardEngine:
         drops = sorted(set(old) - set(target))
         size = placement.size(obj)
         if not flipped:
-            if guarded:
-                yield from self._guarded_cutover(
-                    processor, cell, obj, old, target, adds, size)
-            else:
-                yield from self._unguarded_cutover(
-                    processor, cell, obj, old, target, adds, size)
+            yield from self._cutover(processor, cell, obj, old, target,
+                                     adds, size)
         # Release: every old holder drops its write gate; dropped
         # holders retire the copy.  "busy" (an in-flight decide still
         # needs the copy) and silence retry until they drain.
@@ -318,10 +304,9 @@ class ReshardEngine:
                       "current": None, "complete": False}
         self.stats.objects_moved += 1
 
-    def _guarded_cutover(self, processor, cell, obj: str,
-                         old: Dict[int, int], target: Dict[int, int],
-                         adds: List[int], size: int):
-        """Stage, gate, install, verify, then flip — the safe path."""
+    def _cutover(self, processor, cell, obj: str, old: Dict[int, int],
+                 target: Dict[int, int], adds: List[int], size: int):
+        """Stage, gate, install, verify, then flip."""
         cluster = self.cluster
         placement = cluster.placement
         config = cluster.config
@@ -372,34 +357,6 @@ class ReshardEngine:
         self._journal_current(cell, obj, old, flipped=True)
         cluster.history.record(ReshardFlip(
             sim.now, processor.pid, obj, old, target, epoch_before,
-            placement.epoch_of(obj), adds))
-
-    def _unguarded_cutover(self, processor, cell, obj: str,
-                           old: Dict[int, int], target: Dict[int, int],
-                           adds: List[int], size: int):
-        """No staging, no gates, no epoch bump — the conviction canary.
-
-        Installs land as orphan copies (nothing was staged), the entry
-        is overwritten while transactions still route on it, and stale
-        R4 stamps go undetected.  The auditor must convict this; a hunt
-        that stays green against it would be vacuous.
-        """
-        cluster = self.cluster
-        placement = cluster.placement
-        if adds:
-            while True:
-                floor = yield from self._install_all(
-                    processor, obj, adds, sorted(old), size)
-                if floor is not _FAILED:
-                    break
-                yield cluster.sim.timeout(cluster.config.delta)
-        epoch_before = placement.epoch_of(obj)
-        placement.replace(obj, target, members=cluster.pids,
-                          bump_epoch=False)
-        self.stats.flips += 1
-        self._journal_current(cell, obj, old, flipped=True)
-        cluster.history.record(ReshardFlip(
-            cluster.sim.now, processor.pid, obj, old, target, epoch_before,
             placement.epoch_of(obj), adds))
 
     # -- RPC helpers ----------------------------------------------------------

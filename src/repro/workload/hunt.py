@@ -30,6 +30,7 @@ from .failures import ScheduledNemesis
 from .generator import WorkloadSpec
 from .parallel import run_many
 from .runner import (
+    _RETIRED_KEYS,
     ExperimentResult,
     ExperimentSpec,
     run_experiment,
@@ -214,11 +215,14 @@ def _flat_spec(data: dict) -> ExperimentSpec:
             key: data[key] for key in (
                 "cache_capacity", "cache_policy", "lease_duration")
             if key in data}
+    if not data.get("reshard_guarded", True):
+        why = _RETIRED_KEYS["reshard.guarded"][1]
+        raise ValueError(f"reshard_guarded is False: {why}; this "
+                         "artifact cannot be replayed")
     reshard = None
     if data.get("reshard_at", 0) > 0 and data.get("reshard_spares", 0) > 0:
         reshard = (ReshardAction.onto_spares(
-            data["processors"], data["reshard_spares"], data["reshard_at"],
-            guarded=data.get("reshard_guarded", True)),)
+            data["processors"], data["reshard_spares"], data["reshard_at"]),)
     return replace(spec_from_plain(plain), reshard=reshard)
 
 

@@ -164,6 +164,8 @@ def spec_to_plain(spec: ExperimentSpec) -> dict:
 #: dropped on load; any other value names a run that no longer exists.
 _RETIRED_KEYS = {
     "config.batch_window": (0.0, "transport batching was removed in PR 21"),
+    "reshard.guarded": (True, "the unguarded reshard flip was removed; it "
+                              "lives on only as a test-side mutant"),
 }
 
 
@@ -391,7 +393,11 @@ def build_cluster(spec: ExperimentSpec) -> Cluster:
     elif spec.reshard:
         from ..shard import ReshardEngine, object_names
         from ..shard.policy import make_policy
-        policy = make_policy(spec.placement, degree=copies)
+        # None = full replication of the initial ring, which holds out
+        # every pid a reshard adds
+        joining = {pid for action in spec.reshard for pid in action.add}
+        degree = spec.copies_per_object or len(set(pids) - joining)
+        policy = make_policy(spec.placement, degree=degree)
         names = object_names(spec.objects)
         engine = ReshardEngine(cluster, policy, names, spec.reshard)
         # the added pids start copy-free: the initial placement covers

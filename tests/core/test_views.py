@@ -198,13 +198,3 @@ def test_migration_staging_errors(placement):
         placement.commit_migration("a")
     with pytest.raises(ValueError, match="not cluster members"):
         placement.begin_migration("a", [9], members=[1, 2, 3, 4])
-
-
-def test_replace_unguarded_skips_the_epoch_bump(placement):
-    old = placement.replace("x", [4, 5], bump_epoch=False)
-    assert dict(old) == {1: 1, 2: 1, 3: 1}
-    assert placement.copies("x") == {4, 5}
-    assert placement.epoch_of("x") == 0      # the canary's tell
-    assert placement.flips == 1
-    placement.replace("x", [1, 2])
-    assert placement.epoch_of("x") == 1

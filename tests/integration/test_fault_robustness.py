@@ -1,13 +1,14 @@
 """Integration tests: the protocol under omission and performance failures.
 
-§2's failure classes, each injected explicitly: lost messages, slow
-(performance-failed) messages, duplicates, crashes mid-transaction,
-and combinations — always ending with a one-copy serializability audit.
+§2's failure classes, each injected explicitly: lost messages, late
+(delay-surged) messages, duplicates, crashes mid-transaction, and
+combinations — always ending with a one-copy serializability audit.
 """
 
 from math import inf
 
 from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
+from tests.net.routes import on_every_route
 
 
 def increment(obj="x"):
@@ -38,9 +39,11 @@ def test_message_loss_does_not_break_one_copy_serializability():
     # means sustained view churn; transactions ride the stable windows
     # between probe rounds.  1% loss + patient retries is the regime
     # the paper's "failures are rare" analysis assumes.
-    cluster = Cluster(processors=5, seed=8, loss_prob=0.01)
+    cluster = Cluster(processors=5, seed=8)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0)
     cluster.start()
+    apply_schedule(cluster.injector,
+                   on_every_route(cluster.pids, "grey", 0.01))
     outcomes = drive_increments(cluster, count=6, retries=12, backoff=8.0)
     committed = sum(1 for o in outcomes if o.value[0])
     assert committed >= 4, "most increments should survive 1% loss"
@@ -56,20 +59,25 @@ def test_message_loss_does_not_break_one_copy_serializability():
 def test_performance_failures_slow_messages():
     """§2: a late message is a failure; the protocol treats the sender
     as unreachable and adapts, but correctness never depends on it."""
-    cluster = Cluster(processors=5, seed=9, slow_prob=0.02, slow_factor=6.0)
+    cluster = Cluster(processors=5, seed=9)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0)
     cluster.start()
+    # every message sent in [10, 15) arrives 6 delta late
+    apply_schedule(cluster.injector,
+                   on_every_route(cluster.pids, "surge", 6.0, 10.0, 5.0))
     outcomes = drive_increments(cluster, count=6, retries=12, backoff=8.0)
     committed = sum(1 for o in outcomes if o.value[0])
     assert committed >= 4
     assert cluster.check_one_copy_serializable()
+    assert cluster.network.stats.surged > 0
 
 
 def test_duplicate_messages_are_harmless():
     cluster = Cluster(processors=5, seed=10)
-    cluster.network.dup_prob = 0.2
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0)
     cluster.start()
+    apply_schedule(cluster.injector,
+                   on_every_route(cluster.pids, "dup", 0.2))
     outcomes = drive_increments(cluster, count=6)
     assert all(o.value[0] for o in outcomes)
     assert cluster.check_one_copy_serializable()
@@ -182,9 +190,11 @@ def test_weakened_r4_is_still_one_copy_serializable_under_partitions():
 def test_lost_commit_message_heals_via_monitor_timeout():
     """Fig. 6's 3δ timer: if the initiator's commit is lost, acceptors
     start their own creation instead of hanging unassigned forever."""
-    cluster = Cluster(processors=3, seed=16, loss_prob=0.15)
+    cluster = Cluster(processors=3, seed=16)
     cluster.place("x", holders=[1, 2, 3], initial=0)
     cluster.start()
+    lossy = apply_schedule(cluster.injector,
+                           on_every_route(cluster.pids, "grey", 0.15))
     apply_schedule(cluster.injector, [FaultAction(10.0, "crash", (3,), 50.0)])
     cluster.run(until=400.0)
     # Under sustained 15% loss processors may be caught between accept
@@ -193,7 +203,8 @@ def test_lost_commit_message_heals_via_monitor_timeout():
     assert any(cluster.protocol(p).current_partition is not None
                for p in cluster.pids)
     # A healthy window then lets them converge fully.
-    cluster.network.loss_prob = 0.0
+    for undo in lossy:
+        cluster.injector.at(cluster.sim.now, *undo)
     cluster.run(until=cluster.sim.now + 3 * cluster.config.liveness_bound)
     ids = {cluster.protocol(p).current_partition for p in cluster.pids}
     assert len(ids) == 1 and None not in ids

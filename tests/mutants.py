@@ -1,0 +1,81 @@
+"""Mutants: deliberately broken protocol steps, kept out of ``src/``.
+
+Each entry of :data:`MUTANTS` is a context manager that swaps one
+method of the program for a broken copy while it is active.  A check
+that convicts a mutant is load-bearing rather than vacuously green;
+one that lets a mutant survive is missing an invariant.
+
+Hunt under a mutant from the repo root (the patch lives in this
+process, so the campaigns run here: ``--workers 1`` is forced; any
+other argument is a ``repro hunt`` flag)::
+
+    PYTHONPATH=src python -m tests.mutants unguarded_flip \\
+        --processors 9 --objects 12 --copies 3 --placement hash-ring \\
+        --reshard-at 30 --reshard-spares 2 --campaigns 10 --expect-failure
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from contextlib import contextmanager
+
+from repro import cli
+from repro.analysis.history import ReshardFlip
+from repro.shard.reshard import _FAILED, ReshardEngine
+
+
+def _unguarded_cutover(self, processor, cell, obj, old, target, adds, size):
+    """No staging, no gates, no epoch bump.
+
+    Installs land as orphan copies (nothing was staged), the entry is
+    overwritten while transactions still route on it, and stale R4
+    stamps go undetected: the auditor must convict this.
+    """
+    cluster = self.cluster
+    placement = cluster.placement
+    if adds:
+        while True:
+            floor = yield from self._install_all(
+                processor, obj, adds, sorted(old), size)
+            if floor is not _FAILED:
+                break
+            yield cluster.sim.timeout(cluster.config.delta)
+    epoch_before = placement.epoch_of(obj)
+    weights = placement._normalize(obj, target)
+    placement._check_weights(obj, weights, cluster.pids)
+    placement._placement[obj] = weights
+    placement._flips += 1
+    self.stats.flips += 1
+    self._journal_current(cell, obj, old, flipped=True)
+    cluster.history.record(ReshardFlip(
+        cluster.sim.now, processor.pid, obj, old, target, epoch_before,
+        placement.epoch_of(obj), adds))
+
+
+@contextmanager
+def unguarded_flip():
+    """The reshard cutover flips each placement in one unguarded step."""
+    original = ReshardEngine._cutover
+    ReshardEngine._cutover = _unguarded_cutover
+    try:
+        yield
+    finally:
+        ReshardEngine._cutover = original
+
+
+MUTANTS = {"unguarded_flip": unguarded_flip}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m tests.mutants",
+        description="run `repro hunt` with one mutant patched in")
+    parser.add_argument("mutant", choices=sorted(MUTANTS))
+    args, hunt_args = parser.parse_known_args(argv)
+    with MUTANTS[args.mutant]():
+        return cli.main(["hunt", *hunt_args, "--workers", "1"])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,14 +5,22 @@ import random
 
 import pytest
 
-from repro.net import CommGraph, FixedLatency, Message, Network
+from repro.net import (
+    CommGraph,
+    FailureInjector,
+    FixedLatency,
+    Message,
+    Network,
+    apply_schedule,
+)
 from repro.sim import Simulator
+from tests.net.routes import on_every_route
 
 
-def build(n=3, **kwargs):
+def build(n=3):
     sim = Simulator()
     graph = CommGraph(range(1, n + 1))
-    net = Network(sim, graph, FixedLatency(1.0), random.Random(1), **kwargs)
+    net = Network(sim, graph, FixedLatency(1.0), random.Random(1))
     inboxes = {p: [] for p in graph.nodes}
     for p in graph.nodes:
         net.register(p, lambda m, box=inboxes[p]: box.append(m))
@@ -39,18 +47,6 @@ def test_grey_loss_clears():
     sim.run()
     assert len(inboxes[2]) == 1
     assert net.stats.dropped_lost == 0
-
-
-def test_grey_loss_overrides_global_loss_prob():
-    """A per-link entry replaces (not compounds) the global loss rate."""
-    sim, _, net, inboxes = build(loss_prob=0.99)
-    net.set_grey_loss(1, 2, 0.0)
-    for _ in range(10):
-        net.send(Message(src=1, dst=2, kind="ping"))
-        net.send(Message(src=1, dst=3, kind="ping"))
-    sim.run()
-    assert len(inboxes[2]) == 10       # per-link 0.0 wins on this route
-    assert len(inboxes[3]) < 10        # global 0.99 still applies elsewhere
 
 
 def test_grey_loss_validation():
@@ -137,3 +133,30 @@ def test_default_transmit_path_unchanged_without_perturbations():
         return sim.now, len(inboxes[2]), net.stats.snapshot()
 
     assert run(False) == run(True)
+
+
+def test_a_self_addressed_message_takes_no_perturbation():
+    """A route joins two distinct processors: with every route grey,
+    storming and surging, each message a processor sends itself is
+    delivered exactly once, one plain latency later."""
+    sim, graph, net, _ = build()
+    arrivals = []
+    for pid in graph.nodes:
+        net.register(pid, lambda m, pid=pid: arrivals.append(
+            (pid, m.src, sim.now)))
+    pids = sorted(graph.nodes)
+    apply_schedule(FailureInjector(sim, graph, network=net), [
+        *on_every_route(pids, "grey", 0.99),
+        *on_every_route(pids, "dup", 0.99),
+        *on_every_route(pids, "surge", 8.0)])
+    sim.run(until=1.0)
+    assert len(perturbed_links(net)) == 6
+    for _ in range(20):
+        for pid in pids:
+            net.send(Message(src=pid, dst=pid, kind="self"))
+    sim.run()
+    assert sorted(arrivals) == [(pid, pid, 2.0) for pid in pids
+                                for _ in range(20)]
+    assert net.stats.delivered == net.stats.sent == 60
+    assert (net.stats.dropped_lost, net.stats.duplicated,
+            net.stats.surged) == (0, 0, 0)

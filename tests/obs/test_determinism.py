@@ -8,14 +8,16 @@ from simulated time and seeded randomness, never from process state
 
 from repro import Cluster, FaultAction, apply_schedule
 from repro.obs.export import dumps_jsonl
+from tests.net.routes import on_every_route
 
 
 def _traced_run(seed: int) -> str:
-    cluster = Cluster(processors=4, seed=seed, trace=True, loss_prob=0.05)
+    cluster = Cluster(processors=4, seed=seed, trace=True)
     for index, obj in enumerate(["x", "y"]):
         cluster.place(obj, holders=[1, 2, 3, 4], initial=index)
     cluster.start()
     apply_schedule(cluster.injector, [
+        *on_every_route(cluster.pids, "grey", 0.05),
         FaultAction(10.0, "partition", ((1, 2), (3, 4)), 50.0)])
     cluster.write_once(1, "x", 1)
     cluster.read_once(3, "y")

@@ -36,15 +36,6 @@ def test_emit_records_at_sim_now():
     assert event.pid == 1
 
 
-def test_kinds_prefix_filter():
-    sim = Simulator()
-    tracer = Tracer(sim, kinds={"vp", "txn"})
-    tracer.emit("vp.join", pid=1)
-    tracer.emit("msg.send", pid=1)
-    tracer.emit("txn.commit", pid=1)
-    assert tracer.counts() == {"txn.commit": 1, "vp.join": 1}
-
-
 def test_by_type_and_clear():
     sim = Simulator()
     tracer = Tracer(sim)
@@ -70,16 +61,6 @@ def test_jsonl_roundtrip_via_stream():
     text = dumps_jsonl(events)
     assert text.endswith("\n")
     assert read_jsonl(io.StringIO(text)) == events
-
-
-def test_attach_kernel_records_sim_steps():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.attach_kernel()
-    sim.timeout(1.0, name="tick")
-    sim.run(until=2.0)
-    steps = tracer.by_type("sim.step")
-    assert steps and steps[0].fields["event"] == "tick"
 
 
 def test_cluster_trace_wiring():

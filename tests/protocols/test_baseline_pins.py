@@ -22,8 +22,13 @@ call (the call path every request/reply now takes) moved all five again
 ``cf3ac8af644bd260``, missing-writes from ``1a6630724f7fb94a``,
 naive-view from ``547099c4e5bd5fbb`` — in ``transport.*`` alone: the
 queries now count as fan-outs, requests and (to a crashed
-coordinator) silences.  naive-view is not 1SR by design (the §4
-strawman).
+coordinator) silences.  Deleting the transport's global slow-message
+knob moved all five — rowa from ``3ef6988cd05261f5``, quorum and
+majority from ``6a8548a08a0da57a``, missing-writes from
+``60f52480d1b0bfda``, naive-view from ``f28e1f8fb133362d`` — by
+dropping its always-zero count (``network["slow"]``, ``msg.slow``)
+alone: the old fingerprint minus those two keys hashes to the new pin.
+naive-view is not 1SR by design (the §4 strawman).
 """
 
 import hashlib
@@ -37,11 +42,11 @@ from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
 PINS = {
-    "rowa": ("3ef6988cd05261f5", True),
-    "quorum": ("6a8548a08a0da57a", True),
-    "majority": ("6a8548a08a0da57a", True),
-    "missing-writes": ("60f52480d1b0bfda", True),
-    "naive-view": ("f28e1f8fb133362d", False),
+    "rowa": ("b111e86724963fec", True),
+    "quorum": ("5d46e171f59dd070", True),
+    "majority": ("5d46e171f59dd070", True),
+    "missing-writes": ("3f92eed7724eb9db", True),
+    "naive-view": ("686921d961c8a47d", False),
 }
 
 

@@ -3,10 +3,10 @@
 Unit coverage of :class:`ReshardAction` (the picklable schedule record
 hunter artifacts carry) and engine validation, plus small simulations:
 a guarded migration that must stay auditor-clean and 1SR (and whose
-trace events are pinned), the deliberately unguarded flip the auditor
-must convict, and a
-coordinator crash mid-migration that must resume from the WAL journal
-and finish the campaign.
+trace events are pinned), the deliberately unguarded flip
+(``tests/mutants.py``) the auditor must convict, and a coordinator
+crash mid-migration that must resume from the WAL journal and finish
+the campaign.
 """
 
 from collections import Counter
@@ -17,11 +17,12 @@ import pytest
 from repro.net import FaultAction
 from repro.shard import ReshardAction, ReshardEngine, make_policy
 from repro.workload import ExperimentSpec, ScheduledNemesis, run_experiment
+from tests.mutants import unguarded_flip
 
 pytestmark = pytest.mark.filterwarnings("error")
 
 
-def reshard_spec(seed=3, guarded=True, failures=None, duration=140.0):
+def reshard_spec(seed=3, failures=None, duration=140.0):
     """8 processors, two of them held out and joined live at t=40."""
     return ExperimentSpec(
         protocol="virtual-partitions",
@@ -29,7 +30,7 @@ def reshard_spec(seed=3, guarded=True, failures=None, duration=140.0):
         placement="hash-ring", directory="cached", seed=seed,
         duration=duration, check=True, audit=True,
         failures=failures,
-        reshard=(ReshardAction(time=40.0, add=(7, 8), guarded=guarded),),
+        reshard=(ReshardAction(time=40.0, add=(7, 8)),),
     )
 
 
@@ -43,9 +44,8 @@ def engine_stats(result):
 def test_onto_spares_expands_onto_the_highest_pids():
     assert ReshardAction.onto_spares(9, 2, 30.0) == ReshardAction(
         time=30.0, add=(8, 9))
-    assert ReshardAction.onto_spares(
-        4, 1, 5.0, guarded=False, coordinator=2) == ReshardAction(
-        time=5.0, add=(4,), guarded=False, coordinator=2)
+    assert ReshardAction.onto_spares(4, 1, 5.0, coordinator=2) == (
+        ReshardAction(time=5.0, add=(4,), coordinator=2))
     for spares in (0, 4):
         with pytest.raises(ValueError, match="base ring"):
             ReshardAction.onto_spares(4, spares, 10.0)
@@ -117,7 +117,8 @@ def test_reshard_trace_events_are_pinned():
 
 
 def test_unguarded_flip_is_convicted_by_the_auditor():
-    result = run_experiment(reshard_spec(guarded=False))
+    with unguarded_flip():
+        result = run_experiment(reshard_spec())
     kinds = {v["invariant"] for v in result.audit_violations}
     assert "orphan-copy" in kinds or "placement-epoch" in kinds
 

@@ -118,6 +118,11 @@ def test_reshard_command(capsys):
     out = capsys.readouterr().out
     assert "reshard: +1 processors at t=20.0" in out
     assert "| campaigns_completed" in out and "| audit violations " in out
+    # the bare command: no --copies replicates fully over the initial
+    # ring, which holds out the spare
+    assert main(["reshard", "--duration", "60"]) == 0
+    out = capsys.readouterr().out
+    assert "reshard: +1 processors at t=100.0" in out
 
 
 def test_run_with_tso(capsys):

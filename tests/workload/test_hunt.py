@@ -43,7 +43,7 @@ LEASED = SessionSpec(cache_capacity=4, cache_policy="write-back",
 BASES = {
     "default": hunt_base(),
     "reshard": hunt_base(**SHARDED, reshard=(
-        ReshardAction.onto_spares(9, 2, 30.0, guarded=False),)),
+        ReshardAction.onto_spares(9, 2, 30.0),)),
     "paxos": hunt_base(config=ProtocolConfig(commit_backend="paxos")),
     "session": hunt_base(session=LEASED),
 }
@@ -378,6 +378,44 @@ def test_retired_spec_key_off_its_default_is_refused(tmp_path):
     assert "config.batch_window=0.5" in str(refusal.value)
     assert ("transport batching was removed in PR 21; this artifact "
             "cannot be replayed") in str(refusal.value)
+
+
+def _pin_reshard_guarded(artifact, value):
+    """Rewrite ``artifact`` as one recorded while ``ReshardAction`` had
+    its ``guarded`` field (False ran the unguarded flip)."""
+    data = json.loads(artifact.read_text())
+    for action in data["spec"]["reshard"]:
+        action["guarded"] = value
+    artifact.write_text(json.dumps(data))
+
+
+def test_guarded_reshard_artifact_still_loads(tmp_path):
+    artifact = _artifact(tmp_path, RICH)
+    written, _ = load_artifact(artifact)
+    _pin_reshard_guarded(artifact, True)
+    loaded, _ = load_artifact(artifact)
+    assert loaded == written
+
+
+def test_unguarded_reshard_artifact_is_refused(tmp_path):
+    artifact = _artifact(tmp_path, RICH)
+    _pin_reshard_guarded(artifact, False)
+    with pytest.raises(ValueError) as refusal:
+        load_artifact(artifact)
+    assert "reshard.guarded=False" in str(refusal.value)
+    assert ("unguarded reshard flip was removed; it lives on only as a "
+            "test-side mutant; this artifact cannot be replayed"
+            ) in str(refusal.value)
+
+
+def test_unguarded_flat_artifact_is_refused(tmp_path):
+    data = json.loads(FLAT_FIXTURE.read_text())
+    data["reshard_guarded"] = False
+    flat = tmp_path / "unguarded.flat.json"
+    flat.write_text(json.dumps(data))
+    with pytest.raises(ValueError,
+                       match="reshard_guarded is False: the unguarded"):
+        load_artifact(flat)
 
 
 def test_flat_artifact_from_before_the_spec_section_still_convicts(tmp_path):
