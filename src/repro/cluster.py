@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from .analysis.history import INITIAL_VERSION, History
 from .cc.transactions import TransactionManager
-from .core.config import ProtocolConfig
+from .core.config import CATCHUP_LOG, ProtocolConfig
 from .core.protocol import VirtualPartitionProtocol, bootstrap_partition
 from .core.views import CopyPlacement
 from .net.failures import FailureInjector
@@ -77,7 +77,8 @@ class Cluster:
         self.placement = CopyPlacement()
         self.processors: Dict[int, Processor] = {
             pid: Processor(pid, self.sim, self.network, store=StorageEngine(
-                pid, self.config.checkpoint_every, self.config.log_retain))
+                pid, self.config.checkpoint_every, self.config.log_retain,
+                self.config.catchup == CATCHUP_LOG))
             for pid in pids
         }
         #: the one metrics surface: every component counts into its

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..node.storage.engine import CHECKPOINT_EVERY
 
 #: Update-Copies reads every copy in the view (Fig. 9 as written).
 INIT_READ_ALL = "read-all"
@@ -73,12 +74,9 @@ class ProtocolConfig:
     #: coordinator's decision-log entry before any decide leaves, and
     #: the durable ``max-id`` bump at partition creation
     storage_sync_cost: float = 0.0
-    #: auto-checkpoint the storage engine every N WAL appends (0 = off);
-    #: checkpoints truncate the journal and, with ``log_retain`` set,
-    #: compact the per-copy §6 write logs
-    checkpoint_every: int = 0
-    #: per-copy write-log entries retained at compaction (None = keep
-    #: everything — the seed behaviour; unbounded log memory)
+    #: a storage engine's checkpoint interval; it costs no model time
+    checkpoint_every: int = CHECKPOINT_EVERY
+    #: §6 write-log entries a copy keeps at a checkpoint (None = all; no log unless catchup "log")
     log_retain: Optional[int] = None
 
     def __post_init__(self):

@@ -19,7 +19,7 @@ occasionally shipping the whole object).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .store import Copy, LogEntry
 
@@ -33,8 +33,8 @@ class CopySnapshot:
     date: Any
     version: Any
     size: int
-    #: the retained (possibly compacted) write log, oldest first
-    log: Tuple[LogEntry, ...]
+    #: the retained (possibly compacted) write log, oldest first (or None)
+    log: Optional[Tuple[LogEntry, ...]]
     #: newest compacted-away date; ``NO_FLOOR`` = log complete
     floor: Any
 
@@ -69,7 +69,7 @@ def freeze(copy: Copy, floor: Any) -> CopySnapshot:
     """One copy's durable state, sharing nothing mutable with it."""
     return CopySnapshot(obj=copy.obj, value=copy.value, date=copy.date,
                         version=copy.version, size=copy.size,
-                        log=tuple(copy.log), floor=floor)
+                        floor=floor, log=None if copy.log is None else tuple(copy.log))
 
 
 def restore_copies(snaps: Dict[str, CopySnapshot]
@@ -78,8 +78,8 @@ def restore_copies(snaps: Dict[str, CopySnapshot]
     copies: Dict[str, Copy] = {}
     floors: Dict[str, Any] = {}
     for obj, snap in snaps.items():
-        copies[obj] = Copy(obj, snap.value, snap.date, size=snap.size,
-                           version=snap.version, log=list(snap.log))
+        copies[obj] = Copy(obj, snap.value, snap.date, snap.size, snap.version,
+                           None if snap.log is None else list(snap.log))
         if snap.floor is not NO_FLOOR:
             floors[obj] = snap.floor
     return copies, floors
@@ -97,9 +97,10 @@ def compact_copies(copies: Dict[str, Copy], retain: int,
     """
     trimmed: Dict[str, int] = {}
     for obj, copy in copies.items():
-        excess = len(copy.log) - retain
+        log = copy.log or []  # a copy that keeps no log has nothing to trim
+        excess = len(log) - retain
         if excess > 0:
-            floors[obj] = copy.log[excess - 1].date
-            del copy.log[:excess]
+            floors[obj] = log[excess - 1].date
+            del log[:excess]
             trimmed[obj] = excess
     return trimmed

@@ -11,22 +11,20 @@ typed write-ahead log:
 * crash recovery is replay: :meth:`StorageEngine.rebuilt` restores the
   last checkpoint and replays the WAL tail, reproducing the pre-crash
   durable state bit for bit (``tests/integration/test_crash_replay.py``);
-* checkpoints bound the journal, and per-copy **log compaction**
-  (``log_retain``) bounds the §6 write logs — after compaction,
-  :meth:`StorageEngine.log_since` raises :class:`~repro.node.storage.
-  wal.LogTruncated` for requests reaching below the retained floor
-  instead of silently returning a partial history;
+* a checkpoint every ``checkpoint_every`` appends truncates the journal;
+  copies keep a §6 write log only under ``keep_log`` (the cluster's
+  ``catchup="log"``, the logs' one reader), bounded by **compaction**
+  (``log_retain``): ``log_since`` raises ``LogTruncated`` below its floor;
 * the 2PC force-write points (prepare records, decision-log entries,
   ``max-id`` bumps) are journalled as *forced* records, giving the
   protocol layer an explicit durability cost model to charge
   (``ProtocolConfig.storage_append_cost`` / ``storage_sync_cost``) and
   :class:`StorageStats` the counters observability reports.
 
-Journalling is transparent to the protocol: with zero storage costs,
-no auto-checkpoints and no compaction (the defaults) a run's trace is
-the one the un-journalled copy table produced — pinned by the
-trace-identity property in
-``tests/properties/test_storage_transparency.py``.
+Journalling, checkpoints and the write logs cost no model time: with
+zero storage costs (the default) a run's trace is the one the
+un-journalled copy table produced — pinned by the trace-identity
+property in ``tests/properties/test_storage_transparency.py``.
 """
 
 from __future__ import annotations
@@ -57,6 +55,9 @@ from .wal import (
     WalRecord,
     WriteAheadLog,
 )
+
+#: WAL appends between two automatic checkpoints unless set (0 = never)
+CHECKPOINT_EVERY = 500
 
 
 @dataclass
@@ -114,8 +115,8 @@ class DurableCell:
 class StorageEngine:
     """All durable state of one processor, over a write-ahead log."""
 
-    def __init__(self, pid: int, checkpoint_every: int = 0,
-                 log_retain: Optional[int] = None):
+    def __init__(self, pid: int, checkpoint_every: int = CHECKPOINT_EVERY,
+                 log_retain: Optional[int] = None, keep_log: bool = True):
         if checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0: {checkpoint_every}")
         if log_retain is not None and log_retain < 1:
@@ -125,6 +126,8 @@ class StorageEngine:
         self.checkpoint_every = checkpoint_every
         #: per-copy log entries kept at compaction (None = never compact)
         self.log_retain = log_retain
+        #: copies keep a §6 write log (``Copy.log`` is None otherwise)
+        self.keep_log = keep_log
         self.wal = WriteAheadLog()
         self.stats = StorageStats()
         self._copies: Dict[str, Copy] = {}
@@ -167,13 +170,14 @@ class StorageEngine:
 
     def _set(self, kind: str, copy: Copy, value: Any, date: Any,
              version: Any) -> None:
-        """Overwrite ``copy``, extend its write log, journal a ``kind``
-        record — what a write, an install, an applied catch-up entry and
-        the replay of any of the three leave behind."""
+        """Overwrite ``copy``, extend its write log if it keeps one,
+        journal a ``kind`` record — what a write, an install, an applied
+        catch-up entry and the replay of any of the three leave behind."""
         copy.value = value
         copy.date = date
         copy.version = version
-        copy.log.append(LogEntry(date, value, version))
+        if copy.log is not None:
+            copy.log.append(LogEntry(date, value, version))
         self._journal(kind, False, copy.obj, value, date, version)
 
     # -- placement ------------------------------------------------------------
@@ -190,7 +194,8 @@ class StorageEngine:
             raise KeyError(f"copy of {obj!r} already placed on {self.pid}")
         if size < 1:
             raise ValueError("object size must be at least 1")
-        self._copies[obj] = Copy(obj, initial, date, size=size, version=version)
+        log = [LogEntry(date, initial, version)] if self.keep_log else None
+        self._copies[obj] = Copy(obj, initial, date, size, version, log)
         self._journal(REC_PLACE, obj=obj, value=initial, date=date, size=size, version=version)
 
     def holds(self, obj: str) -> bool:
@@ -267,20 +272,19 @@ class StorageEngine:
         Raises :class:`LogTruncated` when compaction may have discarded
         entries the answer should contain: the full history was
         requested (``after=None``) of a compacted log, or ``after``
-        lies below the retained floor.  A ``None``-dated floor (only
-        the initial placement entry was discarded) still answers any
-        dated ``after`` exactly, since ``None``-dated entries are never
-        part of a dated answer.
+        lies below the retained floor — or the copy keeps no log at all.
+        A ``None``-dated floor (only the initial placement entry was
+        discarded) still answers any dated ``after`` exactly, since
+        ``None``-dated entries are never part of a dated answer.
         """
         floor = self._floors.get(obj, NO_FLOOR)
-        if floor is not NO_FLOOR:
-            if after is None or (floor is not None and after < floor):
-                self.stats.truncated_reads += 1
-                raise LogTruncated(obj, after, floor)
-        copy = self._get(obj)
-        if after is None:
-            return list(copy.log)
-        return [entry for entry in copy.log if entry.date is not None and entry.date > after]
+        log = self._get(obj).log
+        if log is None or (floor is not NO_FLOOR and (
+                after is None or (floor is not None and after < floor))):
+            self.stats.truncated_reads += 1
+            raise LogTruncated(obj, after, floor)
+        return [entry for entry in log
+                if after is None or entry.date is not None and entry.date > after]
 
     def apply_log(self, obj: str, entries: Iterable[LogEntry]) -> int:
         """Apply missed writes in order; returns how many were applied
@@ -378,7 +382,7 @@ class StorageEngine:
 
     def retained_entries(self) -> int:
         """Total write-log entries currently held across all copies."""
-        return sum(len(copy.log) for copy in self._copies.values())
+        return sum(len(copy.log or ()) for copy in self._copies.values())
 
     # -- crash recovery -------------------------------------------------------
 
@@ -392,7 +396,7 @@ class StorageEngine:
         fresh (uncompacted) checkpoint of its rebuilt state, like a real
         recovery would, so its own journal starts clean.
         """
-        engine = StorageEngine(self.pid, self.checkpoint_every, self.log_retain)
+        engine = StorageEngine(self.pid, self.checkpoint_every, self.log_retain, self.keep_log)
         engine.last_checkpoint = self.last_checkpoint
         engine.wal = self.wal.fork()
         state = self.last_checkpoint.state

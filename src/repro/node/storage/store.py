@@ -9,17 +9,17 @@ Each processor stores, for every logical object it replicates (Fig. 3's
   uses :class:`~repro.core.ids.VpId`),
 * a **write log** of ``(date, value)`` entries enabling the §6
   missing-writes catch-up optimization (ship only the writes the copy
-  missed, instead of the whole object).
+  missed, not the whole object) — kept only under ``catchup="log"``.
 
 One processor's copies live in the ``{obj: Copy}`` table of its
-:class:`~repro.node.storage.engine.StorageEngine`, which journals every
-mutation of them.
+:class:`~repro.node.storage.engine.StorageEngine`, which seeds each
+log with the placement entry and journals every mutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, NamedTuple
+from typing import Any, List, NamedTuple, Optional
 
 
 class LogEntry(NamedTuple):
@@ -39,8 +39,4 @@ class Copy:
     date: Any
     size: int = 1
     version: Any = None
-    log: List[LogEntry] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.log is None:
-            self.log = [LogEntry(self.date, self.value, self.version)]
+    log: Optional[List[LogEntry]] = None

@@ -18,7 +18,7 @@ def reference_snapshot(engine: StorageEngine) -> Snapshot:
         copies={
             obj: CopySnapshot(obj=obj, value=copy.value, date=copy.date,
                               version=copy.version, size=copy.size,
-                              log=tuple(copy.log),
+                              log=None if copy.log is None else tuple(copy.log),
                               floor=engine._floors.get(obj, NO_FLOOR))
             for obj, copy in engine._copies.items()},
         # a cell holding None was never written: nothing journals it,

@@ -281,6 +281,38 @@ def test_auto_checkpoint_fires_by_append_count():
     assert engine.last_checkpoint.lsn == 3
 
 
+def test_an_engine_checkpoints_every_500_appends_unless_told_never():
+    default, never = StorageEngine(1), StorageEngine(1, checkpoint_every=0)
+    for engine in (default, never):
+        engine.place("x", initial=0)
+        for n in range(1, 500):  # 500 appends with the placement
+            engine.write("x", n, (n, 1))
+    assert (default.stats.checkpoints, len(default.wal)) == (1, 0)
+    assert (never.stats.checkpoints, len(never.wal)) == (0, 500)
+
+
+def test_an_engine_without_write_logs_keeps_and_freezes_none():
+    """``keep_log=False`` (the cluster's full-copy catch-up): writes,
+    installs and applies append no entry, checkpoints and compaction
+    carry none, and a log read is refused as truncated."""
+    engine = StorageEngine(1, checkpoint_every=0, log_retain=1, keep_log=False)
+    engine.place("x", initial=0)
+    engine.write("x", 1, (1, 1), "v1")
+    engine.install("x", 2, (2, 1), "v2")
+    engine.apply_log("x", [LogEntry((3, 1), 3, "v3")])
+    assert engine.retained_entries() == 0
+    assert [r.kind for r in engine.wal] == ["place", "write", "install", "apply"]
+    stored = engine.checkpoint()
+    assert stored.state.copies["x"].log is None
+    assert stored.state.copies["x"].floor is NO_FLOOR
+    assert engine.stats.compacted_entries == 0
+    assert engine.rebuilt().snapshot() == reference_snapshot(engine)
+    with pytest.raises(LogTruncated):
+        engine.log_since("x", (1, 1))
+    assert engine.stats.truncated_reads == 1
+    assert (*engine.peek("x"), engine.version("x")) == (3, (3, 1), "v3")
+
+
 def test_uncompacted_engine_has_no_floor():
     engine = StorageEngine(1)
     engine.place("x", initial=0)

@@ -134,13 +134,15 @@ def test_the_digest_ignores_seq_and_same_instant_order_only():
 def test_durability_costs_and_compaction_preserve_outcomes():
     """Paired runs through a partition + heal: free/unbounded storage
     vs. priced forced writes with checkpointing and log compaction.
-    Timing moves; the committed work and its serializability do not."""
+    Timing moves; the committed work and its serializability do not.
+    Both run §6 log catch-up: only then do copies keep the write logs
+    that compaction trims."""
     schedule = ScheduledNemesis((
         FaultAction(30.0, "partition", ((1, 2, 3, 4), (5,)), 30.0),))
 
     def config(costed):
         return ProtocolConfig(
-            delta=1.0,
+            delta=1.0, catchup="log",
             storage_append_cost=0.05 if costed else 0.0,
             storage_sync_cost=0.2 if costed else 0.0,
             checkpoint_every=25 if costed else 0,
