@@ -223,7 +223,10 @@ class LockManager:
         txn = request.txn
         if txn not in state.holders and \
                 not any(r.txn == txn for r in state.queue):
-            self._touched[txn].discard(request.obj)
+            touched = self._touched[txn]
+            touched.discard(request.obj)
+            if not touched:
+                del self._touched[txn]
         self._promote(request.obj, state)
         if not state.holders and not state.queue:
             del self._table[request.obj]

@@ -15,13 +15,13 @@ authority and its crash parks every prepared participant.
 Mapping onto this codebase's primitives:
 
 * **Acceptors** are the coordinator's view members at prepare time
-  (their durable state rides on :meth:`StorageEngine.durable_cell`,
-  one cell per consensus instance; the answer waits on a timer).  Each
-  charged ``storage_sync_cost`` is one forced record: the first cell
-  written for it is forced, the rest are plain appends that ride it.
-  An acceptor's ballot-0 accepts of one instant for one leader share
-  one force and leave as one ``px-accepted`` (Gray & Lamport's 2b
-  bundling; with free forces each flushes inline, alone).
+  (their durable state is one engine cell value per consensus instance,
+  every ballot-0 accept sharing one tuple per vote; the answer waits on
+  a timer).  Each charged ``storage_sync_cost`` is one forced record:
+  the first cell written for it is forced, the rest are plain appends
+  that ride it.  An acceptor's ballot-0 accepts of one instant for one
+  leader share one force and leave as one ``px-accepted`` (Gray &
+  Lamport's 2b bundling; with free forces each flushes inline, alone).
 * **Ballot 0** is reserved for the RM itself: it force-writes its
   prepare record, then sends phase-2a ``px-accept`` messages straight
   to its *fast set*: the leader, itself, then the lowest other
@@ -69,6 +69,9 @@ BALLOT_STRIDE = 1024
 #: acceptor cell value: (promised ballot, accepted ballot or None,
 #: accepted vote or None); a missing cell means the acceptor is fresh
 AcceptorState = Tuple[int, Optional[int], Optional[str]]
+
+#: a ballot-0 accept's state: one tuple per vote, shared by every instance
+FAST_ACCEPTED = {vote: (0, 0, vote) for vote in ("prepared", "aborted")}
 
 
 class PaxosCommit(AtomicCommit):
@@ -256,13 +259,13 @@ class PaxosCommit(AtomicCommit):
                 self._note_accepted(rm, [(txn, rm, ballot, vote)])
             if rm == self.pid:
                 return
-        cell = self._acceptor_cell(txn, rm)
-        state: Optional[AcceptorState] = cell.value
+        store, name = self.processor.store, f"px:{txn}:{rm}"
+        state: Optional[AcceptorState] = store.cell(name)
         if state is not None and ballot < state[0]:
             return  # promised a higher ballot; drop the stale 2a
         key = (leader, self.sim.now)
         batch = self._batches.setdefault(key, [])
-        cell.write((ballot, ballot, vote), forced=not batch)
+        store.write_cell(name, FAST_ACCEPTED[vote], forced=not batch)  # a 2a is ballot 0
         batch.append((txn, rm, ballot, vote))  # first: a free force flushes inline
         if len(batch) == 1:
             self._after_sync(self._flush, key)
@@ -359,25 +362,25 @@ class PaxosCommit(AtomicCommit):
             timeout=self.config.access_timeout).gather(quorum)
         return [r for r in replies.values() if r is not None and r["ok"]]
 
-    def _cells(self, txn, ballot: int, rms):
-        """The local acceptor's cells of ``rms``' instances, or None when
-        one has promised a ballot above ``ballot`` (preempted)."""
-        cells = [(rm, self._acceptor_cell(txn, rm)) for rm in rms]
-        if any(cell.value is not None and ballot < cell.value[0]
-               for _rm, cell in cells):
+    def _states(self, txn, ballot: int, rms):
+        """The local acceptor's ``(rm, cell name, state)`` of ``rms``'
+        instances (journalled: they survive its crash), or None when one
+        has promised a ballot above ``ballot`` (preempted)."""
+        cell = self.processor.store.cell
+        states = [(rm, name, cell(name)) for rm in rms for name in [f"px:{txn}:{rm}"]]
+        if any(state is not None and ballot < state[0] for _rm, _name, state in states):
             return None
-        return cells
+        return states
 
     def _promise_locally(self, txn, ballot: int, rms):
         """Local-acceptor phase 1b for all instances (batched force);
         returns a reply-shaped dict, or None when preempted."""
-        cells = self._cells(txn, ballot, rms)
-        if cells is None:
+        states = self._states(txn, ballot, rms)
+        if states is None:
             return None
-        accepted = {}
-        for i, (rm, cell) in enumerate(cells):
-            state: Optional[AcceptorState] = cell.value
-            cell.write((ballot, *(state[1:] if state else (None, None))), forced=not i)
+        write, accepted = self.processor.store.write_cell, {}
+        for i, (rm, name, state) in enumerate(states):
+            write(name, (ballot, *(state[1:] if state else (None, None))), forced=not i)
             if state is not None and state[1] is not None:
                 accepted[rm] = state[1:]
         return {"ok": True, "accepted": accepted}
@@ -385,18 +388,12 @@ class PaxosCommit(AtomicCommit):
     def _accept_locally(self, txn, ballot: int, votes, forced: bool = True) -> bool:
         """Local-acceptor phase 2b for all instances (batched force;
         ``forced=False``: another record's force covers them all)."""
-        cells = self._cells(txn, ballot, votes)
-        for i, (rm, cell) in enumerate(cells or ()):
-            cell.write((ballot, ballot, votes[rm]), forced=forced and not i)
-        return cells is not None
-
-    def _acceptor_cell(self, txn, rm: int):
-        """The durable cell of one consensus instance's acceptor state.
-
-        Durable cells journal a WAL record on every write, so promises
-        and accepts survive the acceptor's crash — the protocol's
-        correctness leans on exactly that."""
-        return self.processor.store.durable_cell(f"px:{txn}:{rm}")
+        states = self._states(txn, ballot, votes)
+        write = self.processor.store.write_cell
+        for i, (rm, name, _state) in enumerate(states or ()):
+            state = (ballot, ballot, votes[rm]) if ballot else FAST_ACCEPTED[votes[rm]]
+            write(name, state, forced=forced and not i)
+        return states is not None
 
     # ------------------------------------------------------------------
     # participant side

@@ -12,9 +12,9 @@
   compaction with retained-floor tracking.
 """
 
-from .checkpoint import NO_FLOOR, Checkpoint, CopySnapshot, Snapshot
+from .checkpoint import Checkpoint, CopySnapshot, Snapshot
 from .engine import DurableCell, StorageEngine, StorageStats
-from .store import Copy, LogEntry
+from .store import NO_FLOOR, Copy, LogEntry
 from .wal import (
     RECORD_KINDS,
     LogTruncated,

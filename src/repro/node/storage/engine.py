@@ -4,16 +4,18 @@
 Processor` exposes as ``.store`` — Fig. 3's one stable store.  It holds
 the processor's physical copies (``place`` / ``read`` / ``write`` /
 ``install`` / ``log_since`` / ``apply_log`` — §5's ``value``/``date``
-functions and the §6 write logs), its durable cells (``max-id``) and
-its commit decision log, and journals every mutation of them into a
-typed write-ahead log:
+functions and the §6 write logs), its durable cells (``max-id``, each
+Paxos acceptor instance: one plain value per name) and its commit
+decision log, and journals every mutation of them into a typed
+write-ahead log:
 
 * crash recovery is replay: :meth:`StorageEngine.rebuilt` restores the
   last checkpoint and replays the WAL tail, reproducing the pre-crash
   durable state bit for bit (``tests/integration/test_crash_replay.py``);
-* a checkpoint every ``checkpoint_every`` appends truncates the journal;
-  copies keep a §6 write log only under ``keep_log`` (the cluster's
-  ``catchup="log"``, the logs' one reader), bounded by **compaction**
+* a checkpoint every ``checkpoint_every`` appends truncates the journal
+  and copies only what changed since the last one; copies keep a §6
+  write log only under ``keep_log`` (the cluster's ``catchup="log"``,
+  the logs' one reader), bounded by **compaction**
   (``log_retain``): ``log_since`` raises ``LogTruncated`` below its floor;
 * the 2PC force-write points (prepare records, decision-log entries,
   ``max-id`` bumps) are journalled as *forced* records, giving the
@@ -30,18 +32,17 @@ property in ``tests/properties/test_storage_transparency.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from .checkpoint import (
     EMPTY_CHECKPOINT,
-    NO_FLOOR,
     Checkpoint,
     Snapshot,
-    compact_copies,
     freeze,
+    layered,
     restore_copies,
 )
-from .store import Copy, LogEntry
+from .store import NO_FLOOR, Copy, LogEntry
 from .wal import (
     REC_APPLY,
     REC_CELL,
@@ -83,24 +84,23 @@ class StorageStats:
 
 
 class DurableCell:
-    """A named crash-surviving scalar (e.g. the protocol's ``max-id``).
+    """A handle on one named crash-surviving scalar (e.g. ``max-id``).
 
     The paper requires partition identifiers to be globally unique and
     increasing even across crashes; keeping ``max-id`` durable is the
-    standard way to get that.  Every write is journalled by the owning
-    engine, as a forced record unless it rides another's force.
+    standard way to get that.  The value is the engine's
+    (:meth:`StorageEngine.cell` / :meth:`~StorageEngine.write_cell`).
     """
 
-    __slots__ = ("_engine", "_name", "_value")
+    __slots__ = ("_engine", "_name")
 
-    def __init__(self, engine: "StorageEngine", name: str, initial: Any):
+    def __init__(self, engine: "StorageEngine", name: str):
         self._engine = engine
         self._name = name
-        self._value = initial
 
     @property
     def value(self) -> Any:
-        return self._value
+        return self._engine.cell(self._name)
 
     @value.setter
     def value(self, new: Any) -> None:
@@ -108,8 +108,7 @@ class DurableCell:
 
     def write(self, new: Any, forced: bool = True) -> None:
         """Set and journal ``new``; unforced, it rides this instant's force."""
-        self._value = new
-        self._engine._journal(REC_CELL, forced, cell=self._name, value=new)
+        self._engine.write_cell(self._name, new, forced)
 
 
 class StorageEngine:
@@ -134,9 +133,12 @@ class StorageEngine:
         #: physical access counters, by object
         self.reads: Dict[str, int] = {}
         self.writes: Dict[str, int] = {}
-        #: per-object compaction floor (absent key = log complete)
-        self._floors: Dict[str, Any] = {}
-        self._cells: Dict[str, DurableCell] = {}
+        #: copies whose write log grew since the last compaction
+        self._grown: Set[str] = set()
+        #: durable cells, by name (absent = never written: None)
+        self._cells: Dict[str, Any] = {}
+        #: the handles :meth:`durable_cell` gave out
+        self._handles: Dict[str, DurableCell] = {}
         #: journalled coordinator decisions (txn -> latest outcome)
         self._decisions: Dict[Any, str] = {}
         #: what :meth:`rebuilt` restores before replaying the WAL tail
@@ -178,6 +180,7 @@ class StorageEngine:
         copy.version = version
         if copy.log is not None:
             copy.log.append(LogEntry(date, value, version))
+            self._grown.add(copy.obj)
         self._journal(kind, False, copy.obj, value, date, version)
 
     # -- placement ------------------------------------------------------------
@@ -211,7 +214,7 @@ class StorageEngine:
         """
         self._get(obj)
         del self._copies[obj]
-        self._floors.pop(obj, None)
+        self._grown.discard(obj)
         self._journal(REC_RETIRE, obj=obj)
 
     @property
@@ -277,8 +280,8 @@ class StorageEngine:
         discarded) still answers any dated ``after`` exactly, since
         ``None``-dated entries are never part of a dated answer.
         """
-        floor = self._floors.get(obj, NO_FLOOR)
-        log = self._get(obj).log
+        copy = self._get(obj)
+        floor, log = copy.floor, copy.log
         if log is None or (floor is not NO_FLOOR and (
                 after is None or (floor is not None and after < floor))):
             self.stats.truncated_reads += 1
@@ -300,20 +303,29 @@ class StorageEngine:
 
     # -- durable cells -------------------------------------------------------
 
-    def durable_cell(self, name: str, initial: Any = None) -> DurableCell:
-        """A named crash-surviving scalar, journalled on every write.
+    def cell(self, name: str) -> Any:
+        """A durable cell's value (None: never written)."""
+        return self._cells.get(name)
 
-        Re-requesting an existing name returns the live cell (its
-        current value wins over ``initial``), so recovery hooks can
-        reacquire their cells idempotently.  A ``None`` initial is not
-        journalled: replay recreates a cell it never saw as ``None``.
+    def write_cell(self, name: str, value: Any, forced: bool = True) -> None:
+        """Set and journal a durable cell (unforced: it rides a force)."""
+        self._cells[name] = value
+        self._journal(REC_CELL, forced, cell=name, value=value)
+
+    def durable_cell(self, name: str, initial: Any = None) -> DurableCell:
+        """A handle on a named crash-surviving scalar.
+
+        Re-requesting a name returns the same handle, and a cell that
+        already holds a value keeps it over ``initial``, so recovery
+        hooks can reacquire their cells idempotently.  A ``None``
+        initial is not journalled: an unwritten cell reads ``None``.
         """
-        cell = self._cells.get(name)
-        if cell is None:
-            cell = self._cells[name] = DurableCell(self, name, initial)
-            if initial is not None:
-                self._journal(REC_CELL, cell=name, value=initial)
-        return cell
+        handle = self._handles.get(name)
+        if handle is None:
+            handle = self._handles[name] = DurableCell(self, name)
+            if initial is not None and name not in self._cells:
+                self.write_cell(name, initial, forced=False)
+        return handle
 
     # -- 2PC force-write points ---------------------------------------------
 
@@ -349,30 +361,40 @@ class StorageEngine:
     def _advanced(self, trimmed: Dict[str, int]) -> Snapshot:
         """The last checkpoint's state brought up to date for what
         changed since: a checkpoint truncates the journal, so that is
-        the ``obj``s and ``cell``s the WAL names, plus the copies an
-        (unjournalled) compaction ``trimmed``.  Only those are re-frozen
-        or, if retired, dropped; every other entry is shared."""
-        base = self.last_checkpoint.state
-        copies, cells = dict(base.copies), dict(base.cells)
-        named = {r.obj: None for r in self.wal if r.obj is not None}
-        for obj in {**named, **trimmed}:
+        what the WAL names, plus the copies an (unjournalled) compaction
+        ``trimmed``.  Those copies are re-frozen (dropped if retired), the
+        cells and decisions written are one new :func:`layered` top
+        layer, and every other entry is shared."""
+        base, wal = self.last_checkpoint.state, self.wal
+        copies = dict(base.copies)
+        for obj in {**{r.obj: None for r in wal if r.obj is not None}, **trimmed}:
             if obj in self._copies:
-                copies[obj] = freeze(self._copies[obj], self._floors.get(obj, NO_FLOOR))
+                copies[obj] = freeze(self._copies[obj])
             else:
                 copies.pop(obj, None)
-        for name in {r.cell: None for r in self.wal if r.cell is not None}:
-            cells[name] = self._cells[name].value
-        return Snapshot(copies, cells, dict(self._decisions))
+        cells = {r.cell: r.value for r in wal if r.cell is not None}
+        decisions = {r.txn: r.outcome for r in wal if r.kind == REC_DECISION}
+        return Snapshot(copies, layered(base.cells, cells), layered(base.decisions, decisions))
 
     def checkpoint(self, compact: bool = True) -> Checkpoint:
         """Snapshot all durable state and truncate the journal.
 
         Compaction (when ``log_retain`` is set, unless ``compact=False``)
         runs *before* the snapshot so the checkpoint captures the
-        trimmed logs and their floors.
+        trimmed logs and their floors (:mod:`.checkpoint`); it visits only
+        the logs that grew since the last one, and the snapshot re-freezes
+        the copies it trimmed (nothing journals a trim).
         """
-        trimmed = (compact_copies(self._copies, self.log_retain, self._floors)
-                   if compact and self.log_retain is not None else {})
+        trimmed: Dict[str, int] = {}
+        if compact and self.log_retain is not None:
+            for obj in self._grown:
+                copy = self._copies[obj]
+                excess = len(copy.log or ()) - self.log_retain
+                if excess > 0:
+                    copy.floor = copy.log[excess - 1].date
+                    del copy.log[:excess]
+                    trimmed[obj] = excess
+            self._grown = set()
         self.stats.compacted_entries += sum(trimmed.values())
         self.last_checkpoint = Checkpoint(self.wal.tail_lsn, self._advanced(trimmed))
         self.wal.truncate()
@@ -400,9 +422,10 @@ class StorageEngine:
         engine.last_checkpoint = self.last_checkpoint
         engine.wal = self.wal.fork()
         state = self.last_checkpoint.state
-        engine._copies, engine._floors = restore_copies(state.copies)
-        for name, value in state.cells.items():
-            engine._cells[name] = DurableCell(engine, name, value)
+        engine._copies = restore_copies(state.copies)
+        # an uncompacted checkpoint may have stored logs over log_retain
+        engine._grown = set(engine._copies)
+        engine._cells = dict(state.cells)
         engine._decisions = dict(state.decisions)
         engine._replaying = True
         for record in engine.wal:
@@ -423,7 +446,7 @@ class StorageEngine:
             # not ``write``: transaction writes are not re-counted
             self._set(record.kind, self._get(record.obj), record.value, record.date, record.version)
         elif record.kind == REC_CELL:
-            self.durable_cell(record.cell).value = record.value
+            self._cells[record.cell] = record.value
         elif record.kind == REC_DECISION:
             self._decisions[record.txn] = record.outcome
         elif record.kind == REC_RETIRE:

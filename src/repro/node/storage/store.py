@@ -21,6 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, NamedTuple, Optional
 
+#: a complete log's floor, unlike a ``None``-dated one (the placement
+#: entry's ``date=None`` can itself be compacted away)
+NO_FLOOR = object()
+
 
 class LogEntry(NamedTuple):
     """One physical write applied to a copy."""
@@ -40,3 +44,5 @@ class Copy:
     size: int = 1
     version: Any = None
     log: Optional[List[LogEntry]] = None
+    #: newest compacted-away log date (see :mod:`.checkpoint`)
+    floor: Any = NO_FLOOR

@@ -15,7 +15,7 @@ from .hunt import (
     hunt_base,
     replay_artifact,
 )
-from .parallel import default_workers, portable_result, run_many
+from .parallel import default_workers, run_many
 from .runner import (
     ExperimentResult,
     ExperimentSpec,
@@ -40,7 +40,6 @@ __all__ = [
     "default_workers",
     "hunt",
     "hunt_base",
-    "portable_result",
     "render_table",
     "replay_artifact",
     "run_experiment",

@@ -17,10 +17,9 @@ Two practical constraints follow from pickling:
   :class:`~repro.workload.failures.ScheduledNemesis` is the reference
   example.
 * A finished :class:`Cluster` holds live generators and cannot cross
-  back, so parallel results carry ``cluster=None``
-  (:func:`portable_result`); everything derived from the cluster —
-  metrics, network stats, the registry, the 1SR verdict — is computed
-  in the child and shipped home as plain data.
+  back, so parallel results carry ``cluster=None``; everything derived
+  from the cluster — metrics, network stats, the registry, the 1SR
+  verdict — is computed in the child and shipped home as plain data.
 
 A child that raises does not hang the pool: the exception is re-raised
 in the parent by ``Future.result()`` in submission order.
@@ -29,7 +28,6 @@ in the parent by ``Future.result()`` in submission order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Iterable, List, Optional
 
@@ -46,18 +44,10 @@ def default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def portable_result(result: ExperimentResult) -> ExperimentResult:
-    """A copy of ``result`` that survives pickling.
-
-    The live cluster (simulator, generators, open processes) stays in
-    the child; all measured outputs are plain data and travel intact.
-    """
-    return replace(result, cluster=None)
-
-
 def _run_portable(spec: ExperimentSpec) -> ExperimentResult:
-    """Child entry point: run one experiment, return the picklable part."""
-    return portable_result(run_experiment(spec))
+    """Child entry point: run one experiment, return the picklable part
+    (the live cluster stays in the child)."""
+    return replace(run_experiment(spec), cluster=None)
 
 
 def run_many(specs: Iterable[ExperimentSpec],
@@ -74,6 +64,9 @@ def run_many(specs: Iterable[ExperimentSpec],
     count = default_workers() if workers is None else workers
     if count <= 1 or len(specs) <= 1:
         return [run_experiment(spec) for spec in specs]
+    # imported here: a one-run process loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(count, len(specs))) as pool:
         futures = [pool.submit(_run_portable, spec) for spec in specs]
         return [future.result() for future in futures]

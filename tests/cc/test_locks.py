@@ -116,6 +116,29 @@ def test_cancel_leaves_queue_and_promotes(manager):
     assert c.triggered
 
 
+def test_a_dropped_sole_request_leaves_no_touched_entry(manager):
+    """A transaction whose only request here times out or is cancelled
+    never reaches ``release_all`` on this manager, so the drop itself
+    must forget it; one that still holds another object stays listed."""
+    sim = manager.sim
+    manager.acquire("t1", "x", EXCLUSIVE)
+    timed_out = manager.acquire("t2", "x", SHARED)
+    cancelled = manager.acquire("t3", "x", EXCLUSIVE)
+    manager.acquire("t4", "y", SHARED)
+    still_holding = manager.acquire("t4", "x", SHARED)
+
+    def waiter():
+        return (yield from sim.wait(timed_out, 5.0, False))
+
+    process = sim.process(waiter())
+    cancelled.cancel()
+    still_holding.cancel()
+    assert sim.run(until=process) is False
+    assert manager.queue_length("x") == 0
+    assert set(manager._touched) == {"t1", "t4"}
+    assert manager._touched["t4"] == {"y"}
+
+
 def test_release_all_returns_freed_objects(manager):
     manager.acquire("t1", "x", SHARED)
     manager.acquire("t1", "y", EXCLUSIVE)

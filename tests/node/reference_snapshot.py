@@ -9,7 +9,7 @@ under ``src/`` imports it.
 
 from __future__ import annotations
 
-from repro.node.storage import NO_FLOOR, CopySnapshot, Snapshot, StorageEngine
+from repro.node.storage import CopySnapshot, Snapshot, StorageEngine
 
 
 def reference_snapshot(engine: StorageEngine) -> Snapshot:
@@ -19,11 +19,11 @@ def reference_snapshot(engine: StorageEngine) -> Snapshot:
             obj: CopySnapshot(obj=obj, value=copy.value, date=copy.date,
                               version=copy.version, size=copy.size,
                               log=None if copy.log is None else tuple(copy.log),
-                              floor=engine._floors.get(obj, NO_FLOOR))
+                              floor=copy.floor)
             for obj, copy in engine._copies.items()},
         # a cell holding None was never written: nothing journals it,
         # and a rebuilt engine recreates it as None when asked
-        cells={name: cell.value for name, cell in engine._cells.items()
-               if cell.value is not None},
+        cells={name: value for name, value in engine._cells.items()
+               if value is not None},
         decisions=dict(engine._decisions),
     )

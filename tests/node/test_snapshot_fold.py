@@ -5,7 +5,10 @@ what compaction trimmed) on top of the last checkpoint's state.  Random
 operation sequences — every journalled mutation, manual and automatic
 checkpoints with and without compaction, and recovery by ``rebuilt()``
 — hold it equal, step by step, to ``reference_snapshot``: the old full
-walk over every copy, cell and decision.
+walk over every copy, cell and decision.  Every compacting checkpoint,
+one right after ``rebuilt()`` included, must also trim exactly what a
+trim over every copy would: compaction visits only the logs that grew
+since the last one.
 
 One-line mutations of ``engine.py`` this test was seen to fail under:
 
@@ -16,10 +19,12 @@ One-line mutations of ``engine.py`` this test was seen to fail under:
 * ``rebuilt()`` closes from an empty tail (the journal fork, or the
   adoption of the source's checkpoint, removed);
 * the re-frozen copy shares its log list with the live copy
-  (``log=copy.log`` in ``freeze``).
+  (``log=copy.log`` in ``freeze``);
+* a rebuilt engine starts with no grown logs (``_grown = set()`` in
+  ``rebuilt()``), or replay does not mark the logs it extends.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.node.storage import LogEntry, StorageEngine
@@ -44,6 +49,7 @@ class Driven:
 
     def __init__(self, retain, every):
         self.clock = 0
+        self.retain = retain
         self.adopt(StorageEngine(1, checkpoint_every=every,
                                  log_retain=retain))
 
@@ -55,7 +61,14 @@ class Driven:
 
         def checkpoint(compact=True):
             # also reached from inside ``_journal``, mid-operation
+            logs = [copy.log or () for copy in engine._copies.values()]
+            trims = compact and self.retain is not None
+            due = sum(max(0, len(log) - self.retain) for log in logs) if trims else 0
+            before = engine.stats.compacted_entries
             taken = take(compact)
+            assert engine.stats.compacted_entries - before == due
+            if trims:
+                assert all(len(log) <= self.retain for log in logs)
             self.stored = reference_snapshot(engine)
             return taken
 
@@ -111,7 +124,19 @@ class Driven:
         assert len(rebuilt.wal) == 0
 
 
+#: a log over ``retain`` that only a rebuilt engine can find: kept by an
+#: uncompacted checkpoint, or rebuilt by replaying the WAL tail
+OVER_RETAIN_ACROSS_A_REBUILD = (
+    [("place", 0, 1), ("write", 0, 0), ("write", 0, 0),
+     ("checkpoint_uncompacted", 0, 0), ("rebuilt", 0, 0), ("checkpoint", 0, 0)],
+    [("place", 0, 1), ("write", 0, 0), ("write", 0, 0),
+     ("rebuilt", 0, 0), ("checkpoint", 0, 0)],
+)
+
+
 @settings(max_examples=300, deadline=None)
+@example(retain=1, every=0, steps=OVER_RETAIN_ACROSS_A_REBUILD[0])
+@example(retain=1, every=0, steps=OVER_RETAIN_ACROSS_A_REBUILD[1])
 @given(retain=st.sampled_from([None, 1, 3]),
        every=st.sampled_from([0, 3]),
        steps=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2),

@@ -367,19 +367,25 @@ def test_compaction_refreezes_a_copy_the_tail_does_not_name():
     assert engine.rebuilt().snapshot() == stored
 
 
-def _refrozen_by_a_small_change(copies, cells):
-    """Checkpoint an engine holding ``copies`` copies and ``cells`` cells,
-    write 3 objects, set 2 cells, checkpoint again: the entries of the
-    second snapshot that are not the first one's objects."""
-    engine = StorageEngine(1, log_retain=8)
+def _refrozen_by_a_small_change(copies, cells, decisions):
+    """Checkpoint an engine holding ``copies`` copies, ``cells`` cells
+    and ``decisions`` decisions, write 3 objects, set 2 cells, log 2
+    decisions, checkpoint again: the entries of the second snapshot that
+    are not the first one's objects.  No automatic checkpoint runs in
+    between, so the first image's cells and decisions are one layer."""
+    engine = StorageEngine(1, checkpoint_every=0, log_retain=8)
     for n in range(copies):
         engine.place(f"o{n}", initial=n, date=(0, 1))
     held = [engine.durable_cell(f"px:{n}", (n, n)) for n in range(cells)]
+    for n in range(decisions):
+        engine.record_decision(f"t{n}", "undecided", forced=False)
     old = engine.checkpoint().state
     touched = {"o1", f"o{copies // 2}", f"o{copies - 1}"}
     for obj in sorted(touched):
         engine.write(obj, "new", (1, 1), "v1")
     held[0].value = held[-1].value = (9, 9)
+    engine.record_decision("t0", "commit")
+    engine.record_decision(f"t{decisions}", "abort")
     new = engine.checkpoint().state
     assert new == reference_snapshot(engine)
     assert set(new.copies) == set(old.copies) and len(new.copies) == copies
@@ -389,6 +395,13 @@ def _refrozen_by_a_small_change(copies, cells):
                    if new.cells[name] is not old.cells[name]}
     assert fresh_copies == touched
     assert fresh_cells == {"px:0", f"px:{cells - 1}"}
+    # the newest layer is what was written since; the older layers are
+    # the previous image's own, so every older entry is its object
+    assert new.cells.maps[0] == {"px:0": (9, 9), f"px:{cells - 1}": (9, 9)}
+    assert new.decisions.maps[0] == {"t0": "commit", f"t{decisions}": "abort"}
+    for layered, previous in ((new.cells, old.cells),
+                              (new.decisions, old.decisions)):
+        assert all(a is b for a, b in zip(layered.maps[1:], previous.maps, strict=True))
     return len(fresh_copies) + len(fresh_cells)
 
 
@@ -397,8 +410,25 @@ def test_a_checkpoint_refreezes_only_what_changed_since_the_last():
     new snapshot *is* the previous snapshot's object, and the number of
     re-frozen entries does not move when the clean state grows 4x.
     Fails under any from-scratch freeze (e.g. an empty base)."""
-    assert _refrozen_by_a_small_change(600, 5000) == 5
-    assert _refrozen_by_a_small_change(2400, 20000) == 5
+    assert _refrozen_by_a_small_change(600, 5000, 1500) == 5
+    assert _refrozen_by_a_small_change(2400, 20000, 6000) == 5
+
+
+def test_checkpoint_layers_stay_logarithmic():
+    """One new cell and decision per checkpoint, 1 024 times: a layer
+    merges into the one below once it is as large, like a binary
+    counter's carry, so the image stays a handful of layers (not one per
+    checkpoint) and still equals the full walk."""
+    engine = StorageEngine(1, checkpoint_every=0)
+    for n in range(1024):
+        engine.durable_cell(f"c{n}", n)
+        engine.record_decision(f"t{n}", "commit")
+        engine.checkpoint()
+        if n % 100 == 0:
+            engine.checkpoint()  # an empty delta adds no lasting layer
+    state = engine.last_checkpoint.state
+    assert len(state.cells.maps) <= 12 and len(state.decisions.maps) <= 12
+    assert state == reference_snapshot(engine)
 
 
 def _copy_of(snap):

@@ -3,8 +3,14 @@ wall-clock.  Every deterministic output — committed/aborted counts,
 protocol metrics, message-cost counters, the registry snapshot — is
 compared between the serial path and the process pool."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.workload import (
     ExperimentSpec,
     WorkloadSpec,
@@ -76,3 +82,18 @@ def test_fingerprint_ignores_wall_clock():
     faster = replace(result, wall_seconds=result.wall_seconds * 100)
     assert result.fingerprint() == faster.fingerprint()
     assert "wall_seconds" not in result.fingerprint()
+
+
+def test_a_one_run_process_loads_no_process_pool():
+    """Only ``run_many``'s parallel branch needs a pool, so a process
+    that imports the harness and the cluster to make one run never
+    loads ``multiprocessing`` (nor the socket, logging and subprocess
+    modules it pulls in).  A fresh interpreter: this one has them."""
+    code = ("import sys, repro.workload.runner, repro.cluster; "
+            "print(sorted(name for name in ('multiprocessing', "
+            "'concurrent.futures.process') if name in sys.modules))")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=60)
+    assert loaded.stdout.strip() == "[]"
