@@ -21,6 +21,7 @@ Quick start::
 """
 
 from .analysis import (
+    CopyOrder,
     History,
     check_one_copy,
     is_cp_serializable,
@@ -51,6 +52,7 @@ __all__ = [
     "AccessAborted",
     "Cluster",
     "CommGraph",
+    "CopyOrder",
     "CopyPlacement",
     "DistanceLatency",
     "FailureInjector",

@@ -8,6 +8,7 @@ from .one_copy import (
     is_one_copy_serializable,
 )
 from .serialization import (
+    CopyOrder,
     conflict_graph,
     find_cycle,
     is_cp_serializable,
@@ -15,6 +16,7 @@ from .serialization import (
 )
 
 __all__ = [
+    "CopyOrder",
     "History",
     "convergence_time",
     "INITIAL_VERSION",

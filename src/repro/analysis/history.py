@@ -1,18 +1,17 @@
-"""Execution histories: everything the correctness checkers need.
+"""Execution histories: what the 1SR verdict reads.
 
 A :class:`History` records, with timestamps from the simulated clock:
 
 * transaction lifecycle (begin / commit / abort),
-* logical operations (what the transaction asked for),
-* physical operations, in one list (which copy was touched, in which
-  virtual partition — the conflict order on a copy is its record order,
-  since operations on one physical object are totally ordered, §3),
+* each transaction's logical operations, until it aborts,
+* the first installation of each written version on any copy,
 * join/depart events of the virtual partition protocol (needed to audit
   properties S1–S3).
 
 It is also where protocol code reports every fact, as one record passed
-to :meth:`History.record`: it keeps the kinds above and hands every
-record to its ``readers`` (the auditor, then the tracer).
+to :meth:`History.record`: it keeps what is listed above and hands
+every record to its ``readers`` (the auditor, then the tracer; a CP
+check adds a :class:`~.serialization.CopyOrder`).
 
 Reads and writes carry *version tokens*: each logical write is tagged
 with a unique token, physical copies remember the token of the write
@@ -109,7 +108,7 @@ ReshardFlip = NamedTuple("ReshardFlip", [
     ("old_epoch", int), ("new_epoch", int), ("installed", List[int])])
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnRecord:
     """Everything known about one transaction."""
 
@@ -123,14 +122,15 @@ class TxnRecord:
 
 
 class History:
-    """Global, append-only record of one simulation run."""
+    """Global record of one simulation run: what the 1SR verdict reads."""
 
     def __init__(self):
-        self.physical_ops: List[PhysicalOp] = []
-        self.logical_ops: List[LogicalOp] = []
         self.txns: Dict[Any, TxnRecord] = {}
         self.joins: List[Join] = []
         self.departs: List[Depart] = []
+        #: ``(obj, version) -> position`` of the version's first write
+        #: record, physical or logical: the order versions were installed
+        self.installed: Dict[Tuple[str, Any], int] = {}
         #: who :meth:`record` hands each fact to, in order: each has a
         #: ``read(fact)``; ``Cluster`` wires the auditor, then the tracer
         self.readers: tuple = ()
@@ -145,19 +145,20 @@ class History:
         return record
 
     def commit_txn(self, txn: Any, time: float) -> None:
-        record = self._txn(txn)
-        if record.status != "active":
-            raise ValueError(f"transaction {txn} is {record.status}")
-        record.status = "committed"
-        record.end_time = time
+        self._close(txn, time).status = "committed"
 
     def abort_txn(self, txn: Any, time: float, reason: str = "") -> None:
+        record = self._close(txn, time)
+        record.status = "aborted"
+        record.abort_reason = reason
+        record.logical_ops = ()  # no verdict reads an aborted txn's ops
+
+    def _close(self, txn: Any, time: float) -> TxnRecord:
         record = self._txn(txn)
         if record.status != "active":
             raise ValueError(f"transaction {txn} is {record.status}")
-        record.status = "aborted"
         record.end_time = time
-        record.abort_reason = reason
+        return record
 
     def finish_txn_once(self, txn: Any, status: str, time: float,
                         reason: str = "") -> bool:
@@ -173,32 +174,30 @@ class History:
         """
         if status not in ("committed", "aborted"):
             raise ValueError(f"unknown final status {status!r}")
-        record = self._txn(txn)
-        if record.status != "active":
+        if self._txn(txn).status != "active":
             return False
-        record.status = status
-        record.end_time = time
-        if status == "aborted":
-            record.abort_reason = reason
+        if status == "committed":
+            self.commit_txn(txn, time)
+        else:
+            self.abort_txn(txn, time, reason)
         return True
 
     # -- the one entry point -------------------------------------------------
 
     def record(self, fact) -> None:
-        """Report one fact: keep it if it is an access, a join or a
-        depart, then hand it to every reader in order."""
+        """Report one fact: keep what the verdict reads of an access, a
+        join or a depart, then hand it to every reader in order."""
         kind = type(fact)
-        if kind is PhysicalOp:
-            if fact.kind not in ("r", "w"):
-                raise ValueError(f"kind must be 'r' or 'w', got {fact.kind!r}")
-            self.physical_ops.append(fact)
-        elif kind is LogicalAccess:
-            op = fact.op
-            if op.kind not in ("r", "w"):
+        if kind is PhysicalOp or kind is LogicalAccess:
+            op = fact if kind is PhysicalOp else fact.op
+            if op.kind == "w":
+                self.installed.setdefault((op.obj, op.version), len(self.installed))
+            elif op.kind != "r":
                 raise ValueError(f"kind must be 'r' or 'w', got {op.kind!r}")
-            self.logical_ops.append(op)
-            if op.txn in self.txns:
-                self.txns[op.txn].logical_ops.append(op)
+            if kind is LogicalAccess:
+                record = self.txns.get(op.txn)
+                if record is not None and record.status != "aborted":
+                    record.logical_ops.append(op)
         elif kind is Join:
             self.joins.append(fact)
         elif kind is Depart or kind is CrashDepart:
@@ -244,4 +243,4 @@ class History:
 
     def __repr__(self) -> str:
         return (f"History(txns={len(self.txns)}, "
-                f"physical={len(self.physical_ops)}, joins={len(self.joins)})")
+                f"installed={len(self.installed)}, joins={len(self.joins)})")

@@ -98,15 +98,6 @@ def check_one_copy(history: History) -> OneCopyResult:
                 f"txn {txn} read {obj}@{version}: a non-committed write, or "
                 f"one its writer overwrote before committing"))
 
-    # Version order: first installation on any copy.  A version with no
-    # physical write on record (hand-built histories) takes the position
-    # of its logical write.
-    installed: Dict[Tuple[str, Any], int] = {}
-    for ops in (history.physical_ops, history.logical_ops):
-        for position, op in enumerate(ops):
-            if op.kind == "w":
-                installed.setdefault((op.obj, op.version), position)
-
     graph: Dict[Any, Set[Any]] = {txn: set() for txn in records}
     named: Dict[Tuple[Any, Any], Edge] = {}
 
@@ -117,7 +108,7 @@ def check_one_copy(history: History) -> OneCopyResult:
 
     latest: Dict[str, Tuple[str, Any]] = {}   # obj -> its newest version yet
     superseded_by: Dict[Tuple[str, Any], Any] = {}
-    for key in sorted(writer, key=installed.__getitem__):
+    for key in sorted(writer, key=history.installed.__getitem__):
         obj = key[0]
         older = latest.get(obj, (obj, INITIAL_VERSION))
         superseded_by[older] = writer[key]

@@ -13,18 +13,31 @@ import heapq
 from collections import defaultdict
 from typing import Any, Callable, Dict, List, Set, Tuple
 
-from .history import History
+from .history import History, PhysicalOp
 
 
-def conflict_graph(history: History) -> Dict[Any, Set[Any]]:
+class CopyOrder:
+    """A :class:`History` reader keeping every physical op reported from
+    its construction on, in record order — so each copy's op order.
+    ``History`` keeps none: a CP verdict needs one built before the run."""
+
+    def __init__(self, history: History):
+        self.history = history
+        self.ops: List[PhysicalOp] = []
+        history.readers += (self,)
+
+    def read(self, fact) -> None:
+        if type(fact) is PhysicalOp:
+            self.ops.append(fact)
+
+
+def conflict_graph(order: CopyOrder) -> Dict[Any, Set[Any]]:
     """Edges ``t1 -> t2``: a committed t1 op conflicts with and precedes
     a committed t2 op on some copy."""
-    committed = {r.txn for r in history.committed()}
-    edges: Dict[Any, Set[Any]] = defaultdict(set)
-    for txn in committed:
-        edges[txn]  # ensure every committed txn appears as a node
+    committed = {r.txn for r in order.history.committed()}
+    edges: Dict[Any, Set[Any]] = {txn: set() for txn in committed}
     by_copy: Dict[Tuple[str, int], List] = defaultdict(list)
-    for op in history.physical_ops:
+    for op in order.ops:
         if op.txn in committed:
             by_copy[(op.obj, op.copy_pid)].append(op)
     for ops in by_copy.values():
@@ -36,7 +49,7 @@ def conflict_graph(history: History) -> Dict[Any, Set[Any]]:
                 if earlier.txn != later.txn and (
                         earlier.kind == "w" or later.kind == "w"):
                     edges[earlier.txn].add(later.txn)
-    return dict(edges)
+    return edges
 
 
 def find_cycle(edges: Dict[Any, Set[Any]]) -> List[Any] | None:
@@ -76,9 +89,9 @@ def find_cycle(edges: Dict[Any, Set[Any]]) -> List[Any] | None:
     return None
 
 
-def is_cp_serializable(history: History) -> bool:
+def is_cp_serializable(order: CopyOrder) -> bool:
     """True iff the committed conflict graph is acyclic."""
-    return find_cycle(conflict_graph(history)) is None
+    return find_cycle(conflict_graph(order)) is None
 
 
 def topological_order(edges: Dict[Any, Set[Any]],
@@ -104,10 +117,10 @@ def topological_order(edges: Dict[Any, Set[Any]],
     return order if len(order) == len(edges) else None
 
 
-def serial_order(history: History) -> List[Any]:
+def serial_order(order: CopyOrder) -> List[Any]:
     """A topological order of the conflict graph (an equivalent serial
     execution); raises ``ValueError`` if the history is not serializable."""
-    order = topological_order(conflict_graph(history), key=repr)
-    if order is None:
+    serial = topological_order(conflict_graph(order), key=repr)
+    if serial is None:
         raise ValueError("history is not CP-serializable (conflict cycle)")
-    return order
+    return serial

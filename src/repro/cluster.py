@@ -291,11 +291,6 @@ class Cluster:
     def processor(self, pid: int) -> Processor:
         return self.processors[pid]
 
-    def check_serializable(self) -> bool:
-        """CP-serializability of the committed physical history."""
-        from .analysis.serialization import is_cp_serializable
-        return is_cp_serializable(self.history)
-
     def check_one_copy_serializable(self) -> bool:
         """One-copy serializability of the committed logical history."""
         from .analysis.one_copy import is_one_copy_serializable

@@ -130,9 +130,6 @@ class StorageEngine:
         self.wal = WriteAheadLog()
         self.stats = StorageStats()
         self._copies: Dict[str, Copy] = {}
-        #: physical access counters, by object
-        self.reads: Dict[str, int] = {}
-        self.writes: Dict[str, int] = {}
         #: copies whose write log grew since the last compaction
         self._grown: Set[str] = set()
         #: durable cells, by name (absent = never written: None)
@@ -227,20 +224,15 @@ class StorageEngine:
     def read(self, obj: str) -> tuple[Any, Any]:
         """Physical read: ``(value, date)`` of the local copy."""
         copy = self._get(obj)
-        self.reads[obj] = self.reads.get(obj, 0) + 1
         return copy.value, copy.date
+
+    #: the same read, by the name recovery and the checks call it
+    peek = read
 
     def write(self, obj: str, value: Any, date: Any,
               version: Any = None) -> None:
         """Physical write with its logical date; appended to the log."""
-        copy = self._get(obj)
-        self.writes[obj] = self.writes.get(obj, 0) + 1
-        self._set(REC_WRITE, copy, value, date, version)
-
-    def peek(self, obj: str) -> tuple[Any, Any]:
-        """Read without counting (used by recovery metrics)."""
-        copy = self._get(obj)
-        return copy.value, copy.date
+        self._set(REC_WRITE, self._get(obj), value, date, version)
 
     def date(self, obj: str) -> Any:
         """The logical date of the local copy."""
@@ -260,8 +252,8 @@ class StorageEngine:
                 version: Any = None) -> None:
         """Overwrite the copy during partition initialization (R5 recover).
 
-        Unlike :meth:`write` this does not count as a transaction write,
-        but it is logged so later catch-ups see a consistent history.
+        Journalled as an install, not a transaction write, and logged so
+        later catch-ups see a consistent history.
         """
         self._set(REC_INSTALL, self._get(obj), value, date, version)
 
@@ -443,7 +435,6 @@ class StorageEngine:
             self.place(record.obj, initial=record.value, date=record.date,
                        size=record.size or 1, version=record.version)
         elif record.kind in (REC_WRITE, REC_INSTALL, REC_APPLY):
-            # not ``write``: transaction writes are not re-counted
             self._set(record.kind, self._get(record.obj), record.value, record.date, record.version)
         elif record.kind == REC_CELL:
             self._cells[record.cell] = record.value

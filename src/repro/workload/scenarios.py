@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from ..analysis.one_copy import OneCopyResult, check_one_copy
-from ..analysis.serialization import is_cp_serializable
+from ..analysis.serialization import CopyOrder, is_cp_serializable
 from ..cluster import Cluster
 from ..net.nemesis import FaultAction, apply_schedule
 from ..protocols.naive_view import NaiveViewProtocol
@@ -30,6 +30,7 @@ class ScenarioOutcome:
     """What a staged scenario produced."""
 
     cluster: Cluster
+    copies: CopyOrder  # the physical ops the CP check read
     committed: List[Any]
     aborted: List[Any]
     one_copy: OneCopyResult
@@ -44,7 +45,8 @@ class ScenarioOutcome:
         return values == {1}
 
 
-def _collect_outcome(cluster: Cluster, objects) -> ScenarioOutcome:
+def _collect_outcome(cluster: Cluster, copies: CopyOrder,
+                     objects) -> ScenarioOutcome:
     final = {}
     for obj in objects:
         for pid in cluster.placement.copies(obj):
@@ -53,10 +55,11 @@ def _collect_outcome(cluster: Cluster, objects) -> ScenarioOutcome:
     history = cluster.history
     return ScenarioOutcome(
         cluster=cluster,
+        copies=copies,
         committed=[r.txn for r in history.committed()],
         aborted=[r.txn for r in history.aborted()],
         one_copy=check_one_copy(history),
-        cp_serializable=is_cp_serializable(history),
+        cp_serializable=is_cp_serializable(copies),
         final_values=final,
     )
 
@@ -81,6 +84,7 @@ def run_example1_naive(seed: int = 0, trace: bool = False) -> ScenarioOutcome:
     """
     cluster = Cluster(processors=3, seed=seed, protocol=NaiveViewProtocol,
                       trace=trace)
+    copies = CopyOrder(cluster.history)
     cluster.place("x", holders=[A, B, C], initial=0)
     cluster.start()
     for pid in cluster.pids:
@@ -94,7 +98,7 @@ def run_example1_naive(seed: int = 0, trace: bool = False) -> ScenarioOutcome:
     second = cluster.submit(B, _increment_body("x"))
     cluster.run(until=60.0)
     assert first.value[0] and second.value[0], "both increments must commit"
-    return _collect_outcome(cluster, ["x"])
+    return _collect_outcome(cluster, copies, ["x"])
 
 
 def run_example1_vp(seed: int = 0, retries: int = 40,
@@ -108,6 +112,7 @@ def run_example1_vp(seed: int = 0, retries: int = 40,
     the first one's value through C's copy and no update is lost.
     """
     cluster = Cluster(processors=3, seed=seed, trace=trace)
+    copies = CopyOrder(cluster.history)
     cluster.place("x", holders=[A, B, C], initial=0)
     cluster.start()
     apply_schedule(cluster.injector,
@@ -122,7 +127,7 @@ def run_example1_vp(seed: int = 0, retries: int = 40,
     assert first.value[0] and second.value[0], (
         f"increments must eventually commit: {first.value}, {second.value}"
     )
-    return _collect_outcome(cluster, ["x"])
+    return _collect_outcome(cluster, copies, ["x"])
 
 
 #: Table 2's copy placement: superscript 2 = weight 2
@@ -157,6 +162,7 @@ def run_example2_naive(seed: int = 0, trace: bool = False) -> ScenarioOutcome:
     """
     cluster = Cluster(processors=4, seed=seed, protocol=NaiveViewProtocol,
                       trace=trace)
+    copies = CopyOrder(cluster.history)
     for obj, holders in EXAMPLE2_PLACEMENT.items():
         cluster.place(obj, holders=holders, initial=f"{obj}0")
     cluster.start()
@@ -181,7 +187,7 @@ def run_example2_naive(seed: int = 0, trace: bool = False) -> ScenarioOutcome:
     assert all(done.value[0] for done in outcomes), (
         "all four Table-2 transactions must commit under the naive protocol"
     )
-    return _collect_outcome(cluster, list(EXAMPLE2_PLACEMENT))
+    return _collect_outcome(cluster, copies, list(EXAMPLE2_PLACEMENT))
 
 
 def run_example2_vp(seed: int = 0, retries: int = 40,
@@ -195,6 +201,7 @@ def run_example2_vp(seed: int = 0, retries: int = 40,
     form: whatever commits is one-copy serializable.
     """
     cluster = Cluster(processors=4, seed=seed, trace=trace)
+    copies = CopyOrder(cluster.history)
     for obj, holders in EXAMPLE2_PLACEMENT.items():
         cluster.place(obj, holders=holders, initial=f"{obj}0")
     cluster.start()
@@ -212,4 +219,4 @@ def run_example2_vp(seed: int = 0, retries: int = 40,
             retries=retries, backoff=backoff,
         )
     cluster.run(until=700.0)
-    return _collect_outcome(cluster, list(EXAMPLE2_PLACEMENT))
+    return _collect_outcome(cluster, copies, list(EXAMPLE2_PLACEMENT))

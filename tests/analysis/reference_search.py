@@ -12,6 +12,10 @@ Two questions, one search:
 * ``keep_install_order=True`` — the same, over the serial orders that
   keep each object's writers in the order their versions were first
   installed on a copy.  This is what the graph checker decides.
+
+``History`` keeps no physical op, so the install order is read from the
+:class:`~repro.analysis.serialization.CopyOrder` wired on the history
+before its ops were recorded — not from the index the checker reads.
 """
 
 from __future__ import annotations
@@ -19,17 +23,21 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.history import INITIAL_VERSION, History
+from repro.analysis.serialization import CopyOrder
 
 
 def install_positions(history: History) -> Dict[Tuple[str, Any], int]:
-    """(obj, version) -> position of its first physical ``"w"`` record;
-    a version never installed physically takes the position of its
-    logical write."""
+    """(obj, version) -> position of its first physical ``"w"`` record
+    in the history's :class:`CopyOrder`; a version never installed
+    physically follows every installed one, in its writer's begin
+    order."""
+    (copies,) = [r for r in history.readers if isinstance(r, CopyOrder)]
+    logical = [op for record in history.txns.values()
+               for op in record.logical_ops]
     positions: Dict[Tuple[str, Any], int] = {}
-    for ops in (history.physical_ops, history.logical_ops):
-        for position, op in enumerate(ops):
-            if op.kind == "w" and (op.obj, op.version) not in positions:
-                positions[(op.obj, op.version)] = position
+    for position, op in enumerate(copies.ops + logical):
+        if op.kind == "w" and (op.obj, op.version) not in positions:
+            positions[(op.obj, op.version)] = position
     return positions
 
 

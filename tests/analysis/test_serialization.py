@@ -2,12 +2,18 @@
 
 from repro.analysis.history import History, PhysicalOp
 from repro.analysis.serialization import (
+    CopyOrder,
     conflict_graph,
     find_cycle,
     is_cp_serializable,
     serial_order,
     topological_order,
 )
+
+
+def _watched() -> CopyOrder:
+    """A fresh history with the CP check's reader wired."""
+    return CopyOrder(History())
 
 
 def _committed_txn(history, txn, ops):
@@ -21,20 +27,22 @@ def _committed_txn(history, txn, ops):
 
 
 def test_empty_history_is_serializable():
-    assert is_cp_serializable(History())
-    assert serial_order(History()) == []
+    assert is_cp_serializable(_watched())
+    assert serial_order(_watched()) == []
 
 
 def test_sequential_conflicting_txns_are_serializable():
-    history = History()
+    copies = _watched()
+    history = copies.history
     _committed_txn(history, "t1", [(1.0, "w", "x", 1)])
     _committed_txn(history, "t2", [(5.0, "r", "x", 1)])
-    assert is_cp_serializable(history)
-    assert serial_order(history) == ["t1", "t2"]
+    assert is_cp_serializable(copies)
+    assert serial_order(copies) == ["t1", "t2"]
 
 
 def test_classic_rw_cycle_detected():
-    history = History()
+    copies = _watched()
+    history = copies.history
     # t1 reads x then writes y; t2 reads y (before t1's write) then
     # writes x (after t1's read): conflict edges t1->t2 and t2->t1.
     history.begin_txn("t1", origin=1, time=0.0)
@@ -49,14 +57,15 @@ def test_classic_rw_cycle_detected():
                               copy_pid=1, value=None, version=None, vpid=None))
     history.commit_txn("t1", time=5.0)
     history.commit_txn("t2", time=5.0)
-    assert not is_cp_serializable(history)
-    cycle = find_cycle(conflict_graph(history))
+    assert not is_cp_serializable(copies)
+    cycle = find_cycle(conflict_graph(copies))
     assert cycle is not None
     assert set(cycle) >= {"t1", "t2"}
 
 
 def test_aborted_txns_are_excluded():
-    history = History()
+    copies = _watched()
+    history = copies.history
     history.begin_txn("t1", origin=1, time=0.0)
     history.begin_txn("t2", origin=2, time=0.0)
     history.record(PhysicalOp(time=1.0, txn="t1", kind="r", obj="x",
@@ -69,38 +78,42 @@ def test_aborted_txns_are_excluded():
                               copy_pid=1, value=None, version=None, vpid=None))
     history.commit_txn("t1", time=5.0)
     history.abort_txn("t2", time=5.0)
-    assert is_cp_serializable(history)
+    assert is_cp_serializable(copies)
 
 
 def test_reads_do_not_conflict():
-    history = History()
+    copies = _watched()
+    history = copies.history
     _committed_txn(history, "t1", [(1.0, "r", "x", 1)])
     _committed_txn(history, "t2", [(2.0, "r", "x", 1)])
-    graph = conflict_graph(history)
+    graph = conflict_graph(copies)
     assert graph == {"t1": set(), "t2": set()}
 
 
 def test_different_copies_do_not_conflict():
-    history = History()
+    copies = _watched()
+    history = copies.history
     _committed_txn(history, "t1", [(1.0, "w", "x", 1)])
     _committed_txn(history, "t2", [(2.0, "w", "x", 2)])
-    graph = conflict_graph(history)
+    graph = conflict_graph(copies)
     assert graph["t1"] == set() and graph["t2"] == set()
 
 
 def test_serial_order_respects_edges():
-    history = History()
+    copies = _watched()
+    history = copies.history
     _committed_txn(history, "t3", [(5.0, "w", "x", 1)])
     _committed_txn(history, "t1", [(1.0, "w", "x", 1)])
     _committed_txn(history, "t2", [(3.0, "r", "x", 1)])
-    order = serial_order(history)
+    order = serial_order(copies)
     assert order.index("t1") < order.index("t2") < order.index("t3")
 
 
 def test_serial_order_raises_on_cycle():
     import pytest
 
-    history = History()
+    copies = _watched()
+    history = copies.history
     history.begin_txn("t1", origin=1, time=0.0)
     history.begin_txn("t2", origin=2, time=0.0)
     for time, txn, obj in [(1.0, "t1", "x"), (2.0, "t2", "x"),
@@ -111,7 +124,7 @@ def test_serial_order_raises_on_cycle():
     history.commit_txn("t1", time=5.0)
     history.commit_txn("t2", time=5.0)
     with pytest.raises(ValueError):
-        serial_order(history)
+        serial_order(copies)
 
 
 def test_topological_order_takes_the_smallest_key_among_ready_nodes():

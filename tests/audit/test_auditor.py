@@ -10,6 +10,7 @@ from repro.analysis.history import (
     Decision, DecisionApplied, Depart, History, Join, LogicalAccess,
     LogicalOp, PhysicalOp,
 )
+from repro.analysis.serialization import CopyOrder
 from repro.audit import InvariantAuditor
 from repro.core.ids import VpId
 from repro.core.views import CopyPlacement
@@ -225,9 +226,11 @@ def test_server_without_state_is_not_audited():
 def test_history_hands_each_served_op_to_the_auditor():
     auditor = InvariantAuditor(placement_xyz())
     history = reading(auditor)
+    copies = CopyOrder(history)
     auditor.states[1] = FakeState(locked={"x"})
     history.record(served_read())
-    assert history.physical_ops == [served_read()]
+    assert history.readers == (auditor, copies)
+    assert copies.ops == [served_read()]
     assert [v.invariant for v in auditor.violations] == ["R5"]
     assert auditor.violations[0].context[-1]["event"] == "physical"
 

@@ -11,7 +11,7 @@ served access (the partition arm of that re-check is pinned by
 
 import pytest
 
-from repro import Cluster
+from repro import Cluster, CopyOrder
 from repro.core.access import (
     REJECT_POISONED,
     REJECT_STALE_PLACEMENT,
@@ -64,12 +64,13 @@ def access_p1(cluster, kind):
 def test_an_access_that_never_waits_is_judged_once(monkeypatch):
     calls = count_refusals(monkeypatch)
     cluster = make_cluster()
+    copies = CopyOrder(cluster.history)
     write = cluster.write_once(1, "x", 5)
     cluster.run(until=20.0)
     read = cluster.read_once(2, "x")
     cluster.run(until=40.0)
     assert write.value == (True, 5) and read.value == (True, 5)
-    served = cluster.history.physical_ops
+    served = copies.ops
     assert len(served) == 4  # three copies written, one read
     assert sorted(calls) == sorted(
         (op.copy_pid, op.kind == "w") for op in served)
@@ -118,10 +119,11 @@ def test_access_queued_across_a_placement_flip_is_refused(kind):
     """A flip of x onto the same holders moves only its epoch: an access
     routed on the old epoch, granted its lock after the flip, is refused."""
     cluster = make_cluster()
+    copies = CopyOrder(cluster.history)
     replies = queue_behind_holder(cluster, kind)
     cluster.placement.begin_migration("x", [1, 2, 3])
     cluster.placement.commit_migration("x")
     cluster.protocol(1).cc.finish(HOLDER, "abort")
     cluster.run(until=10.0)
     assert replies == [{"ok": False, "reason": REJECT_STALE_PLACEMENT}]
-    assert cluster.history.physical_ops == []
+    assert copies.ops == []

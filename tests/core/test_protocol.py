@@ -3,7 +3,8 @@
 from dataclasses import replace
 from math import inf
 
-from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
+from repro import (Cluster, CopyOrder, FaultAction, ProtocolConfig,
+                   apply_schedule, is_cp_serializable)
 
 #: the majority | minority split most tests here impose, until healed
 SPLIT = FaultAction(5.0, "partition", ((1, 2, 3), (4, 5)), inf)
@@ -121,12 +122,13 @@ def test_reads_use_nearest_copy():
     from repro.net import DistanceLatency, ring_distances
     latency = DistanceLatency(ring_distances([1, 2, 3, 4, 5]), jitter=0.0)
     cluster = Cluster(processors=5, seed=0, latency=latency)
+    copies = CopyOrder(cluster.history)
     cluster.place("x", holders=[2, 4], initial=9)
     cluster.start()
     read = cluster.read_once(1, "x")  # p1's nearest holder is p2
     cluster.run(until=20.0)
     assert read.value == (True, 9)
-    reads = [op for op in cluster.history.physical_ops if op.kind == "r"]
+    reads = [op for op in copies.ops if op.kind == "r"]
     assert [op.copy_pid for op in reads] == [2]
 
 
@@ -159,6 +161,7 @@ def test_recovered_processor_catches_up_on_writes():
 
 def test_transactions_during_partition_stay_1sr():
     cluster = make_cluster()
+    copies = CopyOrder(cluster.history)
     cluster.start()
     (heal,) = apply_schedule(cluster.injector, [SPLIT])
     cluster.run(until=40.0)
@@ -176,7 +179,7 @@ def test_transactions_during_partition_stay_1sr():
     value, _ = cluster.processor(4).store.peek("x")
     assert value == 3
     assert cluster.check_one_copy_serializable()
-    assert cluster.check_serializable()
+    assert is_cp_serializable(copies)
 
 
 def _count_recovery_reads(init_strategy, split_off_fastpath):
@@ -218,6 +221,7 @@ def test_identical_seeds_identical_histories():
     def run(seed):
         cluster = Cluster(processors=5, seed=seed,
                           latency=UniformLatency(0.5, 1.0))
+        copies = CopyOrder(cluster.history)
         cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0)
         cluster.start()
         apply_schedule(cluster.injector, [
@@ -228,7 +232,7 @@ def test_identical_seeds_identical_histories():
         return (
             [(t, p, v) for t, p, v, _ in history.joins],
             [(op.time, op.txn, op.kind, op.obj, op.copy_pid)
-             for op in history.physical_ops],
+             for op in copies.ops],
         )
 
     assert run(9) == run(9)

@@ -7,7 +7,8 @@ combinations — always ending with a one-copy serializability audit.
 
 from math import inf
 
-from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
+from repro import (Cluster, CopyOrder, FaultAction, ProtocolConfig,
+                   apply_schedule, is_cp_serializable)
 from tests.net.routes import on_every_route
 
 
@@ -40,6 +41,7 @@ def test_message_loss_does_not_break_one_copy_serializability():
     # between probe rounds.  1% loss + patient retries is the regime
     # the paper's "failures are rare" analysis assumes.
     cluster = Cluster(processors=5, seed=8)
+    copies = CopyOrder(cluster.history)
     cluster.place("x", holders=[1, 2, 3, 4, 5], initial=0)
     cluster.start()
     apply_schedule(cluster.injector,
@@ -48,7 +50,7 @@ def test_message_loss_does_not_break_one_copy_serializability():
     committed = sum(1 for o in outcomes if o.value[0])
     assert committed >= 4, "most increments should survive 1% loss"
     assert cluster.check_one_copy_serializable()
-    assert cluster.check_serializable()
+    assert is_cp_serializable(copies)
     # the surviving counter equals the number of committed increments
     values = {cluster.processor(p).store.peek("x")[0]
               for p in cluster.pids
@@ -133,6 +135,7 @@ def test_concurrent_conflicting_transactions_serialize():
     """Two racing increments on the same object must serialize through
     the copy locks — the counter ends at exactly 2."""
     cluster = Cluster(processors=3, seed=13)
+    copies = CopyOrder(cluster.history)
     cluster.place("x", holders=[1, 2, 3], initial=0)
     cluster.start()
     # Distinct backoffs: read-local-then-write-all produces a genuine
@@ -144,7 +147,7 @@ def test_concurrent_conflicting_transactions_serialize():
     assert first.value[0] and second.value[0]
     assert cluster.processor(3).store.peek("x")[0] == 2
     assert cluster.check_one_copy_serializable()
-    assert cluster.check_serializable()
+    assert is_cp_serializable(copies)
 
 
 def test_deadlock_broken_by_lock_timeout():

@@ -10,6 +10,7 @@ that each record is read exactly once per occurrence.
 
 from collections import Counter
 
+from repro.analysis.serialization import CopyOrder
 from repro.client.session import SessionSpec
 from repro.net import FaultAction
 from repro.shard import ReshardAction
@@ -61,6 +62,7 @@ def test_every_fact_reaches_each_reader_once(monkeypatch):
         readers["auditor"] = Counting(auditor)
         readers["tracer"] = Counting(tracer)
         readers["own"] = Counting()
+        readers["copies"] = CopyOrder(cluster.history)
         cluster.history.readers = tuple(readers.values())
         return cluster
 
@@ -71,10 +73,18 @@ def test_every_fact_reaches_each_reader_once(monkeypatch):
     assert set(counts) == RECORD_TYPES
     assert readers["auditor"].counts == counts
     assert readers["tracer"].counts == counts
-    # History keeps four kinds; the boot joins came before any reader
+    # History keeps joins, departs, the first install of each written
+    # version and the logical ops of each transaction that did not
+    # abort; the boot joins came before any reader
     history = cluster.history
-    assert counts["PhysicalOp"] == len(history.physical_ops)
-    assert counts["LogicalAccess"] == len(history.logical_ops)
+    ops = readers["copies"].ops
+    assert counts["PhysicalOp"] == len(ops)
+    assert set(history.installed) == {
+        (op.obj, op.version) for op in ops if op.kind == "w"}
+    assert history.aborted() and not any(
+        record.logical_ops for record in history.aborted())
+    kept = sum(len(record.logical_ops) for record in history.txns.values())
+    assert 0 < kept < counts["LogicalAccess"]
     assert counts["Join"] == len(history.joins) - len(cluster.pids)
     assert counts["Depart"] + counts["CrashDepart"] == len(history.departs)
     snapshot = result.registry.snapshot()["counters"]

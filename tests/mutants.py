@@ -17,11 +17,12 @@ other argument is a ``repro hunt`` flag)::
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from contextlib import contextmanager
 
 from repro import cli
-from repro.analysis.history import ReshardFlip
+from repro.analysis.history import History, PhysicalOp, ReshardFlip
 from repro.shard.reshard import _FAILED, ReshardEngine
 
 
@@ -64,7 +65,29 @@ def unguarded_flip():
         ReshardEngine._cutover = original
 
 
-MUTANTS = {"unguarded_flip": unguarded_flip}
+@contextmanager
+def install_order_last():
+    """``History``'s install index keeps each version's latest physical
+    installation instead of its first.  A hunt does not convict it (2PL
+    makes first and latest agree on a run);
+    ``test_graph_verdict_equals_the_reference_search`` does."""
+    original = History.record
+    later = itertools.count(1 << 40)  # past every first-install position
+
+    def record(self, fact):
+        original(self, fact)
+        if type(fact) is PhysicalOp and fact.kind == "w":
+            self.installed[(fact.obj, fact.version)] = next(later)
+
+    History.record = record
+    try:
+        yield
+    finally:
+        History.record = original
+
+
+MUTANTS = {"install_order_last": install_order_last,
+           "unguarded_flip": unguarded_flip}
 
 
 def main(argv=None) -> int:

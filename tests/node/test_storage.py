@@ -3,6 +3,7 @@
 import pytest
 
 from repro.node import LogEntry, StorageEngine
+from repro.node.storage.wal import REC_INSTALL, REC_PLACE
 
 
 def test_place_and_read():
@@ -34,24 +35,20 @@ def test_write_updates_value_and_date():
     assert store.date("x") == (1, 3)
 
 
-def test_access_counters():
+def test_read_and_peek_serve_the_latest_write():
     store = StorageEngine(1)
     store.place("x", initial=0, date=(0, 0))
-    store.read("x")
-    store.read("x")
+    assert store.read("x") == (0, (0, 0))
     store.write("x", 1, (1, 1))
-    assert store.reads["x"] == 2
-    assert store.writes["x"] == 1
-    # peek does not count
-    store.peek("x")
-    assert store.reads["x"] == 2
+    assert store.read("x") == (1, (1, 1))
+    assert store.peek("x") == store.read("x")
 
 
 def test_install_does_not_count_as_transaction_write():
     store = StorageEngine(1)
     store.place("x", initial=0, date=(0, 0))
     store.install("x", 99, (2, 1))
-    assert store.writes.get("x", 0) == 0
+    assert [record.kind for record in store.wal] == [REC_PLACE, REC_INSTALL]
     assert store.peek("x") == (99, (2, 1))
 
 

@@ -11,16 +11,18 @@ search over serial orders (``tests/analysis/reference_search.py``).
 import random
 import time
 
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.history import INITIAL_VERSION, History, PhysicalOp
 from repro.analysis.one_copy import _replay, check_one_copy
+from repro.analysis.serialization import CopyOrder
 from tests.analysis import record_logical
 from tests.analysis.reference_search import (
     install_positions,
     search_serial_order,
 )
+from tests.mutants import install_order_last
 
 
 def serial_history(seed: int, txn_count: int, obj_count: int) -> History:
@@ -151,7 +153,8 @@ def test_thousand_commit_serial_history_is_decided_quickly():
 @st.composite
 def installed_histories(draw):
     """A random history of <= 7 transactions on <= 3 objects whose
-    versions are installed on a copy in a random order: reads return the
+    versions are installed on each of two copies in a random order (the
+    first copy's is the version order): reads return the
     initial version or *any* version some other transaction wrote
     (final or not, committed or not), except that a transaction that has
     written an object reads its own write."""
@@ -167,14 +170,18 @@ def installed_histories(draw):
             if kind == "w":
                 written[obj].append((txn, (txn, seq)))
     history = History()
+    CopyOrder(history)  # the reference reads the install order from it
     for txn in range(count):
         history.begin_txn(txn, origin=1, time=0.0)
-    installs = draw(st.permutations(
-        [(obj, txn, version)
-         for obj in objects for txn, version in written[obj]]))
-    for position, (obj, txn, version) in enumerate(installs):
+    versions = [(obj, txn, version)
+                for obj in objects for txn, version in written[obj]]
+    # copy 1 installs every version, then copy 2 does, in an order of its
+    # own: only copy 1's order is each version's first installation
+    installs = [(1, install) for install in draw(st.permutations(versions))]
+    installs += [(2, install) for install in draw(st.permutations(versions))]
+    for position, (copy_pid, (obj, txn, version)) in enumerate(installs):
         history.record(PhysicalOp(time=1.0 + position, txn=txn, kind="w",
-                                  obj=obj, copy_pid=1, value=None,
+                                  obj=obj, copy_pid=copy_pid, value=None,
                                   version=version, vpid=None))
     for txn, shape in enumerate(shapes):
         own = {}
@@ -239,3 +246,21 @@ def test_graph_verdict_equals_the_reference_search(history):
                                    result.cycle[1:] + result.cycle[:1]):
             assert edge[3] == following[0]
             assert _edge_is_backed(history, positions, edge), edge
+
+
+def test_the_install_order_last_mutant_is_convicted_within_the_budget():
+    """The property above is what holds the first-install index: with
+    the index keeping each version's latest installation instead, a
+    generated history breaks it within the property's 300 examples."""
+    def convicts(history):
+        try:
+            test_graph_verdict_equals_the_reference_search.hypothesis.inner_test(
+                history)
+        except AssertionError:
+            return True
+        return False
+
+    with install_order_last():
+        find(installed_histories(), convicts, settings=settings(
+            max_examples=300, database=None, derandomize=True,
+            phases=[Phase.generate]))

@@ -77,7 +77,8 @@ def test_a_crash_between_yes_vote_and_release_keeps_the_committed_write():
     assert t1.value[0], t1.value
     result = run_the_readers(cluster)
     assert result.ok, result.violation
-    written = {op.version for op in cluster.history.logical_ops
+    written = {op.version for record in cluster.history.committed()
+               for op in record.logical_ops
                if op.kind == "w" and op.obj == "x"}
     assert {cluster.processor(pid).store.version("x")
             for pid in (1, 2, 3)} == written

@@ -45,7 +45,7 @@ def test_naive_commits_all_four(naive_outcome):
 def test_naive_each_txn_touched_only_local_copies(naive_outcome):
     history = naive_outcome.cluster.history
     for record in history.committed():
-        touched = {op.copy_pid for op in history.physical_ops
+        touched = {op.copy_pid for op in naive_outcome.copies.ops
                    if op.txn == record.txn}
         assert touched == {record.origin}, (
             f"txn {record.txn} was supposed to stay local, touched {touched}"
