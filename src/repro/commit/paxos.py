@@ -35,7 +35,10 @@ Mapping onto this codebase's primitives:
   covers.  The 2a leaving when the force lands carries ``own``: whether
   that acceptor holds the vote (after a higher promise it refused).
   The leader counts it off an ``own`` 2a, so no ``px-accepted`` ever
-  carries an RM's own instance.
+  carries an RM's own instance.  At priced forces with M >= 3 and a
+  remote RM, the leader's own 2a leaves one hop δ after its force, in
+  the instant the remote RMs' 2a's do: each acceptor then forces once
+  per transaction, and no instance completes later than a remote one.
 * **Recovery leaders** (the coordinator on collection timeout, or any
   in-doubt participant's watchdog/partition-change/recovery resolver)
   run full ballots ``attempt * BALLOT_STRIDE + pid`` over all
@@ -226,17 +229,27 @@ class PaxosCommit(AtomicCommit):
         Our acceptor takes a yes vote under the prepare force (``own``)
         and the 2a leaves when that lands; the no-vote needs no
         durability (forgetting it re-aborts): it leaves at once and our
-        acceptor answers it like any other."""
+        acceptor answers it like any other.  A leader's yes vote at
+        priced forces, with a remote RM and a fast set of three or more,
+        waits one prepare hop more: it then reaches every acceptor in
+        the instant the remote votes do and rides their one force, and
+        still completes no later than they (each needs a third acceptor)."""
         first = (meta["leader"], self.pid)
-        fast = sorted(meta["acceptors"], key=lambda a: (a not in first, a))[:meta["majority"]]
+        majority = meta["majority"]
+        fast = sorted(meta["acceptors"], key=lambda a: (a not in first, a))[:majority]
         own = (vote == "prepared" and self.pid in fast
                and self._accept_locally(txn, 0, {self.pid: vote}, forced=False))
         request = {"txn": txn, "rm": self.pid, "ballot": 0, "vote": vote,
                    "leader": meta["leader"], "own": own}
-        if vote == "prepared":
-            self._after_sync(self._propose, request, fast)
-        else:
+        if vote != "prepared":
             self._propose(request, fast)
+        elif (majority >= 3 and meta["leader"] == self.pid and self.config.storage_sync_cost
+              and len(meta["participants"]) > 1):
+            # δ, then the sync: the very float sum of a remote vote's
+            # instant (its prepare's hop, then its force), so they batch
+            self.processor.after(self.config.delta, self._after_sync, self._propose, request, fast)
+        else:
+            self._after_sync(self._propose, request, fast)
 
     def _propose(self, request, fast) -> None:
         """Send a ballot-0 2a to its fast set, then to our own acceptor."""

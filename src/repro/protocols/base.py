@@ -6,16 +6,17 @@ interface, so the benchmark harness can swap protocols while keeping
 workload, failures, concurrency control and atomic commit identical —
 the paired comparison the paper's cost claims call for.
 
-Logical operations are *generators* (simulation processes use
-``yield from``).  ``ctx`` is the transaction context supplied by the
-transaction manager; protocols record participants and partition ids
-into it so commit-time validation (rule R4 and its weakened variant)
-can run.
+Each protocol adds ``logical_read(obj, ctx)`` and ``logical_write(obj,
+value, ctx)``, *generators* (simulation processes use ``yield from``)
+that raise :class:`~repro.core.errors.AccessAborted` on failure, and
+``available(obj, write)``, a predicate that sends nothing.  ``ctx`` is
+the transaction context supplied by the transaction manager;
+protocols record participants and partition ids into it so
+commit-time validation (rule R4 and its weakened variant) can run.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List
 
@@ -67,7 +68,7 @@ class ProtocolMetrics:
         self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
 
 
-class ReplicaControlProtocol(ABC):
+class ReplicaControlProtocol:
     """One instance runs on each processor.
 
     The base owns what every protocol shares: the per-processor state
@@ -158,21 +159,6 @@ class ReplicaControlProtocol(ABC):
     def _on_recover(self) -> None:
         self.commit.on_recover()
 
-    @abstractmethod
-    def logical_read(self, obj: str, ctx: Any):
-        """Generator implementing a logical read; returns the value.
-
-        Raises :class:`~repro.core.errors.AccessAborted` when the read
-        cannot be performed.
-        """
-
-    @abstractmethod
-    def logical_write(self, obj: str, value: Any, ctx: Any):
-        """Generator implementing a logical write.
-
-        Raises :class:`~repro.core.errors.AccessAborted` on failure.
-        """
-
     def prepare_commit(self, ctx: Any):
         """Generator: the voting round — validate that ``ctx``'s
         transaction may commit.
@@ -186,14 +172,6 @@ class ReplicaControlProtocol(ABC):
         """Generator: decide ``outcome`` (``"commit"`` or ``"abort"``)
         and apply it at all participants, which release their locks."""
         return self.commit.end_transaction(ctx, outcome)
-
-    @abstractmethod
-    def available(self, obj: str, write: bool) -> bool:
-        """Can this processor *currently* perform the given logical access?
-
-        A pure predicate used by the availability benchmarks; must not
-        send messages.
-        """
 
     def _r4_screen(self, ctx) -> str | None:
         """Why the coordinator may not start ``ctx``'s prepare round."""

@@ -88,15 +88,6 @@ class Directory(ABC):
         members = set(view)
         return sorted(p for p in self.entry(obj) if p in members)
 
-    def route_epoch(self, obj: str) -> int:
-        """The placement epoch this directory would route ``obj`` on.
-
-        Stats-free (it rides every access-path stamp); directories
-        without an authoritative map report epoch 0, matching a
-        placement that was never resharded.
-        """
-        return 0
-
     def invalidate(self, obj: str) -> bool:
         """Drop any cached entry for ``obj``; True if one was dropped.
 
@@ -126,8 +117,9 @@ class LocalDirectory(Directory):
         return self.placement.holders_by_distance(obj, view, distance)
 
     def route_epoch(self, obj: str) -> int:
-        # Routes come straight off the authoritative map, so the route
-        # epoch is always the live epoch.
+        """The placement epoch this directory routes ``obj`` on, counting
+        no lookup (it rides every access-path stamp): here always the
+        live one, as routes come straight off the authoritative map."""
         return self.placement.epoch_of(obj)
 
     def __repr__(self) -> str:

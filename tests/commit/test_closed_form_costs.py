@@ -18,9 +18,14 @@ is itself a participant, else 0:
   instance never travels in a ``px-accepted``.  An acceptor answers
   every instance it accepted in one instant in one ``px-accepted``:
   with the forced writes free that is one per instance the leader does
-  not hold itself, (N - e)(M - 2) + e(M - 1); priced, at most two per
-  acceptor (see :func:`px_accepted_priced`), and each such answer and
-  the leader's one batch of remote votes is one forced record.
+  not hold itself, (N - e)(M - 2) + e(M - 1).  Priced, every vote
+  reaches an acceptor in one instant (the leader's own waits one
+  prepare hop for the remote ones, see :func:`px_accepted_priced`), so
+  each acceptor forces once per transaction: the leader one batch of
+  the remote RMs' votes, every other fast-set acceptor one answer.
+  That is at most N + M + 1 forced writes, and exactly that when every
+  fast-set acceptor holds an instance other than its own: Gray &
+  Lamport's N + F + 1 (M = F + 1) plus the decision record.
 
 Each case runs one transaction at processor 1 on a settled cluster and
 counts the messages it sends by kind and the forced writes it makes.
@@ -31,6 +36,9 @@ from collections import Counter
 import pytest
 
 from repro import Cluster, ProtocolConfig
+from repro.node.storage.engine import StorageEngine
+from repro.workload.generator import WorkloadSpec
+from repro.workload.runner import ExperimentSpec, run_experiment
 
 COMMIT_KINDS = ("prepare", "prepare-reply", "release", "px-accept",
                 "px-accepted", "px-p1", "px-p2", "txn-status")
@@ -75,17 +83,14 @@ def px_accepted_priced(acceptors: int, rms) -> int:
     """``px-accepted`` messages when forced writes are priced.
 
     The leader (processor 1) tallies its own acceptor's answers in
-    place.  Every other acceptor takes 2a messages in at most two
-    instants: the coordinator's own vote lands one sync and one delta
-    after the prepare leaves, every other remote RM's vote one delta
-    later.  The acceptor's own vote is never among them."""
-    count = 0
-    for acceptor in range(2, acceptors + 1):
-        first = 1 in rms and acceptor in fast_set(acceptors, 1)
-        second = any(acceptor in fast_set(acceptors, rm)
-                     for rm in set(rms) - {1, acceptor})
-        count += first + second
-    return count
+    place.  Every other acceptor takes all of its 2a messages in one
+    instant: a remote RM's vote leaves one delta and one sync after the
+    prepare, and so does the coordinator's own when M >= 3 and a remote
+    RM exists (with M = 2 no other acceptor shares an instance with
+    it).  So each acceptor that holds any instance but its own answers
+    once; its own vote is never among them."""
+    return sum(any(acceptor in fast_set(acceptors, rm) for rm in set(rms) - {acceptor})
+               for acceptor in range(2, acceptors + 1))
 
 
 CASES = [
@@ -102,8 +107,8 @@ CASES = [
 ]
 
 #: Paxos Commit's forced writes per case of CASES when forces are
-#: priced: N prepares, one decision and one per acceptor batch
-PRICED_FORCED = [9, 7, 11, 4, 4, 7, 7, 6, 4]
+#: priced: N prepares, one decision and one per acceptor and transaction
+PRICED_FORCED = [7, 7, 9, 4, 4, 6, 7, 6, 4]
 
 
 @pytest.mark.parametrize("sync", [0.0, 0.5])
@@ -129,11 +134,38 @@ def test_paxos_commit_costs_its_closed_form(processors, writes, sync):
         assert forced == n * m + 1
     else:
         accepted = px_accepted_priced(a, rms)
-        assert accepted <= min((n - e) * (m - 2) + e * (m - 1), 2 * (a - 1))
+        assert accepted <= min((n - e) * (m - 2) + e * (m - 1), m - 1)
         # the leader's acceptor forces one batch of the remote RMs' votes
         assert forced == n + 1 + accepted + bool(rms - {1})
         assert forced == PRICED_FORCED[CASES.index((processors, writes))]
-        assert forced <= n * m + 1
+        assert forced <= n + m + 1
     assert kinds == Counter({"prepare": n - e, "release": n - e,
                              "px-accept": n * (m - 1),
                              "px-accepted": accepted}) - Counter()
+
+
+def test_each_acceptor_forces_once_per_transaction(monkeypatch):
+    """Priced forces on five fully replicated processors (M = 3), many
+    writing transactions from every coordinator, so every processor is
+    an RM of each: every acceptor forces each transaction's ``px:``
+    cells at most once, and every committed one costs M forces, one per
+    fast-set acceptor: the leader's batch of the remote votes and one
+    answer from each of the other M - 1."""
+    forces = Counter()
+    write_cell = StorageEngine.write_cell
+
+    def counting_write_cell(engine, name, value, forced=True):
+        if forced and name.startswith("px:"):
+            forces[engine.pid, name[3:].rpartition(":")[0]] += 1
+        write_cell(engine, name, value, forced)
+
+    monkeypatch.setattr(StorageEngine, "write_cell", counting_write_cell)
+    result = run_experiment(ExperimentSpec(
+        processors=5, objects=8, seed=3, duration=150.0, commit_backend="paxos",
+        config=ProtocolConfig(delta=1.0, storage_sync_cost=0.2),
+        workload=WorkloadSpec(read_fraction=0.0, mean_interarrival=3.0)))
+    committed = {str(record.txn) for record in result.cluster.history.committed()}
+    assert len(committed) >= 20
+    assert set(forces.values()) == {1}
+    per_txn = Counter(txn for _acceptor, txn in forces)
+    assert {per_txn[txn] for txn in committed} == {5 // 2 + 1}

@@ -167,17 +167,35 @@ def test_free_forces_decide_on_the_fast_path(processors, release):
     assert all(len(rms) == 1 for rms in accepted)
 
 
+@pytest.mark.parametrize("processors, release, vote",
+                         [(2, 10.5, 7.5), (3, 10.5, 7.5), (5, 11.5, 8.5)])
+def test_a_priced_leader_vote_moves_no_release(processors, release, vote):
+    """Priced forces: the prepare leaves at 7 and the release leaves
+    where it did before the coordinator's own vote waited for its
+    remote RMs' votes.  With a fast set of three (five processors) the
+    coordinator's 2a leaves with theirs, one delta after its force
+    lands at 7.5, and its instance is chosen at 11 with theirs; with a
+    fast set of two there is no slack, so it leaves as the force lands."""
+    outcome, sent, _ = one_write(processors, sync=0.5)
+    assert outcome == (True, 7)
+    remote = processors - 1
+    assert not {m.kind for _, m, _ in sent} & {"px-p1", "px-p2"}
+    assert [t for t, m, _ in sent if m.kind == "prepare"] == [7.0] * remote
+    assert {t for t, m, _ in sent if m.kind == "px-accept" and m.src == 1} == {vote}
+    assert [t for t, m, _ in sent if m.kind == "release"] == [release] * remote
+
+
 def test_one_instant_of_accepts_travels_in_one_message():
     """Priced forces on five processors, where p2 is in every RM's fast
-    set: it accepts the coordinator's vote at 8.5 and answers it once
-    its force lands at 9 (its own vote rode its prepare force and is
-    counted off its 2a); the votes of p3, p4 and p5 reach it one delta
-    later and leave in one message at 10."""
+    set: the votes of p3, p4 and p5 and the coordinator's reach it in
+    one instant, 9.5 (the coordinator's 2a leaves last, one delta after
+    its force), and leave in one message once its one force lands at
+    10; its own vote rode its prepare force and is counted off its 2a."""
     outcome, sent, _ = one_write(5, sync=0.5)
     assert outcome == (True, 7)
     batches = [(t, rms) for t, m, rms in sent
                if m.kind == "px-accepted" and m.src == 2]
-    assert batches == [(9.0, [1]), (10.0, [3, 4, 5])]
+    assert batches == [(10.0, [3, 4, 5, 1])]
     assert not {m.kind for _, m, _ in sent} & {"px-p1", "px-p2"}
 
 
@@ -283,16 +301,16 @@ def test_a_refused_own_accept_is_not_counted():
 
 
 def test_a_batch_is_one_forced_record_and_replays_whole():
-    """Priced forces on five processors: p2 takes the votes of p3, p4
-    and p5 in one instant.  That batch appends three cell records, only
-    the first of them forced, and a rebuilt engine (crash replay) holds
-    all three accepts."""
+    """Priced forces on five processors: p2 takes the votes of p3, p4,
+    p5 and the coordinator in one instant.  That batch appends four
+    cell records, only the first of them forced, and a rebuilt engine
+    (crash replay) holds all four accepts."""
     outcome, _sent, cluster = one_write(5, sync=0.5)
     assert outcome == (True, 7)
     store = cluster.processor(2).store
-    names = {f"px:{(1, 1)}:{rm}" for rm in (3, 4, 5)}
+    names = {f"px:{(1, 1)}:{rm}" for rm in (1, 3, 4, 5)}
     batch = [r for r in store.wal if r.kind == "cell" and r.cell in names]
-    assert [r.forced for r in batch] == [True, False, False]
-    assert len({r.lsn for r in batch}) == 3
+    assert [r.forced for r in batch] == [True, False, False, False]
+    assert len({r.lsn for r in batch}) == 4
     cells = store.rebuilt().snapshot().cells
     assert {name: cells[name] for name in names} == dict.fromkeys(names, (0, 0, "prepared"))

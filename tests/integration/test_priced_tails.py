@@ -18,7 +18,12 @@ itself, then the lowest other acceptors), and its own acceptor's
 accept rides its prepare force, so no batch holds the acceptor's own
 vote.  On three processors with copies on p1 and p3, p2's batch holds
 the coordinator's vote alone; on five with copies on p1, p3 and p4,
-the crash hits p2's batch of p3's and p4's votes and neither leaves.
+the coordinator's vote waits one prepare hop for p3's and p4's, the
+crash hits p2's batch of all three and none leaves.
+
+That wait is a sixth window: a Paxos leader that crashes inside it
+must not send the vote it forgot, and a recovery ballot then decides
+its transaction.
 """
 
 from math import inf
@@ -26,6 +31,7 @@ from math import inf
 import pytest
 
 from repro import Cluster, FaultAction, ProtocolConfig, apply_schedule
+from tests.mutants import leader_vote_on_bare_call
 
 WINDOW = 0.5
 HORIZON = 60.0
@@ -52,9 +58,9 @@ def crash_inside_window(cluster, pid: int, kind: str, accepts):
     return armed
 
 
-def build(backend="2pc", holders=(1, 2, 3), processors=3, **costs):
+def build(backend="2pc", holders=(1, 2, 3), processors=3, audit=False, **costs):
     config = ProtocolConfig(delta=1.0, commit_backend=backend, **costs)
-    cluster = Cluster(processors=processors, seed=1, config=config)
+    cluster = Cluster(processors=processors, seed=1, config=config, audit=audit)
     cluster.place("x", holders=list(holders), initial=0)
     cluster.start()
     sent = []
@@ -98,7 +104,8 @@ def px_accepted():
 
 
 def px_accepted_batch():
-    # p2 accepts p3's and p4's votes in one instant: one batch
+    # p2 accepts p3's, p4's and the coordinator's votes in one instant:
+    # one batch
     cluster, sent = build("paxos", holders=(1, 3, 4), processors=5,
                           storage_sync_cost=WINDOW)
     armed = crash_inside_window(cluster, 2, "px-accept",
@@ -131,7 +138,7 @@ def vp_accept():
     (prepare_reply, 175),
     (px_accept, 216),
     (px_accepted, 191),
-    (px_accepted_batch, 501),
+    (px_accepted_batch, 500),
     (write_reply, 147),
     (vp_accept, 76),
 ])
@@ -147,9 +154,10 @@ def test_a_crash_inside_the_window_sends_nothing(case, dispatched):
     assert cluster.sim.dispatched == dispatched
 
 
-def test_the_batch_case_crashes_a_batch_of_two():
-    # the crash finds p3's and p4's votes in one batch and drops it: a
-    # batch is volatile, so none is left after the run
+def test_the_batch_case_crashes_a_batch_of_three():
+    # the crash finds p3's, p4's and the coordinator's votes in one
+    # batch and drops it: a batch is volatile, so none is left after
+    # the run
     cluster, _sent, _armed, _answers = px_accepted_batch()
     commit = cluster.protocol(2).commit
     held = []
@@ -162,5 +170,66 @@ def test_the_batch_case_crashes_a_batch_of_two():
 
     commit.on_crash = recording_on_crash
     cluster.run(until=HORIZON)
-    assert sorted(held) == [3, 4]
+    assert sorted(held) == [1, 3, 4]
     assert not commit._batches
+
+
+def leader_vote(crash: float, recover: float):
+    """p1 leads a write on p1, p3 and p4 of five (M = 3), so its own yes
+    vote leaves 1.5 after its prepare record is written (the sync, then
+    one prepare hop); p1 crashes ``crash`` into that wait and recovers
+    at ``recover``.
+    Returns the cluster, the messages sent and the transaction (filled
+    when the vote is cast)."""
+    cluster, sent = build("paxos", holders=(1, 3, 4), processors=5, audit=True,
+                          storage_sync_cost=WINDOW)
+    commit = cluster.protocol(1).commit
+    cast_vote = commit._cast_vote
+    armed = []
+
+    def armed_cast_vote(txn, vote, meta):
+        cast_vote(txn, vote, meta)
+        if not armed and vote == "prepared":
+            armed.append(txn)
+            now = cluster.sim.now
+            (undo,) = apply_schedule(cluster.injector, [
+                FaultAction(now + crash, "crash", (1,), inf)])
+            cluster.injector.at(now + recover, *undo)
+
+    commit._cast_vote = armed_cast_vote
+    cluster.write_once(1, "x", 7)
+    return cluster, sent, armed
+
+
+#: (crash, recover, outcome, dispatched).  Halfway through the wait, p1
+#: is down when its prepares would land, so they are lost in flight:
+#: only p1 ever votes, and its recovery ballot finds p3's and p4's
+#: instances free and chooses aborted.  Halfway through the last sync,
+#: p3 and p4 have voted: the recovered p1's ballot counts its own
+#: acceptor, which holds p1's vote under its prepare force, and commits.
+LEADER_CRASHES = [(0.75, 1.125, "aborted", 429), (1.25, 1.375, "committed", 487)]
+
+
+@pytest.mark.parametrize("crash, recover, status, dispatched", LEADER_CRASHES)
+def test_a_leader_crash_inside_its_vote_wait_sends_no_vote(crash, recover, status, dispatched):
+    """No 2a of the leader's ever leaves: a recovery ballot decides the
+    transaction, the same everywhere, with the auditor clean."""
+    cluster, sent, armed = leader_vote(crash, recover)
+    cluster.run(until=HORIZON)
+    assert armed, "the leader never cast its vote"
+    (txn,) = armed
+    assert [label for _, label in cluster.injector.log][-2:] == ["crash(1)", "recover(1)"]
+    leaked = [m for m in sent if m.kind == "px-accept" and m.src == 1]
+    assert not leaked, "the crashed leader's forgotten vote left"
+    assert {"px-p1", "px-p2"} <= {m.kind for m in sent}
+    assert cluster.history.txns[txn].status == status
+    value = 7 if status == "committed" else 0
+    assert all(cluster.processor(pid).store.peek("x")[0] == value for pid in (1, 3, 4))
+    assert cluster.auditor.ok, [str(v) for v in cluster.auditor.violations]
+    assert cluster.sim.dispatched == dispatched
+
+
+@pytest.mark.parametrize("crash, recover, status, dispatched", LEADER_CRASHES)
+def test_the_leader_vote_on_bare_call_mutant_is_convicted(crash, recover, status, dispatched):
+    with leader_vote_on_bare_call(), pytest.raises(AssertionError, match="forgotten vote"):
+        test_a_leader_crash_inside_its_vote_wait_sends_no_vote(crash, recover, status, dispatched)

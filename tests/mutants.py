@@ -23,6 +23,7 @@ from contextlib import contextmanager
 
 from repro import cli
 from repro.analysis.history import History, PhysicalOp, ReshardFlip
+from repro.commit.paxos import PaxosCommit
 from repro.shard.reshard import _FAILED, ReshardEngine
 
 
@@ -86,7 +87,43 @@ def install_order_last():
         History.record = original
 
 
+def _vote_on_bare_call(self, txn, vote, meta):
+    """``PaxosCommit._cast_vote`` with the leader's one-hop wait on a
+    bare kernel call, which a crash does not cancel: a leader that
+    crashes and recovers inside the wait still sends the 2a it forgot."""
+    first = (meta["leader"], self.pid)
+    majority = meta["majority"]
+    fast = sorted(meta["acceptors"], key=lambda a: (a not in first, a))[:majority]
+    own = (vote == "prepared" and self.pid in fast
+           and self._accept_locally(txn, 0, {self.pid: vote}, forced=False))
+    request = {"txn": txn, "rm": self.pid, "ballot": 0, "vote": vote,
+               "leader": meta["leader"], "own": own}
+    if vote != "prepared":
+        self._propose(request, fast)
+    elif (majority >= 3 and meta["leader"] == self.pid and self.config.storage_sync_cost
+          and len(meta["participants"]) > 1):
+        self.sim.call(self.config.delta + self.config.storage_sync_cost,
+                      lambda _arg: self._propose(request, fast))
+    else:
+        self._after_sync(self._propose, request, fast)
+
+
+@contextmanager
+def leader_vote_on_bare_call():
+    """A Paxos leader's yes vote waits its one prepare hop on a bare
+    kernel call instead of a processor timer (the class of a priced
+    wait a crash does not stop).  ``test_priced_tails.py``'s leader
+    case convicts it."""
+    original = PaxosCommit._cast_vote
+    PaxosCommit._cast_vote = _vote_on_bare_call
+    try:
+        yield
+    finally:
+        PaxosCommit._cast_vote = original
+
+
 MUTANTS = {"install_order_last": install_order_last,
+           "leader_vote_on_bare_call": leader_vote_on_bare_call,
            "unguarded_flip": unguarded_flip}
 
 
