@@ -404,17 +404,15 @@ class AccessMixin:
     # shared helpers
     # ------------------------------------------------------------------
 
-    def _has_in_doubt_write(self, obj: str) -> bool:
-        """Does the local copy of ``obj`` carry a prepared, undecided write?
+    def _in_doubt_objects(self) -> set:
+        """The objects whose local copy carries a prepared, undecided write.
 
-        While it does, the copy's date must not be treated as
+        While one does, the copy's date must not be treated as
         authoritative: the write may yet be undone (abort) or may be the
         only surviving committed value (commit).  Recovery consults this
         because CC locks are volatile — after a crash the lock table is
         empty but the in-doubt write (force-written with its prepare
-        record) is still on the copy.
+        record) is still on the copy.  One scan serves a whole delivery.
         """
-        for txn in self.commit.in_doubt:
-            if obj in self._before_images.get(txn, ()):
-                return True
-        return False
+        return {obj for txn in self.commit.in_doubt
+                for obj in self._before_images.get(txn, ())}

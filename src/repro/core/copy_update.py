@@ -153,11 +153,11 @@ class UpdateMixin:
         process but a chain tied to this processor's life — this prefix,
         one :class:`ReadRound` for all objects that need reads, then
         :meth:`_install_freshest`; the waits are :meth:`Processor.after`."""
-        reads = []
+        reads, in_doubt = [], self._in_doubt_objects()
         for obj in objects:
             if not self._update_goes_on(obj, old_id):
                 continue
-            if self._has_in_doubt_write(obj):
+            if obj in in_doubt:
                 # A prepared-but-undecided write sits on the local copy: its
                 # date is not authoritative (the §6 fast path would serve it
                 # with no reads at all) until the resolver learns the 2PC
@@ -280,10 +280,11 @@ class UpdateMixin:
         state = self.state
         current = state.assigned and payload["v"] == state.cur_id
         moved_on = state.assigned and payload["v"] < state.cur_id
-        answers = {}
+        answers, in_doubt = {}, self._in_doubt_objects()
         for obj, after in payload["objs"].items():
             if current and self.cc.stable_read_now(obj):
-                answers[obj] = self._vpread_answer(obj, payload["mode"], after)
+                answers[obj] = self._vpread_answer(obj, payload["mode"], after,
+                                                   in_doubt)
             elif moved_on:
                 answers[obj] = {"ok": False, "reason": "wrong-partition"}
             else:
@@ -312,25 +313,26 @@ class UpdateMixin:
         elif not (yield from self.cc.stable_read_gate(obj)):
             answer = {"ok": False, "reason": "write-locked"}
         else:
-            answer = self._vpread_answer(obj, payload["mode"], after)
+            answer = self._vpread_answer(obj, payload["mode"], after,
+                                         self._in_doubt_objects())
         self.processor.reply(message, "vpread-reply", {obj: answer})
 
-    def _vpread_answer(self, obj: str, mode: str, after) -> dict:
+    def _vpread_answer(self, obj: str, mode: str, after, in_doubt) -> dict:
         """The answer for ``obj`` past the partition check and gate."""
         # The gate covers the 2PC uncertainty window in normal operation
         # (an in-doubt writer holds its copy lock until the decide is
         # applied), but CC locks are volatile: after a crash the
         # force-written in-doubt write is still on the copy.  Never ship
         # it; the requester retries once the resolver learned the outcome.
-        if self._has_in_doubt_write(obj):
+        if obj in in_doubt:
             return {"ok": False, "reason": "in-doubt"}
         store = self.processor.store
-        if not store.holds(obj):
+        copy = store.copy_of(obj)
+        if copy is None:
             # A reshard retired our copy while this request was in
             # flight; the requester must pick a holder of the new
             # placement instead.
             return {"ok": False, "reason": "no-copy"}
-        value, date = store.peek(obj)
         entries, truncated = None, False
         if mode == "log":
             try:
@@ -342,9 +344,9 @@ class UpdateMixin:
                 # transfer — correctness never depends on log history,
                 # only the transfer cost does.
                 truncated = True
-        units = store.size(obj) if entries is None else len(entries)
-        return {"ok": True, "value": value, "date": date,
-                "version": store.version(obj), "entries": entries,
+        units = copy.size if entries is None else len(entries)
+        return {"ok": True, "value": copy.value, "date": copy.date,
+                "version": copy.version, "entries": entries,
                 "units": units, "truncated": truncated}
 
     # ------------------------------------------------------------------
@@ -370,7 +372,7 @@ class UpdateMixin:
         self.processor.reply(message, "reshard-gate-reply", {
             "ok": True,
             "date": store.date(obj) if store.holds(obj) else None,
-            "in_doubt": self._has_in_doubt_write(obj),
+            "in_doubt": obj in self._in_doubt_objects(),
         })
 
     def _handle_reshard_install(self, message):
@@ -441,7 +443,7 @@ class UpdateMixin:
         obj = payload["obj"]
         store = self.processor.store
         if payload["retire"] and store.holds(obj):
-            busy = self._has_in_doubt_write(obj) or any(
+            busy = obj in self._in_doubt_objects() or any(
                 obj in images for images in self._before_images.values()
             )
             if busy:

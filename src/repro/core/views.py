@@ -6,6 +6,11 @@ is *accessible* from a view iff the copies on processors in the view
 carry a strict majority of the object's total weight::
 
     accessible(l, A)  ⟺  2 * weight(copies of l on A)  >  total weight of l
+
+R1's accessible set is a function of (view, placement), so
+:meth:`CopyPlacement.accessible_objects` caches it per view until the
+placement changes; the client-side R1 check stays on the directory,
+whose lookups are counted.
 """
 
 from __future__ import annotations
@@ -16,8 +21,12 @@ from typing import Dict, Iterable, Mapping, Optional
 def weighted_majority(weights: Mapping[int, int], view: Iterable[int]) -> bool:
     """Rule R1: do ``view``'s copies hold a strict majority of ``weights``?"""
     members = set(view)
-    in_view = sum(w for p, w in weights.items() if p in members)
-    return 2 * in_view > sum(weights.values())
+    total = in_view = 0
+    for p, w in weights.items():
+        total += w
+        if p in members:
+            in_view += w
+    return 2 * in_view > total
 
 
 class CopyPlacement:
@@ -33,6 +42,8 @@ class CopyPlacement:
         self._pending: Dict[str, Dict[int, int]] = {}
         #: total number of committed placement flips (any object)
         self._flips: int = 0
+        #: view -> its R1-accessible objects; any placement change empties it
+        self._accessible: Dict[frozenset, frozenset] = {}
 
     # -- declaration ------------------------------------------------------------
 
@@ -53,6 +64,7 @@ class CopyPlacement:
         self._validate(obj, weights, size, members)
         self._placement[obj] = weights
         self._sizes[obj] = size
+        self._accessible.clear()
 
     def place_many(self, assignments: Mapping[str, Mapping[int, int]
                                               | Iterable[int]],
@@ -90,6 +102,7 @@ class CopyPlacement:
         for obj, weights in normalized.items():
             self._placement[obj] = weights
             self._sizes[obj] = size
+        self._accessible.clear()
 
     def _validate(self, obj: str, weights: Dict[int, int],
                   size: int, members: Optional[Iterable[int]]) -> None:
@@ -183,6 +196,7 @@ class CopyPlacement:
         self._placement[obj] = new
         self._epochs[obj] = self._epochs.get(obj, 0) + 1
         self._flips += 1
+        self._accessible.clear()
         return old
 
     # -- queries ------------------------------------------------------------
@@ -226,12 +240,14 @@ class CopyPlacement:
                            local: Iterable[str] | None = None) -> set[str]:
         """Objects accessible from ``view``; optionally intersected with a
         ``local`` object set (Fig. 5 line 18's locked-set computation)."""
-        members = set(view)
+        members = frozenset(view)
+        accessible = self._accessible.get(members)
+        if accessible is None:
+            accessible = self._accessible[members] = frozenset(
+                obj for obj, weights in self._placement.items()
+                if weighted_majority(weights, members))
         candidates = self.objects if local is None else set(local)
-        return {
-            obj for obj in candidates
-            if obj in self._placement and self.accessible(obj, members)
-        }
+        return {obj for obj in candidates if obj in accessible}
 
     def local_objects(self, pid: int) -> set[str]:
         """Objects with a copy on ``pid`` (Fig. 3's ``local``)."""

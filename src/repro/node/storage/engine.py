@@ -202,6 +202,10 @@ class StorageEngine:
         """True if this processor has a copy of ``obj``."""
         return obj in self._copies
 
+    def copy_of(self, obj: str) -> Optional[Copy]:
+        """The local copy of ``obj``, read-only (``None``: no copy)."""
+        return self._copies.get(obj)
+
     def retire(self, obj: str) -> None:
         """Drop the local copy — a reshard moved it to other processors.
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from ..core.ids import VpId
+
 # -- message transport ------------------------------------------------------
 MSG_SEND = "msg.send"
 MSG_RECV = "msg.recv"
@@ -71,6 +73,8 @@ def jsonable(value: Any) -> Any:
         return value
     if isinstance(value, (set, frozenset)):
         return sorted((jsonable(v) for v in value), key=repr)
+    if isinstance(value, VpId):  # a tuple that renders as ``vp(n,pid)``
+        return repr(value)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):

@@ -1,8 +1,11 @@
 """Unit tests for copy placement and the weighted majority rule (R1)."""
 
+import itertools
+
 import pytest
 
-from repro.core.views import CopyPlacement
+from repro.core.views import CopyPlacement, weighted_majority
+from repro.workload.scenarios import EXAMPLE2_PLACEMENT
 
 
 @pytest.fixture()
@@ -198,3 +201,53 @@ def test_migration_staging_errors(placement):
         placement.commit_migration("a")
     with pytest.raises(ValueError, match="not cluster members"):
         placement.begin_migration("a", [9], members=[1, 2, 3, 4])
+
+
+def _r1_by_object(placement, view):
+    """R1 asked object by object, the definition the cache must match."""
+    return {obj for obj in placement.objects
+            if weighted_majority(placement.weights(obj), view)}
+
+
+VIEWS = [set(view) for size in range(6)
+         for view in itertools.combinations(range(1, 6), size)]
+
+
+def test_cached_r1_set_is_the_per_object_predicate():
+    placement = CopyPlacement()
+    placement.place_many(EXAMPLE2_PLACEMENT)
+    for _ in range(2):  # the second pass reads the cache
+        for view in VIEWS:
+            expected = _r1_by_object(placement, view)
+            assert placement.accessible_objects(view) == expected
+            assert placement.accessible_objects(view, local={"a", "c", "z"}) \
+                == expected & {"a", "c"}
+
+
+def test_cached_r1_set_follows_a_new_placement():
+    placement = CopyPlacement()
+    placement.place_many(EXAMPLE2_PLACEMENT)
+    assert placement.accessible_objects({5}) == set()
+    placement.place("e", holders={5: 3, 1: 1})
+    for view in VIEWS:
+        assert placement.accessible_objects(view) == \
+            _r1_by_object(placement, view)
+    assert placement.accessible_objects({5}) == {"e"}
+    placement.place_many({"f": [4, 5], "g": [5]})
+    assert placement.accessible_objects({5}) == {"e", "g"}
+
+
+def test_cached_r1_set_follows_a_migration_flip():
+    placement = CopyPlacement()
+    placement.place_many(EXAMPLE2_PLACEMENT)
+    assert "a" in placement.accessible_objects({1})  # a's weight 2 on p1
+    placement.begin_migration("a", {4: 2, 5: 1})
+    # staged weights are not routed on until the flip
+    assert "a" in placement.accessible_objects({1})
+    assert "a" not in placement.accessible_objects({4})
+    placement.commit_migration("a")
+    for view in VIEWS:
+        assert placement.accessible_objects(view) == \
+            _r1_by_object(placement, view)
+    assert "a" not in placement.accessible_objects({1})
+    assert "a" in placement.accessible_objects({4})

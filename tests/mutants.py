@@ -48,6 +48,7 @@ def _unguarded_cutover(self, processor, cell, obj, old, target, adds, size):
     placement._check_weights(obj, weights, cluster.pids)
     placement._placement[obj] = weights
     placement._flips += 1
+    placement._accessible.clear()  # a changed placement's R1 sets are stale
     self.stats.flips += 1
     self._journal_current(cell, obj, old, flipped=True)
     cluster.history.record(ReshardFlip(
