@@ -36,14 +36,13 @@ reported to ``history`` by one call, :meth:`AtomicCommit._log_decision`.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from functools import partial
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Dict
 
 from ..analysis.history import Decision
 
 
-class AtomicCommit(ABC):
+class AtomicCommit:
     """One commit backend instance per protocol instance (per processor).
 
     The same object plays both commit-protocol roles: the coordinator
@@ -51,6 +50,12 @@ class AtomicCommit(ABC):
     the transaction manager) and the participant side (the message
     handlers from :meth:`handlers`, which the host registers with
     :meth:`~repro.node.processor.Processor.serve`).
+
+    A backend supplies the generators ``prepare_commit(ctx)`` (None once
+    every participant is prepared, else it raises ``TransactionAborted``),
+    ``end_transaction(ctx, outcome)`` and ``_resolve_in_doubt(txn)``, plus
+    ``handlers()`` (its ``{kind: handler}`` map; no handler waits) and
+    ``on_crash()`` (drop volatile commit state).
     """
 
     #: short identifier, matches ``ProtocolConfig.commit_backend``
@@ -84,19 +89,6 @@ class AtomicCommit(ABC):
         return self.host.tracer
 
     # -- coordinator side ---------------------------------------------------
-
-    @abstractmethod
-    def prepare_commit(self, ctx):
-        """Generator: run the voting round for ``ctx``'s transaction.
-
-        Returns None when every participant is prepared; raises
-        :class:`~repro.core.errors.TransactionAborted` otherwise.
-        """
-
-    @abstractmethod
-    def end_transaction(self, ctx, outcome: str):
-        """Generator: decide ``outcome`` and distribute it to all
-        participants (decision log force-write + decide fan-out)."""
 
     def _prepare_payload(self, ctx) -> dict:
         """What a participant votes on: the transaction, the partitions
@@ -139,15 +131,6 @@ class AtomicCommit(ABC):
 
     # -- participant side ---------------------------------------------------
 
-    @abstractmethod
-    def handlers(self) -> Mapping[str, Callable]:
-        """The backend's ``{message kind: handler}`` map.
-
-        Each handler is called with the message at its delivery;
-        none waits — a vote or an acceptor's answer that must follow a
-        forced write leaves on an ``_after_sync`` timer.
-        """
-
     def _prepared(self, txn, coordinator: int, objects) -> None:
         """A yes vote: ``txn`` is in doubt here until its outcome lands.
 
@@ -166,20 +149,10 @@ class AtomicCommit(ABC):
 
     # -- lifecycle hooks (called from the host's crash/recover hooks) ------
 
-    @abstractmethod
-    def on_crash(self) -> None:
-        """Drop volatile commit state; durable state (the decision log
-        models a force-written log) survives."""
-
     def on_recover(self) -> None:
         """Restart resolution for whatever is still in doubt."""
         for txn in sorted(self.in_doubt, key=repr):
             self.kick_resolver(txn)
-
-    @abstractmethod
-    def _resolve_in_doubt(self, txn):
-        """Generator: learn (or decide) ``txn``'s outcome and apply it,
-        retrying until it is no longer in doubt here."""
 
     def kick_resolver(self, txn) -> None:
         """Begin resolving one in-doubt transaction (idempotent via

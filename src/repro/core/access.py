@@ -1,12 +1,14 @@
-"""Rules R1–R4: logical reads/writes and the physical access server.
+"""Rules R1–R4: logical reads/writes and the physical access rules.
 
-Implements Figures 10 (``Logical-Read``), 11 (``Logical-Write``) and 12
-(``Physical-Access``), integrated with strict two-phase locking on
-copies (the concurrency control protocol assumed by §6's optimization
-discussion) and a prepare round at commit so that rule R4 holds even
-when a server joins a new partition after acknowledging an access —
-without the prepare round, a coordinator whose own view never changed
-could commit a transaction whose write was force-aborted elsewhere.
+Implements Figures 10 (``Logical-Read``), 11 (``Logical-Write``) and
+the rules of 12 (``Physical-Access``, served by every protocol's one
+copy server in :mod:`repro.protocols.base`), integrated with strict
+two-phase locking on copies (the concurrency control protocol assumed
+by §6's optimization discussion) and a prepare round at commit so that
+rule R4 holds even when a server joins a new partition after
+acknowledging an access — without the prepare round, a coordinator
+whose own view never changed could commit a transaction whose write
+was force-aborted elsewhere.
 
 The mixin expects the protocol façade to provide: ``processor``,
 ``pid``, ``sim``, ``state``, ``placement``, ``directory``, ``config``,
@@ -24,23 +26,13 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..analysis.history import (
-    CommittedWrite, DecisionApplied, LogicalAccess, LogicalOp, PhysicalOp,
-)
+from ..analysis.history import CommittedWrite, DecisionApplied, LogicalAccess, LogicalOp
+from ..protocols.base import REJECT_POISONED, REJECT_STALE_PLACEMENT, REJECT_WRONG_PARTITION
 from .errors import AccessAborted
-
-#: payload reasons a server may reject a physical access with
-REJECT_WRONG_PARTITION = "wrong-partition"
-REJECT_LOCK_TIMEOUT = "lock-timeout"
-REJECT_POISONED = "txn-poisoned"
-#: the request was routed on a placement epoch that a concurrent
-#: reshard has since flipped (or reached a processor that retired its
-#: copy): the client must abort and retry on the new placement
-REJECT_STALE_PLACEMENT = "stale-placement"
 
 
 class AccessMixin:
-    """Client-side logical operations + server-side physical access."""
+    """Client-side logical operations + server-side physical access rules."""
 
     # ------------------------------------------------------------------
     # client side: Fig. 10 — Logical-Read
@@ -171,92 +163,19 @@ class AccessMixin:
                 and self.directory.accessible(obj, self.state.lview))
 
     # ------------------------------------------------------------------
-    # server side: Fig. 12 — Physical-Access
+    # server side: Fig. 12 — Physical-Access's rules
     # ------------------------------------------------------------------
-    # Run at the request's delivery event (``serve_spawned``, see
-    # ``VirtualPartitionProtocol.attach``); an access becomes a process
-    # only if it waits — on the R5 gate or a copy lock.  A priced append
-    # delays only the write's ack, on a ``Processor.after`` timer.
-    # ``_refusal`` judges it before CC admission, and again only if it
-    # waited (else ``sim.active_process is None``: nothing could move).
+    # ``ReplicaControlProtocol`` serves the access (``_admit``,
+    # ``_serve_read`` / ``_serve_write``); these overrides are Fig. 12's.
 
-    def _handle_read(self, message):
-        payload = message.payload
-        obj, vpid, txn = payload["obj"], payload["v"], payload["txn"]
+    def _gate(self, obj: str, write: bool):
+        """Fig. 12: wait until (l not in locked) — the R5 gate.  Writes
+        also wait out the reshard write gate: the §6 catch-up
+        installing the new copy must see a quiescent value."""
         state = self.state
-        # Fig. 12: wait until (l not in locked) — the R5 gate.
-        while obj in state.locked:
-            yield state.locked_changed.wait()
-        reason = self._refusal(obj, vpid, txn, payload, False)
-        if reason is None:
-            granted, cc_reason = yield from self.cc.begin_read(
-                txn, payload.get("ts"), obj)
-            if not granted:
-                reason = cc_reason or REJECT_LOCK_TIMEOUT
-            elif self.sim.active_process is not None:
-                # the abort releases the lock (strict 2PL)
-                reason = self._refusal(obj, vpid, txn, payload, False)
-        if reason is not None:
-            self.processor.reply(message, "read-reply",
-                                 {"ok": False, "reason": reason})
-            return
-        value, date = self.processor.store.read(obj)
-        version = self.processor.store.version(obj)
-        self.history.record(PhysicalOp(self.sim.now, txn, "r", obj, self.pid,
-                                       value, version, vpid))
-        self.processor.reply(message, "read-reply",
-                             {"ok": True, "value": value, "date": date,
-                              "version": version})
-
-    def _handle_write(self, message):
-        payload = message.payload
-        obj, vpid, txn = payload["obj"], payload["v"], payload["txn"]
-        value, version = payload["value"], payload["version"]
-        state = self.state
-        # Writes additionally wait out the reshard write gate: the §6
-        # catch-up installing the new copy must see a quiescent value.
-        while obj in state.locked or obj in state.migrating:
-            yield state.locked_changed.wait()
-        # judged before the lock: a refused write takes no lock to give back
-        reason = self._refusal(obj, vpid, txn, payload, True)
-        if reason is None:
-            granted, cc_reason = yield from self.cc.begin_write(
-                txn, payload.get("ts"), obj)
-            if not granted:
-                reason = cc_reason or REJECT_LOCK_TIMEOUT
-            elif self.sim.active_process is not None:
-                # a gate or flip that landed meanwhile would leave this
-                # write missing from the copy just installed elsewhere
-                reason = self._refusal(obj, vpid, txn, payload, True)
-        if reason is not None:
-            self.processor.reply(message, "write-reply",
-                                 {"ok": False, "reason": reason})
-            return
-        images = self._before_images.setdefault(txn, {})
-        store = self.processor.store
-        old_date = store.date(obj)
-        if obj not in images:
-            old_value, _ = store.peek(obj)
-            images[obj] = (old_value, old_date, store.version(obj))
-        # Fig. 12 lines 11-12: value(l) <- val; date(l) <- cur-id —
-        # refined per §6 with a within-partition write counter, so the
-        # log catch-up can tell apart (and correctly order) multiple
-        # writes carrying the same partition identifier.  Strict 2PL
-        # orders writes of one object identically at every copy, so the
-        # counters agree across up-to-date copies.
-        if (isinstance(old_date, tuple) and len(old_date) == 2
-                and old_date[0] == state.cur_id):
-            new_date = (state.cur_id, old_date[1] + 1)
-        else:
-            new_date = (state.cur_id, 1)
-        store.write(obj, value, new_date, version)
-        self.history.record(PhysicalOp(self.sim.now, txn, "w", obj, self.pid,
-                                       value, version, vpid))
-        # Durability cost model: the write's journal append must land
-        # before the copy acknowledges.  The write is already visible
-        # locally (strict 2PL holds the lock), so only the ack waits.
-        self.processor.after(self.config.storage_append_cost,
-                             self.processor.reply, message, "write-reply", {"ok": True})
+        if obj in state.locked or write and obj in state.migrating:
+            return state.locked_changed.wait()
+        return None
 
     def _refusal(self, obj: str, vpid, txn, payload,
                  write: bool) -> str | None:
@@ -277,6 +196,19 @@ class AccessMixin:
         if write and txn in self._poisoned_txns:
             return REJECT_POISONED
         return None
+
+    def _write_date(self, payload, old_date):
+        """Fig. 12 lines 11-12: date(l) <- cur-id — refined per §6 with a
+        within-partition write counter, so the log catch-up can tell
+        apart (and correctly order) multiple writes carrying the same
+        partition identifier.  Strict 2PL orders writes of one object
+        identically at every copy, so the counters agree across
+        up-to-date copies."""
+        cur_id = self.state.cur_id
+        if (isinstance(old_date, tuple) and len(old_date) == 2
+                and old_date[0] == cur_id):
+            return (cur_id, old_date[1] + 1)
+        return (cur_id, 1)
 
     # ------------------------------------------------------------------
     # the commit backend's host hooks (R4 at commit, decisions)
@@ -334,30 +266,17 @@ class AccessMixin:
         return REJECT_WRONG_PARTITION
 
     def _apply_decision(self, txn, outcome: str) -> None:
+        """Report the decision (and each committed write to a copy still
+        held here) to ``history`` and drop the poison, then apply it."""
         now, store = self.sim.now, self.processor.store
-        images = self._before_images.pop(txn, {})
-        if outcome == "abort":
-            for obj, (value, date, version) in images.items():
-                # the holds() guard: a reshard may have retired this
-                # copy after the transaction resolved here but before
-                # the (delayed) decide reached us — nothing to restore
-                if store.holds(obj):
-                    store.install(obj, value, date, version)
-        else:
-            # the commit fan-out doubles as lease invalidation: every
-            # copy holder (and the coordinator) applies the decision,
-            # so any lease it granted on the object is now stale
-            if images and self.lease_table is not None:
-                for obj in images:
-                    self.lease_table.invalidate(obj)
-            for obj in sorted(images):
+        if outcome == "commit":
+            for obj in sorted(self._before_images.get(txn, ())):
                 if store.holds(obj):  # else retired by a reshard meanwhile
                     self.history.record(CommittedWrite(
                         now, self.pid, obj, store.version(obj)))
-        self.commit.note_resolved(txn)
         self._poisoned_txns.discard(txn)
         self.history.record(DecisionApplied(now, self.pid, txn, outcome))
-        self.cc.finish(txn, outcome)
+        super()._apply_decision(txn, outcome)
 
     # ------------------------------------------------------------------
     # partition-change effects on transactions (rule R4, strict mode)

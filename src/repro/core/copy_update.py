@@ -362,7 +362,7 @@ class UpdateMixin:
         A plain handler, run at the request's delivery: the gate and the
         reported date are one atomic snapshot.  A write that already passed the gate check
         but is still waiting on its copy lock is caught by the post-wait
-        re-check in ``_handle_write`` — no write lands after the gate's
+        re-check in ``_admit`` — no write lands after the gate's
         date without the coordinator's verify round seeing it.
         """
         payload = message.payload

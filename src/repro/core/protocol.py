@@ -82,7 +82,8 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
 
     def attach(self) -> None:
         """Register the Fig. 3 task set and the request handlers, then
-        the commit backend's kinds and the crash/recover hooks.
+        the copy server, the commit backend's kinds and the
+        crash/recover hooks.
 
         Only the probe loop is a task; every inbound kind is served at
         its delivery event — handlers that never wait directly (Fig. 6's
@@ -99,8 +100,6 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         processor.serve("probe-ack", window_closed)
         processor.serve("reshard-gate", self._handle_reshard_gate)
         processor.serve("reshard-release", self._handle_reshard_release)
-        processor.serve_spawned("read", self._handle_read)
-        processor.serve_spawned("write", self._handle_write)
         processor.serve("vpread", self._handle_vpread)
         processor.serve_spawned("reshard-install",
                                 self._handle_reshard_install)
@@ -158,12 +157,8 @@ def bootstrap_partition(protocols: Iterable[VirtualPartitionProtocol],
     if vpid is None:
         vpid = VpId(1, members[0].pid)
     view = {p.pid for p in members}
-    previous_map = {}
     for protocol in members:
-        info = protocol._previous_info()
-        previous_map[protocol.pid] = info
-    for protocol in members:
-        protocol.state.join(vpid, view, previous_map)
+        protocol.state.join(vpid, view)
         if protocol.state.max_id < vpid:
             protocol.state.max_id = vpid
     return vpid

@@ -10,25 +10,15 @@ it.  ``distance`` gives the *expected* delay and defines which copy is
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 from typing import Mapping, Sequence
 
 
-class LatencyModel(ABC):
-    """Strategy interface for message delays."""
-
-    @property
-    @abstractmethod
-    def bound(self) -> float:
-        """The paper's δ: an upper bound on one-way delay."""
-
-    @abstractmethod
-    def delay(self, src: int, dst: int, rng: random.Random) -> float:
-        """Sample the delay of one message from ``src`` to ``dst``."""
-
-    @abstractmethod
-    def distance(self, src: int, dst: int) -> float:
-        """Expected delay; the read-one rule reads the minimum-distance copy."""
+class LatencyModel:
+    """Strategy interface for message delays: a model supplies
+    ``bound`` (the paper's δ, an upper bound on one-way delay),
+    ``delay(src, dst, rng)`` (one message's sampled delay) and
+    ``distance(src, dst)`` (the expected delay; the read-one rule
+    reads the minimum-distance copy)."""
 
 
 class FixedLatency(LatencyModel):

@@ -1,10 +1,11 @@
 """The shared skeleton of the baseline protocols.
 
 The baselines differ in *which copies* a logical operation touches and
-*when it is allowed* — not in how a physical access is served or how a
-read-one / write-all walk visits its copies.  :class:`BaselineProtocol`
-owns what they share: the copy server (strict-2PL copy locking with
-before-images), the commit vote, and two client loops —
+*when it is allowed* — not in how a physical access is served (every
+protocol's copy server is :class:`~repro.protocols.base.ReplicaControlProtocol`'s,
+under its default rules) or how a read-one / write-all walk visits its
+copies.  :class:`BaselineProtocol` owns what they share beyond that:
+the commit vote and two client loops —
 :meth:`~BaselineProtocol._read_one` (the nearest copy answers, silence
 moves on, a refusal ends it) and :meth:`~BaselineProtocol._write_all`
 (every target acknowledges or the write aborts).  They commit through
@@ -18,18 +19,13 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from ..analysis.history import LogicalAccess, LogicalOp, PhysicalOp
+from ..analysis.history import LogicalAccess, LogicalOp
 from ..core.errors import AccessAborted
-from .base import ReplicaControlProtocol
-
-REJECT_LOCK_TIMEOUT = "lock-timeout"
-REJECT_NO_COPY = "no-copy"
-REJECT_TXN_LOST = "txn-lost"
-REJECT_IN_DOUBT = "in-doubt"
+from .base import REJECT_TXN_LOST, ReplicaControlProtocol
 
 
 class BaselineProtocol(ReplicaControlProtocol):
-    """Copy server, commit vote and client loops for the baselines.
+    """Commit vote and client loops for the baselines.
 
     A subclass chooses the copies (``logical_read`` / ``logical_write``)
     and answers ``available``; one that keeps more state extends
@@ -47,71 +43,6 @@ class BaselineProtocol(ReplicaControlProtocol):
         super().__init__(processor, placement, config, history, latency,
                          all_pids)
 
-    def attach(self) -> None:
-        self.processor.serve_spawned("read", self._serve_read)
-        self.processor.serve_spawned("write", self._serve_write)
-        super().attach()
-
-    # ------------------------------------------------------------------
-    # request handlers
-    # ------------------------------------------------------------------
-
-    def _admitted(self, message, begin):
-        """Generator: may this copy serve the access?  True once the CC
-        (``begin``: its read or write admission) grants it; otherwise
-        the refusal is replied.  A copy carrying the write of an
-        in-doubt transaction whose admission the crash hook's fresh CC
-        forgot is refused outright: nothing else keeps accesses off
-        that write, which the resolver may yet undo."""
-        obj, txn = message.payload["obj"], message.payload["txn"]
-        writers = {t for t in self.commit.in_doubt
-                   if obj in self._before_images.get(t, ())}
-        if not self.processor.store.holds(obj):
-            reason = REJECT_NO_COPY
-        elif writers and writers - self.cc.active_txns():
-            reason = REJECT_IN_DOUBT
-        else:
-            granted, reason = yield from begin(
-                txn, message.payload.get("ts"), obj)
-            if granted:
-                return True
-        self.processor.reply(message, f"{message.kind}-reply", {
-            "ok": False, "reason": reason or REJECT_LOCK_TIMEOUT})
-        return False
-
-    def _serve_read(self, message):
-        payload = message.payload
-        obj, txn = payload["obj"], payload["txn"]
-        store = self.processor.store
-        if not (yield from self._admitted(message, self.cc.begin_read)):
-            return
-        value, date = store.read(obj)
-        version = store.version(obj)
-        self.history.record(PhysicalOp(self.sim.now, txn, "r", obj, self.pid,
-                                       value, version, None))
-        self.processor.reply(message, "read-reply", {
-            "ok": True, "value": value, "date": date, "version": version,
-        })
-
-    def _serve_write(self, message):
-        payload = message.payload
-        obj, txn = payload["obj"], payload["txn"]
-        store = self.processor.store
-        if not (yield from self._admitted(message, self.cc.begin_write)):
-            return
-        images = self._before_images.setdefault(txn, {})
-        if obj not in images:
-            old_value, old_date = store.peek(obj)
-            images[obj] = (old_value, old_date, store.version(obj))
-        date = payload.get("date")
-        if date is None:
-            date = store.date(obj)
-        store.write(obj, payload["value"], date, payload["version"])
-        self.history.record(PhysicalOp(self.sim.now, txn, "w", obj, self.pid,
-                                       payload["value"], payload["version"],
-                                       None))
-        self.processor.reply(message, "write-reply", {"ok": True})
-
     # ------------------------------------------------------------------
     # the commit backend's host hooks
     # ------------------------------------------------------------------
@@ -122,19 +53,6 @@ class BaselineProtocol(ReplicaControlProtocol):
         hook's fresh CC forgets it early — and that hook also restored
         the before-images, so a yes would commit a lost write."""
         return None if txn in self.cc.active_txns() else REJECT_TXN_LOST
-
-    def _apply_decision(self, txn, outcome: str) -> None:
-        images = self._before_images.pop(txn, {})
-        if outcome == "abort":
-            for obj, (value, date, version) in images.items():
-                self.processor.store.install(obj, value, date, version)
-        elif images and self.lease_table is not None:
-            # mirror of AccessMixin._apply_decision: a committed write
-            # invalidates any lease this processor granted on the object
-            for obj in images:
-                self.lease_table.invalidate(obj)
-        self.commit.note_resolved(txn)
-        self.cc.finish(txn, outcome)
 
     # ------------------------------------------------------------------
     # client-side helpers

@@ -28,7 +28,6 @@ must not depend on the voter's cache temperature.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional
@@ -58,15 +57,14 @@ class DirectoryStats:
     invalidations: int = 0
 
 
-class Directory(ABC):
-    """Routes logical accesses to copy-holders."""
+class Directory:
+    """Routes logical accesses to copy-holders; a directory supplies
+    ``entry(obj)``, the stats-counted ``{pid: weight}`` entry."""
+
+    entry: Callable[[str], Mapping[int, int]]
 
     def __init__(self) -> None:
         self.stats = DirectoryStats()
-
-    @abstractmethod
-    def entry(self, obj: str) -> Mapping[int, int]:
-        """The ``{pid: weight}`` entry for ``obj`` (stats-counted)."""
 
     def copies(self, obj: str) -> set:
         """The processors holding a copy of ``obj``."""

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 #: one object's placement: ``{pid: weight}``, primary holder first
 Assignment = Dict[int, int]
@@ -33,11 +32,14 @@ def _hash(token: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class PlacementPolicy(ABC):
-    """Assigns copy-holders (and weights) to logical objects in bulk."""
+class PlacementPolicy:
+    """Assigns copy-holders (and weights) to logical objects in bulk; a
+    policy supplies ``_one(index, obj, ring)``, one object's placement
+    (``ring`` is the sorted pid list)."""
 
     #: short identifier used by specs, the CLI, and benchmark tables
     name: str = "abstract"
+    _one: Callable[[int, str, List[int]], Assignment]
 
     def __init__(self, degree: int = 3):
         if degree < 1:
@@ -57,10 +59,6 @@ class PlacementPolicy(ABC):
             )
         return {obj: self._one(index, obj, ring)
                 for index, obj in enumerate(objects)}
-
-    @abstractmethod
-    def _one(self, index: int, obj: str, ring: List[int]) -> Assignment:
-        """The placement of one object; ``ring`` is the sorted pid list."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(degree={self.degree})"

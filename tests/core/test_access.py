@@ -1,4 +1,5 @@
-"""The Fig. 12 server (``AccessMixin._handle_read`` / ``_handle_write``).
+"""The Fig. 12 server (``ReplicaControlProtocol._serve_read`` /
+``_serve_write`` under ``AccessMixin``'s rules).
 
 One refusal predicate, ``_refusal``, judges a physical access before CC
 admission and again only if the access waited.  The write guards (the
@@ -12,11 +13,8 @@ served access (the partition arm of that re-check is pinned by
 import pytest
 
 from repro import Cluster, CopyOrder
-from repro.core.access import (
-    REJECT_POISONED,
-    REJECT_STALE_PLACEMENT,
-    AccessMixin,
-)
+from repro.core.access import AccessMixin
+from repro.protocols.base import REJECT_POISONED, REJECT_STALE_PLACEMENT
 from tests.node.calls import ask
 
 HOLDER = ("holder", 1)  # a transaction that holds x's X lock at p1
