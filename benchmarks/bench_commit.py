@@ -58,7 +58,7 @@ def blocking_window(backend: str, recover_after=None) -> dict:
             return cluster.processor(1).store.decision_of(TXN) == "commit"
         # paxos: every ballot-0 vote accepted at a majority of acceptors
         def accepted(pid, rm):
-            value = cluster.processor(pid).store.durable_cell(f"px:{TXN}:{rm}").value
+            value = cluster.processor(pid).store.cell(f"px:{TXN}:{rm}")
             return value is not None and value[1] is not None
 
         return all(sum(accepted(pid, rm) for pid in (1, 2, 3)) >= 2

@@ -81,7 +81,7 @@ def owner(traceback) -> str:
             or function == "record_decision"):
         return "decision log"
     if rel == "commit/paxos.py" or (
-            storage and function in ("write_cell", "durable_cell")
+            storage and function == "write_cell"
             and "commit/paxos.py" in callers):
         return "px: cells"
     if rel == "node/storage/checkpoint.py" or (

@@ -20,10 +20,11 @@ in-doubt resolution — to a backend selected by
 chosen.  :class:`AtomicCommit` is what they share — the prepare
 payload, the yes-vote intake (:meth:`_prepared`), the prepare force
 point every yes vote goes through (:meth:`_force_prepare`, the
-coordinator's own too), the forced decide and fan-out (:meth:`_decide`)
-and the resolver kick.  The backend owns the commit-phase state (decision
-log, in-doubt set, resolvers); the host owns the rest: before-images,
-the R4 vote, decision application.
+coordinator's own too), the decide and fan-out (:meth:`_decide`; 2PC
+forces neither an abort nor a read-only commit) and the resolver kick.
+The backend owns the commit-phase state (decision log, in-doubt set,
+resolvers); the host owns the rest: before-images, the R4 vote,
+decision application.
 
 The host (:class:`~repro.protocols.base.ReplicaControlProtocol`)
 provides ``processor``, ``pid``, ``sim``, ``config``, ``metrics``,
@@ -104,16 +105,17 @@ class AtomicCommit:
                        for obj in objects},
         }
 
-    def _decide(self, txn, outcome: str, participants):
+    def _decide(self, txn, outcome: str, participants, forced=True):
         """Generator: the decider's force point, then the fan-out.
 
         A participant may lose the decide to a cut and ask for (or
-        re-derive) the outcome later, so no decide leaves before the
-        decision record is durable; ``participants`` are sent to in
-        order, this processor applying its own share in place."""
-        self._log_decision(txn, outcome)
+        re-derive) the outcome later, so no decide leaves before a
+        forced decision record (``forced`` as in :meth:`_log_decision`)
+        is durable; ``participants`` are sent to in order, this
+        processor applying its own share in place."""
+        self._log_decision(txn, outcome, forced)
         sync_cost = self.config.storage_sync_cost
-        if sync_cost > 0:
+        if forced and sync_cost > 0:
             yield self.sim.timeout(sync_cost)
         for server in participants:
             if server == self.pid:
@@ -123,29 +125,34 @@ class AtomicCommit:
                                     {"txn": txn, "outcome": outcome})
         self.metrics.decisions_retired += 1
 
-    def _log_decision(self, txn, outcome: str, forced: bool = True) -> None:
-        """Journal ``outcome`` (forced: a force point) and report it."""
-        self.processor.store.record_decision(txn, outcome, forced=forced)
+    def _log_decision(self, txn, outcome: str, forced=True) -> None:
+        """Journal ``outcome`` (forced: a force point; None: not at all)
+        and report it."""
+        if forced is not None:
+            self.processor.store.record_decision(txn, outcome, forced=forced)
         self.host.history.record(Decision(self.sim.now, self.pid, txn,
                                           outcome))
 
     # -- participant side ---------------------------------------------------
 
-    def _prepared(self, txn, coordinator: int, objects) -> None:
+    def _prepared(self, txn, coordinator: int, objects) -> float:
         """A yes vote: ``txn`` is in doubt here until its outcome lands.
 
         The decide watchdog (a kernel call entry, never cancelled)
         starts a resolver if no decide arrived by then — lost to the
-        network, a cut, or a coordinator crash."""
+        network, a cut, or a coordinator crash.  Returns what
+        :meth:`_force_prepare` returns."""
         self.note_in_doubt(txn, coordinator)
         self.sim.call(self.config.access_timeout, self.kick_resolver, txn)
-        self._force_prepare(txn, objects)
+        return self._force_prepare(txn, objects)
 
-    def _force_prepare(self, txn, objects) -> None:
+    def _force_prepare(self, txn, objects) -> float:
         """The participant's force point, for every yes vote — a remote
         one through :meth:`_prepared`, the coordinator's own in place:
-        the vote waits out the sync, or a crash could forget it."""
+        the vote waits out the sync it returns, or a crash could forget
+        it."""
         self.processor.store.record_prepare(txn, objects)
+        return self.config.storage_sync_cost
 
     # -- lifecycle hooks (called from the host's crash/recover hooks) ------
 

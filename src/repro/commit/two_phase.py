@@ -3,6 +3,12 @@
 The prepare scatter, the coordinator decision log, the ``txn-status``
 query an in-doubt participant's resolver sends, and its cession.
 
+Only what recovery reads is forced (R*'s presumed abort): the prepare
+record of a share that wrote and the decision of a commit that wrote.
+An abort or a read-only commit is journalled unforced (a lost one reads
+as the presumed abort), a read-only share's doubt is volatile, and
+nothing waits for a force that is not made.
+
 The coordinator *retires* a decision's in-memory entry as soon as the
 decide fan-out has left.  The WAL record written just before is the
 durable authority — ``_handle_txn_status`` falls back to it — so the
@@ -49,8 +55,9 @@ class TwoPhaseCommit(AtomicCommit):
         # yes: an in-doubt participant querying us must find at least
         # "undecided", never a missing entry (which means presumed abort).
         # Journalled unforced — presumed abort means its *absence* is
-        # already safe, so the open needs no sync of its own.
-        if ctx.txn_id not in self.decisions:
+        # already safe, so the open needs no sync of its own — and not
+        # at all when no share can ask or keeps a write.
+        if ctx.txn_id not in self.decisions and self._journalled(ctx):
             self.decisions[ctx.txn_id] = "undecided"
             self._log_decision(ctx.txn_id, "undecided", forced=False)
         reason = self.host._r4_screen(ctx)
@@ -71,11 +78,10 @@ class TwoPhaseCommit(AtomicCommit):
             verdict = self.host._vote(ctx.txn_id, payload)
             if verdict is not None:
                 raise TransactionAborted(ctx.txn_id, f"local vote: {verdict}")
-            # Our own yes vote is a participant prepare record: force-
-            # written (the classic 2PC force point), its model-time cost
-            # overlapping the remote vote collection already in flight.
-            self._force_prepare(ctx.txn_id, ctx.objects)
-            sync_cost = self.config.storage_sync_cost
+            # Our own yes vote is a participant prepare record (the
+            # classic 2PC force point), its model-time cost overlapping
+            # the remote vote collection already in flight.
+            sync_cost = self._force_prepare(ctx.txn_id, ctx.objects)
             if sync_cost > 0:
                 yield self.sim.timeout(sync_cost)
         results = yield from call.gather()
@@ -117,15 +123,34 @@ class TwoPhaseCommit(AtomicCommit):
             raise TransactionAborted(ctx.txn_id,
                                      "partition changed during commit (R4)")
         # The in-memory entry answers txn-status while the decision is
-        # in flight; once the fan-out has left, the forced WAL record
-        # is the durable authority (txn-status falls back to it).
+        # in flight; once the fan-out has left, the WAL record is the
+        # durable authority (txn-status falls back to it).  Only a
+        # commit that wrote is forced: presumed abort reads any other
+        # lost record as an abort, which changes nothing a share keeps.
         self.decisions[ctx.txn_id] = outcome
-        yield from self._decide(ctx.txn_id, outcome, sorted(ctx.participants))
+        forced = (outcome == "commit" and bool(ctx.objects_written)
+                  if self._journalled(ctx) else None)
+        yield from self._decide(ctx.txn_id, outcome, sorted(ctx.participants),
+                                forced)
         self.decisions.pop(ctx.txn_id, None)
+
+    def _journalled(self, ctx) -> bool:
+        """Does ``ctx``'s decision need a record: may a remote share ask
+        for it, or does a write hang on it?"""
+        return bool(ctx.objects_written or ctx.participants - {self.pid})
 
     # ------------------------------------------------------------------
     # participant side
     # ------------------------------------------------------------------
+
+    def _wrote(self, txn) -> bool:
+        """Does this processor's share of ``txn`` hold a before-image?"""
+        return txn in self.host._before_images
+
+    def _force_prepare(self, txn, objects) -> float:
+        """A share that wrote nothing leaves recovery nothing to keep or
+        undo: it forces no prepare record, and its vote waits for none."""
+        return super()._force_prepare(txn, objects) if self._wrote(txn) else 0
 
     def handlers(self) -> Mapping[str, Callable]:
         """2PC's participant-side message kinds."""
@@ -141,9 +166,9 @@ class TwoPhaseCommit(AtomicCommit):
         if verdict is None:
             # classic 2PC uncertainty window: the watchdog's resolver
             # asks the coordinator's decision log
-            self._prepared(txn, message.src, message.payload["objects"])
-            self._after_sync(self.processor.reply, message, "prepare-reply",
-                             {"ok": True})
+            sync_cost = self._prepared(txn, message.src, message.payload["objects"])
+            self.processor.after(sync_cost, self.processor.reply, message,
+                                 "prepare-reply", {"ok": True})
         else:
             self.processor.reply(message, "prepare-reply",
                                  {"ok": False, "reason": verdict})
@@ -170,9 +195,9 @@ class TwoPhaseCommit(AtomicCommit):
             # through the decision log; end_transaction honours it).
             outcome = "abort"
             self.decisions[txn] = "abort"
-            # Journalled as a forced decision record (its sync latency
-            # is absorbed by the status reply already in flight).
-            self._log_decision(txn, "abort")
+            # Journalled unforced: a lost abort record reads as the
+            # presumed abort, the very answer this reply carries.
+            self._log_decision(txn, "abort", forced=False)
         self.processor.reply(message, "txn-status-reply",
                              {"outcome": outcome})
 
@@ -218,8 +243,13 @@ class TwoPhaseCommit(AtomicCommit):
         finalization is journalled (unforced — it is a recovery
         re-interpretation, not a new force point) so WAL replay rebuilds
         the same decision log; the journalled record then lets every
-        entry retire from memory."""
+        entry retire from memory.  A read-only share's in-doubt entry
+        has no prepare record behind it, so the crash forgets it (and
+        the host's undo pass then sees no doubt to honour)."""
         self.resolving.clear()
+        for txn in [t for t in self.in_doubt if not self._wrote(t)]:
+            del self.in_doubt[txn]
+            self._in_doubt_since.pop(txn, None)
         for txn, outcome in list(self.decisions.items()):
             if outcome == "undecided":
                 self.decisions[txn] = "abort"

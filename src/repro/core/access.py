@@ -12,7 +12,7 @@ was force-aborted elsewhere.
 
 The mixin expects the protocol façade to provide: ``processor``,
 ``pid``, ``sim``, ``state``, ``placement``, ``directory``, ``config``,
-``history``, ``locks``, ``metrics``, ``distance(pid)``, and
+``history``, ``cc``, ``metrics``, ``distance(pid)``, and
 ``create_new_vp()``.
 
 Client-side routing (which copy do I read? which copies take the

@@ -41,10 +41,11 @@ class ReplicaState:
         boot_id = initial_vp_id(pid)
         self.cur_id: VpId = boot_id
         # durable across crashes: a journalled cell of the processor's
-        # storage engine (a private engine when none is supplied)
-        if store is None:
-            store = StorageEngine(pid)
-        self._max_id = store.durable_cell("max-id", boot_id)
+        # storage engine (a private engine when none is supplied); a
+        # cell that already holds a value keeps it
+        self._store = StorageEngine(pid) if store is None else store
+        if self._store.cell("max-id") is None:
+            self._store.write_cell("max-id", boot_id, forced=False)
         self.assigned: bool = True
         self.lview: Set[int] = {pid}
         self.locked: Set[str] = set()
@@ -71,15 +72,13 @@ class ReplicaState:
 
     @property
     def max_id(self) -> VpId:
-        return self._max_id.value
+        return self._store.cell("max-id")
 
     @max_id.setter
     def max_id(self, value: VpId) -> None:
-        if value < self._max_id.value:
-            raise ValueError(
-                f"max_id must not decrease: {self._max_id.value} -> {value}"
-            )
-        self._max_id.value = value
+        if value < self.max_id:
+            raise ValueError(f"max_id must not decrease: {self.max_id} -> {value}")
+        self._store.write_cell("max-id", value)
 
     # -- partition membership ----------------------------------------------------
 

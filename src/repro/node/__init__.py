@@ -3,7 +3,6 @@
 from .processor import Processor
 from .storage import (
     Copy,
-    DurableCell,
     LogEntry,
     LogTruncated,
     StorageEngine,
@@ -14,7 +13,6 @@ from .storage import (
 
 __all__ = [
     "Copy",
-    "DurableCell",
     "LogEntry",
     "LogTruncated",
     "Processor",

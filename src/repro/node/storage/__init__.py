@@ -2,7 +2,7 @@
 
 * :mod:`~repro.node.storage.engine` — :class:`StorageEngine`, the one
   stable store a processor holds: its physical copies (values, dates,
-  versions, §6 write logs), its :class:`DurableCell` scalars and its
+  versions, §6 write logs), its durable cells and its
   decision log, plus the :class:`StorageStats` counters;
 * :mod:`~repro.node.storage.store` — the :class:`Copy` and
   :class:`LogEntry` records the engine's copy table is made of;
@@ -13,7 +13,7 @@
 """
 
 from .checkpoint import Checkpoint, CopySnapshot, Snapshot
-from .engine import DurableCell, StorageEngine, StorageStats
+from .engine import StorageEngine, StorageStats
 from .store import NO_FLOOR, Copy, LogEntry
 from .wal import (
     RECORD_KINDS,
@@ -26,7 +26,6 @@ __all__ = [
     "Checkpoint",
     "Copy",
     "CopySnapshot",
-    "DurableCell",
     "LogEntry",
     "LogTruncated",
     "NO_FLOOR",

@@ -83,34 +83,6 @@ class StorageStats:
     replayed_bytes: int = 0
 
 
-class DurableCell:
-    """A handle on one named crash-surviving scalar (e.g. ``max-id``).
-
-    The paper requires partition identifiers to be globally unique and
-    increasing even across crashes; keeping ``max-id`` durable is the
-    standard way to get that.  The value is the engine's
-    (:meth:`StorageEngine.cell` / :meth:`~StorageEngine.write_cell`).
-    """
-
-    __slots__ = ("_engine", "_name")
-
-    def __init__(self, engine: "StorageEngine", name: str):
-        self._engine = engine
-        self._name = name
-
-    @property
-    def value(self) -> Any:
-        return self._engine.cell(self._name)
-
-    @value.setter
-    def value(self, new: Any) -> None:
-        self.write(new)
-
-    def write(self, new: Any, forced: bool = True) -> None:
-        """Set and journal ``new``; unforced, it rides this instant's force."""
-        self._engine.write_cell(self._name, new, forced)
-
-
 class StorageEngine:
     """All durable state of one processor, over a write-ahead log."""
 
@@ -134,8 +106,6 @@ class StorageEngine:
         self._grown: Set[str] = set()
         #: durable cells, by name (absent = never written: None)
         self._cells: Dict[str, Any] = {}
-        #: the handles :meth:`durable_cell` gave out
-        self._handles: Dict[str, DurableCell] = {}
         #: journalled coordinator decisions (txn -> latest outcome)
         self._decisions: Dict[Any, str] = {}
         #: what :meth:`rebuilt` restores before replaying the WAL tail
@@ -209,8 +179,7 @@ class StorageEngine:
     def retire(self, obj: str) -> None:
         """Drop the local copy — a reshard moved it to other processors.
 
-        Releases the copy's storage (value, write log, floor); the
-        physical access counters survive as history.  Raises
+        Releases the copy's storage (value, write log, floor).  Raises
         ``KeyError`` if there is no copy to retire.
         """
         self._get(obj)
@@ -308,21 +277,6 @@ class StorageEngine:
         self._cells[name] = value
         self._journal(REC_CELL, forced, cell=name, value=value)
 
-    def durable_cell(self, name: str, initial: Any = None) -> DurableCell:
-        """A handle on a named crash-surviving scalar.
-
-        Re-requesting a name returns the same handle, and a cell that
-        already holds a value keeps it over ``initial``, so recovery
-        hooks can reacquire their cells idempotently.  A ``None``
-        initial is not journalled: an unwritten cell reads ``None``.
-        """
-        handle = self._handles.get(name)
-        if handle is None:
-            handle = self._handles[name] = DurableCell(self, name)
-            if initial is not None and name not in self._cells:
-                self.write_cell(name, initial, forced=False)
-        return handle
-
     # -- 2PC force-write points ---------------------------------------------
 
     def record_prepare(self, txn: Any, objects: Any = None) -> None:
@@ -333,9 +287,9 @@ class StorageEngine:
                         forced: bool = True) -> None:
         """Journal a coordinator decision-log entry.
 
-        ``forced=True`` for real decisions (the force-write before any
-        decide message leaves); the ``undecided`` log-entry open and
-        crash-time presumed-abort finalization ride unforced.
+        ``forced=True`` for a commit that wrote (the force-write before
+        any decide message leaves); an abort, a read-only commit and the
+        ``undecided`` open ride unforced (presumed abort).
         """
         self._decisions[txn] = outcome
         self._journal(REC_DECISION, forced=forced, txn=txn, outcome=outcome)

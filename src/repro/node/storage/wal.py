@@ -9,11 +9,12 @@ records after its LSN, and the rebuilt state equals the pre-crash
 durable state (pinned by ``tests/integration/test_crash_replay.py``).
 
 Records are either plain **appends** (copy writes ride on the next
-group sync) or **forced** (the commit force points: a participant's
-prepare record, the coordinator's decision-log entry, a ``max-id``
-bump, one Paxos acceptor record per charged sync).  A plain append made
-under a force — a co-located acceptor's accept beside its RM's prepare
-record, the other instances of an acceptor's batch — rides that force.
+group sync) or **forced** (the commit force points: a writing
+participant's prepare record, the coordinator's commit decision, a
+``max-id`` bump, one Paxos acceptor record per charged sync).  A plain
+append made under a force — a co-located acceptor's accept beside its
+RM's prepare record, the other instances of an acceptor's batch —
+rides that force.
 Gray & Lamport's *Consensus on Transaction Commit* makes the forced
 writes the central cost metric of a commit protocol; the protocol layer
 charges ``ProtocolConfig.storage_sync_cost`` model time at each one,

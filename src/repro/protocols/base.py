@@ -164,21 +164,14 @@ class ReplicaControlProtocol:
         — rolling them back here could erase a committed write.  The
         fresh CC no longer guards their writes: VP's Update-Copies and
         the baselines' ``in-doubt`` refusal each keep off such a copy.
+        The backend's crash hook runs first, so a doubt it drops (a 2PC
+        share that wrote nothing logs none) is not honoured here.
         """
-        in_doubt = self.commit.in_doubt
-        for txn in sorted(self._before_images, key=repr):
-            if txn in in_doubt:
-                continue
-            for obj, (value, date, version) in self._before_images[txn].items():
-                self.processor.store.install(obj, value, date, version)
-        self._before_images = {
-            txn: images for txn, images in self._before_images.items()
-            if txn in in_doubt
-        }
-        # Backend-owned commit state: the 2PC decision log finalizes
-        # undecided entries as the presumed abort; Paxos leaves them to
-        # the acceptors.  Resolver bookkeeping is volatile either way.
         self.commit.on_crash()
+        for txn in sorted(self._before_images, key=repr):
+            if txn not in self.commit.in_doubt:
+                for obj, image in self._before_images.pop(txn).items():
+                    self.processor.store.install(obj, *image)
         self.cc = make_cc(self.config, self.sim, label=f"p{self.pid}.cc")
 
     def _on_recover(self) -> None:

@@ -204,8 +204,8 @@ class ReshardEngine:
         # assignment presumes the earlier one's placement.
         while any(j not in self._completed for j in range(index)):
             yield sim.timeout(config.delta)
-        cell = processor.store.durable_cell(JOURNAL_CELL, None)
-        journal = cell.value
+        store = processor.store
+        journal = store.cell(JOURNAL_CELL)
         if (journal is not None and journal.get("action") == index
                 and journal.get("complete")):
             self._completed.add(index)
@@ -218,7 +218,7 @@ class ReshardEngine:
         if journal is None or journal.get("action") != index:
             journal = {"action": index, "done": [], "current": None,
                        "complete": False}
-            cell.value = journal
+            store.write_cell(JOURNAL_CELL, journal)
         plan = self._plan(index)
         if self.cluster.tracer is not None:
             self.cluster.tracer.emit(
@@ -227,18 +227,18 @@ class ReshardEngine:
         pending_obj = (journal["current"] or {}).get("obj")
         work = sorted(set(plan) | ({pending_obj} if pending_obj else set()))
         for obj in work:
-            if obj in cell.value["done"]:
+            if obj in store.cell(JOURNAL_CELL)["done"]:
                 continue
             target = plan.get(obj)
             if target is None:
                 # Resumed after the flip of an object the recomputed
                 # plan now considers settled; only release remains.
                 target = dict(cluster.placement.weights(obj))
-            yield from self._migrate(processor, cell, obj, target)
-        self.stats.objects_unchanged += len(self.objects) - \
-            len(cell.value["done"])
-        cell.value = {"action": index, "done": list(cell.value["done"]),
-                      "current": None, "complete": True}
+            yield from self._migrate(processor, store, obj, target)
+        done = list(store.cell(JOURNAL_CELL)["done"])
+        self.stats.objects_unchanged += len(self.objects) - len(done)
+        store.write_cell(JOURNAL_CELL, {"action": index, "done": done,
+                                        "current": None, "complete": True})
         self.stats.campaigns_completed += 1
         self._completed.add(index)
         if self.cluster.tracer is not None:
@@ -264,26 +264,26 @@ class ReshardEngine:
                 plan[obj] = new
         return plan
 
-    def _migrate(self, processor, cell, obj: str,
+    def _migrate(self, processor, store, obj: str,
                  target: Dict[int, int]):
         """Move one object to ``target``; idempotent under resume."""
         cluster = self.cluster
         placement = cluster.placement
         config = cluster.config
         sim = cluster.sim
-        current = cell.value.get("current")
+        current = store.cell(JOURNAL_CELL).get("current")
         if current and current.get("obj") == obj:
             old = {int(p): int(w) for p, w in current["old"].items()}
             flipped = bool(current.get("flipped"))
         else:
             old = dict(placement.weights(obj))
             flipped = False
-            self._journal_current(cell, obj, old, flipped=False)
+            self._journal_current(store, obj, old, flipped=False)
         adds = sorted(set(target) - set(old))
         drops = sorted(set(old) - set(target))
         size = placement.size(obj)
         if not flipped:
-            yield from self._cutover(processor, cell, obj, old, target,
+            yield from self._cutover(processor, store, obj, old, target,
                                      adds, size)
         # Release: every old holder drops its write gate; dropped
         # holders retire the copy.  "busy" (an in-flight decide still
@@ -299,12 +299,13 @@ class ReshardEngine:
                        if results[p] is None or not results[p]["ok"]]
             if waiting:
                 yield sim.timeout(config.commit_wait)
-        done = list(cell.value["done"]) + [obj]
-        cell.value = {"action": cell.value["action"], "done": done,
-                      "current": None, "complete": False}
+        journal = store.cell(JOURNAL_CELL)
+        store.write_cell(JOURNAL_CELL, {"action": journal["action"],
+                                        "done": list(journal["done"]) + [obj],
+                                        "current": None, "complete": False})
         self.stats.objects_moved += 1
 
-    def _cutover(self, processor, cell, obj: str, old: Dict[int, int],
+    def _cutover(self, processor, store, obj: str, old: Dict[int, int],
                  target: Dict[int, int], adds: List[int], size: int):
         """Stage, gate, install, verify, then flip."""
         cluster = self.cluster
@@ -354,7 +355,7 @@ class ReshardEngine:
         epoch_before = placement.epoch_of(obj)
         placement.commit_migration(obj)
         self.stats.flips += 1
-        self._journal_current(cell, obj, old, flipped=True)
+        self._journal_current(store, obj, old, flipped=True)
         cluster.history.record(ReshardFlip(
             sim.now, processor.pid, obj, old, target, epoch_before,
             placement.epoch_of(obj), adds))
@@ -413,7 +414,7 @@ class ReshardEngine:
     # -- misc -----------------------------------------------------------------
 
     @staticmethod
-    def _journal_current(cell, obj: str, old: Dict[int, int],
+    def _journal_current(store, obj: str, old: Dict[int, int],
                          flipped: bool) -> None:
         """Force-write the per-object migration record.
 
@@ -421,15 +422,15 @@ class ReshardEngine:
         references to the journalled value, so mutating a shared dict
         would silently rewrite history.
         """
-        journal = cell.value
-        cell.value = {
+        journal = store.cell(JOURNAL_CELL)
+        store.write_cell(JOURNAL_CELL, {
             "action": journal["action"],
             "done": list(journal["done"]),
             "current": {"obj": obj,
                         "old": {int(p): int(w) for p, w in old.items()},
                         "flipped": flipped},
             "complete": False,
-        }
+        })
 
     def __repr__(self) -> str:
         return (f"ReshardEngine({len(self.actions)} actions, "

@@ -7,8 +7,11 @@ a majority M = floor(A/2) + 1 of them, and e = 1 when the coordinator
 is itself a participant, else 0:
 
 * **2PC:** ``prepare``, ``prepare-reply`` and ``release`` to each remote
-  participant, 3(N - e) messages; one forced ``prepare`` per
-  participant plus the forced decision, N + 1 forced writes.
+  participant, 3(N - e) messages, committed or not.  Presumed abort
+  forces only what recovery reads: a ``prepare`` record per writing
+  share that voted yes (W of them) and the decision of a commit that
+  wrote, W + [committed and W > 0] forced writes.  A read-only commit
+  forces nothing; with no remote participant it journals nothing.
 * **Paxos Commit:** N - e ``prepare`` and N - e ``release``; each RM
   sends its ballot-0 vote to the other M - 1 acceptors of its fast set
   (the leader, itself, then the lowest others), N(M - 1)
@@ -32,6 +35,7 @@ counts the messages it sends by kind and the forced writes it makes.
 """
 
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -44,30 +48,52 @@ COMMIT_KINDS = ("prepare", "prepare-reply", "release", "px-accept",
                 "px-accepted", "px-p1", "px-p2", "txn-status")
 
 
-def run_one_commit(backend: str, processors: int, writes, sync: float):
-    """Counts of one transaction writing object i on ``writes[i]``."""
+class Cost(NamedTuple):
+    #: commit messages sent, by kind
+    kinds: Counter
+    forced: int
+    #: WAL records journalled, forced or not
+    appended: int
+    #: when the transaction ended, relative to its start
+    latency: float
+
+
+def run_one_commit(backend: str, processors: int, writes, sync: float,
+                   reads=(), refuser=None) -> Cost:
+    """Costs of one transaction writing object i on ``writes[i]`` and
+    reading object r, held only by ``reads[r]``, there; ``refuser``
+    votes no, so the transaction aborts after its prepare round."""
     config = ProtocolConfig(delta=1.0, storage_sync_cost=sync,
                             commit_backend=backend)
     cluster = Cluster(processors=processors, seed=1, config=config)
     for i, holders in enumerate(writes):
         cluster.place(f"o{i}", holders=holders, initial=0)
+    for r, holder in enumerate(reads):
+        cluster.place(f"r{r}", holders=[holder], initial=0)
     cluster.start()
     cluster.run(until=5.0)
+    if refuser is not None:
+        cluster.protocol(refuser)._vote = lambda txn, payload: "refused"
     sent = []
     cluster.network.tap = sent.append
     store = cluster.registry.sources["storage"]
-    forced = store.forced_syncs
+    forced, appended = store.forced_syncs, store.wal_appends
 
     def body(txn):
+        for r in range(len(reads)):
+            yield from txn.read(f"r{r}")
         for i in range(len(writes)):
             yield from txn.write(f"o{i}", 1)
         return 1
 
+    start = cluster.sim.now
     outcome = cluster.submit(1, body)
-    cluster.run(until=cluster.sim.now + 40.0)
-    assert outcome.value == (True, 1)
-    kinds = Counter(m.kind for m in sent if m.kind in COMMIT_KINDS)
-    return kinds, store.forced_syncs - forced
+    cluster.run(until=start + 40.0)
+    assert outcome.value[0] is (refuser is None), outcome.value
+    (record,) = cluster.history.txns.values()
+    return Cost(Counter(m.kind for m in sent if m.kind in COMMIT_KINDS),
+                store.forced_syncs - forced, store.wal_appends - appended,
+                record.end_time - start)
 
 
 def fast_set(acceptors: int, rm: int) -> set:
@@ -111,21 +137,73 @@ CASES = [
 PRICED_FORCED = [7, 7, 9, 4, 4, 6, 7, 6, 4]
 
 
-@pytest.mark.parametrize("sync", [0.0, 0.5])
-@pytest.mark.parametrize("processors, writes", CASES)
-def test_two_phase_commit_costs_its_closed_form(processors, writes, sync):
-    kinds, forced = run_one_commit("2pc", processors, writes, sync)
-    rms = set().union(*writes)
+#: (processors, holders of each written object, the holder of each
+#: read object, the processor that votes no): presumed abort's cases
+PRESUMED_ABORT_CASES = {
+    "read-only": (5, [], [1, 2, 3], None),
+    "read-only-remote": (5, [], [2, 3], None),
+    "read-only-local": (5, [], [1], None),
+    "one-share-reads": (5, [[1, 2]], [3], None),
+    "coordinator-reads": (5, [[2, 3]], [1], None),
+    # aborted after the prepare round: the refuser's share and the
+    # decision force nothing
+    "aborted": (5, [[1, 2, 3]], [], 3),
+    "aborted-reader-refuses": (5, [[2]], [3], 3),
+    "aborted-writer-refuses": (5, [[2, 3]], [1], 2),
+}
+
+
+def two_phase_closed_form(processors, writes, sync, reads=(), refuser=None):
+    kinds, forced, *_ = run_one_commit("2pc", processors, writes, sync,
+                                       reads, refuser)
+    writers = set().union(set(), *writes)
+    rms = writers | set(reads)
     remote = len(rms) - int(1 in rms)  # N - e: 3(N - e) messages
     assert kinds == Counter({"prepare": remote, "prepare-reply": remote,
                              "release": remote}) - Counter()
-    assert forced == len(rms) + 1
+    voted_yes = writers - {refuser}  # W: writing shares that voted yes
+    committed = refuser is None
+    assert forced == len(voted_yes) + (committed and bool(voted_yes))
+
+
+@pytest.mark.parametrize("sync", [0.0, 0.5])
+@pytest.mark.parametrize("processors, writes", CASES)
+def test_two_phase_commit_costs_its_closed_form(processors, writes, sync):
+    two_phase_closed_form(processors, writes, sync)
+
+
+@pytest.mark.parametrize("sync", [0.0, 0.5])
+@pytest.mark.parametrize("case", PRESUMED_ABORT_CASES)
+def test_presumed_abort_forces_only_what_recovery_reads(case, sync):
+    processors, writes, reads, refuser = PRESUMED_ABORT_CASES[case]
+    two_phase_closed_form(processors, writes, sync, reads, refuser)
+
+
+@pytest.mark.parametrize("case", PRESUMED_ABORT_CASES)
+def test_only_a_force_made_is_waited_for(case):
+    """Priced, a transaction is later by one sync for a remote writing
+    share's yes vote (the coordinator's own force overlaps the votes'
+    round trip) and one for a commit decision that wrote; an abort's
+    decision and a read-only share delay nothing."""
+    processors, writes, reads, refuser = PRESUMED_ABORT_CASES[case]
+    free, priced = (run_one_commit("2pc", processors, writes, sync, reads, refuser)
+                    for sync in (0.0, 0.5))
+    voted_yes = set().union(set(), *writes) - {refuser}
+    syncs = bool(voted_yes - {1}) + (refuser is None and bool(voted_yes))
+    assert priced.latency - free.latency == 0.5 * syncs
+
+
+@pytest.mark.parametrize("sync", [0.0, 0.5])
+def test_a_local_read_only_commit_journals_nothing(sync):
+    # no remote share can ask for the outcome and no write hangs on it
+    cost = run_one_commit("2pc", 3, [], sync, reads=[1])
+    assert (cost.kinds, cost.forced, cost.appended) == (Counter(), 0, 0)
 
 
 @pytest.mark.parametrize("sync", [0.0, 0.5])
 @pytest.mark.parametrize("processors, writes", CASES)
 def test_paxos_commit_costs_its_closed_form(processors, writes, sync):
-    kinds, forced = run_one_commit("paxos", processors, writes, sync)
+    kinds, forced, *_ = run_one_commit("paxos", processors, writes, sync)
     rms = set().union(*writes)
     n, e, a = len(rms), int(1 in rms), processors
     m = a // 2 + 1

@@ -47,7 +47,7 @@ def chosen_everywhere(cluster, txn) -> bool:
     """Whether every processor's instance of ``txn`` is accepted at a
     majority of the processors (each is an RM and an acceptor here)."""
     def accepted(pid, rm):
-        value = cluster.processor(pid).store.durable_cell(f"px:{txn}:{rm}").value
+        value = cluster.processor(pid).store.cell(f"px:{txn}:{rm}")
         return value is not None and value[1] is not None
 
     pids = cluster.pids
@@ -274,8 +274,8 @@ def test_a_refused_own_accept_is_not_counted():
     cluster.start()
     cluster.run(until=5.0)
     txn = (1, 1)
-    cell = cluster.processor(2).store.durable_cell(f"px:{txn}:2")
-    cell.value = (BALLOT_STRIDE + 3, None, None)  # p3's first ballot
+    # p3's first ballot
+    cluster.processor(2).store.write_cell(f"px:{txn}:2", (BALLOT_STRIDE + 3, None, None))
     leader = cluster.protocol(1).commit
     tallied = []
     note = leader._note_accepted

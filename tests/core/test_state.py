@@ -63,14 +63,24 @@ def test_max_id_monotonic(state):
 def test_storeless_state_journals_its_max_id_bump_as_a_forced_record(state):
     """Built without a store, the state makes its own engine: there is
     no un-journalled kind of durable cell."""
-    engine = state._max_id._engine
+    engine = state._store
     assert engine.stats.forced_syncs == 0
     state.max_id = VpId(5, 1)
     assert engine.stats.forced_syncs == 1
     record = list(engine.wal)[-1]
     assert (record.kind, record.cell, record.value, record.forced) == (
         "cell", "max-id", VpId(5, 1), True)
-    assert engine.rebuilt().durable_cell("max-id").value == VpId(5, 1)
+    assert engine.rebuilt().cell("max-id") == VpId(5, 1)
+
+
+def test_a_state_on_a_used_engine_keeps_its_max_id(state):
+    # a boot over the same engine finds the value it left: the live
+    # value wins over the new boot identifier, and nothing is journalled
+    state.max_id = VpId(42, 3)
+    appends = state._store.stats.wal_appends
+    again = ReplicaState(pid=3, sim=Simulator(), store=state._store)
+    assert again.max_id == VpId(42, 3)
+    assert state._store.stats.wal_appends == appends
 
 
 def test_max_id_survives_crash(state):

@@ -60,8 +60,7 @@ def _assert_rebuilds_cleanly(cluster):
             f"replay diverged on p{pid}"
         # the durable max-id cell individually, since everything hangs
         # off identifiers staying monotone across crashes
-        assert (rebuilt.durable_cell("max-id").value
-                == engine.durable_cell("max-id").value)
+        assert rebuilt.cell("max-id") == engine.cell("max-id")
         assert rebuilt.snapshot().decisions == engine.snapshot().decisions
         replayed += rebuilt.stats.replayed_records
     return replayed
@@ -88,23 +87,22 @@ def test_rebuilt_engines_equal_with_checkpoints_and_compaction():
 
 
 def test_a_cell_created_and_never_written_journals_nothing():
-    """A durable cell made with a None initial (a Paxos acceptor cell a
+    """A durable cell read but never written (a Paxos acceptor cell a
     preempted promise never wrote) appends no WAL record, is in no
     snapshot, and comes back from replay as None; its first write is
     journalled and replayed like any other."""
     engine = StorageEngine(1)
     engine.place("x", initial=0)
-    fresh = engine.durable_cell("px:t1:2")
-    assert fresh.value is None
+    assert engine.cell("px:t1:2") is None
     assert [r.kind for r in engine.wal] == ["place"]
     assert engine.stats.wal_appends == 1
     assert "px:t1:2" not in engine.snapshot().cells
     rebuilt = engine.rebuilt()
     assert rebuilt.snapshot() == engine.snapshot()
-    assert rebuilt.durable_cell("px:t1:2").value is None
-    fresh.write((0, 0, "prepared"), forced=False)
+    assert rebuilt.cell("px:t1:2") is None
+    engine.write_cell("px:t1:2", (0, 0, "prepared"), forced=False)
     assert engine.stats.forced_syncs == 0 and engine.stats.wal_appends == 2
-    assert engine.rebuilt().durable_cell("px:t1:2").value == (0, 0, "prepared")
+    assert engine.rebuilt().cell("px:t1:2") == (0, 0, "prepared")
 
 
 def test_rebuilt_engines_equal_under_paxos_commit():

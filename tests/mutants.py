@@ -24,10 +24,11 @@ from contextlib import contextmanager
 from repro import cli
 from repro.analysis.history import History, PhysicalOp, ReshardFlip
 from repro.commit.paxos import PaxosCommit
+from repro.commit.two_phase import TwoPhaseCommit
 from repro.shard.reshard import _FAILED, ReshardEngine
 
 
-def _unguarded_cutover(self, processor, cell, obj, old, target, adds, size):
+def _unguarded_cutover(self, processor, store, obj, old, target, adds, size):
     """No staging, no gates, no epoch bump.
 
     Installs land as orphan copies (nothing was staged), the entry is
@@ -50,7 +51,7 @@ def _unguarded_cutover(self, processor, cell, obj, old, target, adds, size):
     placement._flips += 1
     placement._accessible.clear()  # a changed placement's R1 sets are stale
     self.stats.flips += 1
-    self._journal_current(cell, obj, old, flipped=True)
+    self._journal_current(store, obj, old, flipped=True)
     cluster.history.record(ReshardFlip(
         cluster.sim.now, processor.pid, obj, old, target, epoch_before,
         placement.epoch_of(obj), adds))
@@ -123,9 +124,25 @@ def leader_vote_on_bare_call():
         PaxosCommit._cast_vote = original
 
 
+@contextmanager
+def writer_skips_prepare():
+    """A 2PC share that holds a before-image is treated as read-only:
+    its yes vote forces no prepare record and a crash forgets its doubt,
+    undoing a write its coordinator may commit.
+    ``tests/commit/test_presumed_abort.py``'s writing-share crash
+    convicts it."""
+    original = TwoPhaseCommit._wrote
+    TwoPhaseCommit._wrote = lambda self, txn: False
+    try:
+        yield
+    finally:
+        TwoPhaseCommit._wrote = original
+
+
 MUTANTS = {"install_order_last": install_order_last,
            "leader_vote_on_bare_call": leader_vote_on_bare_call,
-           "unguarded_flip": unguarded_flip}
+           "unguarded_flip": unguarded_flip,
+           "writer_skips_prepare": writer_skips_prepare}
 
 
 def main(argv=None) -> int:

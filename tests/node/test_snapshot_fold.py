@@ -33,13 +33,13 @@ from tests.node.reference_snapshot import reference_snapshot
 
 OBJECTS = ("a", "b", "c")
 CELLS = ("max-id", "px:t1:1")
-#: cells made with a None initial; ``cell_set`` writes the second
+#: cells only read (never written: None); ``cell_set`` writes the second
 FRESH = ("px:t2:1", "px:t1:1")
 TXNS = ("t1", "t2", "t3")
 OUTCOMES = ("undecided", "commit", "abort")
 #: ``write`` twice: logs must outgrow ``log_retain`` for trims to happen
 OPS = ("place", "write", "write", "install", "apply_log", "retire",
-       "durable_cell", "fresh_cell", "cell_set", "record_prepare", "record_decision",
+       "cell_create", "cell_read", "cell_set", "record_prepare", "record_decision",
        "checkpoint", "checkpoint_uncompacted", "rebuilt")
 
 
@@ -97,12 +97,13 @@ class Driven:
         elif op == "retire":
             if engine.holds(obj):
                 engine.retire(obj)
-        elif op == "durable_cell":
-            engine.durable_cell(CELLS[i % 2], (j, 0))
-        elif op == "fresh_cell":  # created with None: journals nothing
-            engine.durable_cell(FRESH[i % 2])
+        elif op == "cell_create":  # unless it holds a value already
+            if engine.cell(CELLS[i % 2]) is None:
+                engine.write_cell(CELLS[i % 2], (j, 0), forced=False)
+        elif op == "cell_read":  # journals nothing
+            engine.cell(FRESH[i % 2])
         elif op == "cell_set":
-            engine.durable_cell(CELLS[i % 2], (0, 0)).value = self.tick()
+            engine.write_cell(CELLS[i % 2], self.tick())
         elif op == "record_prepare":
             engine.record_prepare(TXNS[i], OBJECTS[:j + 1])
         elif op == "record_decision":

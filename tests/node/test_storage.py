@@ -98,8 +98,10 @@ def test_object_size_for_transfer_costs():
         store.place("bad", size=0)
 
 
-def test_durable_cell_roundtrip():
-    cell = StorageEngine(1).durable_cell("max-id", (0, 1))
-    assert cell.value == (0, 1)
-    cell.value = (5, 2)
-    assert cell.value == (5, 2)
+def test_cell_roundtrip():
+    engine = StorageEngine(1)
+    assert engine.cell("max-id") is None  # never written
+    engine.write_cell("max-id", (0, 1))
+    assert engine.cell("max-id") == (0, 1)
+    engine.write_cell("max-id", (5, 2))
+    assert engine.cell("max-id") == (5, 2)

@@ -140,28 +140,19 @@ def test_force_write_points_are_counted():
     engine.record_prepare("t1", objects={"x"})
     engine.record_decision("t1", "commit")
     engine.record_decision("t2", "undecided", forced=False)
-    cell = engine.durable_cell("max-id", 0)
-    cell.value = 7  # a max-id bump is forced
+    engine.write_cell("max-id", 0, forced=False)
+    engine.write_cell("max-id", 7)  # a max-id bump is forced
     assert engine.stats.forced_syncs == 3  # prepare, commit, cell bump
     assert engine.stats.wal_appends == 5   # + undecided + cell creation
     assert engine.snapshot().decisions == {"t1": "commit",
                                            "t2": "undecided"}
 
 
-def test_durable_cell_reacquisition_is_idempotent():
-    engine = StorageEngine(1)
-    cell = engine.durable_cell("max-id", 10)
-    cell.value = 42
-    again = engine.durable_cell("max-id", 0)
-    assert again is cell
-    assert again.value == 42  # live value wins over the new initial
-
-
 def test_snapshot_is_pure_and_is_what_checkpoint_stores():
     engine = StorageEngine(1, log_retain=1)
     engine.place("x", initial=0)
     engine.write("x", 1, (1, 1), "v1")
-    engine.durable_cell("max-id", (0, 1)).value = (1, 1)
+    engine.write_cell("max-id", (1, 1))
     engine.record_decision("t1", "commit")
     before = (len(engine.wal), engine.stats.checkpoints,
               engine.retained_entries(), engine.last_checkpoint)
@@ -185,7 +176,7 @@ def test_checkpoint_truncates_wal_and_rebuild_roundtrips():
     engine = StorageEngine(1)
     engine.place("x", initial=0, size=5)
     engine.write("x", 1, (1, 1), "v1")
-    engine.durable_cell("max-id", (0, 1)).value = (1, 1)
+    engine.write_cell("max-id", (1, 1))
     engine.record_decision("t1", "commit")
     engine.checkpoint()
     assert len(engine.wal) == 0  # prefix captured by the snapshot
@@ -195,7 +186,7 @@ def test_checkpoint_truncates_wal_and_rebuild_roundtrips():
     assert rebuilt.snapshot() == engine.snapshot()
     assert rebuilt.stats.replayed_records == 2
     assert rebuilt.stats.replayed_bytes > 0
-    assert rebuilt.durable_cell("max-id").value == (1, 1)
+    assert rebuilt.cell("max-id") == (1, 1)
     assert rebuilt.snapshot().decisions == {"t1": "commit", "t2": "abort"}
 
 
@@ -376,14 +367,16 @@ def _refrozen_by_a_small_change(copies, cells, decisions):
     engine = StorageEngine(1, checkpoint_every=0, log_retain=8)
     for n in range(copies):
         engine.place(f"o{n}", initial=n, date=(0, 1))
-    held = [engine.durable_cell(f"px:{n}", (n, n)) for n in range(cells)]
+    for n in range(cells):
+        engine.write_cell(f"px:{n}", (n, n), forced=False)
     for n in range(decisions):
         engine.record_decision(f"t{n}", "undecided", forced=False)
     old = engine.checkpoint().state
     touched = {"o1", f"o{copies // 2}", f"o{copies - 1}"}
     for obj in sorted(touched):
         engine.write(obj, "new", (1, 1), "v1")
-    held[0].value = held[-1].value = (9, 9)
+    engine.write_cell("px:0", (9, 9))
+    engine.write_cell(f"px:{cells - 1}", (9, 9))
     engine.record_decision("t0", "commit")
     engine.record_decision(f"t{decisions}", "abort")
     new = engine.checkpoint().state
@@ -421,7 +414,7 @@ def test_checkpoint_layers_stay_logarithmic():
     checkpoint) and still equals the full walk."""
     engine = StorageEngine(1, checkpoint_every=0)
     for n in range(1024):
-        engine.durable_cell(f"c{n}", n)
+        engine.write_cell(f"c{n}", n, forced=False)
         engine.record_decision(f"t{n}", "commit")
         engine.checkpoint()
         if n % 100 == 0:
@@ -444,7 +437,7 @@ def test_stored_snapshots_share_no_mutable_state_with_the_engine():
     engine = StorageEngine(1, log_retain=2)
     engine.place("x", initial=0)
     engine.place("y", initial=0)
-    cell = engine.durable_cell("max-id", (0, 1))
+    engine.write_cell("max-id", (0, 1), forced=False)
     engine.record_decision("t1", "undecided", forced=False)
     previous = engine.checkpoint().state
     engine.write("x", 1, (1, 1), "v1")
@@ -456,8 +449,8 @@ def test_stored_snapshots_share_no_mutable_state_with_the_engine():
     for n in range(2, 6):
         engine.write("x", n, (n, 1), f"v{n}")
     engine.retire("y")
-    cell.value = (7, 1)
-    engine.durable_cell("px:t1:1", "yes")
+    engine.write_cell("max-id", (7, 1))
+    engine.write_cell("px:t1:1", "yes", forced=False)
     engine.record_decision("t1", "commit")
     engine.record_decision("t2", "abort")
     assert engine.last_checkpoint.state is current
