@@ -73,7 +73,7 @@ def owner(traceback) -> str:
     callers = {f.filename[len(SRC):] for f in frames[:-1]}
     storage = rel == "node/storage/engine.py"
     if rel.startswith("analysis/") or (
-            rel in ("core/access.py", "protocols/common.py") and in_record):
+            rel in ("core/access.py", "protocols/base.py") and in_record):
         return "History"
     if any(append in text for append in SAMPLE_APPENDS):
         return "registry sample lists"

@@ -78,7 +78,8 @@ class CrashDepart(Depart):
 
 # -- facts History keeps no list of: its readers see them, then they go ----
 
-#: a decider journalled ``outcome`` (or ``"undecided"``) for ``txn``
+#: a decider reached ``outcome`` for ``txn`` (a 2PC coordinator reports
+#: the open of its decision-log entry as ``"undecided"``)
 Decision = NamedTuple("Decision", [("time", float), ("pid", int),
                                    ("txn", Any), ("outcome", str)])
 #: ``pid`` applied ``txn``'s ``outcome`` to its copies

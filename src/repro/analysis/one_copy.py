@@ -48,9 +48,6 @@ class OneCopyResult:
     violation: Optional[str] = None  # why not, if not ok
     cycle: Tuple[Edge, ...] = ()  # the graph cycle ``violation`` prints
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def format_cycle(cycle: Sequence[Edge]) -> str:
     """``t1 -ww x→ t2 -rw x→ t1``; tuple ids print without spaces."""

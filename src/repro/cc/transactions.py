@@ -1,12 +1,14 @@
 """Transactions over a replica control protocol.
 
 The transaction manager gives each processor the classic begin /
-read / write / commit / abort interface, delegating logical operations
-to whatever :class:`~repro.protocols.base.ReplicaControlProtocol` the
-experiment installed.  Concurrency control is strict 2PL on copies —
-locks are acquired inside the protocol's physical access servers and
-released by the end-of-transaction decision messages — which satisfies
-assumption A1 (CP-serializability).
+read / write / commit interface, delegating logical operations to
+whatever :class:`~repro.protocols.base.ReplicaControlProtocol` the
+experiment installed; a transaction counts each logical read and write
+as it enters (``ProtocolMetrics.logical_reads`` / ``logical_writes``).
+Concurrency control is strict 2PL on copies — locks are acquired
+inside the protocol's physical access servers and released by the
+end-of-transaction decision messages — which satisfies assumption A1
+(CP-serializability).
 
 Failure semantics: any :class:`~repro.core.errors.AccessAborted` from a
 logical operation aborts the whole transaction (the paper's ``signal
@@ -42,6 +44,7 @@ class Transaction:
     def read(self, obj: str):
         """Logical read; aborts the transaction on failure."""
         self._check_open()
+        self._manager.protocol.metrics.logical_reads += 1
         try:
             value = yield from self._manager.protocol.logical_read(
                 obj, self.ctx
@@ -54,6 +57,7 @@ class Transaction:
     def write(self, obj: str, value: Any):
         """Logical write; aborts the transaction on failure."""
         self._check_open()
+        self._manager.protocol.metrics.logical_writes += 1
         try:
             yield from self._manager.protocol.logical_write(
                 obj, value, self.ctx
@@ -90,11 +94,6 @@ class Transaction:
         if self._manager.tracer is not None:
             self._manager.tracer.emit("txn.commit", pid=self._manager.pid,
                                       txn=str(self.txn_id))
-
-    def abort(self, reason: str = "user abort"):
-        """Voluntary abort."""
-        self._check_open()
-        yield from self._abort(reason)
 
     # -- internals -----------------------------------------------------------
 

@@ -65,9 +65,6 @@ class SessionCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, obj: str) -> bool:
         return obj in self._entries
 

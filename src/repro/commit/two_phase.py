@@ -54,12 +54,11 @@ class TwoPhaseCommit(AtomicCommit):
         # Open the decision-log entry before any participant can vote
         # yes: an in-doubt participant querying us must find at least
         # "undecided", never a missing entry (which means presumed abort).
-        # Journalled unforced — presumed abort means its *absence* is
-        # already safe, so the open needs no sync of its own — and not
-        # at all when no share can ask or keeps a write.
+        # Not journalled: only the in-memory map answers an open
+        # transaction, and a crash journals the presumed abort over it.
         if ctx.txn_id not in self.decisions and self._journalled(ctx):
             self.decisions[ctx.txn_id] = "undecided"
-            self._log_decision(ctx.txn_id, "undecided", forced=False)
+            self._log_decision(ctx.txn_id, "undecided", forced=None)
         reason = self.host._r4_screen(ctx)
         if reason is not None:
             raise TransactionAborted(ctx.txn_id, reason)

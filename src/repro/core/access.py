@@ -1,8 +1,11 @@
 """Rules R1–R4: logical reads/writes and the physical access rules.
 
-Implements Figures 10 (``Logical-Read``), 11 (``Logical-Write``) and
-the rules of 12 (``Physical-Access``, served by every protocol's one
-copy server in :mod:`repro.protocols.base`), integrated with strict
+Implements what Figures 10 (``Logical-Read``) and 11
+(``Logical-Write``) add to every protocol's read-one / write-all walk
+— the R1 gate, the copies in the view, the request's ``v``/``pe``
+stamp and the view-change rules for a silent copy — and the rules of
+12 (``Physical-Access``); the walks and the copy server that serves
+them are :mod:`repro.protocols.base`'s.  They are integrated with strict
 two-phase locking on copies (the concurrency control protocol assumed
 by §6's optimization discussion) and a prepare round at commit so that
 rule R4 holds even when a server joins a new partition after
@@ -26,136 +29,57 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..analysis.history import CommittedWrite, DecisionApplied, LogicalAccess, LogicalOp
+from ..analysis.history import CommittedWrite, DecisionApplied
 from ..protocols.base import REJECT_POISONED, REJECT_STALE_PLACEMENT, REJECT_WRONG_PARTITION
-from .errors import AccessAborted
 
 
 class AccessMixin:
     """Client-side logical operations + server-side physical access rules."""
 
     # ------------------------------------------------------------------
-    # client side: Fig. 10 — Logical-Read
+    # client side: Figs. 10–11 — Logical-Read, Logical-Write
     # ------------------------------------------------------------------
+    # The walks are ``ReplicaControlProtocol``'s; these add the R1 gate,
+    # the copies in the view and the request's stamp: the view ``v``
+    # and the placement epoch ``pe`` (R4's reshard arm — servers reject
+    # a mismatch and the commit vote re-checks it).
 
     def logical_read(self, obj: str, ctx):
         """Read the nearest available copy of ``obj`` (rules R1 + R2)."""
-        self.metrics.logical_reads += 1
         state = self.state
-        if not (state.assigned and self.directory.accessible(obj, state.lview)):
-            self.metrics.abort("r", "inaccessible")
-            raise AccessAborted(obj, "inaccessible")
+        if not self.available(obj, False):
+            self._fail(obj, "r", "inaccessible")
         candidates = self.directory.read_candidates(
-            obj, state.lview, self.distance
-        )
-        if not candidates:
-            self.metrics.abort("r", "no-copy-in-view")
-            raise AccessAborted(obj, "no copy in view")
-        vpid = state.cur_id
-        # R4 stamp: remember which placement epoch this access routed
-        # on; servers reject mismatches and the commit vote re-checks.
-        ctx.placement_epochs[obj] = self.directory.route_epoch(obj)
-        attempts = candidates if self.config.read_retry else candidates[:1]
-        request = {"obj": obj, "v": vpid, "txn": ctx.txn_id,
-                   "ts": ctx.timestamp, "pe": ctx.placement_epochs[obj]}
-        last_reason = "no-response"
-        for server in attempts:
-            if server == self.pid:
-                self.metrics.local_reads += 1
-            self.metrics.physical_read_rpcs += 1
-            payload = (yield from self.processor.scatter(
-                (server,), "read", lambda _server: request,
-                timeout=self.config.access_timeout).gather())[server]
-            if payload is None:  # silence
-                last_reason = "no-response"
-                if state.cur_id != vpid or not state.assigned:
-                    break
-                continue  # R2: retry the next-nearest copy
-            if payload["ok"]:
-                value = payload["value"]
-                self.history.record(LogicalAccess(
-                    LogicalOp(self.sim.now, ctx.txn_id, "r", obj, value,
-                              payload["version"]),
-                    self.pid, vpid, (server,),
-                    ctx.placement_epochs.get(obj, 0)))
-                ctx.note_access("r", obj, server, vpid)
-                ctx.read_versions[obj] = (payload["version"], self.sim.now)
-                return value
-            last_reason = payload["reason"]
-            # a refusal ends the read — a partition mismatch would repeat
-            # elsewhere, a lock timeout is a probable deadlock to break;
-            # only silence moves on to the next-nearest copy
-            break
-        if last_reason == "no-response":
-            # Fig. 10 line 5: a silent copy means the view is stale —
-            # unless the view already changed while the read was in
-            # flight: then the silence is explained by the transition
-            # (servers hold accesses while copies are locked), a
-            # successor partition already exists, and minting another
-            # would churn views under steady retry load.
-            if state.assigned and state.cur_id == vpid:
-                self.create_new_vp()
-        self.metrics.abort("r", last_reason)
-        raise AccessAborted(obj, last_reason)
-
-    # ------------------------------------------------------------------
-    # client side: Fig. 11 — Logical-Write
-    # ------------------------------------------------------------------
+            obj, state.lview, self.distance)
+        epoch = ctx.placement_epochs[obj] = self.directory.route_epoch(obj)
+        payload = yield from self._read_one(
+            obj, ctx, candidates if self.config.read_retry else candidates[:1],
+            "no-copy-in-view", v=state.cur_id, pe=epoch)
+        return payload["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):
         """Write every copy of ``obj`` in the view (rules R1 + R3)."""
-        self.metrics.logical_writes += 1
         state = self.state
-        if not (state.assigned and self.directory.accessible(obj, state.lview)):
-            self.metrics.abort("w", "inaccessible")
-            raise AccessAborted(obj, "inaccessible")
-        vpid = state.cur_id
-        version = ctx.next_version()
-        ctx.placement_epochs[obj] = self.directory.route_epoch(obj)
-        route_epoch = ctx.placement_epochs[obj]
-        targets = self.directory.write_targets(obj, state.lview)
+        if not self.available(obj, True):
+            self._fail(obj, "w", "inaccessible")
+        epoch = ctx.placement_epochs[obj] = self.directory.route_epoch(obj)
         self.processor.transport.routed_fanouts += 1
-        call = self.processor.scatter(
-            targets, "write",
-            lambda _server: {"obj": obj, "value": value, "v": vpid,
-                             "txn": ctx.txn_id, "ts": ctx.timestamp,
-                             "version": version, "pe": route_epoch},
-            timeout=self.config.access_timeout,
-        )
-        self.metrics.physical_write_rpcs += len(targets)
-        results = yield from call.gather()
-        outcomes = []
-        for server in targets:
-            reply = results[server]
-            if reply is None:
-                outcomes.append(("no-response", server))
-            elif reply["ok"]:
-                outcomes.append(("ok", server))
-            else:
-                outcomes.append((reply["reason"], server))
-        failures = [o for o in outcomes if o[0] != "ok"]
-        if failures:
-            reason = failures[0][0]
-            if reason == "no-response":
-                # Fig. 11 line 8: an unresponsive copy triggers a new
-                # VP — but only when the view is still the one the
-                # write was issued in (see logical_read: silence during
-                # a transition is stale evidence, not a new failure).
-                if state.assigned and state.cur_id == vpid:
-                    self.create_new_vp()
-            for status, server in outcomes:
-                if status == "ok":
-                    ctx.note_access("w", obj, server, vpid)
-            ctx.poison(f"write {obj!r} failed at "
-                       f"{sorted(s for _, s in failures)}: {reason}")
-            self.metrics.abort("w", reason)
-            raise AccessAborted(obj, reason)
-        for _status, server in outcomes:
-            ctx.note_access("w", obj, server, vpid)
-        self.history.record(LogicalAccess(
-            LogicalOp(self.sim.now, ctx.txn_id, "w", obj, value, version),
-            self.pid, vpid, tuple(targets), route_epoch))
-        return None
+        yield from self._write_all(
+            obj, value, ctx, self.directory.write_targets(obj, state.lview),
+            v=state.cur_id, pe=epoch)
+
+    def _view_holds(self, vpid) -> bool:
+        """Silence is news only in the view the access was issued in:
+        once the view changed, the transition explains it (servers hold
+        accesses while copies are locked) and a successor partition
+        already exists — a read stops, and minting another would churn
+        views under steady retry load."""
+        return self.state.assigned and self.state.cur_id == vpid
+
+    def _silenced(self) -> None:
+        """Figs. 10–11, line 5 / 8: a silent copy means the view is
+        stale — create a new virtual partition."""
+        self.create_new_vp()
 
     def available(self, obj: str, write: bool) -> bool:
         """R1 as a pure predicate (reads and writes gate identically)."""

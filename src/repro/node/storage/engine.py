@@ -288,8 +288,8 @@ class StorageEngine:
         """Journal a coordinator decision-log entry.
 
         ``forced=True`` for a commit that wrote (the force-write before
-        any decide message leaves); an abort, a read-only commit and the
-        ``undecided`` open ride unforced (presumed abort).
+        any decide message leaves); an abort and a read-only commit ride
+        unforced (presumed abort).
         """
         self._decisions[txn] = outcome
         self._journal(REC_DECISION, forced=forced, txn=txn, outcome=outcome)

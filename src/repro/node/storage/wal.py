@@ -37,7 +37,7 @@ REC_INSTALL = "install"
 REC_APPLY = "apply"
 #: a durable scalar cell changed (e.g. the protocol's ``max-id``)
 REC_CELL = "cell"
-#: a coordinator decision-log entry (undecided / commit / abort)
+#: a coordinator decision-log entry (commit / abort)
 REC_DECISION = "decision"
 #: a participant's yes-vote prepare record (2PC uncertainty window)
 REC_PREPARE = "prepare"

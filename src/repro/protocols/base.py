@@ -14,12 +14,17 @@ that raise :class:`~repro.core.errors.AccessAborted` on failure, and
 the transaction context supplied by the transaction manager;
 protocols record participants and partition ids into it so
 commit-time validation (rule R4 and its weakened variant) can run.
+The transaction counts each logical access as it enters.
 
-A physical access (a ``read`` or ``write`` request) is served here,
-for every protocol, by Fig. 12's Physical-Access shape: a gate, a
-refusal check, CC admission, then the before-image, the store write
-and its priced journal append.  A protocol supplies only its rules:
-``_gate``, ``_refusal`` and ``_write_date``.
+Both sides of a physical access live here.  The client walks are Fig.
+10's read-one (``_read_one``: the first candidate that answers serves)
+and Fig. 11's write-all (``_write_all``: every target acknowledges);
+a protocol picks the copies and the request's stamp, and supplies
+``_view_holds`` and ``_silenced``, the rules for a silent copy.  The
+copy server is Fig. 12's Physical-Access shape: a gate, a refusal
+check, CC admission, then the before-image, the store write and its
+priced journal append; a protocol supplies ``_gate``, ``_refusal`` and
+``_write_date``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List
 
-from ..analysis.history import PhysicalOp
+from ..analysis.history import LogicalAccess, LogicalOp, PhysicalOp
 from ..cc.factory import make_cc
 from ..commit import make_commit
+from ..core.errors import AccessAborted
 
 #: payload reasons a server may refuse a physical access (or a vote) with
 REJECT_LOCK_TIMEOUT = "lock-timeout"
@@ -263,6 +269,97 @@ class ReplicaControlProtocol:
         else the copy's own."""
         date = payload.get("date")
         return old_date if date is None else date
+
+    # ------------------------------------------------------------------
+    # the client walk: Figs. 10–11's loops, for every protocol
+    # ------------------------------------------------------------------
+    # ``stamp`` is what a protocol adds to each request (VP: the view
+    # ``v`` and the placement epoch ``pe``); ``v`` is also the view the
+    # access was issued in, the one ``_view_holds`` judges.
+
+    def _read_one(self, obj: str, ctx, candidates: Iterable[int],
+                  last_reason: str, **stamp):
+        """Generator: read ``obj`` at the first of ``candidates`` that
+        answers (Fig. 10).  Silence moves on to the next copy while the
+        read's view holds; a refusal ends the read — a partition
+        mismatch would repeat elsewhere, a lock timeout is a probable
+        deadlock to break.  Returns the served reply; an abort carries
+        the refusal, ``"no-response"``, or ``last_reason`` if there was
+        no candidate."""
+        vpid = stamp.get("v")
+        request = {"obj": obj, "txn": ctx.txn_id, "ts": ctx.timestamp,
+                   **stamp}
+        for server in candidates:
+            self.metrics.physical_read_rpcs += 1
+            if server == self.pid:
+                self.metrics.local_reads += 1
+            payload = (yield from self.processor.scatter(
+                (server,), "read", lambda _s: request,
+                timeout=self.config.access_timeout).gather())[server]
+            if payload is None:
+                last_reason = "no-response"
+                if self._view_holds(vpid):
+                    continue  # R2: the next-nearest copy
+                break
+            if payload["ok"]:
+                self._record_logical(ctx, "r", obj, payload["value"],
+                                     payload["version"], (server,), **stamp)
+                ctx.note_access("r", obj, server, vpid)
+                ctx.read_versions[obj] = (payload["version"], self.sim.now)
+                return payload
+            last_reason = payload["reason"]
+            break
+        self._fail(obj, "r", last_reason, vpid)
+
+    def _write_all(self, obj: str, value: Any, ctx, targets: list,
+                   **stamp):
+        """Generator: write ``obj`` at every copy in ``targets`` (Fig.
+        11).  Each must acknowledge, or the write — and its transaction
+        — aborts with its first failing target's reason."""
+        vpid = stamp.get("v")
+        version = ctx.next_version()
+        request = {"obj": obj, "value": value, "txn": ctx.txn_id,
+                   "ts": ctx.timestamp, "version": version, **stamp}
+        self.metrics.physical_write_rpcs += len(targets)
+        results = yield from self.processor.scatter(
+            targets, "write", lambda _s: request,
+            timeout=self.config.access_timeout).gather()
+        failed = {}
+        for server, reply in results.items():
+            if reply is not None and reply["ok"]:
+                ctx.note_access("w", obj, server, vpid)
+            else:
+                failed[server] = reply["reason"] if reply else "no-response"
+        if failed:
+            reason = next(iter(failed.values()))
+            ctx.poison(f"write {obj!r} failed at {sorted(failed)}: {reason}")
+            self._fail(obj, "w", reason, vpid)
+        self._record_logical(ctx, "w", obj, value, version, tuple(targets),
+                             **stamp)
+
+    def _record_logical(self, ctx, kind: str, obj: str, value, version,
+                        targets=(), v=None, pe=0) -> None:
+        """Report a logical access to ``history``: the copies it used,
+        and the view and placement epoch it was stamped with."""
+        self.history.record(LogicalAccess(
+            LogicalOp(self.sim.now, ctx.txn_id, kind, obj, value, version),
+            self.pid, v, targets, pe))
+
+    def _fail(self, obj: str, kind: str, reason: str, vpid=None):
+        """Abort the access with ``reason``; silence while the access's
+        view holds is news of a failure (``_silenced``)."""
+        if reason == "no-response" and self._view_holds(vpid):
+            self._silenced()
+        self.metrics.abort(kind, reason)
+        raise AccessAborted(obj, reason)
+
+    def _view_holds(self, vpid) -> bool:
+        """Is the view an access was issued in still this processor's?
+        While it is, a silent copy moves the read on to the next one."""
+        return True
+
+    def _silenced(self) -> None:
+        """A copy stayed silent in the access's own view."""
 
     def _apply_decision(self, txn, outcome: str) -> None:
         """The decision reached this copy: undo its writes on abort,

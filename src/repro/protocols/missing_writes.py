@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Set
 
-from ..core.errors import AccessAborted
 from .quorum import QuorumProtocol
 
 
@@ -59,7 +58,6 @@ class MissingWritesProtocol(QuorumProtocol):
             # failure mode: fall back to a majority read
             value = yield from super().logical_read(obj, ctx)
             return value
-        self.metrics.logical_reads += 1
         payload = yield from self._read_one(
             obj, ctx, self._nearest(obj, self.placement.copies(obj)),
             "no-copy")
@@ -69,7 +67,6 @@ class MissingWritesProtocol(QuorumProtocol):
         return payload["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):
-        self.metrics.logical_writes += 1
         targets = sorted(self.placement.copies(obj))
         new_number = max(
             self._last_seen.get(obj, 0),
@@ -89,8 +86,7 @@ class MissingWritesProtocol(QuorumProtocol):
         reached_weight = sum(self.placement.weight(obj, s) for s in reached)
         if 2 * reached_weight <= self.placement.total_weight(obj):
             ctx.poison(f"write {obj!r}: no majority reached")
-            self.metrics.abort("w", "no-majority")
-            raise AccessAborted(obj, "no-majority")
+            self._fail(obj, "w", "no-majority")
         for server in reached:
             ctx.note_access("w", obj, server, None)
         self._last_seen[obj] = new_number

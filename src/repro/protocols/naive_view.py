@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.errors import AccessAborted
 from .common import BaselineProtocol
 
 
@@ -69,23 +68,19 @@ class NaiveViewProtocol(BaselineProtocol):
         self.view = {self.pid} | graph.neighbors(self.pid)
 
     # ------------------------------------------------------------------
-    # logical operations: the ROWA loops over the copies in the view
+    # logical operations: the ROWA walks over the copies in the view
     # ------------------------------------------------------------------
 
     def logical_read(self, obj: str, ctx):
-        self.metrics.logical_reads += 1
         if not self.placement.accessible(obj, self.view):
-            self.metrics.abort("r", "inaccessible")
-            raise AccessAborted(obj, "inaccessible")
+            self._fail(obj, "r", "inaccessible")
         payload = yield from self._read_one(
             obj, ctx, self._nearest(obj, self.view), "no-copy-in-view")
         return payload["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):
-        self.metrics.logical_writes += 1
         if not self.placement.accessible(obj, self.view):
-            self.metrics.abort("w", "inaccessible")
-            raise AccessAborted(obj, "inaccessible")
+            self._fail(obj, "w", "inaccessible")
         yield from self._write_all(obj, value, ctx,
                                    sorted(self.placement.copies(obj) & self.view))
 

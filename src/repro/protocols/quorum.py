@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from ..core.errors import AccessAborted
 from .common import BaselineProtocol
 
 
@@ -60,7 +59,6 @@ class QuorumProtocol(BaselineProtocol):
     # ------------------------------------------------------------------
 
     def logical_read(self, obj: str, ctx):
-        self.metrics.logical_reads += 1
         need, _ = self.thresholds(obj)
         responses = yield from self._collect(
             "read", obj, need,
@@ -69,8 +67,7 @@ class QuorumProtocol(BaselineProtocol):
             count_as="r",
         )
         if responses is None:
-            self.metrics.abort("r", "no-quorum")
-            raise AccessAborted(obj, "no-quorum")
+            self._fail(obj, "r", "no-quorum")
         best_server, best = max(
             responses.items(), key=lambda kv: (kv[1]["date"] or 0, kv[0])
         )
@@ -81,7 +78,6 @@ class QuorumProtocol(BaselineProtocol):
         return best["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):
-        self.metrics.logical_writes += 1
         r_need, need = self.thresholds(obj)
         cached = self._version_cache.get(ctx.txn_id, {}).get(obj)
         if cached is None:
@@ -94,8 +90,7 @@ class QuorumProtocol(BaselineProtocol):
                 count_as="aux",
             )
             if responses is None:
-                self.metrics.abort("w", "no-version-quorum")
-                raise AccessAborted(obj, "no-version-quorum")
+                self._fail(obj, "w", "no-version-quorum")
             for server in responses:
                 ctx.note_access("r", obj, server, None)
             cached = max((p["date"] or 0) for p in responses.values())
@@ -110,8 +105,7 @@ class QuorumProtocol(BaselineProtocol):
         )
         if responses is None:
             ctx.poison(f"write {obj!r}: no write quorum")
-            self.metrics.abort("w", "no-quorum")
-            raise AccessAborted(obj, "no-quorum")
+            self._fail(obj, "w", "no-quorum")
         for server in responses:
             ctx.note_access("w", obj, server, None)
         self._version_cache.setdefault(ctx.txn_id, {})[obj] = new_number

@@ -21,7 +21,6 @@ class RowaProtocol(BaselineProtocol):
 
     def logical_read(self, obj: str, ctx):
         """Try copies nearest-first until one answers."""
-        self.metrics.logical_reads += 1
         payload = yield from self._read_one(
             obj, ctx, self._nearest(obj, self.placement.copies(obj)),
             "no-copy")
@@ -29,7 +28,6 @@ class RowaProtocol(BaselineProtocol):
 
     def logical_write(self, obj: str, value: Any, ctx):
         """Every copy must acknowledge, or the write (and txn) aborts."""
-        self.metrics.logical_writes += 1
         yield from self._write_all(obj, value, ctx,
                                    sorted(self.placement.copies(obj)))
 

@@ -43,6 +43,16 @@ missing-writes from ``309955a5f6bf49c4``, naive-view from
 ``f8fe9a74bec9d8bf`` — in ``storage.forced_syncs`` and
 ``storage.wal_appends`` alone (rowa 213 → 120 forced, quorum and
 majority 216 → 72, missing-writes 225 → 140, naive-view 353 → 161).
+Journalling 2PC's "undecided" open no more moved all five — rowa from
+``1080cb7d205f6f76``, quorum and majority from ``2ff94240b4063583``,
+missing-writes from ``39a3801f56318838``, naive-view from
+``3d7352a66d90ec70`` — in ``storage.wal_appends`` (rowa 480 → 460,
+quorum and majority 266 → 218, missing-writes 381 → 349, naive-view
+484 → 453); the one client walk moved rowa and naive-view also in
+``by_reason`` (2 aborts each from ``cc-timeout`` to ``no-response``:
+a write failing at several copies is named after its first failing
+target, as Fig. 11's walk always named it, where the old baseline
+loop preferred a refusal).
 naive-view is not 1SR by design (the §4 strawman).
 """
 
@@ -57,11 +67,11 @@ from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import ExperimentSpec, run_experiment
 
 PINS = {
-    "rowa": ("1080cb7d205f6f76", True),
-    "quorum": ("2ff94240b4063583", True),
-    "majority": ("2ff94240b4063583", True),
-    "missing-writes": ("39a3801f56318838", True),
-    "naive-view": ("3d7352a66d90ec70", False),
+    "rowa": ("6b2dcdd43d40b419", True),
+    "quorum": ("41a5298d340f7c13", True),
+    "majority": ("41a5298d340f7c13", True),
+    "missing-writes": ("4a7d985be38d4f18", True),
+    "naive-view": ("34dbc52f7d0c8f11", False),
 }
 
 

@@ -187,3 +187,21 @@ def test_metrics_command(capsys):
     assert payload["counters"]["txn.committed"] > 0
     assert "txn.latency" in payload["histograms"]
     assert any(key.startswith("msg.kind.") for key in payload["counters"])
+
+
+def test_hunt_command_convicts_and_replays_the_canary(tmp_path, capsys):
+    assert main(["hunt", "--protocol", "naive-view", "--campaigns", "4",
+                 "--workers", "1", "--out", str(tmp_path),
+                 "--expect-failure"]) == 0
+    artifact = tmp_path / "hunt-naive-view-s0-c0.json"
+    assert artifact.exists()
+    assert main(["hunt", "--replay", str(artifact), "--expect-failure"]) == 0
+    assert "verdict: 1SR violation:" in capsys.readouterr().out
+
+
+def test_hunt_command_exit_code_follows_the_expectation(capsys):
+    survive = ["hunt", "--protocol", "virtual-partitions", "--campaigns", "2",
+               "--workers", "1", "--stop-after", "0", "--shrink-budget", "0"]
+    assert main(survive) == 0
+    assert "survived 2 campaigns" in capsys.readouterr().out
+    assert main(survive + ["--expect-failure"]) == 1
