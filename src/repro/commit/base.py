@@ -31,8 +31,10 @@ provides ``processor``, ``pid``, ``sim``, ``config``, ``metrics``,
 ``tracer``, ``history``, ``_vote(txn, payload)``,
 ``_apply_decision(txn, outcome)`` and two checks that raise no
 objection by default: ``_r4_screen(ctx)`` and ``_force_aborted(txn)``.
-Paxos Commit also reads ``state``.  Every decision is journalled and
-reported to ``history`` by one call, :meth:`AtomicCommit._log_decision`.
+Paxos Commit also reads ``state``, the view it takes its acceptors
+from; a host that keeps none (every baseline) is refused at build.
+Every decision is journalled and reported to ``history`` by one call,
+:meth:`AtomicCommit._log_decision`.
 """
 
 from __future__ import annotations

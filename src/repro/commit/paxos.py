@@ -84,6 +84,11 @@ class PaxosCommit(AtomicCommit):
 
     def __init__(self, host: Any):
         super().__init__(host)
+        # the acceptors are the view of the host's Fig. 3 state
+        if getattr(host, "state", None) is None:
+            raise ValueError(f"{host.name} cannot commit through 'paxos': "
+                             "it keeps no view to take Paxos Commit's "
+                             "acceptors from")
         #: consensus outcomes determined here: txn -> commit|abort
         self._outcome: Dict[Any, str] = {}
         #: per-txn instance metadata (participants, acceptors,

@@ -42,10 +42,12 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
     def __init__(self, processor: Processor, placement: CopyPlacement,
                  config: ProtocolConfig, history: History,
                  latency: LatencyModel, all_pids: Iterable[int]):
+        # before the base builds the commit backend: Paxos Commit takes
+        # its acceptors from this state's view
+        self.state = ReplicaState(processor.pid, processor.sim, history,
+                                  store=processor.store)
         super().__init__(processor, placement, config, history, latency,
                          all_pids)
-        self.state = ReplicaState(self.pid, self.sim, history,
-                                  store=processor.store)
         #: client-side routing directory (Figs. 10-11 lookups); the
         #: cluster swaps in a CachedDirectory for partial-map runs.
         #: Server-side votes stay on the authoritative ``placement``.
@@ -54,10 +56,6 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         #: the key of Fig. 6's armed 3δ wait for a commit, or None
         self._commit_wait = None
         self._poisoned_txns: set = set()
-
-    def distance(self, pid: int) -> float:
-        """Expected delay to ``pid``; rule R2 reads the minimum."""
-        return self._latency.distance(self.pid, pid)
 
     # ------------------------------------------------------------------
     # observability

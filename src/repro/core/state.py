@@ -59,14 +59,10 @@ class ReplicaState:
         #: info distributed with the commit of the current partition:
         #: member pid -> (previous vp-id, objects accessible there)
         self.previous_map: Dict[int, tuple] = {}
-        #: views of partitions this processor committed to (vpid -> view);
-        #: used by the weakened-R4 validation
-        self.view_history: Dict[VpId, frozenset] = {boot_id: frozenset({pid})}
         #: bumped on every join/depart so in-flight operations can detect
         #: that the partition changed under them
         self.epoch: int = 0
-        self.history.record(Join(sim.now, pid, boot_id,
-                                 self.view_history[boot_id]))
+        self.history.record(Join(sim.now, pid, boot_id, frozenset({pid})))
 
     # -- max-id (durable) ------------------------------------------------------
 
@@ -108,8 +104,7 @@ class ReplicaState:
         self.epoch += 1
         self.previous_map = dict(previous_map or {})
         self.partition_changed.notify_all()
-        frozen = self.view_history[vpid] = frozenset(view)
-        self.history.record(Join(self.sim.now, self.pid, vpid, frozen))
+        self.history.record(Join(self.sim.now, self.pid, vpid, frozenset(view)))
 
     # -- the locked set (R5 gating) ---------------------------------------------
 

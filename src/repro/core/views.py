@@ -222,10 +222,6 @@ class CopyPlacement:
         """
         return self._weights(obj)
 
-    def total_weight(self, obj: str) -> int:
-        """Sum of all copy weights of ``obj``."""
-        return sum(self._weights(obj).values())
-
     def size(self, obj: str) -> int:
         """Declared object size (cost unit for full-copy transfers)."""
         self._weights(obj)

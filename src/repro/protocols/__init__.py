@@ -2,13 +2,14 @@
 
 The paper's own protocol lives in :mod:`repro.core`; everything here is
 either shared machinery or a comparison protocol from the literature.
-Every protocol gets its constructor, crash undo and atomic commit from
+Every protocol gets its constructor, copy server, read-one and
+write-all walks, commit vote, crash undo and atomic commit from
 :class:`~repro.protocols.base.ReplicaControlProtocol` — the baselines
 commit through 2PC, so all pay identical concurrency-control *and*
-commit costs.  Each baseline subclasses
-:class:`~repro.protocols.common.BaselineProtocol` (copy server, commit
-vote, and the read-one and write-all loops) and keeps only which
-copies its operations touch:
+commit costs — and the baselines also its availability rule (the
+reachable copies' votes against ``thresholds``).  Each baseline
+subclasses it directly and keeps only which copies its operations
+touch, and its ``(r, w)`` or votes where they differ from ROWA's:
 
 * :class:`RowaProtocol` — read-one/write-ALL (no fault tolerance);
 * :class:`QuorumProtocol` — Gifford's weighted voting [G];

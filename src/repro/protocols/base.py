@@ -9,12 +9,18 @@ for.
 
 Each protocol adds ``logical_read(obj, ctx)`` and ``logical_write(obj,
 value, ctx)``, *generators* (simulation processes use ``yield from``)
-that raise :class:`~repro.core.errors.AccessAborted` on failure, and
-``available(obj, write)``, a predicate that sends nothing.  ``ctx`` is
-the transaction context supplied by the transaction manager;
-protocols record participants and partition ids into it so
+that raise :class:`~repro.core.errors.AccessAborted` on failure.
+``ctx`` is the transaction context supplied by the transaction
+manager; protocols record participants and partition ids into it so
 commit-time validation (rule R4 and its weakened variant) can run.
 The transaction counts each logical access as it enters.
+
+Availability is one rule, ``available(obj, write)``, a predicate that
+sends nothing: the copies this processor reaches in the live graph
+hold ``thresholds(obj)[write]`` votes (``vote_weight``).  The default
+pair is ROWA's ``(1, total)``; a quorum protocol overrides the pair or
+the votes.  The views (virtual partitions, the naive strawman) judge
+R1 over their view instead.
 
 Both sides of a physical access live here.  The client walks are Fig.
 10's read-one (``_read_one``: the first candidate that answers serves)
@@ -30,7 +36,7 @@ priced journal append; a protocol supplies ``_gate``, ``_refusal`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..analysis.history import LogicalAccess, LogicalOp, PhysicalOp
 from ..cc.factory import make_cc
@@ -108,10 +114,11 @@ class ReplicaControlProtocol:
     ``no-copy`` and ``in-doubt`` refusals, and the request's date (else
     the copy's own); the virtual partitions protocol overrides them.
     The backend calls back into its host (``repro.commit.base``):
-    ``_vote`` is the protocol's own; ``_apply_decision`` undoes or keeps
-    the before-images here; the ``_r4_screen`` and ``_force_aborted``
-    defaults raise no objection — the views override them.  Decisions
-    go to ``history`` from the backend itself.
+    ``_vote`` says no only to a transaction this copy lost;
+    ``_apply_decision`` undoes or keeps the before-images here; the
+    ``_r4_screen`` and ``_force_aborted`` defaults raise no objection —
+    the virtual partitions protocol overrides them and ``_vote``.
+    Decisions go to ``history`` from the backend itself.
     """
 
     #: short identifier used in benchmark tables
@@ -182,6 +189,39 @@ class ReplicaControlProtocol:
 
     def _on_recover(self) -> None:
         self.commit.on_recover()
+
+    # ------------------------------------------------------------------
+    # copies and votes: the order a walk visits copies in, and how many
+    # votes an access needs
+    # ------------------------------------------------------------------
+
+    def distance(self, pid: int) -> float:
+        """Expected delay to ``pid``; rule R2 reads the minimum."""
+        return self._latency.distance(self.pid, pid)
+
+    def _nearest(self, obj: str, among: Iterable[int]) -> list:
+        """``obj``'s copy holders in ``among``, nearest first."""
+        return self.placement.holders_by_distance(obj, among, self.distance)
+
+    def vote_weight(self, obj: str, pid: int) -> int:
+        """Votes held by ``pid``'s copy of ``obj``: its placement weight."""
+        return self.placement.weight(obj, pid)
+
+    def thresholds(self, obj: str) -> Tuple[int, int]:
+        """``(r, w)``: the votes a read and a write of ``obj`` need —
+        one copy for a read, every copy for a write (ROWA)."""
+        return 1, sum(self.vote_weight(obj, p)
+                      for p in self.placement.copies(obj))
+
+    def available(self, obj: str, write: bool) -> bool:
+        """Omniscient availability, for benchmarks: do the copies this
+        processor reaches in the live graph hold the votes the access
+        needs?"""
+        graph = self.processor.network.graph
+        reached = sum(self.vote_weight(obj, q)
+                      for q in self.placement.copies(obj)
+                      if graph.has_edge(self.pid, q))
+        return reached >= self.thresholds(obj)[write]
 
     # ------------------------------------------------------------------
     # the copy server: Fig. 12's Physical-Access, for every protocol
@@ -360,6 +400,13 @@ class ReplicaControlProtocol:
 
     def _silenced(self) -> None:
         """A copy stayed silent in the access's own view."""
+
+    def _vote(self, txn, payload) -> str | None:
+        """None (yes) unless the transaction is lost here.  A served
+        access holds its admission until ``finish``; only the crash
+        hook's fresh CC forgets it early — and that hook also restored
+        the before-images, so a yes would commit a lost write."""
+        return None if txn in self.cc.active_txns() else REJECT_TXN_LOST
 
     def _apply_decision(self, txn, outcome: str) -> None:
         """The decision reached this copy: undo its writes on abort,

@@ -27,7 +27,7 @@ on that window.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Set
+from typing import Any, Dict, Set, Tuple
 
 from .quorum import QuorumProtocol
 
@@ -48,6 +48,12 @@ class MissingWritesProtocol(QuorumProtocol):
         super().attach()
         self.processor.serve("mw-note", self._serve_note)
         self.processor.add_task("mw-repair", self._repair_loop)
+
+    def thresholds(self, obj: str) -> Tuple[int, int]:
+        """Quorum's ``(r, w)``, but a read needs one copy while no write
+        of ``obj`` is missing (normal mode)."""
+        r, w = super().thresholds(obj)
+        return (r if self._missing.get(obj) else 1), w
 
     # ------------------------------------------------------------------
     # logical operations
@@ -83,8 +89,7 @@ class MissingWritesProtocol(QuorumProtocol):
         reached = {s for s, p in results.items()
                    if p is not None and p.get("ok")}
         missed = set(targets) - reached
-        reached_weight = sum(self.placement.weight(obj, s) for s in reached)
-        if 2 * reached_weight <= self.placement.total_weight(obj):
+        if sum(self.vote_weight(obj, s) for s in reached) < self.thresholds(obj)[1]:
             ctx.poison(f"write {obj!r}: no majority reached")
             self._fail(obj, "w", "no-majority")
         for server in reached:
@@ -95,20 +100,6 @@ class MissingWritesProtocol(QuorumProtocol):
             self._note_missing(obj, missed, broadcast=True)
         self._record_logical(ctx, "w", obj, value, version)
         return None
-
-    def available(self, obj: str, write: bool) -> bool:
-        graph = self.processor.network.graph
-        reachable = sum(
-            self.placement.weight(obj, q)
-            for q in self.placement.copies(obj)
-            if graph.has_edge(self.pid, q)
-        )
-        total = self.placement.total_weight(obj)
-        if write:
-            return 2 * reachable > total
-        if self._missing.get(obj):
-            return 2 * reachable > total
-        return reachable > 0
 
     # ------------------------------------------------------------------
     # missing-write bookkeeping

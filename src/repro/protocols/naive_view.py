@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from .common import BaselineProtocol
+from .base import ReplicaControlProtocol
 
 
-class NaiveViewProtocol(BaselineProtocol):
+class NaiveViewProtocol(ReplicaControlProtocol):
     """Majority/read-one/write-all over unsynchronized local views."""
 
     name = "naive-view"

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from .common import BaselineProtocol
+from .base import ReplicaControlProtocol
 
 
-class QuorumProtocol(BaselineProtocol):
+class QuorumProtocol(ReplicaControlProtocol):
     """Weighted read/write quorums with per-copy version numbers."""
 
     name = "quorum"
@@ -37,20 +37,12 @@ class QuorumProtocol(BaselineProtocol):
     # quorum arithmetic
     # ------------------------------------------------------------------
 
-    def vote_weight(self, obj: str, pid: int) -> int:
-        """Votes held by ``pid``'s copy (placement weight by default)."""
-        return self.placement.weight(obj, pid)
-
-    def total_votes(self, obj: str) -> int:
-        return sum(self.vote_weight(obj, p)
-                   for p in self.placement.copies(obj))
-
     def thresholds(self, obj: str) -> Tuple[int, int]:
         """``(r, w)`` for the object: the classic majority pair
         ``w = floor(total/2) + 1``, ``r = total - w + 1``.  Then
         ``r + w = total + 1``, so every read quorum meets every write
         quorum, and ``2w > total``, so any two write quorums meet."""
-        total = self.total_votes(obj)
+        _, total = super().thresholds(obj)
         w = total // 2 + 1
         return total - w + 1, w
 
@@ -116,17 +108,6 @@ class QuorumProtocol(BaselineProtocol):
         self._version_cache.pop(ctx.txn_id, None)
         result = yield from super().end_transaction(ctx, outcome)
         return result
-
-    def available(self, obj: str, write: bool) -> bool:
-        """Omniscient: does a reachable quorum exist right now?"""
-        graph = self.processor.network.graph
-        reachable = sum(
-            self.vote_weight(obj, q)
-            for q in self.placement.copies(obj)
-            if graph.has_edge(self.pid, q)
-        )
-        r, w = self.thresholds(obj)
-        return reachable >= (w if write else r)
 
     # ------------------------------------------------------------------
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from .common import BaselineProtocol
+from .base import ReplicaControlProtocol
 
 
-class RowaProtocol(BaselineProtocol):
+class RowaProtocol(ReplicaControlProtocol):
     """Read any copy; write all copies or abort."""
 
     name = "rowa"
@@ -30,12 +30,3 @@ class RowaProtocol(BaselineProtocol):
         """Every copy must acknowledge, or the write (and txn) aborts."""
         yield from self._write_all(obj, value, ctx,
                                    sorted(self.placement.copies(obj)))
-
-    def available(self, obj: str, write: bool) -> bool:
-        """Omniscient availability (graph reachability), for benchmarks."""
-        graph = self.processor.network.graph
-        holders = self.placement.copies(obj)
-        reachable = {q for q in holders if graph.has_edge(self.pid, q)}
-        if write:
-            return reachable == holders
-        return bool(reachable)

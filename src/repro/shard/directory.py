@@ -107,13 +107,6 @@ class LocalDirectory(Directory):
         self.stats.hits += 1
         return self.placement.weights(obj)
 
-    def read_candidates(self, obj: str, view: Iterable[int],
-                        distance: DistanceFn) -> List[int]:
-        # Delegate so ordering semantics stay defined in one place.
-        self.stats.lookups += 1
-        self.stats.hits += 1
-        return self.placement.holders_by_distance(obj, view, distance)
-
     def route_epoch(self, obj: str) -> int:
         """The placement epoch this directory routes ``obj`` on, counting
         no lookup (it rides every access-path stamp): here always the

@@ -9,8 +9,13 @@ from repro.sim import Simulator
 
 
 @pytest.fixture()
-def state():
-    return ReplicaState(pid=3, sim=Simulator())
+def history():
+    return History()
+
+
+@pytest.fixture()
+def state(history):
+    return ReplicaState(pid=3, sim=Simulator(), history=history)
 
 
 def test_boot_state(state):
@@ -35,18 +40,16 @@ def test_depart_is_idempotent(state):
     assert state.epoch == epoch
 
 
-def test_join_updates_everything(state):
+def test_join_updates_everything(state, history):
     state.join(VpId(4, 1), {1, 2, 3}, {1: (VpId(3, 1), frozenset({"x"}))})
     assert state.assigned
     assert state.cur_id == VpId(4, 1)
     assert state.lview == {1, 2, 3}
     assert state.previous_map[1][0] == VpId(3, 1)
-    assert state.view_history[VpId(4, 1)] == frozenset({1, 2, 3})
+    assert history.view_of(VpId(4, 1)) == frozenset({1, 2, 3})
 
 
-def test_join_while_assigned_departs_first(state):
-    history = History()
-    state = ReplicaState(pid=3, sim=Simulator(), history=history)
+def test_join_while_assigned_departs_first(state, history):
     state.join(VpId(1, 1), {1, 3})
     state.join(VpId(2, 1), {1, 2, 3})
     departed = [(pid, vpid) for _, pid, vpid in history.departs]

@@ -22,7 +22,7 @@ def test_copies_and_weights(placement):
     assert placement.weight("x", 2) == 1
     assert placement.weight("x", 99) == 0
     assert placement.weight("a", 1) == 2
-    assert placement.total_weight("a") == 3
+    assert sum(placement.weights("a").values()) == 3
 
 
 def test_unweighted_majority(placement):

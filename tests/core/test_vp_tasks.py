@@ -151,9 +151,10 @@ def test_view_history_records_every_joined_partition():
         FaultAction(5.0, "partition", ((1, 2), (3, 4)), 55.0)])
     cluster.run(until=120.0)
     state = cluster.protocol(1).state
-    assert state.cur_id in state.view_history
-    assert state.view_history[state.cur_id] == frozenset(state.lview)
-    assert len(state.view_history) >= 3  # boot, split, merge
+    assert cluster.history.view_of(state.cur_id) == frozenset(state.lview)
+    joined = [join.vpid for join in cluster.history.joins if join.pid == 1]
+    assert len(joined) >= 3  # boot, split, merge
+    assert joined[-1] == state.cur_id
 
 
 # -- Fig. 6 as three callbacks on one state -----------------------------------

@@ -1,7 +1,9 @@
 """Do two source trees run the ledger's workloads identically?
 
 Runs each ``ledger.workloads.build(workload, seed, scale)`` spec under
-both trees and compares ``ExperimentResult.fingerprint()`` key by key::
+both trees and compares ``ExperimentResult.fingerprint()`` key by key,
+plus one more key, ``committed_writes``: a digest of the run's
+committed logical writes (:func:`committed_writes`)::
 
     python -m tests.equiv OLD_ROOT NEW_ROOT [--workload W ...]
         [--seeds 1,2,3] [--scale F] [--ignore DOTTED.KEY ...]
@@ -18,6 +20,7 @@ exit status is 1 if any spec differs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -26,17 +29,30 @@ import sys
 
 WORKLOADS = ("steady-rw", "read-lease", "shard-durable", "fault-churn")
 
+
+def committed_writes(history) -> str:
+    """A digest of ``history``'s committed logical writes: each one's
+    ``(txn, obj, version)``, committed transactions in begin order."""
+    import hashlib
+    writes = [(record.txn, op.obj, op.version)
+              for record in history.committed()
+              for op in record.logical_ops if op.kind == "w"]
+    return hashlib.sha256(repr(writes).encode()).hexdigest()
+
+
 #: the program each side runs: argv is the specs as JSON, then the scale;
-#: it prints one fingerprint per spec, one JSON line each
-_CHILD = """
+#: it prints one fingerprint per spec, one JSON line each.  It carries
+#: its own copy of ``committed_writes``: each side imports only its tree
+_CHILD = inspect.getsource(committed_writes) + """
 import json, sys
 from ledger.workloads import build
 from repro.workload.runner import run_experiment
 scale = float(sys.argv[2])
 for name, seed in json.loads(sys.argv[1]):
     result = run_experiment(build(name, seed, scale))
-    print(json.dumps(result.fingerprint(), sort_keys=True, default=repr),
-          flush=True)
+    fingerprint = result.fingerprint()
+    fingerprint["committed_writes"] = committed_writes(result.cluster.history)
+    print(json.dumps(fingerprint, sort_keys=True, default=repr), flush=True)
 """
 
 

@@ -20,7 +20,7 @@ def test_default_thresholds_majority_pair():
     protocol = cluster.protocol(1)
     r, w = protocol.thresholds("x")
     assert w == 3 and r == 3
-    assert r + w > protocol.total_votes("x")
+    assert r + w > sum(protocol.vote_weight("x", p) for p in cluster.pids)
 
 
 def test_weighted_thresholds():

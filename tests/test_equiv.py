@@ -1,6 +1,9 @@
-"""``python -m tests.equiv``'s fingerprint diff, on hand-made fingerprints."""
+"""``python -m tests.equiv``'s fingerprint diff and committed-write
+digest, on hand-made fingerprints and histories."""
 
-from tests.equiv import diff
+from repro.analysis.history import History
+from tests.analysis import record_logical
+from tests.equiv import _CHILD, committed_writes, diff
 
 FINGERPRINT = {
     "committed": 10,
@@ -60,3 +63,42 @@ def test_a_key_is_ignored_only_as_a_whole_path_segment():
     new["network"]["sent"] = 41
     assert diff(FINGERPRINT, new, ("network.se",)) == [
         "network.sent: 40 != 41"]
+
+
+def run_history(*txns):
+    """A history of ``(txn, status, ops)`` transactions, each op an
+    ``(kind, obj, version)`` triple, begun and ended in that order."""
+    history = History()
+    for time, (txn, status, ops) in enumerate(txns):
+        history.begin_txn(txn, origin=1, time=float(time))
+        for kind, obj, version in ops:
+            record_logical(history, time=float(time), txn=txn, kind=kind,
+                           obj=obj, value=0, version=version)
+        history.finish_txn_once(txn, status, float(time))
+    return history
+
+
+T1 = ("t1", "committed", [("w", "x", ("t1", 1)), ("r", "y", None)])
+T2 = ("t2", "committed", [("w", "y", ("t2", 1))])
+
+
+def test_the_digest_reads_only_committed_writes():
+    digest = committed_writes(run_history(T1, T2))
+    assert committed_writes(run_history(T1, T2)) == digest
+    # a read or an aborted transaction's write does not count
+    reread = ("t1", "committed", [("w", "x", ("t1", 1)), ("r", "x", None)])
+    lost = ("t3", "aborted", [("w", "x", ("t3", 1))])
+    assert committed_writes(run_history(reread, T2, lost)) == digest
+    # another version, object or begin order does
+    assert committed_writes(run_history(
+        T1, ("t2", "committed", [("w", "y", ("t2", 2))]))) != digest
+    assert committed_writes(run_history(
+        T1, ("t2", "committed", [("w", "z", ("t2", 1))]))) != digest
+    assert committed_writes(run_history(T2, T1)) != digest
+
+
+def test_each_side_runs_its_own_copy_of_the_digest():
+    # the child imports nothing from tests/: the old tree may lack it
+    assert "def committed_writes(" in _CHILD
+    assert "tests" not in _CHILD
+    compile(_CHILD, "<child>", "exec")
