@@ -39,6 +39,7 @@ from functools import partial
 from ..analysis.history import CopyInstall, CopyRetire
 from ..node.storage import LogTruncated
 from ..node.transport import ScatterCall
+from .views import nearest_first
 
 
 def _date_newer(candidate, reference) -> bool:
@@ -392,8 +393,8 @@ class UpdateMixin:
             self.processor.reply(message, "reshard-install-reply",
                                  {"ok": False, "reason": "unassigned"})
             return
-        in_view = [p for p in payload["sources"]
-                   if p in state.lview and p != self.pid]
+        in_view = nearest_first(payload["sources"], state.lview - {self.pid},
+                                self.distance)
         if store.holds(obj) and not in_view:
             # Staying holder (weight-only move) or re-delivered install:
             # our own copy is a valid source.
@@ -404,7 +405,7 @@ class UpdateMixin:
             self.processor.reply(message, "reshard-install-reply",
                                  {"ok": False, "reason": "no-source-in-view"})
             return
-        source = min(in_view, key=lambda p: (self.distance(p), p))
+        source = in_view[0]
         results = yield from self.processor.scatter(
             [source], "vpread",
             lambda _server: {"v": state.cur_id, "mode": "full",

@@ -15,7 +15,7 @@ whose lookups are counted.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
 
 def weighted_majority(weights: Mapping[int, int], view: Iterable[int]) -> bool:
@@ -27,6 +27,19 @@ def weighted_majority(weights: Mapping[int, int], view: Iterable[int]) -> bool:
         if p in members:
             in_view += w
     return 2 * in_view > total
+
+
+def nearest_first(holders: Iterable[int], view: Iterable[int],
+                  distance: Callable[[int], float]) -> list[int]:
+    """Rule R2's order: the ``holders`` inside ``view``, nearest first.
+
+    ``distance(pid) -> float`` is supplied by the caller (usually the
+    latency model's distance from the reading processor).  Ties break
+    on pid for determinism.
+    """
+    members = set(view)
+    return sorted([p for p in holders if p in members],
+                  key=lambda p: (distance(p), p))
 
 
 class CopyPlacement:
@@ -249,18 +262,6 @@ class CopyPlacement:
         """Objects with a copy on ``pid`` (Fig. 3's ``local``)."""
         return {obj for obj, weights in self._placement.items()
                 if pid in weights}
-
-    def holders_by_distance(self, obj: str, view: Iterable[int],
-                            distance) -> list[int]:
-        """Copy holders inside ``view``, nearest first (rule R2).
-
-        ``distance(pid) -> float`` is supplied by the caller (usually the
-        latency model's distance from the reading processor).  Ties break
-        on pid for determinism.
-        """
-        members = set(view)
-        candidates = [p for p in self._weights(obj) if p in members]
-        return sorted(candidates, key=lambda p: (distance(p), p))
 
     # -- helpers -----------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 The paper's own protocol lives in :mod:`repro.core`; everything here is
 either shared machinery or a comparison protocol from the literature.
-Every protocol gets its constructor, copy server, read-one and
-write-all walks, commit vote, crash undo and atomic commit from
+Every protocol gets its constructor, copy server, vote-gathering walk
+(read-one, write-all and the quorum waves), commit vote, crash undo
+and atomic commit from
 :class:`~repro.protocols.base.ReplicaControlProtocol` — the baselines
 commit through 2PC, so all pay identical concurrency-control *and*
 commit costs — and the baselines also its availability rule (the

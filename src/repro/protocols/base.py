@@ -22,11 +22,12 @@ pair is ROWA's ``(1, total)``; a quorum protocol overrides the pair or
 the votes.  The views (virtual partitions, the naive strawman) judge
 R1 over their view instead.
 
-Both sides of a physical access live here.  The client walks are Fig.
-10's read-one (``_read_one``: the first candidate that answers serves)
-and Fig. 11's write-all (``_write_all``: every target acknowledges);
-a protocol picks the copies and the request's stamp, and supplies
-``_view_holds`` and ``_silenced``, the rules for a silent copy.  The
+Both sides of a physical access live here.  The client side is one
+walk, ``_gather``: ask copies in order until those that served hold
+the votes the access needs — Fig. 10's read-one (``_read_one``), Fig.
+11's write-all (``_write_all``) and the quorum waves.  A protocol picks
+the copies and the request's stamp, and supplies ``_view_holds`` and
+``_silenced``, the rules for a silent copy.  The
 copy server is Fig. 12's Physical-Access shape: a gate, a refusal
 check, CC admission, then the before-image, the store write and its
 priced journal append; a protocol supplies ``_gate``, ``_refusal`` and
@@ -42,6 +43,7 @@ from ..analysis.history import LogicalAccess, LogicalOp, PhysicalOp
 from ..cc.factory import make_cc
 from ..commit import make_commit
 from ..core.errors import AccessAborted
+from ..core.views import nearest_first
 
 #: payload reasons a server may refuse a physical access (or a vote) with
 REJECT_LOCK_TIMEOUT = "lock-timeout"
@@ -199,28 +201,32 @@ class ReplicaControlProtocol:
         """Expected delay to ``pid``; rule R2 reads the minimum."""
         return self._latency.distance(self.pid, pid)
 
-    def _nearest(self, obj: str, among: Iterable[int]) -> list:
-        """``obj``'s copy holders in ``among``, nearest first."""
-        return self.placement.holders_by_distance(obj, among, self.distance)
+    def _nearest(self, obj: str, among: Iterable[int] | None = None) -> list:
+        """``obj``'s copy holders (those in ``among``), nearest first."""
+        weights = self.placement.weights(obj)
+        return nearest_first(weights, weights if among is None else among,
+                             self.distance)
 
     def vote_weight(self, obj: str, pid: int) -> int:
         """Votes held by ``pid``'s copy of ``obj``: its placement weight."""
         return self.placement.weight(obj, pid)
 
+    def _votes(self, obj: str, pids: Iterable[int]) -> int:
+        """The votes the copies of ``obj`` on ``pids`` hold together."""
+        return sum(self.vote_weight(obj, p) for p in pids)
+
     def thresholds(self, obj: str) -> Tuple[int, int]:
         """``(r, w)``: the votes a read and a write of ``obj`` need —
         one copy for a read, every copy for a write (ROWA)."""
-        return 1, sum(self.vote_weight(obj, p)
-                      for p in self.placement.copies(obj))
+        return 1, self._votes(obj, self.placement.copies(obj))
 
     def available(self, obj: str, write: bool) -> bool:
         """Omniscient availability, for benchmarks: do the copies this
         processor reaches in the live graph hold the votes the access
         needs?"""
         graph = self.processor.network.graph
-        reached = sum(self.vote_weight(obj, q)
-                      for q in self.placement.copies(obj)
-                      if graph.has_edge(self.pid, q))
+        reached = self._votes(obj, (q for q in self.placement.copies(obj)
+                                    if graph.has_edge(self.pid, q)))
         return reached >= self.thresholds(obj)[write]
 
     # ------------------------------------------------------------------
@@ -311,45 +317,88 @@ class ReplicaControlProtocol:
         return old_date if date is None else date
 
     # ------------------------------------------------------------------
-    # the client walk: Figs. 10–11's loops, for every protocol
+    # the client walk: one vote-gathering loop, for every protocol
     # ------------------------------------------------------------------
     # ``stamp`` is what a protocol adds to each request (VP: the view
     # ``v`` and the placement epoch ``pe``); ``v`` is also the view the
     # access was issued in, the one ``_view_holds`` judges.
 
-    def _read_one(self, obj: str, ctx, candidates: Iterable[int],
-                  last_reason: str, **stamp):
+    def _gather(self, obj: str, kind: str, request, candidates: list,
+                need: int | None = None, widen=None, tally=None):
+        """Generator: send ``request`` to ``candidates`` in order until
+        the copies that served hold ``need`` votes.
+
+        Each wave is the fewest next candidates whose votes could reach
+        ``need``; after a wave that falls short, ``widen(reason)`` (the
+        wave's last failure) says whether another wave goes — None:
+        always.  With ``need=None`` every candidate gets the request in
+        one wave and no vote is looked up.  ``tally(wave)`` counts each
+        wave as it leaves.  Returns ``({server: reply}, {server:
+        reason})`` — the copies that served, and those that refused or
+        stayed silent (``"no-response"``) — each in send order."""
+        served, failed = {}, {}
+        processor, timeout = self.processor, self.config.access_timeout
+        votes = sent = 0
+        end = len(candidates)
+        while sent < end:
+            if need is None:
+                wave, sent = candidates, end
+            else:  # ``votes`` counts the wave's copies until they fail
+                first = sent
+                while sent < end and votes < need:
+                    votes += self.vote_weight(obj, candidates[sent])
+                    sent += 1
+                wave = candidates[first:sent]
+            if tally is not None:
+                tally(wave)
+            results = yield from processor.scatter(
+                wave, kind, lambda _server: request, timeout=timeout).gather()
+            for server, reply in results.items():
+                if reply is not None and reply["ok"]:
+                    served[server] = reply
+                else:
+                    failed[server] = reason = (
+                        "no-response" if reply is None else reply["reason"])
+                    if need is not None:
+                        votes -= self.vote_weight(obj, server)
+            if need is None or votes >= need or (
+                    widen is not None and sent < end and not widen(reason)):
+                break
+        return served, failed
+
+    def _tally_reads(self, wave: list) -> None:
+        """Count a wave of data reads, and this processor's own copy."""
+        metrics = self.metrics
+        metrics.physical_read_rpcs += len(wave)
+        if self.pid in wave:
+            metrics.local_reads += 1
+
+    def _tally_writes(self, wave: list) -> None:
+        self.metrics.physical_write_rpcs += len(wave)
+
+    def _read_one(self, obj: str, ctx, candidates: list, last_reason: str,
+                  **stamp):
         """Generator: read ``obj`` at the first of ``candidates`` that
-        answers (Fig. 10).  Silence moves on to the next copy while the
-        read's view holds; a refusal ends the read — a partition
-        mismatch would repeat elsewhere, a lock timeout is a probable
-        deadlock to break.  Returns the served reply; an abort carries
-        the refusal, ``"no-response"``, or ``last_reason`` if there was
-        no candidate."""
+        answers (Fig. 10): a walk for one vote.  Silence widens it to
+        the next copy while the read's view holds; a refusal ends it — a
+        partition mismatch would repeat elsewhere, a lock timeout is a
+        probable deadlock to break.  Returns the served reply; an abort
+        carries the refusal, ``"no-response"``, or ``last_reason`` if
+        there was no candidate."""
         vpid = stamp.get("v")
         request = {"obj": obj, "txn": ctx.txn_id, "ts": ctx.timestamp,
                    **stamp}
-        for server in candidates:
-            self.metrics.physical_read_rpcs += 1
-            if server == self.pid:
-                self.metrics.local_reads += 1
-            payload = (yield from self.processor.scatter(
-                (server,), "read", lambda _s: request,
-                timeout=self.config.access_timeout).gather())[server]
-            if payload is None:
-                last_reason = "no-response"
-                if self._view_holds(vpid):
-                    continue  # R2: the next-nearest copy
-                break
-            if payload["ok"]:
-                self._record_logical(ctx, "r", obj, payload["value"],
-                                     payload["version"], (server,), **stamp)
-                ctx.note_access("r", obj, server, vpid)
-                ctx.read_versions[obj] = (payload["version"], self.sim.now)
-                return payload
-            last_reason = payload["reason"]
-            break
-        self._fail(obj, "r", last_reason, vpid)
+        served, failed = yield from self._gather(
+            obj, "read", request, candidates, 1,
+            lambda reason: reason == "no-response" and self._view_holds(vpid),
+            self._tally_reads)
+        for server, payload in served.items():
+            self._record_logical(ctx, "r", obj, payload["value"],
+                                 payload["version"], (server,), **stamp)
+            ctx.note_access("r", obj, server, vpid)
+            ctx.read_versions[obj] = (payload["version"], self.sim.now)
+            return payload
+        self._fail(obj, "r", next(reversed(failed.values()), last_reason), vpid)
 
     def _write_all(self, obj: str, value: Any, ctx, targets: list,
                    **stamp):
@@ -360,16 +409,10 @@ class ReplicaControlProtocol:
         version = ctx.next_version()
         request = {"obj": obj, "value": value, "txn": ctx.txn_id,
                    "ts": ctx.timestamp, "version": version, **stamp}
-        self.metrics.physical_write_rpcs += len(targets)
-        results = yield from self.processor.scatter(
-            targets, "write", lambda _s: request,
-            timeout=self.config.access_timeout).gather()
-        failed = {}
-        for server, reply in results.items():
-            if reply is not None and reply["ok"]:
-                ctx.note_access("w", obj, server, vpid)
-            else:
-                failed[server] = reply["reason"] if reply else "no-response"
+        served, failed = yield from self._gather(
+            obj, "write", request, targets, tally=self._tally_writes)
+        for server in served:
+            ctx.note_access("w", obj, server, vpid)
         if failed:
             reason = next(iter(failed.values()))
             ctx.poison(f"write {obj!r} failed at {sorted(failed)}: {reason}")

@@ -4,7 +4,8 @@ Behavioural model (what the paper's comparison needs):
 
 * **normal mode** — read-one / write-all, like the virtual partitions
   protocol without views;
-* a write that cannot reach every copy still succeeds if it reaches a
+* a write asks every copy in one wave of the shared walk
+  (``_gather``) and still succeeds if the copies that served hold a
   weighted majority, but the unreached copies become **missing-write**
   entries, and that fact is broadcast (the "extra logging of
   transaction information" the paper contrasts itself against —
@@ -12,7 +13,8 @@ Behavioural model (what the paper's comparison needs):
 * **failure mode** — while an object has missing writes, reads must
   assemble a majority and take the highest version, because a single
   copy can no longer be trusted;
-* a background task pushes the missed values to the lagging copies and
+* a background task pushes the missed values to the lagging copies
+  (two more single waves: a read of one good copy, the pushes) and
   broadcasts the all-clear, returning the object to normal mode.
 
 Faithfulness note (also in DESIGN.md): the original protocol threads
@@ -64,32 +66,25 @@ class MissingWritesProtocol(QuorumProtocol):
             # failure mode: fall back to a majority read
             value = yield from super().logical_read(obj, ctx)
             return value
-        payload = yield from self._read_one(
-            obj, ctx, self._nearest(obj, self.placement.copies(obj)),
-            "no-copy")
+        payload = yield from self._read_one(obj, ctx, self._nearest(obj),
+                                            "no-copy")
         date = payload["date"] or 0
         self._last_seen[obj] = max(self._last_seen.get(obj, 0), date)
         self._version_cache.setdefault(ctx.txn_id, {})[obj] = date
         return payload["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):
-        targets = sorted(self.placement.copies(obj))
         new_number = max(
             self._last_seen.get(obj, 0),
             self._version_cache.get(ctx.txn_id, {}).get(obj, 0),
         ) + 1
         version = ctx.next_version()
-        self.metrics.physical_write_rpcs += len(targets)
-        results = yield from self.processor.scatter(
-            targets, "write",
-            lambda _s: {"obj": obj, "value": value, "txn": ctx.txn_id,
-                        "ts": ctx.timestamp, "version": version,
-                        "date": new_number},
-            timeout=self.config.access_timeout).gather()
-        reached = {s for s, p in results.items()
-                   if p is not None and p.get("ok")}
-        missed = set(targets) - reached
-        if sum(self.vote_weight(obj, s) for s in reached) < self.thresholds(obj)[1]:
+        reached, missed = yield from self._gather(
+            obj, "write",
+            {"obj": obj, "value": value, "txn": ctx.txn_id,
+             "ts": ctx.timestamp, "version": version, "date": new_number},
+            sorted(self.placement.copies(obj)), tally=self._tally_writes)
+        if self._votes(obj, reached) < self.thresholds(obj)[1]:
             ctx.poison(f"write {obj!r}: no majority reached")
             self._fail(obj, "w", "no-majority")
         for server in reached:
@@ -97,7 +92,7 @@ class MissingWritesProtocol(QuorumProtocol):
         self._last_seen[obj] = new_number
         self._version_cache.setdefault(ctx.txn_id, {})[obj] = new_number
         if missed:
-            self._note_missing(obj, missed, broadcast=True)
+            self._note_missing(obj, set(missed), broadcast=True)
         self._record_logical(ctx, "w", obj, value, version)
         return None
 
@@ -138,34 +133,30 @@ class MissingWritesProtocol(QuorumProtocol):
         lagging = sorted(self._missing.get(obj, ()))
         if not lagging:
             return
-        good = [p for p in self._nearest(obj, self.placement.copies(obj))
-                if p not in lagging]
+        good = [p for p in self._nearest(obj) if p not in lagging]
         if not good:
             return
         repair_txn = ("mw-repair", self.pid, int(self.sim.now * 1000))
         repair_ts = (self.sim.now, self.pid, 10**9)
-        payload = (yield from self.processor.scatter(
-            good[:1], "read",
-            lambda _s: {"obj": obj, "txn": repair_txn, "ts": repair_ts},
-            timeout=self.config.access_timeout).gather())[good[0]]
-        if payload is None or not payload["ok"]:
+        read, _ = yield from self._gather(
+            obj, "read", {"obj": obj, "txn": repair_txn, "ts": repair_ts},
+            good[:1])
+        if not read:
             return
-        self.processor.send(good[0], "release",
+        (source, payload), = read.items()
+        self.processor.send(source, "release",
                             {"txn": repair_txn, "outcome": "commit"})
-        pushes = yield from self.processor.scatter(
-            lagging, "write",
-            lambda _s: {"obj": obj, "value": payload["value"],
-                        "txn": repair_txn, "ts": repair_ts,
-                        "version": payload["version"],
-                        "date": payload["date"]},
-            timeout=self.config.access_timeout).gather()
-        healed = {s for s, p in pushes.items()
-                  if p is not None and p.get("ok")}
+        healed, _ = yield from self._gather(
+            obj, "write",
+            {"obj": obj, "value": payload["value"], "txn": repair_txn,
+             "ts": repair_ts, "version": payload["version"],
+             "date": payload["date"]},
+            lagging)
         self.metrics.transfer_units += len(healed)
         for server in healed:
             self.processor.send(server, "release",
                                 {"txn": repair_txn, "outcome": "commit"})
-        still = self._missing.get(obj, set()) - healed
+        still = self._missing.get(obj, set()).difference(healed)
         if still:
             self._missing[obj] = still
             return

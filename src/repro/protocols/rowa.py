@@ -21,9 +21,8 @@ class RowaProtocol(ReplicaControlProtocol):
 
     def logical_read(self, obj: str, ctx):
         """Try copies nearest-first until one answers."""
-        payload = yield from self._read_one(
-            obj, ctx, self._nearest(obj, self.placement.copies(obj)),
-            "no-copy")
+        payload = yield from self._read_one(obj, ctx, self._nearest(obj),
+                                            "no-copy")
         return payload["value"]
 
     def logical_write(self, obj: str, value: Any, ctx):

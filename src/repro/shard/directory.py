@@ -32,7 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
-from ..core.views import CopyPlacement, weighted_majority
+from ..core.views import CopyPlacement, nearest_first, weighted_majority
 
 #: caller-supplied expected-delay function (usually ``protocol.distance``)
 DistanceFn = Callable[[int], float]
@@ -77,9 +77,7 @@ class Directory:
     def read_candidates(self, obj: str, view: Iterable[int],
                         distance: DistanceFn) -> List[int]:
         """Copy holders inside ``view``, nearest first (rule R2)."""
-        members = set(view)
-        candidates = [p for p in self.entry(obj) if p in members]
-        return sorted(candidates, key=lambda p: (distance(p), p))
+        return nearest_first(self.entry(obj), view, distance)
 
     def write_targets(self, obj: str, view: Iterable[int]) -> List[int]:
         """Every copy holder inside ``view`` (rule R3), sorted."""

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.core.views import CopyPlacement, weighted_majority
+from repro.core.views import CopyPlacement, nearest_first, weighted_majority
 from repro.workload.scenarios import EXAMPLE2_PLACEMENT
 
 
@@ -65,17 +65,17 @@ def test_local_objects(placement):
 
 def test_holders_by_distance(placement):
     distance = {1: 0.0, 2: 0.4, 3: 0.2}.__getitem__
-    assert placement.holders_by_distance("x", {1, 2, 3}, distance) == [1, 3, 2]
+    assert nearest_first(placement.weights("x"), {1, 2, 3}, distance) == [1, 3, 2]
 
 
 def test_holders_by_distance_restricted_to_view(placement):
     distance = {1: 0.0, 2: 0.4, 3: 0.2}.__getitem__
-    assert placement.holders_by_distance("x", {2, 3}, distance) == [3, 2]
+    assert nearest_first(placement.weights("x"), {2, 3}, distance) == [3, 2]
 
 
 def test_holders_by_distance_tie_breaks_on_pid(placement):
-    assert placement.holders_by_distance("x", {1, 2, 3},
-                                         lambda _q: 1.0) == [1, 2, 3]
+    assert nearest_first(placement.weights("x"), {1, 2, 3},
+                         lambda _q: 1.0) == [1, 2, 3]
 
 
 def test_size(placement):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.ids import VpId
-from repro.core.views import CopyPlacement
+from repro.core.views import CopyPlacement, nearest_first
 
 vp_ids = st.builds(VpId, st.integers(min_value=0, max_value=50),
                    st.integers(min_value=1, max_value=9))
@@ -96,7 +96,7 @@ def test_holders_by_distance_is_a_permutation_of_in_view_holders(
     rng = random.Random(seed)
     view = {p for p in range(1, 11) if rng.random() < 0.7}
     distance = {p: rng.random() for p in range(1, 11)}
-    ordered = placement.holders_by_distance("x", view, distance.__getitem__)
+    ordered = nearest_first(placement.weights("x"), view, distance.__getitem__)
     assert set(ordered) == placement.copies("x") & view
     assert all(distance[a] <= distance[b]
                for a, b in zip(ordered, ordered[1:]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.views import CopyPlacement
+from repro.core.views import CopyPlacement, nearest_first
 from repro.shard.directory import (
     CachedDirectory,
     LocalDirectory,
@@ -32,7 +32,7 @@ def test_local_directory_read_candidates_order(placement):
     directory = LocalDirectory(placement)
     distance = {1: 0.0, 2: 0.4, 3: 0.2}.__getitem__
     assert directory.read_candidates("x", {1, 2, 3}, distance) == \
-        placement.holders_by_distance("x", {1, 2, 3}, distance)
+        nearest_first(placement.weights("x"), {1, 2, 3}, distance) == [1, 3, 2]
 
 
 def test_write_targets_are_view_restricted_and_sorted(placement):
